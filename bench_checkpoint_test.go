@@ -8,15 +8,11 @@
 //
 //	go test -bench 'Checkpoint|Recovery' -benchtime 1x .
 //
-// Set BENCH_JSON=1 to (re)generate BENCH_checkpoint.json, the tracked
-// perf record (TestWriteCheckpointBenchJSON).
+// The tracked, end-to-end numbers come from bench/ (bash bench/run.sh).
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -147,53 +143,5 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, proteins := range []int{8, 24, 48} {
 		b.Run(fmt.Sprintf("proteins=%d/checkpointed", proteins), recoveryBench(proteins, true))
 		b.Run(fmt.Sprintf("proteins=%d/wal-replay", proteins), recoveryBench(proteins, false))
-	}
-}
-
-// TestWriteCheckpointBenchJSON regenerates BENCH_checkpoint.json, the
-// tracked durability perf record (set BENCH_JSON=1; CI runs it).
-func TestWriteCheckpointBenchJSON(t *testing.T) {
-	if os.Getenv("BENCH_JSON") == "" {
-		t.Skip("set BENCH_JSON=1 to regenerate BENCH_checkpoint.json")
-	}
-	type entry struct {
-		Name         string  `json:"name"`
-		DirtySources int     `json:"dirty_sources,omitempty"`
-		Proteins     int     `json:"proteins"`
-		Mode         string  `json:"mode,omitempty"`
-		NsPerOp      int64   `json:"ns_per_op"`
-		MsPerOp      float64 `json:"ms_per_op"`
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Go        string  `json:"go"`
-		Sources   int     `json:"corpus_sources"`
-		Entries   []entry `json:"entries"`
-	}{Benchmark: "checkpoint", Go: runtime.Version(), Sources: 6}
-
-	add := func(e entry, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		e.NsPerOp = r.NsPerOp()
-		e.MsPerOp = float64(r.NsPerOp()) / 1e6
-		out.Entries = append(out.Entries, e)
-		t.Logf("%s: %v", e.Name, r)
-	}
-	for _, dirty := range []int{1, 3, 6} {
-		add(entry{Name: fmt.Sprintf("checkpoint/dirty=%d", dirty), DirtySources: dirty, Proteins: 24},
-			checkpointDirtyBench(dirty, 24))
-	}
-	for _, proteins := range []int{8, 24, 48} {
-		add(entry{Name: fmt.Sprintf("recovery/proteins=%d/checkpointed", proteins), Proteins: proteins, Mode: "checkpointed"},
-			recoveryBench(proteins, true))
-		add(entry{Name: fmt.Sprintf("recovery/proteins=%d/wal-replay", proteins), Proteins: proteins, Mode: "wal-replay"},
-			recoveryBench(proteins, false))
-	}
-
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_checkpoint.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,16 +10,12 @@
 //
 //	go test -bench Ingest -benchtime 1x .
 //
-// Set BENCH_JSON=1 to (re)generate BENCH_ingest.json, the tracked perf
-// record (TestWriteIngestBenchJSON).
+// The tracked, end-to-end numbers come from bench/ (bash bench/run.sh).
 package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -113,69 +109,5 @@ func BenchmarkIngestStreaming(b *testing.B) {
 func BenchmarkIngestMonolithic(b *testing.B) {
 	for _, records := range []int{20_000, 100_000} {
 		b.Run(fmt.Sprintf("records=%d", records), monolithicIngestBench(records))
-	}
-}
-
-// TestWriteIngestBenchJSON regenerates BENCH_ingest.json, the tracked
-// ingestion perf record (set BENCH_JSON=1; CI smoke-runs the
-// benchmarks). It also enforces the subsystem's headline property:
-// streaming strictly fewer allocations per record than the monolithic
-// path at the 100k-record scale.
-func TestWriteIngestBenchJSON(t *testing.T) {
-	if os.Getenv("BENCH_JSON") == "" {
-		t.Skip("set BENCH_JSON=1 to regenerate BENCH_ingest.json")
-	}
-	type entry struct {
-		Name            string  `json:"name"`
-		Records         int     `json:"records"`
-		Batch           int     `json:"batch,omitempty"`
-		NsPerOp         int64   `json:"ns_per_op"`
-		RecordsPerSec   float64 `json:"records_per_sec"`
-		AllocsPerRecord float64 `json:"allocs_per_record"`
-		BytesPerRecord  float64 `json:"bytes_per_record"`
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Go        string  `json:"go"`
-		Format    string  `json:"format"`
-		Entries   []entry `json:"entries"`
-	}{Benchmark: "ingest", Go: runtime.Version(), Format: "fasta"}
-
-	add := func(e entry, fn func(b *testing.B)) entry {
-		r := testing.Benchmark(fn)
-		e.NsPerOp = r.NsPerOp()
-		e.RecordsPerSec = float64(e.Records) / (float64(r.NsPerOp()) / 1e9)
-		e.AllocsPerRecord = float64(r.AllocsPerOp()) / float64(e.Records)
-		e.BytesPerRecord = float64(r.AllocedBytesPerOp()) / float64(e.Records)
-		out.Entries = append(out.Entries, e)
-		t.Logf("%s: %v, %.0f rec/s, %.1f allocs/rec", e.Name, r, e.RecordsPerSec, e.AllocsPerRecord)
-		return e
-	}
-	var stream100k, mono100k entry
-	for _, c := range []struct{ records, batch int }{{20_000, 2000}, {100_000, 5000}} {
-		e := add(entry{Name: fmt.Sprintf("streaming/records=%d/batch=%d", c.records, c.batch),
-			Records: c.records, Batch: c.batch}, streamingIngestBench(c.records, c.batch))
-		if c.records == 100_000 {
-			stream100k = e
-		}
-	}
-	for _, records := range []int{20_000, 100_000} {
-		e := add(entry{Name: fmt.Sprintf("monolithic/records=%d", records), Records: records},
-			monolithicIngestBench(records))
-		if records == 100_000 {
-			mono100k = e
-		}
-	}
-	if stream100k.AllocsPerRecord >= mono100k.AllocsPerRecord {
-		t.Errorf("streaming allocs/record %.1f not below monolithic %.1f",
-			stream100k.AllocsPerRecord, mono100k.AllocsPerRecord)
-	}
-
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ingest.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

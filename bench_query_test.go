@@ -5,16 +5,13 @@
 //
 //	go test -bench 'ParallelScan|ParallelJoin|JoinReorder' -benchtime 1x .
 //
-// Set BENCH_JSON=1 to (re)generate BENCH_query.json, the tracked perf
-// record (TestWriteQueryBenchJSON).
+// The tracked, end-to-end numbers come from bench/ (bash bench/run.sh).
 package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -178,73 +175,4 @@ func BenchmarkJoinReorder(b *testing.B) {
 		sqlx.ReorderJoins = true
 		benchCursorQuery(b, indexed, joinReorderQuery, 2)
 	})
-}
-
-// TestWriteQueryBenchJSON regenerates BENCH_query.json, the tracked
-// query-engine perf record (set BENCH_JSON=1; CI runs it).
-func TestWriteQueryBenchJSON(t *testing.T) {
-	if os.Getenv("BENCH_JSON") == "" {
-		t.Skip("set BENCH_JSON=1 to regenerate BENCH_query.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		Workers     int     `json:"workers,omitempty"`
-		Mode        string  `json:"mode,omitempty"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		MsPerOp     float64 `json:"ms_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Go        string  `json:"go"`
-		FactRows  int     `json:"fact_rows"`
-		Proteins  int     `json:"corpus_proteins"`
-		Entries   []entry `json:"entries"`
-	}{Benchmark: "query", Go: runtime.Version(), FactRows: parallelFactRows, Proteins: 200}
-
-	add := func(e entry, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		e.NsPerOp = r.NsPerOp()
-		e.MsPerOp = float64(r.NsPerOp()) / 1e6
-		e.AllocsPerOp = r.AllocsPerOp()
-		e.BytesPerOp = r.AllocedBytesPerOp()
-		out.Entries = append(out.Entries, e)
-		t.Logf("%s: %v %v", e.Name, r, r.MemString())
-	}
-
-	var db *rel.Database
-	testing.Benchmark(func(b *testing.B) { db = bigQueryDB(b) })
-	scanWant := countFact(func(i int) bool { return i%7 == 3 })
-	joinWant := countFact(func(i int) bool { return i%64 < 32 })
-	for _, w := range parallelWorkerCounts() {
-		add(entry{Name: fmt.Sprintf("parallel-scan/workers-%d", w), Workers: w},
-			func(b *testing.B) { benchParallelQuery(b, db, parallelScanQuery, w, scanWant) })
-		add(entry{Name: fmt.Sprintf("parallel-join/workers-%d", w), Workers: w},
-			func(b *testing.B) { benchParallelQuery(b, db, parallelJoinQuery, w, joinWant) })
-	}
-	add(entry{Name: "distinct/workers-1", Workers: 1},
-		func(b *testing.B) { benchParallelQuery(b, db, distinctQuery, 1, 7*64) })
-	add(entry{Name: "group-by/workers-1", Workers: 1},
-		func(b *testing.B) { benchParallelQuery(b, db, groupByQuery, 1, 7) })
-	var indexed *rel.Database
-	testing.Benchmark(func(b *testing.B) { indexed, _ = indexedAndScanWarehouses(b) })
-	defer func() { sqlx.ReorderJoins = true }()
-	for _, mode := range []struct {
-		name    string
-		reorder bool
-	}{{"parse-order", false}, {"reordered", true}} {
-		sqlx.ReorderJoins = mode.reorder
-		add(entry{Name: "join-reorder/" + mode.name, Mode: mode.name},
-			func(b *testing.B) { benchCursorQuery(b, indexed, joinReorderQuery, 2) })
-	}
-	sqlx.ReorderJoins = true
-
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_query.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -8,12 +8,9 @@
 //
 //	go test -bench Replication -benchtime 1x .
 //
-// Set BENCH_JSON=1 to (re)generate BENCH_replication.json, the tracked
-// perf record (TestWriteReplicationBenchJSON). Note that the tracked
-// numbers come from CI's single-CPU container: the multi-replica read
-// rows measure HTTP + scheduler coordination overhead there, not true
-// parallel speedup — compare against the replicas=1 row, not across
-// machines.
+// On a single-CPU container the multi-replica read rows measure HTTP +
+// scheduler coordination overhead, not true parallel speedup. The
+// tracked, end-to-end numbers come from bench/ (bash bench/run.sh).
 package repro
 
 import (
@@ -24,8 +21,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,83 +201,5 @@ func BenchmarkReplicationReadFanout(b *testing.B) {
 				b.ReportMetric(rps, "reads/s")
 			}
 		})
-	}
-}
-
-// TestWriteReplicationBenchJSON regenerates BENCH_replication.json, the
-// tracked replication perf record (set BENCH_JSON=1; CI runs it).
-func TestWriteReplicationBenchJSON(t *testing.T) {
-	if os.Getenv("BENCH_JSON") == "" {
-		t.Skip("set BENCH_JSON=1 to regenerate BENCH_replication.json")
-	}
-	type entry struct {
-		Name          string  `json:"name"`
-		Proteins      int     `json:"proteins,omitempty"`
-		Records       int     `json:"records,omitempty"`
-		Replicas      int     `json:"replicas,omitempty"`
-		Servers       int     `json:"servers,omitempty"`
-		MsTotal       float64 `json:"ms_total,omitempty"`
-		RecordsPerSec float64 `json:"records_per_sec,omitempty"`
-		ReadsPerSec   float64 `json:"reads_per_sec,omitempty"`
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		Go        string  `json:"go"`
-		CPUs      int     `json:"cpus"`
-		Note      string  `json:"note"`
-		Entries   []entry `json:"entries"`
-	}{
-		Benchmark: "replication", Go: runtime.Version(), CPUs: runtime.NumCPU(),
-		Note: "single-CPU CI container: multi-replica read rows measure HTTP/scheduler " +
-			"coordination overhead, not parallel speedup; compare within this file only",
-	}
-
-	// Bootstrap time vs corpus size.
-	for _, proteins := range []int{8, 24, 48} {
-		_, ts := replPrimary(t, proteins)
-		t0 := time.Now()
-		r := openReplica(t, ts.URL)
-		ms := float64(time.Since(t0)) / float64(time.Millisecond)
-		if st, _ := r.Stats(context.Background()); st.Repo.Sources == 0 {
-			t.Fatal("replica bootstrapped empty")
-		}
-		r.Close()
-		out.Entries = append(out.Entries, entry{
-			Name: fmt.Sprintf("bootstrap/proteins=%d", proteins), Proteins: proteins, MsTotal: ms,
-		})
-		t.Logf("bootstrap proteins=%d: %.1fms", proteins, ms)
-	}
-
-	// Steady-state stream drain: n mutations, time to lag 0.
-	{
-		primary, ts := replPrimary(t, 48)
-		replica := openReplica(t, ts.URL)
-		const n = 16
-		d := replCatchup(t, primary, replica, n)
-		out.Entries = append(out.Entries, entry{
-			Name: fmt.Sprintf("catchup/records=%d", n), Records: n,
-			MsTotal:       float64(d) / float64(time.Millisecond),
-			RecordsPerSec: float64(n) / d.Seconds(),
-		})
-		t.Logf("catchup %d records: %v", n, d)
-	}
-
-	// Read fan-out: primary alone, then primary + 1 and + 2 replicas.
-	for _, replicas := range []int{0, 1, 2} {
-		_, servers := replCluster(t, 24, replicas)
-		rps := replReadThroughput(t, servers, 400*time.Millisecond, 4)
-		out.Entries = append(out.Entries, entry{
-			Name: fmt.Sprintf("reads/replicas=%d", replicas), Replicas: replicas,
-			Servers: len(servers), ReadsPerSec: rps,
-		})
-		t.Logf("reads replicas=%d: %.0f reads/s", replicas, rps)
-	}
-
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_replication.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -216,11 +216,29 @@ func mutate(rng *rand.Rand, s string, rate float64) string {
 	return string(b)
 }
 
-// pdbCode builds PDB-style 4-char codes: digit + three alphanumerics.
+// pdbCodeCycle is the period of the digit-letter-letter-digit formula
+// the first codes use; it yields pdbCodeCycle distinct codes.
+const pdbCodeCycle = 360
+
+// pdbCode builds PDB-style codes: a digit 1-9, then alphanumerics, four
+// characters up to index 124,775. Indexes below pdbCodeCycle keep the
+// digit-letter-letter-digit form; later ones end in the rest of the index
+// written in letters (base 24, least significant first, at least three
+// wide), so every index gets a code of its own: a code ending in a letter
+// cannot equal one ending in a digit, and fixed-width padding keeps the
+// letter form one-to-one.
 func pdbCode(i int) string {
-	letters := "ABCDEFGHJKLMNPQRSTUVWXYZ"
-	return fmt.Sprintf("%d%c%c%d", 1+i%9, letters[i%len(letters)],
-		letters[(i/3)%len(letters)], i%10)
+	const letters = "ABCDEFGHJKLMNPQRSTUVWXYZ"
+	if i < pdbCodeCycle {
+		return fmt.Sprintf("%d%c%c%d", 1+i%9, letters[i%len(letters)],
+			letters[(i/3)%len(letters)], i%10)
+	}
+	j := i - pdbCodeCycle
+	code := []byte{byte('1' + j%9)}
+	for n := j / 9; n > 0 || len(code) < 4; n /= len(letters) {
+		code = append(code, letters[n%len(letters)])
+	}
+	return string(code)
 }
 
 func uniprotAcc(i int) string { return fmt.Sprintf("P%05d", 10000+i) }

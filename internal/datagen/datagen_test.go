@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -155,6 +156,30 @@ func TestSequencesAreDNA(t *testing.T) {
 		for _, r := range s {
 			if !strings.ContainsRune("ACGT", r) {
 				t.Fatalf("non-DNA char %q", r)
+			}
+		}
+	}
+}
+
+// TestPDBCodesUnique: pdbCode never repeats (the pdb source's accession
+// must stay unique at any corpus size, or discovery finds no primary
+// relation), and the first 360 codes keep their historical values.
+func TestPDBCodesUnique(t *testing.T) {
+	const letters = "ABCDEFGHJKLMNPQRSTUVWXYZ"
+	seen := make(map[string]int)
+	for i := 0; i < 5000; i++ {
+		code := pdbCode(i)
+		if j, dup := seen[code]; dup {
+			t.Fatalf("pdbCode(%d) = pdbCode(%d) = %q", i, j, code)
+		}
+		seen[code] = i
+		if len(code) != 4 || code[0] < '1' || code[0] > '9' {
+			t.Errorf("pdbCode(%d) = %q, want a digit 1-9 plus three characters", i, code)
+		}
+		if i < 360 {
+			want := fmt.Sprintf("%d%c%c%d", 1+i%9, letters[i%24], letters[(i/3)%24], i%10)
+			if code != want {
+				t.Errorf("pdbCode(%d) = %q, historical value %q", i, code, want)
 			}
 		}
 	}

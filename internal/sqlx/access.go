@@ -397,11 +397,8 @@ type joinAccess struct {
 	// post holds reassigned multi-table conjuncts evaluated on the
 	// joined rows above this step (reordered plans only).
 	post []Expr
-	// prebuilt, when set, replaces the lazily built joinHashBuildRight
+	// prevec, when set, replaces the lazily built joinHashBuildRight
 	// table: parallel execution shares one build across all morsels.
-	prebuilt map[string][]rel.Tuple
-	// prevec is prebuilt's batch-engine counterpart: the shared
-	// open-addressing hash table.
 	prevec *joinTable
 	// precross, when set, replaces the per-iterator filtered right side
 	// of joinCrossSeq for the same reason.

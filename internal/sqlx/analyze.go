@@ -13,26 +13,19 @@ import (
 )
 
 // EXPLAIN ANALYZE support: when a run carries a planMeters, every
-// operator of the executed tree is wrapped in a meterIter counting
-// emitted rows and cumulative time (child time included, as in
+// operator of the executed tree is wrapped in a vecMeter counting
+// emitted rows, batches and cumulative time (child time included, as in
 // PostgreSQL). Parallel morsel chains share the same meter pointers, so
 // counts aggregate across workers; times then sum worker CPU time and
 // can exceed wall clock.
 
 // opMeter accumulates one operator's actual row count, nanoseconds, and
-// — under the batch engine — the number of non-empty batches it
-// emitted. Fields are atomics: morsel workers update them concurrently.
+// the number of non-empty batches it emitted. Fields are atomics: morsel
+// workers update them concurrently.
 type opMeter struct {
 	rows    int64
 	nanos   int64
 	batches int64
-}
-
-func (m *opMeter) observe(start time.Time, emitted bool) {
-	atomic.AddInt64(&m.nanos, int64(time.Since(start)))
-	if emitted {
-		atomic.AddInt64(&m.rows, 1)
-	}
 }
 
 func (m *opMeter) observeBatch(start time.Time, rows int) {
@@ -43,20 +36,7 @@ func (m *opMeter) observeBatch(start time.Time, rows int) {
 	}
 }
 
-// meterIter wraps one operator, metering each pull.
-type meterIter struct {
-	child opIter
-	m     *opMeter
-}
-
-func (mi *meterIter) next(ctx context.Context) (item, error) {
-	start := time.Now()
-	it, err := mi.child.next(ctx)
-	mi.m.observe(start, err == nil)
-	return it, err
-}
-
-// vecMeter is meterIter's batch-engine twin, also counting batches.
+// vecMeter wraps one operator, metering each pull.
 type vecMeter struct {
 	child vecIter
 	m     *opMeter
@@ -87,7 +67,7 @@ type selMeters struct {
 
 // planMeters holds every meter of one executed statement: one selMeters
 // per branch (head first, then union branches in order — the same order
-// openSelect opens them), plus the union-level operators.
+// vecOpenSelect opens them), plus the union-level operators.
 type planMeters struct {
 	branches      []*selMeters
 	union         *opMeter
@@ -122,40 +102,21 @@ func (p *Plan) ExplainAnalyze(ctx context.Context, db *rel.Database, workers int
 	mallocs := ms.Mallocs
 	start := time.Now()
 	rows := 0
-	if rt.vec {
-		_, it, err := vecOpenSelect(ctx, db, p.stmt, p.lg, rt)
+	_, it, err := vecOpenSelect(ctx, db, p.stmt, p.lg, rt)
+	if err != nil {
+		rt.close()
+		return "", err
+	}
+	for {
+		items, err := it.next(ctx, vecBatch)
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			rt.close()
 			return "", err
 		}
-		for {
-			items, err := it.next(ctx, vecBatch)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rt.close()
-				return "", err
-			}
-			rows += len(items)
-		}
-	} else {
-		_, it, err := openSelect(ctx, db, p.stmt, p.lg, rt)
-		if err != nil {
-			rt.close()
-			return "", err
-		}
-		for {
-			_, err := it.next(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rt.close()
-				return "", err
-			}
-			rows++
-		}
+		rows += len(items)
 	}
 	rt.close()
 	elapsed := time.Since(start)

@@ -19,8 +19,8 @@ type Result struct {
 }
 
 // Exec parses and executes one SQL statement against db, materializing
-// the full result. SELECT statements run through the streaming iterator
-// pipeline (see plan.go/iter.go) and are collected here; callers that
+// the full result. SELECT statements run through the streaming operator
+// pipeline (see plan.go/vec.go) and are collected here; callers that
 // want pull semantics use Prepare and Plan.Open instead.
 func Exec(db *rel.Database, sql string) (*Result, error) {
 	stmt, err := Parse(sql)
@@ -53,45 +53,26 @@ func execStmt(ctx context.Context, db *rel.Database, stmt Statement) (*Result, e
 	return nil, fmt.Errorf("sqlx: unsupported statement %T", stmt)
 }
 
-// collectSelect drains the iterator pipeline into a materialized Result —
+// collectSelect drains the operator pipeline into a materialized Result —
 // the collect-all wrapper pinning Exec's historical semantics on top of
 // the streaming executor.
 func collectSelect(ctx context.Context, db *rel.Database, s *SelectStmt) (*Result, error) {
-	rt := newRun()
-	if rt.vec {
-		cols, it, err := vecOpenSelect(ctx, db, s, nil, rt)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Columns: cols}
-		for {
-			items, err := it.next(ctx, vecBatch)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range items {
-				res.Rows = append(res.Rows, i.row)
-			}
-		}
-		return res, nil
-	}
-	cols, it, err := openSelect(ctx, db, s, nil, rt)
+	cols, it, err := vecOpenSelect(ctx, db, s, nil, newRun())
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: cols}
 	for {
-		i, err := it.next(ctx)
+		items, err := it.next(ctx, vecBatch)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, i.row)
+		for _, i := range items {
+			res.Rows = append(res.Rows, i.row)
+		}
 	}
 	return res, nil
 }
@@ -726,90 +707,6 @@ func collectAggs(e Expr, out *[]*FuncExpr) {
 			collectAggs(a, out)
 		}
 	}
-}
-
-func execGrouped(s *SelectStmt, items []SelectItem, envs []*env, rt *run) ([]rel.Tuple, error) {
-	// Collect all aggregate expressions in items + HAVING.
-	var aggs []*FuncExpr
-	for _, it := range items {
-		collectAggs(it.Expr, &aggs)
-	}
-	if s.Having != nil {
-		collectAggs(s.Having, &aggs)
-	}
-	groups := make(map[string]*group)
-	var order []string
-	// The composite group key is rendered into reused scratch buffers
-	// (same injective encoding as rel.KeyJoin over the parts' Key()
-	// strings); only a new group pays for the string the map retains.
-	keyVals := make([]rel.Value, len(s.GroupBy))
-	var keyBuf []byte
-	for _, e := range envs {
-		for ki, ge := range s.GroupBy {
-			v, err := eval(ge, e)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[ki] = v
-		}
-		keyBuf = rel.AppendTupleKey(keyBuf[:0], rel.Tuple(keyVals))
-		g, ok := groups[string(keyBuf)]
-		if !ok {
-			g = &group{repr: e, aggs: make(map[*FuncExpr]*aggState)}
-			for _, a := range aggs {
-				g.aggs[a] = newAggState()
-			}
-			key := string(keyBuf)
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.star++
-		for _, a := range aggs {
-			if a.Star {
-				continue
-			}
-			if len(a.Args) != 1 {
-				return nil, fmt.Errorf("sqlx: aggregate %s takes 1 argument", a.Name)
-			}
-			v, err := eval(a.Args[0], e)
-			if err != nil {
-				return nil, err
-			}
-			g.aggs[a].add(v, a.Distinct)
-		}
-	}
-	// Aggregates over empty input with no GROUP BY produce one row.
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		g := &group{repr: &env{rt: rt}, aggs: make(map[*FuncExpr]*aggState)}
-		for _, a := range aggs {
-			g.aggs[a] = newAggState()
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-	var rows []rel.Tuple
-	for _, key := range order {
-		g := groups[key]
-		if s.Having != nil {
-			v, err := evalGrouped(s.Having, g)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.AsBool(); !ok || !b {
-				continue
-			}
-		}
-		row := make(rel.Tuple, len(items))
-		for i, it := range items {
-			v, err := evalGrouped(it.Expr, g)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // evalGrouped evaluates an expression replacing aggregate nodes with their

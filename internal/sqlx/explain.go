@@ -66,7 +66,7 @@ func planMeterOf(pm *planMeters, f func(*planMeters) *opMeter) *opMeter {
 }
 
 // explainTree builds the operator tree for a statement including its
-// UNION chain, mirroring openSelect. pm pairs executed meters with the
+// UNION chain, mirroring vecOpenSelect. pm pairs executed meters with the
 // rendered nodes (nil for plain EXPLAIN).
 func explainTree(db *rel.Database, s *SelectStmt, lg *logicalSelect, pm *planMeters) (*explainNode, error) {
 	head, err := explainSelect(db, s, lg, pm.branch(0))

@@ -4,20 +4,18 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync/atomic"
 
 	"repro/internal/rel"
 )
 
-// This file is the pull-based half of the plan/execute split: a tree of
-// iterator operators (scan, join, filter, project, group, order,
-// distinct, limit/offset, union concat) with Next(ctx)-style semantics.
-// Rows are produced on demand, so a LIMIT query stops reading its inputs
-// as soon as the limit is satisfied, and cancellation is checked every
-// batch of stored-tuple reads. Exec remains a collect-all wrapper over
-// this pipeline (see exec.go), pinning the materialized semantics.
+// This file holds the per-execution state shared by every operator of
+// one open cursor, and the helpers the operators in vec*.go share. Rows
+// are produced on demand, so a LIMIT query stops reading its inputs as
+// soon as the limit is satisfied, and cancellation is checked every
+// batch of stored-tuple reads. Exec is a collect-all wrapper over the
+// same pipeline (see exec.go).
 
 // ctxBatch is how many stored-tuple reads happen between context checks.
 const ctxBatch = 64
@@ -36,9 +34,6 @@ type run struct {
 	// workers is the parallelism degree for eligible scan chains
 	// (0 or 1 = serial).
 	workers int
-	// vec selects the batch (vectorized) executor for this run; see
-	// vec.go. Subquery materialization follows the same engine.
-	vec bool
 	// meters, when non-nil, enables EXPLAIN ANALYZE instrumentation:
 	// every operator is wrapped to count rows and time.
 	meters *planMeters
@@ -48,7 +43,7 @@ type run struct {
 }
 
 func newRun() *run {
-	return &run{subs: make(map[*InExpr]*inSet), vec: Vectorized}
+	return &run{subs: make(map[*InExpr]*inSet)}
 }
 
 // tick counts one stored-tuple read and checks ctx every ctxBatch reads.
@@ -78,215 +73,6 @@ type item struct {
 	row rel.Tuple
 }
 
-// opIter is the pull interface every operator implements. next returns
-// io.EOF when exhausted. Iterators are single-goroutine.
-type opIter interface {
-	next(ctx context.Context) (item, error)
-}
-
-// openSelect builds the iterator tree for a SELECT, folding in its UNION
-// chain: branch iterators are concatenated (and deduplicated unless every
-// step is UNION ALL), then the head's ORDER BY/LIMIT/OFFSET apply to the
-// combined stream. lg is the prepared logical plan; nil (ad-hoc Exec,
-// subqueries) lowers the statement on the fly.
-func openSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, opIter, error) {
-	if lg == nil {
-		lg = buildLogical(db, s)
-	}
-	cols, head, err := openSelectOne(ctx, db, s, lg, rt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.Union == nil {
-		return cols, head, nil
-	}
-	iters := []opIter{head}
-	allMode := true
-	for cur, curLg := s, lg; cur.Union != nil; cur, curLg = cur.Union, curLg.union {
-		bcols, bit, err := openSelectOne(ctx, db, cur.Union, curLg.union, rt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(bcols) != len(cols) {
-			return nil, nil, fmt.Errorf("sqlx: UNION arity mismatch: %d vs %d columns",
-				len(cols), len(bcols))
-		}
-		iters = append(iters, bit)
-		if !cur.UnionAll {
-			allMode = false
-		}
-	}
-	var it opIter = &concatIter{children: iters}
-	it = meterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.union })
-	if !allMode {
-		it = newDistinctIter(it)
-		it = meterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.unionDistinct })
-	}
-	if len(s.OrderBy) > 0 {
-		it = &rowOrderIter{child: it, order: s.OrderBy, columns: cols}
-		it = meterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.unionSort })
-	}
-	if s.Limit >= 0 || s.Offset > 0 {
-		it = &limitIter{child: it, limit: s.Limit, offset: s.Offset}
-		it = meterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.unionLimit })
-	}
-	return cols, it, nil
-}
-
-// meterWrap instruments it with a fresh meter stored via slot when
-// metering is on; a no-op otherwise.
-func meterWrap(it opIter, pm *planMeters, slot func(*planMeters) **opMeter) opIter {
-	if pm == nil {
-		return it
-	}
-	m := &opMeter{}
-	*slot(pm) = m
-	return &meterIter{child: it, m: m}
-}
-
-// openSelectOne builds the iterator tree for one SELECT without its UNION
-// chain, binding the logical plan's access paths against db. When the
-// select heads a union, ORDER/LIMIT/OFFSET are applied by openSelect to
-// the combined stream instead.
-func openSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, opIter, error) {
-	headOfUnion := s.Union != nil
-	// Materialize uncorrelated IN (SELECT ...) subqueries into the run.
-	// The logical plan partitions the WHERE conjuncts, so every pushed
-	// filter and residual conjunct is walked (IN nodes keep their
-	// identity through the rewrite, which keys the materialized results).
-	for _, tl := range lg.tables {
-		for _, f := range tl.filters {
-			if err := rt.materializeSubqueries(ctx, db, f); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for _, c := range lg.residual {
-		if err := rt.materializeSubqueries(ctx, db, c); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := rt.materializeSubqueries(ctx, db, s.Having); err != nil {
-		return nil, nil, err
-	}
-	// Branch meters (EXPLAIN ANALYZE): allocated up front so parallel
-	// morsels share the same atomic counters.
-	var bm *selMeters
-	if rt.meters != nil {
-		bm = &selMeters{}
-		rt.meters.branches = append(rt.meters.branches, bm)
-	}
-	// 1. The joined row stream as environments, on the access paths
-	// chosen by bindSelect (see access.go), executed serially or as
-	// parallel morsels over the base scan. The residual WHERE conjuncts
-	// filter inside the chain, above the joins.
-	var it opIter
-	if s.From == nil {
-		// SELECT without FROM: a single empty environment.
-		it = &singletonIter{rt: rt}
-		if bm != nil {
-			bm.scan = &opMeter{}
-			it = &meterIter{child: it, m: bm.scan}
-		}
-	} else {
-		sel, err := bindSelect(db, lg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bm != nil {
-			bm.scan = &opMeter{}
-			for range sel.joins {
-				bm.joins = append(bm.joins, &opMeter{})
-			}
-			if len(lg.residual) > 0 {
-				bm.residual = &opMeter{}
-			}
-		}
-		it, err = openMaybeParallel(ctx, sel, lg, rt, bm)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	// 2. Expand stars into concrete items.
-	items, cols, err := expandItems(db, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	grouped := len(s.GroupBy) > 0
-	if !grouped {
-		for _, si := range items {
-			if si.Expr != nil && isAggregate(si.Expr) {
-				grouped = true
-				break
-			}
-		}
-	}
-	// 3. Group/aggregate (a pipeline breaker) or streaming projection,
-	// then ORDER BY (a breaker), DISTINCT, LIMIT/OFFSET.
-	if grouped {
-		it = &groupIter{child: it, s: s, items: items, rt: rt}
-		it = branchMeter(it, bm, func(m *selMeters) **opMeter { return &m.agg })
-		if !headOfUnion && len(s.OrderBy) > 0 {
-			it = &rowOrderIter{child: it, order: s.OrderBy, items: items, columns: cols}
-			it = branchMeter(it, bm, func(m *selMeters) **opMeter { return &m.sort })
-		}
-	} else {
-		it = &projectIter{child: it, items: items}
-		it = branchMeter(it, bm, func(m *selMeters) **opMeter { return &m.agg })
-		if !headOfUnion && len(s.OrderBy) > 0 {
-			it = &orderIter{child: it, order: s.OrderBy, items: items}
-			it = branchMeter(it, bm, func(m *selMeters) **opMeter { return &m.sort })
-		}
-	}
-	if s.Distinct {
-		it = newDistinctIter(it)
-		it = branchMeter(it, bm, func(m *selMeters) **opMeter { return &m.distinct })
-	}
-	if !headOfUnion && (s.Limit >= 0 || s.Offset > 0) {
-		it = &limitIter{child: it, limit: s.Limit, offset: s.Offset}
-		it = branchMeter(it, bm, func(m *selMeters) **opMeter { return &m.limit })
-	}
-	return cols, it, nil
-}
-
-// branchMeter instruments it with a fresh meter stored via slot when
-// this branch is metered; a no-op otherwise.
-func branchMeter(it opIter, bm *selMeters, slot func(*selMeters) **opMeter) opIter {
-	if bm == nil {
-		return it
-	}
-	m := &opMeter{}
-	*slot(bm) = m
-	return &meterIter{child: it, m: m}
-}
-
-// openChain builds the scan→joins→residual part of one SELECT over the
-// base-scan tuple range [lo, hi). bm may be nil (no metering); under
-// parallel execution every morsel chain shares the same meters, so
-// counters aggregate across morsels.
-func openChain(sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, lo, hi int) opIter {
-	it := openScan(sel.scan, rt, lo, hi)
-	if bm != nil {
-		it = &meterIter{child: it, m: bm.scan}
-	}
-	for i, ja := range sel.joins {
-		it = openJoin(it, ja, rt)
-		if pred := andJoin(ja.post); pred != nil {
-			it = &filterIter{child: it, pred: pred}
-		}
-		if bm != nil {
-			it = &meterIter{child: it, m: bm.joins[i]}
-		}
-	}
-	if residual := andJoin(lg.residual); residual != nil {
-		it = &filterIter{child: it, pred: residual}
-		if bm != nil {
-			it = &meterIter{child: it, m: bm.residual}
-		}
-	}
-	return it
-}
-
 // materializeSubqueries executes uncorrelated IN (SELECT ...) subqueries
 // in an expression tree and stores their value lists in the run, keyed by
 // node. Correlated subqueries (referencing outer bindings) are not
@@ -311,49 +97,27 @@ func (rt *run) materializeSubqueries(ctx context.Context, db *rel.Database, e Ex
 			return nil
 		}
 		// Subqueries run unmetered: their operators are not part of the
-		// outer statement's rendered plan. They execute on the same
-		// engine (batch or tuple-at-a-time) as the outer statement.
+		// outer statement's rendered plan.
 		saved := rt.meters
 		rt.meters = nil
+		cols, it, err := vecOpenSelect(ctx, db, x.Sub, nil, rt)
+		rt.meters = saved
+		if err != nil {
+			return fmt.Errorf("sqlx: IN subquery: %w", err)
+		}
+		if len(cols) != 1 {
+			return fmt.Errorf("sqlx: IN subquery must return one column, got %d", len(cols))
+		}
 		vals := make([]rel.Value, 0)
-		if rt.vec {
-			cols, vit, err := vecOpenSelect(ctx, db, x.Sub, nil, rt)
-			rt.meters = saved
+		for {
+			items, err := it.next(ctx, vecBatch)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				return fmt.Errorf("sqlx: IN subquery: %w", err)
 			}
-			if len(cols) != 1 {
-				return fmt.Errorf("sqlx: IN subquery must return one column, got %d", len(cols))
-			}
-			for {
-				items, err := vit.next(ctx, vecBatch)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return fmt.Errorf("sqlx: IN subquery: %w", err)
-				}
-				for _, i := range items {
-					vals = append(vals, i.row[0])
-				}
-			}
-		} else {
-			cols, it, err := openSelect(ctx, db, x.Sub, nil, rt)
-			rt.meters = saved
-			if err != nil {
-				return fmt.Errorf("sqlx: IN subquery: %w", err)
-			}
-			if len(cols) != 1 {
-				return fmt.Errorf("sqlx: IN subquery must return one column, got %d", len(cols))
-			}
-			for {
-				i, err := it.next(ctx)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return fmt.Errorf("sqlx: IN subquery: %w", err)
-				}
+			for _, i := range items {
 				vals = append(vals, i.row[0])
 			}
 		}
@@ -386,134 +150,6 @@ func (rt *run) materializeSubqueries(ctx context.Context, db *rel.Database, e Ex
 	return nil
 }
 
-// singletonIter yields one empty environment (SELECT without FROM).
-type singletonIter struct {
-	rt   *run
-	done bool
-}
-
-func (s *singletonIter) next(ctx context.Context) (item, error) {
-	if s.done {
-		return item{}, io.EOF
-	}
-	s.done = true
-	return item{env: &env{rt: s.rt}}, nil
-}
-
-// scanIter yields one environment per tuple of a base relation within
-// [pos, end) — a full scan serially, one morsel under parallel
-// execution.
-type scanIter struct {
-	rel     *rel.Relation
-	binding string
-	rt      *run
-	pos     int
-	end     int
-}
-
-func (s *scanIter) next(ctx context.Context) (item, error) {
-	if s.pos >= s.end {
-		return item{}, io.EOF
-	}
-	if err := s.rt.tick(ctx); err != nil {
-		return item{}, err
-	}
-	t := s.rel.Tuples[s.pos]
-	s.pos++
-	e := &env{rt: s.rt, bindings: []binding{{name: s.binding, schema: s.rel.Schema, tuple: t}}}
-	return item{env: e}, nil
-}
-
-// indexScanIter yields only the tuples whose indexed column equals the
-// bound constant — the index access path: stored-tuple reads (and thus
-// Scanned) are proportional to the result size, not the relation size.
-type indexScanIter struct {
-	rel       *rel.Relation
-	binding   string
-	rt        *run
-	positions []int
-	pos       int
-}
-
-func (s *indexScanIter) next(ctx context.Context) (item, error) {
-	if s.pos >= len(s.positions) {
-		return item{}, io.EOF
-	}
-	if err := s.rt.tick(ctx); err != nil {
-		return item{}, err
-	}
-	t := s.rel.Tuples[s.positions[s.pos]]
-	s.pos++
-	e := &env{rt: s.rt, bindings: []binding{{name: s.binding, schema: s.rel.Schema, tuple: t}}}
-	return item{env: e}, nil
-}
-
-// openScan builds the iterator for a bound table access path: an index
-// probe or a sequential scan over [lo, hi), with the remaining
-// pushed-down filters applied above it. Index probes ignore the range
-// (they never run partitioned).
-func openScan(sa *scanAccess, rt *run, lo, hi int) opIter {
-	var it opIter
-	if sa.idx != nil {
-		it = &indexScanIter{rel: sa.r, binding: sa.binding, rt: rt, positions: sa.idx.Lookup(sa.eq.val)}
-	} else {
-		it = &scanIter{rel: sa.r, binding: sa.binding, rt: rt, pos: lo, end: hi}
-	}
-	if pred := andJoin(sa.filters); pred != nil {
-		it = &filterIter{child: it, pred: pred}
-	}
-	return it
-}
-
-// openJoin builds the iterator for a bound join access path.
-func openJoin(child opIter, ja *joinAccess, rt *run) opIter {
-	if ja.strategy == joinHashBuildLeft {
-		return &hashLeftJoinIter{child: child, ja: ja, rt: rt}
-	}
-	return newJoinIter(child, ja, rt)
-}
-
-// joinIter extends each child environment with matching tuples of the
-// right relation, on the access path chosen at bind time: a probe of the
-// relation's persistent hash index, a lazily built per-query hash over
-// the (pre-filtered) right side, a nested loop, or a cross product.
-// Matches for one left row are emitted one at a time, so a LIMIT
-// downstream stops the scan of the left side early. The build-left hash
-// strategy lives in hashLeftJoinIter.
-type joinIter struct {
-	child opIter
-	ja    *joinAccess
-	rt    *run
-
-	// pred is the nested-loop predicate: the pushed-down right-table
-	// filters folded into the ON clause (inner/nested mode only).
-	pred Expr
-
-	lazy    map[string][]rel.Tuple // joinHashBuildRight table
-	built   bool
-	cross   []rel.Tuple // joinCrossSeq filtered right tuples
-	crossed bool
-
-	nullTuple rel.Tuple
-
-	cur     *env        // current left environment, nil when exhausted
-	matches []rel.Tuple // pending right matches for cur (probe/cross modes)
-	mi      int
-	rpos    int // right scan position (nested-loop mode)
-	matched bool
-}
-
-func newJoinIter(child opIter, ja *joinAccess, rt *run) *joinIter {
-	ji := &joinIter{
-		child: child, ja: ja, rt: rt,
-		nullTuple: make(rel.Tuple, ja.right.Schema.Len()),
-	}
-	if ja.strategy == joinNestedLoop {
-		ji.pred = andJoin(append(append([]Expr{}, ja.filters...), ja.on))
-	}
-	return ji
-}
-
 // rightFilterOK evaluates the pushed-down filters against one right
 // tuple in isolation.
 func rightFilterOK(filters []Expr, bname string, schema *rel.Schema, t rel.Tuple, rt *run) (bool, error) {
@@ -531,433 +167,6 @@ func rightFilterOK(filters []Expr, bname string, schema *rel.Schema, t rel.Tuple
 		}
 	}
 	return true, nil
-}
-
-// buildLazy hashes the (pre-filtered) right relation for probe mode.
-// Parallel execution pre-builds the table once and shares it across
-// morsels (ja.prebuilt).
-func (ji *joinIter) buildLazy(ctx context.Context) error {
-	if ji.ja.prebuilt != nil {
-		ji.lazy, ji.built = ji.ja.prebuilt, true
-		return nil
-	}
-	ji.lazy = make(map[string][]rel.Tuple, len(ji.ja.right.Tuples))
-	for _, t := range ji.ja.right.Tuples {
-		if err := ji.rt.tick(ctx); err != nil {
-			return err
-		}
-		ok, err := rightFilterOK(ji.ja.filters, ji.ja.binding, ji.ja.right.Schema, t, ji.rt)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		v := t[ji.ja.rightIdx]
-		if v.IsNull() {
-			continue
-		}
-		k := v.Key()
-		ji.lazy[k] = append(ji.lazy[k], t)
-	}
-	ji.built = true
-	return nil
-}
-
-// buildCross materializes the cross-product right side once. Without
-// pushed filters the relation's tuples are shared directly; parallel
-// execution pre-filters once and shares across morsels (ja.precross).
-func (ji *joinIter) buildCross(ctx context.Context) error {
-	if ji.ja.precross != nil {
-		ji.cross, ji.crossed = ji.ja.precross, true
-		return nil
-	}
-	if len(ji.ja.filters) == 0 {
-		ji.cross = ji.ja.right.Tuples
-	} else {
-		for _, t := range ji.ja.right.Tuples {
-			if err := ji.rt.tick(ctx); err != nil {
-				return err
-			}
-			ok, err := rightFilterOK(ji.ja.filters, ji.ja.binding, ji.ja.right.Schema, t, ji.rt)
-			if err != nil {
-				return err
-			}
-			if ok {
-				ji.cross = append(ji.cross, t)
-			}
-		}
-	}
-	ji.crossed = true
-	return nil
-}
-
-// probeIndex collects the right matches for the current left row from
-// the persistent index; only matching tuples are read (and ticked), so
-// Scanned stays proportional to the result size.
-func (ji *joinIter) probeIndex(ctx context.Context) error {
-	ji.matches = nil
-	lv, err := eval(ji.ja.leftCol, ji.cur)
-	if err != nil || lv.IsNull() {
-		// An eval error or NULL key means no match, mirroring the lazy
-		// hash path.
-		return nil
-	}
-	for _, pos := range ji.ja.idx.Lookup(lv) {
-		if err := ji.rt.tick(ctx); err != nil {
-			return err
-		}
-		t := ji.ja.right.Tuples[pos]
-		ok, err := rightFilterOK(ji.ja.filters, ji.ja.binding, ji.ja.right.Schema, t, ji.rt)
-		if err != nil {
-			return err
-		}
-		if ok {
-			ji.matches = append(ji.matches, t)
-		}
-	}
-	return nil
-}
-
-func (ji *joinIter) next(ctx context.Context) (item, error) {
-	right := ji.ja.right
-	for {
-		if ji.cur == nil {
-			it, err := ji.child.next(ctx)
-			if err != nil {
-				return item{}, err
-			}
-			ji.cur, ji.matched, ji.mi, ji.rpos = it.env, false, 0, 0
-			switch ji.ja.strategy {
-			case joinCrossSeq:
-				if !ji.crossed {
-					if err := ji.buildCross(ctx); err != nil {
-						return item{}, err
-					}
-				}
-				ji.matches = ji.cross
-			case joinIndexProbe:
-				if err := ji.probeIndex(ctx); err != nil {
-					return item{}, err
-				}
-			case joinHashBuildRight:
-				if !ji.built {
-					if err := ji.buildLazy(ctx); err != nil {
-						return item{}, err
-					}
-				}
-				ji.matches = nil
-				if lv, err := eval(ji.ja.leftCol, ji.cur); err == nil && !lv.IsNull() {
-					ji.matches = ji.lazy[lv.Key()]
-				}
-			}
-		}
-		if ji.ja.strategy == joinNestedLoop {
-			for ji.rpos < len(right.Tuples) {
-				if err := ji.rt.tick(ctx); err != nil {
-					return item{}, err
-				}
-				t := right.Tuples[ji.rpos]
-				ji.rpos++
-				ne := extend(ji.cur, ji.ja.binding, right.Schema, t)
-				v, err := eval(ji.pred, ne)
-				if err != nil {
-					return item{}, err
-				}
-				if b, ok := v.AsBool(); ok && b {
-					ji.matched = true
-					return item{env: ne}, nil
-				}
-			}
-		} else if ji.mi < len(ji.matches) {
-			t := ji.matches[ji.mi]
-			ji.mi++
-			ji.matched = true
-			return item{env: extend(ji.cur, ji.ja.binding, right.Schema, t)}, nil
-		}
-		left := ji.cur
-		ji.cur = nil
-		if !ji.matched && ji.ja.kind == JoinLeft {
-			return item{env: extend(left, ji.ja.binding, right.Schema, ji.nullTuple)}, nil
-		}
-	}
-}
-
-// hashLeftJoinIter is the build-side-swapped hash join: when neither
-// join column has a persistent index and the left input is estimated
-// smaller than the right relation, the left environments are drained
-// into the hash table and the right relation is streamed through it —
-// the classic smaller-side build. Output order is right-major (SQL
-// leaves join order unspecified). Inner joins only: outer joins keep the
-// right build so null extension follows left order.
-type hashLeftJoinIter struct {
-	child opIter
-	ja    *joinAccess
-	rt    *run
-
-	built bool
-	table map[string][]*env
-
-	rpos     int
-	curTuple rel.Tuple
-	pending  []*env
-	pi       int
-}
-
-func (ji *hashLeftJoinIter) next(ctx context.Context) (item, error) {
-	if !ji.built {
-		ji.table = make(map[string][]*env)
-		for {
-			it, err := ji.child.next(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return item{}, err
-			}
-			// Eval errors and NULL keys mean no match, as in probe mode.
-			lv, err := eval(ji.ja.leftCol, it.env)
-			if err != nil || lv.IsNull() {
-				continue
-			}
-			k := lv.Key()
-			ji.table[k] = append(ji.table[k], it.env)
-		}
-		ji.built = true
-	}
-	right := ji.ja.right
-	for {
-		if ji.pi < len(ji.pending) {
-			e := ji.pending[ji.pi]
-			ji.pi++
-			return item{env: extend(e, ji.ja.binding, right.Schema, ji.curTuple)}, nil
-		}
-		if ji.rpos >= len(right.Tuples) {
-			return item{}, io.EOF
-		}
-		if err := ji.rt.tick(ctx); err != nil {
-			return item{}, err
-		}
-		t := right.Tuples[ji.rpos]
-		ji.rpos++
-		ok, err := rightFilterOK(ji.ja.filters, ji.ja.binding, right.Schema, t, ji.rt)
-		if err != nil {
-			return item{}, err
-		}
-		if !ok {
-			continue
-		}
-		v := t[ji.ja.rightIdx]
-		if v.IsNull() {
-			continue
-		}
-		ji.pending, ji.pi, ji.curTuple = ji.table[v.Key()], 0, t
-	}
-}
-
-// filterIter keeps environments whose predicate evaluates to true.
-type filterIter struct {
-	child opIter
-	pred  Expr
-}
-
-func (f *filterIter) next(ctx context.Context) (item, error) {
-	for {
-		it, err := f.child.next(ctx)
-		if err != nil {
-			return item{}, err
-		}
-		v, err := eval(f.pred, it.env)
-		if err != nil {
-			return item{}, err
-		}
-		if b, ok := v.AsBool(); ok && b {
-			return it, nil
-		}
-	}
-}
-
-// projectIter evaluates the select items against each environment,
-// attaching the output row while keeping the environment for ORDER BY.
-type projectIter struct {
-	child opIter
-	items []SelectItem
-}
-
-func (p *projectIter) next(ctx context.Context) (item, error) {
-	it, err := p.child.next(ctx)
-	if err != nil {
-		return item{}, err
-	}
-	row := make(rel.Tuple, len(p.items))
-	for i, si := range p.items {
-		v, err := eval(si.Expr, it.env)
-		if err != nil {
-			return item{}, err
-		}
-		row[i] = v
-	}
-	it.row = row
-	return it, nil
-}
-
-// groupIter is the aggregation pipeline breaker: on first pull it drains
-// the child, groups and aggregates (including HAVING and projection), and
-// then streams the result rows.
-type groupIter struct {
-	child opIter
-	s     *SelectStmt
-	items []SelectItem
-	rt    *run
-	rows  []rel.Tuple
-	pos   int
-	done  bool
-}
-
-func (g *groupIter) next(ctx context.Context) (item, error) {
-	if !g.done {
-		var envs []*env
-		for {
-			it, err := g.child.next(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return item{}, err
-			}
-			envs = append(envs, it.env)
-		}
-		rows, err := execGrouped(g.s, g.items, envs, g.rt)
-		if err != nil {
-			return item{}, err
-		}
-		g.rows, g.done = rows, true
-	}
-	if g.pos >= len(g.rows) {
-		return item{}, io.EOF
-	}
-	row := g.rows[g.pos]
-	g.pos++
-	return item{row: row}, nil
-}
-
-// orderIter is the ORDER BY pipeline breaker for non-grouped selects: it
-// materializes (row, environment) pairs so keys can reference any column
-// of the row environment, not just projected ones.
-type orderIter struct {
-	child opIter
-	order []OrderItem
-	items []SelectItem
-	buf   []item
-	pos   int
-	done  bool
-}
-
-func (o *orderIter) next(ctx context.Context) (item, error) {
-	if !o.done {
-		for {
-			it, err := o.child.next(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return item{}, err
-			}
-			o.buf = append(o.buf, it)
-		}
-		var sortErr error
-		sort.SliceStable(o.buf, func(a, b int) bool {
-			for _, oi := range o.order {
-				va, err := evalOrderKey(oi.Expr, o.items, o.buf[a].row, o.buf[a].env)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				vb, err := evalOrderKey(oi.Expr, o.items, o.buf[b].row, o.buf[b].env)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c := va.Compare(vb); c != 0 {
-					if oi.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return item{}, sortErr
-		}
-		o.done = true
-	}
-	if o.pos >= len(o.buf) {
-		return item{}, io.EOF
-	}
-	it := o.buf[o.pos]
-	o.pos++
-	return it, nil
-}
-
-// rowOrderIter is the ORDER BY breaker for grouped selects and union
-// heads, where keys resolve against output columns only: ordinal
-// positions, aliases/column names, or projection expressions.
-type rowOrderIter struct {
-	child   opIter
-	order   []OrderItem
-	items   []SelectItem // nil for union ordering
-	columns []string
-	buf     []item
-	pos     int
-	done    bool
-}
-
-func (o *rowOrderIter) next(ctx context.Context) (item, error) {
-	if !o.done {
-		for {
-			it, err := o.child.next(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return item{}, err
-			}
-			o.buf = append(o.buf, it)
-		}
-		var sortErr error
-		sort.SliceStable(o.buf, func(a, b int) bool {
-			for _, oi := range o.order {
-				va, err := rowOrderKey(oi.Expr, o.items, o.columns, o.buf[a].row)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				vb, err := rowOrderKey(oi.Expr, o.items, o.columns, o.buf[b].row)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c := va.Compare(vb); c != 0 {
-					if oi.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return item{}, sortErr
-		}
-		o.done = true
-	}
-	if o.pos >= len(o.buf) {
-		return item{}, io.EOF
-	}
-	it := o.buf[o.pos]
-	o.pos++
-	return it, nil
 }
 
 // rowOrderKey resolves an ORDER BY key against output rows.
@@ -984,85 +193,7 @@ func rowOrderKey(e Expr, items []SelectItem, columns []string, row rel.Tuple) (r
 	return rel.Null(), fmt.Errorf("sqlx: ORDER BY expression must appear in grouped SELECT list")
 }
 
-// distinctIter streams rows, dropping ones whose full-row key was seen.
-// The key is rendered into a reused scratch buffer (the collision-free
-// length-prefixed encoding shared with the index layer; separator
-// joining would collide since a value's Key may contain any byte), so
-// duplicate rows cost no allocation — only new rows pay for the string
-// the map retains.
-type distinctIter struct {
-	child opIter
-	seen  map[string]struct{}
-	buf   []byte
-}
-
-func newDistinctIter(child opIter) *distinctIter {
-	return &distinctIter{child: child, seen: make(map[string]struct{})}
-}
-
-func (d *distinctIter) next(ctx context.Context) (item, error) {
-	for {
-		it, err := d.child.next(ctx)
-		if err != nil {
-			return item{}, err
-		}
-		d.buf = rel.AppendTupleKey(d.buf[:0], it.row)
-		if _, dup := d.seen[string(d.buf)]; dup {
-			continue
-		}
-		d.seen[string(d.buf)] = struct{}{}
-		return it, nil
-	}
-}
-
 // rowKey renders a row canonically for comparison (tests rely on it).
 func rowKey(row rel.Tuple) string {
 	return rel.TupleKey(row)
-}
-
-// limitIter applies OFFSET then LIMIT, returning io.EOF as soon as the
-// limit is satisfied so upstream operators stop pulling stored tuples.
-type limitIter struct {
-	child   opIter
-	limit   int // -1 = no limit
-	offset  int
-	skipped int
-	emitted int
-}
-
-func (l *limitIter) next(ctx context.Context) (item, error) {
-	for l.skipped < l.offset {
-		if _, err := l.child.next(ctx); err != nil {
-			return item{}, err
-		}
-		l.skipped++
-	}
-	if l.limit >= 0 && l.emitted >= l.limit {
-		return item{}, io.EOF
-	}
-	it, err := l.child.next(ctx)
-	if err != nil {
-		return item{}, err
-	}
-	l.emitted++
-	return it, nil
-}
-
-// concatIter chains child iterators in order (UNION ALL shape); later
-// children are not pulled until earlier ones are exhausted.
-type concatIter struct {
-	children []opIter
-	pos      int
-}
-
-func (c *concatIter) next(ctx context.Context) (item, error) {
-	for c.pos < len(c.children) {
-		it, err := c.children[c.pos].next(ctx)
-		if err == io.EOF {
-			c.pos++
-			continue
-		}
-		return it, err
-	}
-	return item{}, io.EOF
 }

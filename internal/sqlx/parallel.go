@@ -7,16 +7,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/parallel"
-	"repro/internal/rel"
 )
 
 // Morsel-style parallel query execution over an immutable snapshot: the
 // base table scan is partitioned into fixed-size morsels, each morsel
 // runs the whole scan→filter→join→residual chain on a worker, and an
-// exchange operator re-serializes the buffered morsel outputs in morsel
-// order — so results are bit-identical to serial execution — before the
-// pull-based serial operators (projection, grouping, ORDER BY, LIMIT)
-// consume them. Pipeline state above the exchange stays single-threaded.
+// exchange operator hands out the buffered morsel outputs strictly in
+// morsel order — so rows and their order do not depend on the degree of
+// parallelism — before the single-threaded operators above it
+// (projection, grouping, ORDER BY, LIMIT) consume them.
 
 // morselSize is how many base tuples one morsel covers. Large enough to
 // amortize per-morsel chain setup, small enough to balance skew.
@@ -27,34 +26,10 @@ const morselSize = 1024
 // materialize the whole result.
 const lookaheadPerWorker = 4
 
-// openMaybeParallel opens the scan chain serially, or as parallel
-// morsels when the run requests workers and the chain is eligible:
-// a sequential (non-index) base scan and no build-left hash join (its
+// parallelOK reports whether the bound chain can run partitioned: a
+// sequential (non-index) base scan and no build-left hash join (its
 // output order follows the right side, which morsel order cannot
 // preserve, and it drains its whole child per morsel).
-func openMaybeParallel(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters) (opIter, error) {
-	n := len(sel.scan.r.Tuples)
-	if rt.workers > 1 && parallelOK(sel) && n > morselSize {
-		morsels := (n + morselSize - 1) / morselSize
-		workers := rt.workers
-		if workers > morsels {
-			workers = morsels
-		}
-		if err := prebuildJoinSides(ctx, sel, rt, workers); err != nil {
-			return nil, err
-		}
-		it := openExchange(ctx, sel, lg, rt, bm, workers, n, morsels)
-		if bm != nil {
-			bm.gatherWorkers, bm.gatherMorsels = workers, morsels
-			bm.gather = &opMeter{}
-			it = &meterIter{child: it, m: bm.gather}
-		}
-		return it, nil
-	}
-	return openChain(sel, lg, rt, bm, 0, n), nil
-}
-
-// parallelOK reports whether the bound chain can run partitioned.
 func parallelOK(sel *selectAccess) bool {
 	if sel.scan == nil || sel.scan.idx != nil {
 		return false
@@ -65,99 +40,6 @@ func parallelOK(sel *selectAccess) bool {
 		}
 	}
 	return true
-}
-
-// prebuildJoinSides materializes the shared right sides of the chain's
-// joins once, so morsel chains do not redo the work per morsel: the
-// joinHashBuildRight hash table (built in parallel partitions) and the
-// filtered joinCrossSeq tuple list.
-func prebuildJoinSides(ctx context.Context, sel *selectAccess, rt *run, workers int) error {
-	for _, ja := range sel.joins {
-		switch ja.strategy {
-		case joinHashBuildRight:
-			tbl, err := buildSharedHash(ctx, ja, rt, workers)
-			if err != nil {
-				return err
-			}
-			ja.prebuilt = tbl
-		case joinCrossSeq:
-			if len(ja.filters) == 0 {
-				ja.precross = ja.right.Tuples
-				continue
-			}
-			var out []rel.Tuple
-			for _, t := range ja.right.Tuples {
-				if err := rt.tick(ctx); err != nil {
-					return err
-				}
-				ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
-				if err != nil {
-					return err
-				}
-				if ok {
-					out = append(out, t)
-				}
-			}
-			ja.precross = out
-		}
-	}
-	return nil
-}
-
-// buildSharedHash builds the joinHashBuildRight table with a
-// partitioned parallel build: contiguous input chunks are hashed
-// independently and merged in chunk order, so per-key tuple order
-// matches the serial lazy build exactly.
-func buildSharedHash(ctx context.Context, ja *joinAccess, rt *run, workers int) (map[string][]rel.Tuple, error) {
-	tuples := ja.right.Tuples
-	if len(tuples) < morselSize || workers <= 1 {
-		workers = 1
-	}
-	parts := make([]map[string][]rel.Tuple, workers)
-	errs := make([]error, workers)
-	chunk := (len(tuples) + workers - 1) / workers
-	_ = parallel.For(ctx, workers, workers, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(tuples) {
-			hi = len(tuples)
-		}
-		part := make(map[string][]rel.Tuple)
-		wrt := &run{subs: rt.subs}
-		for _, t := range tuples[lo:hi] {
-			if err := wrt.tick(ctx); err != nil {
-				errs[w] = err
-				break
-			}
-			ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, wrt)
-			if err != nil {
-				errs[w] = err
-				break
-			}
-			if !ok {
-				continue
-			}
-			v := t[ja.rightIdx]
-			if v.IsNull() {
-				continue
-			}
-			k := v.Key()
-			part[k] = append(part[k], t)
-		}
-		parts[w] = part
-		atomic.AddInt64(&rt.scanned, atomic.LoadInt64(&wrt.scanned))
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make(map[string][]rel.Tuple)
-	for _, part := range parts {
-		for k, ts := range part {
-			out[k] = append(out[k], ts...)
-		}
-	}
-	return out, nil
 }
 
 // gate is the backpressure window between morsel producers and the
@@ -204,21 +86,67 @@ type morselSlot struct {
 	ready chan struct{}
 }
 
-// exchangeIter is the parallel→serial exchange: workers fill slots out
-// of order, the consumer drains them strictly in morsel order. A morsel
-// error is surfaced after the rows that precede it, exactly where
-// serial execution would have stopped.
-type exchangeIter struct {
+// vecOpenMaybeParallel opens the scan chain on the calling goroutine, or
+// as parallel morsels behind a gate-windowed exchange when the run
+// requests workers and the chain is eligible (see parallelOK).
+func vecOpenMaybeParallel(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters) (vecIter, error) {
+	n := len(sel.scan.r.Tuples)
+	if rt.workers > 1 && parallelOK(sel) && n > morselSize {
+		morsels := (n + morselSize - 1) / morselSize
+		workers := rt.workers
+		if workers > morsels {
+			workers = morsels
+		}
+		if err := vecPrebuildJoinSides(ctx, sel, rt); err != nil {
+			return nil, err
+		}
+		it := vecOpenExchange(ctx, sel, lg, rt, bm, workers, n, morsels)
+		if bm != nil {
+			bm.gatherWorkers, bm.gatherMorsels = workers, morsels
+			bm.gather = &opMeter{}
+			it = &vecMeter{child: it, m: bm.gather}
+		}
+		return it, nil
+	}
+	return vecOpenChain(sel, lg, rt, bm, 0, n), nil
+}
+
+// vecPrebuildJoinSides materializes the shared right sides of the
+// chain's joins once, so morsel chains do not redo the work per morsel:
+// the joinHashBuildRight table and the filtered joinCrossSeq tuple list.
+// Each build reads every right tuple exactly once, as the lazy build of
+// an unpartitioned chain does.
+func vecPrebuildJoinSides(ctx context.Context, sel *selectAccess, rt *run) error {
+	for _, ja := range sel.joins {
+		var err error
+		switch ja.strategy {
+		case joinHashBuildRight:
+			ja.prevec, err = buildJoinTable(ctx, ja, rt)
+		case joinCrossSeq:
+			ja.precross, err = buildCrossSide(ctx, ja, rt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// vecExchangeIter is the parallel→single-threaded exchange: workers fill
+// slots out of order, the consumer drains them strictly in morsel order,
+// handing out slices of the current slot's buffered items, up to want
+// per call. A morsel error is surfaced after the rows that precede it.
+type vecExchangeIter struct {
 	slots []*morselSlot
 	g     *gate
 	cur   int
 	pos   int
 }
 
-func openExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, workers, n, morsels int) opIter {
+func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, workers, n, morsels int) vecIter {
 	cctx, cancel := context.WithCancel(ctx)
 	rt.closers = append(rt.closers, cancel)
-	ex := &exchangeIter{g: newGate(workers * lookaheadPerWorker)}
+	ex := &vecExchangeIter{g: newGate(workers * lookaheadPerWorker)}
 	for i := 0; i < morsels; i++ {
 		ex.slots = append(ex.slots, &morselSlot{ready: make(chan struct{})})
 	}
@@ -266,184 +194,6 @@ func openExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt 
 				hi = n
 			}
 			mrt := &run{subs: rt.subs}
-			it := openChain(sel, lg, mrt, bm, lo, hi)
-			for {
-				itm, err := it.next(cctx)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					slot.err = err
-					break
-				}
-				slot.items = append(slot.items, itm)
-			}
-			atomic.AddInt64(&rt.scanned, atomic.LoadInt64(&mrt.scanned))
-		})
-	}()
-	return ex
-}
-
-func (ex *exchangeIter) next(ctx context.Context) (item, error) {
-	for {
-		if ex.cur >= len(ex.slots) {
-			return item{}, io.EOF
-		}
-		slot := ex.slots[ex.cur]
-		select {
-		case <-slot.ready:
-		case <-ctx.Done():
-			return item{}, ctx.Err()
-		}
-		if ex.pos < len(slot.items) {
-			itm := slot.items[ex.pos]
-			ex.pos++
-			return itm, nil
-		}
-		if slot.err != nil {
-			return item{}, slot.err
-		}
-		slot.items = nil // release morsel memory as it is consumed
-		ex.cur++
-		ex.pos = 0
-		ex.g.advance()
-	}
-}
-
-// vecOpenMaybeParallel mirrors openMaybeParallel for the batch engine:
-// same eligibility rule, same morsel partitioning, same gate-windowed
-// exchange — but each morsel runs the vectorized chain and the exchange
-// hands out batch slices instead of single items.
-func vecOpenMaybeParallel(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters) (vecIter, error) {
-	n := len(sel.scan.r.Tuples)
-	if rt.workers > 1 && parallelOK(sel) && n > morselSize {
-		morsels := (n + morselSize - 1) / morselSize
-		workers := rt.workers
-		if workers > morsels {
-			workers = morsels
-		}
-		if err := vecPrebuildJoinSides(ctx, sel, rt); err != nil {
-			return nil, err
-		}
-		it := vecOpenExchange(ctx, sel, lg, rt, bm, workers, n, morsels)
-		if bm != nil {
-			bm.gatherWorkers, bm.gatherMorsels = workers, morsels
-			bm.gather = &opMeter{}
-			it = &vecMeter{child: it, m: bm.gather}
-		}
-		return it, nil
-	}
-	return vecOpenChain(sel, lg, rt, bm, 0, n), nil
-}
-
-// vecPrebuildJoinSides is prebuildJoinSides for the batch engine: the
-// shared joinHashBuildRight table is the open-addressing joinTable
-// (built serially — the build reads every right tuple exactly once,
-// matching the serial lazy build's Scanned contribution), plus the same
-// filtered joinCrossSeq list.
-func vecPrebuildJoinSides(ctx context.Context, sel *selectAccess, rt *run) error {
-	for _, ja := range sel.joins {
-		switch ja.strategy {
-		case joinHashBuildRight:
-			tbl := &joinTable{}
-			for _, t := range ja.right.Tuples {
-				if err := rt.tick(ctx); err != nil {
-					return err
-				}
-				ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				v := t[ja.rightIdx]
-				if v.IsNull() {
-					continue
-				}
-				tbl.insert(v, t)
-			}
-			ja.prevec = tbl
-		case joinCrossSeq:
-			if len(ja.filters) == 0 {
-				ja.precross = ja.right.Tuples
-				continue
-			}
-			var out []rel.Tuple
-			for _, t := range ja.right.Tuples {
-				if err := rt.tick(ctx); err != nil {
-					return err
-				}
-				ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
-				if err != nil {
-					return err
-				}
-				if ok {
-					out = append(out, t)
-				}
-			}
-			ja.precross = out
-		}
-	}
-	return nil
-}
-
-// vecExchangeIter is exchangeIter's batch twin: the consumer hands out
-// slices of the current slot's buffered items, up to want per call.
-type vecExchangeIter struct {
-	slots []*morselSlot
-	g     *gate
-	cur   int
-	pos   int
-}
-
-func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, workers, n, morsels int) vecIter {
-	cctx, cancel := context.WithCancel(ctx)
-	rt.closers = append(rt.closers, cancel)
-	ex := &vecExchangeIter{g: newGate(workers * lookaheadPerWorker)}
-	for i := 0; i < morsels; i++ {
-		ex.slots = append(ex.slots, &morselSlot{ready: make(chan struct{})})
-	}
-	// Wake gate waiters when the cursor is closed or canceled (see
-	// openExchange for the lost-wakeup note).
-	go func() {
-		<-cctx.Done()
-		ex.g.mu.Lock()
-		ex.g.cond.Broadcast()
-		ex.g.mu.Unlock()
-	}()
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				for _, slot := range ex.slots {
-					select {
-					case <-slot.ready:
-					default:
-						if slot.err == nil {
-							if err, ok := r.(error); ok {
-								slot.err = err
-							} else {
-								slot.err = context.Canceled
-							}
-						}
-						close(slot.ready)
-					}
-				}
-			}
-		}()
-		_ = parallel.For(cctx, workers, morsels, func(i int) {
-			slot := ex.slots[i]
-			defer close(slot.ready)
-			if err := ex.g.wait(cctx, i); err != nil {
-				slot.err = err
-				return
-			}
-			lo := i * morselSize
-			hi := lo + morselSize
-			if hi > n {
-				hi = n
-			}
-			mrt := &run{subs: rt.subs, vec: true}
 			it := vecOpenChain(sel, lg, mrt, bm, lo, hi)
 			for {
 				items, err := it.next(cctx, vecBatch)

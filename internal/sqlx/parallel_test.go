@@ -37,26 +37,8 @@ func parallelDB(t testing.TB) *rel.Database {
 // rendered to a comparable string, plus the scanned-tuple count.
 func rowsFor(t testing.TB, db *rel.Database, q string, workers int) ([]string, int64) {
 	t.Helper()
-	plan, err := Prepare(db, q)
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	c, err := plan.OpenParallel(context.Background(), db, workers)
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	var out []string
-	for {
-		row, err := c.Next(context.Background())
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		out = append(out, rowKey(row))
-	}
-	return out, c.Scanned()
+	_, rows, scanned := goldenRun(t, db, q, workers)
+	return rows, scanned
 }
 
 // TestParallelMatchesSerial: every operator combination returns

@@ -62,34 +62,17 @@ func (p *Plan) Open(ctx context.Context, db *rel.Database) (*Cursor, error) {
 
 // OpenParallel is Open with a parallelism degree: eligible scan chains
 // run as parallel morsels on up to workers goroutines (see parallel.go).
-// Results are bit-identical to serial execution regardless of workers.
-// workers <= 1 executes serially on the calling goroutine.
+// Rows and their order are the same for every value of workers.
+// workers <= 1 executes on the calling goroutine.
 func (p *Plan) OpenParallel(ctx context.Context, db *rel.Database, workers int) (*Cursor, error) {
-	return p.openMode(ctx, db, workers, Vectorized)
-}
-
-// openMode opens the plan on an explicit engine: the batch (vectorized)
-// executor or the tuple-at-a-time reference path. The parity tests use
-// it to run both engines side by side regardless of the Vectorized
-// default.
-func (p *Plan) openMode(ctx context.Context, db *rel.Database, workers int, vec bool) (*Cursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	rt := newRun()
-	rt.vec = vec
 	if workers > 1 {
 		rt.workers = workers
 	}
-	if vec {
-		cols, vit, err := vecOpenSelect(ctx, db, p.stmt, p.lg, rt)
-		if err != nil {
-			rt.close()
-			return nil, err
-		}
-		return &Cursor{cols: cols, vit: vit, rt: rt}, nil
-	}
-	cols, it, err := openSelect(ctx, db, p.stmt, p.lg, rt)
+	cols, it, err := vecOpenSelect(ctx, db, p.stmt, p.lg, rt)
 	if err != nil {
 		rt.close()
 		return nil, err
@@ -100,14 +83,14 @@ func (p *Plan) openMode(ctx context.Context, db *rel.Database, workers int, vec 
 // Cursor is one open streaming execution of a Plan. Rows are computed on
 // demand: a cursor abandoned after k rows has evaluated only the input
 // needed for those k rows (modulo pipeline breakers like ORDER BY and
-// aggregation, which drain their input on the first pull). A Cursor is
-// not safe for concurrent use; open one per goroutine.
+// aggregation, which drain their input on the first pull, and parallel
+// morsels already in flight). A Cursor is not safe for concurrent use;
+// open one per goroutine.
 type Cursor struct {
 	cols []string
-	// Exactly one of it (tuple-at-a-time) and vit (batch engine) is set;
-	// the batch engine refills buf one vecBatch pull at a time.
-	it   opIter
-	vit  vecIter
+	// it is the operator tree; buf holds its last batch, refilled one
+	// vecBatch pull at a time.
+	it   vecIter
 	buf  []item
 	bpos int
 
@@ -135,32 +118,30 @@ func (c *Cursor) Next(ctx context.Context) (rel.Tuple, error) {
 			return nil, err
 		}
 	}
-	if c.vit != nil {
-		if c.bpos >= len(c.buf) {
-			items, err := c.vit.next(ctx, vecBatch)
-			if err != nil {
-				c.done = true
-				c.rt.close()
-				return nil, err
-			}
-			c.buf, c.bpos = items, 0
+	if c.bpos >= len(c.buf) {
+		items, err := c.it.next(ctx, vecBatch)
+		if err != nil {
+			c.done = true
+			c.rt.close()
+			return nil, err
 		}
-		it := c.buf[c.bpos]
-		c.bpos++
-		return it.row, nil
+		c.buf, c.bpos = items, 0
 	}
-	it, err := c.it.next(ctx)
-	if err != nil {
-		c.done = true
-		c.rt.close()
-		return nil, err
-	}
+	it := c.buf[c.bpos]
+	c.bpos++
 	return it.row, nil
 }
 
-// Scanned reports how many stored tuples the execution has read so far —
-// the operator pull-count probe: a LIMIT query that stopped early reports
-// fewer scanned tuples than its inputs hold.
+// Scanned reports how many stored tuples the execution has read so far:
+// every tuple a scan, an index probe, a hash-join build or a nested-loop
+// probe fetched from a relation. The count is proportional to the work
+// done, not to the relation sizes: an index scan reads only the matching
+// tuples, and at workers <= 1 a LIMIT over an un-joined scan reads
+// exactly up to the last row it returns. Under LIMIT a join may read
+// slightly more than the rows returned need — an index-probe join reads
+// every match of its current left row, a build-left hash join streams on
+// to its next matching right tuple — and with workers > 1 whole morsels
+// in flight past the cutoff are counted.
 func (c *Cursor) Scanned() int64 { return atomic.LoadInt64(&c.rt.scanned) }
 
 // Close releases the cursor; subsequent Next calls return io.EOF. Close

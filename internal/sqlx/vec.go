@@ -10,25 +10,22 @@ import (
 	"repro/internal/rel"
 )
 
-// Batch-at-a-time (vectorized) execution: the twin of the
-// tuple-at-a-time operator set in iter.go, exchanging slices of up to
-// vecBatch items per pull so interface dispatch, context checks, and
-// allocations amortize over whole batches instead of single rows. The
-// tuple-at-a-time operators remain as the reference path; Vectorized
-// selects the engine, and the parity suite in vec_test.go pins the two
-// paths to bit-identical rows, order, and Scanned() counts.
+// Batch-at-a-time (vectorized) execution: a tree of pull-based
+// operators (scan, join, filter, project, group, order, distinct,
+// limit/offset, union concat) exchanging slices of up to vecBatch items
+// per pull, so interface dispatch, context checks, and allocations
+// amortize over whole batches instead of single rows.
 //
-// Demand propagation keeps Scanned() exact: next(ctx, want) returns
-// between 1 and want items. Unconstrained pulls ask for the full
-// vecBatch and consumers drain everything they trigger, so reads match
-// serial execution trivially. Under LIMIT/OFFSET the limit operator
-// asks for exactly the rows it still needs (always < vecBatch):
-// filters and distinct then pull child chunks of that size — the final
-// chunk is fully emitted (a chunk with any rejected row cannot satisfy
-// the limit, so execution continues exactly like the serial search) —
-// and joins fall back to pulling one left row at a time with match
-// state buffered across calls, which is precisely the serial read
-// pattern.
+// Demand propagation keeps early stopping tight: next(ctx, want)
+// returns between 1 and want items. Unconstrained pulls ask for the full
+// vecBatch and consumers drain everything they trigger. Under
+// LIMIT/OFFSET the limit operator asks for exactly the rows it still
+// needs (always < vecBatch): filters and distinct then pull their child
+// one row at a time, so the scan stops on the row that satisfies the
+// limit, and joins pull one left row at a time with match state buffered
+// across calls. Scanned() — the count of stored tuples read — is
+// therefore exact for a LIMIT over an un-joined scan on one goroutine;
+// see Cursor.Scanned for where joins and parallel morsels read ahead.
 //
 // Batch memory: every operator that creates environments or rows
 // allocates fresh arenas per batch (a handful of allocations per 1024
@@ -40,14 +37,9 @@ import (
 // vecBatch is the batch size — one scan morsel produces one batch.
 const vecBatch = morselSize
 
-// Vectorized selects the batch executor for Open/OpenParallel/Exec and
-// EXPLAIN ANALYZE. It exists as a kill switch (like ReorderJoins): the
-// tuple-at-a-time path remains fully functional underneath.
-var Vectorized = true
-
-// vecIter is the pull interface of the batch executor. next returns
+// vecIter is the pull interface every operator implements. next returns
 // 1..want items or io.EOF; the returned slice is valid only until the
-// next call on the same iterator.
+// next call on the same iterator. Iterators are single-goroutine.
 type vecIter interface {
 	next(ctx context.Context, want int) ([]item, error)
 }
@@ -64,7 +56,11 @@ func (rt *run) tickN(ctx context.Context, n int) error {
 	return nil
 }
 
-// vecOpenSelect mirrors openSelect for the batch engine.
+// vecOpenSelect builds the operator tree for a SELECT, folding in its
+// UNION chain: branch iterators are concatenated (and deduplicated unless
+// every step is UNION ALL), then the head's ORDER BY/LIMIT/OFFSET apply
+// to the combined stream. lg is the prepared logical plan; nil (ad-hoc
+// Exec, subqueries) lowers the statement on the fly.
 func vecOpenSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
 	if lg == nil {
 		lg = buildLogical(db, s)
@@ -109,6 +105,8 @@ func vecOpenSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *log
 	return cols, it, nil
 }
 
+// vecMeterWrap instruments it with a fresh meter stored via slot when
+// metering is on; a no-op otherwise.
 func vecMeterWrap(it vecIter, pm *planMeters, slot func(*planMeters) **opMeter) vecIter {
 	if pm == nil {
 		return it
@@ -118,10 +116,16 @@ func vecMeterWrap(it vecIter, pm *planMeters, slot func(*planMeters) **opMeter) 
 	return &vecMeter{child: it, m: m}
 }
 
-// vecOpenSelectOne mirrors openSelectOne: one SELECT without its UNION
-// chain, on the same bound access paths and meter slots.
+// vecOpenSelectOne builds the operator tree for one SELECT without its
+// UNION chain, binding the logical plan's access paths against db. When
+// the select heads a union, ORDER/LIMIT/OFFSET are applied by
+// vecOpenSelect to the combined stream instead.
 func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
 	headOfUnion := s.Union != nil
+	// Materialize uncorrelated IN (SELECT ...) subqueries into the run.
+	// The logical plan partitions the WHERE conjuncts, so every pushed
+	// filter and residual conjunct is walked (IN nodes keep their
+	// identity through the rewrite, which keys the materialized results).
 	for _, tl := range lg.tables {
 		for _, f := range tl.filters {
 			if err := rt.materializeSubqueries(ctx, db, f); err != nil {
@@ -137,11 +141,17 @@ func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *
 	if err := rt.materializeSubqueries(ctx, db, s.Having); err != nil {
 		return nil, nil, err
 	}
+	// Branch meters (EXPLAIN ANALYZE): allocated up front so parallel
+	// morsels share the same atomic counters.
 	var bm *selMeters
 	if rt.meters != nil {
 		bm = &selMeters{}
 		rt.meters.branches = append(rt.meters.branches, bm)
 	}
+	// 1. The joined row stream as environments, on the access paths
+	// chosen by bindSelect (see access.go), executed on this goroutine or
+	// as parallel morsels over the base scan. The residual WHERE conjuncts
+	// filter inside the chain, above the joins.
 	var it vecIter
 	if s.From == nil {
 		it = &vecSingleton{rt: rt}
@@ -168,6 +178,7 @@ func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *
 			return nil, nil, err
 		}
 	}
+	// 2. Expand stars into concrete items.
 	items, cols, err := expandItems(db, s)
 	if err != nil {
 		return nil, nil, err
@@ -181,6 +192,8 @@ func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *
 			}
 		}
 	}
+	// 3. Group/aggregate (a pipeline breaker) or streaming projection,
+	// then ORDER BY (a breaker), DISTINCT, LIMIT/OFFSET.
 	if grouped {
 		it = &vecGroup{child: it, s: s, items: items, rt: rt}
 		it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.agg })
@@ -207,6 +220,8 @@ func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *
 	return cols, it, nil
 }
 
+// vecBranchMeter instruments it with a fresh meter stored via slot when
+// this branch is metered; a no-op otherwise.
 func vecBranchMeter(it vecIter, bm *selMeters, slot func(*selMeters) **opMeter) vecIter {
 	if bm == nil {
 		return it
@@ -216,8 +231,10 @@ func vecBranchMeter(it vecIter, bm *selMeters, slot func(*selMeters) **opMeter) 
 	return &vecMeter{child: it, m: m}
 }
 
-// vecOpenChain mirrors openChain: the scan→joins→residual part of one
-// SELECT over the base-scan range [lo, hi).
+// vecOpenChain builds the scan→joins→residual part of one SELECT over
+// the base-scan tuple range [lo, hi). bm may be nil (no metering); under
+// parallel execution every morsel chain shares the same meters, so
+// counters aggregate across morsels.
 func vecOpenChain(sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, lo, hi int) vecIter {
 	it := vecOpenScan(sel.scan, rt, lo, hi)
 	if bm != nil {
@@ -260,7 +277,8 @@ func (s *vecSingleton) next(ctx context.Context, want int) ([]item, error) {
 }
 
 // vecScan yields batches of environments over the base relation's
-// [pos, end) range. Environments and bindings come from fresh per-batch
+// [pos, end) range — a full scan, or one morsel under parallel
+// execution. Environments and bindings come from fresh per-batch
 // arenas: two allocations per batch instead of two per row.
 type vecScan struct {
 	rel     *rel.Relation
@@ -298,7 +316,9 @@ func (s *vecScan) next(ctx context.Context, want int) ([]item, error) {
 	return out, nil
 }
 
-// vecIndexScan yields batches over an index probe's position list.
+// vecIndexScan yields batches over an index probe's position list —
+// the index access path: stored-tuple reads (and thus Scanned) are
+// proportional to the result size, not the relation size.
 type vecIndexScan struct {
 	rel       *rel.Relation
 	binding   string
@@ -335,7 +355,10 @@ func (s *vecIndexScan) next(ctx context.Context, want int) ([]item, error) {
 	return out, nil
 }
 
-// vecOpenScan mirrors openScan for the batch engine.
+// vecOpenScan builds the operator for a bound table access path: an
+// index probe or a sequential scan over [lo, hi), with the remaining
+// pushed-down filters applied above it. Index probes ignore the range
+// (they never run partitioned).
 func vecOpenScan(sa *scanAccess, rt *run, lo, hi int) vecIter {
 	var it vecIter
 	if sa.idx != nil {
@@ -359,8 +382,8 @@ type vecFilter struct {
 
 func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
 	// Constrained pull (a LIMIT upstream): read one row at a time so the
-	// scan stops on exactly the row serial execution stops on — a larger
-	// chunk could read past the final qualifying row.
+	// scan stops on the row that satisfies the limit — a larger chunk
+	// could read past the final qualifying row.
 	if want < vecBatch {
 		want = 1
 	}
@@ -423,7 +446,7 @@ type vecDistinct struct {
 }
 
 func (d *vecDistinct) next(ctx context.Context, want int) ([]item, error) {
-	// Constrained pull: row-at-a-time, mirroring serial (see vecFilter).
+	// Constrained pull: row-at-a-time (see vecFilter).
 	if want < vecBatch {
 		want = 1
 	}
@@ -445,10 +468,10 @@ func (d *vecDistinct) next(ctx context.Context, want int) ([]item, error) {
 	}
 }
 
-// vecLimit applies OFFSET then LIMIT. It caps want at the rows still
-// needed — and always below vecBatch — so downstream joins switch to
-// the serial one-left-row-at-a-time read pattern and Scanned() stays
-// exactly what serial execution would report.
+// vecLimit applies OFFSET then LIMIT, returning io.EOF as soon as the
+// limit is satisfied. It caps want at the rows still needed — and always
+// below vecBatch — so the operators below see a constrained pull and stop
+// reading stored tuples with the last row asked for.
 type vecLimit struct {
 	child   vecIter
 	limit   int // -1 = no limit
@@ -480,7 +503,7 @@ func (l *vecLimit) next(ctx context.Context, want int) ([]item, error) {
 		if want >= vecBatch {
 			// Never pass an unconstrained want below a live LIMIT: the
 			// child must see the pull as constrained (want < vecBatch)
-			// and fall back to the serial read pattern.
+			// and read row-at-a-time.
 			want = vecBatch - 1
 		}
 	}
@@ -492,7 +515,8 @@ func (l *vecLimit) next(ctx context.Context, want int) ([]item, error) {
 	return items, nil
 }
 
-// vecConcat chains branch iterators in order (UNION ALL shape).
+// vecConcat chains branch iterators in order (UNION ALL shape); later
+// children are not pulled until earlier ones are exhausted.
 type vecConcat struct {
 	children []vecIter
 	pos      int
@@ -512,10 +536,11 @@ func (c *vecConcat) next(ctx context.Context, want int) ([]item, error) {
 
 // vecOrder is the ORDER BY pipeline breaker for both key modes:
 // environment-based keys (non-grouped selects; evalOrderKey) and
-// output-row keys (grouped selects and union heads; rowOrderKey). Sort
+// output-row keys (grouped selects and union heads; rowOrderKey), so
+// non-grouped selects can order by columns they do not project. Sort
 // keys are evaluated once per row up front instead of per comparison —
-// except for single-row inputs, which serial execution never evaluates
-// keys for (zero comparisons), and neither do we.
+// except for single-row inputs, which need no comparison and so surface
+// no key-evaluation error.
 type vecOrder struct {
 	child   vecIter
 	order   []OrderItem
@@ -555,7 +580,7 @@ func (o *vecOrder) fill(ctx context.Context) error {
 		}
 	}
 	if len(o.buf) < 2 {
-		return nil // zero comparisons; serial never evaluates keys either
+		return nil // zero comparisons: keys are never evaluated
 	}
 	w := len(o.order)
 	slab := make([]rel.Value, len(o.buf)*w)

@@ -2,138 +2,13 @@ package sqlx
 
 import (
 	"context"
-	"io"
 	"strings"
 	"testing"
-
-	"repro/internal/rel"
 )
 
-// vecParityQuery is one entry of the golden operator matrix: a query
-// plus whether it stops early under LIMIT without a pipeline breaker —
-// the one case where Scanned() is legitimately nondeterministic under
-// parallel morsels (workers > 1), in both engines, because producers
-// overrun the cutoff.
-type vecParityQuery struct {
-	q         string
-	earlyStop bool
-}
-
-// vecParityMatrix covers every operator combination of the executor:
-// scans, pushed filters, residuals, all four join strategies plus
-// build-left and null extension, grouping with and without HAVING,
-// DISTINCT (rows and aggregates), ORDER BY both key modes, LIMIT and
-// OFFSET in all placements, UNION/UNION ALL, and IN-subquery
-// materialization.
-func vecParityMatrix() []vecParityQuery {
-	return []vecParityQuery{
-		// The TestParallelMatchesSerial matrix.
-		{q: `SELECT id, note FROM fact WHERE grp = 3`},
-		{q: `SELECT id FROM fact WHERE id >= 1000 AND id < 1100`},
-		{q: `SELECT grp, COUNT(*), SUM(id) FROM fact GROUP BY grp ORDER BY grp`},
-		{q: `SELECT COUNT(*) FROM fact WHERE note IS NULL`},
-		{q: `SELECT DISTINCT note FROM fact ORDER BY note`},
-		{q: `SELECT id FROM fact ORDER BY note, id DESC LIMIT 40 OFFSET 5`},
-		{q: `SELECT id FROM fact WHERE grp = 1 LIMIT 10`, earlyStop: true},
-		{q: `SELECT f.id, d.name FROM fact f JOIN dim d ON f.dim_id = d.id WHERE d.id < 10`},
-		{q: `SELECT f.id, d.name FROM fact f LEFT JOIN dim d ON f.dim_id = d.id WHERE f.grp = 2`},
-		{q: `SELECT f.id, d.id FROM fact f JOIN dim d ON f.grp > d.id WHERE f.id < 1100`},
-		{q: `SELECT COUNT(*) FROM fact CROSS JOIN dim WHERE dim.id < 2`},
-		{q: `SELECT id FROM fact WHERE grp = 1 UNION ALL SELECT id FROM fact WHERE grp = 2`},
-		{q: `SELECT grp FROM fact WHERE id < 2000 UNION SELECT id FROM dim ORDER BY grp LIMIT 20`},
-		{q: `SELECT id FROM fact WHERE dim_id IN (SELECT id FROM dim WHERE id < 5) AND grp = 0`},
-		// Build-left hash join: small left input, big unindexed right.
-		{q: `SELECT d.name, f.id FROM dim d JOIN fact f ON d.id = f.dim_id WHERE d.id = 3`},
-		// LEFT JOIN whose keys never match: every row null-extends.
-		{q: `SELECT f.id, d.id FROM fact f LEFT JOIN dim d ON f.note = d.name WHERE f.id < 200`},
-		// DISTINCT aggregates and HAVING.
-		{q: `SELECT COUNT(DISTINCT note), COUNT(DISTINCT grp) FROM fact`},
-		{q: `SELECT grp, COUNT(*) FROM fact GROUP BY grp HAVING COUNT(*) > 440 ORDER BY grp`},
-		{q: `SELECT grp, SUM(id) FROM fact GROUP BY grp ORDER BY 2 DESC LIMIT 3`},
-		// Multi-column DISTINCT without a sort: first-seen order.
-		{q: `SELECT DISTINCT grp, dim_id FROM fact WHERE id < 600`},
-		// IN subquery with strings and a sort+limit above a join-free scan.
-		{q: `SELECT id FROM fact WHERE id IN (SELECT id FROM dim) ORDER BY id DESC LIMIT 25`},
-		{q: `SELECT note FROM fact WHERE note IN (SELECT note FROM fact WHERE grp = 3) AND id < 500`},
-		// OFFSET without LIMIT, and LIMIT with a filter (early stop).
-		{q: `SELECT id FROM fact WHERE grp = 5 OFFSET 430`, earlyStop: true},
-		{q: `SELECT id, note FROM fact WHERE note IS NULL LIMIT 7`, earlyStop: true},
-		// BETWEEN / IS NULL residual combinations.
-		{q: `SELECT id FROM fact WHERE id BETWEEN 100 AND 120 OR note IS NULL`},
-		// Aggregate over empty input produces one default row.
-		{q: `SELECT COUNT(*), SUM(id), MIN(id) FROM fact WHERE id < 0`},
-		// SELECT without FROM.
-		{q: `SELECT 1 + 2`},
-	}
-}
-
-// runEngine opens q on the requested engine and drains it.
-func runEngine(t testing.TB, db *rel.Database, q string, workers int, vec bool) ([]string, int64) {
-	t.Helper()
-	plan, err := Prepare(db, q)
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	c, err := plan.openMode(context.Background(), db, workers, vec)
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	defer c.Close()
-	var out []string
-	for {
-		row, err := c.Next(context.Background())
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		out = append(out, rowKey(row))
-	}
-	return out, c.Scanned()
-}
-
-// TestVectorizedMatchesTupleAtATime is the golden parity suite pinning
-// the batch engine to the tuple-at-a-time reference: identical rows, in
-// identical order, with identical Scanned() counts, across the full
-// operator matrix at several parallelism degrees. Scanned() is compared
-// at workers=1 always; under parallel morsels it is compared only for
-// queries that drain fully (early-stop LIMIT overruns nondeterminism is
-// shared by both engines).
-func TestVectorizedMatchesTupleAtATime(t *testing.T) {
-	db := parallelDB(t)
-	for _, pq := range vecParityMatrix() {
-		for _, workers := range []int{1, 2, 4} {
-			ref, refScan := runEngine(t, db, pq.q, workers, false)
-			got, gotScan := runEngine(t, db, pq.q, workers, true)
-			if len(got) != len(ref) {
-				t.Errorf("%s: workers=%d vec returned %d rows, reference %d",
-					pq.q, workers, len(got), len(ref))
-				continue
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Errorf("%s: workers=%d row %d = %q, reference %q",
-						pq.q, workers, i, got[i], ref[i])
-					break
-				}
-			}
-			if workers == 1 || !pq.earlyStop {
-				if gotScan != refScan {
-					t.Errorf("%s: workers=%d vec scanned %d, reference %d",
-						pq.q, workers, gotScan, refScan)
-				}
-			}
-		}
-	}
-}
-
-// TestVectorizedExplainAnalyzeBatches: the batch engine's EXPLAIN
-// ANALYZE reports per-operator batch counts and the heap-alloc summary.
+// TestVectorizedExplainAnalyzeBatches: EXPLAIN ANALYZE reports
+// per-operator batch counts and the heap-alloc summary.
 func TestVectorizedExplainAnalyzeBatches(t *testing.T) {
-	if !Vectorized {
-		t.Skip("batch engine disabled")
-	}
 	db := parallelDB(t)
 	plan, err := Prepare(db, `SELECT grp, COUNT(*) FROM fact GROUP BY grp`)
 	if err != nil {
@@ -147,55 +22,5 @@ func TestVectorizedExplainAnalyzeBatches(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestVectorizedCursorClose and TestVectorizedCancellation mirror the
-// parallel lifecycle tests on the batch engine explicitly (they also
-// run implicitly whenever Vectorized is the default).
-func TestVectorizedCursorClose(t *testing.T) {
-	db := parallelDB(t)
-	plan, err := Prepare(db, `SELECT id, note FROM fact`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		c, err := plan.openMode(context.Background(), db, 4, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 3; k++ {
-			if _, err := c.Next(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Close()
-	}
-}
-
-func TestVectorizedCancellation(t *testing.T) {
-	db := parallelDB(t)
-	plan, err := Prepare(db, `SELECT f.id FROM fact f JOIN dim d ON f.dim_id = d.id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c, err := plan.openMode(ctx, db, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Next(ctx); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	for {
-		_, err := c.Next(ctx)
-		if err == nil {
-			continue
-		}
-		if err == io.EOF {
-			t.Fatal("canceled query drained to EOF")
-		}
-		break
 	}
 }

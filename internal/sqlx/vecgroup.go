@@ -8,12 +8,15 @@ import (
 	"repro/internal/rel"
 )
 
-// vecGroup is the GROUP BY / aggregate pipeline breaker of the batch
-// engine: the semantics of execGrouped with the string-keyed group map
-// replaced by the open-addressing groupTable. Group keys are evaluated
-// into a reused scratch slice and only copied into the table's flat
-// arena when a new group appears, so steady-state accumulation of an
-// existing group allocates nothing.
+// vecGroup is the GROUP BY / aggregate pipeline breaker: on first pull
+// it drains the child, groups and aggregates (including HAVING and
+// projection), and then streams the result rows in first-seen group
+// order. Groups live in the open-addressing groupTable: keys are
+// evaluated into a reused scratch slice and only copied into the table's
+// flat arena when a new group appears, so steady-state accumulation of
+// an existing group allocates nothing. Bare columns evaluate against a
+// group's first row; aggregates over empty input with no GROUP BY yield
+// one row.
 type vecGroup struct {
 	child vecIter
 	s     *SelectStmt

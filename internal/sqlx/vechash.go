@@ -8,13 +8,12 @@ import (
 
 // Zero-allocation hash tables for the vectorized executor: open
 // addressing over 64-bit value hashes (rel.Value.Hash64) with KeyEqual
-// verification on collision, replacing the map[string]... tables keyed
-// by concatenated Value.Key() strings. Probes never build a key string;
-// inserts append to flat arenas, so the only allocations are amortized
-// slice growth. Multi-value payloads (hash-join buckets) are chained
-// through the arena with per-entry head/tail indices, preserving
-// insertion order so per-key match order is identical to the serial
-// lazily built map tables.
+// verification on collision — the identity of Value.Key() strings
+// without building them. Probes never build a key string; inserts
+// append to flat arenas, so the only allocations are amortized slice
+// growth. Multi-value payloads (hash-join buckets) are chained through
+// the arena with per-entry head/tail indices, preserving insertion
+// order, so per-key match order is the build side's tuple order.
 
 // tableInitSlots is the initial power-of-two slot count; tables grow at
 // 75% load by re-placing entries from their stored hashes.

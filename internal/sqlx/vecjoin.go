@@ -7,16 +7,16 @@ import (
 	"repro/internal/rel"
 )
 
-// Vectorized joins. Output environments are carved from fresh per-call
+// Batch joins. Output environments are carved from fresh per-call
 // arenas: one env array and one flat binding slab sized want×stride
 // (stride = bindings per output env, fixed per chain position), so a
 // full 1024-row batch of join output costs three allocations instead of
 // two per row. Under a constrained pull (want < vecBatch, i.e. a LIMIT
 // upstream) the join pulls left rows one at a time and buffers pending
-// match state across calls — exactly the serial read pattern, keeping
-// Scanned() identical.
+// match state across calls, so it reads no left row the LIMIT does not
+// need.
 
-// vecOpenJoin mirrors openJoin for the batch engine.
+// vecOpenJoin builds the operator for a bound join access path.
 func vecOpenJoin(child vecIter, ja *joinAccess, rt *run, stride int) vecIter {
 	if ja.strategy == joinHashBuildLeft {
 		return &vecHashLeftJoin{child: child, ja: ja, rt: rt, stride: stride, chain: -1}
@@ -59,9 +59,12 @@ func (a *emitArena) emit(rt *run, left *env, bname string, schema *rel.Schema, t
 
 func (a *emitArena) commit() { a.bpos += len(a.envs[a.n].bindings); a.n++ }
 
-// vecJoin covers the cross, index-probe, build-right hash, and
-// nested-loop strategies (with LEFT JOIN null extension), mirroring
-// joinIter.
+// vecJoin extends each child environment with matching tuples of the
+// right relation, on the access path chosen at bind time: a probe of the
+// relation's persistent hash index, a lazily built per-query hash over
+// the (pre-filtered) right side, a nested loop, or a cross product, with
+// LEFT JOIN null extension. The build-left hash strategy lives in
+// vecHashLeftJoin.
 type vecJoin struct {
 	child  vecIter
 	ja     *joinAccess
@@ -70,9 +73,8 @@ type vecJoin struct {
 
 	pred Expr // nested-loop predicate (filters folded into ON)
 
-	table   *joinTable // build-right hash table
-	built   bool
-	cross   []rel.Tuple
+	table   *joinTable  // build-right hash table, nil until first use
+	cross   []rel.Tuple // cross-join right side, valid once crossed
 	crossed bool
 
 	nullTuple rel.Tuple
@@ -94,65 +96,58 @@ type vecJoin struct {
 	out []item
 }
 
-// buildLazy mirrors joinIter.buildLazy on the open-addressing table;
-// parallel execution pre-builds it once and shares it (ja.prevec).
-func (j *vecJoin) buildLazy(ctx context.Context) error {
-	if j.ja.prevec != nil {
-		j.table, j.built = j.ja.prevec, true
-		return nil
-	}
-	j.table = &joinTable{}
-	for _, t := range j.ja.right.Tuples {
-		if err := j.rt.tick(ctx); err != nil {
-			return err
+// buildJoinTable hashes the (pre-filtered) right relation of a
+// joinHashBuildRight step, reading every right tuple once.
+func buildJoinTable(ctx context.Context, ja *joinAccess, rt *run) (*joinTable, error) {
+	tbl := &joinTable{}
+	for _, t := range ja.right.Tuples {
+		if err := rt.tick(ctx); err != nil {
+			return nil, err
 		}
-		ok, err := rightFilterOK(j.ja.filters, j.ja.binding, j.ja.right.Schema, t, j.rt)
+		ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			continue
 		}
-		v := t[j.ja.rightIdx]
+		v := t[ja.rightIdx]
 		if v.IsNull() {
 			continue
 		}
-		j.table.insert(v, t)
+		tbl.insert(v, t)
 	}
-	j.built = true
-	return nil
+	return tbl, nil
 }
 
-func (j *vecJoin) buildCross(ctx context.Context) error {
-	if j.ja.precross != nil {
-		j.cross, j.crossed = j.ja.precross, true
-		return nil
+// buildCrossSide materializes the right side of a joinCrossSeq step.
+// Without pushed filters the relation's tuples are shared directly and
+// nothing is read.
+func buildCrossSide(ctx context.Context, ja *joinAccess, rt *run) ([]rel.Tuple, error) {
+	if len(ja.filters) == 0 {
+		return ja.right.Tuples, nil
 	}
-	if len(j.ja.filters) == 0 {
-		j.cross = j.ja.right.Tuples
-	} else {
-		for _, t := range j.ja.right.Tuples {
-			if err := j.rt.tick(ctx); err != nil {
-				return err
-			}
-			ok, err := rightFilterOK(j.ja.filters, j.ja.binding, j.ja.right.Schema, t, j.rt)
-			if err != nil {
-				return err
-			}
-			if ok {
-				j.cross = append(j.cross, t)
-			}
+	var out []rel.Tuple
+	for _, t := range ja.right.Tuples {
+		if err := rt.tick(ctx); err != nil {
+			return nil, err
+		}
+		ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, t)
 		}
 	}
-	j.crossed = true
-	return nil
+	return out, nil
 }
 
 func (j *vecJoin) probeIndex(ctx context.Context) error {
 	j.matches = j.matches[:0]
 	lv, err := eval(j.ja.leftCol, j.cur)
 	if err != nil || lv.IsNull() {
-		// Eval error or NULL key means no match, mirroring the hash path.
+		// Eval error or NULL key means no match, as on the hash path.
 		return nil
 	}
 	for _, pos := range j.ja.idx.Lookup(lv) {
@@ -190,8 +185,8 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 	arena := newEmitArena(want, j.stride)
 	leftWant := vecBatch
 	if want < vecBatch {
-		// A constrained pull: read left rows one at a time so we never
-		// scan further than serial execution would under the same LIMIT.
+		// A constrained pull: read left rows one at a time so the scan
+		// stops with the left row that satisfies the LIMIT.
 		leftWant = 1
 	}
 	for {
@@ -222,9 +217,16 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 			switch j.ja.strategy {
 			case joinCrossSeq:
 				if !j.crossed {
-					if err := j.buildCross(ctx); err != nil {
-						return j.fail(out, err)
+					// Parallel execution pre-filters the right side once and
+					// shares it across morsels (ja.precross).
+					j.cross = j.ja.precross
+					if j.cross == nil {
+						var err error
+						if j.cross, err = buildCrossSide(ctx, j.ja, j.rt); err != nil {
+							return j.fail(out, err)
+						}
 					}
+					j.crossed = true
 				}
 				j.matches, j.mi = j.cross, 0
 			case joinIndexProbe:
@@ -232,8 +234,14 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 					return j.fail(out, err)
 				}
 			case joinHashBuildRight:
-				if !j.built {
-					if err := j.buildLazy(ctx); err != nil {
+				if j.table == nil {
+					// Parallel execution builds the table once and shares it
+					// across morsels (ja.prevec).
+					j.table = j.ja.prevec
+				}
+				if j.table == nil {
+					var err error
+					if j.table, err = buildJoinTable(ctx, j.ja, j.rt); err != nil {
 						return j.fail(out, err)
 					}
 				}
@@ -306,9 +314,16 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 	}
 }
 
-// vecHashLeftJoin mirrors hashLeftJoinIter: drain the (smaller) left
-// input into the environment hash table, then stream the right relation
-// through it. Right-major output order, inner joins only.
+// vecHashLeftJoin is the build-side-swapped hash join: when neither
+// join column has a persistent index and the left input is estimated
+// smaller than the right relation, the left environments are drained
+// into the hash table and the right relation is streamed through it —
+// the classic smaller-side build. Output order is right-major (SQL
+// leaves join order unspecified). Inner joins only: outer joins keep the
+// right build so null extension follows left order. A pull that fills
+// its batch on a right tuple's last match keeps streaming to the next
+// matching right tuple before it returns, so under LIMIT Scanned() can
+// run that far past the last row emitted.
 type vecHashLeftJoin struct {
 	child  vecIter
 	ja     *joinAccess
