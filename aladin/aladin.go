@@ -78,7 +78,8 @@ type (
 	QueryResult = sqlx.Result
 	// Conflict is one field-level disagreement between duplicates.
 	Conflict = dup.Conflict
-	// Report summarizes one AddSource or Reanalyze run.
+	// Report summarizes one AddSource or Reanalyze run, or one batch of an
+	// IngestSource run.
 	Report = core.AddReport
 	// Source is one imported data source (step 1 of the pipeline — "the
 	// one point where ALADIN does require human work").
@@ -287,14 +288,19 @@ func (d *DB) AddSource(ctx context.Context, src *Source) (*Report, error) {
 	if exists {
 		return nil, fmt.Errorf("%w: %s", ErrSourceExists, src.Name)
 	}
+	return d.integrate(ctx, src)
+}
 
-	// Compute phase: no lock on mu. Readers proceed; addMu guarantees no
-	// concurrent mutation of the pipeline-internal state this touches.
-	p, err := d.prepare(ctx, src)
+// integrate takes one batch of source data — a whole new source, or the
+// next batch of one being streamed in — through prepare, commit and the
+// checkpoint trigger. The caller holds addMu, which serializes
+// integrations; mu is taken only for the commit, so readers keep running
+// through the compute phase.
+func (d *DB) integrate(ctx context.Context, batch *Source) (*Report, error) {
+	p, err := d.prepare(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
-
 	d.mu.Lock()
 	if d.closed {
 		d.sys.Abort(p)
@@ -310,38 +316,46 @@ func (d *DB) AddSource(ctx context.Context, src *Source) (*Report, error) {
 	return rep, nil
 }
 
-// commit publishes a prepared addition under the held write lock. A
+// prepare runs the compute phase through the front door that fits the
+// batch: a source the database does not hold yet is profiled and its
+// structure discovered, a batch of one it holds is checked against that
+// structure. addMu guarantees no integration registers the source
+// between this check and the commit. Pipeline panics (already re-raised
+// on this goroutine by internal/parallel, already unwound by core)
+// become errors, so one bad record cannot take down a server.
+func (d *DB) prepare(ctx context.Context, batch *Source) (p *core.Pending, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("%w: integrating %s: %v", ErrInternal, batch.Name, r)
+		}
+	}()
+	if d.sys.Repo.Source(batch.Name) != nil {
+		p, err = d.sys.PrepareAppend(ctx, batch.Name, batch)
+	} else {
+		p, err = d.sys.PrepareAdd(ctx, batch)
+	}
+	if err != nil {
+		return nil, mapPipelineErr(err)
+	}
+	return p, nil
+}
+
+// commit publishes a prepared integration under the held write lock. A
 // panic here would leave reader-visible state half-published with no way
 // to unwind it, so the database fails stop: it is marked closed and the
 // panic surfaces as ErrInternal instead of serving inconsistent data.
-func (d *DB) commit(p *core.PendingAdd) (rep *Report, err error) {
+func (d *DB) commit(p *core.Pending) (rep *Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			d.closed = true
 			rep, err = nil, fmt.Errorf("%w: commit of %s panicked, database closed: %v", ErrInternal, p.Source(), r)
 		}
 	}()
-	rep, err = d.sys.CommitAdd(p)
+	rep, err = d.sys.Commit(p)
 	if err != nil {
 		return nil, fmt.Errorf("aladin: commit: %w", err)
 	}
 	return rep, nil
-}
-
-// prepare runs the compute phase, converting pipeline panics (already
-// re-raised on this goroutine by internal/parallel, already unwound by
-// core) into errors so one bad record cannot take down a server.
-func (d *DB) prepare(ctx context.Context, src *Source) (p *core.PendingAdd, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, err = nil, fmt.Errorf("%w: AddSource(%s): %v", ErrInternal, src.Name, r)
-		}
-	}()
-	p, err = d.sys.PrepareAdd(ctx, src)
-	if err != nil {
-		return nil, mapPipelineErr(err)
-	}
-	return p, nil
 }
 
 // Query runs a SQL SELECT over the integrated warehouse and returns the
@@ -560,7 +574,8 @@ func sourceInfo(m *metadata.SourceMeta) SourceInfo {
 // data changes, resetting its §6.2 change counter. Unlike AddSource,
 // re-analysis holds the write lock for the whole run (it rewrites the
 // source's discovered structure in place); it is expected to be rare.
-// Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
+// On a durable database the re-analysis is journaled before it is
+// published, like DML. Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
 func (d *DB) Reanalyze(ctx context.Context, source string) (*Report, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -570,6 +585,17 @@ func (d *DB) Reanalyze(ctx context.Context, source string) (*Report, error) {
 	}
 	d.addMu.Lock()
 	defer d.addMu.Unlock()
+	rep, err := d.reanalyzeLocked(ctx, source)
+	if err != nil {
+		return nil, err
+	}
+	d.maybeCheckpoint()
+	return rep, nil
+}
+
+// reanalyzeLocked is Reanalyze's write-locked section; the checkpoint
+// its journal record may trigger runs after the lock is released.
+func (d *DB) reanalyzeLocked(ctx context.Context, source string) (*Report, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {

@@ -2,10 +2,10 @@ package aladin
 
 // Streaming ingestion (the public face of internal/ingest): IngestSource
 // parses records straight off an io.Reader and integrates them in
-// bounded batches — the first batch creates the source through the full
-// five-step pipeline (discovery runs on it, so make the batch size large
-// enough to be representative), every later batch flows through the
-// append path reusing the discovered structure. Readers observe only
+// bounded batches, each through the same integrate call AddSource makes.
+// A batch for a source the database does not hold yet has its structure
+// discovered (so make the batch size large enough to be representative);
+// every batch after that reuses the structure. Readers observe only
 // batch-boundary snapshots: each batch commits atomically under the
 // write lock, and memory stays bounded by the batch size regardless of
 // input length. Live mode (WithLiveSource) runs the same machinery over
@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flatfile"
 	"repro/internal/ingest"
 	"repro/internal/rel"
@@ -108,13 +107,14 @@ func WithFlushStall(d time.Duration) IngestOption {
 }
 
 // IngestSource streams records of the given format from r into the named
-// source. If the source does not exist, the first batch creates it via
-// the full integration pipeline; subsequent batches append with
-// incremental index, statistics, browse and search maintenance, one WAL
-// frame per batch. Concurrent readers see each batch atomically at its
-// commit; a failure or cancellation leaves every previously committed
-// batch in place (the warehouse is always at a batch boundary). The
-// returned report describes the committed prefix even on error.
+// source, creating it if it does not exist. Every batch is linked and
+// checked for duplicates against everything integrated so far, extends
+// the indexes, statistics, browse order and search postings
+// incrementally, and is journaled as one WAL frame. Concurrent readers
+// see each batch atomically at its commit; a failure or cancellation
+// leaves every previously committed batch in place (the warehouse is
+// always at a batch boundary). The returned report describes the
+// committed prefix even on error.
 //
 // Errors: ErrBadFormat, ErrNoPrimary (first batch), ErrCanceled,
 // ErrReadOnlyReplica, ErrClosed, and parse errors from the scanner.
@@ -143,53 +143,18 @@ func (d *DB) IngestSource(ctx context.Context, name, format string, r io.Reader,
 
 	d.mu.RLock()
 	err = d.checkOpenRLocked()
-	exists := err == nil && d.sys.Repo.Source(name) != nil
 	d.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 
-	first := !exists
 	commit := func(ctx context.Context, batch *rel.Database) (ingest.CommitInfo, error) {
 		batch.Name = name
-		if first {
-			p, err := d.prepare(ctx, batch)
-			if err != nil {
-				return ingest.CommitInfo{}, err
-			}
-			d.mu.Lock()
-			if d.closed {
-				d.sys.Abort(p)
-				d.mu.Unlock()
-				return ingest.CommitInfo{}, ErrClosed
-			}
-			rep, err := d.commit(p)
-			seq := d.sys.SnapshotSeq()
-			d.mu.Unlock()
-			if err != nil {
-				return ingest.CommitInfo{}, err
-			}
-			first = false
-			d.maybeCheckpoint()
-			return commitInfo(seq, rep.Timings, rep.LinksAdded), nil
-		}
-		p, err := d.prepareAppend(ctx, name, batch)
+		rep, err := d.integrate(ctx, batch)
 		if err != nil {
 			return ingest.CommitInfo{}, err
 		}
-		d.mu.Lock()
-		if d.closed {
-			d.sys.AbortAppend(p)
-			d.mu.Unlock()
-			return ingest.CommitInfo{}, ErrClosed
-		}
-		rep, err := d.commitAppend(p)
-		d.mu.Unlock()
-		if err != nil {
-			return ingest.CommitInfo{}, err
-		}
-		d.maybeCheckpoint()
-		return commitInfo(rep.Seq, rep.Timings, rep.LinksAdded), nil
+		return commitInfo(rep), nil
 	}
 
 	runner := &ingest.Runner{Scanner: sc, Commit: commit, Opts: ingest.Options{
@@ -207,54 +172,26 @@ func (d *DB) IngestSource(ctx context.Context, name, format string, r io.Reader,
 	return rep, nil
 }
 
-// prepareAppend runs the batch compute phase, converting pipeline panics
-// into errors (mirrors prepare).
-func (d *DB) prepareAppend(ctx context.Context, name string, batch *rel.Database) (p *core.PendingAppend, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, err = nil, fmt.Errorf("%w: IngestSource(%s): %v", ErrInternal, name, r)
-		}
-	}()
-	p, err = d.sys.PrepareAppend(ctx, name, batch)
-	if err != nil {
-		return nil, mapPipelineErr(err)
-	}
-	return p, nil
-}
-
-// commitAppend publishes a prepared batch under the held write lock; a
-// panic here fails stop exactly as commit does.
-func (d *DB) commitAppend(p *core.PendingAppend) (rep *core.AppendReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d.closed = true
-			rep, err = nil, fmt.Errorf("%w: commit of %s panicked, database closed: %v", ErrInternal, p.Source(), r)
-		}
-	}()
-	rep, err = d.sys.CommitAppend(p)
-	if err != nil {
-		return nil, fmt.Errorf("aladin: commit: %w", err)
-	}
-	return rep, nil
-}
-
-// commitInfo folds a commit report's step timings into the runner's
-// per-stage buckets.
-func commitInfo(seq uint64, timings []core.StepTiming, linksAdded map[string]int) ingest.CommitInfo {
-	info := ingest.CommitInfo{Seq: seq}
-	for _, t := range timings {
+// commitInfo folds a batch's report into the runner's per-stage
+// buckets: link discovery, duplicate detection, the write-locked commit,
+// and under Index everything else a batch prepares off-lock — profiling
+// and structure discovery on a source's first batch, then indexes,
+// browse order, search postings and the WAL frame.
+func commitInfo(rep *Report) ingest.CommitInfo {
+	info := ingest.CommitInfo{Seq: rep.Seq}
+	for _, t := range rep.Timings {
 		switch t.Step {
-		case "link-discovery", "append-link-discovery":
+		case "link-discovery":
 			info.Link += t.Duration
-		case "duplicate-detection", "append-duplicate-detection":
+		case "duplicate-detection":
 			info.Dup += t.Duration
-		case "profile", "discover-structure", "append-prepare":
-			info.Index += t.Duration
-		case "register-and-index", "append-commit":
+		case "register-and-index":
 			info.Commit += t.Duration
+		default:
+			info.Index += t.Duration
 		}
 	}
-	for _, n := range linksAdded {
+	for _, n := range rep.LinksAdded {
 		info.Links += n
 	}
 	return info

@@ -313,3 +313,64 @@ func TestReplicaLocalCheckpoints(t *testing.T) {
 		t.Fatal("no local segment files after replica checkpoint")
 	}
 }
+
+// TestReanalyzeStreamsAndSurvivesRestart: Reanalyze on a durable primary
+// is one journaled mutation — the snapshot ID moves by one, a following
+// replica converges on the re-analyzed links, and reopening the primary
+// without a checkpoint replays it.
+func TestReanalyzeStreamsAndSurvivesRestart(t *testing.T) {
+	ctx := context.Background()
+	path := t.TempDir()
+	primary := openDurableWith(t, path, nil, "swissprot", "pdb")
+	srv := httptest.NewServer(primary.ReplHandler())
+	defer srv.Close()
+	replica := openReplicaOf(t, srv.URL, t.TempDir())
+	defer replica.Close()
+
+	// The first protein gains a reference to the last structure, which it
+	// is not linked to; only re-analysis turns the new value into a link.
+	res, err := primary.Query(ctx, "SELECT pdb_code FROM pdb_structure ORDER BY pdb_code DESC LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := res.Rows[0][0].AsString()
+	if _, err := primary.Exec(ctx, fmt.Sprintf("INSERT INTO swissprot_dbref VALUES ('9001', '1', '%s')", code)); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := primary.Stats(ctx)
+	rep, err := primary.Reanalyze(ctx, "swissprot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := primary.Stats(ctx)
+	if rep.LinksAdded["xref"] == 0 || after.Repo.Links <= before.Repo.Links {
+		t.Fatalf("re-analysis added %v, links %d -> %d", rep.LinksAdded, before.Repo.Links, after.Repo.Links)
+	}
+	if after.Snapshot.Seq != before.Snapshot.Seq+1 {
+		t.Errorf("snapshot %v -> %v, want one step", before.Snapshot, after.Snapshot)
+	}
+
+	waitCaughtUp(t, primary, replica)
+	want := warehouseFingerprint(t, primary)
+	if got := warehouseFingerprint(t, replica); got != want {
+		t.Errorf("replica diverges after streamed re-analysis:\n--- replica\n%s--- primary\n%s", got, want)
+	}
+	if rst, _ := replica.Stats(ctx); rst.Repo.LinksByType["xref"] != after.Repo.LinksByType["xref"] {
+		t.Errorf("replica xref links = %d, primary %d", rst.Repo.LinksByType["xref"], after.Repo.LinksByType["xref"])
+	}
+
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(WithOntologySources("go"), WithDataDir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := warehouseFingerprint(t, reopened); got != want {
+		t.Errorf("reopened primary lost the re-analysis:\n--- reopened\n%s--- before close\n%s", got, want)
+	}
+	if sid, _ := reopened.SnapshotID(ctx); sid.Seq != after.Snapshot.Seq {
+		t.Errorf("reopened at %v, closed at %v", sid, after.Snapshot)
+	}
+}

@@ -74,7 +74,7 @@ func BenchmarkTable1IntegrationCost(b *testing.B) {
 // run per iteration, reporting per-step shares via sub-benchmarks, for
 // the serial pipeline (workers=1) and the parallel one (workers=GOMAXPROCS).
 func BenchmarkFigure2Pipeline(b *testing.B) {
-	steps := []string{"profile", "discover-structure", "link-discovery", "duplicate-detection", "register-and-index"}
+	steps := []string{"profile", "discover-structure", "link-discovery", "duplicate-detection", "prepare-publish", "register-and-index"}
 	type pipelineMode struct {
 		name    string
 		workers int

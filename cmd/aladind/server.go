@@ -71,10 +71,13 @@ func (s *server) handler() http.Handler {
 
 // middleware applies the per-request timeout, stamps read responses
 // with the snapshot they observe, and converts panics into structured
-// 500 responses instead of killing the connection.
+// 500 responses instead of killing the connection. A streamed upload is
+// exempt from the timeout for the reason it is exempt from the body-size
+// cap: it is bounded per batch, not per request, and may legitimately
+// run for as long as the client keeps sending.
 func (s *server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.timeout > 0 {
+		if s.timeout > 0 && !isStreamUpload(r) {
 			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 			defer cancel()
 			r = r.WithContext(ctx)
@@ -98,6 +101,16 @@ func (s *server) middleware(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// isStreamUpload reports whether r is POST /v1/sources?...&stream=1. An
+// unparsable stream value is not one; the handler answers it with a 400.
+func isStreamUpload(r *http.Request) bool {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/sources" {
+		return false
+	}
+	stream, err := boolParam("stream", r.URL.Query().Get("stream"))
+	return err == nil && stream
 }
 
 func setSnapshotHeader(w http.ResponseWriter, sid aladin.SnapshotID) {
@@ -574,8 +587,10 @@ func (s *server) handleSources(w http.ResponseWriter, r *http.Request) {
 // flushed as it commits, then a final {"done":true,...} summary line.
 // A failure mid-stream is reported as a final {"error":{...}} line; the
 // batches committed before it remain committed. Integration can take a
-// while on big sources; the per-request timeout applies and cancels
-// cleanly (streaming ingestion stops at the next batch boundary).
+// while on big sources: the per-request timeout applies to whole-file
+// uploads and cancels them cleanly, while a streamed upload runs for as
+// long as the client keeps sending and stops at the next batch boundary
+// when the client disconnects or the database closes.
 func (s *server) handleAddSource(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	name, format := params.Get("name"), params.Get("format")

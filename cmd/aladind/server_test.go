@@ -505,3 +505,90 @@ func TestStreamUploadFullDuplex(t *testing.T) {
 		t.Fatalf("row count after streamed upload = %s", rows)
 	}
 }
+
+// TestStreamUploadOutlivesRequestTimeout: a streamed upload is bounded
+// per batch, so the request-wide deadline does not apply to it — a body
+// trickling in for several times the timeout still commits every batch
+// and ends with the done line — while a whole-file upload to the same
+// server is still cut off with a 504.
+func TestStreamUploadOutlivesRequestTimeout(t *testing.T) {
+	db, err := aladin.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	const timeout = 100 * time.Millisecond
+	ts := httptest.NewServer(newServer(db, timeout).handler())
+	t.Cleanup(ts.Close)
+
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest("POST", ts.URL+"/v1/sources?name=seqs&format=fasta&stream=1&batch=50", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	go func() {
+		// Four batches, one per timeout's worth of waiting.
+		for b := 0; b < 4; b++ {
+			var sb strings.Builder
+			for i := b * 50; i < (b+1)*50; i++ {
+				fmt.Fprintf(&sb, ">SQ%06d trickled record %d\nACDEFGHIKLMNPQRSTVWY\n", i, i)
+			}
+			if _, err := io.WriteString(pw, sb.String()); err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+			time.Sleep(timeout)
+		}
+		pw.Close()
+	}()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := json.NewDecoder(resp.Body)
+	var last map[string]any
+	for {
+		var line map[string]any
+		if err := lines.Decode(&line); err != nil {
+			t.Fatalf("progress stream broke after %v: %v", last, err)
+		}
+		if e, failed := line["error"]; failed {
+			t.Fatalf("streamed upload failed after %v: %v", time.Since(start), e)
+		}
+		last = line
+		if done, _ := line["done"].(bool); done {
+			break
+		}
+	}
+	if elapsed := time.Since(start); elapsed < 3*timeout {
+		t.Fatalf("upload took %v, too quick to have outlived the %v timeout", elapsed, timeout)
+	}
+	if last["records"] != float64(200) || last["batches"].(float64) < 3 {
+		t.Fatalf("done line = %v", last)
+	}
+	res := getJSON(t, ts.URL+"/v1/query?q="+escape("SELECT COUNT(*) FROM seqs_fasta"), 200)
+	if rows := fmt.Sprint(res["rows"]); rows != "[[200]]" {
+		t.Fatalf("row count after streamed upload = %s", rows)
+	}
+
+	// Not a streamed upload: the deadline still applies. The body stalls
+	// past it, so the parse fails on a canceled request whatever the CPU
+	// is doing.
+	slow, slowW := io.Pipe()
+	go func() {
+		io.WriteString(slowW, "accession,name\nUX0001,first\n")
+		time.Sleep(3 * timeout)
+		slowW.Close()
+	}()
+	resp2, err := http.Post(ts.URL+"/v1/sources?name=upload&format=csv", "text/csv", slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp2.Body)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("whole-file POST under a %v deadline = %d; body: %s", timeout, resp2.StatusCode, body)
+	}
+}

@@ -1,110 +1,41 @@
 package core
 
-// Batched source appends — the core half of the streaming ingestion
-// path. A source is created once through the normal five-step AddSource
-// pipeline; each subsequent batch of records then flows through
-// PrepareAppend/CommitAppend, which reuse the source's discovered
-// structure and profiles instead of re-running discovery:
-//
-//   - link discovery runs batch×other-sources only (DiscoverAppended),
-//   - duplicate detection buckets only the batch's records into the
-//     incremental index (new×existing + new×new, §4.5),
-//   - the relations grow by append-branching (rel.AppendBranch): readers
-//     holding the previous relation headers keep seeing exactly the
-//     tuples of their snapshot, so a batch becomes visible atomically at
-//     its commit and never tears mid-batch,
-//   - one WAL frame (RecAppend) journals the whole batch.
-//
-// Like AddSource, the split keeps everything expensive off the caller's
-// write lock; the commit is the WAL append plus O(batch) pointer
-// appends. Callers serialize appends with other integrations (package
-// aladin holds addMu).
+// The front door for a batch of records appended to a source the system
+// already holds — the core half of streaming ingestion. The source was
+// created through PrepareAdd, which discovered its structure; a batch
+// reuses that structure and the registered profiles instead of
+// re-running discovery, so the door only has to check that the batch
+// fits. Everything after that is the path every integration takes (see
+// the package comment): the shared prepare body links the batch against
+// the other sources (DiscoverAppended) and buckets only the batch's
+// records into the duplicate index, Commit journals one RecAppend frame
+// for the whole batch, and publish grows the source's relations by
+// append branches (rel.AppendBranch) — readers holding the previous
+// relation headers keep seeing exactly the tuples of their snapshot, so
+// a batch becomes visible atomically and never tears mid-batch.
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/discovery"
-	"repro/internal/dup"
-	"repro/internal/linkdisc"
-	"repro/internal/metadata"
-	"repro/internal/objectweb"
 	"repro/internal/rel"
-	"repro/internal/search"
-	"repro/internal/store"
 )
 
-// AppendReport summarizes one committed batch append.
-type AppendReport struct {
-	Source string
-	// Tuples is the number of tuples the batch added across relations;
-	// Records is the number of primary objects among them.
-	Tuples  int
-	Records int
-	// Seq is the global mutation sequence the batch committed at.
-	Seq uint64
-	// LinksAdded counts new links stored in the repository, by type name.
-	LinksAdded     map[string]int
-	XRefAttributes []linkdisc.XRefAttribute
-	LinkStats      linkdisc.Stats
-	DupStats       dup.Stats
-	Timings        []StepTiming
-}
-
-// PendingAppend is a fully computed but uncommitted batch append: link
-// and duplicate artifacts for the batch, browse/search/WAL data ready to
-// publish, not yet visible to any access mode. Either CommitAppend or
-// AbortAppend must be called exactly once.
-type PendingAppend struct {
-	batch   *rel.Database
-	name    string // lower-cased source key
-	display string // registered display name of the source
-
-	links     []metadata.Link
-	ontLinks  []metadata.Link
-	dupLinks  []metadata.Link
-	xattrs    []linkdisc.XRefAttribute
-	lstats    linkdisc.Stats
-	dstats    dup.Stats
-	records   []dup.Record
-	bucketed  bool // records are in the duplicate index and need unwinding
-	web       *objectweb.Prepared
-	searchIdx *search.Index
-	walFrame  []byte
-	tuples    int
-	timings   []StepTiming
-	done      bool
-}
-
-// Source returns the name of the source being appended to.
-func (p *PendingAppend) Source() string { return p.display }
-
-// Tuples returns the number of tuples in the batch.
-func (p *PendingAppend) Tuples() int { return p.tuples }
-
-// PrepareAppend computes everything a batch append publishes — links,
-// duplicates, browse order, search postings, the WAL frame — against a
-// snapshot of the current system, without touching reader-visible state.
+// PrepareAppend is the front door for one batch of an existing source.
 // The batch database must contain only relations the source already has,
-// with matching schemas; dependent rows must accompany their primary
-// rows in the same batch (ownership propagation and duplicate records
-// are computed per batch). Like PrepareAdd, concurrent prepares are NOT
-// safe; integrations are serialized by the caller.
-func (s *System) PrepareAppend(ctx context.Context, source string, batch *rel.Database) (*PendingAppend, error) {
-	name := strings.ToLower(source)
-	srcDB, ok := s.sources[name]
+// with matching columns — appends never change a source's shape — and
+// dependent rows must accompany their primary rows in the same batch
+// (ownership propagation and duplicate records are computed per batch).
+// Like PrepareAdd it touches nothing readers can see, and concurrent
+// prepares are NOT safe; integrations are serialized by the caller.
+func (s *System) PrepareAppend(ctx context.Context, source string, batch *rel.Database) (*Pending, error) {
+	key := strings.ToLower(source)
+	srcDB, ok := s.sources[key]
 	if !ok {
 		return nil, fmt.Errorf("core: append to unknown source %q", source)
 	}
-	meta := s.Repo.Source(source)
-	if meta == nil || meta.Structure == nil {
-		return nil, fmt.Errorf("core: source %q has no registered structure", source)
-	}
-	// Appends never change a source's shape: every batch relation must
-	// already exist with the same columns.
-	tuples := 0
 	for _, r := range batch.Relations() {
 		live := srcDB.Relation(r.Name)
 		if live == nil {
@@ -113,295 +44,25 @@ func (s *System) PrepareAppend(ctx context.Context, source string, batch *rel.Da
 		if got, want := r.Schema.Names(), live.Schema.Names(); !equalFoldSlices(got, want) {
 			return nil, fmt.Errorf("core: append to %s.%s: batch columns %v do not match %v", source, r.Name, got, want)
 		}
-		tuples += len(r.Tuples)
 	}
+	meta := s.Repo.Source(source)
 	// Link, duplicate and search artifacts carry db.Name as their Source;
 	// the batch must speak under the registered display name.
 	batch.Name = meta.Name
-	p := &PendingAppend{batch: batch, name: name, display: meta.Name, tuples: tuples}
-	// A panic escaping the pipeline must not leave the batch
-	// half-bucketed in the duplicate index.
-	defer func() {
-		if r := recover(); r != nil {
-			s.unwindAppend(p)
-			panic(r)
-		}
-	}()
-
-	// Per-batch link discovery: the batch's records against every OTHER
-	// registered source, both directions (§4.4). The registered copy of
-	// this source is skipped — links are cross-source by definition.
-	src := &linkdisc.Source{DB: batch, Structure: meta.Structure, Profiles: meta.Profiles}
-	t0 := time.Now()
-	var err error
-	p.links, p.xattrs, p.lstats, err = s.engine.DiscoverAppended(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	p.ontLinks = s.deriveOntologyLinks(p.links)
-	p.timings = append(p.timings, StepTiming{"append-link-discovery", time.Since(t0)})
-	if err := s.failAt("append-link-discovery"); err != nil {
-		return nil, err
-	}
-
-	// Per-batch duplicate detection: the batch's records are bucketed
-	// into the persistent blocking index and compared new×existing +
-	// new×new — including against this source's own earlier batches,
-	// exactly as intra-source duplicates are found within one AddSource.
-	t0 = time.Now()
-	p.records = dup.RecordsFromSource(batch, meta.Structure)
-	p.bucketed = true
-	matches, dstats, err := s.dupIndex.FindNewContext(ctx, p.records, s.opts.Duplicates)
-	if err != nil {
-		s.unwindAppend(p)
-		return nil, err
-	}
-	p.dstats = dstats
-	p.dupLinks = dup.Links(matches)
-	p.timings = append(p.timings, StepTiming{"append-duplicate-detection", time.Since(t0)})
-	if err := s.failAt("append-duplicate-detection"); err != nil {
-		s.unwindAppend(p)
-		return nil, err
-	}
-
-	// Browse order, search postings and the WAL frame. Only integrations
-	// mutate the browse web (serialized by the caller), so merging the
-	// installed accession order off-lock is safe; DML interleavings touch
-	// relations, which are deliberately NOT branched here but at commit.
-	t0 = time.Now()
-	p.web, err = s.web.PrepareAppend(meta.Name, batchAccessions(batch, meta.Structure))
-	if err != nil {
-		s.unwindAppend(p)
-		return nil, err
-	}
-	if !s.opts.DisableSearchIndex {
-		p.searchIdx = buildSearchIndex(batch, meta.Structure, meta.Profiles)
-	}
-	if s.durable != nil {
-		frame, err := store.EncodeRecord(s.appendRecord(p))
-		if err != nil {
-			s.unwindAppend(p)
-			return nil, err
-		}
-		p.walFrame = frame
-	}
-	p.timings = append(p.timings, StepTiming{"append-prepare", time.Since(t0)})
-	if err := ctx.Err(); err != nil {
-		s.unwindAppend(p)
-		return nil, err
-	}
-	return p, nil
-}
-
-// unwindAppend reverts the pipeline-internal state PrepareAppend touched.
-func (s *System) unwindAppend(p *PendingAppend) {
-	p.done = true
-	if p.bucketed {
-		s.dupIndex.Remove(p.records)
-		p.bucketed = false
-	}
-}
-
-// AbortAppend discards a prepared batch append. Aborting an already
-// committed or aborted pending append is a no-op.
-func (s *System) AbortAppend(p *PendingAppend) {
-	if p == nil || p.done {
-		return
-	}
-	s.unwindAppend(p)
-}
-
-// CommitAppend publishes a prepared batch to every access mode. Callers
-// serving concurrent readers hold their write lock exactly for this
-// call. The live relations are append-branched HERE, not at prepare
-// time: DML replaces relations copy-on-write under the same write lock,
-// so a branch taken off-lock could clobber statements committed between
-// prepare and commit. Branching and appending are O(batch) pointer
-// appends — old readers' relation headers never see past their
-// snapshot's length, so the batch appears atomically.
-func (s *System) CommitAppend(p *PendingAppend) (*AppendReport, error) {
-	if p.done {
-		return nil, fmt.Errorf("core: pending append for %q already committed or aborted", p.display)
-	}
-	p.done = true
-	srcDB, ok := s.sources[p.name]
-	if !ok {
-		s.dupIndex.Remove(p.records)
-		return nil, fmt.Errorf("core: append to unknown source %q", p.display)
-	}
-	t0 := time.Now()
-	var frame []byte
-	if s.durable != nil {
-		frame = p.walFrame
-		if frame == nil {
-			// Prepared before the directory was attached; encode now.
-			var err error
-			if frame, err = store.EncodeRecord(s.appendRecord(p)); err != nil {
-				s.dupIndex.Remove(p.records)
-				return nil, err
-			}
-		}
-	}
-	// Journal before publishing: the batch is acknowledged only once it
-	// would survive a crash; recovery lands exactly on a batch boundary.
-	if err := s.logFrame(frame, p.display); err != nil {
-		s.dupIndex.Remove(p.records)
-		return nil, err
-	}
-	report := &AppendReport{
-		Source:         p.display,
-		Tuples:         p.tuples,
-		Records:        len(p.records),
-		Seq:            s.seq.Load(),
-		LinksAdded:     make(map[string]int),
-		XRefAttributes: p.xattrs,
-		LinkStats:      p.lstats,
-		DupStats:       p.dstats,
-		Timings:        p.timings,
-	}
-	appendBatch(srcDB, s.warehouse, p.name, p.batch)
-	for _, l := range p.links {
-		if stored, _, _ := s.Repo.AddLinkTracked(l); stored {
-			report.LinksAdded[l.Type.String()]++
-		}
-	}
-	for _, l := range p.ontLinks {
-		if stored, _, _ := s.Repo.AddLinkTracked(l); stored {
-			report.LinksAdded[l.Type.String()]++
-		}
-	}
-	for _, l := range p.dupLinks {
-		if stored, _, _ := s.Repo.AddLinkTracked(l); stored {
-			report.LinksAdded[l.Type.String()]++
-		}
-	}
-	s.records[p.name] = append(s.records[p.name], p.records...)
-	s.web.Install(p.web)
-	if p.searchIdx != nil {
-		s.index.Merge(p.searchIdx)
-	}
-	// The engine's resolver caches per-column indexes over the
-	// pre-append relations; rebuild lazily over the grown ones.
-	s.engine.RefreshResolver(p.display)
-	meta := s.Repo.Source(p.display)
-	s.Repo.RegisterSource(&metadata.SourceMeta{
-		Name:       meta.Name,
-		Structure:  meta.Structure,
-		Profiles:   meta.Profiles,
-		TupleCount: srcDB.TotalTuples(),
-	})
-	report.Timings = append(report.Timings, StepTiming{"append-commit", time.Since(t0)})
-	return report, nil
+	p := &Pending{batch: batch, key: key, name: meta.Name, structure: meta.Structure, profs: meta.Profiles}
+	// DiscoverAppended skips the registered copy of this source — links
+	// are cross-source by definition.
+	return s.prepare(ctx, p, s.engine.DiscoverAppended)
 }
 
 // AppendToSource prepares and commits one batch append — the
 // single-caller convenience form (tests, non-concurrent embedders).
-func (s *System) AppendToSource(ctx context.Context, source string, batch *rel.Database) (*AppendReport, error) {
+func (s *System) AppendToSource(ctx context.Context, source string, batch *rel.Database) (*AddReport, error) {
 	p, err := s.PrepareAppend(ctx, source, batch)
 	if err != nil {
 		return nil, err
 	}
-	return s.CommitAppend(p)
-}
-
-// appendBatch grows the live source relations and their qualified
-// warehouse twins by the batch's tuples, via append branches. The tuple
-// pointers are shared between batch, source and warehouse relations —
-// published tuples are never mutated in place (DML is copy-on-write), so
-// sharing is safe and skips the deep clone AddSource's qualifiedClone
-// pays.
-func appendBatch(srcDB, warehouse *rel.Database, name string, batch *rel.Database) {
-	for _, br := range batch.Relations() {
-		if len(br.Tuples) == 0 {
-			continue
-		}
-		live := srcDB.Relation(br.Name)
-		nb := live.AppendBranch()
-		for _, t := range br.Tuples {
-			nb.Append(t)
-		}
-		srcDB.Put(nb)
-		if wq := warehouse.Relation(name + "_" + br.Name); wq != nil {
-			wb := wq.AppendBranch()
-			for _, t := range br.Tuples {
-				wb.Append(t)
-			}
-			warehouse.Put(wb)
-		} else {
-			// Unreachable in practice — every integrated relation has a
-			// qualified twin — but a fresh clone is a safe fallback.
-			warehouse.Put(qualifiedClone(nb, name, nil))
-		}
-	}
-}
-
-// appendRecord builds the WAL record describing a prepared batch append:
-// the batch's tuples plus every candidate link its commit will store.
-// Structure and Profiles stay nil — the source's registered metadata
-// governs, and replay reads it from the preceding RecAddSource.
-func (s *System) appendRecord(p *PendingAppend) *store.WALRecord {
-	links := make([]metadata.Link, 0, len(p.links)+len(p.ontLinks)+len(p.dupLinks))
-	links = append(links, p.links...)
-	links = append(links, p.ontLinks...)
-	links = append(links, p.dupLinks...)
-	return &store.WALRecord{
-		Type: store.RecAppend,
-		Source: &store.SourceSnapshot{
-			Name:       p.display,
-			Relations:  store.SnapshotDatabase(p.batch),
-			TupleCount: p.tuples,
-		},
-		Links: links,
-	}
-}
-
-// applyAppend re-applies one journaled batch append during recovery or
-// replication: the batch's tuples are appended to the restored source's
-// relations and every derived structure — duplicate records, browse
-// order, search postings, metadata tuple count — is grown to match, with
-// the batch's candidate links replaying through the repository's dedup
-// and feedback filters.
-func (s *System) applyAppend(ss *store.SourceSnapshot, links []metadata.Link) error {
-	batch := store.RestoreDatabase(ss.Name, ss.Relations)
-	name := strings.ToLower(batch.Name)
-	srcDB, ok := s.sources[name]
-	if !ok {
-		return fmt.Errorf("core: append WAL record for unknown source %q", ss.Name)
-	}
-	meta := s.Repo.Source(ss.Name)
-	if meta == nil || meta.Structure == nil {
-		return fmt.Errorf("core: append WAL record for %q: no registered structure", ss.Name)
-	}
-	for _, br := range batch.Relations() {
-		if len(br.Tuples) > 0 && srcDB.Relation(br.Name) == nil {
-			return fmt.Errorf("core: append WAL record: source %q has no relation %q", ss.Name, br.Name)
-		}
-	}
-	appendBatch(srcDB, s.warehouse, name, batch)
-	records := dup.RecordsFromSource(batch, meta.Structure)
-	s.records[name] = append(s.records[name], records...)
-	// Bucket without comparing: the stored duplicate links replay from
-	// the record's Links, exactly as installRestored does for snapshots.
-	s.dupIndex.Add(records)
-	webPrep, err := s.web.PrepareAppend(meta.Name, batchAccessions(batch, meta.Structure))
-	if err != nil {
-		return err
-	}
-	s.web.Install(webPrep)
-	if !s.opts.DisableSearchIndex {
-		s.indexSource(batch, meta.Structure, meta.Profiles)
-	}
-	for _, l := range links {
-		s.Repo.AddLink(l)
-	}
-	s.engine.RefreshResolver(meta.Name)
-	s.Repo.RegisterSource(&metadata.SourceMeta{
-		Name:       meta.Name,
-		Structure:  meta.Structure,
-		Profiles:   meta.Profiles,
-		TupleCount: srcDB.TotalTuples(),
-	})
-	return nil
+	return s.Commit(p)
 }
 
 // batchAccessions lists the non-null primary accessions of a batch.

@@ -255,50 +255,3 @@ func TestCrashBetweenAppendBatches(t *testing.T) {
 		t.Errorf("recovered at tuple count %d, want 30 (batch boundary)", got.Repo.Source("seqs").TupleCount)
 	}
 }
-
-// TestAppendRetryAfterFailure: a batch whose prepare fails mid-pipeline
-// is unwound exactly — retrying it leaves the system indistinguishable
-// from one that never failed. The bar is on the duplicate index: the
-// failed attempt's records must not linger there, or the retry would
-// match every record against its own ghost.
-func TestAppendRetryAfterFailure(t *testing.T) {
-	ctx := context.Background()
-	build := func() *System {
-		sys := New(defaultOpts())
-		if _, err := sys.AddSource(fastaBatch(t, "seqs", 0, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.AppendToSource(ctx, "seqs", fastaBatch(t, "seqs", 20, 10)); err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	sys, control := build(), build()
-
-	boom := errors.New("injected failure")
-	sys.SetFailpoint(func(stage string) error {
-		if stage == "append-duplicate-detection" {
-			return boom
-		}
-		return nil
-	})
-	if _, err := sys.AppendToSource(ctx, "seqs", fastaBatch(t, "seqs", 30, 10)); !errors.Is(err, boom) {
-		t.Fatalf("append under failpoint = %v, want injected failure", err)
-	}
-	sys.SetFailpoint(nil)
-
-	rep, err := sys.AppendToSource(ctx, "seqs", fastaBatch(t, "seqs", 30, 10))
-	if err != nil {
-		t.Fatalf("retry after failed append: %v", err)
-	}
-	crep, err := control.AppendToSource(ctx, "seqs", fastaBatch(t, "seqs", 30, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DupStats != crep.DupStats {
-		t.Errorf("retry dup stats %+v differ from control %+v (failed attempt not unwound)", rep.DupStats, crep.DupStats)
-	}
-	if g, w := fingerprint(sys), fingerprint(control); g != w {
-		t.Errorf("retried state differs from control:\n--- control ---\n%s\n--- retried ---\n%s", w, g)
-	}
-}

@@ -17,6 +17,22 @@
 //
 // All discovered artifacts land in the metadata repository; browsing,
 // searching and SQL querying run over the result (§4.6).
+//
+// Source data enters a System one way, whether it is a whole new source,
+// one streamed batch of an existing one, a WAL record being recovered or
+// a frame relayed from a replication primary:
+//
+//	front door → Pending → Commit (journal) → publish
+//
+// A front door does what only it can: PrepareAdd profiles the source and
+// discovers its structure (steps 2–3), PrepareAppend (append.go)
+// validates a batch against the registered structure, restore
+// (persist.go) takes structure and links from the persisted record. The
+// two live front doors then share one prepare body — steps 4 and 5,
+// indexes, browse order, search postings, WAL frame — which runs against
+// a snapshot of the system without touching reader-visible state. Commit
+// journals the frame and calls publish, the one function that installs
+// source data into the access modes; replay calls publish directly.
 package core
 
 import (
@@ -99,12 +115,19 @@ type StepTiming struct {
 	Duration time.Duration
 }
 
-// AddReport summarizes one AddSource run — the artifact counts and
+// AddReport summarizes one committed integration — a new source, or one
+// batch appended to a source that exists — with the artifact counts and
 // per-step timings of Figure 2.
 type AddReport struct {
 	Source    string
 	Structure *discovery.Structure
-	Timings   []StepTiming
+	// Tuples is the number of tuples integrated across relations; Records
+	// is the number of primary objects among them.
+	Tuples  int
+	Records int
+	// Seq is the global mutation sequence the integration committed at.
+	Seq     uint64
+	Timings []StepTiming
 	// LinksAdded counts new links stored in the repository, by type name.
 	LinksAdded map[string]int
 	// XRefAttributes are the discovered cross-reference attribute pairs.
@@ -139,7 +162,7 @@ type System struct {
 	// records caches duplicate-detection records per source.
 	records map[string][]dup.Record
 	// dupIndex is the persistent blocking index: every record is bucketed
-	// once, and each new source is compared only against the blocking
+	// once, and each new batch is compared only against the blocking
 	// windows instead of re-running detection over the whole union.
 	dupIndex *dup.Index
 
@@ -148,18 +171,18 @@ type System struct {
 	// checkpoints (durable.go).
 	durable *durable
 
-	// seq counts mutations: every committed AddSource, DML statement and
-	// link-feedback removal increments it by exactly one, durable or not.
-	// On durable systems it is the global WAL record sequence (stamped
-	// into each frame header); everywhere it is the "version" half of the
-	// snapshot ID that pins cursors and measures replication lag. Writes
-	// are serialized by the caller's mutation lock; reads are atomic so
-	// stats and snapshot-ID capture need no lock.
+	// seq counts mutations: every committed integration, DML statement,
+	// re-analysis and link-feedback removal increments it by exactly one,
+	// durable or not. On durable systems it is the global WAL record
+	// sequence (stamped into each frame header); everywhere it is the
+	// "version" half of the snapshot ID that pins cursors and measures
+	// replication lag. Writes are serialized by the caller's mutation
+	// lock; reads are atomic so stats and snapshot-ID capture need no lock.
 	seq atomic.Uint64
 
 	// failpoint, when non-nil, is invoked at named pipeline stages and
-	// aborts AddSource on error — a test hook exercising the
-	// partial-state unwind.
+	// aborts the integration in flight on error — a test hook exercising
+	// the partial-state unwind.
 	failpoint func(stage string) error
 }
 
@@ -193,169 +216,204 @@ func (s *System) AddSourceContext(ctx context.Context, db *rel.Database) (*AddRe
 	if err != nil {
 		return nil, err
 	}
-	return s.CommitAdd(p)
+	return s.Commit(p)
 }
 
-// PendingAdd is a fully computed but uncommitted source addition: the
-// output of pipeline steps 2–5 for one source, not yet visible to any
-// access mode. Either CommitAdd or Abort must be called exactly once.
-type PendingAdd struct {
-	db        *rel.Database
-	name      string
+// Pending is a fully computed but uncommitted integration: the links,
+// duplicate records, indexes, browse order, search postings and WAL
+// frame of one batch of source data, not yet visible to any access mode.
+// Either Commit or Abort must be called exactly once.
+type Pending struct {
+	// batch holds the tuples being integrated: the whole database of a
+	// source the system does not hold yet, or one batch of records for a
+	// source it does.
+	batch *rel.Database
+	key   string // lower-cased source name
+	name  string // display name the source is (or will be) registered under
+	// fresh marks a source the system does not hold yet: publish installs
+	// the batch as the source instead of growing the installed relations.
+	fresh     bool
 	structure *discovery.Structure
 	profs     map[string]*profile.ColumnProfile
-	src       *linkdisc.Source
-	links     []metadata.Link
-	xattrs    []linkdisc.XRefAttribute
-	lstats    linkdisc.Stats
-	records   []dup.Record
-	dupLinks  []metadata.Link
-	ontLinks  []metadata.Link
-	dstats    dup.Stats
+	// src is the batch as link discovery sees it; publish registers it
+	// with the engine when the source is fresh.
+	src *linkdisc.Source
+	// links are the candidate links in commit order: discovered, derived
+	// ontology, duplicate. The repository's dedup and feedback filters
+	// decide which of them are stored.
+	links   []metadata.Link
+	xattrs  []linkdisc.XRefAttribute
+	lstats  linkdisc.Stats
+	dstats  dup.Stats
+	records []dup.Record
+	// qualified are the warehouse clones of a fresh source's relations.
+	qualified []*rel.Relation
 	web       *objectweb.Prepared
 	searchIdx *search.Index
-	warehouse []*rel.Relation
-	timings   []StepTiming
-	// walFrame is the pre-encoded WAL record of this addition (durable
-	// systems only): encoding runs here, off-lock, so the write-locked
-	// commit pays one write+fsync.
+	// registeredTuples, when non-zero, is the tuple count a checkpoint
+	// segment recorded at analysis time; publish registers it instead of
+	// counting (DML since then may have changed the cardinality).
+	registeredTuples int
+	timings          []StepTiming
+	// walFrame is the pre-encoded WAL record (durable systems only):
+	// encoding runs off-lock, so the write-locked commit pays one
+	// write+fsync.
 	walFrame []byte
 	done     bool
 }
 
-// Source returns the name of the source being added.
-func (p *PendingAdd) Source() string { return p.db.Name }
+// PendingAdd and PendingAppend are the names bench/replay.go compiles
+// against; bench/ is frozen, so they stay until a benchmark PR re-points
+// it at Pending. Nothing else may use them.
+type (
+	PendingAdd    = Pending
+	PendingAppend = Pending
+)
 
-// PrepareAdd runs pipeline steps 2–5 for one imported source against a
-// snapshot of the current system, without touching any state visible to
-// the access modes (repository, browse web, warehouse, search index,
-// records): readers may run concurrently with PrepareAdd, and CommitAdd
-// publishes the result in one short step under the caller's write lock.
-//
-// Only the duplicate blocking index — internal to the pipeline, never
-// read by queries — is updated eagerly; a failed or canceled prepare
-// unwinds it before returning, reusing the same machinery as the
-// mid-pipeline failure path. Concurrent PrepareAdd calls are NOT safe;
-// integrations must be serialized by the caller (package aladin does).
-func (s *System) PrepareAdd(ctx context.Context, db *rel.Database) (*PendingAdd, error) {
-	name := strings.ToLower(db.Name)
-	if _, exists := s.sources[name]; exists {
+// Source returns the name of the source being integrated.
+func (p *Pending) Source() string { return p.name }
+
+// PrepareAdd is the front door for a source the system does not hold
+// yet. It runs pipeline steps 2–3 — profiling and discovery of the
+// primary relation and its join paths — and hands the result to the
+// shared prepare body. Nothing visible to the access modes is touched:
+// readers may run concurrently, and Commit publishes the result in one
+// short step under the caller's write lock. Concurrent prepares are NOT
+// safe; integrations are serialized by the caller (package aladin does).
+func (s *System) PrepareAdd(ctx context.Context, db *rel.Database) (*Pending, error) {
+	p := &Pending{batch: db, key: strings.ToLower(db.Name), name: db.Name, fresh: true}
+	if _, exists := s.sources[p.key]; exists {
 		return nil, fmt.Errorf("%w: %q", ErrSourceExists, db.Name)
 	}
-	// A panic escaping the pipeline (e.g. re-raised from a worker pool)
-	// must not leave the source half-bucketed in the duplicate index.
-	defer func() {
-		if r := recover(); r != nil {
-			s.dupIndex.RemoveSource(db.Name)
-			panic(r)
-		}
-	}()
-	p := &PendingAdd{db: db, name: name}
-
-	// Step 2: discovery of primary objects (profiling + §4.2).
 	t0 := time.Now()
 	profs, err := profile.ProfileDatabaseContext(ctx, db, s.opts.Profile)
 	if err != nil {
 		return nil, err
 	}
 	p.profs = profs
+	for _, r := range db.Relations() {
+		// The planner's statistics block comes out of the same profiles,
+		// without a second scan; the warehouse clones inherit it.
+		r.Stats = profile.RelationStats(r, profs)
+	}
 	p.timings = append(p.timings, StepTiming{"profile", time.Since(t0)})
 
-	t0 = time.Now()
-	structure, err := discovery.AnalyzeContext(ctx, db, profs, s.opts.Discovery)
-	if err != nil {
-		return nil, err
-	}
-	p.structure = structure
 	// Steps 2+3 run in one Analyze call ("there is high potential for
 	// parallelization and combination of these steps", §3).
+	t0 = time.Now()
+	if p.structure, err = discovery.AnalyzeContext(ctx, db, profs, s.opts.Discovery); err != nil {
+		return nil, err
+	}
 	p.timings = append(p.timings, StepTiming{"discover-structure", time.Since(t0)})
-
-	if structure.Primary == "" {
+	if p.structure.Primary == "" {
 		return nil, fmt.Errorf("%w for source %q", ErrNoPrimary, db.Name)
 	}
-
-	// Step 4: link discovery against all previously integrated sources.
 	// DiscoverAgainst computes both directions without registering the
-	// source in the engine, so nothing needs unwinding on failure here.
-	p.src = &linkdisc.Source{DB: db, Structure: structure, Profiles: profs}
-	t0 = time.Now()
-	p.links, p.xattrs, p.lstats, err = s.engine.DiscoverAgainst(ctx, p.src)
+	// source in the engine, so nothing needs unwinding if it fails.
+	return s.prepare(ctx, p, s.engine.DiscoverAgainst)
+}
+
+// discoverFunc is the engine entry point a front door selects:
+// DiscoverAgainst for a fresh source, DiscoverAppended for a batch.
+type discoverFunc func(context.Context, *linkdisc.Source) ([]metadata.Link, []linkdisc.XRefAttribute, linkdisc.Stats, error)
+
+// prepare is the body both front doors share: pipeline steps 4 and 5
+// for the batch, then everything publish installs, then the WAL frame.
+// Only the duplicate blocking index — internal to the pipeline, never
+// read by queries — is updated eagerly; any exit but success (an error,
+// a canceled ctx, a panic re-raised from a worker pool) unwinds it.
+func (s *System) prepare(ctx context.Context, p *Pending, discover discoverFunc) (*Pending, error) {
+	ok := false
+	defer func() {
+		if !ok {
+			s.unwind(p)
+		}
+	}()
+
+	// Step 4: link discovery, both directions, against every other
+	// integrated source (§4.4).
+	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs}
+	t0 := time.Now()
+	links, xattrs, lstats, err := discover(ctx, p.src)
 	if err != nil {
 		return nil, err
 	}
-	p.ontLinks = s.deriveOntologyLinks(p.links)
+	p.xattrs, p.lstats = xattrs, lstats
+	p.links = append(links, s.deriveOntologyLinks(links)...)
 	p.timings = append(p.timings, StepTiming{"link-discovery", time.Since(t0)})
 	if err := s.failAt("link-discovery"); err != nil {
 		return nil, err
 	}
 
-	// Step 5: duplicate detection, incrementally: the new records are
+	// Step 5: duplicate detection, incrementally: the batch's records are
 	// bucketed into the persistent blocking index and compared only
-	// new×existing + new×new within the blocking windows — matches among
-	// previously integrated records were already flagged when the later
-	// of the two sources arrived. From here on the index holds this
-	// source's records; any later failure must unwind them.
+	// new×existing + new×new within the blocking windows (§4.5) —
+	// including against the same source's earlier batches. From here on
+	// the index holds these records.
 	t0 = time.Now()
-	p.records = dup.RecordsFromSource(db, structure)
+	p.records = dup.RecordsFromSource(p.batch, p.structure)
 	matches, dstats, err := s.dupIndex.FindNewContext(ctx, p.records, s.opts.Duplicates)
 	if err != nil {
-		s.unwindPrepare(p)
 		return nil, err
 	}
 	p.dstats = dstats
-	p.dupLinks = dup.Links(matches)
+	p.links = append(p.links, dup.Links(matches)...)
 	p.timings = append(p.timings, StepTiming{"duplicate-detection", time.Since(t0)})
 	if err := s.failAt("duplicate-detection"); err != nil {
-		s.unwindPrepare(p)
 		return nil, err
 	}
 
-	// Precompute everything CommitAdd publishes: browse data, qualified
-	// warehouse relations, hash indexes, and the per-source search index
-	// (tokenization is the expensive part; the commit-time merge is a
-	// cheap splice). Index maintenance cost is paid here, off-lock, on
-	// relations no reader can see yet; CommitAdd publishes them as-is and
-	// they stay immutable and structurally shared by snapshots after.
-	idxCols := indexColumns(structure)
-	for _, r := range db.Relations() {
-		buildRelationIndexes(r, idxCols[strings.ToLower(r.Name)])
-		// Attach the planner's statistics block, derived from the step-2
-		// profiles without a second scan. The qualified warehouse clones
-		// below inherit it (Clone deep-copies stats).
-		r.Stats = profile.RelationStats(r, profs)
-	}
-	p.web, err = s.web.Prepare(db, structure)
-	if err != nil {
-		s.unwindPrepare(p)
+	t0 = time.Now()
+	if err := s.stage(p); err != nil {
 		return nil, err
-	}
-	for _, r := range db.Relations() {
-		p.warehouse = append(p.warehouse, qualifiedClone(r, name, idxCols[strings.ToLower(r.Name)]))
-	}
-	if !s.opts.DisableSearchIndex {
-		p.searchIdx = buildSearchIndex(db, structure, profs)
 	}
 	if s.durable != nil {
-		frame, err := store.EncodeRecord(s.addSourceRecord(p))
-		if err != nil {
-			s.unwindPrepare(p)
+		if p.walFrame, err = store.EncodeRecord(walRecord(p)); err != nil {
 			return nil, err
 		}
-		p.walFrame = frame
 	}
+	p.timings = append(p.timings, StepTiming{"prepare-publish", time.Since(t0)})
 	if err := ctx.Err(); err != nil {
-		s.unwindPrepare(p)
 		return nil, err
 	}
+	ok = true
 	return p, nil
+}
+
+// stage builds what publish installs besides links, on data no reader
+// can see yet: hash indexes and qualified warehouse clones for a fresh
+// source's relations, the browse order, and the search postings
+// (tokenization is the expensive part; the commit-time merge is a cheap
+// splice). Replay stages restored batches through here as well.
+func (s *System) stage(p *Pending) (err error) {
+	if p.fresh {
+		idxCols := indexColumns(p.structure)
+		for _, r := range p.batch.Relations() {
+			cols := idxCols[strings.ToLower(r.Name)]
+			buildRelationIndexes(r, cols)
+			p.qualified = append(p.qualified, qualifiedClone(r, p.key, cols))
+		}
+		p.web, err = s.web.Prepare(p.batch, p.structure)
+	} else {
+		// Only integrations mutate the browse web (serialized by the
+		// caller), so merging the installed accession order off-lock is
+		// safe.
+		p.web, err = s.web.PrepareAppend(p.name, batchAccessions(p.batch, p.structure))
+	}
+	if err != nil {
+		return err
+	}
+	if !s.opts.DisableSearchIndex {
+		p.searchIdx = buildSearchIndex(p.batch, p.structure, p.profs)
+	}
+	return nil
 }
 
 // deriveOntologyLinks computes the §4.4 shared-term links that
 // committing newLinks would let the engine derive, against a snapshot of
 // the current repository — so the derivation's O(links) scan runs in the
 // prepare phase, outside any reader-blocking lock. The input mirrors
-// what the repository would hold after the commit's addLink loop: stored
+// what the repository would hold after publish stored newLinks: stored
 // links, plus the new links deduplicated by (type, endpoints) with
 // feedback-removed pairs excluded.
 func (s *System) deriveOntologyLinks(newLinks []metadata.Link) []metadata.Link {
@@ -383,103 +441,152 @@ func (s *System) deriveOntologyLinks(newLinks []metadata.Link) []metadata.Link {
 	return out
 }
 
-// unwindPrepare reverts the pipeline-internal state PrepareAdd touched.
-func (s *System) unwindPrepare(p *PendingAdd) {
+// unwind reverts the only state a prepare touches outside its Pending:
+// the batch's records in the duplicate index.
+func (s *System) unwind(p *Pending) {
 	p.done = true
-	s.dupIndex.RemoveSource(p.db.Name)
+	s.dupIndex.Remove(p.records)
 }
 
-// Abort discards a prepared addition, unwinding the pipeline-internal
-// state it holds. Aborting an already committed or aborted pending add is
-// a no-op.
-func (s *System) Abort(p *PendingAdd) {
+// Abort discards a prepared integration. Aborting an already committed
+// or aborted one is a no-op.
+func (s *System) Abort(p *Pending) {
 	if p == nil || p.done {
 		return
 	}
-	s.unwindPrepare(p)
+	s.unwind(p)
 }
 
-// CommitAdd publishes a prepared source addition to every access mode:
-// link repository, browse web, metadata, SQL warehouse and search index.
-// This is the only part of an addition that mutates reader-visible state;
-// callers serving concurrent readers hold their write lock exactly for
-// this call. CommitAdd itself cannot leave partial state: every fallible
-// step ran in PrepareAdd.
-func (s *System) CommitAdd(p *PendingAdd) (*AddReport, error) {
+// Commit journals a prepared integration and publishes it to every
+// access mode. This is the only part of an integration that mutates
+// reader-visible state; callers serving concurrent readers hold their
+// write lock exactly for this call. Every fallible step but the journal
+// write ran in the prepare phase, and the journal is written first: the
+// integration is acknowledged only once it would survive a crash, and
+// on failure nothing is visible (recovery lands on a batch boundary).
+// Without a data directory journaling only advances the mutation
+// sequence.
+func (s *System) Commit(p *Pending) (*AddReport, error) {
 	if p.done {
-		return nil, fmt.Errorf("core: pending add for %q already committed or aborted", p.db.Name)
+		return nil, fmt.Errorf("core: integration of %q already committed or aborted", p.name)
 	}
-	if _, exists := s.sources[p.name]; exists {
-		s.unwindPrepare(p)
-		return nil, fmt.Errorf("core: source %q already integrated", p.db.Name)
+	if _, exists := s.sources[p.key]; exists == p.fresh {
+		s.unwind(p)
+		if exists {
+			return nil, fmt.Errorf("%w: %q", ErrSourceExists, p.name)
+		}
+		return nil, fmt.Errorf("core: append to unknown source %q", p.name)
 	}
 	p.done = true
+	t0 := time.Now()
+	frame := p.walFrame
+	if s.durable != nil && frame == nil {
+		// Prepared before the directory was attached; encode now.
+		var err error
+		if frame, err = store.EncodeRecord(walRecord(p)); err != nil {
+			s.unwind(p)
+			return nil, err
+		}
+	}
+	if err := s.logFrame(frame, p.name); err != nil {
+		s.unwind(p)
+		return nil, err
+	}
 	report := &AddReport{
-		Source:         p.db.Name,
+		Source:         p.name,
 		Structure:      p.structure,
-		Timings:        p.timings,
-		LinksAdded:     make(map[string]int),
+		Tuples:         p.batch.TotalTuples(),
+		Records:        len(p.records),
+		Seq:            s.seq.Load(),
 		XRefAttributes: p.xattrs,
 		LinkStats:      p.lstats,
 		DupStats:       p.dstats,
 	}
-	t0 := time.Now()
-	if err := s.engine.AddSource(p.src); err != nil {
-		s.dupIndex.RemoveSource(p.db.Name)
+	var err error
+	if report.LinksAdded, err = s.publish(p); err != nil {
 		return nil, err
 	}
-	var frame []byte
-	if s.durable != nil {
-		frame = p.walFrame
-		if frame == nil {
-			// Prepared before the directory was attached; encode now.
-			var err error
-			if frame, err = store.EncodeRecord(s.addSourceRecord(p)); err != nil {
-				s.engine.RemoveSource(p.db.Name)
-				s.dupIndex.RemoveSource(p.db.Name)
-				return nil, err
+	report.Timings = append(p.timings, StepTiming{"register-and-index", time.Since(t0)})
+	return report, nil
+}
+
+// CommitAdd and CommitAppend forward to Commit for bench/replay.go (see
+// PendingAdd); nothing else may call them.
+func (s *System) CommitAdd(p *Pending) (*AddReport, error)    { return s.Commit(p) }
+func (s *System) CommitAppend(p *Pending) (*AddReport, error) { return s.Commit(p) }
+
+// publish installs one batch of source data into every access mode: the
+// engine's source set, the source and warehouse relations, the duplicate
+// records, the browse web, the search index, the link repository and the
+// source's registered metadata. It is the only function that does —
+// live commits, WAL replay, replication and checkpoint load all end
+// here. A fresh source's relations are installed as prepared; an
+// existing source's relations grow by append branches, taken HERE and
+// not at prepare time: DML replaces relations copy-on-write under the
+// same write lock, so a branch taken off-lock could clobber statements
+// committed between prepare and commit. Either way the work is O(batch)
+// pointer appends and readers holding the previous headers never see
+// past their snapshot, so the batch appears atomically. The only error
+// is the engine refusing the registration, before anything is installed.
+func (s *System) publish(p *Pending) (map[string]int, error) {
+	srcDB := s.sources[p.key]
+	if p.fresh {
+		if err := s.engine.AddSource(p.src); err != nil {
+			s.unwind(p)
+			return nil, err
+		}
+		srcDB = p.batch
+		s.sources[p.key] = srcDB
+		s.records[p.key] = p.records
+		for _, q := range p.qualified {
+			s.warehouse.Put(q)
+		}
+	} else {
+		s.records[p.key] = append(s.records[p.key], p.records...)
+		for _, br := range p.batch.Relations() {
+			if len(br.Tuples) == 0 {
+				continue
 			}
+			srcDB.Put(grown(srcDB.Relation(br.Name), br.Tuples))
+			s.warehouse.Put(grown(s.warehouse.Relation(p.key+"_"+br.Name), br.Tuples))
 		}
+		// The engine's resolver caches per-column indexes over the
+		// pre-append relations; rebuild lazily over the grown ones.
+		s.engine.RefreshResolver(p.name)
 	}
-	// Journal before publishing: the addition is acknowledged only once
-	// it would survive a crash. On failure nothing is visible. Without a
-	// data directory this only advances the mutation sequence.
-	if err := s.logFrame(frame, p.db.Name); err != nil {
-		s.engine.RemoveSource(p.db.Name)
-		s.dupIndex.RemoveSource(p.db.Name)
-		return nil, err
-	}
-	addLink := func(l metadata.Link) {
-		if stored, _, _ := s.Repo.AddLinkTracked(l); stored {
-			report.LinksAdded[l.Type.String()]++
-		}
-	}
+	added := make(map[string]int)
 	for _, l := range p.links {
-		addLink(l)
+		if s.Repo.AddLink(l) {
+			added[l.Type.String()]++
+		}
 	}
-	for _, l := range p.ontLinks {
-		addLink(l)
-	}
-	for _, l := range p.dupLinks {
-		addLink(l)
-	}
-	s.records[p.name] = p.records
 	s.web.Install(p.web)
-	s.Repo.RegisterSource(&metadata.SourceMeta{
-		Name:       p.db.Name,
-		Structure:  p.structure,
-		Profiles:   p.profs,
-		TupleCount: p.db.TotalTuples(),
-	})
-	s.sources[p.name] = p.db
-	for _, r := range p.warehouse {
-		s.warehouse.Put(r)
-	}
 	if p.searchIdx != nil {
 		s.index.Merge(p.searchIdx)
 	}
-	report.Timings = append(report.Timings, StepTiming{"register-and-index", time.Since(t0)})
-	return report, nil
+	tuples := p.registeredTuples
+	if tuples == 0 {
+		tuples = srcDB.TotalTuples()
+	}
+	s.Repo.RegisterSource(&metadata.SourceMeta{
+		Name:       p.name,
+		Structure:  p.structure,
+		Profiles:   p.profs,
+		TupleCount: tuples,
+	})
+	return added, nil
+}
+
+// grown returns r extended by tuples through an append branch. The
+// tuple pointers are shared between the batch, the source relation and
+// its warehouse twin — published tuples are never mutated in place (DML
+// is copy-on-write), so sharing is safe and skips a deep clone.
+func grown(r *rel.Relation, tuples []rel.Tuple) *rel.Relation {
+	b := r.AppendBranch()
+	for _, t := range tuples {
+		b.Append(t)
+	}
+	return b
 }
 
 // indexColumns maps each relation name (lower-cased) to the discovered
@@ -537,14 +644,9 @@ func (s *System) failAt(stage string) error {
 
 // SetFailpoint installs a hook invoked at named pipeline stages
 // ("link-discovery", "duplicate-detection"); a non-nil return aborts the
-// AddSource in flight and unwinds its partial state. It exists for tests
-// exercising the failure and cancellation paths.
+// integration in flight and unwinds its partial state. It exists for
+// tests exercising the failure and cancellation paths.
 func (s *System) SetFailpoint(f func(stage string) error) { s.failpoint = f }
-
-// indexSource feeds a source's text-bearing values into the search index.
-func (s *System) indexSource(db *rel.Database, st *discovery.Structure, profs map[string]*profile.ColumnProfile) {
-	s.index.Merge(buildSearchIndex(db, st, profs))
-}
 
 // buildSearchIndex tokenizes a source's text-bearing values into a fresh
 // per-source index, ready to be spliced into the system index with Merge.
@@ -598,9 +700,10 @@ func (s *System) Query(sql string) (*sqlx.Result, error) {
 }
 
 // WarehouseSnapshot returns a shallow clone of the warehouse: an
-// immutable view for streaming readers. CommitAdd only ever adds new
-// relations (existing ones are never mutated in place), so a cursor over
-// the snapshot stays consistent while later integrations commit.
+// immutable view for streaming readers. Commits only ever put new
+// relation values (published ones are never mutated in place), so a
+// cursor over the snapshot stays consistent while later integrations
+// commit.
 func (s *System) WarehouseSnapshot() *rel.Database {
 	return s.warehouse.ShallowClone()
 }
@@ -693,11 +796,14 @@ func (s *System) Reanalyze(source string) (*AddReport, error) {
 	return s.ReanalyzeContext(context.Background(), source)
 }
 
-// ReanalyzeContext is Reanalyze with cancellation. Unlike AddSource,
-// re-analysis mutates the engine's view of the source in place, so
-// callers serving concurrent readers must hold their write lock for the
-// whole call; a canceled ctx may leave the engine's structure refreshed
-// but the link repository untouched (both are consistent states).
+// ReanalyzeContext is Reanalyze with cancellation. Unlike an
+// integration, re-analysis rewrites the source's discovered structure in
+// place, so callers serving concurrent readers hold their write lock for
+// the whole call. Everything fallible runs first; the re-analysis is
+// then journaled like DML — one RecReanalyze record naming the source,
+// replayed by re-running it, which is deterministic for any worker
+// count — and only then published, so a failed or canceled call leaves
+// the system as it was.
 func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddReport, error) {
 	name := strings.ToLower(source)
 	db, ok := s.sources[name]
@@ -716,8 +822,25 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 	}
 	report.Structure = structure
 	report.Timings = append(report.Timings, StepTiming{"reanalyze-structure", time.Since(t0)})
-	// Refresh hash indexes for any newly discovered key columns (the
-	// caller holds its write lock for the whole re-analysis). The
+
+	// Link discovery under the new structure, against every other source.
+	// The engine's registered copy is left alone until the journal write
+	// succeeded; the candidate resolves through a fresh resolver, so the
+	// result depends on the data alone and replay reproduces it.
+	t0 = time.Now()
+	src := &linkdisc.Source{DB: db, Structure: structure, Profiles: profs}
+	links, xattrs, lstats, err := s.engine.DiscoverAppended(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	report.XRefAttributes = xattrs
+	report.LinkStats = lstats
+	if err := s.logRecord(&store.WALRecord{Type: store.RecReanalyze, SourceName: db.Name}, db.Name); err != nil {
+		return nil, err
+	}
+	report.Seq = s.seq.Load()
+
+	// Refresh hash indexes for any newly discovered key columns. The
 	// warehouse side must not be mutated in place — snapshots share its
 	// relations lock-free — so fresh indexed clones are published
 	// instead; open cursors keep the relations of their snapshot.
@@ -727,18 +850,11 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 		r.Stats = profile.RelationStats(r, profs)
 		s.warehouse.Put(qualifiedClone(r, name, idxCols[strings.ToLower(r.Name)]))
 	}
-
-	t0 = time.Now()
-	if src := s.engine.Source(source); src != nil {
-		src.Structure = structure
-		src.Profiles = profs
+	if reg := s.engine.Source(source); reg != nil {
+		reg.Structure = structure
+		reg.Profiles = profs
+		s.engine.RefreshResolver(source)
 	}
-	links, xattrs, lstats, err := s.engine.DiscoverForContext(ctx, db.Name)
-	if err != nil {
-		return nil, err
-	}
-	report.XRefAttributes = xattrs
-	report.LinkStats = lstats
 	for _, l := range links {
 		if s.Repo.AddLink(l) {
 			report.LinksAdded[l.Type.String()]++

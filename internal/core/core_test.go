@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -265,83 +263,6 @@ func TestNoPrimarySourceFails(t *testing.T) {
 
 func itoa(i int) string { return strconv.Itoa(i) }
 
-// TestFailedAddSourceUnwindsPartialState injects failures after the
-// link-discovery and duplicate-detection stages and asserts that a failed
-// AddSource leaves Sources(), WebStats() and the link repository exactly
-// as they were — and that the same source integrates cleanly afterwards.
-func TestFailedAddSourceUnwindsPartialState(t *testing.T) {
-	corpus := datagen.Generate(defaultCfg())
-	sys := New(defaultOpts())
-	if _, err := sys.AddSource(corpus.Source("swissprot")); err != nil {
-		t.Fatal(err)
-	}
-	wantSources := sys.Sources()
-	wantWeb := sys.WebStats()
-	wantLinks := sys.Repo.AllLinks()
-	metadata.SortLinks(wantLinks)
-
-	for _, stage := range []string{"link-discovery", "duplicate-detection"} {
-		failAt := stage
-		sys.failpoint = func(s string) error {
-			if s == failAt {
-				return fmt.Errorf("injected failure at %s", s)
-			}
-			return nil
-		}
-		if _, err := sys.AddSource(corpus.Source("pir")); err == nil {
-			t.Fatalf("stage %s: expected injected error", stage)
-		}
-		if got := sys.Sources(); !reflect.DeepEqual(got, wantSources) {
-			t.Errorf("stage %s: sources changed: %v -> %v", stage, wantSources, got)
-		}
-		if got := sys.WebStats(); !reflect.DeepEqual(got, wantWeb) {
-			t.Errorf("stage %s: web stats changed: %+v -> %+v", stage, wantWeb, got)
-		}
-		gotLinks := sys.Repo.AllLinks()
-		metadata.SortLinks(gotLinks)
-		if !reflect.DeepEqual(gotLinks, wantLinks) {
-			t.Errorf("stage %s: link repo changed: %d -> %d links", stage, len(wantLinks), len(gotLinks))
-		}
-		if sys.engine.Source("pir") != nil {
-			t.Errorf("stage %s: engine retains half-integrated source", stage)
-		}
-		if _, ok := sys.records["pir"]; ok {
-			t.Errorf("stage %s: duplicate records retained", stage)
-		}
-	}
-
-	// After clearing the failpoint the unwound source must integrate as if
-	// the failed attempts never happened: compare against a fresh system.
-	sys.failpoint = nil
-	if _, err := sys.AddSource(corpus.Source("pir")); err != nil {
-		t.Fatalf("re-add after unwind: %v", err)
-	}
-	fresh := New(defaultOpts())
-	freshCorpus := datagen.Generate(defaultCfg())
-	for _, name := range []string{"swissprot", "pir"} {
-		if _, err := fresh.AddSource(freshCorpus.Source(name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := linkEndpoints(sys.Repo.AllLinks())
-	want := linkEndpoints(fresh.Repo.AllLinks())
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("links after unwound re-add differ from clean integration: %d vs %d", len(got), len(want))
-	}
-}
-
-// linkEndpoints projects links onto their (type, endpoints) identity;
-// confidences are summed in map iteration order and can differ in the
-// last ulp between runs.
-func linkEndpoints(ls []metadata.Link) []string {
-	metadata.SortLinks(ls)
-	out := make([]string, len(ls))
-	for i, l := range ls {
-		out[i] = fmt.Sprintf("%s|%s|%s", l.Type, l.From, l.To)
-	}
-	return out
-}
-
 func TestAddReportTimingsAndStats(t *testing.T) {
 	sys := New(defaultOpts())
 	corpus := datagen.Generate(defaultCfg())
@@ -349,8 +270,13 @@ func TestAddReportTimingsAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Timings) != 5 {
-		t.Errorf("timings = %v", rep.Timings)
+	var steps []string
+	for _, st := range rep.Timings {
+		steps = append(steps, st.Step)
+	}
+	if want := []string{"profile", "discover-structure", "link-discovery", "duplicate-detection",
+		"prepare-publish", "register-and-index"}; !reflect.DeepEqual(steps, want) {
+		t.Errorf("steps = %v, want %v", steps, want)
 	}
 	if rep.Duration() <= 0 {
 		t.Error("zero duration")
@@ -418,82 +344,6 @@ func TestConflictsAPI(t *testing.T) {
 	}
 }
 
-// TestCanceledAddSourceLeavesStateUntouched cancels AddSourceContext at
-// several points of the pipeline — before it starts, and mid-pipeline via
-// failpoints that fire the cancel — and asserts the system equals its
-// pre-call state each time.
-func TestCanceledAddSourceLeavesStateUntouched(t *testing.T) {
-	corpus := datagen.Generate(defaultCfg())
-	sys := New(defaultOpts())
-	if _, err := sys.AddSource(corpus.Source("swissprot")); err != nil {
-		t.Fatal(err)
-	}
-	wantSources := sys.Sources()
-	wantWeb := sys.WebStats()
-	wantLinks := sys.Repo.AllLinks()
-	metadata.SortLinks(wantLinks)
-	wantSearch := sys.index.Len()
-
-	check := func(label string, err error) {
-		t.Helper()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", label, err)
-		}
-		if got := sys.Sources(); !reflect.DeepEqual(got, wantSources) {
-			t.Errorf("%s: sources changed: %v -> %v", label, wantSources, got)
-		}
-		if got := sys.WebStats(); !reflect.DeepEqual(got, wantWeb) {
-			t.Errorf("%s: web stats changed: %+v -> %+v", label, wantWeb, got)
-		}
-		gotLinks := sys.Repo.AllLinks()
-		metadata.SortLinks(gotLinks)
-		if !reflect.DeepEqual(gotLinks, wantLinks) {
-			t.Errorf("%s: link repo changed: %d -> %d links", label, len(wantLinks), len(gotLinks))
-		}
-		if got := sys.index.Len(); got != wantSearch {
-			t.Errorf("%s: search index changed: %d -> %d docs", label, wantSearch, got)
-		}
-		if sys.engine.Source("pir") != nil {
-			t.Errorf("%s: engine retains canceled source", label)
-		}
-		if _, ok := sys.records["pir"]; ok {
-			t.Errorf("%s: duplicate records retained", label)
-		}
-		if sys.dupIndex.Len() != len(sys.records["swissprot"]) {
-			t.Errorf("%s: dup index retains canceled records", label)
-		}
-	}
-
-	// Pre-canceled context: the pipeline must not run at all.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := sys.AddSourceContext(ctx, corpus.Source("pir"))
-	check("pre-canceled", err)
-
-	// Mid-pipeline: the failpoint cancels the context after the named
-	// stage completed; the next context check aborts and unwinds.
-	for _, stage := range []string{"link-discovery", "duplicate-detection"} {
-		ctx, cancel := context.WithCancel(context.Background())
-		failAt := stage
-		sys.SetFailpoint(func(s string) error {
-			if s == failAt {
-				cancel()
-				return ctx.Err()
-			}
-			return nil
-		})
-		_, err := sys.AddSourceContext(ctx, corpus.Source("pir"))
-		check("cancel-at-"+stage, err)
-		sys.SetFailpoint(nil)
-		cancel()
-	}
-
-	// After all the canceled attempts the source must integrate cleanly.
-	if _, err := sys.AddSource(corpus.Source("pir")); err != nil {
-		t.Fatalf("add after canceled attempts: %v", err)
-	}
-}
-
 // TestPrepareCommitSplit exercises the snapshot-then-commit API directly:
 // readers between Prepare and Commit see the old state, Commit publishes
 // atomically, and Abort discards a prepared addition completely.
@@ -515,7 +365,7 @@ func TestPrepareCommitSplit(t *testing.T) {
 	if _, err := sys.Query("SELECT accession FROM pir_entry"); err == nil {
 		t.Error("warehouse sees uncommitted source")
 	}
-	rep, err := sys.CommitAdd(p)
+	rep, err := sys.Commit(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +375,7 @@ func TestPrepareCommitSplit(t *testing.T) {
 	if got := len(sys.Sources()); got != 2 {
 		t.Fatalf("after commit: %d sources, want 2", got)
 	}
-	if _, err := sys.CommitAdd(p); err == nil {
+	if _, err := sys.Commit(p); err == nil {
 		t.Error("double commit must fail")
 	}
 

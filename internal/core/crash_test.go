@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,7 +12,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/metadata"
-	"repro/internal/sqlx"
 	"repro/internal/store"
 )
 
@@ -119,30 +116,7 @@ func assertIndexedPointQuery(t *testing.T, s *System) {
 	if idx < 0 {
 		t.Fatal("no accession column")
 	}
-	acc := r.Tuples[0][idx].AsString()
-	plan, err := sqlx.Prepare(wh, fmt.Sprintf("SELECT * FROM swissprot_protein WHERE accession = '%s'", acc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := plan.Open(context.Background(), wh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := 0
-	for {
-		if _, err := cur.Next(context.Background()); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		rows++
-	}
-	if rows != 1 {
-		t.Fatalf("point query returned %d rows, want 1", rows)
-	}
-	if cur.Scanned() != 1 {
-		t.Fatalf("point query scanned %d tuples, want 1 (index not rebuilt)", cur.Scanned())
-	}
+	assertPointQueryScansOne(t, s, "swissprot_protein", "accession", r.Tuples[0][idx].AsString())
 }
 
 // firstRemovableLink picks a deterministic link to delete as feedback.

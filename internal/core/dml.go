@@ -89,6 +89,9 @@ func (s *System) Exec(sql string) (*sqlx.Result, error) {
 	}
 	srcDB.Put(clone)
 	s.warehouse.Put(qualifiedClone(clone, srcKey, idxCols[strings.ToLower(clone.Name)]))
+	// The engine's resolver caches tuple positions of the replaced
+	// relation; later discovery must resolve against the new one.
+	s.engine.RefreshResolver(meta.Name)
 	s.Repo.RecordChanges(meta.Name, res.Affected)
 	return res, nil
 }

@@ -15,10 +15,10 @@ import (
 // This file glues a System to a durable data directory (store.Dir):
 // mutations are journaled to the write-ahead log before they are
 // acknowledged, and checkpoints persist only the sources dirtied since
-// the previous one. The locking discipline mirrors PR 2's prepare/commit
-// split: everything expensive (gob encoding of segments) runs off-lock
-// against immutable snapshots; only the WAL append and the dirty-set
-// swap happen under the caller's mutation lock.
+// the previous one. The locking discipline mirrors the prepare/commit
+// split of integrations: everything expensive (gob encoding of frames
+// and segments) runs off-lock against immutable snapshots; only the WAL
+// append and the dirty-set swap happen under the caller's mutation lock.
 
 // durable is the per-System durability state. The System's own mutators
 // run serialized by the caller (package aladin's write lock); the inner
@@ -143,8 +143,8 @@ func (s *System) SnapshotID() (gen, seq uint64) {
 // DisableJournal permanently switches off WAL appends from the normal
 // mutators while keeping sequence, dirty-set and checkpoint machinery
 // live. Replicas run this way: the replication client journals the
-// primary's frames verbatim (ApplyReplicated), so the mutators applying
-// them must not journal a second copy.
+// primary's frames verbatim (ApplyReplicated), so applying them must not
+// journal a second copy.
 func (s *System) DisableJournal() {
 	d := s.durable
 	if d == nil {
@@ -155,26 +155,28 @@ func (s *System) DisableJournal() {
 	d.mu.Unlock()
 }
 
-// addSourceRecord builds the WAL record describing a prepared source
-// addition: the full snapshot plus every candidate link its commit will
-// store. Replaying the candidates through the repository's dedup and
-// feedback filters reproduces exactly the stored set.
-func (s *System) addSourceRecord(p *PendingAdd) *store.WALRecord {
-	links := make([]metadata.Link, 0, len(p.links)+len(p.ontLinks)+len(p.dupLinks))
-	links = append(links, p.links...)
-	links = append(links, p.ontLinks...)
-	links = append(links, p.dupLinks...)
-	return &store.WALRecord{
-		Type: store.RecAddSource,
+// walRecord builds the WAL record of a prepared integration: the batch's
+// tuples plus every candidate link its commit will store — replaying the
+// candidates through the repository's dedup and feedback filters
+// reproduces exactly the stored set. A fresh source's record
+// (RecAddSource) carries its discovered structure and profiles; a batch
+// appended to an existing source (RecAppend) leaves them nil — the
+// registered metadata governs, and replay reads it from the registry.
+func walRecord(p *Pending) *store.WALRecord {
+	rec := &store.WALRecord{
+		Type: store.RecAppend,
 		Source: &store.SourceSnapshot{
-			Name:       p.db.Name,
-			Relations:  store.SnapshotDatabase(p.db),
-			Structure:  p.structure,
-			Profiles:   p.profs,
-			TupleCount: p.db.TotalTuples(),
+			Name:       p.name,
+			Relations:  store.SnapshotDatabase(p.batch),
+			TupleCount: p.batch.TotalTuples(),
 		},
-		Links: links,
+		Links: p.links,
 	}
+	if p.fresh {
+		rec.Type = store.RecAddSource
+		rec.Source.Structure, rec.Source.Profiles = p.structure, p.profs
+	}
+	return rec
 }
 
 // WALRecordsSinceCheckpoint returns the number of mutations journaled

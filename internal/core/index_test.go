@@ -32,7 +32,7 @@ func TestQualifiedCloneKeepsDeclaredFKIndexes(t *testing.T) {
 
 // TestWarehouseIndexedAfterAddSource: PrepareAdd builds hash indexes on
 // the discovered accession and FK endpoint columns off-lock, and
-// CommitAdd publishes them — so point queries over the warehouse probe
+// Commit publishes them — so point queries over the warehouse probe
 // an index instead of scanning.
 func TestWarehouseIndexedAfterAddSource(t *testing.T) {
 	corpus := datagen.Generate(datagen.Config{Seed: 3, Proteins: 20})

@@ -1,17 +1,34 @@
 package core
 
+// Persistence and replay. A System is rebuilt from persisted source
+// images — the segments of a checkpoint or single-file snapshot, the
+// RecAddSource and RecAppend records of a WAL tail, the frames a
+// replication primary relays — by the same publish that commits live
+// integrations. restore is the front door: it turns an image into a
+// Pending WITHOUT running the pipeline. Structure and profiles come
+// from the image (or, for an appended batch, from the registry), the
+// duplicate records are bucketed without comparing, and the links come
+// from the record or the links segment — §6.2 stresses how costly
+// re-computation is, so replay performs no sequence, text or duplicate
+// comparison at all. Reanalyze remains the way to force a fresh
+// derivation.
+
 import (
 	"errors"
 	"fmt"
 	"strings"
 
-	"repro/internal/discovery"
 	"repro/internal/dup"
 	"repro/internal/linkdisc"
 	"repro/internal/metadata"
 	"repro/internal/profile"
 	"repro/internal/store"
 )
+
+// ErrNoStructure rejects a persisted source that does not carry the
+// structure and profiles discovered when it was integrated: every
+// supported format writes them, and replay never re-derives them.
+var ErrNoStructure = errors.New("core: persisted source has no discovered structure")
 
 // Snapshot captures the full integrated warehouse — source data, link
 // repository, and user feedback — for persistence via package store.
@@ -23,99 +40,92 @@ func (s *System) Snapshot() *store.Snapshot {
 	return store.Build(s.sources, metas, s.Repo.AllLinks(), s.Repo.RemovedLinks())
 }
 
-// installRestored publishes one persisted source into every access mode.
-// The expensive pipeline outputs are all reused: link-discovery and
-// duplicate results replay from the stored repository, and the persisted
-// structure and column profiles are installed as-is — §6.2 stresses how
-// costly re-computation is, so a restore re-derives only what is
-// genuinely absent (snapshots written before structures were persisted).
-// Reanalyze remains the escape hatch to force a fresh derivation.
-func (s *System) installRestored(ss *store.SourceSnapshot) error {
-	db := store.RestoreDatabase(ss.Name, ss.Relations)
-	name := strings.ToLower(db.Name)
-	if _, exists := s.sources[name]; exists {
-		return fmt.Errorf("%w: %q", ErrSourceExists, db.Name)
+// restore publishes one persisted source image with the candidate links
+// journaled beside it (none for a segment: its links replay from the
+// links segment). An image with a structure is a whole source the system
+// must not hold yet; one without is a batch for a source it must hold.
+func (s *System) restore(ss *store.SourceSnapshot, links []metadata.Link) error {
+	p := &Pending{
+		batch:     store.RestoreDatabase(ss.Name, ss.Relations),
+		key:       strings.ToLower(ss.Name),
+		name:      ss.Name,
+		structure: ss.Structure,
+		profs:     ss.Profiles,
+		links:     links,
 	}
-	structure, profs := ss.Structure, ss.Profiles
-	if structure == nil || profs == nil {
-		var err error
-		profs, err = profile.ProfileDatabase(db, s.opts.Profile)
-		if err != nil {
-			return err
+	srcDB, exists := s.sources[p.key]
+	switch {
+	case exists && ss.Structure != nil:
+		return fmt.Errorf("%w: %q", ErrSourceExists, ss.Name)
+	case exists:
+		meta := s.Repo.Source(ss.Name)
+		p.name, p.structure, p.profs = meta.Name, meta.Structure, meta.Profiles
+		for _, br := range p.batch.Relations() {
+			if len(br.Tuples) > 0 && srcDB.Relation(br.Name) == nil {
+				return fmt.Errorf("core: appended batch: source %q has no relation %q", ss.Name, br.Name)
+			}
 		}
-		structure, err = discovery.Analyze(db, profs, s.opts.Discovery)
-		if err != nil {
-			return err
-		}
-	}
-	if err := s.engine.AddSource(&linkdisc.Source{DB: db, Structure: structure, Profiles: profs}); err != nil {
-		return err
-	}
-	// Rebuild hash indexes from the restored tuples (they are never part
-	// of any on-disk encoding), for both the source relations and the
-	// qualified warehouse clones.
-	idxCols := indexColumns(structure)
-	for _, r := range db.Relations() {
-		buildRelationIndexes(r, idxCols[strings.ToLower(r.Name)])
-		// Segments written before stats were persisted restore without a
-		// statistics block; rebuild one from the (restored or freshly
-		// computed) profiles so the planner never regresses to guesses.
-		if r.Stats == nil {
-			r.Stats = profile.RelationStats(r, profs)
+	case ss.Structure == nil || ss.Profiles == nil:
+		return fmt.Errorf("%w: %q", ErrNoStructure, ss.Name)
+	default:
+		p.fresh = true
+		p.registeredTuples = ss.TupleCount
+		for _, r := range p.batch.Relations() {
+			// Segments written before stats were persisted restore without
+			// a statistics block; rebuild one from the profiles so the
+			// planner never regresses to guesses.
+			if r.Stats == nil {
+				r.Stats = profile.RelationStats(r, p.profs)
+			}
 		}
 	}
-	if err := s.web.AddSource(db, structure); err != nil {
-		return err
-	}
-	s.sources[name] = db
-	s.records[name] = dup.RecordsFromSource(db, structure)
+	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs}
 	// Bucket the records into the incremental duplicate index without
-	// comparing: the stored duplicate links replay from the repository,
-	// and later AddSource calls compare against these records.
-	s.dupIndex.Add(s.records[name])
-	for _, r := range db.Relations() {
-		s.warehouse.Put(qualifiedClone(r, name, idxCols[strings.ToLower(r.Name)]))
+	// comparing: later integrations compare against them.
+	p.records = dup.RecordsFromSource(p.batch, p.structure)
+	s.dupIndex.Add(p.records)
+	// Hash indexes are never part of any on-disk encoding; stage rebuilds
+	// them, with the browse order and search postings, from the tuples.
+	if err := s.stage(p); err != nil {
+		s.unwind(p)
+		return err
 	}
-	if !s.opts.DisableSearchIndex {
-		s.indexSource(db, structure, profs)
+	_, err := s.publish(p)
+	return err
+}
+
+// load publishes a snapshot's sources, then its feedback, then its
+// links — feedback first, so removed links cannot re-enter.
+func (s *System) load(snap *store.Snapshot) error {
+	for i := range snap.Sources {
+		if err := s.restore(&snap.Sources[i], nil); err != nil {
+			return err
+		}
 	}
-	tuples := ss.TupleCount
-	if tuples == 0 {
-		tuples = db.TotalTuples()
+	for _, l := range snap.Removed {
+		s.Repo.RemoveLink(l)
 	}
-	s.Repo.RegisterSource(&metadata.SourceMeta{
-		Name:       db.Name,
-		Structure:  structure,
-		Profiles:   profs,
-		TupleCount: tuples,
-	})
+	for _, l := range snap.Links {
+		s.Repo.AddLink(l)
+	}
 	return nil
 }
 
 // Load rebuilds a System from a single-file snapshot.
 func Load(opts Options, snap *store.Snapshot) (*System, error) {
 	sys := New(opts)
-	for i := range snap.Sources {
-		if err := sys.installRestored(&snap.Sources[i]); err != nil {
-			return nil, err
-		}
-	}
-	// Feedback first, so removed links cannot re-enter.
-	for _, l := range snap.Removed {
-		sys.Repo.RemoveLink(l)
-	}
-	for _, l := range snap.Links {
-		sys.Repo.AddLink(l)
+	if err := sys.load(snap); err != nil {
+		return nil, err
 	}
 	return sys, nil
 }
 
 // Recover rebuilds a System from an open data directory: the last
-// checkpoint's segments are installed, then the WAL tail — every
-// mutation acknowledged after that checkpoint — replays through the
-// normal mutators (with journaling disabled; the records are already on
-// disk). Replayed sources are marked dirty so the next checkpoint folds
-// them into segments. Returns the number of WAL records replayed.
+// checkpoint's segments are published, then the WAL tail — every
+// mutation acknowledged after that checkpoint — replays (with
+// journaling disabled; the records are already on disk). Replayed
+// sources are marked dirty so the next checkpoint folds them into
+// segments. Returns the number of WAL records replayed.
 func Recover(opts Options, dir *store.Dir) (*System, int, error) {
 	snap, err := dir.Load()
 	if err != nil {
@@ -127,16 +137,8 @@ func Recover(opts Options, dir *store.Dir) (*System, int, error) {
 	// the WAL tail advances it record by record (applyWAL syncs it to
 	// each frame's header sequence).
 	sys.seq.Store(dir.ManifestCopy().RecordSeq)
-	for i := range snap.Sources {
-		if err := sys.installRestored(&snap.Sources[i]); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, l := range snap.Removed {
-		sys.Repo.RemoveLink(l)
-	}
-	for _, l := range snap.Links {
-		sys.Repo.AddLink(l)
+	if err := sys.load(snap); err != nil {
+		return nil, 0, err
 	}
 	n, err := dir.Replay(sys.applyWAL)
 	if err != nil {
@@ -150,38 +152,31 @@ func Recover(opts Options, dir *store.Dir) (*System, int, error) {
 	return sys, n, nil
 }
 
-// applyWAL re-applies one journaled mutation during recovery.
+// applyWAL re-applies one journaled mutation during recovery or
+// replication. Journaling is off, so each case advances the sequence
+// and marks its source dirty without writing a second copy.
 func (s *System) applyWAL(rec *store.WALRecord) error {
 	switch rec.Type {
-	case store.RecAddSource:
+	case store.RecAddSource, store.RecAppend:
 		if rec.Source == nil {
-			return errors.New("core: AddSource WAL record without a snapshot")
-		}
-		if err := s.installRestored(rec.Source); err != nil {
-			return err
+			return errors.New("core: source-data WAL record without a snapshot")
 		}
 		// The candidate links pass through the repository's dedup and
 		// feedback filters, exactly as the original commit's did (feedback
 		// journaled earlier in the WAL has already replayed).
-		for _, l := range rec.Links {
-			s.Repo.AddLink(l)
-		}
-		s.durable.mu.Lock()
-		s.durable.dirty[strings.ToLower(rec.Source.Name)] = true
-		s.durable.mu.Unlock()
-	case store.RecAppend:
-		if rec.Source == nil {
-			return errors.New("core: Append WAL record without a snapshot")
-		}
-		if err := s.applyAppend(rec.Source, rec.Links); err != nil {
+		if err := s.restore(rec.Source, rec.Links); err != nil {
 			return err
 		}
-		s.durable.mu.Lock()
-		s.durable.dirty[strings.ToLower(rec.Source.Name)] = true
-		s.durable.mu.Unlock()
+		if err := s.logFrame(nil, rec.Source.Name); err != nil {
+			return err
+		}
 	case store.RecDML:
 		if _, err := s.Exec(rec.SQL); err != nil {
 			return fmt.Errorf("core: replaying DML %q: %w", rec.SQL, err)
+		}
+	case store.RecReanalyze:
+		if _, err := s.Reanalyze(rec.SourceName); err != nil {
+			return fmt.Errorf("core: replaying re-analysis of %q: %w", rec.SourceName, err)
 		}
 	case store.RecRemoveLink:
 		if rec.Link == nil {
@@ -193,9 +188,9 @@ func (s *System) applyWAL(rec *store.WALRecord) error {
 	default:
 		return fmt.Errorf("core: unknown WAL record type %d", rec.Type)
 	}
-	// The mutator above already advanced the sequence by one; syncing to
-	// the frame's own header sequence keeps replay exact even if the two
-	// ever disagree (the on-disk numbering is authoritative).
+	// The case above already advanced the sequence by one; syncing to the
+	// frame's own header sequence keeps replay exact even if the two ever
+	// disagree (the on-disk numbering is authoritative).
 	if rec.Seq != 0 {
 		s.seq.Store(rec.Seq)
 	}
@@ -204,15 +199,15 @@ func (s *System) applyWAL(rec *store.WALRecord) error {
 
 // ApplyReplicated journals one frame received from a replication
 // primary verbatim into the local WAL and applies its decoded record
-// through the recovery mutators. The caller serializes it with every
-// other mutator (package aladin holds its write lock) — journaling and
-// applying under the same exclusion keeps the local directory's record
-// sequences dense across replica checkpoints, so a restarted replica
-// recovers from its own segments + WAL tail and resumes streaming at
-// exactly SnapshotSeq()+1.
+// through applyWAL. The caller serializes it with every other mutator
+// (package aladin holds its write lock) — journaling and applying under
+// the same exclusion keeps the local directory's record sequences dense
+// across replica checkpoints, so a restarted replica recovers from its
+// own segments + WAL tail and resumes streaming at exactly
+// SnapshotSeq()+1.
 //
-// The system must be in DisableJournal mode: the mutators applying the
-// record would otherwise journal a second copy.
+// The system must be in DisableJournal mode: applying the record would
+// otherwise journal a second copy.
 func (s *System) ApplyReplicated(frame []byte, rec *store.WALRecord) error {
 	d := s.durable
 	if d != nil {

@@ -110,8 +110,10 @@ func TestE2PipelineRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 sources x 5 steps.
-	if len(tbl.Rows) != 30 {
+	// 6 sources x 6 timed stages (profile, discover-structure,
+	// link-discovery, duplicate-detection, prepare-publish,
+	// register-and-index).
+	if len(tbl.Rows) != 36 {
 		t.Errorf("rows = %d", len(tbl.Rows))
 	}
 }

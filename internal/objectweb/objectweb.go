@@ -142,16 +142,6 @@ func (w *Web) Install(p *Prepared) {
 	w.sources[p.key] = p.sd
 }
 
-// AddSource registers an analyzed source for browsing.
-func (w *Web) AddSource(db *rel.Database, s *discovery.Structure) error {
-	p, err := w.Prepare(db, s)
-	if err != nil {
-		return err
-	}
-	w.Install(p)
-	return nil
-}
-
 // Objects lists all primary-object refs of a source in accession order.
 func (w *Web) Objects(source string) []metadata.ObjectRef {
 	sd := w.sources[strings.ToLower(source)]

@@ -47,11 +47,15 @@ func setup(t *testing.T) (*Web, *metadata.Repo) {
 	w := New(repo)
 	dbA, stA := buildSource(t, "srca", "AA", 5)
 	dbB, stB := buildSource(t, "srcb", "BB", 5)
-	if err := w.AddSource(dbA, stA); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddSource(dbB, stB); err != nil {
-		t.Fatal(err)
+	for _, src := range []struct {
+		db *rel.Database
+		st *discovery.Structure
+	}{{dbA, stA}, {dbB, stB}} {
+		p, err := w.Prepare(src.db, src.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Install(p)
 	}
 	// Cross links: AA000i <-> BB000i, plus one duplicate.
 	for i := 0; i < 5; i++ {
@@ -259,13 +263,13 @@ func TestRankRelatedOrdersByConnectionStrength(t *testing.T) {
 	}
 }
 
-func TestAddSourceValidation(t *testing.T) {
+func TestPrepareValidation(t *testing.T) {
 	w := New(metadata.NewRepo())
 	db := rel.NewDatabase("x")
-	if err := w.AddSource(db, nil); err == nil {
+	if _, err := w.Prepare(db, nil); err == nil {
 		t.Error("nil structure should be rejected")
 	}
-	if err := w.AddSource(db, &discovery.Structure{}); err == nil {
+	if _, err := w.Prepare(db, &discovery.Structure{}); err == nil {
 		t.Error("empty primary should be rejected")
 	}
 }

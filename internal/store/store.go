@@ -3,7 +3,10 @@
 // a local data warehouse"), so integration results — imported relations,
 // discovered structures, statistics, object links, and user feedback —
 // must survive restarts without re-running the expensive discovery steps
-// (§6.2 stresses how costly re-computation is).
+// (§6.2 stresses how costly re-computation is). This package only
+// encodes and decodes; rebuilding a live system from what it reads
+// (core.Load, core.Recover) goes through the same publish step that
+// commits live integrations.
 //
 // Two on-disk layouts exist:
 //
@@ -53,9 +56,9 @@ type Snapshot struct {
 
 // SourceSnapshot is one source's data plus discovered metadata. The
 // full discovered structure and column profiles are persisted so a
-// restore can skip re-running profiling and structural discovery —
-// §6.2 stresses how costly re-computation is; recovery only re-derives
-// what is genuinely absent.
+// restore skips profiling and structural discovery — §6.2 stresses how
+// costly re-computation is; package core rejects a source image without
+// them rather than re-deriving.
 type SourceSnapshot struct {
 	Name       string
 	Relations  []RelationSnapshot
@@ -337,51 +340,4 @@ func LoadFile(path string) (*Snapshot, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// RestoreRepo rebuilds a metadata repository from a snapshot: structures
-// are re-discovered from the restored data (cheap relative to link
-// discovery), links and feedback are replayed.
-type RestoredWarehouse struct {
-	Sources map[string]*rel.Database
-	Repo    *metadata.Repo
-}
-
-// Restore rebuilds the warehouse databases and metadata repository.
-// reanalyze is called per source to recompute the full structure from
-// restored data (pass discovery.Analyze wrapped with profiling); it may
-// be nil, in which case only snapshot metadata is registered.
-func Restore(snap *Snapshot,
-	reanalyze func(db *rel.Database) (*discovery.Structure, map[string]*profile.ColumnProfile, error),
-) (*RestoredWarehouse, error) {
-
-	out := &RestoredWarehouse{
-		Sources: make(map[string]*rel.Database),
-		Repo:    metadata.NewRepo(),
-	}
-	for _, ss := range snap.Sources {
-		db := RestoreDatabase(ss.Name, ss.Relations)
-		out.Sources[keyOf(ss.Name)] = db
-		meta := &metadata.SourceMeta{Name: ss.Name, TupleCount: ss.TupleCount}
-		if reanalyze != nil {
-			st, profs, err := reanalyze(db)
-			if err != nil {
-				return nil, fmt.Errorf("store: re-analyzing %s: %w", ss.Name, err)
-			}
-			meta.Structure = st
-			meta.Profiles = profs
-		} else {
-			meta.Structure = ss.Structure
-			meta.Profiles = ss.Profiles
-		}
-		out.Repo.RegisterSource(meta)
-	}
-	// Replay feedback first so removed links cannot re-enter.
-	for _, l := range snap.Removed {
-		out.Repo.RemoveLink(l)
-	}
-	for _, l := range snap.Links {
-		out.Repo.AddLink(l)
-	}
-	return out, nil
 }

@@ -138,27 +138,6 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
-func TestRestoreReplaysFeedbackFirst(t *testing.T) {
-	l := metadata.Link{
-		Type:       metadata.LinkXRef,
-		From:       metadata.ObjectRef{Source: "a", Relation: "r", Accession: "1"},
-		To:         metadata.ObjectRef{Source: "b", Relation: "r", Accession: "2"},
-		Confidence: 1,
-	}
-	snap := &Snapshot{
-		Version: FormatVersion,
-		Links:   []metadata.Link{l},
-		Removed: []metadata.Link{l},
-	}
-	w, err := Restore(snap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := w.Repo.LinkCount(-1); n != 0 {
-		t.Errorf("removed link restored: count = %d", n)
-	}
-}
-
 func TestBuildOrdersBySeq(t *testing.T) {
 	dbs := map[string]*rel.Database{
 		"b": rel.NewDatabase("b"),

@@ -77,6 +77,10 @@ const (
 	// tuple count, Structure/Profiles nil — the registered metadata
 	// governs) and Links carries the batch's candidate links.
 	RecAppend RecordType = 4
+	// RecReanalyze is one committed re-analysis of a source (§6.2): only
+	// SourceName is set, and replay re-runs the analysis, which is
+	// deterministic given the data the earlier records rebuilt.
+	RecReanalyze RecordType = 5
 )
 
 // WALRecord is one logged mutation. Only the fields of the tagged type
@@ -97,7 +101,7 @@ type WALRecord struct {
 	// feedback filters reproduces exactly the stored set.
 	Links []metadata.Link
 
-	// RecDML
+	// RecDML, RecReanalyze
 	SourceName string
 	SQL        string
 
