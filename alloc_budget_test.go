@@ -1,9 +1,10 @@
-// Allocation-budget regression gate for the vectorized executor's
-// zero-allocation hash paths. The batch engine cut hash-join, DISTINCT,
-// and GROUP BY from tens of thousands of allocs/op (string keys +
-// map[string][]Tuple) to roughly a hundred; ALLOC_budget.json pins
-// ceilings with headroom so a regression back toward per-row
-// allocation fails CI instead of silently landing.
+// Allocation-budget regression gates for the vectorized executor's
+// zero-allocation hash paths and for duplicate detection. The batch
+// engine cut hash-join, DISTINCT, and GROUP BY from tens of thousands of
+// allocs/op (string keys + map[string][]Tuple) to roughly a hundred;
+// ALLOC_budget.json pins ceilings with headroom so a regression back
+// toward per-row (or per-compared-pair) allocation fails CI instead of
+// silently landing.
 package repro
 
 import (
@@ -14,10 +15,16 @@ import (
 	"repro/internal/rel"
 )
 
-// TestQueryAllocBudget measures allocs/op for the hash-join, DISTINCT,
-// and GROUP BY benchmarks (workers=1, so the numbers are deterministic
-// modulo GC noise) and fails if any exceeds its checked-in budget.
-func TestQueryAllocBudget(t *testing.T) {
+// allocBudget is ALLOC_budget.json.
+type allocBudget struct {
+	HashJoin     int64   `json:"hash_join"`
+	Distinct     int64   `json:"distinct"`
+	GroupBy      int64   `json:"group_by"`
+	DupScorePair float64 `json:"dup_score_pair"`
+}
+
+func loadAllocBudget(t *testing.T) allocBudget {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
@@ -28,14 +35,35 @@ func TestQueryAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var budget struct {
-		HashJoin int64 `json:"hash_join"`
-		Distinct int64 `json:"distinct"`
-		GroupBy  int64 `json:"group_by"`
-	}
+	var budget allocBudget
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatal(err)
 	}
+	return budget
+}
+
+// TestDupAllocBudget holds duplicate detection to its allocations per
+// compared pair (BenchmarkDupFindNew's allocs/pair, workers=1). Scoring
+// a prepared pair allocates nothing, so the figure is the per-record
+// set-up spread over the pairs; a scorer that goes back to deriving
+// forms per comparison multiplies it.
+func TestDupAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	if budget.DupScorePair <= 0 {
+		t.Fatal("dup_score_pair: missing budget in ALLOC_budget.json")
+	}
+	got := testing.Benchmark(BenchmarkDupFindNew).Extra["allocs/pair"]
+	t.Logf("dup_score_pair: %.3f allocs/pair (budget %.2f)", got, budget.DupScorePair)
+	if got <= 0 || got > budget.DupScorePair {
+		t.Errorf("dup_score_pair: %.3f allocs/pair outside (0, %.2f]", got, budget.DupScorePair)
+	}
+}
+
+// TestQueryAllocBudget measures allocs/op for the hash-join, DISTINCT,
+// and GROUP BY benchmarks (workers=1, so the numbers are deterministic
+// modulo GC noise) and fails if any exceeds its checked-in budget.
+func TestQueryAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
 
 	var db *rel.Database
 	testing.Benchmark(func(b *testing.B) { db = bigQueryDB(b) })

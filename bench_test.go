@@ -23,6 +23,7 @@ import (
 	"repro/internal/dup"
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/flatfile"
 	"repro/internal/linkdisc"
 	"repro/internal/metadata"
 	"repro/internal/profile"
@@ -322,6 +323,56 @@ func BenchmarkBlockingAblation(b *testing.B) {
 		}
 		b.ReportMetric(float64(comparisons), "comparisons")
 	})
+}
+
+// BenchmarkDupFindNew is the step an uploader waits for, alone: 4,000
+// FASTA records, every 50th a planted duplicate, streamed into one
+// dup.Index in 8 batches. ns/pair is the whole pass (prepare, candidates,
+// scoring) per compared pair; allocs/pair is what TestDupAllocBudget
+// holds to ALLOC_budget.json — scoring a prepared pair allocates nothing,
+// so it measures the per-batch set-up spread over the batch's pairs.
+func BenchmarkDupFindNew(b *testing.B) {
+	var text strings.Builder
+	if err := datagen.FastaDupText(&text, 4000, 50, ingestBenchSeed); err != nil {
+		b.Fatal(err)
+	}
+	db, err := flatfile.Parse("fasta", strings.NewReader(text.String()), "seqs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	profs, err := profile.ProfileDatabase(db, profile.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := discovery.Analyze(db, profs, discovery.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := dup.RecordsFromSource(db, st)
+	const batches = 8
+	pairs, flagged := 0, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix := dup.NewIndex()
+		for k := 0; k < batches; k++ {
+			batch := records[k*len(records)/batches : (k+1)*len(records)/batches]
+			_, stats, err := ix.FindNewContext(context.Background(), batch, dup.Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pairs += stats.Comparisons
+			flagged += stats.Flagged
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if flagged == 0 {
+		b.Fatal("no planted duplicate flagged")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(pairs), "allocs/pair")
 }
 
 // BenchmarkAddSourceScaling (E10): cost of adding one more source at

@@ -39,3 +39,33 @@ func FastaTextRange(w io.Writer, start, n int, seed int64) error {
 	}
 	return bw.Flush()
 }
+
+// FastaDupText is FastaText with planted duplicates, the corpus of the
+// duplicate-detection golden and benchmark: every dupEvery-th record is
+// a copy of a random earlier one under a new accession — the same
+// description words (clone id included, the rare token blocking keys
+// on) with a new lot number, and the sequence with 1 % of its bases
+// substituted. Same (n, dupEvery, seed) → byte-identical output.
+func FastaDupText(w io.Writer, n, dupEvery int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	organisms := []string{"homo sapiens", "mus musculus", "danio rerio", "gallus gallus"}
+	roles := []string{"kinase", "transporter", "receptor", "polymerase", "chaperone", "ligase"}
+	descs, seqs := make([]string, n), make([]string, n)
+	bw := bufio.NewWriter(w)
+	for i := 0; i < n; i++ {
+		if dupEvery > 0 && i > 0 && i%dupEvery == 0 {
+			orig := rng.Intn(i)
+			descs[i], seqs[i] = descs[orig], mutate(rng, seqs[orig], 0.01)
+		} else {
+			descs[i] = fmt.Sprintf("%s %s subunit clone c%07dx", organisms[rng.Intn(len(organisms))],
+				roles[rng.Intn(len(roles))], i+1)
+			seqs[i] = randomDNA(rng, 120+rng.Intn(120))
+		}
+		fmt.Fprintf(bw, ">SQ%07d %s lot u%07dx\n", i+1, descs[i], i+1)
+		for seq := seqs[i]; len(seq) > 0; seq = seq[min(60, len(seq)):] {
+			bw.WriteString(seq[:min(60, len(seq))])
+			bw.WriteByte('\n')
+		}
+	}
+	return bw.Flush()
+}

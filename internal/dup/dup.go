@@ -11,12 +11,26 @@
 // of the other and the best pairing per field is aggregated, in the
 // spirit of [WN04]/[BN05]. Blocking uses the sorted-neighbourhood method,
 // with full pairwise comparison available for the ablation experiments.
+//
+// Everything scores prepared records (prepared, below), through one
+// scorer: an Index prepares each record once when it enters — fields in
+// name order, one lower-cased copy and one tokenisation per value — and
+// every entry point (RecordSimilarity, Matcher.Similarity, FindDuplicates,
+// Index.FindNew, Conflicts) reaches score and fieldSim over that form.
+// Candidate generation and the resolution of frequency weights are
+// serial; only the scoring of resolved, read-only records fans out over
+// workers. Per candidate pair each field-by-field similarity is computed
+// once and read by both directions of the aggregate; field order, not map
+// order, fixes every sum and tie-break, so a pair's similarity and
+// evidence are the same on every run. incremental.go says what is built
+// at insert, at the first comparison and per pass.
 package dup
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,144 +110,175 @@ func isDigitsOnly(s string) bool {
 	return true
 }
 
-// fieldSimilarity compares two field values, picking the measure by
-// shape: token-based Jaccard (IDF-weighted when a Matcher is supplied)
-// for long multi-token text, Jaro-Winkler for short strings, with exact
-// match short-circuiting to 1. The cache, when non-nil, supplies
-// precomputed derived forms (lowercase, word counts, token sets, q-gram
-// codes); results are identical with or without it.
-func fieldSimilarity(m *Matcher, a, b string, c *simCache) float64 {
-	if a == b {
-		return 1
-	}
-	la, lb := c.lowerOf(a), c.lowerOf(b)
-	if la == lb {
-		return 1
-	}
-	// Identifier-shaped values either match or they don't: approximate
-	// similarity between two different accession codes is noise, not
-	// evidence.
-	if textmine.LooksLikeAccession(a) && textmine.LooksLikeAccession(b) {
-		return 0
-	}
-	longA := c.wordsOf(a) >= 3
-	longB := c.wordsOf(b) >= 3
-	if longA || longB {
-		// Cross-shape comparisons (a code against prose) carry no signal.
-		if longA != longB && (textmine.LooksLikeAccession(a) || textmine.LooksLikeAccession(b)) {
-			return 0
-		}
-		return m.weightedJaccardSorted(c.tokensOf(a), c.tokensOf(b))
-	}
-	// Long unbroken values — sequences, digests — are outside
-	// Jaro-Winkler's design range (short names) and quadratic to compare;
-	// q-gram overlap captures their similarity at linear cost.
-	if len(la) >= longValueLen || len(lb) >= longValueLen {
-		return textmine.DiceCodes(c.gramsOf(a, la), c.gramsOf(b, lb))
-	}
-	return textmine.JaroWinkler(la, lb)
-}
-
 // longValueLen is the length above which a single-token value is scored
 // by q-gram overlap instead of Jaro-Winkler. Accession-shaped and name-
 // shaped values stay far below it; sequence residues sit far above.
 const longValueLen = 48
 
-// simCache holds per-value derived forms precomputed before a scoring
-// pass: candidate pairs revisit the same values window-many times, and
-// the derivations (tokenizing, lowercasing, gram packing) would
-// otherwise dominate scoring. Built single-threaded, read-only while the
-// worker pool scores. A nil cache is valid everywhere and computes on
-// the spot.
-type simCache struct {
-	lower map[string]string
-	words map[string]int
-	toks  map[string][]string
-	grams map[string][]uint64
+// field is one field of a prepared record.
+type field struct {
+	name string
+	// lower is the one lower-cased copy of the value: the matcher's
+	// valueCount key, the backing of the tokens, and what the scorer reads.
+	lower string
+	// toks is the token SET of the value in sorted order (substrings of
+	// lower): it feeds the matcher's counts and both blocking keys at
+	// insert and is merged, not hashed, when two values are compared.
+	toks      []string
+	accession bool // textmine.LooksLikeAccession(value)
+	prose     bool // three or more words: compared by weighted token overlap
+
+	// Built the first time the record is compared (resolve): the trigram
+	// profile of a value that is not prose, and room for the weights.
+	grams []textmine.GramRun
+	// Resolved against the frozen matcher once per pass (resolve): the IDF
+	// of every entry of toks and the value's distinctiveness weight.
+	idf    []float64
+	weight float64
 }
 
-func newSimCache() *simCache {
-	return &simCache{
-		lower: make(map[string]string),
-		words: make(map[string]int),
-		toks:  make(map[string][]string),
-		grams: make(map[string][]uint64),
+// prepared is a record with every form derived from it, built once when
+// the record enters an Index and owned by it: removing the record frees
+// them all.
+type prepared struct {
+	rec    Record
+	id     uint32  // insertion ordinal within the owning Index, never reused
+	fields []field // in name order, so sums and tie-breaks do not depend on map order
+	// keys are the sorted-neighbourhood blocking keys: the smallest
+	// informative token across all fields, and the smallest reversed one
+	// for the second pass — robust to field order and naming differences
+	// between sources.
+	keys [2]string
+	pass uint32 // the Index pass that last resolved the record; 0 = never compared
+}
+
+// prepare tokenises and lower-cases every value of r exactly once.
+func prepare(r Record, id uint32) *prepared {
+	p := &prepared{rec: r, id: id, fields: make([]field, 0, len(r.Fields))}
+	for name, v := range r.Fields {
+		lower := strings.ToLower(v)
+		toks := textmine.TokenizeLower(lower)
+		slices.Sort(toks)
+		p.fields = append(p.fields, field{
+			name: name, lower: lower, toks: slices.Compact(toks),
+			accession: textmine.LooksLikeAccession(v),
+			prose:     len(strings.Fields(v)) >= 3,
+		})
 	}
-}
-
-// admitPairs admits every field value appearing in the pairs.
-func (c *simCache) admitPairs(pairs [][2]Record) {
-	for _, p := range pairs {
-		for _, r := range p {
-			for _, v := range r.Fields {
-				c.admit(v)
+	sort.Slice(p.fields, func(i, j int) bool { return p.fields[i].name < p.fields[j].name })
+	last := "" // the token whose reversal is smallest
+	for _, f := range p.fields {
+		for _, tok := range f.toks {
+			if len(tok) < 3 {
+				continue
+			}
+			if p.keys[0] == "" || tok < p.keys[0] {
+				p.keys[0] = tok
+			}
+			if last == "" || lessReversed(tok, last) {
+				last = tok
 			}
 		}
 	}
+	b := []byte(last)
+	slices.Reverse(b)
+	p.keys[1] = string(b)
+	return p
 }
 
-// admit precomputes the derived forms of one value.
-func (c *simCache) admit(v string) {
-	if _, ok := c.lower[v]; ok {
-		return
-	}
-	lv := strings.ToLower(v)
-	c.lower[v] = lv
-	c.words[v] = len(strings.Fields(v))
-	c.toks[v] = sortedUniqueTokens(v)
-	if len(lv) >= longValueLen {
-		c.grams[v] = textmine.QGramCodes(lv, 3)
-	}
-}
-
-func (c *simCache) lowerOf(v string) string {
-	if c != nil {
-		if l, ok := c.lower[v]; ok {
-			return l
+// lessReversed compares two strings as if both were reversed bytewise.
+func lessReversed(a, b string) bool {
+	for i, j := len(a)-1, len(b)-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
+		if a[i] != b[j] {
+			return a[i] < b[j]
 		}
 	}
-	return strings.ToLower(v)
+	return len(a) < len(b)
 }
 
-func (c *simCache) wordsOf(v string) int {
-	if c != nil {
-		if n, ok := c.words[v]; ok {
-			return n
+// resolve makes the record ready to be scored under m as it stands:
+// scoring-only forms are built on the first call, token IDF and value
+// weight on every call. It runs in the serial part of a pass; the worker
+// pool then reads the record only.
+func (p *prepared) resolve(m *Matcher) {
+	for i := range p.fields {
+		f := &p.fields[i]
+		if f.idf == nil {
+			f.idf = make([]float64, len(f.toks))
+			if !f.prose {
+				f.grams = textmine.QGramProfile(f.lower, 3)
+			}
 		}
+		for k, tok := range f.toks {
+			f.idf[k] = m.tokenIDF(tok)
+		}
+		f.weight = m.weightLower(f.lower)
 	}
-	return len(strings.Fields(v))
 }
 
-func (c *simCache) tokensOf(v string) []string {
-	if c != nil {
-		if t, ok := c.toks[v]; ok {
-			return t
-		}
+// fieldSim is the one place two field values are compared. The measure
+// goes by shape: IDF-weighted token Jaccard for long multi-token text,
+// q-gram Dice for long unbroken values, Jaro-Winkler for short strings,
+// with exact match short-circuiting to 1. Every branch is symmetric in
+// its arguments (textmine.TestJaroWinklerSymmetric covers the one that
+// is not so by construction), so a pair of records needs each cell of its
+// field-by-field matrix once, whichever direction reads it.
+func fieldSim(a, b *field) float64 {
+	if a.lower == b.lower {
+		return 1
 	}
-	return sortedUniqueTokens(v)
+	// Identifier-shaped values either match or they don't: approximate
+	// similarity between two different accession codes is noise, not
+	// evidence.
+	if a.accession && b.accession {
+		return 0
+	}
+	if a.prose || b.prose {
+		// Cross-shape comparisons (a code against prose) carry no signal.
+		if a.prose != b.prose && (a.accession || b.accession) {
+			return 0
+		}
+		return weightedJaccard(a, b)
+	}
+	// Long unbroken values — sequences, digests — are outside
+	// Jaro-Winkler's design range (short names) and quadratic to compare;
+	// q-gram overlap captures their similarity at linear cost.
+	if len(a.lower) >= longValueLen || len(b.lower) >= longValueLen {
+		return textmine.DiceProfiles(a.grams, b.grams)
+	}
+	return textmine.JaroWinkler(a.lower, b.lower)
 }
 
-func (c *simCache) gramsOf(v, lv string) []uint64 {
-	if c != nil {
-		if g, ok := c.grams[v]; ok {
-			return g
+// weightedJaccard is token Jaccard under the resolved IDF weights, by one
+// merge of the two sorted token sets.
+func weightedJaccard(a, b *field) float64 {
+	var inter, union float64
+	i, j := 0, 0
+	for i < len(a.toks) && j < len(b.toks) {
+		switch c := strings.Compare(a.toks[i], b.toks[j]); {
+		case c < 0:
+			union += a.idf[i]
+			i++
+		case c > 0:
+			union += b.idf[j]
+			j++
+		default:
+			union += a.idf[i]
+			inter += a.idf[i]
+			i++
+			j++
 		}
 	}
-	return textmine.QGramCodes(lv, 3)
-}
-
-// sortedUniqueTokens is the token SET of v in sorted order — the
-// merge-friendly form of the sets weightedJaccard intersects.
-func sortedUniqueTokens(v string) []string {
-	toks := textmine.Tokenize(v)
-	sort.Strings(toks)
-	out := toks[:0]
-	for i, t := range toks {
-		if i == 0 || t != toks[i-1] {
-			out = append(out, t)
-		}
+	for ; i < len(a.toks); i++ {
+		union += a.idf[i]
 	}
-	return out
+	for ; j < len(b.toks); j++ {
+		union += b.idf[j]
+	}
+	if union == 0 {
+		return 0
+	}
+	return inter / union
 }
 
 // RecordSimilarity aggregates the best field pairing per field with
@@ -242,7 +287,7 @@ func sortedUniqueTokens(v string) []string {
 // the score and a short evidence string naming the strongest field pair.
 // FindDuplicates uses the frequency-weighted Matcher variant instead.
 func RecordSimilarity(a, b Record) (float64, string) {
-	return weightedSimilarity(a, b, nil)
+	return (*Matcher)(nil).Similarity(a, b)
 }
 
 // Matcher computes record similarity with value-distinctiveness weights:
@@ -265,49 +310,38 @@ func NewMatcher(records []Record) *Matcher {
 		valueCount: make(map[string]int),
 		tokenDF:    make(map[string]int),
 	}
-	m.addRecords(records)
+	for _, r := range records {
+		m.add(prepare(r, 0))
+	}
 	return m
 }
 
-// addRecords folds more records into the frequency tables. All counts are
+// add folds one record into the frequency tables. All counts are
 // additive, so the incremental duplicate index can keep one Matcher
 // current as sources are integrated.
-func (m *Matcher) addRecords(records []Record) {
-	m.records += len(records)
-	for _, r := range records {
-		for _, v := range r.Fields {
-			m.valueCount[strings.ToLower(v)]++
-			m.values++
-			seen := make(map[string]bool)
-			for _, tok := range textmine.Tokenize(v) {
-				if !seen[tok] {
-					seen[tok] = true
-					m.tokenDF[tok]++
-				}
-			}
+func (m *Matcher) add(p *prepared) {
+	m.records++
+	for _, f := range p.fields {
+		m.valueCount[f.lower]++
+		m.values++
+		for _, tok := range f.toks {
+			m.tokenDF[tok]++
 		}
 	}
 }
 
-// removeRecords exactly reverses addRecords, used to unwind a failed
-// source addition from the incremental index.
-func (m *Matcher) removeRecords(records []Record) {
-	m.records -= len(records)
-	for _, r := range records {
-		for _, v := range r.Fields {
-			lv := strings.ToLower(v)
-			if m.valueCount[lv]--; m.valueCount[lv] <= 0 {
-				delete(m.valueCount, lv)
-			}
-			m.values--
-			seen := make(map[string]bool)
-			for _, tok := range textmine.Tokenize(v) {
-				if !seen[tok] {
-					seen[tok] = true
-					if m.tokenDF[tok]--; m.tokenDF[tok] <= 0 {
-						delete(m.tokenDF, tok)
-					}
-				}
+// remove exactly reverses add, used to unwind a failed source addition
+// from the incremental index.
+func (m *Matcher) remove(p *prepared) {
+	m.records--
+	for _, f := range p.fields {
+		if m.valueCount[f.lower]--; m.valueCount[f.lower] <= 0 {
+			delete(m.valueCount, f.lower)
+		}
+		m.values--
+		for _, tok := range f.toks {
+			if m.tokenDF[tok]--; m.tokenDF[tok] <= 0 {
+				delete(m.tokenDF, tok)
 			}
 		}
 	}
@@ -321,55 +355,8 @@ func (m *Matcher) tokenIDF(tok string) float64 {
 	return math.Log(1 + float64(m.values)/float64(m.tokenDF[tok]+1))
 }
 
-// weightedJaccard computes token Jaccard with IDF weights (uniform when
-// m is nil).
-func (m *Matcher) weightedJaccard(a, b string) float64 {
-	return m.weightedJaccardSorted(sortedUniqueTokens(a), sortedUniqueTokens(b))
-}
-
-// weightedJaccardSorted is weightedJaccard over sorted unique token
-// slices — the cached form, intersected by merge instead of maps.
-func (m *Matcher) weightedJaccardSorted(ta, tb []string) float64 {
-	if len(ta) == 0 && len(tb) == 0 {
-		return 0
-	}
-	var inter, union float64
-	i, j := 0, 0
-	for i < len(ta) && j < len(tb) {
-		switch {
-		case ta[i] < tb[j]:
-			union += m.tokenIDF(ta[i])
-			i++
-		case ta[i] > tb[j]:
-			union += m.tokenIDF(tb[j])
-			j++
-		default:
-			w := m.tokenIDF(ta[i])
-			union += w
-			inter += w
-			i++
-			j++
-		}
-	}
-	for ; i < len(ta); i++ {
-		union += m.tokenIDF(ta[i])
-	}
-	for ; j < len(tb); j++ {
-		union += m.tokenIDF(tb[j])
-	}
-	if union == 0 {
-		return 0
-	}
-	return inter / union
-}
-
-// weight returns the distinctiveness weight of a field value in [~0.1, 1].
-func (m *Matcher) weight(v string) float64 {
-	return m.weightLower(strings.ToLower(v))
-}
-
-// weightLower is weight over an already-lowercased value — the scoring
-// loop's form, fed from the simCache so no per-pair lowering happens.
+// weightLower returns the distinctiveness weight of a lower-cased field
+// value in [~0.1, 1].
 func (m *Matcher) weightLower(lv string) float64 {
 	if m == nil {
 		return 1
@@ -383,13 +370,10 @@ func (m *Matcher) weightLower(lv string) float64 {
 
 // Similarity computes the weighted record similarity and evidence.
 func (m *Matcher) Similarity(a, b Record) (float64, string) {
-	return weightedSimilarity(a, b, m)
-}
-
-// weightedSimilarity is symmetric: it evaluates both directions and keeps
-// the stronger one, so results do not depend on comparison order.
-func weightedSimilarity(a, b Record, m *Matcher) (float64, string) {
-	sim, best := weightedSimilarityCached(a, b, m, nil)
+	pa, pb := prepare(a, 0), prepare(b, 0)
+	pa.resolve(m)
+	pb.resolve(m)
+	sim, best := score(pa, pb)
 	return sim, best.evidence()
 }
 
@@ -408,51 +392,64 @@ func (p bestFields) evidence() string {
 	return p.ka + "~" + p.kb
 }
 
-func weightedSimilarityCached(a, b Record, m *Matcher, c *simCache) (float64, bestFields) {
-	s1, e1 := directedSimilarity(a.Fields, b.Fields, m, c)
-	s2, e2 := directedSimilarity(b.Fields, a.Fields, m, c)
-	if s2 > s1 {
-		return s2, e2
+// score is the record similarity of two resolved records. It is
+// symmetric: the field-by-field similarity matrix is filled once, both
+// directions are aggregated from it (the second reads the transpose) and
+// the stronger one is kept, so results do not depend on comparison order.
+func score(a, b *prepared) (float64, bestFields) {
+	na, nb := len(a.fields), len(b.fields)
+	var buf [64]float64 // an 8x8 comparison stays on the stack
+	sim := buf[:]
+	if na*nb > len(sim) {
+		sim = make([]float64, na*nb)
 	}
-	return s1, e1
+	for i := range a.fields {
+		for j := range b.fields {
+			sim[i*nb+j] = fieldSim(&a.fields[i], &b.fields[j])
+		}
+	}
+	s1, i1, j1 := directed(a.fields, nb, sim, nb, 1)
+	s2, j2, i2 := directed(b.fields, na, sim, 1, nb)
+	switch {
+	case s2 > s1:
+		return s2, bestFields{b.fields[j2].name, a.fields[i2].name, true}
+	case i1 >= 0:
+		return s1, bestFields{a.fields[i1].name, b.fields[j1].name, true}
+	}
+	return s1, bestFields{}
 }
 
-func directedSimilarity(fa, fb map[string]string, m *Matcher, c *simCache) (float64, bestFields) {
-	if len(fa) == 0 || len(fb) == 0 {
-		return 0, bestFields{}
-	}
+// directed aggregates one direction: for every field of fa its best
+// counterpart among the other record's n fields, read from the similarity
+// matrix at sim[i*rowStride+j*colStride]. It returns the score and the
+// indexes of the strongest correspondence (-1 when there is none).
+func directed(fa []field, n int, sim []float64, rowStride, colStride int) (score float64, bestI, bestJ int) {
 	// minCorrespondence separates "this field has a counterpart in the
 	// other record" from "the other source simply does not model this
 	// property". Sources overlap only partly in their models (§4.5), so
 	// fields without a counterpart are excluded from the aggregate
 	// instead of dragging it toward zero.
 	const minCorrespondence = 0.2
-	var sum, wsum float64
-	var bestPair bestFields
-	var bestSim float64
+	var sum, wsum, bestSim float64
+	bestI, bestJ = -1, -1
 	hasAnchor := false
 	accessionAnchor := false
 	support := 0 // corresponding fields with solid similarity
-	for ka, va := range fa {
-		best := 0.0
-		bestK := ""
-		for kb, vb := range fb {
-			if s := fieldSimilarity(m, va, vb, c); s > best {
-				best = s
-				bestK = kb
+	for i := range fa {
+		best, k := 0.0, -1
+		for j := 0; j < n; j++ {
+			if s := sim[i*rowStride+j*colStride]; s > best {
+				best, k = s, j
 			}
 		}
 		if best < minCorrespondence {
 			continue
 		}
-		w := 1.0
-		if m != nil {
-			w = m.weightLower(c.lowerOf(va))
-		}
+		w := fa[i].weight
 		// §5: a shared accession-shaped identifier is decisive evidence
 		// ("detecting duplicate objects is easy in this case, because the
 		// original PDB accession number is available in all three").
-		if best == 1 && textmine.LooksLikeAccession(va) {
+		if best == 1 && fa[i].accession {
 			w *= 2
 			accessionAnchor = true
 		}
@@ -469,13 +466,13 @@ func directedSimilarity(fa, fb map[string]string, m *Matcher, c *simCache) (floa
 		wsum += w
 		if best*w > bestSim {
 			bestSim = best * w
-			bestPair = bestFields{ka, bestK, true}
+			bestI, bestJ = i, k
 		}
 	}
 	if wsum == 0 {
-		return 0, bestFields{}
+		return 0, -1, -1
 	}
-	score := sum / wsum
+	score = sum / wsum
 	// Corroboration: one coincidentally shared value — however rare —
 	// is not a duplicate verdict. Demand an anchor plus a second
 	// supporting correspondence. Exempt: single-field records, and exact
@@ -483,7 +480,7 @@ func directedSimilarity(fa, fb map[string]string, m *Matcher, c *simCache) (floa
 	if !accessionAnchor && (!hasAnchor || (support < 2 && len(fa) >= 2)) {
 		score *= 0.5
 	}
-	return score, bestPair
+	return score, bestI, bestJ
 }
 
 // BlockingMode selects the candidate-generation strategy.
@@ -541,36 +538,6 @@ type Stats struct {
 	Flagged     int
 }
 
-// blockingKey derives the sorted-neighbourhood key: the lexicographically
-// smallest informative token across all fields (reversed in the second
-// pass), which is robust to field order and naming differences between
-// sources.
-func blockingKey(r Record, reversed bool) string {
-	best := ""
-	for _, v := range r.Fields {
-		for _, tok := range textmine.Tokenize(v) {
-			if len(tok) < 3 {
-				continue
-			}
-			if reversed {
-				tok = reverse(tok)
-			}
-			if best == "" || tok < best {
-				best = tok
-			}
-		}
-	}
-	return best
-}
-
-func reverse(s string) string {
-	b := []byte(s)
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return string(b)
-}
-
 // FindDuplicates flags duplicate pairs between records of different
 // sources. Same-source pairs are also reported (duplicates can exist
 // within one source) but self-pairs never are. Candidate generation is
@@ -583,94 +550,30 @@ func FindDuplicates(records []Record, opts Options) ([]Match, Stats) {
 
 // FindDuplicatesContext is FindDuplicates with cancellation: when ctx is
 // canceled mid-scoring the partial result is discarded and ctx.Err() is
-// returned.
+// returned. A whole-set run is an empty Index taking every record as one
+// batch: same candidates in the same order, same frequency weights.
 func FindDuplicatesContext(ctx context.Context, records []Record, opts Options) ([]Match, Stats, error) {
-	opts.fill()
-	stats := Stats{Records: len(records)}
-	matcher := NewMatcher(records)
-	pairs := candidatePairs(records, opts)
-	stats.Comparisons = len(pairs)
-	matches, err := scorePairs(ctx, pairs, matcher, opts, nil)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Flagged = len(matches)
-	sortMatches(matches)
-	return matches, stats, nil
-}
-
-// candidatePairs generates the deduplicated candidate pairs of the chosen
-// blocking mode, in a deterministic order.
-func candidatePairs(records []Record, opts Options) [][2]Record {
-	seen := make(map[pairID]bool)
-	var pairs [][2]Record
-	add := func(a, b Record) {
-		if a.Source == b.Source && a.Accession == b.Accession {
-			return
-		}
-		k := pairIDOf(a, b)
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		pairs = append(pairs, [2]Record{a, b})
-	}
-
-	switch opts.Blocking {
-	case FullPairwise:
-		for i := 0; i < len(records); i++ {
-			for j := i + 1; j < len(records); j++ {
-				add(records[i], records[j])
-			}
-		}
-	case SortedNeighborhood:
-		passes := 1
-		if !opts.DisableSecondPass {
-			passes = 2
-		}
-		for pass := 0; pass < passes; pass++ {
-			ks := make([]keyedRecord, len(records))
-			for i, r := range records {
-				ks[i] = keyedRecord{blockingKey(r, pass == 1), r}
-			}
-			sortKeyed(ks)
-			for i := range ks {
-				for j := i + 1; j < len(ks) && j <= i+opts.Window; j++ {
-					add(ks[i].rec, ks[j].rec)
-				}
-			}
-		}
-	}
-	return pairs
+	return NewIndex().FindNewContext(ctx, records, opts)
 }
 
 // scorePairs computes record similarity for every candidate pair on the
 // worker pool (indexed slots keep the output order deterministic) and
-// returns the pairs at or above the threshold. A nil cache builds one
-// over the pairs' values; a non-nil cache (the incremental index's
-// persistent one) must already cover them.
-func scorePairs(ctx context.Context, pairs [][2]Record, matcher *Matcher, opts Options, cache *simCache) ([]Match, error) {
-	type scored struct {
-		sim  float64
-		best bestFields
-	}
-	if cache == nil {
-		// Precompute every distinct value's derived forms up front; the
-		// workers then score against a read-only cache.
-		cache = newSimCache()
-		cache.admitPairs(pairs)
-	}
-	results := make([]scored, len(pairs))
+// returns the pairs at or above the threshold. Every record in pairs must
+// have been resolved; the workers only read them.
+func scorePairs(ctx context.Context, pairs [][2]*prepared, opts Options) ([]Match, error) {
+	sims := make([]float64, len(pairs))
 	if err := parallel.ForChunked(ctx, opts.Workers, len(pairs), 32, func(i int) {
-		sim, best := weightedSimilarityCached(pairs[i][0], pairs[i][1], matcher, cache)
-		results[i] = scored{sim, best}
+		sims[i], _ = score(pairs[i][0], pairs[i][1])
 	}); err != nil {
 		return nil, err
 	}
 	var matches []Match
-	for i, r := range results {
-		if r.sim >= opts.Threshold {
-			matches = append(matches, Match{A: pairs[i][0], B: pairs[i][1], Similarity: r.sim, Evidence: r.best.evidence()})
+	for i, sim := range sims {
+		if sim >= opts.Threshold {
+			// Few pairs are flagged: naming their evidence by a second
+			// score is cheaper than keeping it for every pair.
+			_, best := score(pairs[i][0], pairs[i][1])
+			matches = append(matches, Match{A: pairs[i][0].rec, B: pairs[i][1].rec, Similarity: sim, Evidence: best.evidence()})
 		}
 	}
 	return matches, nil
@@ -693,21 +596,6 @@ func pairKey(a, b Record) string {
 		ka, kb = kb, ka
 	}
 	return ka + "\x01" + kb
-}
-
-// pairID is pairKey as a comparable struct — the dedup-set key during
-// candidate generation, where a concatenated string per considered pair
-// would be the hottest allocation of the whole detection run.
-type pairID struct {
-	aSource, aAccession string
-	bSource, bAccession string
-}
-
-func pairIDOf(a, b Record) pairID {
-	if b.Source < a.Source || (b.Source == a.Source && b.Accession < a.Accession) {
-		a, b = b, a
-	}
-	return pairID{a.Source, a.Accession, b.Source, b.Accession}
 }
 
 // Links converts matches into duplicate links for the metadata repository.
@@ -780,24 +668,28 @@ type Conflict struct {
 // Conflicts pairs up the most similar fields of a match and reports those
 // whose values disagree.
 func Conflicts(m Match) []Conflict {
+	a, b := prepare(m.A, 0), prepare(m.B, 0)
+	a.resolve(nil)
+	b.resolve(nil)
 	var out []Conflict
-	for ka, va := range m.A.Fields {
-		bestK, bestSim := "", -1.0
-		for kb, vb := range m.B.Fields {
-			if s := fieldSimilarity(nil, va, vb, nil); s > bestSim {
-				bestSim = s
-				bestK = kb
+	for i := range a.fields {
+		fa := &a.fields[i]
+		best, bestSim := -1, -1.0
+		for j := range b.fields {
+			if s := fieldSim(fa, &b.fields[j]); s > bestSim {
+				best, bestSim = j, s
 			}
 		}
-		if bestK == "" {
+		if best < 0 {
 			continue
 		}
-		vb := m.B.Fields[bestK]
+		kb := b.fields[best].name
+		va, vb := m.A.Fields[fa.name], m.B.Fields[kb]
 		// A conflict is a corresponding field pair (similar enough to be
 		// about the same property) whose raw values disagree.
 		if bestSim >= 0.3 && !strings.EqualFold(va, vb) {
 			out = append(out, Conflict{
-				FieldA: ka, FieldB: bestK,
+				FieldA: fa.name, FieldB: kb,
 				ValueA: va, ValueB: vb,
 				Similarity: bestSim,
 			})

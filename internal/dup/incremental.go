@@ -1,10 +1,23 @@
 // Incremental duplicate detection: instead of re-running FindDuplicates
 // over the union of all integrated records on every source addition —
 // redoing O(total²) comparisons that were already made — an Index keeps
-// every record bucketed by its sorted-neighbourhood blocking keys once,
-// and each new source is compared only new×existing + new×new within the
-// blocking windows. Matches between two previously-integrated records
-// were already flagged when the later of the two arrived.
+// every record prepared and bucketed by its sorted-neighbourhood blocking
+// keys once, and each new source is compared only new×existing + new×new
+// within the blocking windows. Matches between two previously-integrated
+// records were already flagged when the later of the two arrived.
+//
+// What is built when, per record (see prepared in dup.go):
+//   - at insert (Add, FindNew): fields in name order, one lower-cased
+//     copy and one tokenisation per value, the matcher's counts, both
+//     blocking keys. Replay through Add — recovery, replica apply,
+//     checkpoint load — does nothing else;
+//   - at the first comparison: the forms only scoring reads (trigram
+//     profiles, room for the weights);
+//   - per FindNew pass: token IDF and value weight, once per distinct
+//     record the pass compares — the matcher is frozen between insert and
+//     the end of the pass, so no logarithm is taken per pair.
+//
+// Remove and RemoveSource drop the records and every form with them.
 //
 // Deliberate tradeoff vs the full re-run: previously compared pairs are
 // NOT rescored under the frequency weights of later batches. A pair just
@@ -15,57 +28,40 @@
 package dup
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// keyedRecord is one record tagged with a blocking key.
-type keyedRecord struct {
-	key string
-	rec Record
-}
-
-// keyedLess is the total order of the sorted-neighbourhood lists: by
-// blocking key, ties broken by record identity. A strict total order
+// keyedCmp is the total order of the pass-p sorted-neighbourhood list:
+// by blocking key, ties broken by record identity. A strict total order
 // matters for the incremental index: merging batches under it yields the
 // exact list a full re-sort would, so windows do not depend on the order
 // sources were integrated in (blocking-key tie groups can exceed the
 // window size, where insertion-point drift would change the candidates).
-func keyedLess(a, b keyedRecord) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	ai := a.rec.Source + "\x00" + a.rec.Accession
-	bi := b.rec.Source + "\x00" + b.rec.Accession
-	return ai < bi
-}
-
-// sortKeyed orders by keyedLess.
-func sortKeyed(ks []keyedRecord) {
-	sort.Slice(ks, func(i, j int) bool { return keyedLess(ks[i], ks[j]) })
+func keyedCmp(a, b *prepared, pass int) int {
+	return cmp.Or(strings.Compare(a.keys[pass], b.keys[pass]),
+		strings.Compare(a.rec.Source, b.rec.Source),
+		strings.Compare(a.rec.Accession, b.rec.Accession))
 }
 
 // Index is the persistent blocking index over all integrated records.
-// Records are bucketed (their blocking keys computed and merged into the
-// sorted pass lists) exactly once, when added.
+// Records are prepared and bucketed (merged into the sorted pass lists)
+// exactly once, when added.
 type Index struct {
 	// passes[p] holds every indexed record sorted by the pass-p blocking
 	// key (p=1 uses the reversed key of the second pass).
-	passes  [2][]keyedRecord
-	all     []Record
+	passes  [2][]*prepared
+	all     []*prepared
 	matcher *Matcher
-	// cache persists each compared value's derived scoring forms across
-	// batches: a streamed ingest revisits boundary records every batch,
-	// and rebuilding their token sets and gram codes per batch dominated
-	// allocation. Entries are pure functions of the value, so removals
-	// never need to evict.
-	cache *simCache
+	lastID  uint32 // id of the most recently inserted record
+	pass    uint32 // number of the current FindNew pass
 }
 
 // NewIndex creates an empty incremental duplicate index.
 func NewIndex() *Index {
-	return &Index{matcher: NewMatcher(nil), cache: newSimCache()}
+	return &Index{matcher: NewMatcher(nil)}
 }
 
 // Len returns the number of indexed records.
@@ -77,32 +73,33 @@ func (ix *Index) Add(records []Record) {
 	ix.insert(records)
 }
 
-// insert merges the records into both sorted pass lists and the matcher,
-// returning the merged positions of the inserted records per pass.
+// insert prepares the records and merges them into both sorted pass
+// lists and the matcher, returning their merged positions per pass.
 func (ix *Index) insert(records []Record) [2][]int {
-	ix.matcher.addRecords(records)
-	ix.all = append(ix.all, records...)
+	added := make([]*prepared, len(records))
+	for i, r := range records {
+		ix.lastID++
+		added[i] = prepare(r, ix.lastID)
+		ix.matcher.add(added[i])
+	}
+	ix.all = append(ix.all, added...)
 	var positions [2][]int
-	for pass := 0; pass < 2; pass++ {
-		ks := make([]keyedRecord, len(records))
-		for i, r := range records {
-			ks[i] = keyedRecord{blockingKey(r, pass == 1), r}
-		}
-		sortKeyed(ks)
-		ix.passes[pass], positions[pass] = mergeKeyed(ix.passes[pass], ks)
+	for pass := range ix.passes {
+		slices.SortFunc(added, func(a, b *prepared) int { return keyedCmp(a, b, pass) })
+		ix.passes[pass], positions[pass] = mergeKeyed(ix.passes[pass], added, pass)
 	}
 	return positions
 }
 
-// mergeKeyed merges two key-sorted lists, returning the merged list and
-// the positions the `added` entries landed on.
-func mergeKeyed(existing, added []keyedRecord) ([]keyedRecord, []int) {
-	merged := make([]keyedRecord, 0, len(existing)+len(added))
+// mergeKeyed merges two lists sorted by the pass's key, returning the
+// merged list and the positions the `added` entries landed on.
+func mergeKeyed(existing, added []*prepared, pass int) ([]*prepared, []int) {
+	merged := make([]*prepared, 0, len(existing)+len(added))
 	pos := make([]int, 0, len(added))
 	i, j := 0, 0
 	for i < len(existing) || j < len(added) {
 		takeAdded := i >= len(existing) ||
-			(j < len(added) && keyedLess(added[j], existing[i]))
+			(j < len(added) && keyedCmp(added[j], existing[i], pass) < 0)
 		if takeAdded {
 			pos = append(pos, len(merged))
 			merged = append(merged, added[j])
@@ -118,29 +115,7 @@ func mergeKeyed(existing, added []keyedRecord) ([]keyedRecord, []int) {
 // RemoveSource drops every record of one source from the index — the
 // unwind path when a source addition fails after duplicate detection ran.
 func (ix *Index) RemoveSource(source string) {
-	var removed []Record
-	keep := ix.all[:0]
-	for _, r := range ix.all {
-		if strings.EqualFold(r.Source, source) {
-			removed = append(removed, r)
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	ix.all = keep
-	if len(removed) == 0 {
-		return
-	}
-	ix.matcher.removeRecords(removed)
-	for pass := 0; pass < 2; pass++ {
-		kept := ix.passes[pass][:0]
-		for _, k := range ix.passes[pass] {
-			if !strings.EqualFold(k.rec.Source, source) {
-				kept = append(kept, k)
-			}
-		}
-		ix.passes[pass] = kept
-	}
+	ix.remove(func(p *prepared) bool { return strings.EqualFold(p.rec.Source, source) })
 }
 
 // Remove drops the given records from the index by identity
@@ -149,58 +124,35 @@ func (ix *Index) RemoveSource(source string) {
 // other records indexed. At most one indexed record is dropped per
 // given record; ix.all is scanned from the end, so a just-inserted
 // batch (always the tail) is removed exactly, even when an appended
-// accession collides with an older record of the same source. In that
-// collision case the sorted pass lists cannot tell the twins apart and
-// may keep the newer one's fields — a harmless skew on a path that only
-// runs when the batch is being thrown away.
+// accession collides with an older record of the same source.
 func (ix *Index) Remove(records []Record) {
-	if len(records) == 0 {
-		return
-	}
-	id := func(r Record) string { return r.Source + "\x00" + r.Accession }
-	want := make(map[string]int, len(records))
+	want := make(map[[2]string]int, len(records))
 	for _, r := range records {
-		want[id(r)]++
+		want[[2]string{r.Source, r.Accession}]++
 	}
-	var removed []Record
-	keepRev := make([]Record, 0, len(ix.all))
-	for i := len(ix.all) - 1; i >= 0; i-- {
-		r := ix.all[i]
-		if want[id(r)] > 0 {
-			want[id(r)]--
-			removed = append(removed, r)
-		} else {
-			keepRev = append(keepRev, r)
+	gone := make(map[*prepared]bool, len(records))
+	for i := len(ix.all) - 1; i >= 0 && len(gone) < len(records); i-- {
+		p := ix.all[i]
+		if k := [2]string{p.rec.Source, p.rec.Accession}; want[k] > 0 {
+			want[k]--
+			gone[p] = true
 		}
 	}
-	for i, j := 0, len(keepRev)-1; i < j; i, j = i+1, j-1 {
-		keepRev[i], keepRev[j] = keepRev[j], keepRev[i]
+	ix.remove(func(p *prepared) bool { return gone[p] })
+}
+
+// remove unwinds the matcher's counts of every record gone reports and
+// deletes it from all three lists. slices.DeleteFunc zeroes the vacated
+// tails, so nothing keeps a removed record or its derived forms alive.
+func (ix *Index) remove(gone func(*prepared) bool) {
+	for _, p := range ix.all {
+		if gone(p) {
+			ix.matcher.remove(p)
+		}
 	}
-	ix.all = keepRev
-	if len(removed) == 0 {
-		return
-	}
-	ix.matcher.removeRecords(removed)
-	for pass := 0; pass < 2; pass++ {
-		drop := make(map[string]int, len(removed))
-		for _, r := range removed {
-			drop[id(r)]++
-		}
-		// Fresh slice: the backward scan must not write over entries it has
-		// yet to read, so filtering in place is off the table here.
-		kept := make([]keyedRecord, 0, len(ix.passes[pass])-len(removed))
-		for i := len(ix.passes[pass]) - 1; i >= 0; i-- {
-			k := ix.passes[pass][i]
-			if drop[id(k.rec)] > 0 {
-				drop[id(k.rec)]--
-			} else {
-				kept = append(kept, k)
-			}
-		}
-		for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
-			kept[i], kept[j] = kept[j], kept[i]
-		}
-		ix.passes[pass] = kept
+	ix.all = slices.DeleteFunc(ix.all, gone)
+	for pass := range ix.passes {
+		ix.passes[pass] = slices.DeleteFunc(ix.passes[pass], gone)
 	}
 }
 
@@ -221,36 +173,43 @@ func (ix *Index) FindNew(added []Record, opts Options) ([]Match, Stats) {
 // any other mid-pipeline failure.
 func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Options) ([]Match, Stats, error) {
 	opts.fill()
-	existing := len(ix.all)
-	addedSet := make(map[string]bool, len(added))
-	for _, r := range added {
-		addedSet[r.Source+"\x00"+r.Accession] = true
-	}
+	n := len(ix.all)
+	firstNew := ix.lastID + 1 // every record of this batch has an id from here up
 	positions := ix.insert(added)
+	existing, fresh := ix.all[:n], ix.all[n:]
 	stats := Stats{Records: len(ix.all)}
+	ix.pass++
 
-	seen := make(map[pairID]bool)
-	var pairs [][2]Record
-	add := func(a, b Record) {
-		if a.Source == b.Source && a.Accession == b.Accession {
+	// The matcher is frozen from here to the end of the pass: each record
+	// is resolved against it when its first candidate pair is admitted.
+	seen := make(map[uint64]bool)
+	var pairs [][2]*prepared
+	add := func(a, b *prepared) {
+		if a.rec.Source == b.rec.Source && a.rec.Accession == b.rec.Accession {
 			return
 		}
-		k := pairIDOf(a, b)
+		k := uint64(min(a.id, b.id))<<32 | uint64(max(a.id, b.id))
 		if seen[k] {
 			return
 		}
 		seen[k] = true
-		pairs = append(pairs, [2]Record{a, b})
+		for _, p := range [2]*prepared{a, b} {
+			if p.pass != ix.pass {
+				p.pass = ix.pass
+				p.resolve(ix.matcher)
+			}
+		}
+		pairs = append(pairs, [2]*prepared{a, b})
 	}
 
 	switch opts.Blocking {
 	case FullPairwise:
-		for ai, a := range added {
-			for i := 0; i < existing; i++ {
-				add(a, ix.all[i])
+		for ai, a := range fresh {
+			for _, b := range existing {
+				add(a, b)
 			}
-			for j := ai + 1; j < len(added); j++ {
-				add(a, added[j])
+			for _, b := range fresh[ai+1:] {
+				add(a, b)
 			}
 		}
 	case SortedNeighborhood:
@@ -261,36 +220,23 @@ func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Option
 		for pass := 0; pass < passes; pass++ {
 			ks := ix.passes[pass]
 			for _, i := range positions[pass] {
-				lo := i - opts.Window
-				if lo < 0 {
-					lo = 0
-				}
-				hi := i + opts.Window
-				if hi > len(ks)-1 {
-					hi = len(ks) - 1
-				}
+				lo := max(i-opts.Window, 0)
+				hi := min(i+opts.Window, len(ks)-1)
 				for j := lo; j <= hi; j++ {
-					if j == i {
-						continue
-					}
 					// A new×new pair within the window is produced from
 					// both endpoints' positions; keep the i<j orientation
 					// so each pair is generated once (the seen set catches
 					// the cross-pass repeats).
-					other := ks[j].rec
-					if j < i && addedSet[other.Source+"\x00"+other.Accession] {
+					if j == i || (j < i && ks[j].id >= firstNew) {
 						continue
 					}
-					add(ks[i].rec, other)
+					add(ks[i], ks[j])
 				}
 			}
 		}
 	}
 	stats.Comparisons = len(pairs)
-	// Top the persistent cache up with whatever these pairs touch —
-	// values seen in earlier batches are already covered.
-	ix.cache.admitPairs(pairs)
-	matches, err := scorePairs(ctx, pairs, ix.matcher, opts, ix.cache)
+	matches, err := scorePairs(ctx, pairs, opts)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -96,8 +96,15 @@ func TestIndexBatchOrderInvariance(t *testing.T) {
 	for _, batch := range [][]Record{c, a, b} {
 		stepwise.Add(batch)
 	}
+	order := func(ps []*prepared, pass int) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = p.keys[pass] + " " + p.rec.Source + " " + p.rec.Accession
+		}
+		return out
+	}
 	for pass := 0; pass < 2; pass++ {
-		if !reflect.DeepEqual(oneBatch.passes[pass], stepwise.passes[pass]) {
+		if !reflect.DeepEqual(order(oneBatch.passes[pass], pass), order(stepwise.passes[pass], pass)) {
 			t.Errorf("pass %d orders differ between batch layouts", pass)
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,13 +58,29 @@ func TestE4PerfectAtZeroNoise(t *testing.T) {
 	}
 }
 
+// TestE9ThresholdShape pins the paper-fidelity numbers of §4.5 at 12
+// proteins: precision, recall, F1 and comparisons per field noise and
+// threshold, as measured at commit 29cf0e4 — before duplicate detection
+// scored prepared records — so a rewrite of the scorer cannot drift them
+// silently.
 func TestE9ThresholdShape(t *testing.T) {
 	tbl, err := E9DuplicatePR(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 9 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
+	want := [][]string{
+		{"0.00", "0.40", "0.280", "1.000", "0.438", "210"},
+		{"0.00", "0.60", "1.000", "1.000", "1.000", "210"},
+		{"0.00", "0.80", "1.000", "0.143", "0.250", "210"},
+		{"0.30", "0.40", "0.280", "1.000", "0.438", "210"},
+		{"0.30", "0.60", "1.000", "1.000", "1.000", "210"},
+		{"0.30", "0.80", "1.000", "0.143", "0.250", "210"},
+		{"0.60", "0.40", "0.208", "0.714", "0.323", "210"},
+		{"0.60", "0.60", "1.000", "0.714", "0.833", "210"},
+		{"0.60", "0.80", "1.000", "0.143", "0.250", "210"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("E9 rows (noise, threshold, P, R, F1, comparisons):\n got  %v\n want %v", tbl.Rows, want)
 	}
 }
 

@@ -26,27 +26,37 @@ var stopwords = map[string]bool{
 // Tokenize lower-cases s and splits it into alphanumeric tokens, dropping
 // stopwords and single characters.
 func Tokenize(s string) []string {
+	toks := TokenizeLower(strings.ToLower(s))
+	for i, t := range toks {
+		toks[i] = strings.Clone(t)
+	}
+	return toks
+}
+
+// TokenizeLower is Tokenize over an already lower-cased string. The
+// tokens are substrings of lower and keep it alive: the form for a caller
+// that holds the lower-cased copy anyway.
+func TokenizeLower(lower string) []string {
 	var out []string
-	var sb strings.Builder
-	flush := func() {
-		if sb.Len() == 0 {
-			return
+	start := -1
+	flush := func(end int) {
+		if start >= 0 {
+			if tok := lower[start:end]; len(tok) >= 2 && !stopwords[tok] {
+				out = append(out, tok)
+			}
+			start = -1
 		}
-		tok := sb.String()
-		sb.Reset()
-		if len(tok) < 2 || stopwords[tok] {
-			return
-		}
-		out = append(out, tok)
 	}
-	for _, r := range strings.ToLower(s) {
+	for i, r := range lower {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			sb.WriteRune(r)
+			if start < 0 {
+				start = i
+			}
 		} else {
-			flush()
+			flush(i)
 		}
 	}
-	flush()
+	flush(len(lower))
 	return out
 }
 
@@ -289,12 +299,6 @@ func QGrams(s string, q int) map[string]int {
 
 // QGramSimilarity computes Dice similarity over q-gram multisets.
 func QGramSimilarity(a, b string, q int) float64 {
-	if q >= 1 && q <= 8 {
-		// Hot path (duplicate detection compares every candidate pair's
-		// long fields this way): grams packed into integers, multiset
-		// overlap by sorted merge — no maps, no per-gram strings.
-		return qgramSimilarityPacked(a, b, q)
-	}
 	ga, gb := QGrams(a, q), QGrams(b, q)
 	var sizeA, sizeB, overlap int
 	for g, ca := range ga {
@@ -316,68 +320,73 @@ func QGramSimilarity(a, b string, q int) float64 {
 	return 2 * float64(overlap) / float64(sizeA+sizeB)
 }
 
-// QGramCodes packs the padded lower-cased q-grams of s into uint64s
-// (q bytes each, q <= 8), sorted — the multiset QGrams builds, in a
-// representation two calls can intersect without hashing. Callers that
-// compare the same value many times can hold the codes and pass them to
-// DiceCodes directly.
-func QGramCodes(s string, q int) []uint64 {
-	if s == "" {
+// GramRun is one distinct q-gram of a value (its q <= 4 bytes packed
+// big-endian) and how often it occurs.
+type GramRun struct {
+	Code, Count uint32
+}
+
+// QGramProfile is the multiset QGrams builds over an already lower-cased
+// string, as runs sorted by code: what a caller comparing one value many
+// times holds and hands to DiceProfiles. A value over a small alphabet has
+// few runs however long it is — at most 68 for DNA trigrams.
+func QGramProfile(lower string, q int) []GramRun {
+	if lower == "" {
 		return nil
 	}
 	pad := strings.Repeat("#", q-1)
-	padded := pad + strings.ToLower(s) + pad
-	n := len(padded) - q + 1
-	codes := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		var c uint64
+	padded := pad + lower + pad
+	codes := make([]uint32, len(padded)-q+1)
+	for i := range codes {
+		var c uint32
 		for j := 0; j < q; j++ {
-			c = c<<8 | uint64(padded[i+j])
+			c = c<<8 | uint32(padded[i+j])
 		}
 		codes[i] = c
 	}
 	slices.Sort(codes)
-	return codes
-}
-
-// qgramSimilarityPacked is Dice similarity over q-gram multisets via
-// sorted merge; identical results to the map-based form for q <= 8.
-func qgramSimilarityPacked(a, b string, q int) float64 {
-	return DiceCodes(QGramCodes(a, q), QGramCodes(b, q))
-}
-
-// DiceCodes is Dice similarity over two sorted gram-code multisets from
-// QGramCodes.
-func DiceCodes(ca, cb []uint64) float64 {
-	if len(ca)+len(cb) == 0 {
-		return 0
-	}
-	overlap, i, j := 0, 0, 0
-	for i < len(ca) && j < len(cb) {
-		switch {
-		case ca[i] < cb[j]:
-			i++
-		case ca[i] > cb[j]:
-			j++
-		default:
-			v := ca[i]
-			ri, rj := 0, 0
-			for i < len(ca) && ca[i] == v {
-				i++
-				ri++
-			}
-			for j < len(cb) && cb[j] == v {
-				j++
-				rj++
-			}
-			if ri < rj {
-				overlap += ri
-			} else {
-				overlap += rj
-			}
+	runs := 0
+	for i, c := range codes {
+		if i == 0 || c != codes[i-1] {
+			runs++
 		}
 	}
-	return 2 * float64(overlap) / float64(len(ca)+len(cb))
+	out := make([]GramRun, 0, runs)
+	for i, c := range codes {
+		if i == 0 || c != codes[i-1] {
+			out = append(out, GramRun{Code: c})
+		}
+		out[len(out)-1].Count++
+	}
+	return out
+}
+
+// DiceProfiles is Dice similarity over two profiles from QGramProfile:
+// twice the multiset overlap over the two sizes, by one merge.
+func DiceProfiles(a, b []GramRun) float64 {
+	var size, overlap uint32
+	for _, r := range a {
+		size += r.Count
+	}
+	for _, r := range b {
+		size += r.Count
+	}
+	if size == 0 {
+		return 0
+	}
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		ra, rb := a[i], b[j]
+		if ra.Code == rb.Code {
+			overlap += min(ra.Count, rb.Count)
+		}
+		if ra.Code <= rb.Code {
+			i++
+		}
+		if rb.Code <= ra.Code {
+			j++
+		}
+	}
+	return 2 * float64(overlap) / float64(size)
 }
 
 // EntityRecognizer extracts candidate biomedical entity names from free

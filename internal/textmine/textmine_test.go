@@ -275,3 +275,72 @@ func TestCosineRange(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Tokens cut from the lower-cased copy are the tokens Tokenize returns,
+// including around multi-byte runes, invalid UTF-8 and stopwords.
+func TestTokenizeLowerMatchesTokenize(t *testing.T) {
+	for _, s := range []string{"", "a", "The Hemoglobin, subunit-alpha (HBA1) binds O2.",
+		"ÄÖÜ straße ǅungla İstanbul", "bad\xffutf8 \xc3 tail", "of the and", "x1 y22  z-333"} {
+		got, want := TokenizeLower(strings.ToLower(s)), Tokenize(s)
+		if strings.Join(got, "|") != strings.Join(want, "|") || (got == nil) != (want == nil) {
+			t.Errorf("%q: TokenizeLower %q, Tokenize %q", s, got, want)
+		}
+	}
+}
+
+// The run-length profile gives the Dice similarity of the q-gram multisets
+// QGrams builds.
+func TestDiceProfilesMatchesQGrams(t *testing.T) {
+	viaMaps := func(a, b string) float64 {
+		ga, gb := QGrams(a, 3), QGrams(b, 3)
+		size, overlap := 0, 0
+		for g, ca := range ga {
+			size += ca
+			overlap += min(ca, gb[g])
+		}
+		for _, cb := range gb {
+			size += cb
+		}
+		if size == 0 {
+			return 0
+		}
+		return 2 * float64(overlap) / float64(size)
+	}
+	f := func(a, b string) bool {
+		return DiceProfiles(QGramProfile(strings.ToLower(a), 3), QGramProfile(strings.ToLower(b), 3)) == viaMaps(a, b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, p := range [][2]string{{"", ""}, {"", "acgt"}, {"ACGTACGTACGTTTGA", "acgtacctacgtttga"}, {"aaaaaaa", "aaa"}} {
+		if !f(p[0], p[1]) {
+			t.Errorf("%q vs %q: %v, maps give %v", p[0], p[1], QGramSimilarity(p[0], p[1], 3), viaMaps(p[0], p[1]))
+		}
+	}
+}
+
+// Jaro's greedy matching walks its first argument, yet the result does
+// not depend on the argument order: a character only matches an equal
+// one inside a window both sides share, so by induction on the leftmost
+// unmatched occurrence of each character both walks pair the same
+// positions. Duplicate detection relies on it to compare each field
+// pair once. Exhaustive over every pair of strings of up to 6 letters
+// from {a,b,c}.
+func TestJaroWinklerSymmetric(t *testing.T) {
+	var all []string
+	for n, level := 0, []string{""}; n <= 6; n++ {
+		all = append(all, level...)
+		var next []string
+		for _, s := range level {
+			next = append(next, s+"a", s+"b", s+"c")
+		}
+		level = next
+	}
+	for i, a := range all {
+		for _, b := range all[i+1:] {
+			if ab, ba := JaroWinkler(a, b), JaroWinkler(b, a); ab != ba {
+				t.Fatalf("JaroWinkler(%q,%q)=%v but reversed %v", a, b, ab, ba)
+			}
+		}
+	}
+}
