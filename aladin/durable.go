@@ -81,6 +81,10 @@ func openDurable(cfg *config, plans *planCache) (*DB, error) {
 // acknowledged. Changed-tuple counts feed the §6.2 threshold policy (see
 // RecordChanges/Reanalyze); derived artifacts — links, search index,
 // duplicate flags — intentionally go stale until Reanalyze.
+//
+// Like Reanalyze, a statement waits for an in-flight AddSource or
+// IngestSource (it takes addMu): their off-lock link discovery reads the
+// registered relations and resolvers that the statement replaces.
 // Errors: ErrBadQuery, ErrCanceled, ErrClosed.
 func (d *DB) Exec(ctx context.Context, sql string) (*QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {
@@ -89,6 +93,8 @@ func (d *DB) Exec(ctx context.Context, sql string) (*QueryResult, error) {
 	if err := d.replicaGuard(); err != nil {
 		return nil, err
 	}
+	d.addMu.Lock()
+	defer d.addMu.Unlock()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()

@@ -1,5 +1,6 @@
 // Allocation-budget regression gates for the vectorized executor's
-// zero-allocation hash paths and for duplicate detection. The batch
+// zero-allocation hash paths, for duplicate detection and for sequence
+// link discovery. The batch
 // engine cut hash-join, DISTINCT, and GROUP BY from tens of thousands of
 // allocs/op (string keys + map[string][]Tuple) to roughly a hundred;
 // ALLOC_budget.json pins ceilings with headroom so a regression back
@@ -21,6 +22,7 @@ type allocBudget struct {
 	Distinct     int64   `json:"distinct"`
 	GroupBy      int64   `json:"group_by"`
 	DupScorePair float64 `json:"dup_score_pair"`
+	SeqScorePair float64 `json:"seq_score_pair"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -56,6 +58,23 @@ func TestDupAllocBudget(t *testing.T) {
 	t.Logf("dup_score_pair: %.3f allocs/pair (budget %.2f)", got, budget.DupScorePair)
 	if got <= 0 || got > budget.DupScorePair {
 		t.Errorf("dup_score_pair: %.3f allocs/pair outside (0, %.2f]", got, budget.DupScorePair)
+	}
+}
+
+// TestSeqAllocBudget holds sequence link discovery to its allocations
+// per candidate pair (BenchmarkSeqLinks' allocs/pair, workers=1). The
+// score kernel reuses one row, so a pair below MinScore allocates
+// nothing and the figure is per-tuple and per-query set-up; an aligner
+// that allocates per pair again adds at least one.
+func TestSeqAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	if budget.SeqScorePair <= 0 {
+		t.Fatal("seq_score_pair: missing budget in ALLOC_budget.json")
+	}
+	got := testing.Benchmark(BenchmarkSeqLinks).Extra["allocs/pair"]
+	t.Logf("seq_score_pair: %.3f allocs/pair (budget %.2f)", got, budget.SeqScorePair)
+	if got <= 0 || got > budget.SeqScorePair {
+		t.Errorf("seq_score_pair: %.3f allocs/pair outside (0, %.2f]", got, budget.SeqScorePair)
 	}
 }
 

@@ -222,7 +222,9 @@ func BenchmarkSequenceLinkPR(b *testing.B) {
 }
 
 // BenchmarkSeededVsFullAlignment (E7 ablation): BLAST-style k-mer seeding
-// against the quadratic all-pairs Smith-Waterman baseline.
+// against the quadratic all-pairs Smith-Waterman baseline. The seeded
+// side is link discovery's path: each candidate scored once, both
+// directions' alignments for the pairs that reach MinScore.
 func BenchmarkSeededVsFullAlignment(b *testing.B) {
 	corpus := benchCorpus(40)
 	sp := corpus.Source("swissprot").Relation("sequence")
@@ -243,7 +245,7 @@ func BenchmarkSeededVsFullAlignment(b *testing.B) {
 				ix.Add(t.ID, t.Seq)
 			}
 			for _, q := range queries {
-				ix.Search(q.Seq, seq.SearchOptions{MinScore: 40, MinIdentity: 0.7})
+				ix.CrossSearch(q.Seq, seq.SearchOptions{MinScore: 40})
 			}
 		}
 	})
@@ -252,6 +254,59 @@ func BenchmarkSeededVsFullAlignment(b *testing.B) {
 			seq.AllPairs(queries, targets, seq.SearchOptions{MinScore: 40, MinIdentity: 0.7})
 		}
 	})
+}
+
+// BenchmarkSeqLinks is sequence-link discovery alone, on the
+// integrate-linked workload's sequences: 24 GenBank loci, half of them
+// 3%-substituted copies, linked against 1,200 EMBL entries through
+// DiscoverAgainst, workers=1, text and entity channels off (xref
+// discovery still runs). pairs/op counts the candidate pairs sharing
+// two 8-mers, each scored once for both directions; us/pair and
+// allocs/pair spread the whole call over them — TestSeqAllocBudget holds
+// the latter to ALLOC_budget.json.
+func BenchmarkSeqLinks(b *testing.B) {
+	embl, genbank := datagen.LinkedSequences(7)
+	source := func(db *rel.Database) *linkdisc.Source {
+		profs, err := profile.ProfileDatabase(db, profile.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := discovery.Analyze(db, profs, discovery.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return &linkdisc.Source{DB: db, Structure: st, Profiles: profs}
+	}
+	targets, queries := source(embl), source(genbank)
+	eng := linkdisc.New(linkdisc.Options{Workers: 1, DisableTextLinks: true, DisableEntityLinks: true})
+	if err := eng.AddSource(targets); err != nil {
+		b.Fatal(err)
+	}
+	ix := seq.NewIndex(8)
+	for _, t := range embl.Relation("entry").Tuples {
+		ix.Add("", t[2].AsString())
+	}
+	pairs := 0
+	for _, t := range genbank.Relation("locus").Tuples {
+		pairs += ix.CandidateCount(t[2].AsString(), 2)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, st, err := eng.DiscoverAgainst(context.Background(), queries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.SequenceComparisons != 24 {
+			b.Fatalf("%d sequence hits, want 24", st.SequenceComparisons)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(pairs), "pairs/op")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*pairs), "us/pair")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*pairs), "allocs/pair")
 }
 
 // BenchmarkTextLinkPR (E8): entity-mention link quality.

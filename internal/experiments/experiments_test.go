@@ -84,6 +84,29 @@ func TestE9ThresholdShape(t *testing.T) {
 	}
 }
 
+// TestE7SequenceRows pins the paper-fidelity numbers of §4.4's sequence
+// links at 30 proteins: precision, recall and F1 of homology links per
+// mutation rate, and the seeded-candidate and all-pairs counts, as
+// measured at commit 82b2e5e — before each candidate pair was scored
+// once for both directions — so a rewrite of the aligner cannot drift
+// them silently.
+func TestE7SequenceRows(t *testing.T) {
+	tbl, err := E7SequencePR(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"0.01", "1.000", "1.000", "1.000", "149", "900"},
+		{"0.05", "1.000", "1.000", "1.000", "151", "900"},
+		{"0.10", "1.000", "1.000", "1.000", "168", "900"},
+		{"0.20", "1.000", "0.956", "0.977", "149", "900"},
+		{"0.40", "1.000", "0.500", "0.667", "146", "900"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("E7 rows (mutation, P, R, F1, seeded-candidates, all-pairs):\n got  %v\n want %v", tbl.Rows, want)
+	}
+}
+
 func TestTablePrint(t *testing.T) {
 	tbl := Table{
 		ID: "T", Title: "demo", Header: []string{"a", "b"},

@@ -3,6 +3,7 @@ package linkdisc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -185,12 +186,21 @@ func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {
 	var links []metadata.Link
 	var xattrs []XRefAttribute
 	var stats Stats
+	// One seeding pass per unordered pair yields both directions' links.
+	seqLinks := make(map[[2]*Source][]metadata.Link)
+	for i, a := range e.sources {
+		for _, b := range e.sources[i+1:] {
+			fwd, rev, n, _ := e.discoverSequenceLinks(ctx, a, b)
+			seqLinks[[2]*Source{a, b}], seqLinks[[2]*Source{b, a}] = fwd, rev
+			stats.SequenceComparisons += n
+		}
+	}
 	for _, from := range e.sources {
 		for _, to := range e.sources {
 			if from == to {
 				continue
 			}
-			ls, xs, st, _ := e.discoverPair(ctx, from, to)
+			ls, xs, st, _ := e.discoverPair(ctx, from, to, seqLinks[[2]*Source{from, to}])
 			links = append(links, ls...)
 			xattrs = append(xattrs, xs...)
 			addStats(&stats, st)
@@ -272,6 +282,12 @@ func (e *Engine) RefreshResolver(name string) {
 // source, in both directions. A registered source with nu's name is also
 // skipped, so an append batch (DiscoverAppended) is never linked against
 // the source it extends.
+//
+// Sequence links are discovered once per source pair, both directions
+// from one seeding pass (discoverSequenceLinks); everything else runs per
+// direction. Links come in two blocks per pair — nu's xref, sequence,
+// text and entity links to other, then other's to nu — the order the
+// repository's "first stored wins" ties and the WAL depend on.
 func (e *Engine) discoverBothWays(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	var links []metadata.Link
 	var xattrs []XRefAttribute
@@ -280,20 +296,23 @@ func (e *Engine) discoverBothWays(ctx context.Context, nu *Source) ([]metadata.L
 		if other == nu || strings.EqualFold(other.DB.Name, nu.DB.Name) {
 			continue
 		}
-		ls, xs, st, err := e.discoverPair(ctx, nu, other)
+		fwd, rev, n, err := e.discoverSequenceLinks(ctx, nu, other)
 		if err != nil {
 			return nil, nil, Stats{}, err
 		}
-		links = append(links, ls...)
-		xattrs = append(xattrs, xs...)
-		addStats(&stats, st)
-		ls, xs, st, err = e.discoverPair(ctx, other, nu)
-		if err != nil {
-			return nil, nil, Stats{}, err
+		stats.SequenceComparisons += n
+		for _, d := range [2]struct {
+			from, to *Source
+			seq      []metadata.Link
+		}{{nu, other, fwd}, {other, nu, rev}} {
+			ls, xs, st, err := e.discoverPair(ctx, d.from, d.to, d.seq)
+			if err != nil {
+				return nil, nil, Stats{}, err
+			}
+			links = append(links, ls...)
+			xattrs = append(xattrs, xs...)
+			addStats(&stats, st)
 		}
-		links = append(links, ls...)
-		xattrs = append(xattrs, xs...)
-		addStats(&stats, st)
 	}
 	stats.Links = len(links)
 	return links, xattrs, stats, nil
@@ -308,8 +327,9 @@ func addStats(dst *Stats, s Stats) {
 	dst.TextComparisons += s.TextComparisons
 }
 
-// discoverPair finds links from objects of `from` to objects of `to`.
-func (e *Engine) discoverPair(ctx context.Context, from, to *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
+// discoverPair finds links from objects of `from` to objects of `to`,
+// placing the already discovered sequence links after the xref links.
+func (e *Engine) discoverPair(ctx context.Context, from, to *Source, seqLinks []metadata.Link) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	var links []metadata.Link
 	var stats Stats
 	xls, xattrs, xst, err := e.discoverXRefs(ctx, from, to)
@@ -317,15 +337,8 @@ func (e *Engine) discoverPair(ctx context.Context, from, to *Source) ([]metadata
 		return nil, nil, Stats{}, err
 	}
 	links = append(links, xls...)
+	links = append(links, seqLinks...)
 	addStats(&stats, xst)
-	if !e.opts.DisableSequenceLinks {
-		sls, n, err := e.discoverSequenceLinks(ctx, from, to)
-		if err != nil {
-			return nil, nil, Stats{}, err
-		}
-		links = append(links, sls...)
-		stats.SequenceComparisons += n
-	}
 	if !e.opts.DisableTextLinks {
 		tls, n, err := e.discoverTextLinks(ctx, from, to)
 		if err != nil {
@@ -550,90 +563,105 @@ func (e *Engine) xrefObjectLinks(from, to *Source, r *rel.Relation, col string,
 	return out
 }
 
-// sequenceColumns lists (relation, column) pairs holding sequences.
-func sequenceColumns(s *Source) [][2]string {
-	var out [][2]string
+// seqTuple is one non-null sequence value of a source and the primary
+// objects owning it.
+type seqTuple struct {
+	seq    string
+	owners []string
+}
+
+// seqTuples lists a source's sequence values in column and tuple order.
+func seqTuples(s *Source) []seqTuple {
+	var out []seqTuple
 	for _, r := range s.DB.Relations() {
-		for _, c := range r.Schema.Columns {
-			p := s.Profiles[profile.Key(r.Name, c.Name)]
-			if p != nil && p.IsSequenceField() {
-				out = append(out, [2]string{r.Name, c.Name})
+		for ci, c := range r.Schema.Columns {
+			if p := s.Profiles[profile.Key(r.Name, c.Name)]; p == nil || !p.IsSequenceField() {
+				continue
+			}
+			for ti, t := range r.Tuples {
+				if !t[ci].IsNull() {
+					out = append(out, seqTuple{t[ci].AsString(), s.resolver.owners(r.Name, ti)})
+				}
 			}
 		}
 	}
 	return out
 }
 
-// discoverSequenceLinks builds a k-mer index over the target source's
-// sequence fields and queries it with the new source's sequences.
-func (e *Engine) discoverSequenceLinks(ctx context.Context, from, to *Source) ([]metadata.Link, int, error) {
-	fromCols := sequenceColumns(from)
-	toCols := sequenceColumns(to)
-	if len(fromCols) == 0 || len(toCols) == 0 {
-		return nil, 0, nil
+// discoverSequenceLinks finds the sequence links of one source pair in
+// both directions — a's objects to b's (fwd), b's to a's (rev) — and the
+// hits behind them. It indexes b's sequences and probes the index with
+// a's, so each candidate pair is seeded and scored once (seq.CrossSearch)
+// and only hits are traced back, once per direction.
+func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, rev []metadata.Link, hits int, err error) {
+	if e.opts.DisableSequenceLinks {
+		return nil, nil, 0, nil
 	}
-	// Index all target sequences, labeled by owning primary accession.
+	as, bs := seqTuples(a), seqTuples(b)
+	if len(as) == 0 || len(bs) == 0 {
+		return nil, nil, 0, nil
+	}
+	toB, toA, err := e.crossHits(ctx, as, bs)
+	asym := func(t seqTuple) bool { return !seq.MinusSymmetric(t.seq) }
+	if err == nil && e.opts.SeqBothStrands && (slices.ContainsFunc(as, asym) || slices.ContainsFunc(bs, asym)) {
+		// Reverse complementing is no involution on U or non-ASCII bytes:
+		// with them, b's direction is seeded from b's end.
+		toA, _, err = e.crossHits(ctx, bs, as)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	fwd, n := e.seqLinks(a, b, as, toB)
+	rev, m := e.seqLinks(b, a, bs, toA)
+	return fwd, rev, n + m, nil
+}
+
+// crossHits indexes ts and probes it with every query of qs on the worker
+// pool. It returns each query's hits on the owners of ts, and each
+// target's hits on the owners of qs — what indexing qs and probing with
+// ts would find — both above MinSeqIdentity, not yet ranked.
+func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][]seq.Hit, err error) {
 	ix := seq.NewIndex(e.opts.SeqKmer)
-	for _, rc := range toCols {
-		r := to.DB.Relation(rc[0])
-		ci := r.Schema.Index(rc[1])
-		for ti, t := range r.Tuples {
-			v := t[ci]
-			if v.IsNull() {
-				continue
-			}
-			for _, owner := range to.resolver.owners(rc[0], ti) {
-				ix.Add(owner, v.AsString())
-			}
-		}
+	for _, t := range ts {
+		ix.Add("", t.seq)
 	}
-	// Each query tuple's seeded search + Smith-Waterman alignments are
-	// independent — the dominant cost of this channel — so they fan out
-	// over the worker pool; the cross-tuple link dedupe reduces serially
-	// in tuple order.
-	type query struct {
-		rel string
-		ti  int
-		val string
-	}
-	var queries []query
-	for _, rc := range fromCols {
-		r := from.DB.Relation(rc[0])
-		ci := r.Schema.Index(rc[1])
-		for ti, t := range r.Tuples {
-			v := t[ci]
-			if v.IsNull() {
-				continue
-			}
-			queries = append(queries, query{rel: rc[0], ti: ti, val: v.AsString()})
-		}
-	}
-	type queryResult struct {
-		hits   []seq.Hit
-		owners []string
-	}
-	results := make([]queryResult, len(queries))
-	if err := parallel.For(ctx, e.opts.Workers, len(queries), func(i int) {
-		q := queries[i]
-		hits := ix.Search(q.val, seq.SearchOptions{
-			MinScore:    e.opts.SeqMinScore,
-			MinIdentity: e.opts.MinSeqIdentity,
-			BothStrands: e.opts.SeqBothStrands,
-		})
-		if len(hits) == 0 {
-			return
-		}
-		results[i] = queryResult{hits: hits, owners: from.resolver.owners(q.rel, q.ti)}
+	opts := seq.SearchOptions{MinScore: e.opts.SeqMinScore, BothStrands: e.opts.SeqBothStrands}
+	pairs := make([][]seq.Pair, len(qs))
+	if err := parallel.For(ctx, e.opts.Workers, len(qs), func(i int) {
+		pairs[i] = ix.CrossSearch(qs[i].seq, opts)
 	}); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	comparisons := 0
+	add := func(hits []seq.Hit, owners []string, al seq.Alignment, minus bool) []seq.Hit {
+		if al.Identity < e.opts.MinSeqIdentity {
+			return hits
+		}
+		for _, o := range owners {
+			hits = append(hits, seq.Hit{TargetID: o, Alignment: al, MinusStrand: minus})
+		}
+		return hits
+	}
+	fwd, rev = make([][]seq.Hit, len(qs)), make([][]seq.Hit, len(ts))
+	for i, ps := range pairs {
+		for _, p := range ps {
+			fwd[i] = add(fwd[i], ts[p.Target].owners, p.Fwd, p.MinusStrand)
+			rev[p.Target] = add(rev[p.Target], qs[i].owners, p.Rev, p.MinusStrand)
+		}
+	}
+	return fwd, rev, nil
+}
+
+// seqLinks ranks each query's hits as seq.Search does, links every owner
+// of the query to each hit, once per object pair, and counts the hits.
+func (e *Engine) seqLinks(from, to *Source, qs []seqTuple, hits [][]seq.Hit) ([]metadata.Link, int) {
+	n := 0
 	var out []metadata.Link
 	seen := make(map[string]bool)
-	for _, res := range results {
-		comparisons += len(res.hits)
-		for _, h := range res.hits {
-			for _, owner := range res.owners {
+	for i, hs := range hits {
+		hs = seq.Rank(hs, e.opts.SeqBothStrands)
+		n += len(hs)
+		for _, h := range hs {
+			for _, owner := range qs[i].owners {
 				k := owner + "\x00" + h.TargetID
 				if seen[k] {
 					continue
@@ -649,7 +677,7 @@ func (e *Engine) discoverSequenceLinks(ctx context.Context, from, to *Source) ([
 			}
 		}
 	}
-	return out, comparisons, nil
+	return out, n
 }
 
 // textDoc is one primary object's concatenated free-text annotation.

@@ -1,7 +1,9 @@
 package seq
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -315,4 +317,216 @@ func TestSearchBothStrandsKeepsBest(t *testing.T) {
 		t.Error("plus-strand hit should win")
 	}
 	_ = rng
+}
+
+// parentSmithWaterman is the aligner before the score-only kernel, kept
+// as the oracle: the recurrence over the full (n+1)(m+1) direction
+// matrix, traced back from the first best cell in row-major order.
+func parentSmithWaterman(a, b string, sc Scoring) Alignment {
+	n, m := len(a), len(b)
+	if n == 0 || m == 0 {
+		return Alignment{}
+	}
+	dir := make([]uint8, (n+1)*(m+1))
+	prev := make([]int, m+1)
+	curr := make([]int, m+1)
+	best, bi, bj := 0, 0, 0
+	for i := 1; i <= n; i++ {
+		curr[0] = 0
+		for j := 1; j <= m; j++ {
+			sub := sc.Mismatch
+			if a[i-1] == b[j-1] {
+				sub = sc.Match
+			}
+			diag := prev[j-1] + sub
+			up := prev[j] + sc.Gap
+			left := curr[j-1] + sc.Gap
+			v, d := 0, uint8(0)
+			if diag > v {
+				v, d = diag, 1
+			}
+			if up > v {
+				v, d = up, 2
+			}
+			if left > v {
+				v, d = left, 3
+			}
+			curr[j] = v
+			dir[i*(m+1)+j] = d
+			if v > best {
+				best, bi, bj = v, i, j
+			}
+		}
+		prev, curr = curr, prev
+	}
+	if best == 0 {
+		return Alignment{}
+	}
+	matches, cols := 0, 0
+	i, j := bi, bj
+	for i > 0 && j > 0 {
+		d := dir[i*(m+1)+j]
+		if d == 0 {
+			break
+		}
+		cols++
+		switch d {
+		case 1:
+			if a[i-1] == b[j-1] {
+				matches++
+			}
+			i--
+			j--
+		case 2:
+			i--
+		case 3:
+			j--
+		}
+	}
+	al := Alignment{Score: best, AStart: i, AEnd: bi, BStart: j, BEnd: bj, Matches: matches, Columns: cols}
+	if cols > 0 {
+		al.Identity = float64(matches) / float64(cols)
+	}
+	return al
+}
+
+// orientPairs align with equal score but different identity in the two
+// orientations; the same pairs seed linkdisc's goldens.
+var orientPairs = [][2]string{
+	{"GCGCCGCACAGAAGTAATTCAAGTGACAAGCCGCCCTCATAAACC", "GCGCCACAGAAAGTAATCAAGTGACAAGCCGCCCTCATAAACC"},
+	{"GCAACTCTCAGGTCCTCGTTTGAATCTGTACTTTGATACGTC", "GCAACTCAGAGTCCTCGTTTCGAATCTGCACTTTGATACGTGC"},
+}
+
+// randomOver draws n characters of alphabet: two letters make many
+// equal-score cells, the protein alphabet few.
+func randomOver(rng *rand.Rand, alphabet string, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(b)
+}
+
+// indels copies s with substitutions, deletions and insertions.
+func indels(rng *rand.Rand, s string) string {
+	var b []byte
+	for i := 0; i < len(s); i++ {
+		switch x := rng.Float64(); {
+		case x < 0.06:
+			b = append(b, "ACGT"[rng.Intn(4)])
+		case x < 0.09:
+		case x < 0.12:
+			b = append(b, s[i], "ACGT"[rng.Intn(4)])
+		default:
+			b = append(b, s[i])
+		}
+	}
+	return string(b)
+}
+
+// TestKernelMatchesParentAligner: on random DNA, protein and two-letter
+// pairs, gapped copies, ties and empty inputs, in both orientations, the
+// kernel's (score, endI, endJ) is the parent's (Score, AEnd, BEnd) — the
+// first best cell in row-major order — and the prefix traceback is the
+// parent's full-matrix alignment.
+func TestKernelMatchesParentAligner(t *testing.T) {
+	sc := DefaultScoring()
+	var row []int32
+	check := func(a, b string) {
+		t.Helper()
+		for _, p := range [][2]string{{a, b}, {b, a}} {
+			want := parentSmithWaterman(p[0], p[1], sc)
+			if score, endI, endJ := swScore(p[0], p[1], sc, &row); score != want.Score || endI != want.AEnd || endJ != want.BEnd {
+				t.Fatalf("swScore(%q, %q) = (%d, %d, %d), parent (%d, %d, %d)",
+					p[0], p[1], score, endI, endJ, want.Score, want.AEnd, want.BEnd)
+			}
+			if got := SmithWaterman(p[0], p[1], sc); got != want {
+				t.Fatalf("SmithWaterman(%q, %q) = %+v, parent %+v", p[0], p[1], got, want)
+			}
+		}
+	}
+	for _, p := range [][2]string{
+		{"", ""}, {"", "ACGT"}, {"AAAA", "TTTT"},
+		{"ACGTACGT", "ACGT"}, {"AAAAAAAA", "AAAA"}, {"ACACACAC", "CACA"}, {"ACGTTTACGT", "ACGT"},
+	} {
+		check(p[0], p[1])
+	}
+	for _, p := range orientPairs {
+		check(p[0], p[1])
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 400; i++ {
+		alphabet := []string{"ACGT", "AC", "ACDEFGHIKLMNPQRSTVWY"}[i%3]
+		a := randomOver(rng, alphabet, rng.Intn(80))
+		check(a, randomOver(rng, alphabet, rng.Intn(80)))
+		check(a, indels(rng, a))
+	}
+}
+
+// TestScoreKernelAllocatesNothing: once the scratch row fits, scoring a
+// pair — the fate of every pair below MinScore — allocates nothing.
+func TestScoreKernelAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	a, b := randomDNA(rng, 200), randomDNA(rng, 240)
+	row := make([]int32, len(b))
+	if n := testing.AllocsPerRun(20, func() { swScore(a, b, DefaultScoring(), &row) }); n != 0 {
+		t.Errorf("swScore allocated %.1f times per pair", n)
+	}
+}
+
+// TestCrossSearchIsSearchFromEachEnd: CrossSearch's Fwd alignments are
+// what Search of the query finds, its Rev alignments what Search of each
+// target over an index of the queries finds — on gapped copies, reverse
+// complements and pairs whose traceback depends on orientation.
+func TestCrossSearchIsSearchFromEachEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var queries, targets []string
+	for i := 0; i < 30; i++ {
+		s := randomDNA(rng, 40+rng.Intn(60))
+		c := indels(rng, s)
+		if i%3 == 0 {
+			c = strings.ToLower(ReverseComplement(c))
+		}
+		queries, targets = append(queries, s), append(targets, c)
+	}
+	for _, p := range orientPairs {
+		queries, targets = append(queries, p[0]), append(targets, p[1])
+	}
+	index := func(seqs []string) *Index {
+		ix := NewIndex(6)
+		for i, s := range seqs {
+			ix.Add(fmt.Sprint(i), s)
+		}
+		return ix
+	}
+	qix, tix := index(queries), index(targets)
+	for _, both := range []bool{false, true} {
+		opts := SearchOptions{MinScore: 30, BothStrands: both}
+		fwd := make([][]Hit, len(queries))
+		rev := make([][]Hit, len(targets))
+		orientDiffers := false
+		for qi, q := range queries {
+			for _, p := range tix.CrossSearch(q, opts) {
+				fwd[qi] = append(fwd[qi], Hit{TargetID: fmt.Sprint(p.Target), Alignment: p.Fwd, MinusStrand: p.MinusStrand})
+				rev[p.Target] = append(rev[p.Target], Hit{TargetID: fmt.Sprint(qi), Alignment: p.Rev, MinusStrand: p.MinusStrand})
+				orientDiffers = orientDiffers || p.Fwd.Identity != p.Rev.Identity
+			}
+		}
+		compare := func(dir string, i int, got []Hit, want []Hit) {
+			t.Helper()
+			got = Rank(got, both)
+			if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Errorf("both=%v %s %d:\n got  %+v\n want %+v", both, dir, i, got, want)
+			}
+		}
+		for qi, q := range queries {
+			compare("query", qi, fwd[qi], tix.Search(q, opts))
+		}
+		for ti, s := range targets {
+			compare("target", ti, rev[ti], qix.Search(s, opts))
+		}
+		if !orientDiffers {
+			t.Errorf("both=%v: no pair whose identity depends on orientation", both)
+		}
+	}
 }
