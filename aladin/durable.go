@@ -84,7 +84,7 @@ func openDurable(cfg *config, plans *planCache) (*DB, error) {
 //
 // Like Reanalyze, a statement waits for an in-flight AddSource or
 // IngestSource (it takes addMu): their off-lock link discovery reads the
-// registered relations and resolvers that the statement replaces.
+// registered relations and ownership tables that the statement replaces.
 // Errors: ErrBadQuery, ErrCanceled, ErrClosed.
 func (d *DB) Exec(ctx context.Context, sql string) (*QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {

@@ -7,12 +7,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/metadata"
+	"repro/internal/rel"
 )
 
 // fastaText renders records start..start+n-1 of the deterministic
@@ -344,4 +347,149 @@ func TestReplicaConvergesDuringIngest(t *testing.T) {
 	if n, err := tableCount(replica, "seqs_fasta"); err != nil || n != 360 {
 		t.Fatalf("replica count = %d (%v), want 360", n, err)
 	}
+}
+
+// emblUpload renders one EMBL upload of n entries, accessions Q<first>
+// onwards, each with two Pfam dbrefs; refs go to the upload's first
+// entry as extra dbrefs. Entry names differ in length by more than a
+// fifth, so the accession heuristic picks AC. The scanner numbers
+// entry_id from 1 in every upload.
+func emblUpload(first, n int, refs ...string) string {
+	var sb strings.Builder
+	for i := first; i < first+n; i++ {
+		fmt.Fprintf(&sb, "ID   %s%d_HUMAN   Reviewed;   40 BP.\nAC   Q%05d;\nDE   Protein %d.\nOS   Homo sapiens.\n",
+			[]string{"A", "CALM"}[i%2], i, i, i)
+		fmt.Fprintf(&sb, "DR   Pfam; PF%05d; fam.\nDR   Pfam; PF%05d; fam.\n", 2*i, 2*i+1)
+		if i == first {
+			for _, r := range refs {
+				fmt.Fprintf(&sb, "DR   TDB; %s; -.\n", r)
+			}
+		}
+		fmt.Fprintf(&sb, "SQ   SEQUENCE   40 BP;\n     %s\n//\n", strings.Repeat("ACGT", 10))
+	}
+	return sb.String()
+}
+
+// TestTwoUploadsLinkFromTheirOwnEntries streams one source in two
+// uploads whose entry_id surrogates both start at 1, and only the second
+// upload's first entry cites the target. Ownership is resolved per
+// batch, so every xref link to the target comes from that entry — not
+// also from the first upload's entry with the same entry_id.
+func TestTwoUploadsLinkFromTheirOwnEntries(t *testing.T) {
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	uploadTwice(t, db)
+	addTarget(t, db)
+	if got, want := twoUploadsState(t, db), twoUploadsWant; got != want {
+		t.Errorf("state after adding the target:\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestTwoUploadsSurviveRestart: the source's two uploads are
+// checkpointed, then the target is added and re-analyzed, which
+// rediscovers the links from the source's ownership table. Recovery, a
+// replica bootstrapped from the segments and a single-file snapshot
+// restore that table batch by batch, so they hold the live links and
+// search hits — not also links from the first upload's entry.
+func TestTwoUploadsSurviveRestart(t *testing.T) {
+	ctx := context.Background()
+	path := t.TempDir()
+	db, err := Open(WithDataDir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadTwice(t, db)
+	if err := db.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	addTarget(t, db)
+	if _, err := db.Reanalyze(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := twoUploadsState(t, db); got != twoUploadsWant {
+		t.Fatalf("live state after re-analysis:\n%s--- want\n%s", got, twoUploadsWant)
+	}
+	srv := httptest.NewServer(db.ReplHandler())
+	defer srv.Close()
+	replica := openReplicaOf(t, srv.URL, t.TempDir())
+	defer replica.Close()
+	waitCaughtUp(t, db, replica)
+	if got := twoUploadsState(t, replica); got != twoUploadsWant {
+		t.Errorf("replica:\n%s--- want\n%s", got, twoUploadsWant)
+	}
+	snap, err := db.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(WithSnapshot(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if got := twoUploadsState(t, loaded); got != twoUploadsWant {
+		t.Errorf("loaded snapshot:\n%s--- want\n%s", got, twoUploadsWant)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(WithDataDir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := twoUploadsState(t, reopened); got != twoUploadsWant {
+		t.Errorf("recovered:\n%s--- want\n%s", got, twoUploadsWant)
+	}
+}
+
+// uploadTwice streams source s in two uploads of ten entries each; only
+// the second upload's first entry, Q00011, cites the target's terms.
+func uploadTwice(t *testing.T, db *DB) {
+	t.Helper()
+	for _, text := range []string{emblUpload(1, 10), emblUpload(11, 10, "T00001", "T00002", "T00003")} {
+		if _, err := db.IngestSource(context.Background(), "s", "embl", strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// addTarget adds source t, five terms T00001..T00005.
+func addTarget(t *testing.T, db *DB) {
+	t.Helper()
+	target := rel.NewDatabase("t")
+	term := target.Create("term", rel.TextSchema("accession", "name"))
+	for i := 1; i <= 5; i++ {
+		term.AppendRaw(fmt.Sprintf("T%05d", i), fmt.Sprintf("target term %d", i))
+	}
+	if _, err := db.AddSource(context.Background(), target); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// twoUploadsWant is twoUploadsState when every citation of the target
+// resolves to the citing entry.
+const twoUploadsWant = "xref Q00011 -> T00001\nxref Q00011 -> T00002\nxref Q00011 -> T00003\nsearch Q00011\n"
+
+// twoUploadsState lists the xref links from s to t and the s objects a
+// search for the first cited term finds.
+func twoUploadsState(t *testing.T, db *DB) string {
+	t.Helper()
+	var lines []string
+	for _, l := range db.sys.Repo.AllLinks() {
+		if l.Type == metadata.LinkXRef && l.From.Source == "s" && l.To.Source == "t" {
+			lines = append(lines, fmt.Sprintf("xref %s -> %s\n", l.From.Accession, l.To.Accession))
+		}
+	}
+	slices.Sort(lines)
+	hits, err := db.Search(context.Background(), "T00001", SearchFilter{Sources: []string{"s"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hits {
+		lines = append(lines, fmt.Sprintf("search %s\n", h.Document.Object.Accession))
+	}
+	return strings.Join(lines, "")
 }

@@ -331,9 +331,12 @@ func (s *System) prepare(ctx context.Context, p *Pending, discover discoverFunc)
 	}()
 
 	// Step 4: link discovery, both directions, against every other
-	// integrated source (§4.4).
-	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs}
+	// integrated source (§4.4). The batch's ownership table is built once,
+	// here: link discovery and search indexing read it, and publish
+	// appends it to the source's.
 	t0 := time.Now()
+	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs,
+		Owners: discovery.OwnersOf(p.batch, p.structure)}
 	links, xattrs, lstats, err := discover(ctx, p.src)
 	if err != nil {
 		return nil, err
@@ -404,7 +407,7 @@ func (s *System) stage(p *Pending) (err error) {
 		return err
 	}
 	if !s.opts.DisableSearchIndex {
-		p.searchIdx = buildSearchIndex(p.batch, p.structure, p.profs)
+		p.searchIdx = buildSearchIndex(p.src)
 	}
 	return nil
 }
@@ -550,9 +553,10 @@ func (s *System) publish(p *Pending) (map[string]int, error) {
 			srcDB.Put(grown(srcDB.Relation(br.Name), br.Tuples))
 			s.warehouse.Put(grown(s.warehouse.Relation(p.key+"_"+br.Name), br.Tuples))
 		}
-		// The engine's resolver caches per-column indexes over the
-		// pre-append relations; rebuild lazily over the grown ones.
-		s.engine.RefreshResolver(p.name)
+		// The source's ownership table grows by the batch's, at the
+		// positions the append branches gave the batch's tuples.
+		reg := s.engine.Source(p.name)
+		reg.Owners = reg.Owners.Append(p.src.Owners)
 	}
 	added := make(map[string]int)
 	for _, l := range p.links {
@@ -648,15 +652,16 @@ func (s *System) failAt(stage string) error {
 // tests exercising the failure and cancellation paths.
 func (s *System) SetFailpoint(f func(stage string) error) { s.failpoint = f }
 
-// buildSearchIndex tokenizes a source's text-bearing values into a fresh
-// per-source index, ready to be spliced into the system index with Merge.
-func buildSearchIndex(db *rel.Database, st *discovery.Structure, profs map[string]*profile.ColumnProfile) *search.Index {
+// buildSearchIndex tokenizes a batch's text-bearing values into a fresh
+// index, ready to be spliced into the system index with Merge. A value
+// is indexed under the first primary object owning its tuple.
+func buildSearchIndex(src *linkdisc.Source) *search.Index {
 	ix := search.NewIndex()
-	resolver := newOwnerIndex(db, st)
-	for _, r := range db.Relations() {
+	st := src.Structure
+	for _, r := range src.DB.Relations() {
 		isPrimary := strings.EqualFold(r.Name, st.Primary)
 		for ci, c := range r.Schema.Columns {
-			p := profs[profile.Key(r.Name, c.Name)]
+			p := src.Profiles[profile.Key(r.Name, c.Name)]
 			if p == nil || p.PurelyNumeric || p.IsSequenceField() {
 				continue
 			}
@@ -665,13 +670,13 @@ func buildSearchIndex(db *rel.Database, st *discovery.Structure, profs map[strin
 				if v.IsNull() {
 					continue
 				}
-				acc := resolver.owner(r.Name, ti)
-				if acc == "" {
+				owners := src.Owners.Of(r.Name, ti)
+				if len(owners) == 0 {
 					continue
 				}
 				ix.Add(search.Document{
 					Object: metadata.ObjectRef{
-						Source: db.Name, Relation: st.Primary, Accession: acc,
+						Source: src.DB.Name, Relation: st.Primary, Accession: owners[0],
 					},
 					Relation: r.Name,
 					Column:   c.Name,
@@ -825,8 +830,10 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 
 	// Link discovery under the new structure, against every other source.
 	// The engine's registered copy is left alone until the journal write
-	// succeeded; the candidate resolves through a fresh resolver, so the
-	// result depends on the data alone and replay reproduces it.
+	// succeeded; the candidate's ownership table is built afresh from the
+	// whole source and replaces the registered one, so the result depends
+	// on the data and the other sources' tables alone, and replay — which
+	// restores those tables batch by batch — reproduces it.
 	t0 = time.Now()
 	src := &linkdisc.Source{DB: db, Structure: structure, Profiles: profs}
 	links, xattrs, lstats, err := s.engine.DiscoverAppended(ctx, src)
@@ -853,7 +860,7 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 	if reg := s.engine.Source(source); reg != nil {
 		reg.Structure = structure
 		reg.Profiles = profs
-		s.engine.RefreshResolver(source)
+		reg.Owners = src.Owners
 	}
 	for _, l := range links {
 		if s.Repo.AddLink(l) {
@@ -867,103 +874,4 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 	})
 	s.Repo.ResetChanges(source)
 	return report, nil
-}
-
-// ownerIndex is a forward resolver caching, per relation, the owning
-// primary-object accession of each tuple, used for search indexing.
-type ownerIndex struct {
-	db  *rel.Database
-	st  *discovery.Structure
-	acc map[string][]string // relation -> per-tuple owner accession ("" = none)
-}
-
-func newOwnerIndex(db *rel.Database, st *discovery.Structure) *ownerIndex {
-	oi := &ownerIndex{db: db, st: st, acc: make(map[string][]string)}
-	pr := db.Relation(st.Primary)
-	if pr == nil {
-		return oi
-	}
-	ai := pr.Schema.Index(st.PrimaryAccession)
-	owners := make([]string, len(pr.Tuples))
-	for i, t := range pr.Tuples {
-		if !t[ai].IsNull() {
-			owners[i] = t[ai].AsString()
-		}
-	}
-	oi.acc[strings.ToLower(pr.Name)] = owners
-	for _, paths := range st.Paths {
-		if len(paths) == 0 {
-			continue
-		}
-		oi.propagate(paths[0])
-	}
-	return oi
-}
-
-// propagate walks one §4.3 path forward from the primary relation,
-// carrying ownership through each join step.
-func (oi *ownerIndex) propagate(path discovery.Path) {
-	pr := oi.db.Relation(oi.st.Primary)
-	if pr == nil {
-		return
-	}
-	curOwners := oi.acc[strings.ToLower(pr.Name)]
-	curRel := pr
-	for _, step := range path.Steps {
-		var curCol, nextRelName, nextCol string
-		if step.Forward {
-			curCol = step.Edge.From.FromColumn
-			nextRelName = step.Edge.From.ToRelation
-			nextCol = step.Edge.From.ToColumn
-		} else {
-			curCol = step.Edge.From.ToColumn
-			nextRelName = step.Edge.From.FromRelation
-			nextCol = step.Edge.From.FromColumn
-		}
-		ci := curRel.Schema.Index(curCol)
-		nextRel := oi.db.Relation(nextRelName)
-		if ci < 0 || nextRel == nil {
-			return
-		}
-		ni := nextRel.Schema.Index(nextCol)
-		if ni < 0 {
-			return
-		}
-		valueOwner := make(map[string]string)
-		for ti, t := range curRel.Tuples {
-			if curOwners[ti] == "" || t[ci].IsNull() {
-				continue
-			}
-			k := t[ci].Key()
-			if _, ok := valueOwner[k]; !ok {
-				valueOwner[k] = curOwners[ti]
-			}
-		}
-		nextOwners := make([]string, len(nextRel.Tuples))
-		for ti, t := range nextRel.Tuples {
-			if t[ni].IsNull() {
-				continue
-			}
-			nextOwners[ti] = valueOwner[t[ni].Key()]
-		}
-		key := strings.ToLower(nextRelName)
-		if existing, ok := oi.acc[key]; ok {
-			for i := range nextOwners {
-				if nextOwners[i] == "" && existing[i] != "" {
-					nextOwners[i] = existing[i]
-				}
-			}
-		}
-		oi.acc[key] = nextOwners
-		curOwners = nextOwners
-		curRel = nextRel
-	}
-}
-
-func (oi *ownerIndex) owner(relation string, tupleIdx int) string {
-	owners := oi.acc[strings.ToLower(relation)]
-	if tupleIdx >= len(owners) {
-		return ""
-	}
-	return owners[tupleIdx]
 }

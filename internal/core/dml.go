@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/discovery"
 	"repro/internal/rel"
 	"repro/internal/sqlx"
 	"repro/internal/store"
@@ -89,9 +90,11 @@ func (s *System) Exec(sql string) (*sqlx.Result, error) {
 	}
 	srcDB.Put(clone)
 	s.warehouse.Put(qualifiedClone(clone, srcKey, idxCols[strings.ToLower(clone.Name)]))
-	// The engine's resolver caches tuple positions of the replaced
-	// relation; later discovery must resolve against the new one.
-	s.engine.RefreshResolver(meta.Name)
+	// The source's ownership table holds tuple positions of the replaced
+	// relation; rebuild it from the whole source now, as one batch, so the
+	// table a checkpoint persists is the one later discovery reads.
+	reg := s.engine.Source(meta.Name)
+	reg.Owners = discovery.OwnersOf(srcDB, reg.Structure)
 	s.Repo.RecordChanges(meta.Name, res.Affected)
 	return res, nil
 }

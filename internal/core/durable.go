@@ -199,6 +199,7 @@ type PendingCheckpoint struct {
 	data     *store.CheckpointData
 	dirtySet map[string]bool
 	dirtyDBs map[string]*rel.Database
+	batches  map[string][][]int
 	metas    map[string]*metadata.SourceMeta
 	records  int
 }
@@ -235,6 +236,7 @@ func (s *System) BeginCheckpoint() (*PendingCheckpoint, error) {
 		data:     &store.CheckpointData{WALSeq: seq, RecordSeq: s.seq.Load()},
 		dirtySet: dirty,
 		dirtyDBs: make(map[string]*rel.Database),
+		batches:  make(map[string][][]int),
 		metas:    make(map[string]*metadata.SourceMeta),
 		records:  records,
 	}
@@ -244,8 +246,10 @@ func (s *System) BeginCheckpoint() (*PendingCheckpoint, error) {
 		if dirty[name] && s.sources[name] != nil {
 			// ShallowClone pins the relation set: later DML replaces
 			// relations in the live database but never mutates published
-			// ones, so the clone encodes consistently off-lock.
+			// ones, so the clone encodes consistently off-lock. Restore
+			// rebuilds the ownership table batch by batch.
 			cp.dirtyDBs[name] = s.sources[name].ShallowClone()
+			cp.batches[name] = s.engine.Source(name).Owners.Batches(cp.dirtyDBs[name])
 			cp.metas[name] = m
 		}
 	}
@@ -270,13 +274,15 @@ func (s *System) WriteCheckpoint(cp *PendingCheckpoint) error {
 			continue
 		}
 		m := cp.metas[key]
-		cp.data.Dirty = append(cp.data.Dirty, store.SourceSnapshot{
+		ss := store.SourceSnapshot{
 			Name:       m.Name,
 			Relations:  store.SnapshotDatabase(db),
 			Structure:  m.Structure,
 			Profiles:   m.Profiles,
 			TupleCount: m.TupleCount,
-		})
+		}
+		ss.SetBatches(cp.batches[key])
+		cp.data.Dirty = append(cp.data.Dirty, ss)
 	}
 	if err := d.dir.CompleteCheckpoint(cp.data); err != nil {
 		d.remerge(cp.dirtySet, cp.records)

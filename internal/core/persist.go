@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/discovery"
 	"repro/internal/dup"
 	"repro/internal/linkdisc"
 	"repro/internal/metadata"
@@ -37,7 +38,14 @@ func (s *System) Snapshot() *store.Snapshot {
 	for _, m := range s.Repo.Sources() {
 		metas[strings.ToLower(m.Name)] = m
 	}
-	return store.Build(s.sources, metas, s.Repo.AllLinks(), s.Repo.RemovedLinks())
+	snap := store.Build(s.sources, metas, s.Repo.AllLinks(), s.Repo.RemovedLinks())
+	// Record each source's batches, so that loading rebuilds its
+	// ownership table batch by batch.
+	for i := range snap.Sources {
+		reg := s.engine.Source(snap.Sources[i].Name)
+		snap.Sources[i].SetBatches(reg.Owners.Batches(reg.DB))
+	}
+	return snap
 }
 
 // restore publishes one persisted source image with the candidate links
@@ -79,7 +87,13 @@ func (s *System) restore(ss *store.SourceSnapshot, links []metadata.Link) error 
 			}
 		}
 	}
-	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs}
+	// A whole source's image rebuilds the ownership table batch by batch,
+	// as the system held it; a journaled batch is one batch.
+	owners, err := discovery.OwnersOfBatches(p.batch, p.structure, ss.Batches())
+	if err != nil {
+		return err
+	}
+	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs, Owners: owners}
 	// Bucket the records into the incremental duplicate index without
 	// comparing: later integrations compare against them.
 	p.records = dup.RecordsFromSource(p.batch, p.structure)
@@ -90,7 +104,7 @@ func (s *System) restore(ss *store.SourceSnapshot, links []metadata.Link) error 
 		s.unwind(p)
 		return err
 	}
-	_, err := s.publish(p)
+	_, err = s.publish(p)
 	return err
 }
 

@@ -18,6 +18,19 @@
 // §4.3 then computes the paths from the primary relation to every other
 // relation "using transitivity of relationships, ignoring direction and
 // cardinality", storing all paths found.
+//
+// The paths answer one question for the later steps: which primary
+// objects own a tuple of a dependent relation? OwnersOf answers it for
+// every tuple at once, in an ownership table. The primary relation owns
+// itself. Any other relation is reached along its shortest path,
+// Paths[r][0], walked forward from the primary relation. A tuple keeps
+// at most 16 owners, in primary tuple order along the path. Ownership is
+// computed per batch: dependent rows must arrive in the batch of their
+// primary rows, and a source's table grows by each batch's table
+// (Owners.Append), so one batch never resolves to the objects of another
+// even when both reuse surrogate ids. The table remembers its batches'
+// sizes (Owners.Batches), from which OwnersOfBatches rebuilds it over
+// the whole source's relations.
 package discovery
 
 import (

@@ -1,3 +1,11 @@
+// Package linkdisc implements ALADIN's link discovery step (§4.4): it
+// finds explicit cross-references between data sources (accession values
+// of one source appearing — possibly inside composite strings such as
+// "Uniprot:P11140" — in attributes of another) and implicit links based on
+// sequence homology, text similarity, recognized entity names, and shared
+// ontology terms. Discovered links are object-level and are stored in the
+// metadata repository "to avoid repeated discovery and computation at
+// query time".
 package linkdisc
 
 import (
@@ -23,8 +31,17 @@ type Source struct {
 	DB        *rel.Database
 	Structure *discovery.Structure
 	Profiles  map[string]*profile.ColumnProfile
+	// Owners maps DB's tuples to the primary objects owning them; links
+	// found in any relation are made from those objects. The engine
+	// builds it from DB when it is nil.
+	Owners *discovery.Owners
+}
 
-	resolver *resolver
+// fillOwners builds s's ownership table if it has none.
+func fillOwners(s *Source) {
+	if s.Owners == nil {
+		s.Owners = discovery.OwnersOf(s.DB, s.Structure)
+	}
 }
 
 // Name returns the source name.
@@ -145,13 +162,11 @@ func (e *Engine) AddSource(s *Source) error {
 	if s.Structure == nil {
 		return fmt.Errorf("linkdisc: source %q has no discovered structure", s.DB.Name)
 	}
-	if s.resolver == nil {
-		s.resolver = newResolver(s.DB, s.Structure)
-	}
 	key := strings.ToLower(s.DB.Name)
 	if _, dup := e.byName[key]; dup {
 		return fmt.Errorf("linkdisc: source %q already added", s.DB.Name)
 	}
+	fillOwners(s)
 	e.sources = append(e.sources, s)
 	e.byName[key] = s
 	return nil
@@ -186,6 +201,9 @@ func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {
 	var links []metadata.Link
 	var xattrs []XRefAttribute
 	var stats Stats
+	for _, s := range e.sources {
+		fillOwners(s)
+	}
 	// One seeding pass per unordered pair yields both directions' links.
 	seqLinks := make(map[[2]*Source][]metadata.Link)
 	for i, a := range e.sources {
@@ -210,39 +228,19 @@ func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {
 	return links, xattrs, stats
 }
 
-// DiscoverFor runs link discovery between one (newly added) source and all
-// other registered sources, in both directions — the incremental addition
-// mode of §3.
-func (e *Engine) DiscoverFor(name string) ([]metadata.Link, []XRefAttribute, Stats, error) {
-	return e.DiscoverForContext(context.Background(), name)
-}
-
-// DiscoverForContext is DiscoverFor with cancellation: when ctx is
-// canceled the partial result is discarded and ctx.Err() is returned.
-func (e *Engine) DiscoverForContext(ctx context.Context, name string) ([]metadata.Link, []XRefAttribute, Stats, error) {
-	nu := e.Source(name)
-	if nu == nil {
-		return nil, nil, Stats{}, fmt.Errorf("linkdisc: unknown source %q", name)
-	}
-	return e.discoverBothWays(ctx, nu)
-}
-
 // DiscoverAgainst runs link discovery between a candidate source and all
 // registered sources — in both directions — WITHOUT registering the
-// candidate. This is the compute half of a snapshot-then-commit source
-// addition: the engine's registered set is only read, so arbitrarily many
-// readers may use the engine concurrently while a candidate is analyzed,
-// and registration (AddSource) happens later under the caller's write
-// lock. The candidate's resolver is built here if missing.
+// candidate: the incremental addition mode of §3, computed as the first
+// half of a snapshot-then-commit source addition whose registration
+// (AddSource) happens later under the caller's write lock. The
+// candidate's ownership table is built here if missing. Discovery and
+// registration calls must be serialized (integrations are).
 func (e *Engine) DiscoverAgainst(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	if nu.Structure == nil {
 		return nil, nil, Stats{}, fmt.Errorf("linkdisc: source %q has no discovered structure", nu.DB.Name)
 	}
 	if s := e.Source(nu.DB.Name); s != nil {
 		return nil, nil, Stats{}, fmt.Errorf("linkdisc: source %q already added", nu.DB.Name)
-	}
-	if nu.resolver == nil {
-		nu.resolver = newResolver(nu.DB, nu.Structure)
 	}
 	return e.discoverBothWays(ctx, nu)
 }
@@ -253,8 +251,9 @@ func (e *Engine) DiscoverAgainst(ctx context.Context, nu *Source) ([]metadata.Li
 // holds just the appended records) under the registered source's name,
 // structure, and profiles; links against the registered copy of the same
 // source are skipped — those would be intra-source links, which ALADIN
-// does not model. Like DiscoverAgainst this only reads the registered
-// set, so it runs off-lock in the prepare half of a batch commit.
+// does not model. Like DiscoverAgainst it runs in the prepare half of a
+// batch commit and builds the batch's ownership table if missing, so the
+// batch's dependent rows resolve to the batch's own primary objects.
 func (e *Engine) DiscoverAppended(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	if nu.Structure == nil {
 		return nil, nil, Stats{}, fmt.Errorf("linkdisc: source %q has no discovered structure", nu.DB.Name)
@@ -262,26 +261,24 @@ func (e *Engine) DiscoverAppended(ctx context.Context, nu *Source) ([]metadata.L
 	if e.Source(nu.DB.Name) == nil {
 		return nil, nil, Stats{}, fmt.Errorf("linkdisc: append to unregistered source %q", nu.DB.Name)
 	}
-	if nu.resolver == nil {
-		nu.resolver = newResolver(nu.DB, nu.Structure)
-	}
 	return e.discoverBothWays(ctx, nu)
 }
 
-// RefreshResolver rebuilds a registered source's resolver after tuples
-// were appended to its relations, so the next discovery resolves against
-// the grown relations. Cheap: the constructor is O(1) and the per-column
-// indexes rebuild lazily on next use.
+// RefreshResolver drops a registered source's ownership table, for a
+// caller that replaced or grew its relations without extending the
+// table; the next discovery rebuilds it from the whole source.
 func (e *Engine) RefreshResolver(name string) {
 	if s := e.Source(name); s != nil {
-		s.resolver = newResolver(s.DB, s.Structure)
+		s.Owners = nil
 	}
 }
 
 // discoverBothWays discovers links between nu and every *other* registered
 // source, in both directions. A registered source with nu's name is also
 // skipped, so an append batch (DiscoverAppended) is never linked against
-// the source it extends.
+// the source it extends. The missing ownership tables of nu and of the
+// sources it is linked against are built first, before any worker pool
+// starts.
 //
 // Sequence links are discovered once per source pair, both directions
 // from one seeding pass (discoverSequenceLinks); everything else runs per
@@ -289,13 +286,18 @@ func (e *Engine) RefreshResolver(name string) {
 // text and entity links to other, then other's to nu — the order the
 // repository's "first stored wins" ties and the WAL depend on.
 func (e *Engine) discoverBothWays(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
+	fillOwners(nu)
+	var others []*Source
+	for _, s := range e.sources {
+		if s != nu && !strings.EqualFold(s.DB.Name, nu.DB.Name) {
+			fillOwners(s)
+			others = append(others, s)
+		}
+	}
 	var links []metadata.Link
 	var xattrs []XRefAttribute
 	var stats Stats
-	for _, other := range e.sources {
-		if other == nu || strings.EqualFold(other.DB.Name, nu.DB.Name) {
-			continue
-		}
+	for _, other := range others {
 		fwd, rev, n, err := e.discoverSequenceLinks(ctx, nu, other)
 		if err != nil {
 			return nil, nil, Stats{}, err
@@ -544,8 +546,7 @@ func (e *Engine) xrefObjectLinks(from, to *Source, r *rel.Relation, col string,
 		if acc == "" {
 			continue
 		}
-		owners := from.resolver.owners(r.Name, ti)
-		for _, owner := range owners {
+		for _, owner := range from.Owners.Of(r.Name, ti) {
 			k := owner + "\x00" + acc
 			if seen[k] {
 				continue
@@ -580,7 +581,7 @@ func seqTuples(s *Source) []seqTuple {
 			}
 			for ti, t := range r.Tuples {
 				if !t[ci].IsNull() {
-					out = append(out, seqTuple{t[ci].AsString(), s.resolver.owners(r.Name, ti)})
+					out = append(out, seqTuple{t[ci].AsString(), s.Owners.Of(r.Name, ti)})
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package linkdisc
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -367,15 +369,16 @@ func TestPruningAblation(t *testing.T) {
 	}
 }
 
+// TestDiscoverForIncremental runs the incremental addition mode of §3:
+// discovery for a new source against the registered ones, both
+// directions tried, finds the uniprot->pdb links of the full run.
 func TestDiscoverForIncremental(t *testing.T) {
 	up, pdb := uniprotLike(t), pdbLike(t)
-	e := newEngine(t, Options{DisableSequenceLinks: true, DisableTextLinks: true, DisableEntityLinks: true}, up, pdb)
-	links, _, _, err := e.DiscoverFor("pdb")
+	e := newEngine(t, Options{DisableSequenceLinks: true, DisableTextLinks: true, DisableEntityLinks: true}, up)
+	links, _, _, err := e.DiscoverAgainst(context.Background(), pdb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Incremental discovery for pdb must find the same uniprot->pdb links
-	// as the full run (both directions are tried).
 	n := 0
 	for _, l := range links {
 		if l.Type == metadata.LinkXRef && l.From.Source == "uniprot" {
@@ -385,8 +388,8 @@ func TestDiscoverForIncremental(t *testing.T) {
 	if n != 10 {
 		t.Errorf("incremental xref links = %d want 10", n)
 	}
-	if _, _, _, err := e.DiscoverFor("nope"); err == nil {
-		t.Error("unknown source should error")
+	if _, _, _, err := e.DiscoverAgainst(context.Background(), up); err == nil {
+		t.Error("a registered source should be refused")
 	}
 }
 
@@ -433,67 +436,29 @@ func TestCompositeParts(t *testing.T) {
 	}
 }
 
-func TestResolverPrimaryAndSecondary(t *testing.T) {
+// TestOwnersPrimaryAndSecondary reads the ownership table AddSource
+// builds: a primary tuple owns itself, a dbref tuple belongs to the
+// protein it references.
+func TestOwnersPrimaryAndSecondary(t *testing.T) {
 	up := uniprotLike(t)
-	up.resolver = newResolver(up.DB, up.Structure)
-	// Primary relation tuple 0 -> its own accession.
-	owners := up.resolver.owners("protein", 0)
-	if len(owners) != 1 || owners[0] != "P10000" {
+	newEngine(t, Options{}, up)
+	if owners := up.Owners.Of("protein", 0); !slices.Equal(owners, []string{"P10000"}) {
 		t.Errorf("primary owners = %v", owners)
 	}
 	// dbref tuple 3 belongs to protein 4 (P10003).
-	owners = up.resolver.owners("dbref", 3)
-	if len(owners) != 1 || owners[0] != "P10003" {
+	if owners := up.Owners.Of("dbref", 3); !slices.Equal(owners, []string{"P10003"}) {
 		t.Errorf("dbref owners = %v", owners)
 	}
 }
 
-func TestResolverMissingRelation(t *testing.T) {
+func TestOwnersMissingRelation(t *testing.T) {
 	up := uniprotLike(t)
-	up.resolver = newResolver(up.DB, up.Structure)
-	if owners := up.resolver.owners("nosuch", 0); owners != nil {
-		t.Errorf("missing relation owners = %v", owners)
+	owners := discovery.OwnersOf(up.DB, up.Structure)
+	if got := owners.Of("nosuch", 0); got != nil {
+		t.Errorf("missing relation owners = %v", got)
 	}
-}
-
-// TestResolverTwoHopOwnership checks ownership resolution through a
-// bridge table: primary <- bridge -> leaf; a tuple in leaf must resolve
-// to the primary objects that reference it through the bridge.
-func TestResolverTwoHopOwnership(t *testing.T) {
-	db := rel.NewDatabase("twohop")
-	protein := db.Create("protein", rel.TextSchema("protein_id", "acc"))
-	bridge := db.Create("protein_term", rel.TextSchema("protein_id", "term_id"))
-	term := db.Create("term", rel.TextSchema("term_id", "term_label"))
-	for i := 1; i <= 6; i++ {
-		protein.AppendRaw(fmt.Sprintf("%d", i), fmt.Sprintf("AC%04d", i))
-	}
-	for i := 1; i <= 3; i++ {
-		term.AppendRaw(fmt.Sprintf("%d", 70+i), fmt.Sprintf("label-%d", i))
-	}
-	// proteins 1,4 -> term 71; 2,5 -> 72; 3,6 -> 73.
-	for i := 1; i <= 6; i++ {
-		bridge.AppendRaw(fmt.Sprintf("%d", i), fmt.Sprintf("%d", 70+((i-1)%3)+1))
-	}
-	src := makeSource(t, db)
-	if src.Structure.Primary != "protein" {
-		t.Fatalf("primary = %q", src.Structure.Primary)
-	}
-	src.resolver = newResolver(db, src.Structure)
-	// term tuple 0 (term 71) is owned by proteins 1 and 4.
-	owners := src.resolver.owners("term", 0)
-	if len(owners) != 2 {
-		t.Fatalf("owners = %v", owners)
-	}
-	want := map[string]bool{"AC0001": true, "AC0004": true}
-	for _, o := range owners {
-		if !want[o] {
-			t.Errorf("unexpected owner %q", o)
-		}
-	}
-	// bridge tuple 1 (protein 2) -> single owner AC0002.
-	owners = src.resolver.owners("protein_term", 1)
-	if len(owners) != 1 || owners[0] != "AC0002" {
-		t.Errorf("bridge owners = %v", owners)
+	if got := owners.Of("protein", 10); got != nil {
+		t.Errorf("owners past the last tuple = %v", got)
 	}
 }
 

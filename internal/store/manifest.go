@@ -127,7 +127,11 @@ func writeSegment(path string, ss *SourceSnapshot) error {
 		if err := writeMagic(w, segmentMagic); err != nil {
 			return err
 		}
-		return gob.NewEncoder(w).Encode(ss)
+		enc := gob.NewEncoder(w)
+		if err := enc.Encode(ss); err != nil || ss.batches == nil {
+			return err
+		}
+		return enc.Encode(ss.batches)
 	})
 }
 
@@ -142,8 +146,13 @@ func readSegment(path string) (*SourceSnapshot, error) {
 		return nil, err
 	}
 	var ss SourceSnapshot
-	if err := gob.NewDecoder(f).Decode(&ss); err != nil {
+	dec := gob.NewDecoder(f)
+	if err := dec.Decode(&ss); err != nil {
 		return nil, fmt.Errorf("store: decoding segment %s: %w", path, err)
+	}
+	// The batches follow the image; a segment without them ends here.
+	if err := dec.Decode(&ss.batches); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("store: decoding segment %s batches: %w", path, err)
 	}
 	return &ss, nil
 }

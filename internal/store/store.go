@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,7 +66,21 @@ type SourceSnapshot struct {
 	Structure  *discovery.Structure
 	Profiles   map[string]*profile.ColumnProfile
 	TupleCount int
+	// batches is unexported, so gob skips it and WAL records keep their
+	// encoding; segments and single-file snapshots write it after the
+	// image (see Batches).
+	batches [][]int
 }
+
+// Batches returns, parallel to Relations, the tuple count of each batch
+// the source's ownership table was built from
+// (discovery.Owners.Batches), so a restore resolves every batch's rows
+// to that batch's objects again. It is nil for a table built in one
+// piece, and for images written before batches were persisted.
+func (ss *SourceSnapshot) Batches() [][]int { return ss.batches }
+
+// SetBatches records the batches; see Batches.
+func (ss *SourceSnapshot) SetBatches(b [][]int) { ss.batches = b }
 
 // RelationSnapshot flattens a rel.Relation for encoding.
 type RelationSnapshot struct {
@@ -296,6 +311,17 @@ func Write(w io.Writer, snap *Snapshot) error {
 	if err := enc.Encode(snap); err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
+	// The sources' batches follow, one entry per source, when any has.
+	batches := make([][][]int, len(snap.Sources))
+	for i := range snap.Sources {
+		batches[i] = snap.Sources[i].batches
+	}
+	if !slices.ContainsFunc(batches, func(b [][]int) bool { return b != nil }) {
+		return nil
+	}
+	if err := enc.Encode(batches); err != nil {
+		return fmt.Errorf("store: encoding snapshot batches: %w", err)
+	}
 	return nil
 }
 
@@ -321,6 +347,16 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	if snap.Version != FormatVersion {
 		return nil, fmt.Errorf("store: unsupported snapshot version %d (want %d)", snap.Version, FormatVersion)
+	}
+	var batches [][][]int
+	if err := dec.Decode(&batches); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("store: decoding snapshot batches: %w", err)
+	}
+	if batches != nil && len(batches) != len(snap.Sources) {
+		return nil, fmt.Errorf("store: snapshot batches for %d of %d sources", len(batches), len(snap.Sources))
+	}
+	for i, b := range batches {
+		snap.Sources[i].batches = b
 	}
 	return &snap, nil
 }

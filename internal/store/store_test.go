@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/metadata"
@@ -150,5 +152,57 @@ func TestBuildOrdersBySeq(t *testing.T) {
 	snap := Build(dbs, metas, nil, nil)
 	if len(snap.Sources) != 2 || snap.Sources[0].Name != "a" || snap.Sources[1].Name != "b" {
 		t.Errorf("order = %+v", snap.Sources)
+	}
+}
+
+// TestBatchesRoundTrip: a source's batches survive single-file snapshots
+// and segments, and stay out of WAL records.
+func TestBatchesRoundTrip(t *testing.T) {
+	withBatches := SourceSnapshot{Name: "src", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}
+	withBatches.SetBatches([][]int{{1, 1}})
+	plain := SourceSnapshot{Name: "plain", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}
+
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Sources: []SourceSnapshot{withBatches, plain}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := got.Sources[0].Batches(); len(b) != 1 || !slices.Equal(b[0], []int{1, 1}) {
+		t.Errorf("snapshot batches = %v", b)
+	}
+	if b := got.Sources[1].Batches(); len(b) != 0 {
+		t.Errorf("source without batches read back %v", b)
+	}
+
+	dir := t.TempDir()
+	for _, ss := range []SourceSnapshot{withBatches, plain} {
+		path := filepath.Join(dir, ss.Name+".seg")
+		if err := writeSegment(path, &ss); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Batches(), ss.Batches()) {
+			t.Errorf("%s: segment batches = %v, want %v", ss.Name, back.Batches(), ss.Batches())
+		}
+	}
+
+	without := withBatches
+	without.SetBatches(nil)
+	framed, err := EncodeRecord(&WALRecord{Type: RecAppend, Source: &withBatches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeRecord(&WALRecord{Type: RecAppend, Source: &without})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(framed, want) {
+		t.Errorf("WAL record carries batches: %d bytes, %d without", len(framed), len(want))
 	}
 }

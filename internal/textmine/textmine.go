@@ -280,56 +280,17 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
-// QGrams returns the multiset of character q-grams of s (with boundary
-// padding), as counts.
-func QGrams(s string, q int) map[string]int {
-	if q < 1 {
-		q = 2
-	}
-	if s == "" {
-		return map[string]int{}
-	}
-	padded := strings.Repeat("#", q-1) + strings.ToLower(s) + strings.Repeat("#", q-1)
-	out := make(map[string]int)
-	for i := 0; i+q <= len(padded); i++ {
-		out[padded[i:i+q]]++
-	}
-	return out
-}
-
-// QGramSimilarity computes Dice similarity over q-gram multisets.
-func QGramSimilarity(a, b string, q int) float64 {
-	ga, gb := QGrams(a, q), QGrams(b, q)
-	var sizeA, sizeB, overlap int
-	for g, ca := range ga {
-		sizeA += ca
-		if cb, ok := gb[g]; ok {
-			if ca < cb {
-				overlap += ca
-			} else {
-				overlap += cb
-			}
-		}
-	}
-	for _, cb := range gb {
-		sizeB += cb
-	}
-	if sizeA+sizeB == 0 {
-		return 0
-	}
-	return 2 * float64(overlap) / float64(sizeA+sizeB)
-}
-
 // GramRun is one distinct q-gram of a value (its q <= 4 bytes packed
 // big-endian) and how often it occurs.
 type GramRun struct {
 	Code, Count uint32
 }
 
-// QGramProfile is the multiset QGrams builds over an already lower-cased
-// string, as runs sorted by code: what a caller comparing one value many
-// times holds and hands to DiceProfiles. A value over a small alphabet has
-// few runs however long it is — at most 68 for DNA trigrams.
+// QGramProfile is the multiset of character q-grams of an already
+// lower-cased string, padded with q-1 '#' at both ends, as runs sorted by
+// code: what a caller comparing one value many times holds and hands to
+// DiceProfiles. A value over a small alphabet has few runs however long
+// it is — at most 68 for DNA trigrams.
 func QGramProfile(lower string, q int) []GramRun {
 	if lower == "" {
 		return nil

@@ -130,16 +130,24 @@ func TestJaroWinkler(t *testing.T) {
 	}
 }
 
+// dice is the Dice similarity of two strings' trigram profiles.
+func dice(a, b string) float64 {
+	return DiceProfiles(QGramProfile(strings.ToLower(a), 3), QGramProfile(strings.ToLower(b), 3))
+}
+
+// TestQGramSimilarity: Dice over trigram profiles is 1 for equal
+// strings, ranks a one-letter variant above an unrelated word, and is 0
+// for two empty strings.
 func TestQGramSimilarity(t *testing.T) {
-	if s := QGramSimilarity("hemoglobin", "hemoglobin", 3); s != 1 {
+	if s := dice("hemoglobin", "hemoglobin"); s != 1 {
 		t.Errorf("identical = %v", s)
 	}
-	near := QGramSimilarity("hemoglobin", "hemoglobine", 3)
-	far := QGramSimilarity("hemoglobin", "ribosome", 3)
+	near := dice("hemoglobin", "hemoglobine")
+	far := dice("hemoglobin", "ribosome")
 	if near <= far {
 		t.Errorf("near=%v far=%v", near, far)
 	}
-	if s := QGramSimilarity("", "", 3); s != 0 {
+	if s := dice("", ""); s != 0 {
 		t.Errorf("empty = %v", s)
 	}
 }
@@ -288,11 +296,25 @@ func TestTokenizeLowerMatchesTokenize(t *testing.T) {
 	}
 }
 
+// qGrams is the oracle profile: the multiset of character q-grams of s,
+// padded with q-1 '#' at both ends, as counts in a map.
+func qGrams(s string, q int) map[string]int {
+	out := make(map[string]int)
+	if s == "" {
+		return out
+	}
+	padded := strings.Repeat("#", q-1) + strings.ToLower(s) + strings.Repeat("#", q-1)
+	for i := 0; i+q <= len(padded); i++ {
+		out[padded[i:i+q]]++
+	}
+	return out
+}
+
 // The run-length profile gives the Dice similarity of the q-gram multisets
-// QGrams builds.
+// qGrams builds.
 func TestDiceProfilesMatchesQGrams(t *testing.T) {
 	viaMaps := func(a, b string) float64 {
-		ga, gb := QGrams(a, 3), QGrams(b, 3)
+		ga, gb := qGrams(a, 3), qGrams(b, 3)
 		size, overlap := 0, 0
 		for g, ca := range ga {
 			size += ca
@@ -306,15 +328,13 @@ func TestDiceProfilesMatchesQGrams(t *testing.T) {
 		}
 		return 2 * float64(overlap) / float64(size)
 	}
-	f := func(a, b string) bool {
-		return DiceProfiles(QGramProfile(strings.ToLower(a), 3), QGramProfile(strings.ToLower(b), 3)) == viaMaps(a, b)
-	}
+	f := func(a, b string) bool { return dice(a, b) == viaMaps(a, b) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 	for _, p := range [][2]string{{"", ""}, {"", "acgt"}, {"ACGTACGTACGTTTGA", "acgtacctacgtttga"}, {"aaaaaaa", "aaa"}} {
 		if !f(p[0], p[1]) {
-			t.Errorf("%q vs %q: %v, maps give %v", p[0], p[1], QGramSimilarity(p[0], p[1], 3), viaMaps(p[0], p[1]))
+			t.Errorf("%q vs %q: %v, maps give %v", p[0], p[1], dice(p[0], p[1]), viaMaps(p[0], p[1]))
 		}
 	}
 }
