@@ -1,6 +1,6 @@
 // Allocation-budget regression gates for the vectorized executor's
 // zero-allocation hash paths, for duplicate detection and for sequence
-// link discovery. The batch
+// and text link discovery. The batch
 // engine cut hash-join, DISTINCT, and GROUP BY from tens of thousands of
 // allocs/op (string keys + map[string][]Tuple) to roughly a hundred;
 // ALLOC_budget.json pins ceilings with headroom so a regression back
@@ -18,11 +18,12 @@ import (
 
 // allocBudget is ALLOC_budget.json.
 type allocBudget struct {
-	HashJoin     int64   `json:"hash_join"`
-	Distinct     int64   `json:"distinct"`
-	GroupBy      int64   `json:"group_by"`
-	DupScorePair float64 `json:"dup_score_pair"`
-	SeqScorePair float64 `json:"seq_score_pair"`
+	HashJoin       int64   `json:"hash_join"`
+	Distinct       int64   `json:"distinct"`
+	GroupBy        int64   `json:"group_by"`
+	DupScorePair   float64 `json:"dup_score_pair"`
+	SeqScorePair   float64 `json:"seq_score_pair"`
+	TextComparison float64 `json:"text_links_comparison"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -75,6 +76,24 @@ func TestSeqAllocBudget(t *testing.T) {
 	t.Logf("seq_score_pair: %.3f allocs/pair (budget %.2f)", got, budget.SeqScorePair)
 	if got <= 0 || got > budget.SeqScorePair {
 		t.Errorf("seq_score_pair: %.3f allocs/pair outside (0, %.2f]", got, budget.SeqScorePair)
+	}
+}
+
+// TestTextAllocBudget holds text link discovery to its allocations per
+// candidate comparison (BenchmarkTextLinksAppend's allocs/comparison,
+// workers=1). Registered sources are tokenized once and a candidate is
+// scored by merging two prepared vectors, so the figure is per-batch
+// set-up; a scorer that tokenizes or builds vectors per call again, or
+// allocates per comparison, multiplies it.
+func TestTextAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	if budget.TextComparison <= 0 {
+		t.Fatal("text_links_comparison: missing budget in ALLOC_budget.json")
+	}
+	got := testing.Benchmark(BenchmarkTextLinksAppend).Extra["allocs/comparison"]
+	t.Logf("text_links_comparison: %.3f allocs/comparison (budget %.2f)", got, budget.TextComparison)
+	if got <= 0 || got > budget.TextComparison {
+		t.Errorf("text_links_comparison: %.3f allocs/comparison outside (0, %.2f]", got, budget.TextComparison)
 	}
 }
 

@@ -266,18 +266,7 @@ func BenchmarkSeededVsFullAlignment(b *testing.B) {
 // the latter to ALLOC_budget.json.
 func BenchmarkSeqLinks(b *testing.B) {
 	embl, genbank := datagen.LinkedSequences(7)
-	source := func(db *rel.Database) *linkdisc.Source {
-		profs, err := profile.ProfileDatabase(db, profile.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := discovery.Analyze(db, profs, discovery.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return &linkdisc.Source{DB: db, Structure: st, Profiles: profs}
-	}
-	targets, queries := source(embl), source(genbank)
+	targets, queries := linkSource(b, embl), linkSource(b, genbank)
 	eng := linkdisc.New(linkdisc.Options{Workers: 1, DisableTextLinks: true, DisableEntityLinks: true})
 	if err := eng.AddSource(targets); err != nil {
 		b.Fatal(err)
@@ -307,6 +296,79 @@ func BenchmarkSeqLinks(b *testing.B) {
 	b.ReportMetric(float64(pairs), "pairs/op")
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*pairs), "us/pair")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*pairs), "allocs/pair")
+}
+
+// linkSource profiles db and discovers its structure: a source as link
+// discovery takes it.
+func linkSource(b *testing.B, db *rel.Database) *linkdisc.Source {
+	profs, err := profile.ProfileDatabase(db, profile.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := discovery.Analyze(db, profs, discovery.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &linkdisc.Source{DB: db, Structure: st, Profiles: profs}
+}
+
+// BenchmarkTextLinksAppend times the §4.4 text links of one streamed
+// batch: 200 FASTA records appended to a registered FASTA source,
+// discovered both ways against a registered 1,200-protein swissprot
+// through DiscoverAppended, workers=1, with the sequence and entity
+// channels off. It reports us per batch, candidate comparisons per
+// batch, and allocations per comparison. swissprot's text form is built
+// before the timer starts, as the batches before this one built it.
+func BenchmarkTextLinksAppend(b *testing.B) {
+	var text strings.Builder
+	if err := datagen.FastaDupText(&text, 400, 50, ingestBenchSeed); err != nil {
+		b.Fatal(err)
+	}
+	reads, err := flatfile.Parse("fasta", strings.NewReader(text.String()), "reads")
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := linkSource(b, reads)
+	half := func(k int) *rel.Database {
+		db := rel.NewDatabase("reads")
+		for _, r := range reads.Relations() {
+			db.Create(r.Name, r.Schema).Tuples = r.Tuples[k*len(r.Tuples)/2 : (k+1)*len(r.Tuples)/2]
+		}
+		return db
+	}
+	first := &linkdisc.Source{DB: half(0), Structure: all.Structure, Profiles: all.Profiles}
+	eng := linkdisc.New(linkdisc.Options{Workers: 1, DisableSequenceLinks: true, DisableEntityLinks: true})
+	sp := linkSource(b, datagen.Generate(datagen.Config{Seed: 7, Proteins: 1200}).Source("swissprot"))
+	for _, s := range []*linkdisc.Source{sp, first} {
+		if err := eng.AddSource(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	discover := func() int {
+		batch := &linkdisc.Source{DB: half(1), Structure: all.Structure, Profiles: all.Profiles}
+		_, _, st, err := eng.DiscoverAppended(context.Background(), batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.TextComparisons
+	}
+	comparisons := discover()
+	if comparisons == 0 {
+		b.Fatal("no text comparisons")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := discover(); n != comparisons {
+			b.Fatalf("%d text comparisons, first batch made %d", n, comparisons)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/batch")
+	b.ReportMetric(float64(comparisons), "comparisons/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*comparisons), "allocs/comparison")
 }
 
 // BenchmarkTextLinkPR (E8): entity-mention link quality.

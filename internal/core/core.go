@@ -553,10 +553,11 @@ func (s *System) publish(p *Pending) (map[string]int, error) {
 			srcDB.Put(grown(srcDB.Relation(br.Name), br.Tuples))
 			s.warehouse.Put(grown(s.warehouse.Relation(p.key+"_"+br.Name), br.Tuples))
 		}
-		// The source's ownership table grows by the batch's, at the
-		// positions the append branches gave the batch's tuples.
+		// The source's ownership table and text form grow by the batch's,
+		// at the positions the append branches gave the batch's tuples.
 		reg := s.engine.Source(p.name)
 		reg.Owners = reg.Owners.Append(p.src.Owners)
+		reg.Text = reg.Text.Append(p.src.Text)
 	}
 	added := make(map[string]int)
 	for _, l := range p.links {
@@ -830,10 +831,11 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 
 	// Link discovery under the new structure, against every other source.
 	// The engine's registered copy is left alone until the journal write
-	// succeeded; the candidate's ownership table is built afresh from the
-	// whole source and replaces the registered one, so the result depends
-	// on the data and the other sources' tables alone, and replay — which
-	// restores those tables batch by batch — reproduces it.
+	// succeeded; the candidate's ownership table (and text form, if text
+	// links built one) is built afresh from the whole source and replaces
+	// the registered one, so the result depends on the data and the other
+	// sources' tables alone, and replay — which restores those tables
+	// batch by batch — reproduces it.
 	t0 = time.Now()
 	src := &linkdisc.Source{DB: db, Structure: structure, Profiles: profs}
 	links, xattrs, lstats, err := s.engine.DiscoverAppended(ctx, src)
@@ -860,7 +862,7 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 	if reg := s.engine.Source(source); reg != nil {
 		reg.Structure = structure
 		reg.Profiles = profs
-		reg.Owners = src.Owners
+		reg.Owners, reg.Text = src.Owners, src.Text
 	}
 	for _, l := range links {
 		if s.Repo.AddLink(l) {

@@ -92,9 +92,10 @@ func (s *System) Exec(sql string) (*sqlx.Result, error) {
 	s.warehouse.Put(qualifiedClone(clone, srcKey, idxCols[strings.ToLower(clone.Name)]))
 	// The source's ownership table holds tuple positions of the replaced
 	// relation; rebuild it from the whole source now, as one batch, so the
-	// table a checkpoint persists is the one later discovery reads.
+	// table a checkpoint persists is the one later discovery reads. The
+	// text form, persisted nowhere, is rebuilt when next needed.
 	reg := s.engine.Source(meta.Name)
-	reg.Owners = discovery.OwnersOf(srcDB, reg.Structure)
+	reg.Owners, reg.Text = discovery.OwnersOf(srcDB, reg.Structure), nil
 	s.Repo.RecordChanges(meta.Name, res.Affected)
 	return res, nil
 }

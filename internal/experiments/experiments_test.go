@@ -107,6 +107,26 @@ func TestE7SequenceRows(t *testing.T) {
 	}
 }
 
+// TestE8TextRows pins the paper-fidelity numbers of §4.4's text links at
+// 40 proteins: gold size, precision, recall and F1 of the entity-mention
+// channel (omim~swissprot) and of the description-cosine channel
+// (swissprot~pir), as measured at commit 81953fc — before text links
+// scored prepared forms — so a rewrite of either cannot drift them
+// silently.
+func TestE8TextRows(t *testing.T) {
+	tbl, err := E8TextPR(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"entity-mention", "omim~swissprot", "14", "1.000", "1.000", "1.000"},
+		{"description-cosine", "swissprot~pir", "24", "1.000", "1.000", "1.000"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("E8 rows (channel, source-pair, gold, P, R, F1):\n got  %v\n want %v", tbl.Rows, want)
+	}
+}
+
 func TestTablePrint(t *testing.T) {
 	tbl := Table{
 		ID: "T", Title: "demo", Header: []string{"a", "b"},

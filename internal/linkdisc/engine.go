@@ -35,6 +35,9 @@ type Source struct {
 	// found in any relation are made from those objects. The engine
 	// builds it from DB when it is nil.
 	Owners *discovery.Owners
+	// Text is the prepared form text links read (TextForm). The engine
+	// builds it from DB when it is nil, on the first text comparison.
+	Text *TextForm
 }
 
 // fillOwners builds s's ownership table if it has none.
@@ -264,12 +267,12 @@ func (e *Engine) DiscoverAppended(ctx context.Context, nu *Source) ([]metadata.L
 	return e.discoverBothWays(ctx, nu)
 }
 
-// RefreshResolver drops a registered source's ownership table, for a
-// caller that replaced or grew its relations without extending the
-// table; the next discovery rebuilds it from the whole source.
+// RefreshResolver drops a registered source's ownership table and text
+// form, for a caller that replaced or grew its relations without
+// extending them; the next discovery rebuilds them from the whole source.
 func (e *Engine) RefreshResolver(name string) {
 	if s := e.Source(name); s != nil {
-		s.Owners = nil
+		s.Owners, s.Text = nil, nil
 	}
 }
 
@@ -729,89 +732,6 @@ func textDocs(s *Source) []textDoc {
 		out = append(out, textDoc{accession: acc.AsString(), text: strings.Join(parts, " ")})
 	}
 	return out
-}
-
-// discoverTextLinks compares free-text annotation of primary objects
-// across the two sources with TF-IDF cosine, using a shared-term inverted
-// index for candidate generation instead of the full cross product.
-func (e *Engine) discoverTextLinks(ctx context.Context, from, to *Source) ([]metadata.Link, int, error) {
-	fromDocs := textDocs(from)
-	toDocs := textDocs(to)
-	if len(fromDocs) == 0 || len(toDocs) == 0 {
-		return nil, 0, nil
-	}
-	corpus := textmine.NewCorpus()
-	for _, d := range fromDocs {
-		corpus.AddDoc(d.text)
-	}
-	for _, d := range toDocs {
-		corpus.AddDoc(d.text)
-	}
-	// Inverted index over target docs, skipping very common terms.
-	maxDF := len(toDocs) / 4
-	if maxDF < 2 {
-		maxDF = 2
-	}
-	toVecs := make([]map[string]float64, len(toDocs))
-	inv := make(map[string][]int)
-	for i, d := range toDocs {
-		toVecs[i] = corpus.Vector(d.text)
-		for term := range toVecs[i] {
-			if len(inv[term]) <= maxDF {
-				inv[term] = append(inv[term], i)
-			}
-		}
-	}
-	// Per-document vectorization and candidate scoring fan out over the
-	// worker pool; candidate indices are sorted so each document's links
-	// come out in a deterministic order (the serial map iteration did not
-	// guarantee one).
-	type docResult struct {
-		comparisons int
-		links       []metadata.Link
-	}
-	results := make([]docResult, len(fromDocs))
-	if err := parallel.For(ctx, e.opts.Workers, len(fromDocs), func(di int) {
-		d := fromDocs[di]
-		v := corpus.Vector(d.text)
-		cands := make(map[int]bool)
-		for term := range v {
-			if posts, ok := inv[term]; ok && len(posts) <= maxDF {
-				for _, i := range posts {
-					cands[i] = true
-				}
-			}
-		}
-		order := make([]int, 0, len(cands))
-		for i := range cands {
-			order = append(order, i)
-		}
-		sort.Ints(order)
-		res := docResult{comparisons: len(order)}
-		for _, i := range order {
-			sim := textmine.Cosine(v, toVecs[i])
-			if sim < e.opts.MinTextCosine {
-				continue
-			}
-			res.links = append(res.links, metadata.Link{
-				Type:       metadata.LinkText,
-				From:       primaryRef(from, d.accession),
-				To:         primaryRef(to, toDocs[i].accession),
-				Confidence: sim,
-				Method:     fmt.Sprintf("text:cosine=%.2f", sim),
-			})
-		}
-		results[di] = res
-	}); err != nil {
-		return nil, 0, err
-	}
-	comparisons := 0
-	var out []metadata.Link
-	for _, res := range results {
-		comparisons += res.comparisons
-		out = append(out, res.links...)
-	}
-	return out, comparisons, nil
 }
 
 // discoverEntityLinks extracts entity mentions from the new source's text

@@ -19,9 +19,9 @@ import (
 // The sequence-link goldens were written by the aligner that aligned
 // every candidate pair twice, once per direction, with a full direction
 // matrix each time (commit 82b2e5e). -update rewrites them from the
-// engine under test; only a deliberate change to what a sequence link is
-// may do that.
-var update = flag.Bool("update", false, "rewrite testdata/seqlinks_*.txt from the current engine")
+// engine under test (the text-link goldens too); only a deliberate change
+// to what a link is may do that.
+var update = flag.Bool("update", false, "rewrite testdata/seqlinks_*.txt and textlinks_*.txt from the current engine")
 
 // e7Mutations are the sequence-mutation rates E7 sweeps.
 var e7Mutations = []float64{0.01, 0.05, 0.10, 0.20, 0.40}
@@ -159,22 +159,27 @@ func seqGoldenAgainst(t *testing.T, opts Options, srcs []*Source) []string {
 }
 
 // seqGoldenAppended registers queries, then streams target in three
-// batches: the first through DiscoverAgainst, the rest through
-// DiscoverAppended under the registered structure and profiles.
+// batches (streamGolden).
 func seqGoldenAppended(t *testing.T, opts Options, queries, target *Source) []string {
 	e := New(opts)
 	if err := e.AddSource(queries); err != nil {
 		t.Fatal(err)
 	}
+	return streamGolden(t, e, target, 3, func(call string, batch *Source, links []metadata.Link, st Stats) []string {
+		return append(seqLines(call, batch, links), fmt.Sprintf("%s hits=%d", call, st.SequenceComparisons))
+	})
+}
+
+// streamGolden streams target in n batches against the sources e holds:
+// the first through DiscoverAgainst, then registered, the rest through
+// DiscoverAppended under its structure and profiles. render turns each
+// call, named batch<k>:<target>, into golden lines.
+func streamGolden(t *testing.T, e *Engine, target *Source, n int,
+	render func(call string, batch *Source, links []metadata.Link, st Stats) []string) []string {
+
 	var out []string
-	for k := 0; k < 3; k++ {
-		db := rel.NewDatabase(target.Name())
-		for _, r := range target.DB.Relations() {
-			part := db.Create(r.Name, r.Schema)
-			n := len(r.Tuples)
-			part.Tuples = r.Tuples[k*n/3 : (k+1)*n/3]
-		}
-		batch := &Source{DB: db, Structure: target.Structure, Profiles: target.Profiles}
+	for k := 0; k < n; k++ {
+		batch := batchOf(target, k, n)
 		discover := e.DiscoverAppended
 		if k == 0 {
 			discover = e.DiscoverAgainst
@@ -183,9 +188,7 @@ func seqGoldenAppended(t *testing.T, opts Options, queries, target *Source) []st
 		if err != nil {
 			t.Fatal(err)
 		}
-		call := fmt.Sprintf("batch%d:%s", k+1, target.Name())
-		out = append(out, seqLines(call, batch, links)...)
-		out = append(out, fmt.Sprintf("%s hits=%d", call, st.SequenceComparisons))
+		out = append(out, render(fmt.Sprintf("batch%d:%s", k+1, target.Name()), batch, links, st)...)
 		if k == 0 {
 			if err := e.AddSource(batch); err != nil {
 				t.Fatal(err)

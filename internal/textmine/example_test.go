@@ -6,24 +6,6 @@ import (
 	"repro/internal/textmine"
 )
 
-func ExampleCorpus() {
-	c := textmine.NewCorpus()
-	docs := []string{
-		"hemoglobin transports oxygen in blood",
-		"myoglobin stores oxygen in muscle",
-		"ribosome synthesizes protein chains",
-	}
-	for _, d := range docs {
-		c.AddDoc(d)
-	}
-	v0 := c.Vector(docs[0])
-	fmt.Printf("sim(0,1)=%.2f sim(0,2)=%.2f\n",
-		textmine.Cosine(v0, c.Vector(docs[1])),
-		textmine.Cosine(v0, c.Vector(docs[2])))
-	// Output:
-	// sim(0,1)=0.05 sim(0,2)=0.00
-}
-
 func ExampleJaroWinkler() {
 	fmt.Printf("%.3f\n", textmine.JaroWinkler("MARTHA", "MARHTA"))
 	// Output:

@@ -1,13 +1,12 @@
 // Package textmine provides the text-mining substrate for ALADIN's
-// implicit link discovery (§4.4): tokenization, TF-IDF vectors with
-// cosine similarity for comparing textual annotation fields, classic
+// implicit link discovery (§4.4): tokenization of textual annotation
+// fields (link discovery weighs the tokens into TF-IDF vectors), classic
 // string-distance measures for duplicate detection (§4.5), and a
 // dictionary/pattern-based biomedical entity recognizer standing in for
 // gene-name recognition systems such as GAPSCORE [CSA04].
 package textmine
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -67,66 +66,6 @@ func TermFreq(tokens []string) map[string]int {
 		tf[t]++
 	}
 	return tf
-}
-
-// Corpus accumulates document frequencies to weight terms by IDF.
-type Corpus struct {
-	docs int
-	df   map[string]int
-}
-
-// NewCorpus creates an empty corpus.
-func NewCorpus() *Corpus { return &Corpus{df: make(map[string]int)} }
-
-// AddDoc folds one document's tokens into the document-frequency table.
-func (c *Corpus) AddDoc(text string) {
-	c.docs++
-	seen := make(map[string]bool)
-	for _, t := range Tokenize(text) {
-		if !seen[t] {
-			seen[t] = true
-			c.df[t]++
-		}
-	}
-}
-
-// Docs returns the number of added documents.
-func (c *Corpus) Docs() int { return c.docs }
-
-// IDF returns the smoothed inverse document frequency of a term.
-func (c *Corpus) IDF(term string) float64 {
-	return math.Log(float64(c.docs+1) / float64(c.df[term]+1))
-}
-
-// Vector computes the L2-normalized TF-IDF vector of a text.
-func (c *Corpus) Vector(text string) map[string]float64 {
-	tf := TermFreq(Tokenize(text))
-	v := make(map[string]float64, len(tf))
-	var norm float64
-	for t, f := range tf {
-		w := float64(f) * c.IDF(t)
-		v[t] = w
-		norm += w * w
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for t := range v {
-			v[t] /= norm
-		}
-	}
-	return v
-}
-
-// Cosine computes the dot product of two normalized vectors.
-func Cosine(a, b map[string]float64) float64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var dot float64
-	for t, w := range a {
-		dot += w * b[t]
-	}
-	return dot
 }
 
 // Jaccard computes token-set Jaccard similarity of two strings.

@@ -1,7 +1,6 @@
 package textmine
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,48 +23,6 @@ func TestTokenizeDropsStopwordsAndSingles(t *testing.T) {
 	toks := Tokenize("a protein of the cell")
 	if len(toks) != 2 || toks[0] != "protein" || toks[1] != "cell" {
 		t.Errorf("tokens = %v", toks)
-	}
-}
-
-func TestCorpusIDFWeighting(t *testing.T) {
-	c := NewCorpus()
-	c.AddDoc("protein binds oxygen")
-	c.AddDoc("protein folds quickly")
-	c.AddDoc("protein degrades slowly")
-	// "protein" appears everywhere: low IDF; "oxygen" once: high IDF.
-	if c.IDF("protein") >= c.IDF("oxygen") {
-		t.Errorf("IDF(protein)=%v should be < IDF(oxygen)=%v", c.IDF("protein"), c.IDF("oxygen"))
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	c := NewCorpus()
-	docs := []string{
-		"hemoglobin oxygen transport blood",
-		"hemoglobin oxygen binding protein in red blood cells",
-		"ribosomal translation machinery",
-	}
-	for _, d := range docs {
-		c.AddDoc(d)
-	}
-	v0 := c.Vector(docs[0])
-	v1 := c.Vector(docs[1])
-	v2 := c.Vector(docs[2])
-	simClose := Cosine(v0, v1)
-	simFar := Cosine(v0, v2)
-	if simClose <= simFar {
-		t.Errorf("related docs %v should exceed unrelated %v", simClose, simFar)
-	}
-	if self := Cosine(v0, v0); math.Abs(self-1.0) > 1e-9 {
-		t.Errorf("self-cosine = %v", self)
-	}
-}
-
-func TestCosineEmpty(t *testing.T) {
-	c := NewCorpus()
-	c.AddDoc("x y")
-	if got := Cosine(c.Vector(""), c.Vector("anything here")); got != 0 {
-		t.Errorf("empty cosine = %v", got)
 	}
 }
 
@@ -265,19 +222,6 @@ func TestJaroWinklerRange(t *testing.T) {
 			return false
 		}
 		return JaroWinkler(a, a) == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: cosine of any vector pair is within [0, 1+eps].
-func TestCosineRange(t *testing.T) {
-	c := NewCorpus()
-	c.AddDoc("alpha beta gamma delta")
-	f := func(a, b string) bool {
-		got := Cosine(c.Vector(a), c.Vector(b))
-		return got >= 0 && got <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -49,10 +48,8 @@ func TestParallelSerialParity(t *testing.T) {
 		t.Error("no duplicates flagged (swissprot/pir overlap expected)")
 	}
 
-	// Beyond counts: every link must match, endpoint for endpoint.
-	// Confidence is compared with an epsilon: scores are summed in map
-	// iteration order (e.g. textmine.Cosine), so the last ulp differs
-	// between runs — serial or parallel alike.
+	// Beyond counts: every link must match, endpoint for endpoint and
+	// confidence for confidence.
 	sl, pl := serial.Repo.AllLinks(), parallel.Repo.AllLinks()
 	metadata.SortLinks(sl)
 	metadata.SortLinks(pl)
@@ -61,8 +58,7 @@ func TestParallelSerialParity(t *testing.T) {
 	}
 	for i := range sl {
 		a, b := sl[i], pl[i]
-		sameEndpoints := a.Type == b.Type && a.From == b.From && a.To == b.To
-		if !sameEndpoints || math.Abs(a.Confidence-b.Confidence) > 1e-9 {
+		if a.Type != b.Type || a.From != b.From || a.To != b.To || a.Confidence != b.Confidence {
 			t.Fatalf("link %d differs:\n  serial:   %+v\n  parallel: %+v", i, a, b)
 		}
 	}
