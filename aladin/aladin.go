@@ -84,7 +84,7 @@ type (
 	// Source is one imported data source (step 1 of the pipeline — "the
 	// one point where ALADIN does require human work").
 	Source = rel.Database
-	// Snapshot is a persistable image of the integrated warehouse.
+	// Snapshot is an in-memory image of the integrated warehouse.
 	Snapshot = store.Snapshot
 )
 
@@ -179,7 +179,8 @@ type DB struct {
 }
 
 // Open creates a database, configured by functional options. With
-// WithSnapshot the saved warehouse is restored before Open returns.
+// WithDataDir the directory's warehouse is recovered, with WithSnapshot
+// the image is restored, before Open returns.
 func Open(opts ...Option) (*DB, error) {
 	var cfg config
 	for _, o := range opts {
@@ -658,7 +659,8 @@ func (d *DB) RecordChanges(ctx context.Context, source string, n int) (bool, err
 }
 
 // Snapshot captures the integrated warehouse — source data, links, and
-// user feedback — for persistence; restore with WithSnapshot.
+// user feedback — as an in-memory image; WithSnapshot opens a database
+// from it. To save a warehouse across restarts, use WithDataDir.
 func (d *DB) Snapshot(ctx context.Context) (*Snapshot, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err

@@ -41,30 +41,15 @@ type DurabilityStats struct {
 }
 
 // openDurable opens (or recovers) a durable database from cfg.dataDir.
+// The directory is the only on-disk form of a warehouse, so an in-memory
+// image (WithSnapshot) cannot seed it.
 func openDurable(cfg *config, plans *planCache) (*DB, error) {
+	if cfg.snapshot != nil {
+		return nil, errors.New("aladin: WithSnapshot cannot be combined with WithDataDir")
+	}
 	dir, err := store.OpenDir(cfg.dataDir)
 	if err != nil {
 		return nil, fmt.Errorf("aladin: opening data directory: %w", err)
-	}
-	if cfg.snapshot != nil {
-		if dir.HasData() {
-			dir.Close()
-			return nil, fmt.Errorf("aladin: data directory %s already holds data; importing a snapshot requires a fresh directory", dir.Path())
-		}
-		sys, err := core.Load(cfg.core, cfg.snapshot)
-		if err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("aladin: restoring snapshot: %w", err)
-		}
-		sys.AttachDurable(dir)
-		sys.MarkAllDirty()
-		db := &DB{sys: sys, plans: plans, dir: dir, checkpointEvery: cfg.checkpointEvery,
-			workers: parallel.Workers(cfg.core.Workers)}
-		if err := db.Checkpoint(context.Background()); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("aladin: checkpointing imported snapshot: %w", err)
-		}
-		return db, nil
 	}
 	sys, _, err := core.Recover(cfg.core, dir)
 	if err != nil {

@@ -3,6 +3,7 @@ package aladin
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -184,9 +185,10 @@ func TestDurableExplicitCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDurableSnapshotImport: WithSnapshot + WithDataDir imports the
-// legacy single-file format into a fresh directory (and only a fresh
-// one), checkpointing it immediately.
+// TestDurableSnapshotImport: the data directory is the only on-disk
+// form, so an in-memory image cannot be imported into one — WithSnapshot
+// + WithDataDir is refused and the directory is left as it was — while
+// WithSnapshot alone still restores the image in memory.
 func TestDurableSnapshotImport(t *testing.T) {
 	ctx := context.Background()
 	src := openWith(t, testCorpus(), "swissprot", "pdb")
@@ -198,40 +200,30 @@ func TestDurableSnapshotImport(t *testing.T) {
 	src.Close()
 
 	path := t.TempDir()
-	db, err := Open(WithOntologySources("go"), WithDataDir(path), WithSnapshot(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ := db.Stats(ctx)
-	if st.Durability.Gen == 0 || st.Durability.Sources != 2 {
-		t.Errorf("import did not checkpoint: %+v", st.Durability)
-	}
-	if st.Repo.Sources != want.Repo.Sources || st.Repo.Links != want.Repo.Links {
-		t.Errorf("imported stats %+v != %+v", st.Repo, want.Repo)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Importing into the now-populated directory must be refused.
 	if _, err := Open(WithOntologySources("go"), WithDataDir(path), WithSnapshot(snap)); err == nil ||
-		!strings.Contains(err.Error(), "fresh directory") {
-		t.Errorf("import into populated directory = %v, want refusal", err)
+		!strings.Contains(err.Error(), "WithSnapshot") {
+		t.Errorf("WithSnapshot + WithDataDir = %v, want refusal", err)
+	}
+	if entries, _ := os.ReadDir(path); len(entries) != 0 {
+		t.Errorf("refused Open wrote %d files into the data directory", len(entries))
 	}
 
-	// A plain reopen recovers the imported state.
-	re, err := Open(WithOntologySources("go"), WithDataDir(path))
+	re, err := Open(WithOntologySources("go"), WithSnapshot(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if st, _ := re.Stats(ctx); st.Repo.Sources != want.Repo.Sources {
-		t.Errorf("recovered imported sources = %d, want %d", st.Repo.Sources, want.Repo.Sources)
+	st, _ := re.Stats(ctx)
+	if st.Repo.Sources != want.Repo.Sources || st.Repo.Links != want.Repo.Links {
+		t.Errorf("restored stats %+v != %+v", st.Repo, want.Repo)
+	}
+	if st.Durability.Enabled {
+		t.Error("in-memory restore reports durability enabled")
 	}
 }
 
-// TestDurableOptionValidation covers the new options' error paths and
-// that Exec still works (in-memory) without a data directory.
+// TestDurableOptionValidation covers the durability options' error paths
+// and that Exec still works (in-memory) without a data directory.
 func TestDurableOptionValidation(t *testing.T) {
 	if _, err := Open(WithDataDir("")); err == nil {
 		t.Error("WithDataDir(\"\") should fail")

@@ -391,7 +391,7 @@ func TestTwoUploadsLinkFromTheirOwnEntries(t *testing.T) {
 // TestTwoUploadsSurviveRestart: the source's two uploads are
 // checkpointed, then the target is added and re-analyzed, which
 // rediscovers the links from the source's ownership table. Recovery, a
-// replica bootstrapped from the segments and a single-file snapshot
+// replica bootstrapped from the segments and an in-memory snapshot
 // restore that table batch by batch, so they hold the live links and
 // search hits — not also links from the first upload's entry.
 func TestTwoUploadsSurviveRestart(t *testing.T) {

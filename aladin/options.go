@@ -79,10 +79,10 @@ func WithPlanCache(n int) Option {
 	}
 }
 
-// WithSnapshot restores a previously saved warehouse during Open. It is
-// the import/export format: combined with WithDataDir, the snapshot
-// seeds a FRESH data directory (Open fails if the directory already
-// holds data) and is checkpointed into it before Open returns.
+// WithSnapshot restores an in-memory image taken by DB.Snapshot during
+// Open; the restored database is in-memory too. It cannot be combined
+// with WithDataDir or WithReplicaOf: a warehouse is saved as a data
+// directory, and WithDataDir alone reopens one.
 func WithSnapshot(snap *Snapshot) Option {
 	return func(c *config) { c.snapshot = snap }
 }

@@ -14,6 +14,9 @@
 //	aladin search "<terms>"              ranked full-text search over the demo corpus
 //	aladin browse <source> <accession>   show one object's web view
 //	aladin stats                         repository statistics for the demo corpus
+//	aladin save <data-dir>               integrate the demo corpus into a fresh data
+//	                                     directory and checkpoint it
+//	aladin load <data-dir>               recover a saved data directory, report it
 //	aladin checkpoint <data-dir>         recover a durable directory and checkpoint it
 //	aladin live [-format fasta] [-batch n] <file> [<name>]
 //	                                     tail a growing flat file into a source until
@@ -123,8 +126,10 @@ commands:
   search "<terms>"                ranked full-text search (demo corpus)
   browse <source> <accession>     object web view (demo corpus)
   stats                           repository statistics (demo corpus)
-  save <file>                     integrate the demo corpus and snapshot it
-  load <file>                     restore a snapshot and report its contents
+  save <data-dir>                 integrate the demo corpus into a fresh data
+                                  directory and checkpoint it
+  load <data-dir>                 recover a saved data directory and report
+                                  its contents
   checkpoint <data-dir>           recover a durable data directory and fold
                                   its write-ahead log into checkpoint segments
   live [-format f] [-batch n] <file> [<name>]
@@ -140,17 +145,21 @@ an argument beginning with "-" must follow a "--" terminator, e.g.
 
 // demoDB integrates the standard synthetic corpus through the public API.
 func demoDB(ctx context.Context) (*aladin.DB, error) {
-	corpus := datagen.Generate(datagen.Config{Seed: 1, Proteins: 40})
 	db, err := aladin.Open(aladin.WithOntologySources("go"), aladin.WithWorkers(workerCount))
 	if err != nil {
 		return nil, err
 	}
-	for _, src := range corpus.Sources {
+	return db, integrateDemo(ctx, db)
+}
+
+// integrateDemo adds the standard synthetic corpus to db.
+func integrateDemo(ctx context.Context, db *aladin.DB) error {
+	for _, src := range datagen.Generate(datagen.Config{Seed: 1, Proteins: 40}).Sources {
 		if _, err := db.AddSource(ctx, src); err != nil {
-			return nil, fmt.Errorf("integrating %s: %w", src.Name, err)
+			return fmt.Errorf("integrating %s: %w", src.Name, err)
 		}
 	}
-	return db, nil
+	return nil
 }
 
 func cmdDemo() error {
@@ -352,20 +361,31 @@ func sortedFieldKeys(m map[string]string) []string {
 	return out
 }
 
+// cmdSave integrates the demo corpus into a fresh data directory and
+// checkpoints it: the directory — MANIFEST, segments and an empty WAL —
+// is the saved warehouse, which `aladin load` and `aladind -data` open.
 func cmdSave(args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: aladin save <file>")
+		return fmt.Errorf("usage: aladin save <data-dir>")
 	}
 	ctx := context.Background()
-	db, err := demoDB(ctx)
+	db, err := aladin.Open(aladin.WithOntologySources("go"),
+		aladin.WithWorkers(workerCount), aladin.WithDataDir(args[0]))
 	if err != nil {
 		return err
 	}
-	snap, err := db.Snapshot(ctx)
+	defer db.Close()
+	infos, err := db.Sources(ctx)
 	if err != nil {
 		return err
 	}
-	if err := store.SaveFile(args[0], snap); err != nil {
+	if len(infos) > 0 {
+		return fmt.Errorf("%s already holds %d sources; save needs a fresh directory", args[0], len(infos))
+	}
+	if err := integrateDemo(ctx, db); err != nil {
+		return err
+	}
+	if err := db.Checkpoint(ctx); err != nil {
 		return err
 	}
 	st, err := db.Stats(ctx)
@@ -376,20 +396,23 @@ func cmdSave(args []string) error {
 	return nil
 }
 
+// cmdLoad recovers a saved data directory and reports its contents.
 func cmdLoad(args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: aladin load <file>")
+		return fmt.Errorf("usage: aladin load <data-dir>")
+	}
+	// Opening a directory without a manifest would initialize an empty
+	// warehouse there; a mistyped path is an error instead.
+	if _, err := os.Stat(filepath.Join(args[0], store.ManifestName)); err != nil {
+		return fmt.Errorf("%s is not a data directory: %w", args[0], err)
 	}
 	ctx := context.Background()
-	snap, err := store.LoadFile(args[0])
-	if err != nil {
-		return err
-	}
 	db, err := aladin.Open(aladin.WithOntologySources("go"),
-		aladin.WithWorkers(workerCount), aladin.WithSnapshot(snap))
+		aladin.WithWorkers(workerCount), aladin.WithDataDir(args[0]))
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 	st, err := db.Stats(ctx)
 	if err != nil {
 		return err

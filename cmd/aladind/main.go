@@ -8,7 +8,7 @@
 // Usage:
 //
 //	aladind [-addr :8317] [-workers n] [-timeout 30s]
-//	        [-proteins 40 | -load snapshot.gob | -empty]
+//	        [-proteins 40 | -empty]
 //	        [-data dir] [-checkpoint-every n] [-checkpoint-interval d]
 //	        [-replica-of http://primary:8317] [-ready-max-lag n]
 //	        [-pprof addr]
@@ -22,10 +22,9 @@
 // journaled to a write-ahead log under the directory before the HTTP
 // response is sent, a background loop (and graceful shutdown) folds the
 // log into per-source checkpoint segments, and a restart — clean or
-// after a crash — recovers exactly the acknowledged state. Combined
-// with -load, the snapshot seeds a fresh data directory; combined with
-// -proteins, the demo corpus is only generated when the directory is
-// empty.
+// after a crash — recovers exactly the acknowledged state. The demo
+// corpus (-proteins) is only generated when the directory is empty, so
+// -data also serves a warehouse saved by `aladin save`.
 //
 // A durable aladind is also a replication primary: it serves its
 // manifest, checkpoint segments, and WAL tail under /v1/repl/. A second
@@ -70,7 +69,6 @@ import (
 
 	"repro/aladin"
 	"repro/internal/datagen"
-	"repro/internal/store"
 )
 
 func main() {
@@ -79,7 +77,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "pipeline worker pool size (0 = all CPUs, 1 = serial)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout (0 = none)")
 		proteins = flag.Int("proteins", 40, "demo corpus size (proteins per source)")
-		load     = flag.String("load", "", "restore a snapshot file instead of the demo corpus")
 		empty    = flag.Bool("empty", false, "start with no sources (integrate via POST /v1/sources)")
 		dataDir  = flag.String("data", "", "durable data directory (WAL + checkpoints); empty = in-memory only")
 		chkEvery = flag.Int("checkpoint-every", 16, "checkpoint after this many journaled mutations (with -data)")
@@ -89,16 +86,16 @@ func main() {
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (own mux; empty = disabled)")
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *timeout, *proteins, *load, *empty, *dataDir, *chkEvery, *chkEach, *replica, *readyLag, *pprofOn); err != nil {
+	if err := run(*addr, *workers, *timeout, *proteins, *empty, *dataDir, *chkEvery, *chkEach, *replica, *readyLag, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "aladind:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers int, timeout time.Duration, proteins int, load string, empty bool,
+func run(addr string, workers int, timeout time.Duration, proteins int, empty bool,
 	dataDir string, chkEvery int, chkEach time.Duration, replicaOf string, readyLag uint64, pprofAddr string) error {
 
-	db, err := openDB(workers, proteins, load, empty, dataDir, chkEvery, replicaOf)
+	db, err := openDB(workers, proteins, empty, dataDir, chkEvery, replicaOf)
 	if err != nil {
 		return err
 	}
@@ -191,13 +188,9 @@ func checkpointLoop(ctx context.Context, db *aladin.DB, every time.Duration) {
 	}
 }
 
-// openDB builds the served database: a restored snapshot, a recovered
-// data directory, an empty warehouse, or the integrated synthetic demo
-// corpus.
-func openDB(workers, proteins int, load string, empty bool, dataDir string, chkEvery int, replicaOf string) (*aladin.DB, error) {
-	if load != "" && empty {
-		return nil, errors.New("-load and -empty are mutually exclusive")
-	}
+// openDB builds the served database: a recovered data directory, an
+// empty warehouse, or the integrated synthetic demo corpus.
+func openDB(workers, proteins int, empty bool, dataDir string, chkEvery int, replicaOf string) (*aladin.DB, error) {
 	opts := []aladin.Option{
 		aladin.WithWorkers(workers),
 		aladin.WithOntologySources("go"),
@@ -213,12 +206,12 @@ func openDB(workers, proteins int, load string, empty bool, dataDir string, chkE
 	}
 	if replicaOf != "" {
 		// A replica's entire state comes from the primary's stream; it
-		// never seeds, loads, or integrates anything locally.
+		// never seeds or integrates anything locally.
 		if dataDir == "" {
 			return nil, errors.New("-replica-of requires -data")
 		}
-		if load != "" || empty {
-			return nil, errors.New("-replica-of is mutually exclusive with -load and -empty")
+		if empty {
+			return nil, errors.New("-replica-of is mutually exclusive with -empty")
 		}
 		db, err := aladin.Open(append(opts, aladin.WithReplicaOf(replicaOf))...)
 		if err != nil {
@@ -227,18 +220,6 @@ func openDB(workers, proteins int, load string, empty bool, dataDir string, chkE
 		st, _ := db.Stats(context.Background())
 		log.Printf("aladind: replica of %s: bootstrapped via %s in %v (applied seq %d)",
 			replicaOf, st.Replication.BootstrapMode, st.Replication.BootstrapDuration.Round(time.Millisecond), st.Replication.AppliedSeq)
-		return db, nil
-	}
-	if load != "" {
-		snap, err := store.LoadFile(load)
-		if err != nil {
-			return nil, err
-		}
-		db, err := aladin.Open(append(opts, aladin.WithSnapshot(snap))...)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("aladind: restored snapshot %s", load)
 		return db, nil
 	}
 	db, err := aladin.Open(opts...)

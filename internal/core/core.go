@@ -844,6 +844,12 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 	}
 	report.XRefAttributes = xattrs
 	report.LinkStats = lstats
+	// The browse data follows the new structure; building it can fail, so
+	// it is built before the journal write and installed with the rest.
+	web, err := s.web.Prepare(db, structure)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.logRecord(&store.WALRecord{Type: store.RecReanalyze, SourceName: db.Name}, db.Name); err != nil {
 		return nil, err
 	}
@@ -864,6 +870,7 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 		reg.Profiles = profs
 		reg.Owners, reg.Text = src.Owners, src.Text
 	}
+	s.web.Install(web)
 	for _, l := range links {
 		if s.Repo.AddLink(l) {
 			report.LinksAdded[l.Type.String()]++

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metadata"
-	"repro/internal/rel"
 	"repro/internal/store"
 )
 
@@ -66,20 +64,6 @@ func (s *System) DurableDir() *store.Dir {
 		return d.dir
 	}
 	return nil
-}
-
-// MarkAllDirty flags every registered source for the next checkpoint —
-// used when seeding a fresh data directory from an imported snapshot.
-func (s *System) MarkAllDirty() {
-	d := s.durable
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, m := range s.Repo.Sources() {
-		d.dirty[strings.ToLower(m.Name)] = true
-	}
 }
 
 // logFrame assigns the mutation its global sequence number, journals
@@ -198,14 +182,12 @@ func (s *System) WALRecordsSinceCheckpoint() int {
 type PendingCheckpoint struct {
 	data     *store.CheckpointData
 	dirtySet map[string]bool
-	dirtyDBs map[string]*rel.Database
-	batches  map[string][][]int
-	metas    map[string]*metadata.SourceMeta
+	dirty    []pinnedSource
 	records  int
 }
 
 // Dirty returns the number of sources this checkpoint will rewrite.
-func (cp *PendingCheckpoint) Dirty() int { return len(cp.dirtyDBs) }
+func (cp *PendingCheckpoint) Dirty() int { return len(cp.dirty) }
 
 // BeginCheckpoint captures everything the checkpoint persists and
 // rotates the WAL. It must run excluding mutators (package aladin holds
@@ -235,22 +217,14 @@ func (s *System) BeginCheckpoint() (*PendingCheckpoint, error) {
 		// rotation — the new manifest anchors the counter there.
 		data:     &store.CheckpointData{WALSeq: seq, RecordSeq: s.seq.Load()},
 		dirtySet: dirty,
-		dirtyDBs: make(map[string]*rel.Database),
-		batches:  make(map[string][][]int),
-		metas:    make(map[string]*metadata.SourceMeta),
 		records:  records,
 	}
 	for _, m := range s.Repo.Sources() {
-		name := strings.ToLower(m.Name)
 		cp.data.Order = append(cp.data.Order, m.Name)
-		if dirty[name] && s.sources[name] != nil {
-			// ShallowClone pins the relation set: later DML replaces
-			// relations in the live database but never mutates published
-			// ones, so the clone encodes consistently off-lock. Restore
-			// rebuilds the ownership table batch by batch.
-			cp.dirtyDBs[name] = s.sources[name].ShallowClone()
-			cp.batches[name] = s.engine.Source(name).Owners.Batches(cp.dirtyDBs[name])
-			cp.metas[name] = m
+		if dirty[strings.ToLower(m.Name)] {
+			if ps, ok := s.pin(m); ok {
+				cp.dirty = append(cp.dirty, ps)
+			}
 		}
 	}
 	cp.data.Links = s.Repo.AllLinks()
@@ -267,22 +241,8 @@ func (s *System) WriteCheckpoint(cp *PendingCheckpoint) error {
 	if d == nil {
 		return errors.New("core: no data directory attached")
 	}
-	for _, name := range cp.data.Order {
-		key := strings.ToLower(name)
-		db, ok := cp.dirtyDBs[key]
-		if !ok {
-			continue
-		}
-		m := cp.metas[key]
-		ss := store.SourceSnapshot{
-			Name:       m.Name,
-			Relations:  store.SnapshotDatabase(db),
-			Structure:  m.Structure,
-			Profiles:   m.Profiles,
-			TupleCount: m.TupleCount,
-		}
-		ss.SetBatches(cp.batches[key])
-		cp.data.Dirty = append(cp.data.Dirty, ss)
+	for _, ps := range cp.dirty {
+		cp.data.Dirty = append(cp.data.Dirty, ps.image())
 	}
 	if err := d.dir.CompleteCheckpoint(cp.data); err != nil {
 		d.remerge(cp.dirtySet, cp.records)

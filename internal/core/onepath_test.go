@@ -753,3 +753,59 @@ func TestReanalyzeIsDurable(t *testing.T) {
 		}
 	}
 }
+
+// TestReanalyzeRepublishesBrowse: the structure a re-analysis discovers
+// governs browsing at once, as it does after a restart. Rows that break
+// the keyword → protein inclusion dependency make the re-analysis drop
+// the keyword path; the live node, a recovery from the WAL alone and a
+// recovery from a checkpoint must then browse the same annotations, and
+// none from a relation the structure no longer reaches.
+func TestReanalyzeRepublishesBrowse(t *testing.T) {
+	path := t.TempDir()
+	sys, dir, _ := durableSystem(t, path, 1) // swissprot
+	for i := range 5 {
+		if _, err := sys.Exec(fmt.Sprintf("INSERT INTO swissprot_keyword VALUES ('999%d', 'NOPE%d', 'x')", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Reanalyze("swissprot"); err != nil {
+		t.Fatal(err)
+	}
+	structure := sys.Repo.Source("swissprot").Structure
+	if _, ok := structure.Paths["keyword"]; ok {
+		t.Fatal("re-analysis kept the keyword path; the test needs it dropped")
+	}
+
+	ref := metadata.ObjectRef{Source: "swissprot", Relation: "protein", Accession: "P10000"}
+	annotations := func(s *System) string {
+		v, err := s.Browse(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make([]string, len(v.Annotations))
+		for i, a := range v.Annotations {
+			if _, ok := structure.Paths[strings.ToLower(a.Relation)]; !ok {
+				t.Errorf("annotation from %s, which the re-analyzed structure has no path to", a.Relation)
+			}
+			lines[i] = fmt.Sprintf("%s %v", a.Relation, a.Fields)
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	want := annotations(sys)
+
+	walOnly := copyDir(t, path)
+	checkpointNow(t, sys)
+	if err := dir.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromWAL, wdir, _ := recoverSystem(t, walOnly)
+	defer wdir.Close()
+	fromCheckpoint, cdir, _ := recoverSystem(t, path)
+	defer cdir.Close()
+	for name, s := range map[string]*System{"recovered from WAL": fromWAL, "recovered from checkpoint": fromCheckpoint} {
+		if got := annotations(s); got != want {
+			t.Errorf("%s browses other annotations than the live node:\n--- live ---\n%s\n--- %s ---\n%s", name, want, name, got)
+		}
+	}
+}

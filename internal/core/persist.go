@@ -1,17 +1,16 @@
 package core
 
 // Persistence and replay. A System is rebuilt from persisted source
-// images — the segments of a checkpoint or single-file snapshot, the
-// RecAddSource and RecAppend records of a WAL tail, the frames a
-// replication primary relays — by the same publish that commits live
-// integrations. restore is the front door: it turns an image into a
-// Pending WITHOUT running the pipeline. Structure and profiles come
-// from the image (or, for an appended batch, from the registry), the
-// duplicate records are bucketed without comparing, and the links come
-// from the record or the links segment — §6.2 stresses how costly
-// re-computation is, so replay performs no sequence, text or duplicate
-// comparison at all. Reanalyze remains the way to force a fresh
-// derivation.
+// images — the segments of a checkpoint, the RecAddSource and RecAppend
+// records of a WAL tail, the frames a replication primary relays — by
+// the same publish that commits live integrations. restore is the front
+// door: it turns an image into a Pending WITHOUT running the pipeline.
+// Structure and profiles come from the image (or, for an appended batch,
+// from the registry), the duplicate records are bucketed without
+// comparing, and the links come from the record or the links segment —
+// §6.2 stresses how costly re-computation is, so replay performs no
+// sequence, text or duplicate comparison at all. Reanalyze remains the
+// way to force a fresh derivation.
 
 import (
 	"errors"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/linkdisc"
 	"repro/internal/metadata"
 	"repro/internal/profile"
+	"repro/internal/rel"
 	"repro/internal/store"
 )
 
@@ -31,21 +31,54 @@ import (
 // supported format writes them, and replay never re-derives them.
 var ErrNoStructure = errors.New("core: persisted source has no discovered structure")
 
-// Snapshot captures the full integrated warehouse — source data, link
-// repository, and user feedback — for persistence via package store.
+// Snapshot captures the full integrated warehouse — every source's image,
+// the link repository, and user feedback — in registration order.
 func (s *System) Snapshot() *store.Snapshot {
-	metas := make(map[string]*metadata.SourceMeta)
+	snap := &store.Snapshot{Links: s.Repo.AllLinks(), Removed: s.Repo.RemovedLinks()}
 	for _, m := range s.Repo.Sources() {
-		metas[strings.ToLower(m.Name)] = m
-	}
-	snap := store.Build(s.sources, metas, s.Repo.AllLinks(), s.Repo.RemovedLinks())
-	// Record each source's batches, so that loading rebuilds its
-	// ownership table batch by batch.
-	for i := range snap.Sources {
-		reg := s.engine.Source(snap.Sources[i].Name)
-		snap.Sources[i].SetBatches(reg.Owners.Batches(reg.DB))
+		if ps, ok := s.pin(m); ok {
+			snap.Sources = append(snap.Sources, ps.image())
+		}
 	}
 	return snap
+}
+
+// pinnedSource is what a registered source's persisted image is built
+// from, taken at one instant.
+type pinnedSource struct {
+	db      *rel.Database
+	meta    *metadata.SourceMeta
+	batches [][]int
+}
+
+// pin captures registered source m: a shallow clone of its relations
+// (DML replaces relations in the live database but never mutates
+// published ones, so the clone encodes consistently later, off-lock),
+// its registered metadata, and the batch sizes its ownership table was
+// built from. It reports false for a source without data.
+func (s *System) pin(m *metadata.SourceMeta) (pinnedSource, bool) {
+	key := strings.ToLower(m.Name)
+	db := s.sources[key]
+	if db == nil {
+		return pinnedSource{}, false
+	}
+	db = db.ShallowClone()
+	return pinnedSource{db: db, meta: m, batches: s.engine.Source(key).Owners.Batches(db)}, true
+}
+
+// image encodes a pinned source — the one place a checkpoint segment and
+// a Snapshot entry are assembled. Restore rebuilds the ownership table
+// batch by batch from the recorded batches.
+func (ps pinnedSource) image() store.SourceSnapshot {
+	ss := store.SourceSnapshot{
+		Name:       ps.meta.Name,
+		Relations:  store.SnapshotDatabase(ps.db),
+		Structure:  ps.meta.Structure,
+		Profiles:   ps.meta.Profiles,
+		TupleCount: ps.meta.TupleCount,
+	}
+	ss.SetBatches(ps.batches)
+	return ss
 }
 
 // restore publishes one persisted source image with the candidate links
@@ -125,7 +158,7 @@ func (s *System) load(snap *store.Snapshot) error {
 	return nil
 }
 
-// Load rebuilds a System from a single-file snapshot.
+// Load rebuilds a System from an in-memory image (see Snapshot).
 func Load(opts Options, snap *store.Snapshot) (*System, error) {
 	sys := New(opts)
 	if err := sys.load(snap); err != nil {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/metadata"
 	"repro/internal/search"
-	"repro/internal/store"
 )
 
 func TestSnapshotLoadRoundTrip(t *testing.T) {
@@ -19,6 +17,13 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	snap := sys.Snapshot()
 	if len(snap.Sources) != 6 {
 		t.Fatalf("snapshot sources = %d", len(snap.Sources))
+	}
+	// Sources are listed in registration order (swissprot before pdb),
+	// the order restore registers them in again.
+	for i, name := range sys.Sources() {
+		if snap.Sources[i].Name != name {
+			t.Errorf("snapshot source %d = %s, want %s (registration order %v)", i, snap.Sources[i].Name, name, sys.Sources())
+		}
 	}
 
 	restored, err := Load(defaultOpts(), snap)
@@ -59,24 +64,5 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := restored.Browse(objs[0]); err != nil {
 		t.Errorf("restored browse: %v", err)
-	}
-}
-
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	sys, _ := buildSystem(t, defaultCfg(), defaultOpts())
-	path := filepath.Join(t.TempDir(), "warehouse.gob")
-	if err := store.SaveFile(path, sys.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := store.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(defaultOpts(), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Repo.LinkCount(-1) != sys.Repo.LinkCount(-1) {
-		t.Error("file round trip changed link count")
 	}
 }

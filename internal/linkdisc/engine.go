@@ -178,25 +178,6 @@ func (e *Engine) AddSource(s *Source) error {
 // Source returns a registered source by name.
 func (e *Engine) Source(name string) *Source { return e.byName[strings.ToLower(name)] }
 
-// RemoveSource deregisters a source (the unwind path when integration
-// fails after the source was added). It reports whether the source was
-// registered.
-func (e *Engine) RemoveSource(name string) bool {
-	key := strings.ToLower(name)
-	src, ok := e.byName[key]
-	if !ok {
-		return false
-	}
-	delete(e.byName, key)
-	for i, s := range e.sources {
-		if s == src {
-			e.sources = append(e.sources[:i], e.sources[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // DiscoverAll runs link discovery between every ordered pair of distinct
 // sources and returns the links plus per-pair xref attributes.
 func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {

@@ -179,8 +179,7 @@ func (r *Repo) AddLink(l Link) bool {
 
 // AddLinkTracked stores a link like AddLink, additionally reporting when
 // an existing equivalent link was upgraded in place to higher-confidence
-// evidence — returning the pre-upgrade value so a failed source addition
-// can revert the mutation (see RevertUpgrades).
+// evidence, and the pre-upgrade value.
 func (r *Repo) AddLinkTracked(l Link) (stored, upgraded bool, prev Link) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -206,39 +205,12 @@ func (r *Repo) AddLinkTracked(l Link) (stored, upgraded bool, prev Link) {
 	return true, false, Link{}
 }
 
-// RevertUpgrades restores the pre-upgrade confidence/method of links
-// upgraded in place by AddLinkTracked — the unwind path for a failed
-// source addition. Reversing the order handles a pair upgraded twice
-// within one addition.
-func (r *Repo) RevertUpgrades(prevs []Link) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(prevs) - 1; i >= 0; i-- {
-		p := prevs[i]
-		if j, ok := r.present[p.pairKey()]; ok {
-			r.links[j].Confidence = p.Confidence
-			r.links[j].Method = p.Method
-		}
-	}
-}
-
 // Removed reports whether the link's pair was deleted by user feedback
 // (such links are refused by AddLink and must not seed derived links).
 func (r *Repo) Removed(l Link) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.removed[l.pairKey()]
-}
-
-// AddLinks stores a batch and returns how many were new.
-func (r *Repo) AddLinks(ls []Link) int {
-	n := 0
-	for _, l := range ls {
-		if r.AddLink(l) {
-			n++
-		}
-	}
-	return n
 }
 
 // RemoveLink deletes a link (user feedback, §6.2) and blocks it from
@@ -259,22 +231,6 @@ func (r *Repo) RemoveLink(l Link) bool {
 	// Mark the slot dead; index slices keep positions, readers skip dead.
 	r.links[i].Confidence = -1
 	return true
-}
-
-// DropLinks deletes links without recording user feedback — unlike
-// RemoveLink, a dropped pair may be re-added later. It is the unwind path
-// for a failed source addition: only the exact links stored during that
-// addition are dropped.
-func (r *Repo) DropLinks(ls []Link) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, l := range ls {
-		pk := l.pairKey()
-		if i, ok := r.present[pk]; ok {
-			delete(r.present, pk)
-			r.links[i].Confidence = -1
-		}
-	}
 }
 
 // LinksOf returns all live links touching the given object.

@@ -65,7 +65,7 @@ func TestAddLinkKeepsHigherConfidence(t *testing.T) {
 	}
 }
 
-func TestAddLinkTrackedAndRevertUpgrades(t *testing.T) {
+func TestAddLinkTrackedReportsUpgrades(t *testing.T) {
 	r := NewRepo()
 	orig := Link{Type: LinkText, From: ref("a", "1"), To: ref("b", "2"), Confidence: 0.4, Method: "weak"}
 	if stored, _, _ := r.AddLinkTracked(orig); !stored {
@@ -84,27 +84,9 @@ func TestAddLinkTrackedAndRevertUpgrades(t *testing.T) {
 	if s, u, _ := r.AddLinkTracked(orig); s || u {
 		t.Errorf("low-confidence re-add: stored=%v upgraded=%v", s, u)
 	}
-	r.RevertUpgrades([]Link{prev})
 	ls := r.Links(LinkText)
-	if len(ls) != 1 || ls[0].Confidence != 0.4 || ls[0].Method != "weak" {
-		t.Errorf("after revert: %+v", ls)
-	}
-}
-
-func TestDropLinksDoesNotBlockReAdd(t *testing.T) {
-	r := NewRepo()
-	l := Link{Type: LinkXRef, From: ref("a", "1"), To: ref("b", "2"), Confidence: 0.7}
-	r.AddLink(l)
-	r.DropLinks([]Link{l})
-	if n := r.LinkCount(-1); n != 0 {
-		t.Fatalf("count after drop = %d", n)
-	}
-	// Unlike RemoveLink (user feedback), a dropped pair may come back.
-	if !r.AddLink(l) {
-		t.Error("re-add after DropLinks should store")
-	}
-	if n := r.LinkCount(-1); n != 1 {
-		t.Errorf("count after re-add = %d", n)
+	if len(ls) != 1 || ls[0].Confidence != 0.9 || ls[0].Method != "strong" {
+		t.Errorf("after upgrade: %+v", ls)
 	}
 }
 

@@ -139,23 +139,13 @@ func OpenDir(path string) (*Dir, error) {
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
 
-// HasData reports whether the directory holds any state — checkpointed
-// segments or pending WAL records. A snapshot may only be imported into
-// a directory without data.
-func (d *Dir) HasData() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.manifest.Sources) > 0 || d.manifest.LinksFile != "" ||
-		len(d.pending) > 0 || d.wal.Records() > 0
-}
-
 // Load reads the checkpointed state: every active segment plus the
 // links segment, assembled into a Snapshot.
 func (d *Dir) Load() (*Snapshot, error) {
 	d.mu.Lock()
 	m := d.manifest
 	d.mu.Unlock()
-	snap := &Snapshot{Version: FormatVersion}
+	snap := &Snapshot{}
 	for _, ref := range m.Sources {
 		ss, err := readSegment(filepath.Join(d.path, ref.File))
 		if err != nil {

@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 )
 
-// This file holds the durable file-IO primitives shared by the snapshot
-// writer (SaveFile), the checkpoint segment/manifest writers, and the
-// WAL. "Durable" means the usual three-step dance: fsync the file
+// This file holds the durable file-IO primitives shared by the
+// checkpoint segment/manifest writers, downloaded replica segments, and
+// the WAL. "Durable" means the usual three-step dance: fsync the file
 // contents, atomically rename into place, then fsync the parent
 // directory so the rename itself survives power loss — a bare
 // temp-file + rename is atomic against concurrent readers but NOT

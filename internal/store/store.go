@@ -5,28 +5,19 @@
 // must survive restarts without re-running the expensive discovery steps
 // (§6.2 stresses how costly re-computation is). This package only
 // encodes and decodes; rebuilding a live system from what it reads
-// (core.Load, core.Recover) goes through the same publish step that
-// commits live integrations.
+// (core.Recover) goes through the same publish step that commits live
+// integrations.
 //
-// Two on-disk layouts exist:
-//
-//   - the single-file gob snapshot (Write/Read, SaveFile/LoadFile) — the
-//     import/export format, a full rewrite per save;
-//   - the durable directory format (see dir.go): a MANIFEST naming
-//     per-source checkpoint segments plus an append-only WAL (wal.go),
-//     which is what long-lived warehouses use.
-//
-// Every on-disk artifact starts with a magic string and a format-version
-// byte, so the layouts stay distinguishable from each other — and from
-// the headerless pre-v2 snapshots — forever after.
+// There is one on-disk layout, the data directory (see manifest.go and
+// dir.go): a MANIFEST naming one checkpoint segment per source and a
+// links segment, plus an append-only WAL (wal.go) of the mutations made
+// since that checkpoint.
+// A checkpointed directory is self-contained: copying its files copies
+// the warehouse, which is how replication bootstraps (export.go). Every
+// file starts with a magic string that names its kind and version.
 package store
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
-	"os"
-	"slices"
 	"sort"
 	"strings"
 
@@ -36,18 +27,9 @@ import (
 	"repro/internal/rel"
 )
 
-// FormatVersion identifies the snapshot layout. Version 2 added the
-// magic header and persisted per-source structures and column profiles
-// (recovery reuses them instead of re-running discovery).
-const FormatVersion = 2
-
-// snapshotMagic prefixes every single-file snapshot, followed by one
-// format-version byte.
-const snapshotMagic = "ALDN"
-
-// Snapshot is the serializable state of an integrated warehouse.
+// Snapshot is the in-memory image of an integrated warehouse: what
+// Dir.Load reads from a checkpoint, and what a System can be built from.
 type Snapshot struct {
-	Version int
 	Sources []SourceSnapshot
 	Links   []metadata.Link
 	// Removed holds user-feedback link deletions so restored systems do
@@ -67,8 +49,7 @@ type SourceSnapshot struct {
 	Profiles   map[string]*profile.ColumnProfile
 	TupleCount int
 	// batches is unexported, so gob skips it and WAL records keep their
-	// encoding; segments and single-file snapshots write it after the
-	// image (see Batches).
+	// encoding; segments write it after the image (see Batches).
 	batches [][]int
 }
 
@@ -92,7 +73,7 @@ type RelationSnapshot struct {
 	// Tuples flatten row-major; Kinds parallel the values.
 	Rows [][]CellSnapshot
 	// Stats carries the planner's statistics block, when one was
-	// computed. Absent in pre-stats snapshots (gob tolerates the missing
+	// computed. Absent in pre-stats images (gob tolerates the missing
 	// field); restore then leaves Relation.Stats nil and the planner
 	// falls back to guesses.
 	Stats *StatsSnapshot
@@ -268,112 +249,4 @@ func RestoreDatabase(name string, rels []RelationSnapshot) *rel.Database {
 	return db
 }
 
-// Build assembles a snapshot from warehouse pieces. Callers pass the
-// per-source databases plus the metadata repository.
-func Build(sources map[string]*rel.Database, metas map[string]*metadata.SourceMeta,
-	links, removed []metadata.Link) *Snapshot {
-
-	snap := &Snapshot{Version: FormatVersion, Links: links, Removed: removed}
-	// Deterministic source order: by registration sequence.
-	ordered := make([]*metadata.SourceMeta, 0, len(metas))
-	for _, m := range metas {
-		ordered = append(ordered, m)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
-	for _, m := range ordered {
-		db := sources[keyOf(m.Name)]
-		if db == nil {
-			continue
-		}
-		snap.Sources = append(snap.Sources, SourceSnapshot{
-			Name:       m.Name,
-			Relations:  SnapshotDatabase(db),
-			Structure:  m.Structure,
-			Profiles:   m.Profiles,
-			TupleCount: m.TupleCount,
-		})
-	}
-	return snap
-}
-
 func keyOf(name string) string { return strings.ToLower(name) }
-
-// Write encodes a snapshot: the magic string, one format-version byte,
-// then the gob stream.
-func Write(w io.Writer, snap *Snapshot) error {
-	if snap.Version == 0 {
-		snap.Version = FormatVersion
-	}
-	if _, err := w.Write(append([]byte(snapshotMagic), byte(FormatVersion))); err != nil {
-		return fmt.Errorf("store: writing snapshot header: %w", err)
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(snap); err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	// The sources' batches follow, one entry per source, when any has.
-	batches := make([][][]int, len(snap.Sources))
-	for i := range snap.Sources {
-		batches[i] = snap.Sources[i].batches
-	}
-	if !slices.ContainsFunc(batches, func(b [][]int) bool { return b != nil }) {
-		return nil
-	}
-	if err := enc.Encode(batches); err != nil {
-		return fmt.Errorf("store: encoding snapshot batches: %w", err)
-	}
-	return nil
-}
-
-// Read decodes a snapshot, validating the magic header and its version.
-// Headerless pre-v2 snapshots and future versions are rejected with a
-// clear error rather than a gob decoding failure.
-func Read(r io.Reader) (*Snapshot, error) {
-	hdr := make([]byte, len(snapshotMagic)+1)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
-	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("store: not an ALADIN snapshot (bad magic %q; headerless pre-v%d snapshots must be re-exported)",
-			hdr[:len(snapshotMagic)], FormatVersion)
-	}
-	if v := int(hdr[len(snapshotMagic)]); v != FormatVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d (want %d)", v, FormatVersion)
-	}
-	dec := gob.NewDecoder(r)
-	var snap Snapshot
-	if err := dec.Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	if snap.Version != FormatVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d (want %d)", snap.Version, FormatVersion)
-	}
-	var batches [][][]int
-	if err := dec.Decode(&batches); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("store: decoding snapshot batches: %w", err)
-	}
-	if batches != nil && len(batches) != len(snap.Sources) {
-		return nil, fmt.Errorf("store: snapshot batches for %d of %d sources", len(batches), len(snap.Sources))
-	}
-	for i, b := range batches {
-		snap.Sources[i].batches = b
-	}
-	return &snap, nil
-}
-
-// SaveFile durably writes a snapshot to a file: temp file, fsync,
-// atomic rename, directory fsync — a "saved" snapshot survives power
-// loss, not just a process crash.
-func SaveFile(path string, snap *Snapshot) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return Write(w, snap) })
-}
-
-// LoadFile reads a snapshot from a file.
-func LoadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}

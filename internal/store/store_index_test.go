@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"testing"
@@ -14,7 +13,7 @@ import (
 )
 
 // TestRestoreRebuildsRelationIndexes: hash indexes are not encoded into
-// a snapshot; RestoreRelation rebuilds the declared-key ones from the
+// a segment; RestoreRelation rebuilds the declared-key ones from the
 // restored tuples.
 func TestRestoreRebuildsRelationIndexes(t *testing.T) {
 	r := rel.NewRelation("t", rel.NewSchema(
@@ -37,28 +36,46 @@ func TestRestoreRebuildsRelationIndexes(t *testing.T) {
 }
 
 // TestRestoredWarehouseAnswersIndexedPointQuery is the round-trip
-// acceptance probe: snapshot an integrated system, restore it through
-// core.Load, and assert a point query on the restored warehouse probes
-// an index — Scanned() == 1, not the relation cardinality.
+// acceptance probe: checkpoint an integrated system, recover it from the
+// data directory through core.Recover, and assert a point query on the
+// restored warehouse probes an index — Scanned() == 1, not the relation
+// cardinality.
 func TestRestoredWarehouseAnswersIndexedPointQuery(t *testing.T) {
 	corpus := datagen.Generate(datagen.Config{Seed: 5, Proteins: 24})
-	sys := core.New(core.Options{DisableSearchIndex: true})
+	opts := core.Options{DisableSearchIndex: true}
+	path := t.TempDir()
+	dir, err := store.OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.New(opts)
+	sys.AttachDurable(dir)
 	for _, name := range []string{"swissprot", "pdb"} {
 		if _, err := sys.AddSource(corpus.Source(name)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := store.Write(&buf, sys.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := store.Read(&buf)
+	cp, err := sys.BeginCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.Load(core.Options{DisableSearchIndex: true}, snap)
+	if err := sys.WriteCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir, err = store.OpenDir(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer dir.Close()
+	restored, replayed, err := core.Recover(opts, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed != 0 {
+		t.Fatalf("replayed %d WAL records, want the checkpoint alone", replayed)
 	}
 
 	db := restored.WarehouseSnapshot()

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
+	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/metadata"
@@ -57,11 +59,45 @@ func TestRelationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriteRead(t *testing.T) {
-	db := sampleDB()
-	metas := map[string]*metadata.SourceMeta{
-		"src": {Name: "src", Seq: 1, TupleCount: 2},
+// checkpointed writes src, links and removed as one checkpoint of a fresh
+// data directory at path and closes it.
+func checkpointed(t *testing.T, path string, src SourceSnapshot, links, removed []metadata.Link) {
+	t.Helper()
+	d, err := OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer d.Close()
+	seq, err := d.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CompleteCheckpoint(&CheckpointData{
+		Dirty: []SourceSnapshot{src}, Order: []string{src.Name},
+		WALSeq: seq, Links: links, Removed: removed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// loadDir opens the data directory at path and loads its checkpoint.
+func loadDir(t *testing.T, path string) *Snapshot {
+	t.Helper()
+	d, err := OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	snap, err := d.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestSnapshotWriteRead: a checkpoint writes a source segment and the
+// links segment, links and removed links alike, and Load reads them back.
+func TestSnapshotWriteRead(t *testing.T) {
 	links := []metadata.Link{{
 		Type:       metadata.LinkXRef,
 		From:       metadata.ObjectRef{Source: "src", Relation: "t", Accession: "P1"},
@@ -73,109 +109,141 @@ func TestSnapshotWriteRead(t *testing.T) {
 		From: metadata.ObjectRef{Source: "src", Relation: "t", Accession: "P1"},
 		To:   metadata.ObjectRef{Source: "other", Relation: "m", Accession: "X2"},
 	}}
-	snap := Build(map[string]*rel.Database{"src": db}, metas, links, removed)
+	path := t.TempDir()
+	checkpointed(t, path, SourceSnapshot{Name: "src", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}, links, removed)
 
-	var buf bytes.Buffer
-	if err := Write(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != FormatVersion || len(got.Sources) != 1 {
-		t.Fatalf("snapshot = %+v", got)
+	got := loadDir(t, path)
+	if len(got.Sources) != 1 || got.Sources[0].Name != "src" || got.Sources[0].TupleCount != 2 {
+		t.Fatalf("sources = %+v", got.Sources)
 	}
 	if len(got.Links) != 1 || got.Links[0].Method != "test" {
 		t.Errorf("links = %+v", got.Links)
 	}
-	if len(got.Removed) != 1 {
+	if len(got.Removed) != 1 || got.Removed[0].To.Accession != "X2" {
 		t.Errorf("removed = %+v", got.Removed)
 	}
 }
 
-func TestReadRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, &Snapshot{Version: FormatVersion}); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt by writing a snapshot with a bad version.
-	var buf2 bytes.Buffer
-	bad := &Snapshot{Version: 999}
-	if err := Write(&buf2, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf2); err == nil {
-		t.Error("wrong version should be rejected")
-	}
-}
-
-func TestReadGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Error("garbage should fail")
-	}
-}
-
+// TestSaveLoadFile: a warehouse is saved as a checkpointed data
+// directory, and a plain copy of that directory's files is the whole
+// saved warehouse — it opens and loads with nothing else beside it.
 func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "warehouse.gob")
-	db := sampleDB()
-	snap := Build(map[string]*rel.Database{"src": db},
-		map[string]*metadata.SourceMeta{"src": {Name: "src", Seq: 1}}, nil, nil)
-	if err := SaveFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
+	path := t.TempDir()
+	checkpointed(t, path, SourceSnapshot{Name: "src", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}, nil, nil)
+
+	saved := t.TempDir()
+	entries, err := os.ReadDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(path, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(saved, e.Name()), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := loadDir(t, saved)
 	if len(got.Sources) != 1 || got.Sources[0].Name != "src" {
-		t.Errorf("loaded = %+v", got.Sources)
+		t.Fatalf("loaded = %+v", got.Sources)
+	}
+	if n := len(got.Sources[0].Relations); n != len(SnapshotDatabase(sampleDB())) {
+		t.Errorf("loaded %d relations, want %d", n, len(SnapshotDatabase(sampleDB())))
 	}
 }
 
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Error("missing file should fail")
-	}
-}
-
+// TestBuildOrdersBySeq: a checkpoint lists sources in the registration
+// order it is given, not in the order their segments were written, and
+// Load hands them back in that order — the order restore registers them
+// in again. A later checkpoint rewriting only one source keeps it.
 func TestBuildOrdersBySeq(t *testing.T) {
-	dbs := map[string]*rel.Database{
-		"b": rel.NewDatabase("b"),
-		"a": rel.NewDatabase("a"),
+	path := t.TempDir()
+	d, err := OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	metas := map[string]*metadata.SourceMeta{
-		"b": {Name: "b", Seq: 2},
-		"a": {Name: "a", Seq: 1},
-	}
-	snap := Build(dbs, metas, nil, nil)
-	if len(snap.Sources) != 2 || snap.Sources[0].Name != "a" || snap.Sources[1].Name != "b" {
-		t.Errorf("order = %+v", snap.Sources)
+	defer d.Close()
+	a := SourceSnapshot{Name: "a", Relations: SnapshotDatabase(rel.NewDatabase("a"))}
+	b := SourceSnapshot{Name: "b", Relations: SnapshotDatabase(rel.NewDatabase("b"))}
+	for _, dirty := range [][]SourceSnapshot{{b, a}, {b}} {
+		seq, err := d.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.CompleteCheckpoint(&CheckpointData{Dirty: dirty, Order: []string{"a", "b"}, WALSeq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := d.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Sources) != 2 || snap.Sources[0].Name != "a" || snap.Sources[1].Name != "b" {
+			t.Errorf("dirty %d: order = %+v", len(dirty), snap.Sources)
+		}
 	}
 }
 
-// TestBatchesRoundTrip: a source's batches survive single-file snapshots
-// and segments, and stay out of WAL records.
+// TestReadRejectsWrongVersion: a manifest of another directory-format
+// version is refused with an error naming it, not decoded.
+func TestReadRejectsWrongVersion(t *testing.T) {
+	path := t.TempDir()
+	var buf bytes.Buffer
+	buf.WriteString(manifestMagic)
+	if err := gob.NewEncoder(&buf).Encode(&Manifest{Version: ManifestVersion - 1, WALSeq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, ManifestName), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(path); err == nil || !strings.Contains(err.Error(), "unsupported manifest version") {
+		t.Errorf("OpenDir of a version-%d manifest = %v, want refusal", ManifestVersion-1, err)
+	}
+}
+
+// TestReadGarbage: every reader of the directory format refuses bytes
+// that do not start with its magic.
+func TestReadGarbage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "garbage")
+	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readManifest(path); err == nil {
+		t.Error("garbage manifest should fail")
+	}
+	if _, err := readSegment(path); err == nil {
+		t.Error("garbage segment should fail")
+	}
+	if _, err := readLinksSegment(path); err == nil {
+		t.Error("garbage links segment should fail")
+	}
+}
+
+// TestLoadMissingSegment: a manifest naming a segment file that is gone
+// fails the load instead of recovering without the source.
+func TestLoadMissingSegment(t *testing.T) {
+	path := t.TempDir()
+	checkpointed(t, path, SourceSnapshot{Name: "src", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}, nil, nil)
+	d, err := OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := os.Remove(filepath.Join(path, d.ManifestCopy().Sources[0].File)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Load(); err == nil {
+		t.Error("load with a missing segment should fail")
+	}
+}
+
+// TestBatchesRoundTrip: a source's batches survive segments and stay out
+// of WAL records.
 func TestBatchesRoundTrip(t *testing.T) {
 	withBatches := SourceSnapshot{Name: "src", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}
 	withBatches.SetBatches([][]int{{1, 1}})
 	plain := SourceSnapshot{Name: "plain", Relations: SnapshotDatabase(sampleDB()), TupleCount: 2}
-
-	var buf bytes.Buffer
-	if err := Write(&buf, &Snapshot{Sources: []SourceSnapshot{withBatches, plain}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := got.Sources[0].Batches(); len(b) != 1 || !slices.Equal(b[0], []int{1, 1}) {
-		t.Errorf("snapshot batches = %v", b)
-	}
-	if b := got.Sources[1].Batches(); len(b) != 0 {
-		t.Errorf("source without batches read back %v", b)
-	}
 
 	dir := t.TempDir()
 	for _, ss := range []SourceSnapshot{withBatches, plain} {
