@@ -80,8 +80,10 @@ func (bd *binder) ndv(cr *ColumnRef) float64 {
 
 // selectAccess is the bound physical plan of one SELECT (without its
 // union chain): the base-table access path and the join steps in
-// execution order — possibly reordered. Open and Explain both consume
-// bindSelect output, so the plan shown is always the plan run.
+// execution order — possibly reordered. buildSelect binds it for Open,
+// EXPLAIN and EXPLAIN ANALYZE alike and returns the plan nodes beside the
+// operators it builds, so the plan shown is always the plan run: the
+// access paths and every operator above them.
 type selectAccess struct {
 	scan  *scanAccess
 	joins []*joinAccess

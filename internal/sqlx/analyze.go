@@ -12,12 +12,12 @@ import (
 	"repro/internal/rel"
 )
 
-// EXPLAIN ANALYZE support: when a run carries a planMeters, every
-// operator of the executed tree is wrapped in a vecMeter counting
-// emitted rows, batches and cumulative time (child time included, as in
-// PostgreSQL). Parallel morsel chains share the same meter pointers, so
-// counts aggregate across workers; times then sum worker CPU time and
-// can exceed wall clock.
+// EXPLAIN ANALYZE support: under run.analyze every plan node buildSelect
+// returns owns an opMeter, and its operator is wrapped in a vecMeter
+// counting emitted rows, batches and cumulative time (child time
+// included, as in PostgreSQL). Parallel morsel chains share their chain
+// nodes' meters, so counts aggregate across workers; times then sum
+// worker CPU time and can exceed wall clock.
 
 // opMeter accumulates one operator's actual row count, nanoseconds, and
 // the number of non-empty batches it emitted. Fields are atomics: morsel
@@ -49,41 +49,6 @@ func (mi *vecMeter) next(ctx context.Context, want int) ([]item, error) {
 	return items, err
 }
 
-// selMeters holds the meters of one SELECT branch, in chain order.
-// Pointers are nil for operators the branch does not have.
-type selMeters struct {
-	scan     *opMeter
-	joins    []*opMeter
-	residual *opMeter
-	// gather is set when the branch ran parallel morsels.
-	gather        *opMeter
-	gatherWorkers int
-	gatherMorsels int
-	agg           *opMeter // projection or aggregation
-	sort          *opMeter
-	distinct      *opMeter
-	limit         *opMeter
-}
-
-// planMeters holds every meter of one executed statement: one selMeters
-// per branch (head first, then union branches in order — the same order
-// vecOpenSelect opens them), plus the union-level operators.
-type planMeters struct {
-	branches      []*selMeters
-	union         *opMeter
-	unionDistinct *opMeter
-	unionSort     *opMeter
-	unionLimit    *opMeter
-}
-
-// branch returns the i'th branch meters, nil when out of range.
-func (pm *planMeters) branch(i int) *selMeters {
-	if pm == nil || i >= len(pm.branches) {
-		return nil
-	}
-	return pm.branches[i]
-}
-
 // ExplainAnalyze executes the plan against db (with the given
 // parallelism degree, as OpenParallel would) and renders the operator
 // tree annotated with estimated rows, actual rows and cumulative time
@@ -96,40 +61,35 @@ func (p *Plan) ExplainAnalyze(ctx context.Context, db *rel.Database, workers int
 	if workers > 1 {
 		rt.workers = workers
 	}
-	rt.meters = &planMeters{}
+	defer rt.close()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
 	start := time.Now()
-	rows := 0
-	_, it, err := vecOpenSelect(ctx, db, p.stmt, p.lg, rt)
-	if err != nil {
-		rt.close()
+	// Subqueries materialize first, untraced: their operators are not
+	// part of the statement's plan.
+	if err := rt.materializeAll(ctx, db, p.lg); err != nil {
 		return "", err
 	}
+	rt.explain, rt.analyze = true, true
+	_, it, root, err := buildSelect(ctx, db, p.stmt, p.lg, rt)
+	if err != nil {
+		return "", err
+	}
+	rows := 0
 	for {
 		items, err := it.next(ctx, vecBatch)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			rt.close()
 			return "", err
 		}
 		rows += len(items)
 	}
-	rt.close()
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)
 	allocs := ms.Mallocs - mallocs
-	lg := p.lg
-	if lg == nil {
-		lg = buildLogical(db, p.stmt)
-	}
-	root, err := explainTree(db, p.stmt, lg, rt.meters)
-	if err != nil {
-		return "", err
-	}
 	var b strings.Builder
 	renderExplain(&b, root, "", "")
 	fmt.Fprintf(&b, "Execution: %d rows in %s (%d tuples scanned, %d heap allocs)\n",

@@ -57,7 +57,7 @@ func execStmt(ctx context.Context, db *rel.Database, stmt Statement) (*Result, e
 // the collect-all wrapper pinning Exec's historical semantics on top of
 // the streaming executor.
 func collectSelect(ctx context.Context, db *rel.Database, s *SelectStmt) (*Result, error) {
-	cols, it, err := vecOpenSelect(ctx, db, s, nil, newRun())
+	cols, it, err := openSelect(ctx, db, s, buildLogical(db, s), newRun())
 	if err != nil {
 		return nil, err
 	}
@@ -539,13 +539,6 @@ func equiJoinCols(on Expr, rightBinding string) (left *ColumnRef, right *ColumnR
 		return r, l, true
 	}
 	return nil, nil, false
-}
-
-func extend(e *env, name string, schema *rel.Schema, t rel.Tuple) *env {
-	bs := make([]binding, len(e.bindings)+1)
-	copy(bs, e.bindings)
-	bs[len(e.bindings)] = binding{name: name, schema: schema, tuple: t}
-	return &env{bindings: bs, rt: e.rt}
 }
 
 // expandItems resolves stars into column references and computes output

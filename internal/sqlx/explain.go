@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -8,21 +9,24 @@ import (
 	"repro/internal/rel"
 )
 
-// Explain renders the operator tree the plan would execute against db —
-// the same bindSelect step as Open, minus execution, so the join order
-// and access paths shown are exactly the ones execution would use.
-// Every node carries its estimated cardinality; scan and join nodes
-// name their chosen access path (IndexScan, Scan, IndexJoin, HashJoin
-// with build side, NestedLoopJoin, CrossJoin), and index probes report
-// exact bucket sizes from the snapshot's persistent hash indexes.
-// Because access paths bind per snapshot, explaining a cached plan
-// against a newer snapshot shows the paths that snapshot would use.
+// EXPLAIN renders the plan node tree that buildSelect returns beside the
+// operators it builds, so the tree shown is the tree that runs — access
+// paths, join order, and every operator above them. Every node carries
+// its estimated cardinality; scan and join nodes name their chosen access
+// path (IndexScan, Scan, IndexJoin, HashJoin with build side,
+// NestedLoopJoin, CrossJoin), and index probes report exact bucket sizes
+// from the snapshot's persistent hash indexes. EXPLAIN ANALYZE (see
+// analyze.go) runs the same tree with a meter on every node.
+
+// Explain renders the operator tree the plan would execute against db.
+// It builds the tree as Open does but executes nothing: no tuple is read
+// and no IN subquery runs. Because access paths bind per snapshot,
+// explaining a cached plan against a newer snapshot shows the paths that
+// snapshot would use.
 func (p *Plan) Explain(db *rel.Database) (string, error) {
-	lg := p.lg
-	if lg == nil {
-		lg = buildLogical(db, p.stmt)
-	}
-	root, err := explainTree(db, p.stmt, lg, nil)
+	rt := newRun()
+	rt.explain = true
+	_, _, root, err := buildSelect(context.Background(), db, p.stmt, p.lg, rt)
 	if err != nil {
 		return "", err
 	}
@@ -31,163 +35,45 @@ func (p *Plan) Explain(db *rel.Database) (string, error) {
 	return b.String(), nil
 }
 
-// explainNode is one rendered operator: its label, estimated output
-// cardinality, and (EXPLAIN ANALYZE only) the meter with actual rows
-// and cumulative time.
+// explainNode is the plan node of one built operator: its label,
+// estimated output cardinality, and under EXPLAIN ANALYZE the meter with
+// its actual rows, batches and cumulative time.
 type explainNode struct {
 	label    string
 	est      float64
-	hasEst   bool
 	meter    *opMeter
 	children []*explainNode
 }
 
-func wrapNode(label string, est float64, m *opMeter, child *explainNode) *explainNode {
-	n := &explainNode{label: label, est: est, hasEst: true, meter: m}
-	if child != nil {
-		n.children = []*explainNode{child}
+// node makes a plan node over children, owning a meter under EXPLAIN
+// ANALYZE.
+func (rt *run) node(label string, est float64, children ...*explainNode) *explainNode {
+	n := &explainNode{label: label, est: est, children: children}
+	if rt.analyze {
+		n.meter = &opMeter{}
 	}
 	return n
 }
 
-// meterOf reads one meter slot nil-safely.
-func meterOf(bm *selMeters, f func(*selMeters) *opMeter) *opMeter {
-	if bm == nil {
-		return nil
+// metered wraps it, the operator n describes, in n's meter, if any.
+func (n *explainNode) metered(it vecIter) vecIter {
+	if n.meter == nil {
+		return it
 	}
-	return f(bm)
+	return &vecMeter{child: it, m: n.meter}
 }
 
-func planMeterOf(pm *planMeters, f func(*planMeters) *opMeter) *opMeter {
-	if pm == nil {
-		return nil
+// trace returns the operator it, just built over child's operator, with
+// its plan node: nil for an untraced run, so labels and estimates cost
+// nothing there. describe gives the node's label and estimate from
+// child's estimate.
+func (rt *run) trace(it vecIter, child *explainNode, describe func(in float64) (string, float64)) (vecIter, *explainNode) {
+	if !rt.explain {
+		return it, nil
 	}
-	return f(pm)
-}
-
-// explainTree builds the operator tree for a statement including its
-// UNION chain, mirroring vecOpenSelect. pm pairs executed meters with the
-// rendered nodes (nil for plain EXPLAIN).
-func explainTree(db *rel.Database, s *SelectStmt, lg *logicalSelect, pm *planMeters) (*explainNode, error) {
-	head, err := explainSelect(db, s, lg, pm.branch(0))
-	if err != nil {
-		return nil, err
-	}
-	if s.Union == nil {
-		return head, nil
-	}
-	union := &explainNode{children: []*explainNode{head}}
-	est := head.est
-	allMode := true
-	bi := 1
-	for cur, curLg := s, lg; cur.Union != nil; cur, curLg = cur.Union, curLg.union {
-		branch, err := explainSelect(db, cur.Union, curLg.union, pm.branch(bi))
-		bi++
-		if err != nil {
-			return nil, err
-		}
-		union.children = append(union.children, branch)
-		est += branch.est
-		if !cur.UnionAll {
-			allMode = false
-		}
-	}
-	union.label = "UnionAll"
-	union.est, union.hasEst = est, true
-	union.meter = planMeterOf(pm, func(m *planMeters) *opMeter { return m.union })
-	root := union
-	if !allMode {
-		union.label = "Union"
-		root = wrapNode("Distinct", est, planMeterOf(pm, func(m *planMeters) *opMeter { return m.unionDistinct }), root)
-	}
-	if len(s.OrderBy) > 0 {
-		root = wrapNode(sortLabel(s.OrderBy), est, planMeterOf(pm, func(m *planMeters) *opMeter { return m.unionSort }), root)
-	}
-	if s.Limit >= 0 || s.Offset > 0 {
-		est = limitEst(est, s)
-		root = wrapNode(limitLabel(s), est, planMeterOf(pm, func(m *planMeters) *opMeter { return m.unionLimit }), root)
-	}
-	return root, nil
-}
-
-// explainSelect builds the operator chain of one SELECT through the
-// same bindSelect as execution, annotating every node with its
-// cardinality estimate.
-func explainSelect(db *rel.Database, s *SelectStmt, lg *logicalSelect, bm *selMeters) (*explainNode, error) {
-	headOfUnion := s.Union != nil
-	var cur *explainNode
-	var est float64
-	var sel *selectAccess
-	if s.From == nil {
-		est = 1
-		cur = wrapNode("Result(1 row)", est, meterOf(bm, func(m *selMeters) *opMeter { return m.scan }), nil)
-	} else {
-		var err error
-		sel, err = bindSelect(db, lg)
-		if err != nil {
-			return nil, err
-		}
-		est = sel.scan.est
-		cur = wrapNode(scanLabel(sel.scan), est, meterOf(bm, func(m *selMeters) *opMeter { return m.scan }), nil)
-		for i, ja := range sel.joins {
-			est = ja.est
-			cur = wrapNode(joinLabel(ja), est, bm.joinMeter(i), cur)
-		}
-	}
-	if len(lg.residual) > 0 {
-		est = filterEst(est, len(lg.residual))
-		cur = wrapNode("Filter("+exprList(lg.residual)+")", est,
-			meterOf(bm, func(m *selMeters) *opMeter { return m.residual }), cur)
-	}
-	// The exchange appears only in EXPLAIN ANALYZE, where execution
-	// recorded whether the branch actually ran parallel morsels.
-	if bm != nil && bm.gather != nil {
-		cur = wrapNode(fmt.Sprintf("Gather(workers=%d, morsels=%d)", bm.gatherWorkers, bm.gatherMorsels),
-			est, bm.gather, cur)
-	}
-	items, cols, err := expandItems(db, s)
-	if err != nil {
-		return nil, err
-	}
-	grouped := len(s.GroupBy) > 0
-	if !grouped {
-		for _, si := range items {
-			if si.Expr != nil && isAggregate(si.Expr) {
-				grouped = true
-				break
-			}
-		}
-	}
-	if grouped {
-		label := "Aggregate(" + strings.Join(cols, ", ") + ")"
-		if len(s.GroupBy) > 0 {
-			label = "Aggregate(group by " + exprList(s.GroupBy) + ": " + strings.Join(cols, ", ") + ")"
-		}
-		est = groupEst(db, sel, s.GroupBy, est)
-		cur = wrapNode(label, est, meterOf(bm, func(m *selMeters) *opMeter { return m.agg }), cur)
-	} else {
-		cur = wrapNode("Project("+strings.Join(cols, ", ")+")", est,
-			meterOf(bm, func(m *selMeters) *opMeter { return m.agg }), cur)
-	}
-	if !headOfUnion && len(s.OrderBy) > 0 {
-		cur = wrapNode(sortLabel(s.OrderBy), est, meterOf(bm, func(m *selMeters) *opMeter { return m.sort }), cur)
-	}
-	if s.Distinct {
-		cur = wrapNode("Distinct", est, meterOf(bm, func(m *selMeters) *opMeter { return m.distinct }), cur)
-	}
-	if !headOfUnion && (s.Limit >= 0 || s.Offset > 0) {
-		est = limitEst(est, s)
-		cur = wrapNode(limitLabel(s), est, meterOf(bm, func(m *selMeters) *opMeter { return m.limit }), cur)
-	}
-	return cur, nil
-}
-
-// joinMeter returns the i'th join meter, nil-safely.
-func (bm *selMeters) joinMeter(i int) *opMeter {
-	if bm == nil || i >= len(bm.joins) {
-		return nil
-	}
-	return bm.joins[i]
+	label, est := describe(child.est)
+	n := rt.node(label, est, child)
+	return n.metered(it), n
 }
 
 // filterEst applies the fallback selectivity guess for n residual
@@ -310,6 +196,13 @@ func sortLabel(order []OrderItem) string {
 	return "Sort(" + strings.Join(parts, ", ") + ")"
 }
 
+func groupLabel(s *SelectStmt, cols []string) string {
+	if len(s.GroupBy) > 0 {
+		return "Aggregate(group by " + exprList(s.GroupBy) + ": " + strings.Join(cols, ", ") + ")"
+	}
+	return "Aggregate(" + strings.Join(cols, ", ") + ")"
+}
+
 func limitLabel(s *SelectStmt) string {
 	switch {
 	case s.Limit >= 0 && s.Offset > 0:
@@ -335,18 +228,15 @@ func exprList(list []Expr) string {
 func renderExplain(b *strings.Builder, n *explainNode, prefix, childPrefix string) {
 	b.WriteString(prefix)
 	b.WriteString(n.label)
-	if n.hasEst {
-		fmt.Fprintf(b, " [rows≈%.0f", n.est)
-		if n.meter != nil {
-			fmt.Fprintf(b, " actual=%d time=%s",
-				atomic.LoadInt64(&n.meter.rows), fmtNanos(atomic.LoadInt64(&n.meter.nanos)))
-			if batches := atomic.LoadInt64(&n.meter.batches); batches > 0 {
-				fmt.Fprintf(b, " batches=%d", batches)
-			}
+	fmt.Fprintf(b, " [rows≈%.0f", n.est)
+	if n.meter != nil {
+		fmt.Fprintf(b, " actual=%d time=%s",
+			atomic.LoadInt64(&n.meter.rows), fmtNanos(atomic.LoadInt64(&n.meter.nanos)))
+		if batches := atomic.LoadInt64(&n.meter.batches); batches > 0 {
+			fmt.Fprintf(b, " batches=%d", batches)
 		}
-		b.WriteByte(']')
 	}
-	b.WriteByte('\n')
+	b.WriteString("]\n")
 	for i, c := range n.children {
 		last := i == len(n.children)-1
 		connector, extend := "├─ ", "│  "

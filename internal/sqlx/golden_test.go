@@ -21,8 +21,7 @@ import (
 // tuple-at-a-time executor this package once carried beside the batch
 // engine, so the files are checked in, never regenerated: a changed plan,
 // row or count is a behaviour change to review, and a new shape is added
-// by writing its file by hand from a reviewed run. A comment in a file
-// marks each read count on which the two engines disagreed.
+// by writing its file by hand from a reviewed run.
 //
 // File format: '#' comment lines, then the headers — one "plan:" line
 // per line of Plan.Explain's output (compared exactly), "query:",

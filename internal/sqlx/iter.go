@@ -34,9 +34,11 @@ type run struct {
 	// workers is the parallelism degree for eligible scan chains
 	// (0 or 1 = serial).
 	workers int
-	// meters, when non-nil, enables EXPLAIN ANALYZE instrumentation:
-	// every operator is wrapped to count rows and time.
-	meters *planMeters
+	// explain makes buildSelect return the plan node of every operator
+	// it builds (EXPLAIN); analyze also meters every operator by its node
+	// (EXPLAIN ANALYZE). Subqueries materialize before either is set, so
+	// they run untraced.
+	explain, analyze bool
 	// closers run when the cursor is closed or exhausted — cancel
 	// functions that stop parallel producers.
 	closers []func()
@@ -73,6 +75,32 @@ type item struct {
 	row rel.Tuple
 }
 
+// materializeAll runs the uncorrelated IN (SELECT ...) subqueries of a
+// SELECT and its UNION chain into the run, before the build. The logical
+// plan partitions the WHERE conjuncts, so every pushed filter and
+// residual conjunct is walked (IN nodes keep their identity through the
+// rewrite, which keys the materialized results), and HAVING.
+func (rt *run) materializeAll(ctx context.Context, db *rel.Database, lg *logicalSelect) error {
+	for ; lg != nil; lg = lg.union {
+		for _, tl := range lg.tables {
+			for _, f := range tl.filters {
+				if err := rt.materializeSubqueries(ctx, db, f); err != nil {
+					return err
+				}
+			}
+		}
+		for _, c := range lg.residual {
+			if err := rt.materializeSubqueries(ctx, db, c); err != nil {
+				return err
+			}
+		}
+		if err := rt.materializeSubqueries(ctx, db, lg.s.Having); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // materializeSubqueries executes uncorrelated IN (SELECT ...) subqueries
 // in an expression tree and stores their value lists in the run, keyed by
 // node. Correlated subqueries (referencing outer bindings) are not
@@ -96,12 +124,7 @@ func (rt *run) materializeSubqueries(ctx context.Context, db *rel.Database, e Ex
 		if _, done := rt.subs[x]; done {
 			return nil
 		}
-		// Subqueries run unmetered: their operators are not part of the
-		// outer statement's rendered plan.
-		saved := rt.meters
-		rt.meters = nil
-		cols, it, err := vecOpenSelect(ctx, db, x.Sub, nil, rt)
-		rt.meters = saved
+		cols, it, err := openSelect(ctx, db, x.Sub, buildLogical(db, x.Sub), rt)
 		if err != nil {
 			return fmt.Errorf("sqlx: IN subquery: %w", err)
 		}
@@ -191,9 +214,4 @@ func rowOrderKey(e Expr, items []SelectItem, columns []string, row rel.Tuple) (r
 		}
 	}
 	return rel.Null(), fmt.Errorf("sqlx: ORDER BY expression must appear in grouped SELECT list")
-}
-
-// rowKey renders a row canonically for comparison (tests rely on it).
-func rowKey(row rel.Tuple) string {
-	return rel.TupleKey(row)
 }

@@ -43,6 +43,11 @@ func drain(t *testing.T, c *Cursor) []rel.Tuple {
 	}
 }
 
+// rowKey renders a row canonically for comparison.
+func rowKey(row rel.Tuple) string {
+	return rel.TupleKey(row)
+}
+
 func mustOpen(t *testing.T, db *rel.Database, sql string) *Cursor {
 	t.Helper()
 	p, err := Prepare(db, sql)

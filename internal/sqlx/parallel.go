@@ -2,6 +2,7 @@ package sqlx
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -86,11 +87,22 @@ type morselSlot struct {
 	ready chan struct{}
 }
 
-// vecOpenMaybeParallel opens the scan chain on the calling goroutine, or
-// as parallel morsels behind a gate-windowed exchange when the run
-// requests workers and the chain is eligible (see parallelOK).
-func vecOpenMaybeParallel(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters) (vecIter, error) {
-	n := len(sel.scan.r.Tuples)
+// buildChain builds the scan→joins→residual chain of one SELECT and its
+// plan nodes: on the calling goroutine, or as parallel morsels behind a
+// gate-windowed exchange when the run requests workers and the chain is
+// eligible (see parallelOK). The chain's nodes are made once and shared
+// by every morsel chain; a Gather node appears only when the exchange
+// runs.
+func buildChain(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run) (vecIter, *explainNode, error) {
+	nodes := chainNodes(sel, lg, rt)
+	var top *explainNode
+	if nodes != nil {
+		top = nodes[len(nodes)-1]
+	}
+	n := 0
+	if sel.scan != nil {
+		n = len(sel.scan.r.Tuples)
+	}
 	if rt.workers > 1 && parallelOK(sel) && n > morselSize {
 		morsels := (n + morselSize - 1) / morselSize
 		workers := rt.workers
@@ -98,17 +110,15 @@ func vecOpenMaybeParallel(ctx context.Context, sel *selectAccess, lg *logicalSel
 			workers = morsels
 		}
 		if err := vecPrebuildJoinSides(ctx, sel, rt); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		it := vecOpenExchange(ctx, sel, lg, rt, bm, workers, n, morsels)
-		if bm != nil {
-			bm.gatherWorkers, bm.gatherMorsels = workers, morsels
-			bm.gather = &opMeter{}
-			it = &vecMeter{child: it, m: bm.gather}
-		}
-		return it, nil
+		it := vecOpenExchange(ctx, sel, lg, rt, nodes, workers, n, morsels)
+		it, top = rt.trace(it, top, func(in float64) (string, float64) {
+			return fmt.Sprintf("Gather(workers=%d, morsels=%d)", workers, morsels), in
+		})
+		return it, top, nil
 	}
-	return vecOpenChain(sel, lg, rt, bm, 0, n), nil
+	return vecOpenChain(sel, lg, rt, nodes, 0, n), top, nil
 }
 
 // vecPrebuildJoinSides materializes the shared right sides of the
@@ -143,7 +153,7 @@ type vecExchangeIter struct {
 	pos   int
 }
 
-func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, workers, n, morsels int) vecIter {
+func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, nodes []*explainNode, workers, n, morsels int) vecIter {
 	cctx, cancel := context.WithCancel(ctx)
 	rt.closers = append(rt.closers, cancel)
 	ex := &vecExchangeIter{g: newGate(workers * lookaheadPerWorker)}
@@ -194,7 +204,7 @@ func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, 
 				hi = n
 			}
 			mrt := &run{subs: rt.subs}
-			it := vecOpenChain(sel, lg, mrt, bm, lo, hi)
+			it := vecOpenChain(sel, lg, mrt, nodes, lo, hi)
 			for {
 				items, err := it.next(cctx, vecBatch)
 				if err == io.EOF {

@@ -72,7 +72,7 @@ func (p *Plan) OpenParallel(ctx context.Context, db *rel.Database, workers int) 
 	if workers > 1 {
 		rt.workers = workers
 	}
-	cols, it, err := vecOpenSelect(ctx, db, p.stmt, p.lg, rt)
+	cols, it, err := openSelect(ctx, db, p.stmt, p.lg, rt)
 	if err != nil {
 		rt.close()
 		return nil, err
@@ -137,11 +137,10 @@ func (c *Cursor) Next(ctx context.Context) (rel.Tuple, error) {
 // probe fetched from a relation. The count is proportional to the work
 // done, not to the relation sizes: an index scan reads only the matching
 // tuples, and at workers <= 1 a LIMIT over an un-joined scan reads
-// exactly up to the last row it returns. Under LIMIT a join may read
-// slightly more than the rows returned need — an index-probe join reads
-// every match of its current left row, a build-left hash join streams on
-// to its next matching right tuple — and with workers > 1 whole morsels
-// in flight past the cutoff are counted.
+// exactly up to the last row it returns. Under LIMIT an index-probe join
+// may read slightly more than the rows returned need — every match of its
+// current left row — and with workers > 1 whole morsels in flight past
+// the cutoff are counted.
 func (c *Cursor) Scanned() int64 { return atomic.LoadInt64(&c.rt.scanned) }
 
 // Close releases the cursor; subsequent Next calls return io.EOF. Close

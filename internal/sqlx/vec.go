@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/rel"
@@ -26,6 +27,13 @@ import (
 // across calls. Scanned() — the count of stored tuples read — is
 // therefore exact for a LIMIT over an un-joined scan on one goroutine;
 // see Cursor.Scanned for where joins and parallel morsels read ahead.
+//
+// One builder: buildSelect decides the tree's shape — union, access
+// paths, joins, residual filter, grouping, sort, distinct, limit — for
+// execution and EXPLAIN alike. On a traced run it returns an explainNode
+// beside every operator it builds (see explain.go), and under EXPLAIN
+// ANALYZE each operator is metered by its node, so the plan shown is the
+// tree that ran. An untraced open builds no nodes.
 //
 // Batch memory: every operator that creates environments or rows
 // allocates fresh arenas per batch (a handful of allocations per 1024
@@ -56,132 +64,99 @@ func (rt *run) tickN(ctx context.Context, n int) error {
 	return nil
 }
 
-// vecOpenSelect builds the operator tree for a SELECT, folding in its
-// UNION chain: branch iterators are concatenated (and deduplicated unless
-// every step is UNION ALL), then the head's ORDER BY/LIMIT/OFFSET apply
-// to the combined stream. lg is the prepared logical plan; nil (ad-hoc
-// Exec, subqueries) lowers the statement on the fly.
-func vecOpenSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
-	if lg == nil {
-		lg = buildLogical(db, s)
-	}
-	cols, head, err := vecOpenSelectOne(ctx, db, s, lg, rt)
-	if err != nil {
+// openSelect materializes a SELECT's IN subqueries into rt, then builds
+// its operator tree: how every execution but EXPLAIN ANALYZE starts.
+func openSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
+	if err := rt.materializeAll(ctx, db, lg); err != nil {
 		return nil, nil, err
 	}
+	cols, it, _, err := buildSelect(ctx, db, s, lg, rt)
+	return cols, it, err
+}
+
+// buildSelect builds the operator tree for a SELECT, folding in its
+// UNION chain: branch iterators are concatenated (and deduplicated unless
+// every step is UNION ALL), then the head's ORDER BY/LIMIT/OFFSET apply
+// to the combined stream. On a traced run (rt.explain) it also returns
+// the root of the plan nodes it built beside the operators. IN subqueries
+// must already be materialized into rt (see materializeAll).
+func buildSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, *explainNode, error) {
 	if s.Union == nil {
-		return cols, head, nil
+		return buildSelectOne(ctx, db, s, lg, rt)
 	}
-	iters := []vecIter{head}
+	var cols []string
+	var iters []vecIter
+	var branches []*explainNode // traced runs only
 	allMode := true
-	for cur, curLg := s, lg; cur.Union != nil; cur, curLg = cur.Union, curLg.union {
-		bcols, bit, err := vecOpenSelectOne(ctx, db, cur.Union, curLg.union, rt)
+	for cur, curLg := s, lg; cur != nil; cur, curLg = cur.Union, curLg.union {
+		bcols, it, node, err := buildSelectOne(ctx, db, cur, curLg, rt)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if len(bcols) != len(cols) {
-			return nil, nil, fmt.Errorf("sqlx: UNION arity mismatch: %d vs %d columns",
+		if cur == s {
+			cols = bcols
+		} else if len(bcols) != len(cols) {
+			return nil, nil, nil, fmt.Errorf("sqlx: UNION arity mismatch: %d vs %d columns",
 				len(cols), len(bcols))
 		}
-		iters = append(iters, bit)
-		if !cur.UnionAll {
+		iters = append(iters, it)
+		if rt.explain {
+			branches = append(branches, node)
+		}
+		if cur.Union != nil && !cur.UnionAll {
 			allMode = false
 		}
 	}
 	var it vecIter = &vecConcat{children: iters}
-	it = vecMeterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.union })
+	var node *explainNode
+	if rt.explain {
+		label, est := "Union", 0.0
+		if allMode {
+			label = "UnionAll"
+		}
+		for _, b := range branches {
+			est += b.est
+		}
+		node = rt.node(label, est, branches...)
+		it = node.metered(it)
+	}
 	if !allMode {
-		it = &vecDistinct{child: it}
-		it = vecMeterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.unionDistinct })
+		it, node = rt.trace(&vecDistinct{child: it}, node, func(in float64) (string, float64) { return "Distinct", in })
 	}
 	if len(s.OrderBy) > 0 {
-		it = &vecOrder{child: it, order: s.OrderBy, columns: cols, rowMode: true}
-		it = vecMeterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.unionSort })
+		it, node = rt.trace(&vecOrder{child: it, order: s.OrderBy, columns: cols, rowMode: true}, node,
+			func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
 	}
 	if s.Limit >= 0 || s.Offset > 0 {
-		it = &vecLimit{child: it, limit: s.Limit, offset: s.Offset}
-		it = vecMeterWrap(it, rt.meters, func(pm *planMeters) **opMeter { return &pm.unionLimit })
+		it, node = rt.trace(&vecLimit{child: it, limit: s.Limit, offset: s.Offset}, node,
+			func(in float64) (string, float64) { return limitLabel(s), limitEst(in, s) })
 	}
-	return cols, it, nil
+	return cols, it, node, nil
 }
 
-// vecMeterWrap instruments it with a fresh meter stored via slot when
-// metering is on; a no-op otherwise.
-func vecMeterWrap(it vecIter, pm *planMeters, slot func(*planMeters) **opMeter) vecIter {
-	if pm == nil {
-		return it
-	}
-	m := &opMeter{}
-	*slot(pm) = m
-	return &vecMeter{child: it, m: m}
-}
-
-// vecOpenSelectOne builds the operator tree for one SELECT without its
+// buildSelectOne builds the operator tree for one SELECT without its
 // UNION chain, binding the logical plan's access paths against db. When
 // the select heads a union, ORDER/LIMIT/OFFSET are applied by
-// vecOpenSelect to the combined stream instead.
-func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
+// buildSelect to the combined stream instead.
+func buildSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, *explainNode, error) {
 	headOfUnion := s.Union != nil
-	// Materialize uncorrelated IN (SELECT ...) subqueries into the run.
-	// The logical plan partitions the WHERE conjuncts, so every pushed
-	// filter and residual conjunct is walked (IN nodes keep their
-	// identity through the rewrite, which keys the materialized results).
-	for _, tl := range lg.tables {
-		for _, f := range tl.filters {
-			if err := rt.materializeSubqueries(ctx, db, f); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for _, c := range lg.residual {
-		if err := rt.materializeSubqueries(ctx, db, c); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := rt.materializeSubqueries(ctx, db, s.Having); err != nil {
-		return nil, nil, err
-	}
-	// Branch meters (EXPLAIN ANALYZE): allocated up front so parallel
-	// morsels share the same atomic counters.
-	var bm *selMeters
-	if rt.meters != nil {
-		bm = &selMeters{}
-		rt.meters.branches = append(rt.meters.branches, bm)
-	}
 	// 1. The joined row stream as environments, on the access paths
 	// chosen by bindSelect (see access.go), executed on this goroutine or
 	// as parallel morsels over the base scan. The residual WHERE conjuncts
-	// filter inside the chain, above the joins.
-	var it vecIter
-	if s.From == nil {
-		it = &vecSingleton{rt: rt}
-		if bm != nil {
-			bm.scan = &opMeter{}
-			it = &vecMeter{child: it, m: bm.scan}
-		}
-	} else {
-		sel, err := bindSelect(db, lg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bm != nil {
-			bm.scan = &opMeter{}
-			for range sel.joins {
-				bm.joins = append(bm.joins, &opMeter{})
-			}
-			if len(lg.residual) > 0 {
-				bm.residual = &opMeter{}
-			}
-		}
-		it, err = vecOpenMaybeParallel(ctx, sel, lg, rt, bm)
-		if err != nil {
-			return nil, nil, err
-		}
+	// filter inside the chain, above the joins — also without FROM, where
+	// the chain starts from one empty environment.
+	sel, err := bindSelect(db, lg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	it, node, err := buildChain(ctx, sel, lg, rt)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	// 2. Expand stars into concrete items.
 	items, cols, err := expandItems(db, s)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	grouped := len(s.GroupBy) > 0
 	if !grouped {
@@ -193,53 +168,76 @@ func vecOpenSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *
 		}
 	}
 	// 3. Group/aggregate (a pipeline breaker) or streaming projection,
-	// then ORDER BY (a breaker), DISTINCT, LIMIT/OFFSET.
+	// then ORDER BY (a breaker), DISTINCT, LIMIT/OFFSET. Grouped rows sort
+	// by their output columns; projected ones may sort by any column.
 	if grouped {
-		it = &vecGroup{child: it, s: s, items: items, rt: rt}
-		it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.agg })
-		if !headOfUnion && len(s.OrderBy) > 0 {
-			it = &vecOrder{child: it, order: s.OrderBy, items: items, columns: cols, rowMode: true}
-			it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.sort })
-		}
+		it, node = rt.trace(&vecGroup{child: it, s: s, items: items, rt: rt}, node,
+			func(in float64) (string, float64) { return groupLabel(s, cols), groupEst(db, sel, s.GroupBy, in) })
 	} else {
-		it = &vecProject{child: it, items: items}
-		it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.agg })
-		if !headOfUnion && len(s.OrderBy) > 0 {
-			it = &vecOrder{child: it, order: s.OrderBy, items: items}
-			it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.sort })
+		it, node = rt.trace(&vecProject{child: it, items: items}, node,
+			func(in float64) (string, float64) { return "Project(" + strings.Join(cols, ", ") + ")", in })
+	}
+	if !headOfUnion && len(s.OrderBy) > 0 {
+		order := &vecOrder{child: it, order: s.OrderBy, items: items}
+		if grouped {
+			order.columns, order.rowMode = cols, true
 		}
+		it, node = rt.trace(order, node, func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
 	}
 	if s.Distinct {
-		it = &vecDistinct{child: it}
-		it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.distinct })
+		it, node = rt.trace(&vecDistinct{child: it}, node, func(in float64) (string, float64) { return "Distinct", in })
 	}
 	if !headOfUnion && (s.Limit >= 0 || s.Offset > 0) {
-		it = &vecLimit{child: it, limit: s.Limit, offset: s.Offset}
-		it = vecBranchMeter(it, bm, func(m *selMeters) **opMeter { return &m.limit })
+		it, node = rt.trace(&vecLimit{child: it, limit: s.Limit, offset: s.Offset}, node,
+			func(in float64) (string, float64) { return limitLabel(s), limitEst(in, s) })
 	}
-	return cols, it, nil
+	return cols, it, node, nil
 }
 
-// vecBranchMeter instruments it with a fresh meter stored via slot when
-// this branch is metered; a no-op otherwise.
-func vecBranchMeter(it vecIter, bm *selMeters, slot func(*selMeters) **opMeter) vecIter {
-	if bm == nil {
-		return it
+// chainNodes returns the plan nodes of the chain vecOpenChain builds, one
+// per operator in its build order: the base access path (or, without
+// FROM, the one-row Result), each join, then the residual filter. They
+// are made once per SELECT — nil for an untraced run — so parallel
+// morsel chains share their meters.
+func chainNodes(sel *selectAccess, lg *logicalSelect, rt *run) []*explainNode {
+	if !rt.explain {
+		return nil
 	}
-	m := &opMeter{}
-	*slot(bm) = m
-	return &vecMeter{child: it, m: m}
+	var nodes []*explainNode
+	add := func(label string, est float64) {
+		n := rt.node(label, est)
+		if len(nodes) > 0 {
+			n.children = []*explainNode{nodes[len(nodes)-1]}
+		}
+		nodes = append(nodes, n)
+	}
+	if sel.scan == nil {
+		add("Result(1 row)", 1)
+	} else {
+		add(scanLabel(sel.scan), sel.scan.est)
+		for _, ja := range sel.joins {
+			add(joinLabel(ja), ja.est)
+		}
+	}
+	if len(lg.residual) > 0 {
+		add("Filter("+exprList(lg.residual)+")", filterEst(nodes[len(nodes)-1].est, len(lg.residual)))
+	}
+	return nodes
 }
 
 // vecOpenChain builds the scan→joins→residual part of one SELECT over
-// the base-scan tuple range [lo, hi). bm may be nil (no metering); under
-// parallel execution every morsel chain shares the same meters, so
-// counters aggregate across morsels.
-func vecOpenChain(sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, lo, hi int) vecIter {
-	it := vecOpenScan(sel.scan, rt, lo, hi)
-	if bm != nil {
-		it = &vecMeter{child: it, m: bm.scan}
+// the base-scan tuple range [lo, hi), or over one empty environment
+// without FROM. nodes are the chain's plan nodes from chainNodes (nil
+// when untraced); under EXPLAIN ANALYZE every morsel chain is metered by
+// the same nodes, so counters aggregate across morsels.
+func vecOpenChain(sel *selectAccess, lg *logicalSelect, rt *run, nodes []*explainNode, lo, hi int) vecIter {
+	var it vecIter
+	if sel.scan == nil {
+		it = &vecSingleton{rt: rt}
+	} else {
+		it = vecOpenScan(sel.scan, rt, lo, hi)
 	}
+	it = meterAt(nodes, 0, it)
 	stride := 1
 	for i, ja := range sel.joins {
 		stride++
@@ -247,17 +245,21 @@ func vecOpenChain(sel *selectAccess, lg *logicalSelect, rt *run, bm *selMeters, 
 		if pred := andJoin(ja.post); pred != nil {
 			it = &vecFilter{child: it, pred: pred}
 		}
-		if bm != nil {
-			it = &vecMeter{child: it, m: bm.joins[i]}
-		}
+		it = meterAt(nodes, 1+i, it)
 	}
 	if residual := andJoin(lg.residual); residual != nil {
 		it = &vecFilter{child: it, pred: residual}
-		if bm != nil {
-			it = &vecMeter{child: it, m: bm.residual}
-		}
+		it = meterAt(nodes, 1+len(sel.joins), it)
 	}
 	return it
+}
+
+// meterAt meters chain operator it by nodes[i]; a no-op when untraced.
+func meterAt(nodes []*explainNode, i int, it vecIter) vecIter {
+	if nodes == nil {
+		return it
+	}
+	return nodes[i].metered(it)
 }
 
 // vecSingleton yields one empty environment (SELECT without FROM).

@@ -320,10 +320,9 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 // into the hash table and the right relation is streamed through it —
 // the classic smaller-side build. Output order is right-major (SQL
 // leaves join order unspecified). Inner joins only: outer joins keep the
-// right build so null extension follows left order. A pull that fills
-// its batch on a right tuple's last match keeps streaming to the next
-// matching right tuple before it returns, so under LIMIT Scanned() can
-// run that far past the last row emitted.
+// right build so null extension follows left order. A pull returns as
+// soon as its batch is full, so under LIMIT it reads no right tuple past
+// the one that produced the last row emitted.
 type vecHashLeftJoin struct {
 	child  vecIter
 	ja     *joinAccess
@@ -379,15 +378,15 @@ func (j *vecHashLeftJoin) next(ctx context.Context, want int) ([]item, error) {
 	out := j.out[:0]
 	arena := newEmitArena(want, j.stride)
 	for {
-		for j.chain >= 0 {
-			if len(out) == want {
-				return out, nil
-			}
+		for j.chain >= 0 && len(out) < want {
 			r := j.table.rows[j.chain]
 			j.chain = r.next
 			cand := arena.emit(j.rt, r.e, j.ja.binding, right.Schema, j.curTuple)
 			arena.commit()
 			out = append(out, cand)
+		}
+		if len(out) == want {
+			return out, nil
 		}
 		if j.rpos >= len(right.Tuples) {
 			if len(out) > 0 {
