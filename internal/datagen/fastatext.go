@@ -47,6 +47,13 @@ func FastaTextRange(w io.Writer, start, n int, seed int64) error {
 // on) with a new lot number, and the sequence with 1 % of its bases
 // substituted. Same (n, dupEvery, seed) → byte-identical output.
 func FastaDupText(w io.Writer, n, dupEvery int, seed int64) error {
+	return FastaDupReads(w, n, dupEvery, 120, seed)
+}
+
+// FastaDupReads is FastaDupText with sequences of minLen to 2*minLen-1
+// bases: at minLen 20, short reads whose sequences duplicate detection
+// compares by Jaro-Winkler rather than by q-gram overlap.
+func FastaDupReads(w io.Writer, n, dupEvery, minLen int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	organisms := []string{"homo sapiens", "mus musculus", "danio rerio", "gallus gallus"}
 	roles := []string{"kinase", "transporter", "receptor", "polymerase", "chaperone", "ligase"}
@@ -59,7 +66,7 @@ func FastaDupText(w io.Writer, n, dupEvery int, seed int64) error {
 		} else {
 			descs[i] = fmt.Sprintf("%s %s subunit clone c%07dx", organisms[rng.Intn(len(organisms))],
 				roles[rng.Intn(len(roles))], i+1)
-			seqs[i] = randomDNA(rng, 120+rng.Intn(120))
+			seqs[i] = randomDNA(rng, minLen+rng.Intn(minLen))
 		}
 		fmt.Fprintf(bw, ">SQ%07d %s lot u%07dx\n", i+1, descs[i], i+1)
 		for seq := seqs[i]; len(seq) > 0; seq = seq[min(60, len(seq)):] {

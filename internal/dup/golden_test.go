@@ -20,7 +20,9 @@ import (
 // The goldens under testdata/ were written by the scorer this package had
 // before records were prepared (commit 29cf0e4): flagged pairs in their
 // A/B orientation, similarities to 9 decimals, evidence, and the number
-// of comparisons. That scorer summed and tie-broke in Go map order; no
+// of comparisons. golden_shortreads.txt, reads of 20-39 bases whose
+// sequences are compared by Jaro-Winkler, was written later by the byte
+// loop Jaro (commit 03b7978), before its match sets became bit vectors. That scorer summed and tie-broke in Go map order; no
 // line of either corpus came out differently in 25 generating runs, so
 // every evidence string is untied. -update rewrites the files from the
 // code under test; use it only for a deliberate change of the formulas.
@@ -50,11 +52,12 @@ func datagenRecords(t testing.TB, proteins int) []Record {
 	return out
 }
 
-// fastaRecords is n FASTA records, every dupEvery-th a planted duplicate,
-// parsed and analyzed the way an upload is.
-func fastaRecords(t testing.TB, n, dupEvery int) []Record {
+// fastaRecords is n FASTA records of minLen to 2*minLen-1 bases, every
+// dupEvery-th a planted duplicate, parsed and analyzed the way an upload
+// is.
+func fastaRecords(t testing.TB, n, dupEvery, minLen int) []Record {
 	var text bytes.Buffer
-	if err := datagen.FastaDupText(&text, n, dupEvery, 7); err != nil {
+	if err := datagen.FastaDupReads(&text, n, dupEvery, minLen, 7); err != nil {
 		t.Fatal(err)
 	}
 	db, err := flatfile.Parse("fasta", &text, "seqs")
@@ -118,7 +121,8 @@ func TestDupGolden(t *testing.T) {
 		records []Record
 	}{
 		{"datagen60", datagenRecords(t, 60)},
-		{"fasta1000", fastaRecords(t, 1000, 50)},
+		{"fasta1000", fastaRecords(t, 1000, 50, 120)},
+		{"shortreads", fastaRecords(t, 1000, 50, 20)},
 	}
 	for _, c := range corpora {
 		path := filepath.Join("testdata", "golden_"+c.name+".txt")

@@ -3,21 +3,32 @@ package linkdisc
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/datagen"
+	"repro/internal/textmine"
 )
 
-// formOf prepares texts as the documents d0, d1, ... of one source.
-func formOf(texts ...string) *TextForm {
+// docsOf makes texts the documents d0, d1, ... of one source.
+func docsOf(texts ...string) []textDoc {
 	docs := make([]textDoc, len(texts))
 	for i, s := range texts {
 		docs[i] = textDoc{accession: fmt.Sprintf("d%d", i), text: s}
 	}
-	return newTextForm(docs)
+	return docs
 }
+
+// formOf prepares texts as the documents d0, d1, ... of one source.
+func formOf(texts ...string) *TextForm { return newTextForm(docsOf(texts...)) }
+
+// cosineOf is the cosine of a's document i and b's document j, scored
+// as discoverTextLinks scores a candidate.
+func cosineOf(a weighted, i int, b weighted, j int) float64 { return a.cosine(i, b, j) }
 
 // weightOf is term's weight in document i of w, 0 if absent.
 func weightOf(w weighted, i int, term string) float64 {
@@ -43,18 +54,18 @@ func TestTextCosineSimilarity(t *testing.T) {
 	fw, tw := weigh(formOf("hemoglobin oxygen transport blood"), formOf(
 		"hemoglobin oxygen binding protein in red blood cells",
 		"ribosomal translation machinery"))
-	simClose, simFar := fw.cosine(0, tw, 0), fw.cosine(0, tw, 1)
+	simClose, simFar := cosineOf(fw, 0, tw, 0), cosineOf(fw, 0, tw, 1)
 	if simClose <= simFar {
 		t.Errorf("related docs %v should exceed unrelated %v", simClose, simFar)
 	}
-	if self := fw.cosine(0, fw, 0); math.Abs(self-1.0) > 1e-9 {
+	if self := cosineOf(fw, 0, fw, 0); math.Abs(self-1.0) > 1e-9 {
 		t.Errorf("self-cosine = %v", self)
 	}
 }
 
 func TestTextCosineEmpty(t *testing.T) {
 	fw, tw := weigh(formOf(""), formOf("anything here", "x y"))
-	if got := fw.cosine(0, tw, 0); got != 0 {
+	if got := cosineOf(fw, 0, tw, 0); got != 0 {
 		t.Errorf("empty cosine = %v", got)
 	}
 }
@@ -64,8 +75,8 @@ func TestTextCosineEmpty(t *testing.T) {
 func TestTextCosineRange(t *testing.T) {
 	f := func(a, b string) bool {
 		fw, tw := weigh(formOf(a), formOf(b, "alpha beta gamma delta"))
-		got := fw.cosine(0, tw, 0)
-		return got >= 0 && got <= 1+1e-9 && got == tw.cosine(0, fw, 0)
+		got := cosineOf(fw, 0, tw, 0)
+		return got >= 0 && got <= 1+1e-9 && got == cosineOf(tw, 0, fw, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -96,11 +107,144 @@ func TestTextFormAppendedBatchesMatchWhole(t *testing.T) {
 	}
 }
 
+// mergeForm is a text form as the merge scorer held it: each document's
+// distinct tokens as sorted strings with their counts, and document
+// frequencies by token. With mergeWeights and mergeCosine it is the
+// oracle every text-link confidence must equal to the bit.
+type mergeForm struct {
+	start []int32
+	terms []string
+	tf    []int32
+	df    map[string]int32
+}
+
+func mergeFormOf(docs []textDoc) *mergeForm {
+	f := &mergeForm{start: []int32{0}, df: make(map[string]int32)}
+	for _, d := range docs {
+		toks := textmine.TokenizeLower(strings.ToLower(d.text))
+		slices.Sort(toks)
+		for i, tok := range toks {
+			if i > 0 && tok == toks[i-1] {
+				f.tf[len(f.tf)-1]++
+				continue
+			}
+			f.terms = append(f.terms, tok)
+			f.tf = append(f.tf, 1)
+			f.df[tok]++
+		}
+		f.start = append(f.start, int32(len(f.terms)))
+	}
+	return f
+}
+
+// mergeWeights weighs f's documents in the corpus of f and other, whose
+// documents number n: TF-IDF, L2-normalized, norms summed in token order.
+func mergeWeights(f, other *mergeForm, n int) []float64 {
+	w := make([]float64, len(f.terms))
+	for i := 0; i+1 < len(f.start); i++ {
+		lo, hi := f.start[i], f.start[i+1]
+		var norm float64
+		for j := lo; j < hi; j++ {
+			k := f.df[f.terms[j]] + other.df[f.terms[j]]
+			w[j] = float64(f.tf[j]) * math.Log(float64(n+1)/float64(k+1))
+			norm += w[j] * w[j]
+		}
+		if norm > 0 {
+			norm = math.Sqrt(norm)
+			for j := lo; j < hi; j++ {
+				w[j] /= norm
+			}
+		}
+	}
+	return w
+}
+
+// mergeCosine is the dot product of a's document i and b's document j,
+// summed in token order by one merge of their sorted tokens.
+func mergeCosine(a *mergeForm, aw []float64, i int, b *mergeForm, bw []float64, j int) float64 {
+	alo, ahi, blo, bhi := a.start[i], a.start[i+1], b.start[j], b.start[j+1]
+	var dot float64
+	for alo < ahi && blo < bhi {
+		switch c := strings.Compare(a.terms[alo], b.terms[blo]); {
+		case c < 0:
+			alo++
+		case c > 0:
+			blo++
+		default:
+			dot += aw[alo] * bw[blo]
+			alo++
+			blo++
+		}
+	}
+	return dot
+}
+
+// randomDocs draws n documents of up to 14 words from a small vocabulary,
+// words repeated, some documents empty or all stopwords.
+func randomDocs(rng *rand.Rand, n int) []textDoc {
+	vocab := []string{"kinase", "alpha", "beta", "zinc", "finger", "binding", "protein", "domain", "the", "of",
+		"oxygen", "transport", "membrane", "receptor", "c0000017x", "u0000042x", "ATP", "Hemoglobin", "x"}
+	var texts []string
+	for i := 0; i < n; i++ {
+		var words []string
+		for w := rng.Intn(15); w > 0; w-- {
+			if rng.Intn(5) == 0 {
+				words = append(words, fmt.Sprintf("w%d", rng.Intn(40)))
+			} else {
+				words = append(words, vocab[rng.Intn(len(vocab))])
+			}
+		}
+		texts = append(texts, strings.Join(words, " "))
+	}
+	return docsOf(texts...)
+}
+
+// formIn3 builds docs' form as three batches appended in order.
+func formIn3(docs []textDoc) *TextForm {
+	f := newTextForm(docs[:len(docs)/3])
+	f = f.Append(newTextForm(docs[len(docs)/3 : 2*len(docs)/3]))
+	return f.Append(newTextForm(docs[2*len(docs)/3:]))
+}
+
+// Every cosine between the documents of two random forms equals the
+// merge scorer's to the bit, with both forms built whole or each in
+// three appended batches.
+func TestTextCosineMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for round := 0; round < 20; round++ {
+		fd, td := randomDocs(rng, 1+rng.Intn(40)), randomDocs(rng, 1+rng.Intn(40))
+		mf, mt := mergeFormOf(fd), mergeFormOf(td)
+		n := len(fd) + len(td)
+		mfw, mtw := mergeWeights(mf, mt, n), mergeWeights(mt, mf, n)
+		for _, build := range []struct {
+			name  string
+			forms func() (*TextForm, *TextForm)
+		}{
+			{"whole", func() (*TextForm, *TextForm) { return newTextForm(fd), newTextForm(td) }},
+			{"3 batches", func() (*TextForm, *TextForm) { tf := formIn3(td); return formIn3(fd), tf }},
+		} {
+			fw, tw := weigh(build.forms())
+			for i := range fd {
+				for j := range td {
+					want := mergeCosine(mf, mfw, i, mt, mtw, j)
+					if got := cosineOf(fw, i, tw, j); got != want {
+						t.Fatalf("round %d, %s: cosine(%d, %d) = %v, the merge scorer gives %v\n%q\n%q",
+							round, build.name, i, j, got, want, fd[i].text, td[j].text)
+					}
+					if got := cosineOf(tw, j, fw, i); got != want {
+						t.Fatalf("round %d, %s: reversed cosine(%d, %d) = %v, the merge scorer gives %v", round, build.name, j, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func ExampleTextForm() {
 	from := formOf("hemoglobin transports oxygen in blood")
 	to := formOf("myoglobin stores oxygen in muscle", "ribosome synthesizes protein chains")
 	fw, tw := weigh(from, to)
-	fmt.Printf("sim(0,1)=%.2f sim(0,2)=%.2f\n", fw.cosine(0, tw, 0), fw.cosine(0, tw, 1))
+	fmt.Printf("sim(0,1)=%.2f sim(0,2)=%.2f\n", cosineOf(fw, 0, tw, 0), cosineOf(fw, 0, tw, 1))
 	// Output:
 	// sim(0,1)=0.05 sim(0,2)=0.00
 }

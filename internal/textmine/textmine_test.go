@@ -1,6 +1,7 @@
 package textmine
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -283,14 +284,8 @@ func TestDiceProfilesMatchesQGrams(t *testing.T) {
 	}
 }
 
-// Jaro's greedy matching walks its first argument, yet the result does
-// not depend on the argument order: a character only matches an equal
-// one inside a window both sides share, so by induction on the leftmost
-// unmatched occurrence of each character both walks pair the same
-// positions. Duplicate detection relies on it to compare each field
-// pair once. Exhaustive over every pair of strings of up to 6 letters
-// from {a,b,c}.
-func TestJaroWinklerSymmetric(t *testing.T) {
+// smallStrings lists every string of up to 6 letters from {a,b,c}.
+func smallStrings() []string {
 	var all []string
 	for n, level := 0, []string{""}; n <= 6; n++ {
 		all = append(all, level...)
@@ -300,11 +295,133 @@ func TestJaroWinklerSymmetric(t *testing.T) {
 		}
 		level = next
 	}
+	return all
+}
+
+// Jaro's greedy matching walks its first argument, yet the result does
+// not depend on the argument order: a character only matches an equal
+// one inside a window both sides share, so by induction on the leftmost
+// unmatched occurrence of each character both walks pair the same
+// positions. Duplicate detection relies on it to compare each field
+// pair once. Exhaustive over every pair of strings of up to 6 letters
+// from {a,b,c}.
+func TestJaroWinklerSymmetric(t *testing.T) {
+	all := smallStrings()
 	for i, a := range all {
 		for _, b := range all[i+1:] {
 			if ab, ba := JaroWinkler(a, b), JaroWinkler(b, a); ab != ba {
 				t.Fatalf("JaroWinkler(%q,%q)=%v but reversed %v", a, b, ab, ba)
 			}
 		}
+	}
+}
+
+// jaroByteLoop is Jaro as every pair of strings once took it: a byte
+// loop over each match window with two []bool match sets. It is the
+// oracle Jaro must equal to the bit.
+func jaroByteLoop(a, b string) float64 {
+	if a == b {
+		return 1
+	}
+	la, lb := len(a), len(b)
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	window := max(max(la, lb)/2-1, 0)
+	aMatch := make([]bool, la)
+	bMatch := make([]bool, lb)
+	matches := 0
+	for i := 0; i < la; i++ {
+		for j := max(i-window, 0); j < min(i+window+1, lb); j++ {
+			if bMatch[j] || a[i] != b[j] {
+				continue
+			}
+			aMatch[i] = true
+			bMatch[j] = true
+			matches++
+			break
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	trans := 0
+	j := 0
+	for i := 0; i < la; i++ {
+		if !aMatch[i] {
+			continue
+		}
+		for !bMatch[j] {
+			j++
+		}
+		if a[i] != b[j] {
+			trans++
+		}
+		j++
+	}
+	m := float64(matches)
+	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+}
+
+// sameJaro fails t unless Jaro and JaroWinkler of a and b equal the
+// byte loop's to the bit.
+func sameJaro(t *testing.T, a, b string) {
+	t.Helper()
+	want := jaroByteLoop(a, b)
+	prefix := 0
+	for prefix < len(a) && prefix < len(b) && prefix < 4 && a[prefix] == b[prefix] {
+		prefix++
+	}
+	wantJW := want + float64(prefix)*0.1*(1-want)
+	if got, gotJW := Jaro(a, b), JaroWinkler(a, b); got != want || gotJW != wantJW {
+		t.Fatalf("Jaro(%q, %q) = %v, JaroWinkler %v; the byte loop gives %v and %v", a, b, got, gotJW, want, wantJW)
+	}
+}
+
+// Jaro equals the byte loop over every ordered pair of strings of up to
+// 6 letters from {a,b,c}, and over random pairs of up to 70 bytes, on
+// both sides of the 64-byte bit-vector cutoff: DNA, printable ASCII,
+// bytes >= 0x80 and a mix, half of the pairs a few edits apart.
+func TestJaroMatchesByteLoop(t *testing.T) {
+	all := smallStrings()
+	for _, a := range all {
+		for _, b := range all {
+			sameJaro(t, a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	alphabets := []func() byte{
+		func() byte { return "ACGT"[rng.Intn(4)] },
+		func() byte { return byte(0x20 + rng.Intn(0x5f)) },
+		func() byte { return byte(0x80 + rng.Intn(0x80)) },
+		func() byte { return byte(rng.Intn(256)) },
+	}
+	draw := func(n int, sym func() byte) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = sym()
+		}
+		return s
+	}
+	for i := 0; i < 40000; i++ {
+		sym := alphabets[i%len(alphabets)]
+		a := draw(rng.Intn(71), sym)
+		var b []byte
+		if i%2 == 0 {
+			b = draw(rng.Intn(71), sym)
+		} else {
+			b = append([]byte(nil), a...)
+			for e := rng.Intn(4); e > 0 && len(b) > 0; e-- {
+				switch k := rng.Intn(len(b)); rng.Intn(3) {
+				case 0:
+					b[k] = sym()
+				case 1:
+					b = append(b[:k], b[k+1:]...)
+				default:
+					b = append(b[:k], append([]byte{sym()}, b[k:]...)...)
+				}
+			}
+		}
+		sameJaro(t, string(a), string(b))
 	}
 }
