@@ -46,19 +46,23 @@ func loadAllocBudget(t *testing.T) allocBudget {
 }
 
 // TestDupAllocBudget holds duplicate detection to its allocations per
-// compared pair (BenchmarkDupFindNew's allocs/pair, workers=1). Scoring
-// a prepared pair allocates nothing, so the figure is the per-record
-// set-up spread over the pairs; a scorer that goes back to deriving
-// forms per comparison multiplies it.
+// compared pair (BenchmarkDupFindNew's allocs/pair, workers=1), for
+// sequences compared by q-gram overlap and for short reads compared by
+// Jaro-Winkler. Scoring a prepared pair allocates nothing, so the figure
+// is the per-record set-up spread over the pairs; a scorer that goes back
+// to deriving forms per comparison, or a Jaro that allocates its match
+// sets, multiplies it.
 func TestDupAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	if budget.DupScorePair <= 0 {
 		t.Fatal("dup_score_pair: missing budget in ALLOC_budget.json")
 	}
-	got := testing.Benchmark(BenchmarkDupFindNew).Extra["allocs/pair"]
-	t.Logf("dup_score_pair: %.3f allocs/pair (budget %.2f)", got, budget.DupScorePair)
-	if got <= 0 || got > budget.DupScorePair {
-		t.Errorf("dup_score_pair: %.3f allocs/pair outside (0, %.2f]", got, budget.DupScorePair)
+	for _, c := range dupFindNewCases {
+		got := testing.Benchmark(func(b *testing.B) { benchDupFindNew(b, c.minLen) }).Extra["allocs/pair"]
+		t.Logf("dup_score_pair %s: %.3f allocs/pair (budget %.2f)", c.name, got, budget.DupScorePair)
+		if got <= 0 || got > budget.DupScorePair {
+			t.Errorf("dup_score_pair %s: %.3f allocs/pair outside (0, %.2f]", c.name, got, budget.DupScorePair)
+		}
 	}
 }
 

@@ -442,15 +442,30 @@ func BenchmarkBlockingAblation(b *testing.B) {
 	})
 }
 
+// dupFindNewCases are BenchmarkDupFindNew's two record shapes: minimum
+// sequence length 120, values that duplicate detection compares by
+// q-gram overlap, and 20, short reads it compares by Jaro-Winkler.
+var dupFindNewCases = []struct {
+	name   string
+	minLen int
+}{{"sequences", 120}, {"short-reads", 20}}
+
 // BenchmarkDupFindNew is the step an uploader waits for, alone: 4,000
 // FASTA records, every 50th a planted duplicate, streamed into one
-// dup.Index in 8 batches. ns/pair is the whole pass (prepare, candidates,
-// scoring) per compared pair; allocs/pair is what TestDupAllocBudget
-// holds to ALLOC_budget.json — scoring a prepared pair allocates nothing,
-// so it measures the per-batch set-up spread over the batch's pairs.
+// dup.Index in 8 batches, once per dupFindNewCases shape. ns/pair is the
+// whole pass (prepare, candidates, scoring) per compared pair;
+// allocs/pair is what TestDupAllocBudget holds to ALLOC_budget.json —
+// scoring a prepared pair allocates nothing, so it measures the
+// per-batch set-up spread over the batch's pairs.
 func BenchmarkDupFindNew(b *testing.B) {
+	for _, c := range dupFindNewCases {
+		b.Run(c.name, func(b *testing.B) { benchDupFindNew(b, c.minLen) })
+	}
+}
+
+func benchDupFindNew(b *testing.B, minLen int) {
 	var text strings.Builder
-	if err := datagen.FastaDupText(&text, 4000, 50, ingestBenchSeed); err != nil {
+	if err := datagen.FastaDupReads(&text, 4000, 50, minLen, ingestBenchSeed); err != nil {
 		b.Fatal(err)
 	}
 	db, err := flatfile.Parse("fasta", strings.NewReader(text.String()), "seqs")

@@ -418,7 +418,10 @@ func (s *System) stage(p *Pending) (err error) {
 // prepare phase, outside any reader-blocking lock. The input mirrors
 // what the repository would hold after publish stored newLinks: stored
 // links, plus the new links deduplicated by (type, endpoints) with
-// feedback-removed pairs excluded.
+// feedback-removed pairs excluded. The derivation reaches every
+// shared-term link anew, but only those publish would store or upgrade
+// are returned (Repo.NewOrBetter), so a batch journals and adds the
+// links it brings, not every one the repository holds already.
 func (s *System) deriveOntologyLinks(newLinks []metadata.Link) []metadata.Link {
 	if len(s.opts.OntologySources) == 0 {
 		return nil
@@ -441,7 +444,7 @@ func (s *System) deriveOntologyLinks(newLinks []metadata.Link) []metadata.Link {
 	for _, ont := range s.opts.OntologySources {
 		out = append(out, s.engine.DeriveOntologyLinks(combined, ont)...)
 	}
-	return out
+	return s.Repo.NewOrBetter(out)
 }
 
 // unwind reverts the only state a prepare touches outside its Pending:

@@ -571,6 +571,64 @@ func TestReplayRunsNoPipeline(t *testing.T) {
 	}
 }
 
+// TestBatchJournalsOnlyItsOntologyLinks: the shared-term links are
+// derived anew from the whole repository for every integration, but a
+// batch journals only those it adds or upgrades. On the datagen corpus,
+// a FASTA source and a batch appended to it bring no shared term, so
+// their frames carry no ontology link, and recovery from the journal
+// still lands on the live state.
+func TestBatchJournalsOnlyItsOntologyLinks(t *testing.T) {
+	path := t.TempDir()
+	dir, err := store.OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	sys := New(defaultOpts())
+	sys.AttachDurable(dir)
+	for _, db := range datagen.Generate(datagen.Config{Seed: 7, Proteins: 60}).Sources {
+		if _, err := sys.AddSource(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sys.Repo.LinkCount(metadata.LinkOntology) == 0 {
+		t.Fatal("the corpus derived no ontology links")
+	}
+	corpusSeq := sys.SnapshotSeq()
+	if _, err := sys.AddSource(fastaBatch(t, "seqs", 0, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AppendToSource(context.Background(), "seqs", fastaBatch(t, "seqs", 20, 20)); err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := dir.FramesSince(corpusSeq, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; len(frames) > 0; n++ {
+		rec, size, err := store.DecodeFrame(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ontology := 0
+		for _, l := range rec.Links {
+			if l.Type == metadata.LinkOntology {
+				ontology++
+			}
+		}
+		if ontology != 0 {
+			t.Errorf("frame %d (%s) carries %d ontology links of %d, want 0", n, rec.Source.Name, ontology, len(rec.Links))
+		}
+		frames = frames[size:]
+	}
+	want := fullFingerprint(sys)
+	recovered, rdir, _ := recoverSystem(t, copyDir(t, path))
+	defer rdir.Close()
+	if got := fullFingerprint(recovered); got != want {
+		t.Errorf("recovered from the journal differs from live:\n--- live ---\n%s\n--- recovered ---\n%s", want, got)
+	}
+}
+
 // TestRestoreRejectsSourceWithoutStructure: a persisted source the
 // system does not hold must carry its discovered structure — a segment
 // without one, or an appended batch for a source that was never

@@ -176,10 +176,14 @@ func TestIndexRemoveFreesPrepared(t *testing.T) {
 }
 
 // Scoring a resolved pair allocates nothing: all set-up is per record.
+// The pair has a value of every shape, unequal short reads (Jaro-Winkler)
+// included.
 func TestScoreAllocatesNothing(t *testing.T) {
 	a, b := tiedPair()
 	a.Fields["seq"] = "ACGTTGCAAGGCTTAACCGGTTAACGTTGCAAGGCTTAACCGGTTAACGTTGCA"
 	b.Fields["sequence"] = "ACGTTGCAAGGCTTAACCGGTTAACGTTGCAAGGCATAACCGGTTAACGTTGCA"
+	a.Fields["read"] = "ACGTTGCAAGGCTTAACCGGTTAA"
+	b.Fields["read"] = "ACGTTGCAAGGATTAACCGGTAAC"
 	m := NewMatcher([]Record{a, b})
 	pa, pb := prepare(a, 1), prepare(b, 2)
 	pa.resolve(m)

@@ -151,12 +151,14 @@ type Engine struct {
 	opts    Options
 	sources []*Source
 	byName  map[string]*Source
+	// terms numbers the terms of every text form the engine builds.
+	terms *termDict
 }
 
 // New creates an engine.
 func New(opts Options) *Engine {
 	opts.fill()
-	return &Engine{opts: opts, byName: make(map[string]*Source)}
+	return &Engine{opts: opts, byName: make(map[string]*Source), terms: newTermDict()}
 }
 
 // AddSource registers a source for linking. Sources must have completed
@@ -353,7 +355,9 @@ func primaryRef(s *Source, accession string) metadata.ObjectRef {
 }
 
 // accessionSet returns the distinct accession values of a source's
-// primary relation as a set, plus the list form.
+// primary relation as a set: those its accession profile recorded, which
+// for a streamed source are the first batch's only, or else those of the
+// relation.
 func accessionSet(s *Source) map[string]bool {
 	out := make(map[string]bool)
 	if s.Structure.Primary == "" {

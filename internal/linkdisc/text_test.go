@@ -23,18 +23,25 @@ func docsOf(texts ...string) []textDoc {
 	return docs
 }
 
+// testTerms numbers the terms of the forms these tests build.
+var testTerms = newTermDict()
+
 // formOf prepares texts as the documents d0, d1, ... of one source.
-func formOf(texts ...string) *TextForm { return newTextForm(docsOf(texts...)) }
+func formOf(texts ...string) *TextForm { return testTerms.form(docsOf(texts...)) }
 
 // cosineOf is the cosine of a's document i and b's document j, scored
 // as discoverTextLinks scores a candidate.
-func cosineOf(a weighted, i int, b weighted, j int) float64 { return a.cosine(i, b, j) }
+func cosineOf(a weighted, i int, b weighted, j int) float64 {
+	s := make(scatter, len(b.df))
+	s.load(a, i)
+	return s.dot(b, j)
+}
 
 // weightOf is term's weight in document i of w, 0 if absent.
 func weightOf(w weighted, i int, term string) float64 {
 	lo, hi := w.doc(i)
 	for j := lo; j < hi; j++ {
-		if w.terms[j] == term {
+		if id, ok := testTerms.ids[term]; ok && w.ids[j] == id {
 			return w.w[j]
 		}
 	}
@@ -84,25 +91,29 @@ func TestTextCosineRange(t *testing.T) {
 }
 
 // A source's form grown batch by batch is the form of the whole source,
-// and a missing form stays missing.
+// and a missing form stays missing, as does one grown by a form whose
+// terms another dictionary numbered.
 func TestTextFormAppendedBatchesMatchWhole(t *testing.T) {
 	corpus := datagen.Generate(datagen.Config{Seed: 1, Proteins: 60})
 	for _, s := range []*Source{fastaDupSource(t, "reads", 600, 7), makeSource(t, corpus.Source("pir"))} {
 		const batches = 6
 		var grown *TextForm
 		for k := 0; k < batches; k++ {
-			b := newTextForm(textDocs(batchOf(s, k, batches)))
+			b := testTerms.form(textDocs(batchOf(s, k, batches)))
 			if k == 0 {
 				grown = b
 			} else {
 				grown = grown.Append(b)
 			}
 		}
-		if want := newTextForm(textDocs(s)); !reflect.DeepEqual(grown, want) {
+		if want := testTerms.form(textDocs(s)); !reflect.DeepEqual(grown, want) {
 			t.Errorf("%s: form grown in %d batches differs from the whole source's", s.Name(), batches)
 		}
 		if grown.Append(nil) != nil || (*TextForm)(nil).Append(grown) != nil {
 			t.Errorf("%s: appending to or from a missing form gave a form", s.Name())
+		}
+		if grown.Append(newTermDict().form(textDocs(batchOf(s, 0, batches)))) != nil {
+			t.Errorf("%s: appending a form of another dictionary gave a form", s.Name())
 		}
 	}
 }
@@ -200,15 +211,16 @@ func randomDocs(rng *rand.Rand, n int) []textDoc {
 }
 
 // formIn3 builds docs' form as three batches appended in order.
-func formIn3(docs []textDoc) *TextForm {
-	f := newTextForm(docs[:len(docs)/3])
-	f = f.Append(newTextForm(docs[len(docs)/3 : 2*len(docs)/3]))
-	return f.Append(newTextForm(docs[2*len(docs)/3:]))
+func formIn3(terms *termDict, docs []textDoc) *TextForm {
+	f := terms.form(docs[:len(docs)/3])
+	f = f.Append(terms.form(docs[len(docs)/3 : 2*len(docs)/3]))
+	return f.Append(terms.form(docs[2*len(docs)/3:]))
 }
 
 // Every cosine between the documents of two random forms equals the
 // merge scorer's to the bit, with both forms built whole or each in
-// three appended batches.
+// three appended batches, the other form first: in a fresh dictionary
+// each, so the terms draw other ids.
 func TestTextCosineMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for round := 0; round < 20; round++ {
@@ -220,8 +232,15 @@ func TestTextCosineMatchesMerge(t *testing.T) {
 			name  string
 			forms func() (*TextForm, *TextForm)
 		}{
-			{"whole", func() (*TextForm, *TextForm) { return newTextForm(fd), newTextForm(td) }},
-			{"3 batches", func() (*TextForm, *TextForm) { tf := formIn3(td); return formIn3(fd), tf }},
+			{"whole", func() (*TextForm, *TextForm) {
+				terms := newTermDict()
+				return terms.form(fd), terms.form(td)
+			}},
+			{"3 batches", func() (*TextForm, *TextForm) {
+				terms := newTermDict()
+				tf := formIn3(terms, td)
+				return formIn3(terms, fd), tf
+			}},
 		} {
 			fw, tw := weigh(build.forms())
 			for i := range fd {

@@ -205,6 +205,28 @@ func (r *Repo) AddLinkTracked(l Link) (stored, upgraded bool, prev Link) {
 	return true, false, Link{}
 }
 
+// NewOrBetter returns the links of ls that AddLink would act on now: a
+// link whose pair is not stored yet, or one of higher confidence than the
+// stored link, which it would upgrade. Links of removed pairs, and links
+// no better than the stored one, are left out — adding them would change
+// nothing, now or after other links were added or removed.
+func (r *Repo) NewOrBetter(ls []Link) []Link {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []Link
+	for _, l := range ls {
+		pk := l.pairKey()
+		if r.removed[pk] {
+			continue
+		}
+		if i, ok := r.present[pk]; ok && l.Confidence <= r.links[i].Confidence {
+			continue
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
 // Removed reports whether the link's pair was deleted by user feedback
 // (such links are refused by AddLink and must not seed derived links).
 func (r *Repo) Removed(l Link) bool {

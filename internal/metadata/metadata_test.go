@@ -90,6 +90,33 @@ func TestAddLinkTrackedReportsUpgrades(t *testing.T) {
 	}
 }
 
+// NewOrBetter keeps exactly the links AddLink would store or upgrade
+// with: new pairs and higher confidences, not stored pairs at or below
+// their confidence, reversed or not, nor removed pairs.
+func TestNewOrBetterIsWhatAddLinkActsOn(t *testing.T) {
+	r := NewRepo()
+	stored := Link{Type: LinkOntology, From: ref("a", "1"), To: ref("b", "2"), Confidence: 0.5}
+	removed := Link{Type: LinkOntology, From: ref("a", "3"), To: ref("b", "4"), Confidence: 0.5}
+	r.AddLink(stored)
+	r.AddLink(removed)
+	r.RemoveLink(removed)
+	reversed := Link{Type: LinkOntology, From: stored.To, To: stored.From, Confidence: 0.5}
+	better := stored
+	better.Confidence = 0.75
+	fresh := Link{Type: LinkOntology, From: ref("a", "5"), To: ref("b", "6"), Confidence: 0.1}
+	otherType := stored
+	otherType.Type = LinkText
+	got := r.NewOrBetter([]Link{stored, reversed, removed, better, fresh, otherType})
+	if len(got) != 3 || got[0] != better || got[1] != fresh || got[2] != otherType {
+		t.Fatalf("NewOrBetter = %+v, want the better, fresh and other-type links", got)
+	}
+	for _, l := range []Link{stored, reversed, removed} {
+		if stored, upgraded, _ := r.AddLinkTracked(l); stored || upgraded {
+			t.Errorf("AddLink acted on %+v, which NewOrBetter left out", l)
+		}
+	}
+}
+
 func TestDifferentTypesAreSeparateLinks(t *testing.T) {
 	r := NewRepo()
 	r.AddLink(Link{Type: LinkXRef, From: ref("a", "1"), To: ref("b", "2"), Confidence: 1})

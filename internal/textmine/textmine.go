@@ -7,6 +7,7 @@
 package textmine
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -144,25 +145,20 @@ func EditSimilarity(a, b string) float64 {
 	return 1 - float64(EditDistance(a, b))/float64(maxLen)
 }
 
-// Jaro computes the Jaro similarity of two strings.
+// Jaro computes the Jaro similarity of two strings. Strings of up to 64
+// bytes are matched bit-parallel (jaroBits); longer ones by a byte loop
+// over each match window.
 func Jaro(a, b string) float64 {
 	if a == b {
-		if a == "" {
-			return 1
-		}
 		return 1
 	}
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := la
-	if lb > window {
-		window = lb
-	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
+	window := max(max(la, lb)/2-1, 0)
+	if la <= 64 && lb <= 64 {
+		return jaroBits(a, b, window)
 	}
 	aMatch := make([]bool, la)
 	bMatch := make([]bool, lb)
@@ -204,8 +200,52 @@ func Jaro(a, b string) float64 {
 		}
 		j++
 	}
+	return jaroOf(matches, trans, la, lb)
+}
+
+// jaroOf is the Jaro similarity of strings of la and lb bytes with the
+// given matches and transpositions.
+func jaroOf(matches, trans, la, lb int) float64 {
 	m := float64(matches)
 	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+}
+
+// jaroBits is Jaro over strings of at most 64 bytes with the match sets
+// as bit vectors (the bit-vector idea of Myers, JACM 1999): pos[c] marks
+// the positions of byte c in b, so a[i]'s match — the first unmatched
+// equal byte of b inside its window, as the byte loop picks it — is the
+// lowest set bit of pos[a[i]] &^ bm within the window. The k-th matched
+// position of a pairs with the k-th of b for the transposition count.
+func jaroBits(a, b string, window int) float64 {
+	var pos [256]uint64
+	for j := 0; j < len(b); j++ {
+		pos[b[j]] |= 1 << j
+	}
+	var am, bm uint64
+	matches := 0
+	for i := 0; i < len(a); i++ {
+		lo, hi := max(i-window, 0), min(i+window+1, len(b))
+		if lo >= hi {
+			break
+		}
+		// Bits lo..hi-1; a shift by 64 is 0 in Go, so hi == 64 works.
+		win := (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1)
+		if m := pos[a[i]] &^ bm & win; m != 0 {
+			bm |= m & -m
+			am |= 1 << i
+			matches++
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	trans := 0
+	for ; am != 0; am, bm = am&(am-1), bm&(bm-1) {
+		if a[bits.TrailingZeros64(am)] != b[bits.TrailingZeros64(bm)] {
+			trans++
+		}
+	}
+	return jaroOf(matches, trans, len(a), len(b))
 }
 
 // JaroWinkler boosts Jaro similarity for shared prefixes (up to 4 chars,
