@@ -39,9 +39,10 @@ func cosineOf(a weighted, i int, b weighted, j int) float64 {
 
 // weightOf is term's weight in document i of w, 0 if absent.
 func weightOf(w weighted, i int, term string) float64 {
+	id, ok := testTerms.ids[term]
 	lo, hi := w.doc(i)
 	for j := lo; j < hi; j++ {
-		if id, ok := testTerms.ids[term]; ok && w.ids[j] == id {
+		if ok && w.ids[j] == id {
 			return w.w[j]
 		}
 	}

@@ -184,18 +184,15 @@ func (r *Repo) AddLinkTracked(l Link) (stored, upgraded bool, prev Link) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	pk := l.pairKey()
-	if r.removed[pk] {
+	if !r.actsOn(pk, l) {
 		return false, false, Link{}
 	}
 	if i, ok := r.present[pk]; ok {
 		// Keep the higher-confidence evidence.
-		if l.Confidence > r.links[i].Confidence {
-			prev = r.links[i]
-			r.links[i].Confidence = l.Confidence
-			r.links[i].Method = l.Method
-			return false, true, prev
-		}
-		return false, false, Link{}
+		prev = r.links[i]
+		r.links[i].Confidence = l.Confidence
+		r.links[i].Method = l.Method
+		return false, true, prev
 	}
 	idx := len(r.links)
 	r.links = append(r.links, l)
@@ -215,16 +212,21 @@ func (r *Repo) NewOrBetter(ls []Link) []Link {
 	defer r.mu.RUnlock()
 	var out []Link
 	for _, l := range ls {
-		pk := l.pairKey()
-		if r.removed[pk] {
-			continue
+		if r.actsOn(l.pairKey(), l) {
+			out = append(out, l)
 		}
-		if i, ok := r.present[pk]; ok && l.Confidence <= r.links[i].Confidence {
-			continue
-		}
-		out = append(out, l)
 	}
 	return out
+}
+
+// actsOn reports whether AddLink would store l, whose pairKey is pk, or
+// upgrade the stored link of its pair. The caller holds r.mu.
+func (r *Repo) actsOn(pk string, l Link) bool {
+	if r.removed[pk] {
+		return false
+	}
+	i, ok := r.present[pk]
+	return !ok || l.Confidence > r.links[i].Confidence
 }
 
 // Removed reports whether the link's pair was deleted by user feedback
