@@ -19,28 +19,12 @@ import (
 // sources on every call and scored TF-IDF vectors held in maps (commit
 // 81953fc); -update rewrites them from the engine under test.
 
-// textLines renders the TF-IDF text links of one discovery call in
-// emitted order: direction (1 = from nu, 2 = towards it, 0 = no new
-// source), both ends, confidence and method. Entity links share the
-// type and are left out.
+// textLines renders the TF-IDF text links of one discovery call
+// (linkLines). Entity links share the type and are left out.
 func textLines(call string, nu *Source, links []metadata.Link) []string {
-	var out []string
-	for _, l := range links {
-		if l.Type != metadata.LinkText || !strings.HasPrefix(l.Method, "text:") {
-			continue
-		}
-		dir := 0
-		if nu != nil {
-			dir = 2
-			if strings.EqualFold(l.From.Source, nu.Name()) {
-				dir = 1
-			}
-		}
-		out = append(out, fmt.Sprintf("%s %d %s/%s/%s %s/%s/%s %.12f %s", call, dir,
-			l.From.Source, l.From.Relation, l.From.Accession,
-			l.To.Source, l.To.Relation, l.To.Accession, l.Confidence, l.Method))
-	}
-	return out
+	return linkLines(call, nu, links, func(l metadata.Link) bool {
+		return l.Type == metadata.LinkText && strings.HasPrefix(l.Method, "text:")
+	})
 }
 
 // textOptions leaves the text channel and the cheap xref channel on.
@@ -77,12 +61,14 @@ func fastaDupSource(t *testing.T, name string, n int, seed int64) *Source {
 
 // batchOf is the k-th of n equal slices of every relation of s, under
 // s's name, structure and profiles — an appended batch as core builds it.
+// The slices are capped, so a relation grown from one never writes into
+// s's tuples.
 func batchOf(s *Source, k, n int) *Source {
 	db := rel.NewDatabase(s.Name())
 	for _, r := range s.DB.Relations() {
 		part := db.Create(r.Name, r.Schema)
 		m := len(r.Tuples)
-		part.Tuples = r.Tuples[k*m/n : (k+1)*m/n]
+		part.Tuples = r.Tuples[k*m/n : (k+1)*m/n : (k+1)*m/n]
 	}
 	return &Source{DB: db, Structure: s.Structure, Profiles: s.Profiles}
 }
