@@ -85,19 +85,19 @@ func TestSeqAllocBudget(t *testing.T) {
 
 // TestTextAllocBudget holds text link discovery to its allocations per
 // candidate comparison (BenchmarkTextLinksAppend's allocs/comparison,
-// workers=1). Registered sources are tokenized once and a candidate is
-// scored by merging two prepared vectors, so the figure is per-batch
-// set-up; a scorer that tokenizes or builds vectors per call again, or
-// allocates per comparison, multiplies it.
+// workers=1). A registered source's forms are built once and a candidate
+// is scored by scatter-gather over prepared weights, so the figure is
+// per-batch set-up; a channel that rescans a registered source per call
+// again, or a scorer that allocates per comparison, multiplies it.
 func TestTextAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	if budget.TextComparison <= 0 {
 		t.Fatal("text_links_comparison: missing budget in ALLOC_budget.json")
 	}
 	got := testing.Benchmark(BenchmarkTextLinksAppend).Extra["allocs/comparison"]
-	t.Logf("text_links_comparison: %.3f allocs/comparison (budget %.2f)", got, budget.TextComparison)
+	t.Logf("text_links_comparison: %.3f allocs/comparison (budget %.3f)", got, budget.TextComparison)
 	if got <= 0 || got > budget.TextComparison {
-		t.Errorf("text_links_comparison: %.3f allocs/comparison outside (0, %.2f]", got, budget.TextComparison)
+		t.Errorf("text_links_comparison: %.3f allocs/comparison outside (0, %.3f]", got, budget.TextComparison)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/aladin"
 	"repro/internal/core"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/seq"
 	"repro/internal/sqlx"
+	"repro/internal/store"
 )
 
 // benchCorpus caches one standard corpus per size across benchmarks.
@@ -317,8 +319,8 @@ func linkSource(b *testing.B, db *rel.Database) *linkdisc.Source {
 // discovered both ways against a registered 1,200-protein swissprot
 // through DiscoverAppended, workers=1, with the sequence and entity
 // channels off. It reports us per batch, candidate comparisons per
-// batch, and allocations per comparison. swissprot's text form is built
-// before the timer starts, as the batches before this one built it.
+// batch, and allocations per comparison. swissprot's forms are built
+// before the timer starts, as the batches before this one built them.
 func BenchmarkTextLinksAppend(b *testing.B) {
 	var text strings.Builder
 	if err := datagen.FastaDupText(&text, 400, 50, ingestBenchSeed); err != nil {
@@ -369,6 +371,134 @@ func BenchmarkTextLinksAppend(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/batch")
 	b.ReportMetric(float64(comparisons), "comparisons/op")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*comparisons), "allocs/comparison")
+}
+
+// BenchmarkAppendBeside times 200-read FASTA batches (20-39 bases, not
+// sequence fields) streamed into a node holding EMBL entries, 8 GenBank
+// records citing them and a 50-term ontology, with every channel on and
+// workers=1, at 1,200 and 12,000 EMBL entries. Each iteration recovers
+// the node from a checkpoint, untimed, so its sources hold no derived
+// forms but their ownership tables. cold times the stream's first batch,
+// a new source, which builds the registered sources' forms; warm times
+// the five batches appended after it. ns/batch and allocs/batch count
+// the timed batches only. Every iteration recovers the node, so run it
+// with -benchtime Nx.
+func BenchmarkAppendBeside(b *testing.B) {
+	for _, n := range []int{1200, 12000} {
+		path := appendBesideNode(b, n)
+		b.Run(fmt.Sprintf("embl=%d/cold", n), func(b *testing.B) { benchAppendBeside(b, path, 0) })
+		b.Run(fmt.Sprintf("embl=%d/warm", n), func(b *testing.B) { benchAppendBeside(b, path, 5) })
+	}
+}
+
+// appendBesideOpts is the configuration of BenchmarkAppendBeside's node.
+func appendBesideOpts() core.Options {
+	return core.Options{Workers: 1, OntologySources: []string{"go"}}
+}
+
+// appendBesideNode integrates n EMBL entries, 8 GenBank records and 50
+// OBO terms into a data directory, checkpoints it and returns its path.
+func appendBesideNode(b *testing.B, n int) string {
+	var embl, gb, obo strings.Builder
+	if err := datagen.EMBLText(&embl, n, 50, 7); err != nil {
+		b.Fatal(err)
+	}
+	if err := datagen.GenBankText(&gb, 8, n, 7); err != nil {
+		b.Fatal(err)
+	}
+	if err := datagen.OBOText(&obo, 50, 7); err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir()
+	dir, err := store.OpenDir(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dir.Close()
+	sys := core.New(appendBesideOpts())
+	sys.AttachDurable(dir)
+	for _, f := range []struct{ format, name, text string }{
+		{"embl", "swissprot", embl.String()}, {"genbank", "genbank", gb.String()}, {"obo", "go", obo.String()},
+	} {
+		db, err := flatfile.Parse(f.format, strings.NewReader(f.text), f.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.AddSource(db); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cp, err := sys.BeginCheckpoint()
+	if err == nil {
+		err = sys.WriteCheckpoint(cp)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// benchAppendBeside recovers the node at path, then integrates the first
+// 200-read batch of source "tail" and appends warm more; it times the
+// first batch if warm is 0, else the appended ones.
+func benchAppendBeside(b *testing.B, path string, warm int) {
+	var text strings.Builder
+	if err := datagen.FastaDupReads(&text, 200*(warm+1), 0, 20, ingestBenchSeed); err != nil {
+		b.Fatal(err)
+	}
+	reads, err := flatfile.Parse("fasta", strings.NewReader(text.String()), "tail")
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := func(k int) *rel.Database {
+		db := rel.NewDatabase("tail")
+		for _, r := range reads.Relations() {
+			db.Create(r.Name, r.Schema).Tuples = r.Tuples[200*k : 200*(k+1) : 200*(k+1)]
+		}
+		return db
+	}
+	var timed time.Duration
+	var allocs uint64
+	var before, after runtime.MemStats
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		dir, err := store.OpenDir(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, _, err := core.Recover(appendBesideOpts(), dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.DisableJournal()
+		for k := 0; k <= warm; k++ {
+			timing := k > 0 || warm == 0
+			if timing {
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+			}
+			t0 := time.Now()
+			if k == 0 {
+				_, err = sys.AddSource(batch(0))
+			} else {
+				_, err = sys.AppendToSource(context.Background(), "tail", batch(k))
+			}
+			if timing {
+				timed += time.Since(t0)
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				allocs += after.Mallocs - before.Mallocs
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		dir.Close()
+	}
+	batches := b.N * max(warm, 1)
+	b.ReportMetric(float64(timed.Nanoseconds())/float64(batches), "ns/batch")
+	b.ReportMetric(float64(allocs)/float64(batches), "allocs/batch")
 }
 
 // BenchmarkTextLinkPR (E8): entity-mention link quality.

@@ -331,12 +331,14 @@ func (s *System) prepare(ctx context.Context, p *Pending, discover discoverFunc)
 	}()
 
 	// Step 4: link discovery, both directions, against every other
-	// integrated source (§4.4). The batch's ownership table is built once,
-	// here: link discovery and search indexing read it, and publish
-	// appends it to the source's.
+	// integrated source (§4.4). The batch's forms are built once, here:
+	// link discovery and search indexing read them, and publish grows the
+	// source's by them.
 	t0 := time.Now()
-	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs,
-		Owners: discovery.OwnersOf(p.batch, p.structure)}
+	var err error
+	if p.src, err = linkdisc.NewSource(p.batch, p.structure, p.profs, nil); err != nil {
+		return nil, err
+	}
 	links, xattrs, lstats, err := discover(ctx, p.src)
 	if err != nil {
 		return nil, err
@@ -556,11 +558,9 @@ func (s *System) publish(p *Pending) (map[string]int, error) {
 			srcDB.Put(grown(srcDB.Relation(br.Name), br.Tuples))
 			s.warehouse.Put(grown(s.warehouse.Relation(p.key+"_"+br.Name), br.Tuples))
 		}
-		// The source's ownership table and text form grow by the batch's,
-		// at the positions the append branches gave the batch's tuples.
-		reg := s.engine.Source(p.name)
-		reg.Owners = reg.Owners.Append(p.src.Owners)
-		reg.Text = reg.Text.Append(p.src.Text)
+		// The source's forms grow by the batch's, at the positions the
+		// append branches gave the batch's tuples.
+		s.engine.Source(p.name).Grow(p.src)
 	}
 	added := make(map[string]int)
 	for _, l := range p.links {
@@ -661,7 +661,7 @@ func (s *System) SetFailpoint(f func(stage string) error) { s.failpoint = f }
 // is indexed under the first primary object owning its tuple.
 func buildSearchIndex(src *linkdisc.Source) *search.Index {
 	ix := search.NewIndex()
-	st := src.Structure
+	st, ownership := src.Structure, src.Owners()
 	for _, r := range src.DB.Relations() {
 		isPrimary := strings.EqualFold(r.Name, st.Primary)
 		for ci, c := range r.Schema.Columns {
@@ -674,7 +674,7 @@ func buildSearchIndex(src *linkdisc.Source) *search.Index {
 				if v.IsNull() {
 					continue
 				}
-				owners := src.Owners.Of(r.Name, ti)
+				owners := ownership.Of(r.Name, ti)
 				if len(owners) == 0 {
 					continue
 				}
@@ -834,13 +834,16 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 
 	// Link discovery under the new structure, against every other source.
 	// The engine's registered copy is left alone until the journal write
-	// succeeded; the candidate's ownership table (and text form, if text
-	// links built one) is built afresh from the whole source and replaces
-	// the registered one, so the result depends on the data and the other
-	// sources' tables alone, and replay — which restores those tables
-	// batch by batch — reproduces it.
+	// succeeded; the candidate's forms are built afresh from the whole
+	// source, its ownership table as one batch, and replace the registered
+	// ones, so the result depends on the data and the other sources' forms
+	// alone, and replay — which restores the ownership tables batch by
+	// batch — reproduces it.
 	t0 = time.Now()
-	src := &linkdisc.Source{DB: db, Structure: structure, Profiles: profs}
+	src, err := linkdisc.NewSource(db, structure, profs, nil)
+	if err != nil {
+		return nil, err
+	}
 	links, xattrs, lstats, err := s.engine.DiscoverAppended(ctx, src)
 	if err != nil {
 		return nil, err
@@ -868,11 +871,7 @@ func (s *System) ReanalyzeContext(ctx context.Context, source string) (*AddRepor
 		r.Stats = profile.RelationStats(r, profs)
 		s.warehouse.Put(qualifiedClone(r, name, idxCols[strings.ToLower(r.Name)]))
 	}
-	if reg := s.engine.Source(source); reg != nil {
-		reg.Structure = structure
-		reg.Profiles = profs
-		reg.Owners, reg.Text = src.Owners, src.Text
-	}
+	s.engine.Source(source).Adopt(src)
 	s.web.Install(web)
 	for _, l := range links {
 		if s.Repo.AddLink(l) {

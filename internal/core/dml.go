@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/discovery"
 	"repro/internal/rel"
 	"repro/internal/sqlx"
 	"repro/internal/store"
@@ -90,12 +89,8 @@ func (s *System) Exec(sql string) (*sqlx.Result, error) {
 	}
 	srcDB.Put(clone)
 	s.warehouse.Put(qualifiedClone(clone, srcKey, idxCols[strings.ToLower(clone.Name)]))
-	// The source's ownership table holds tuple positions of the replaced
-	// relation; rebuild it from the whole source now, as one batch, so the
-	// table a checkpoint persists is the one later discovery reads. The
-	// text form, persisted nowhere, is rebuilt when next needed.
-	reg := s.engine.Source(meta.Name)
-	reg.Owners, reg.Text = discovery.OwnersOf(srcDB, reg.Structure), nil
+	// The source's forms hold tuple positions of the replaced relation.
+	s.engine.Source(meta.Name).Drop()
 	s.Repo.RecordChanges(meta.Name, res.Affected)
 	return res, nil
 }

@@ -269,24 +269,30 @@ func alpha(name string, i, k int) string {
 
 // linkedBatch builds records from..from+n-1 of a hand-made source: a
 // primary "entry" relation and a dependent "note" relation, each entry
-// optionally cross-referencing an entry of another source. Every
+// with a free-text comment and optionally cross-referencing an entry of
+// another source, the one named by refPrefix in lower case. Every
 // reference resolves, so a cross-reference column matches fully in any
 // batch and discovery's verdict does not depend on batch boundaries —
 // and every reference points into the target's first batch: accessions a
-// source gains by append are not cross-reference targets yet
-// (linkdisc.accessionSet reads the profile of the first batch; ROADMAP
-// lists it), which is a property of discovery, not of the door taken.
+// source gains by append are not cross-reference targets yet (a source's
+// accession set is its first batch's profile's; ROADMAP item 2(b)),
+// which is a property of discovery, not of the door taken. The comment
+// names, by its label, an entry of the referenced source's last batch:
+// the names a source gains by append are entity-link targets at once.
 func linkedBatch(name, prefix, refPrefix string, from, n int) *rel.Database {
 	db := rel.NewDatabase(name)
-	cols := []string{"entry_id", "acc", "label"}
+	cols := []string{"entry_id", "acc", "label", "comment"}
 	if refPrefix != "" {
 		cols = append(cols, "ref")
 	}
 	entry := db.Create("entry", rel.TextSchema(cols...))
 	note := db.Create("note", rel.TextSchema("note_id", "entry_id", "note_text"))
+	label := func(name string, i int) string { return alpha(name, i, 0) + " " + alpha(name, i, 3) }
 	for i := from; i < from+n; i++ {
-		row := []string{fmt.Sprint(i + 1), fmt.Sprintf("%s%04d", prefix, i), alpha(name, i, 0) + " " + alpha(name, i, 3)}
+		row := []string{fmt.Sprint(i + 1), fmt.Sprintf("%s%04d", prefix, i), label(name, i),
+			"notes about entry " + alpha(name, i, 4)}
 		if refPrefix != "" {
+			row[3] = "cites " + label(strings.ToLower(refPrefix), linkedRecords-1-i%linkedBatchSz) + " again"
 			row = append(row, fmt.Sprintf("%s%04d", refPrefix, i/2%4))
 		}
 		entry.AppendRaw(row...)
@@ -309,13 +315,14 @@ const (
 )
 
 func linkedOpts() Options {
-	// Text and entity links, and the similarity of near-duplicates, are
-	// scored against corpus-wide term statistics, which do depend on what
-	// shares a batch; the equivalence is about doors, not about those
-	// heuristics, so only cross-references (and exact duplicates, of
-	// which the corpus has none) are left on.
+	// Text links and the similarity of near-duplicates are scored against
+	// corpus-wide term statistics, which do depend on what shares a batch;
+	// the equivalence is about doors, not about those heuristics, so they
+	// are left off (and duplicates exact, of which the corpus has none).
+	// Entity links depend on the target's dictionary alone, which every
+	// batch grows, so they stay on with cross-references.
 	return Options{
-		Links:      linkdisc.Options{DisableTextLinks: true, DisableEntityLinks: true},
+		Links:      linkdisc.Options{DisableTextLinks: true},
 		Duplicates: dup.Options{Threshold: 0.95},
 	}
 }
@@ -443,6 +450,9 @@ func TestFiveDoorsOneState(t *testing.T) {
 	want := fullFingerprint(whole)
 	if n := whole.Repo.LinkCount(metadata.LinkXRef); n != 2*linkedRecords {
 		t.Fatalf("corpus produced %d cross-references, want %d:\n%s", n, 2*linkedRecords, want)
+	}
+	if n := whole.Repo.LinkCount(metadata.LinkText); n != 2*linkedRecords {
+		t.Fatalf("corpus produced %d entity links, want %d:\n%s", n, 2*linkedRecords, want)
 	}
 
 	primaryPath := t.TempDir()

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/discovery"
 	"repro/internal/dup"
 	"repro/internal/linkdisc"
 	"repro/internal/metadata"
@@ -63,7 +62,7 @@ func (s *System) pin(m *metadata.SourceMeta) (pinnedSource, bool) {
 		return pinnedSource{}, false
 	}
 	db = db.ShallowClone()
-	return pinnedSource{db: db, meta: m, batches: s.engine.Source(key).Owners.Batches(db)}, true
+	return pinnedSource{db: db, meta: m, batches: s.engine.Source(key).Owners().Batches(db)}, true
 }
 
 // image encodes a pinned source — the one place a checkpoint segment and
@@ -121,12 +120,12 @@ func (s *System) restore(ss *store.SourceSnapshot, links []metadata.Link) error 
 		}
 	}
 	// A whole source's image rebuilds the ownership table batch by batch,
-	// as the system held it; a journaled batch is one batch.
-	owners, err := discovery.OwnersOfBatches(p.batch, p.structure, ss.Batches())
-	if err != nil {
+	// as the system held it; a journaled batch is one batch. No other form
+	// is built: the registered source's are rebuilt when next read.
+	var err error
+	if p.src, err = linkdisc.NewSource(p.batch, p.structure, p.profs, ss.Batches()); err != nil {
 		return err
 	}
-	p.src = &linkdisc.Source{DB: p.batch, Structure: p.structure, Profiles: p.profs, Owners: owners}
 	// Bucket the records into the incremental duplicate index without
 	// comparing: later integrations compare against them.
 	p.records = dup.RecordsFromSource(p.batch, p.structure)

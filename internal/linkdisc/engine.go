@@ -6,6 +6,15 @@
 // ontology terms. Discovered links are object-level and are stored in the
 // metadata repository "to avoid repeated discovery and computation at
 // query time".
+//
+// Each Source carries the state discovery derives from it (forms.go):
+// its §4.3 ownership table, the prepared forms of the text and entity
+// channels, the xref channel's per-attribute value sets and its accession
+// set. They are built from the source when missing, grown at publish by
+// a streamed batch's (Source.Grow), dropped when DML replaces the
+// relations (Source.Drop) and replaced by a re-analysis (Source.Adopt),
+// so a batch costs discovery what the batch holds, not what the
+// warehouse does.
 package linkdisc
 
 import (
@@ -22,29 +31,16 @@ import (
 	"repro/internal/profile"
 	"repro/internal/rel"
 	"repro/internal/seq"
-	"repro/internal/textmine"
 )
 
-// Source bundles one imported data source with its discovered structure
-// and statistics — the inputs link discovery needs.
+// Source bundles one imported data source, or one batch of one, with its
+// discovered structure and statistics — the inputs link discovery needs —
+// and the forms discovery derives from them (see the package comment).
 type Source struct {
 	DB        *rel.Database
 	Structure *discovery.Structure
 	Profiles  map[string]*profile.ColumnProfile
-	// Owners maps DB's tuples to the primary objects owning them; links
-	// found in any relation are made from those objects. The engine
-	// builds it from DB when it is nil.
-	Owners *discovery.Owners
-	// Text is the prepared form text links read (TextForm). The engine
-	// builds it from DB when it is nil, on the first text comparison.
-	Text *TextForm
-}
-
-// fillOwners builds s's ownership table if it has none.
-func fillOwners(s *Source) {
-	if s.Owners == nil {
-		s.Owners = discovery.OwnersOf(s.DB, s.Structure)
-	}
+	forms     forms
 }
 
 // Name returns the source name.
@@ -171,7 +167,7 @@ func (e *Engine) AddSource(s *Source) error {
 	if _, dup := e.byName[key]; dup {
 		return fmt.Errorf("linkdisc: source %q already added", s.DB.Name)
 	}
-	fillOwners(s)
+	s.Owners()
 	e.sources = append(e.sources, s)
 	e.byName[key] = s
 	return nil
@@ -188,7 +184,7 @@ func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {
 	var xattrs []XRefAttribute
 	var stats Stats
 	for _, s := range e.sources {
-		fillOwners(s)
+		e.fill(s)
 	}
 	// One seeding pass per unordered pair yields both directions' links.
 	seqLinks := make(map[[2]*Source][]metadata.Link)
@@ -219,7 +215,7 @@ func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {
 // candidate: the incremental addition mode of §3, computed as the first
 // half of a snapshot-then-commit source addition whose registration
 // (AddSource) happens later under the caller's write lock. The
-// candidate's ownership table is built here if missing. Discovery and
+// candidate's forms are built here if missing. Discovery and
 // registration calls must be serialized (integrations are).
 func (e *Engine) DiscoverAgainst(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	if nu.Structure == nil {
@@ -238,8 +234,9 @@ func (e *Engine) DiscoverAgainst(ctx context.Context, nu *Source) ([]metadata.Li
 // structure, and profiles; links against the registered copy of the same
 // source are skipped — those would be intra-source links, which ALADIN
 // does not model. Like DiscoverAgainst it runs in the prepare half of a
-// batch commit and builds the batch's ownership table if missing, so the
-// batch's dependent rows resolve to the batch's own primary objects.
+// batch commit and builds the batch's forms if missing — its ownership
+// table resolves the batch's dependent rows to the batch's own primary
+// objects — which publish then grows the registered source's by.
 func (e *Engine) DiscoverAppended(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	if nu.Structure == nil {
 		return nil, nil, Stats{}, fmt.Errorf("linkdisc: source %q has no discovered structure", nu.DB.Name)
@@ -250,21 +247,21 @@ func (e *Engine) DiscoverAppended(ctx context.Context, nu *Source) ([]metadata.L
 	return e.discoverBothWays(ctx, nu)
 }
 
-// RefreshResolver drops a registered source's ownership table and text
-// form, for a caller that replaced or grew its relations without
-// extending them; the next discovery rebuilds them from the whole source.
+// RefreshResolver drops a registered source's forms (Source.Drop), for
+// a caller that replaced or grew its relations without growing the
+// forms.
 func (e *Engine) RefreshResolver(name string) {
 	if s := e.Source(name); s != nil {
-		s.Owners, s.Text = nil, nil
+		s.Drop()
 	}
 }
 
 // discoverBothWays discovers links between nu and every *other* registered
 // source, in both directions. A registered source with nu's name is also
 // skipped, so an append batch (DiscoverAppended) is never linked against
-// the source it extends. The missing ownership tables of nu and of the
-// sources it is linked against are built first, before any worker pool
-// starts.
+// the source it extends. The missing forms of nu and of the sources it is
+// linked against are built first, before any worker pool starts; with
+// nothing to link against, nu's are left to be built when first read.
 //
 // Sequence links are discovered once per source pair, both directions
 // from one seeding pass (discoverSequenceLinks); everything else runs per
@@ -272,14 +269,18 @@ func (e *Engine) RefreshResolver(name string) {
 // text and entity links to other, then other's to nu — the order the
 // repository's "first stored wins" ties and the WAL depend on.
 func (e *Engine) discoverBothWays(ctx context.Context, nu *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
-	fillOwners(nu)
 	var others []*Source
 	for _, s := range e.sources {
 		if s != nu && !strings.EqualFold(s.DB.Name, nu.DB.Name) {
-			fillOwners(s)
+			e.fill(s)
 			others = append(others, s)
 		}
 	}
+	if len(others) == 0 {
+		nu.Owners()
+		return nil, nil, Stats{}, nil
+	}
+	e.fill(nu)
 	var links []metadata.Link
 	var xattrs []XRefAttribute
 	var stats Stats
@@ -336,11 +337,7 @@ func (e *Engine) discoverPair(ctx context.Context, from, to *Source, seqLinks []
 		stats.TextComparisons += n
 	}
 	if !e.opts.DisableEntityLinks {
-		els, err := e.discoverEntityLinks(ctx, from, to)
-		if err != nil {
-			return nil, nil, Stats{}, err
-		}
-		links = append(links, els...)
+		links = append(links, e.discoverEntityLinks(from, to)...)
 	}
 	return links, xattrs, stats, nil
 }
@@ -352,36 +349,6 @@ func primaryRef(s *Source, accession string) metadata.ObjectRef {
 		Relation:  s.Structure.Primary,
 		Accession: accession,
 	}
-}
-
-// accessionSet returns the distinct accession values of a source's
-// primary relation as a set: those its accession profile recorded, which
-// for a streamed source are the first batch's only, or else those of the
-// relation.
-func accessionSet(s *Source) map[string]bool {
-	out := make(map[string]bool)
-	if s.Structure.Primary == "" {
-		return out
-	}
-	p := s.Profiles[profile.Key(s.Structure.Primary, s.Structure.PrimaryAccession)]
-	if p != nil && p.DistinctValues != nil {
-		for _, v := range p.DistinctValues {
-			out[v.AsString()] = true
-		}
-		return out
-	}
-	pr := s.DB.Relation(s.Structure.Primary)
-	if pr == nil {
-		return out
-	}
-	vals, err := pr.DistinctValues(s.Structure.PrimaryAccession)
-	if err != nil {
-		return out
-	}
-	for _, v := range vals {
-		out[v.AsString()] = true
-	}
-	return out
 }
 
 // CompositeParts returns the accession candidates embedded in a raw
@@ -404,7 +371,8 @@ func CompositeParts(v string) []string {
 
 // discoverXRefs implements explicit link discovery: candidate targets are
 // the accession fields of primary relations of other sources; candidate
-// sources are all attributes, pruned per §4.4.
+// sources are all attributes, pruned per §4.4 (xrefCandidates), each
+// matched through its value set.
 func (e *Engine) discoverXRefs(ctx context.Context, from, to *Source) ([]metadata.Link, []XRefAttribute, Stats, error) {
 	var stats Stats
 	var links []metadata.Link
@@ -412,39 +380,13 @@ func (e *Engine) discoverXRefs(ctx context.Context, from, to *Source) ([]metadat
 	if to.Structure.Primary == "" || from.Structure.Primary == "" {
 		return nil, nil, stats, nil
 	}
-	targetAcc := accessionSet(to)
+	targetAcc := to.forms.acc
 	if len(targetAcc) == 0 {
 		return nil, nil, stats, nil
 	}
-	// Candidate generation and §4.4 pruning are cheap and stay serial; the
-	// value scans checking each surviving attribute run on the worker
-	// pool, writing into indexed slots so output order stays the serial
-	// order.
-	type task struct {
-		r   *rel.Relation
-		col string
-	}
-	var tasks []task
-	for _, r := range from.DB.Relations() {
-		for _, c := range r.Schema.Columns {
-			p := from.Profiles[profile.Key(r.Name, c.Name)]
-			if p == nil {
-				continue
-			}
-			stats.AttributePairsConsidered++
-			if !e.opts.DisablePruning {
-				// §4.4 pruning: exclude purely numeric attributes (to
-				// avoid misinterpreting surrogate keys), attributes with
-				// few distinct values, and long free-text / sequence
-				// fields (handled by the implicit channels).
-				if p.PurelyNumeric || p.Distinct < 2 || p.IsSequenceField() || p.IsTextField() {
-					stats.AttributePairsPruned++
-					continue
-				}
-			}
-			tasks = append(tasks, task{r, c.Name})
-		}
-	}
+	// The value sets are matched on the worker pool, writing into indexed
+	// slots so output order stays the serial order.
+	tasks := e.xrefCandidates(from, &stats)
 	stats.AttributePairsChecked = len(tasks)
 
 	type taskResult struct {
@@ -455,14 +397,15 @@ func (e *Engine) discoverXRefs(ctx context.Context, from, to *Source) ([]metadat
 	results := make([]taskResult, len(tasks))
 	if err := parallel.For(ctx, e.opts.Workers, len(tasks), func(i int) {
 		t := tasks[i]
-		matchFrac, matched, composite := xrefMatchFraction(t.r, t.col, targetAcc)
+		matchFrac, matched, composite := from.forms.values[t.key].matchFraction(t.r, targetAcc)
 		if matchFrac < e.opts.MinXRefMatchFrac || matched < e.opts.MinXRefMatchCount {
 			return
 		}
+		col := t.r.Schema.Columns[t.col].Name
 		results[i] = taskResult{
 			hit: true,
 			xattr: XRefAttribute{
-				FromSource: from.DB.Name, FromRelation: t.r.Name, FromColumn: t.col,
+				FromSource: from.DB.Name, FromRelation: t.r.Name, FromColumn: col,
 				ToSource: to.DB.Name, MatchFrac: matchFrac, Composite: composite,
 			},
 			taskLinks: e.xrefObjectLinks(from, to, t.r, t.col, targetAcc, matchFrac),
@@ -481,42 +424,12 @@ func (e *Engine) discoverXRefs(ctx context.Context, from, to *Source) ([]metadat
 	return links, xattrs, stats, nil
 }
 
-// xrefMatchFraction computes the fraction and count of distinct values of
-// r.col that resolve (directly or via composite parts) to target
-// accessions.
-func xrefMatchFraction(r *rel.Relation, col string, targetAcc map[string]bool) (float64, int, bool) {
-	vals, err := r.DistinctValues(col)
-	if err != nil || len(vals) == 0 {
-		return 0, 0, false
-	}
-	direct, viaComposite := 0, 0
-	for _, v := range vals {
-		s := v.AsString()
-		if targetAcc[s] {
-			direct++
-			continue
-		}
-		for _, part := range CompositeParts(s)[1:] {
-			if targetAcc[part] {
-				viaComposite++
-				break
-			}
-		}
-	}
-	frac := float64(direct+viaComposite) / float64(len(vals))
-	return frac, direct + viaComposite, viaComposite > direct
-}
-
 // xrefObjectLinks emits the object-level links for one discovered xref
 // attribute pair.
-func (e *Engine) xrefObjectLinks(from, to *Source, r *rel.Relation, col string,
+func (e *Engine) xrefObjectLinks(from, to *Source, r *rel.Relation, ci int,
 	targetAcc map[string]bool, matchFrac float64) []metadata.Link {
 
-	ci := r.Schema.Index(col)
-	if ci < 0 {
-		return nil
-	}
-	method := fmt.Sprintf("xref:%s.%s", r.Name, col)
+	method := fmt.Sprintf("xref:%s.%s", r.Name, r.Schema.Columns[ci].Name)
 	var out []metadata.Link
 	seen := make(map[string]bool)
 	for ti, t := range r.Tuples {
@@ -534,7 +447,7 @@ func (e *Engine) xrefObjectLinks(from, to *Source, r *rel.Relation, col string,
 		if acc == "" {
 			continue
 		}
-		for _, owner := range from.Owners.Of(r.Name, ti) {
+		for _, owner := range from.forms.owners.Of(r.Name, ti) {
 			k := owner + "\x00" + acc
 			if seen[k] {
 				continue
@@ -569,7 +482,7 @@ func seqTuples(s *Source) []seqTuple {
 			}
 			for ti, t := range r.Tuples {
 				if !t[ci].IsNull() {
-					out = append(out, seqTuple{t[ci].AsString(), s.Owners.Of(r.Name, ti)})
+					out = append(out, seqTuple{t[ci].AsString(), s.forms.owners.Of(r.Name, ti)})
 				}
 			}
 		}
@@ -675,142 +588,60 @@ type textDoc struct {
 	text      string
 }
 
-// textDocs collects, per primary object, the concatenation of text-field
-// values of the primary relation.
-func textDocs(s *Source) []textDoc {
-	if s.Structure.Primary == "" {
-		return nil
-	}
-	r := s.DB.Relation(s.Structure.Primary)
+// primaryDocs locates a source's primary documents, its free-text
+// annotation: the rows of its primary relation with an accession and a
+// non-null value in some text field.
+type primaryDocs struct {
+	r    *rel.Relation
+	acc  int   // the accession column
+	text []int // the text fields
+}
+
+// primaryDocsOf locates s's primary documents; false if it can have none.
+func primaryDocsOf(s *Source) (primaryDocs, bool) {
+	r := s.primary()
 	if r == nil {
-		return nil
+		return primaryDocs{}, false
 	}
-	accIdx := r.Schema.Index(s.Structure.PrimaryAccession)
-	if accIdx < 0 {
-		return nil
-	}
-	var textCols []int
+	d := primaryDocs{r: r, acc: r.Schema.Index(s.Structure.PrimaryAccession)}
 	for i, c := range r.Schema.Columns {
-		p := s.Profiles[profile.Key(r.Name, c.Name)]
-		if p != nil && p.IsTextField() {
-			textCols = append(textCols, i)
+		if p := s.Profiles[profile.Key(r.Name, c.Name)]; p != nil && p.IsTextField() {
+			d.text = append(d.text, i)
 		}
 	}
-	if len(textCols) == 0 {
+	return d, d.acc >= 0 && len(d.text) > 0
+}
+
+// values appends the non-null text values of row to dst, an empty
+// buffer, and reports whether row is a document.
+func (d primaryDocs) values(dst []string, row int) ([]string, bool) {
+	t := d.r.Tuples[row]
+	if t[d.acc].IsNull() {
+		return dst, false
+	}
+	for _, ci := range d.text {
+		if !t[ci].IsNull() {
+			dst = append(dst, t[ci].AsString())
+		}
+	}
+	return dst, len(dst) > 0
+}
+
+// textDocs collects, per primary document in row order, the accession and
+// the text values joined by spaces.
+func textDocs(s *Source) []textDoc {
+	d, ok := primaryDocsOf(s)
+	if !ok {
 		return nil
 	}
 	var out []textDoc
-	for _, t := range r.Tuples {
-		acc := t[accIdx]
-		if acc.IsNull() {
-			continue
+	var vals []string
+	for row, t := range d.r.Tuples {
+		if vals, ok = d.values(vals[:0], row); ok {
+			out = append(out, textDoc{accession: t[d.acc].AsString(), text: strings.Join(vals, " ")})
 		}
-		var parts []string
-		for _, ci := range textCols {
-			if !t[ci].IsNull() {
-				parts = append(parts, t[ci].AsString())
-			}
-		}
-		if len(parts) == 0 {
-			continue
-		}
-		out = append(out, textDoc{accession: acc.AsString(), text: strings.Join(parts, " ")})
 	}
 	return out
-}
-
-// discoverEntityLinks extracts entity mentions from the new source's text
-// fields and matches them against accessions and unique name fields of the
-// target's primary relation (§4.4: "methods for finding names of
-// biological entities in natural text ... matched with unique fields of
-// primary relations").
-func (e *Engine) discoverEntityLinks(ctx context.Context, from, to *Source) ([]metadata.Link, error) {
-	if to.Structure.Primary == "" {
-		return nil, nil
-	}
-	toRel := to.DB.Relation(to.Structure.Primary)
-	if toRel == nil {
-		return nil, nil
-	}
-	// Dictionary: values of all unique columns of the target's primary
-	// relation, mapped back to the owning accession.
-	accIdx := toRel.Schema.Index(to.Structure.PrimaryAccession)
-	if accIdx < 0 {
-		return nil, nil
-	}
-	nameToAcc := make(map[string]string)
-	for _, colName := range to.Structure.UniqueColumns[strings.ToLower(toRel.Name)] {
-		ci := toRel.Schema.Index(colName)
-		if ci < 0 {
-			continue
-		}
-		for _, t := range toRel.Tuples {
-			v, acc := t[ci], t[accIdx]
-			if v.IsNull() || acc.IsNull() {
-				continue
-			}
-			s := v.AsString()
-			// §4.4 numeric exclusion: purely numeric unique values are
-			// surrogate keys, not entity names; very short values match
-			// by coincidence.
-			if len(s) < 3 {
-				continue
-			}
-			if _, numeric := v.AsFloat(); numeric {
-				continue
-			}
-			nameToAcc[strings.ToLower(s)] = acc.AsString()
-		}
-	}
-	if len(nameToAcc) == 0 {
-		return nil, nil
-	}
-	dict := make([]string, 0, len(nameToAcc))
-	for n := range nameToAcc {
-		dict = append(dict, n)
-	}
-	er := textmine.NewEntityRecognizer(dict)
-
-	// Mention extraction per document is independent; the cross-document
-	// dedupe reduces serially in document order.
-	docs := textDocs(from)
-	results := make([][]metadata.Link, len(docs))
-	if err := parallel.For(ctx, e.opts.Workers, len(docs), func(di int) {
-		d := docs[di]
-		var ls []metadata.Link
-		for _, m := range er.Extract(d.text) {
-			acc, ok := nameToAcc[strings.ToLower(m.Text)]
-			if !ok {
-				continue
-			}
-			if acc == d.accession {
-				continue
-			}
-			ls = append(ls, metadata.Link{
-				Type:       metadata.LinkText,
-				From:       primaryRef(from, d.accession),
-				To:         primaryRef(to, acc),
-				Confidence: 0.9,
-				Method:     fmt.Sprintf("entity:%s", m.Text),
-			})
-		}
-		results[di] = ls
-	}); err != nil {
-		return nil, err
-	}
-	var out []metadata.Link
-	seen := make(map[string]bool)
-	for _, ls := range results {
-		for _, l := range ls {
-			k := l.From.Accession + "\x00" + l.To.Accession
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, l)
-		}
-	}
-	return out, nil
 }
 
 // DeriveOntologyLinksHierarchical extends DeriveOntologyLinks with term

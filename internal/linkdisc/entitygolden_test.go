@@ -79,8 +79,7 @@ func grow(e *Engine, batch *Source) {
 		}
 		reg.DB.Put(g)
 	}
-	reg.Owners = reg.Owners.Append(batch.Owners)
-	reg.Text = reg.Text.Append(batch.Text)
+	reg.Grow(batch)
 }
 
 // streamGrown streams every source of srcs in n batches, interleaved —

@@ -17,7 +17,13 @@ import (
 // makeSource runs profiling + structural discovery over a database.
 func makeSource(t *testing.T, db *rel.Database) *Source {
 	t.Helper()
-	profs, err := profile.ProfileDatabase(db, profile.Options{})
+	return profiledSource(t, db, profile.Options{})
+}
+
+// profiledSource is makeSource profiling under popts.
+func profiledSource(t *testing.T, db *rel.Database, popts profile.Options) *Source {
+	t.Helper()
+	profs, err := profile.ProfileDatabase(db, popts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +448,11 @@ func TestCompositeParts(t *testing.T) {
 func TestOwnersPrimaryAndSecondary(t *testing.T) {
 	up := uniprotLike(t)
 	newEngine(t, Options{}, up)
-	if owners := up.Owners.Of("protein", 0); !slices.Equal(owners, []string{"P10000"}) {
+	if owners := up.Owners().Of("protein", 0); !slices.Equal(owners, []string{"P10000"}) {
 		t.Errorf("primary owners = %v", owners)
 	}
 	// dbref tuple 3 belongs to protein 4 (P10003).
-	if owners := up.Owners.Of("dbref", 3); !slices.Equal(owners, []string{"P10003"}) {
+	if owners := up.Owners().Of("dbref", 3); !slices.Equal(owners, []string{"P10003"}) {
 		t.Errorf("dbref owners = %v", owners)
 	}
 }

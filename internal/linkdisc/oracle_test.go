@@ -269,7 +269,7 @@ func oracleXRefs(opts Options, from, to *Source) ([]metadata.Link, []XRefAttribu
 				if acc == "" {
 					continue
 				}
-				for _, owner := range from.Owners.Of(r.Name, ti) {
+				for _, owner := range from.Owners().Of(r.Name, ti) {
 					if k := owner + "\x00" + acc; !seen[k] {
 						seen[k] = true
 						links = append(links, metadata.Link{
@@ -406,8 +406,9 @@ func recase(rng *rand.Rand, s string) string {
 // acc, name, alias, note), names and aliases unique, and relation xref
 // (xref_id, entry_id, target), two per entry — whose notes mention names
 // of mention and accessions of refs and whose targets reference refs
-// directly, through composite parts, or not at all.
-func randomSource(t *testing.T, rng *rand.Rand, name, prefix string, n int, mention, refs []string) *Source {
+// directly, through composite parts, or not at all. It is profiled under
+// popts.
+func randomSource(t *testing.T, rng *rand.Rand, popts profile.Options, name, prefix string, n int, mention, refs []string) *Source {
 	db := rel.NewDatabase(name)
 	entry := db.Create("entry", rel.TextSchema("entry_id", "acc", "name", "alias", "note"))
 	xref := db.Create("xref", rel.TextSchema("xref_id", "entry_id", "target"))
@@ -460,7 +461,7 @@ func randomSource(t *testing.T, rng *rand.Rand, name, prefix string, n int, ment
 			xref.AppendRaw(fmt.Sprint(2*i+k+1), fmt.Sprint(i+1), target)
 		}
 	}
-	return makeSource(t, db)
+	return profiledSource(t, db, popts)
 }
 
 // namesOf lists the names and aliases of a randomSource.
@@ -474,17 +475,17 @@ func namesOf(s *Source) []string {
 
 // randomCorpus is three randomSources of 30 entries that mention and
 // reference each other's entries, and their own.
-func randomCorpus(t *testing.T, rng *rand.Rand) []*Source {
-	a := randomSource(t, rng, "ra", "RA", 30, nil, nil)
+func randomCorpus(t *testing.T, rng *rand.Rand, popts profile.Options) []*Source {
+	a := randomSource(t, rng, popts, "ra", "RA", 30, nil, nil)
 	var accs []string
 	for i := 0; i < 30; i++ {
 		accs = append(accs, fmt.Sprintf("RA%04d", i))
 	}
-	b := randomSource(t, rng, "rb", "RB", 30, namesOf(a), accs)
+	b := randomSource(t, rng, popts, "rb", "RB", 30, namesOf(a), accs)
 	for i := 0; i < 30; i++ {
 		accs = append(accs, fmt.Sprintf("RB%04d", i))
 	}
-	c := randomSource(t, rng, "rc", "RC", 30, append(namesOf(a), namesOf(b)...), accs)
+	c := randomSource(t, rng, popts, "rc", "RC", 30, append(namesOf(a), namesOf(b)...), accs)
 	return []*Source{a, b, c}
 }
 
@@ -503,13 +504,15 @@ func TestXRefMatchesDistinctValues(t *testing.T) {
 // oracleRounds runs 12 random corpora under opts, at workers 1 and 3,
 // DiscoverAll over the sources added whole, then each source streamed
 // in three batches — every call checked against the oracles — and
-// DiscoverAll over the grown sources. count says how much of a call's
-// output the test is about; the rounds must produce some.
+// DiscoverAll over the grown sources. Every other corpus is profiled
+// keeping no more than 8 distinct values, so its accession sets come
+// from the relations. count says how much of a call's output the test
+// is about; the rounds must produce some.
 func oracleRounds(t *testing.T, opts Options, count func(discovered) int) {
 	rng := rand.New(rand.NewSource(27))
 	total := 0
 	for round := 0; round < 12; round++ {
-		srcs := randomCorpus(t, rng)
+		srcs := randomCorpus(t, rng, profile.Options{MaxTrackedDistinct: 8 * (round % 2)})
 		for _, workers := range []int{1, 3} {
 			opts.Workers = workers
 			whole := newEngine(t, opts, srcs...)

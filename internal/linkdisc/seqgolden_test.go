@@ -19,9 +19,9 @@ import (
 // The sequence-link goldens were written by the aligner that aligned
 // every candidate pair twice, once per direction, with a full direction
 // matrix each time (commit 82b2e5e). -update rewrites them from the
-// engine under test (the text-link goldens too); only a deliberate change
-// to what a link is may do that.
-var update = flag.Bool("update", false, "rewrite testdata/seqlinks_*.txt and textlinks_*.txt from the current engine")
+// engine under test (the other link goldens too); only a deliberate
+// change to what a link is may do that.
+var update = flag.Bool("update", false, "rewrite the link goldens in testdata from the current engine")
 
 // e7Mutations are the sequence-mutation rates E7 sweeps.
 var e7Mutations = []float64{0.01, 0.05, 0.10, 0.20, 0.40}

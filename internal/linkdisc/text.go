@@ -86,14 +86,6 @@ func (f *TextForm) dfOf(id uint32) int32 {
 	return 0
 }
 
-// fillText builds s's text form if it has none, or one whose terms
-// another engine numbered.
-func (e *Engine) fillText(s *Source) {
-	if s.Text == nil || s.Text.dict != e.terms {
-		s.Text = e.terms.form(textDocs(s))
-	}
-}
-
 // Append grows f, the form of a source, in place by b, the form of a
 // batch appended to it — b's documents follow f's, as the primary
 // relation's append branch orders their tuples — and returns f. It
@@ -240,12 +232,10 @@ const textChunk = 64
 // across the two sources with TF-IDF cosine — raw-count TF, IDF
 // log((N+1)/(df+1)) over the N documents of both sources, L2 norm — using
 // a shared-term inverted index over to's documents for candidate
-// generation instead of the full cross product. Both sources' prepared
-// forms are built here if missing, so no call tokenizes a source twice.
+// generation instead of the full cross product. Both sources' text forms
+// are built, numbered by the engine's dictionary.
 func (e *Engine) discoverTextLinks(ctx context.Context, from, to *Source) ([]metadata.Link, int, error) {
-	e.fillText(from)
-	e.fillText(to)
-	f, t := from.Text, to.Text
+	f, t := from.forms.text, to.forms.text
 	if len(f.acc) == 0 || len(t.acc) == 0 {
 		return nil, 0, nil
 	}

@@ -1,15 +1,14 @@
 // Package textmine provides the text-mining substrate for ALADIN's
 // implicit link discovery (§4.4): tokenization of textual annotation
 // fields (link discovery weighs the tokens into TF-IDF vectors), classic
-// string-distance measures for duplicate detection (§4.5), and a
-// dictionary/pattern-based biomedical entity recognizer standing in for
-// gene-name recognition systems such as GAPSCORE [CSA04].
+// string-distance measures for duplicate detection (§4.5), and the
+// accession shape of a token. Entity names are matched against the
+// unique fields of primary relations by link discovery's entity form.
 package textmine
 
 import (
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -329,94 +328,6 @@ func DiceProfiles(a, b []GramRun) float64 {
 	return 2 * float64(overlap) / float64(size)
 }
 
-// EntityRecognizer extracts candidate biomedical entity names from free
-// text: dictionary hits against names harvested from unique fields of
-// primary relations (§4.4: "extracting names that are matched with unique
-// fields of primary relations"), plus pattern-based accession-shaped and
-// gene-symbol-shaped tokens.
-type EntityRecognizer struct {
-	dict map[string]bool
-}
-
-// NewEntityRecognizer builds a recognizer over a dictionary of known
-// entity names (case-insensitive).
-func NewEntityRecognizer(names []string) *EntityRecognizer {
-	d := make(map[string]bool, len(names))
-	for _, n := range names {
-		n = strings.ToLower(strings.TrimSpace(n))
-		if n != "" {
-			d[n] = true
-		}
-	}
-	return &EntityRecognizer{dict: d}
-}
-
-// AddName extends the dictionary.
-func (er *EntityRecognizer) AddName(name string) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name != "" {
-		er.dict[name] = true
-	}
-}
-
-// Mention is one recognized entity occurrence.
-type Mention struct {
-	Text string
-	// Source is "dict" for dictionary hits or "pattern" for shape-based
-	// recognition.
-	Source string
-}
-
-// Extract returns the entity mentions found in text, deduplicated,
-// dictionary hits first.
-func (er *EntityRecognizer) Extract(text string) []Mention {
-	seen := make(map[string]bool)
-	var out []Mention
-	// Dictionary pass over raw whitespace tokens and 2-grams, preserving
-	// original casing in the mention text.
-	raw := strings.Fields(text)
-	clean := make([]string, len(raw))
-	for i, w := range raw {
-		clean[i] = strings.Trim(w, ".,;:()[]{}\"'")
-	}
-	add := func(text, source string) {
-		key := strings.ToLower(text)
-		if key == "" || seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, Mention{Text: text, Source: source})
-	}
-	for i, w := range clean {
-		if er.dict[strings.ToLower(w)] {
-			add(w, "dict")
-		}
-		if i+1 < len(clean) {
-			two := w + " " + clean[i+1]
-			if er.dict[strings.ToLower(two)] {
-				add(two, "dict")
-			}
-		}
-	}
-	for _, w := range clean {
-		if seen[strings.ToLower(w)] {
-			continue
-		}
-		if LooksLikeAccession(w) {
-			add(w, "pattern")
-		} else if looksLikeGeneSymbol(w) {
-			add(w, "pattern")
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source == "dict"
-		}
-		return false
-	})
-	return out
-}
-
 // LooksLikeAccession applies the §4.2 accession shape to a single token:
 // length >= 4, contains both a letter and a digit, no lowercase run
 // longer than the typical accession mixes.
@@ -438,23 +349,4 @@ func LooksLikeAccession(w string) bool {
 		}
 	}
 	return hasLetter && hasDigit
-}
-
-// looksLikeGeneSymbol matches short all-caps symbols like "BRCA1", "TP53",
-// "HBA" — at least two uppercase letters, length 2..10, no lowercase.
-func looksLikeGeneSymbol(w string) bool {
-	if len(w) < 2 || len(w) > 10 {
-		return false
-	}
-	upper := 0
-	for _, r := range w {
-		switch {
-		case unicode.IsUpper(r):
-			upper++
-		case unicode.IsDigit(r):
-		default:
-			return false
-		}
-	}
-	return upper >= 2
 }

@@ -110,64 +110,6 @@ func TestQGramSimilarity(t *testing.T) {
 	}
 }
 
-func TestEntityRecognizerDictionary(t *testing.T) {
-	er := NewEntityRecognizer([]string{"hemoglobin", "insulin receptor"})
-	ms := er.Extract("Binding of Hemoglobin to the insulin receptor was observed.")
-	var dict []string
-	for _, m := range ms {
-		if m.Source == "dict" {
-			dict = append(dict, strings.ToLower(m.Text))
-		}
-	}
-	if len(dict) != 2 {
-		t.Fatalf("dict mentions = %v", ms)
-	}
-	if dict[0] != "hemoglobin" && dict[1] != "hemoglobin" {
-		t.Errorf("missing hemoglobin: %v", dict)
-	}
-	has2gram := false
-	for _, d := range dict {
-		if d == "insulin receptor" {
-			has2gram = true
-		}
-	}
-	if !has2gram {
-		t.Errorf("missing 2-gram dictionary hit: %v", dict)
-	}
-}
-
-func TestEntityRecognizerPatterns(t *testing.T) {
-	er := NewEntityRecognizer(nil)
-	ms := er.Extract("Mutations in TP53 and accession P12345 were reported, but not in water.")
-	found := map[string]bool{}
-	for _, m := range ms {
-		found[m.Text] = true
-	}
-	if !found["TP53"] {
-		t.Errorf("gene symbol TP53 not recognized: %v", ms)
-	}
-	if !found["P12345"] {
-		t.Errorf("accession P12345 not recognized: %v", ms)
-	}
-	if found["water"] || found["Mutations"] {
-		t.Errorf("common words misrecognized: %v", ms)
-	}
-}
-
-func TestEntityRecognizerDeduplicates(t *testing.T) {
-	er := NewEntityRecognizer([]string{"brca1"})
-	ms := er.Extract("BRCA1 interacts with BRCA1 in brca1-null cells")
-	count := 0
-	for _, m := range ms {
-		if strings.EqualFold(m.Text, "brca1") {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Errorf("BRCA1 mentioned %d times in output", count)
-	}
-}
-
 func TestLooksLikeAccession(t *testing.T) {
 	yes := []string{"P12345", "ENSG00000042753", "1ABC", "GO:0005524", "Uniprot:P11140"}
 	no := []string{"abc", "12345", "protein", "P1", "hello-world"}
