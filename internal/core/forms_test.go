@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/linkdisc"
 	"repro/internal/metadata"
 	"repro/internal/rel"
 	"repro/internal/store"
@@ -136,12 +138,36 @@ func sameLinks(t *testing.T, got, want []metadata.Link) {
 	}
 }
 
+// missingForms names the forms that grow with the data — the text form,
+// the entity form, the xref value sets — that src lacks. linkdisc keeps
+// them unexported, so the test reads them by reflection.
+func missingForms(t *testing.T, src *linkdisc.Source) []string {
+	t.Helper()
+	f := reflect.ValueOf(src).Elem().FieldByName("forms")
+	var out []string
+	for _, name := range []string{"text", "entity", "values"} {
+		v := f.FieldByName(name)
+		if !v.IsValid() {
+			t.Fatalf("linkdisc.Source has no form %q", name)
+		}
+		if v.IsNil() {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // TestAppendGrowsTextForm: publish grows a streamed source's forms, the
-// text form among them, by each batch's.
+// text form among them, by each batch's: they are still there after the
+// batches were published, and later sources find through them the links
+// they find against the source integrated whole.
 func TestAppendGrowsTextForm(t *testing.T) {
 	c := newFormsCorpus()
 	sys := New(defaultOpts())
 	c.streamed(t, sys)
+	if missing := missingForms(t, sys.engine.Source("spcopy")); len(missing) > 0 {
+		t.Fatalf("streamed source lacks forms %v after its batches were published", missing)
+	}
 	c.later(t, sys)
 	sameLinks(t, laterLinks(sys, false), laterLinks(c.control(t), false))
 }
@@ -187,6 +213,9 @@ func TestReanalyzeAdoptsForms(t *testing.T) {
 	c.streamed(t, sys)
 	if _, err := sys.Reanalyze("spcopy"); err != nil {
 		t.Fatal(err)
+	}
+	if missing := missingForms(t, sys.engine.Source("spcopy")); len(missing) > 0 {
+		t.Fatalf("re-analyzed source lacks forms %v", missing)
 	}
 	c.later(t, sys)
 	sameLinks(t, laterLinks(sys, true), laterLinks(c.control(t), true))

@@ -337,7 +337,11 @@ func (e *Engine) discoverPair(ctx context.Context, from, to *Source, seqLinks []
 		stats.TextComparisons += n
 	}
 	if !e.opts.DisableEntityLinks {
-		links = append(links, e.discoverEntityLinks(from, to)...)
+		els, err := e.discoverEntityLinks(ctx, from, to)
+		if err != nil {
+			return nil, nil, Stats{}, err
+		}
+		links = append(links, els...)
 	}
 	return links, xattrs, stats, nil
 }

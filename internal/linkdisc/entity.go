@@ -2,6 +2,7 @@ package linkdisc
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"strings"
 	"unicode"
@@ -325,11 +326,12 @@ type entityHit struct {
 // skipping a document's own accession. Both sources' entity forms are
 // built. It probes whichever side is smaller — `from`'s keys against
 // `to`'s names, or `to`'s names against `from`'s key index — then sorts
-// the hits into document order and checks each against its document.
-func (e *Engine) discoverEntityLinks(from, to *Source) []metadata.Link {
+// the hits into document order and checks each against its document. A
+// canceled ctx stops it at the next document.
+func (e *Engine) discoverEntityLinks(ctx context.Context, from, to *Source) ([]metadata.Link, error) {
 	f, t := from.forms.entity, to.forms.entity
 	if len(f.docRow) == 0 || len(t.nameRow) == 0 {
-		return nil
+		return nil, nil
 	}
 	var hits []entityHit
 	if len(t.names.last) < len(f.keys.last) {
@@ -363,6 +365,9 @@ func (e *Engine) discoverEntityLinks(from, to *Source) []metadata.Link {
 			d++
 		}
 		if d != loaded {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			row := int(f.docRow[d])
 			keys, _ = k.doc(docs, row)
 			docAcc = docs.r.Tuples[row][docs.acc].AsString()
@@ -387,5 +392,5 @@ func (e *Engine) discoverEntityLinks(from, to *Source) []metadata.Link {
 			break
 		}
 	}
-	return out
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package linkdisc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/discovery"
+	"repro/internal/metadata"
 	"repro/internal/profile"
 	"repro/internal/rel"
 )
@@ -34,12 +36,17 @@ func namedSource(name string, rows ...[3]string) *Source {
 
 // entityMethods are the methods of the entity links from's documents
 // make to to's objects, as "<from> -> <to> <method>".
-func entityMethods(from, to *Source) []string {
+func entityMethods(t *testing.T, from, to *Source) []string {
+	t.Helper()
 	e := New(Options{})
 	e.fill(from)
 	e.fill(to)
+	links, err := e.discoverEntityLinks(context.Background(), from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []string
-	for _, l := range e.discoverEntityLinks(from, to) {
+	for _, l := range links {
 		out = append(out, fmt.Sprintf("%s -> %s %s", l.From.Accession, l.To.Accession, l.Method))
 	}
 	return out
@@ -53,8 +60,23 @@ func TestEntityLinksFromDictionary(t *testing.T) {
 	docs := namedSource("docs",
 		[3]string{"D1", "doc one", "Binding of Hemoglobin to the insulin receptor was observed."})
 	want := []string{"D1 -> N1 entity:Hemoglobin", "D1 -> N2 entity:insulin receptor"}
-	if got := entityMethods(docs, names); !slices.Equal(got, want) {
+	if got := entityMethods(t, docs, names); !slices.Equal(got, want) {
 		t.Errorf("entity links %q, want %q", got, want)
+	}
+}
+
+// A canceled integration stops the entity channel before it reads a
+// document.
+func TestEntityLinksCanceled(t *testing.T) {
+	names := namedSource("names", [3]string{"N1", "hemoglobin", "a"})
+	docs := namedSource("docs", [3]string{"D1", "doc one", "Binding of hemoglobin."})
+	e := New(Options{})
+	e.fill(docs)
+	e.fill(names)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if links, err := e.discoverEntityLinks(ctx, docs, names); err != context.Canceled || links != nil {
+		t.Errorf("canceled entity pass gave %v, %v; want no links and context.Canceled", links, err)
 	}
 }
 
@@ -65,7 +87,7 @@ func TestEntityLinksDeduplicate(t *testing.T) {
 	names := namedSource("names", [3]string{"N1", "brca1", "a"})
 	docs := namedSource("docs", [3]string{"D1", "doc one", "BRCA1 interacts with BRCA1 in brca1-null cells"})
 	want := []string{"D1 -> N1 entity:BRCA1"}
-	if got := entityMethods(docs, names); !slices.Equal(got, want) {
+	if got := entityMethods(t, docs, names); !slices.Equal(got, want) {
 		t.Errorf("entity links %q, want %q", got, want)
 	}
 }
@@ -117,26 +139,22 @@ func chainsDump(c *hashChains) string {
 }
 
 // A source's forms grown batch by batch are the forms built from the
-// whole source: the random corpora and the adversarial pair, in three
-// batches. The text form is compared whole; a missing batch form drops
-// the registered one.
+// whole source: the random corpora and the adversarial pair, streamed in
+// three batches beside a partner source as core streams them — each
+// batch discovered (DiscoverAgainst, then DiscoverAppended), which builds
+// its forms, then registered or grown into the registered source. The
+// text form is compared whole; a missing batch form drops the registered
+// one.
 func TestFormsGrownMatchWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	srcs := append(randomCorpus(t, rng, profile.Options{}), adversarialSources(t)...)
 	for _, s := range srcs {
-		e := New(Options{})
-		var reg *Source
-		for k := 0; k < 3; k++ {
-			batch := batchOf(s, k, 3)
-			e.fill(batch)
-			if k == 0 {
-				reg = batch
-				if err := e.AddSource(reg); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			grow(e, batch)
+		e := newEngine(t, Options{}, namedSource("partner", [3]string{"X1", "partner", "a note"}))
+		streamGrown(t, e, []*Source{s}, 3, func(string, *Source, []metadata.Link, []XRefAttribute) []string { return nil })
+		reg := e.Source(s.Name())
+		if f := reg.forms; f.text == nil || f.entity == nil || len(f.values) != len(e.xrefCandidates(reg, nil)) {
+			t.Fatalf("%s: forms lost at publish: text %v entity %v values %d of %d", s.Name(),
+				f.text != nil, f.entity != nil, len(f.values), len(e.xrefCandidates(reg, nil)))
 		}
 		whole := &Source{DB: reg.DB, Structure: s.Structure, Profiles: s.Profiles}
 		New(Options{}).fill(whole)
@@ -178,7 +196,7 @@ func TestFormsResolveHashCollisions(t *testing.T) {
 		for i := 0; i < filler; i++ {
 			names = append(names, [3]string{fmt.Sprintf("F%d", i), fmt.Sprintf("filler%d", i), "c"})
 		}
-		if got := entityMethods(docs, namedSource("names", names...)); !slices.Equal(got, want) {
+		if got := entityMethods(t, docs, namedSource("names", names...)); !slices.Equal(got, want) {
 			t.Errorf("%d filler names: entity links %q, want %q", filler, got, want)
 		}
 	}

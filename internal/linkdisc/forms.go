@@ -58,9 +58,11 @@ func (s *Source) Owners() *discovery.Owners {
 }
 
 // Grow grows s's forms by b's, the forms of a batch just appended to s:
-// call it after s's relations grew by b's tuples. Growing writes only
-// past the forms' lengths (like the relations' append branches), so
-// appends must chain linearly, each batch to the latest forms.
+// call it after s's relations grew by b's tuples. It changes the forms in
+// place — an earlier name's row and column, a hash chain's latest item —
+// so it must run under the publish lock, with no other Source holding
+// s's forms (a batch may share s's accession set, which Grow never
+// writes).
 func (s *Source) Grow(b *Source) {
 	f, bf := &s.forms, &b.forms
 	f.owners = f.owners.Append(b.Owners())
