@@ -140,7 +140,8 @@ func TestIngestSourceBadInput(t *testing.T) {
 // TestIngestConcurrentReaders is the reader-safety bar: while a stream
 // ingests in 50-record batches, concurrent queries only ever observe
 // batch-boundary snapshots — counts that are multiples of the batch
-// size — never a torn batch. Run under -race.
+// size — never a torn batch, and an object already published stays
+// browsable while publish grows the ownership table. Run under -race.
 func TestIngestConcurrentReaders(t *testing.T) {
 	db, err := Open()
 	if err != nil {
@@ -169,6 +170,10 @@ func TestIngestConcurrentReaders(t *testing.T) {
 				}
 				if n%50 != 0 {
 					errCh <- fmt.Errorf("reader %d saw %d rows mid-batch", r, n)
+					return
+				}
+				if _, err := db.Browse(ctx, ObjectRef{Source: "seqs", Accession: "SQ000001"}); err != nil {
+					errCh <- fmt.Errorf("reader %d: browsing a published object: %v", r, err)
 					return
 				}
 			}
@@ -392,8 +397,8 @@ func TestTwoUploadsLinkFromTheirOwnEntries(t *testing.T) {
 // checkpointed, then the target is added and re-analyzed, which
 // rediscovers the links from the source's ownership table. Recovery, a
 // replica bootstrapped from the segments and an in-memory snapshot
-// restore that table batch by batch, so they hold the live links and
-// search hits — not also links from the first upload's entry.
+// restore that table batch by batch, so they hold the live links,
+// search hits and browse views — not also the other upload's entry's.
 func TestTwoUploadsSurviveRestart(t *testing.T) {
 	ctx := context.Background()
 	path := t.TempDir()
@@ -470,11 +475,26 @@ func addTarget(t *testing.T, db *DB) {
 }
 
 // twoUploadsWant is twoUploadsState when every citation of the target
-// resolves to the citing entry.
-const twoUploadsWant = "xref Q00011 -> T00001\nxref Q00011 -> T00002\nxref Q00011 -> T00003\nsearch Q00011\n"
+// resolves to the citing entry, and each upload's first entry browses
+// its own dependent rows.
+const twoUploadsWant = `xref Q00011 -> T00001
+xref Q00011 -> T00002
+xref Q00011 -> T00003
+search Q00011
+browse Q00001 dbref 1 PF00002
+browse Q00001 dbref 2 PF00003
+browse Q00001 sequence 1
+browse Q00011 dbref 1 PF00022
+browse Q00011 dbref 2 PF00023
+browse Q00011 dbref 3 T00001
+browse Q00011 dbref 4 T00002
+browse Q00011 dbref 5 T00003
+browse Q00011 sequence 1
+`
 
-// twoUploadsState lists the xref links from s to t and the s objects a
-// search for the first cited term finds.
+// twoUploadsState lists the xref links from s to t, the s objects a
+// search for the first cited term finds, and the dependent rows of
+// each upload's first entry: relation, id and cited accession.
 func twoUploadsState(t *testing.T, db *DB) string {
 	t.Helper()
 	var lines []string
@@ -490,6 +510,19 @@ func twoUploadsState(t *testing.T, db *DB) string {
 	}
 	for _, h := range hits {
 		lines = append(lines, fmt.Sprintf("search %s\n", h.Document.Object.Accession))
+	}
+	for _, acc := range []string{"Q00001", "Q00011"} {
+		v, err := db.Browse(context.Background(), ObjectRef{Source: "s", Accession: acc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range v.Annotations {
+			id := a.Fields[a.Relation+"_id"]
+			if id == "" {
+				id = a.Fields["entry_id"]
+			}
+			lines = append(lines, strings.TrimSpace(fmt.Sprintf("browse %s %s %s %s", acc, a.Relation, id, a.Fields["ref_accession"]))+"\n")
+		}
 	}
 	return strings.Join(lines, "")
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/discovery"
 	"repro/internal/rel"
 )
 
@@ -63,25 +62,6 @@ func (s *System) AppendToSource(ctx context.Context, source string, batch *rel.D
 		return nil, err
 	}
 	return s.Commit(p)
-}
-
-// batchAccessions lists the non-null primary accessions of a batch.
-func batchAccessions(db *rel.Database, st *discovery.Structure) []string {
-	pr := db.Relation(st.Primary)
-	if pr == nil {
-		return nil
-	}
-	ai := pr.Schema.Index(st.PrimaryAccession)
-	if ai < 0 {
-		return nil
-	}
-	out := make([]string, 0, len(pr.Tuples))
-	for _, t := range pr.Tuples {
-		if !t[ai].IsNull() {
-			out = append(out, t[ai].AsString())
-		}
-	}
-	return out
 }
 
 // equalFoldSlices reports case-insensitive element-wise equality.

@@ -189,18 +189,23 @@ type System struct {
 // New creates an empty system.
 func New(opts Options) *System {
 	opts.fill()
-	repo := metadata.NewRepo()
-	return &System{
+	s := &System{
 		opts:      opts,
-		Repo:      repo,
+		Repo:      metadata.NewRepo(),
 		engine:    linkdisc.New(opts.Links),
-		web:       objectweb.New(repo),
 		index:     search.NewIndex(),
 		warehouse: rel.NewDatabase("warehouse"),
 		sources:   make(map[string]*rel.Database),
 		records:   make(map[string][]dup.Record),
 		dupIndex:  dup.NewIndex(),
 	}
+	// Browse reads the ownership table the engine holds for the source,
+	// which publish, DML and Reanalyze keep current under the write lock.
+	// A registered source always holds one, so Owners builds nothing here.
+	s.web = objectweb.New(s.Repo, func(source string) *discovery.Owners {
+		return s.engine.Source(source).Owners()
+	})
+	return s
 }
 
 // AddSource runs the five-step pipeline for one imported source.
@@ -403,7 +408,7 @@ func (s *System) stage(p *Pending) (err error) {
 		// Only integrations mutate the browse web (serialized by the
 		// caller), so merging the installed accession order off-lock is
 		// safe.
-		p.web, err = s.web.PrepareAppend(p.name, batchAccessions(p.batch, p.structure))
+		p.web, err = s.web.PrepareAppend(p.batch)
 	}
 	if err != nil {
 		return err
@@ -600,7 +605,7 @@ func grown(r *rel.Relation, tuples []rel.Tuple) *rel.Relation {
 // indexColumns maps each relation name (lower-cased) to the discovered
 // columns worth indexing: the primary relation's accession attribute and
 // both endpoints of every guessed foreign key (§4.2/§4.3) — the columns
-// the object web navigates and the SQL optimizer probes.
+// the SQL optimizer probes.
 func indexColumns(st *discovery.Structure) map[string][]string {
 	out := make(map[string][]string)
 	add := func(relName, col string) {

@@ -55,9 +55,6 @@ func (s *System) AttachDurable(dir *store.Dir) {
 	s.durable = &durable{dir: dir, dirty: make(map[string]bool), logging: true}
 }
 
-// Durable reports whether a data directory is attached.
-func (s *System) Durable() bool { return s.durable != nil }
-
 // DurableDir returns the attached data directory, nil if none.
 func (s *System) DurableDir() *store.Dir {
 	if d := s.durable; d != nil {

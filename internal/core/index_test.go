@@ -57,10 +57,11 @@ func TestWarehouseIndexedAfterAddSource(t *testing.T) {
 		t.Error("FK source column sequence.protein_id not indexed")
 	}
 
-	// The source-side relations (browse path) are indexed too.
+	// The source-side relations are indexed too: the warehouse clones
+	// copy their indexes.
 	srcProtein := corpus.Source("swissprot").Relation("protein")
 	if srcProtein.HashIndex("accession") == nil {
-		t.Error("source relation accession not indexed for browse lookups")
+		t.Error("source relation accession not indexed")
 	}
 
 	// Acceptance probe: pk point query and FK join probe report Scanned

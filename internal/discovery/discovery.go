@@ -21,8 +21,9 @@
 //
 // The paths answer one question for the later steps: which primary
 // objects own a tuple of a dependent relation? OwnersOf answers it for
-// every tuple at once, in an ownership table. The primary relation owns
-// itself. Any other relation is reached along its shortest path,
+// every tuple at once, in an ownership table, beside its inverse, the
+// tuples each object owns (Owners.Owned: §4.6's dependency relationship,
+// which browse shows). The primary relation owns itself. Any other relation is reached along its shortest path,
 // Paths[r][0], walked forward from the primary relation. A tuple keeps
 // at most 16 owners, in primary tuple order along the path. Ownership is
 // computed per batch: dependent rows must arrive in the batch of their

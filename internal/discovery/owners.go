@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/rel"
@@ -14,7 +13,10 @@ const maxOwners = 16
 
 // Owners is the §4.3 ownership table of one source or batch: for every
 // tuple of every relation, the accessions of the primary objects that
-// own it. It is never modified once built; Append returns a grown table.
+// own it, and the inverse, every owner's tuples of every relation —
+// §4.6's dependency relationship. Append grows it in place, so a table
+// registered with a source changes only under the publish lock, like
+// the source's other forms (linkdisc.Source.Grow).
 type Owners struct {
 	cols map[string]*ownerColumn // lower-cased relation name
 	// batches holds, for each batch the table was built from, its tuple
@@ -27,6 +29,8 @@ type Owners struct {
 type ownerColumn struct {
 	start []int32
 	acc   []string
+	// owned inverts the column: each owner's tuples, ascending.
+	owned map[string][]int32
 }
 
 // newColumn makes an empty column sized for n tuples of one owner each.
@@ -40,6 +44,18 @@ func (c *ownerColumn) of(tuple int) []string {
 	}
 	lo, hi := c.start[tuple], c.start[tuple+1]
 	return c.acc[lo:hi:hi]
+}
+
+// invert adds the tuples from position from on to the column's inverse.
+func (c *ownerColumn) invert(from int) {
+	if c.owned == nil {
+		c.owned = make(map[string][]int32)
+	}
+	for t := from; t+1 < len(c.start); t++ {
+		for _, a := range c.acc[c.start[t]:c.start[t+1]] {
+			c.owned[a] = append(c.owned[a], int32(t))
+		}
+	}
 }
 
 // OwnersOf builds the ownership table of db under st. The primary
@@ -81,6 +97,7 @@ func OwnersOf(db *rel.Database, st *Structure) *Owners {
 			// keeps positions aligned with the relations it grows.
 			c = &ownerColumn{start: make([]int32, len(r.Tuples)+1)}
 		}
+		c.invert(0)
 		o.cols[name] = c
 	}
 	return o
@@ -146,25 +163,34 @@ func (o *Owners) Of(relation string, tuple int) []string {
 	return o.cols[lower(relation)].of(tuple)
 }
 
-// Append returns the table of a source grown by one batch whose table is
-// b: b's tuples of each relation follow o's, where the relations' append
-// branches (rel.AppendBranch) put them. Like append branches it shares
-// o's arrays and writes only past their length, so o stays valid, and
-// appends must chain linearly, each to the latest table.
-func (o *Owners) Append(b *Owners) *Owners {
-	out := &Owners{cols: maps.Clone(o.cols), batches: append(o.batches, b.batches...)}
+// Owned returns the positions of the tuples of relation that owner owns,
+// ascending; nil if none. The slice is the table's: do not modify it.
+func (o *Owners) Owned(relation, owner string) []int32 {
+	if c := o.cols[lower(relation)]; c != nil {
+		return c.owned[owner]
+	}
+	return nil
+}
+
+// Append grows o, a source's table, by b, the table of a batch appended
+// to the source: b's tuples of each relation follow o's, where the
+// relations' append branches (rel.AppendBranch) put them. It writes o in
+// place, in time linear in the batch.
+func (o *Owners) Append(b *Owners) {
+	o.batches = append(o.batches, b.batches...)
 	for name, bc := range b.cols {
 		c := o.cols[name]
 		if c == nil {
 			c = &ownerColumn{start: []int32{0}}
+			o.cols[name] = c
 		}
-		start, base := c.start, int32(len(c.acc))
+		from, base := len(c.start)-1, int32(len(c.acc))
 		for _, s := range bc.start[1:] {
-			start = append(start, base+s)
+			c.start = append(c.start, base+s)
 		}
-		out.cols[name] = &ownerColumn{start: start, acc: append(c.acc, bc.acc...)}
+		c.acc = append(c.acc, bc.acc...)
+		c.invert(from)
 	}
-	return out
 }
 
 // Batches returns, for each relation of db in order, the tuple count of
@@ -228,7 +254,7 @@ func OwnersOfBatches(db *rel.Database, st *Structure, sizes [][]int) (*Owners, e
 		if b := OwnersOf(view, st); o == nil {
 			o = b
 		} else {
-			o = o.Append(b)
+			o.Append(b)
 		}
 	}
 	return o, nil

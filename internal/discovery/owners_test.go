@@ -319,7 +319,7 @@ func TestOwnersAppendedBatchesMatchWhole(t *testing.T) {
 				if grown == nil {
 					grown = OwnersOf(batch, st)
 				} else {
-					grown = grown.Append(OwnersOf(batch, st))
+					grown.Append(OwnersOf(batch, st))
 				}
 				return ingest.CommitInfo{}, nil
 			}}
@@ -343,6 +343,63 @@ func TestOwnersAppendedBatchesMatchWhole(t *testing.T) {
 	}
 }
 
+// TestOwnedInvertsOf checks the inverse against the table it inverts,
+// built in one piece on generated, bridge and flat-file corpora, and
+// grown by a second upload that reuses the first's surrogate ids.
+func TestOwnedInvertsOf(t *testing.T) {
+	dbs := append(datagen.Generate(datagen.Config{Seed: 1, Proteins: 60}).Sources, twoHopCorpus(), hubCorpus())
+	for _, f := range flatFiles() {
+		db, err := flatfile.Parse(f.format, strings.NewReader(f.text), f.format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs = append(dbs, db)
+	}
+	for _, db := range dbs {
+		checkInverse(t, db, OwnersOf(db, analyze(t, db, DefaultOptions())))
+	}
+	text := flatFiles()[0].text
+	cut := len(text)/2 + strings.Index(text[len(text)/2:], "//\n") + 3
+	first, err := flatfile.Parse("embl", strings.NewReader(text[:cut]), "embl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := flatfile.Parse("embl", strings.NewReader(text[cut:]), "embl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := analyze(t, first, DefaultOptions())
+	grown := OwnersOf(first, st)
+	grown.Append(OwnersOf(second, st))
+	whole := rel.NewDatabase("embl")
+	for _, r := range first.Relations() {
+		whole.Create(r.Name, r.Schema).Tuples = append(slices.Clip(r.Tuples), second.Relation(r.Name).Tuples...)
+	}
+	checkInverse(t, whole, grown)
+	if got := grown.Owned("entry", "no such accession"); got != nil {
+		t.Errorf("an unknown owner owns %v", got)
+	}
+}
+
+// checkInverse checks that o.Owned lists, for every owner of a tuple of
+// db, the tuples o.Of gives it, ascending.
+func checkInverse(t *testing.T, db *rel.Database, o *Owners) {
+	t.Helper()
+	for _, r := range db.Relations() {
+		want := make(map[string][]int32)
+		for ti := range r.Tuples {
+			for _, a := range o.Of(r.Name, ti) {
+				want[a] = append(want[a], int32(ti))
+			}
+		}
+		for a, ts := range want {
+			if got := o.Owned(r.Name, a); !slices.Equal(got, ts) {
+				t.Fatalf("%s.%s: %s owns %v, the table gives it %v", db.Name, r.Name, a, got, ts)
+			}
+		}
+	}
+}
+
 // TestOwnersOfBatchesKeepsUploadsApart parses the two halves of the EMBL
 // file as two uploads, whose entry_id surrogates both start at 1. Rebuilt
 // from the concatenated relations and the grown table's batch sizes, as
@@ -360,7 +417,8 @@ func TestOwnersOfBatchesKeepsUploadsApart(t *testing.T) {
 		uploads = append(uploads, db)
 	}
 	st := analyze(t, uploads[0], DefaultOptions())
-	grown := OwnersOf(uploads[0], st).Append(OwnersOf(uploads[1], st))
+	grown := OwnersOf(uploads[0], st)
+	grown.Append(OwnersOf(uploads[1], st))
 	whole := rel.NewDatabase("embl")
 	for _, r := range uploads[0].Relations() {
 		whole.Create(r.Name, r.Schema).Tuples = append(slices.Clip(r.Tuples), uploads[1].Relation(r.Name).Tuples...)

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/discovery"
 	"repro/internal/metadata"
-	"repro/internal/ontology"
 	"repro/internal/parallel"
 	"repro/internal/profile"
 	"repro/internal/rel"
@@ -643,73 +642,6 @@ func textDocs(s *Source) []textDoc {
 	for row, t := range d.r.Tuples {
 		if vals, ok = d.values(vals[:0], row); ok {
 			out = append(out, textDoc{accession: t[d.acc].AsString(), text: strings.Join(vals, " ")})
-		}
-	}
-	return out
-}
-
-// DeriveOntologyLinksHierarchical extends DeriveOntologyLinks with term
-// subsumption: objects referencing *similar* terms (Wu-Palmer similarity
-// over the ontology's is_a hierarchy >= minSim) are linked even when the
-// terms differ — the hierarchy-aware reading of §4.4's "connecting
-// proteins with similar function". Exact shared-term pairs keep
-// confidence from DeriveOntologyLinks; subsumption pairs carry the term
-// similarity as confidence.
-func (e *Engine) DeriveOntologyLinksHierarchical(links []metadata.Link,
-	ontologySource string, h *ontology.Hierarchy, minSim float64) []metadata.Link {
-
-	out := e.DeriveOntologyLinks(links, ontologySource)
-	if e.opts.DisableOntologyLinks || h == nil || minSim <= 0 {
-		return out
-	}
-	key := strings.ToLower(ontologySource)
-	byTerm := make(map[string][]metadata.ObjectRef)
-	for _, l := range links {
-		if l.Type != metadata.LinkXRef {
-			continue
-		}
-		if strings.ToLower(l.To.Source) == key {
-			byTerm[l.To.Accession] = append(byTerm[l.To.Accession], l.From)
-		}
-	}
-	terms := make([]string, 0, len(byTerm))
-	for t := range byTerm {
-		if h.Has(t) && len(byTerm[t]) <= e.opts.MaxSharedTermFanout {
-			terms = append(terms, t)
-		}
-	}
-	sort.Strings(terms)
-	seen := make(map[string]bool)
-	for _, l := range out {
-		seen[l.From.Key()+"\x00"+l.To.Key()] = true
-		seen[l.To.Key()+"\x00"+l.From.Key()] = true
-	}
-	for i := 0; i < len(terms); i++ {
-		for j := i + 1; j < len(terms); j++ {
-			sim := h.Similarity(terms[i], terms[j])
-			if sim < minSim {
-				continue
-			}
-			for _, a := range byTerm[terms[i]] {
-				for _, b := range byTerm[terms[j]] {
-					if strings.EqualFold(a.Source, b.Source) {
-						continue
-					}
-					k := a.Key() + "\x00" + b.Key()
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-					seen[b.Key()+"\x00"+a.Key()] = true
-					out = append(out, metadata.Link{
-						Type:       metadata.LinkOntology,
-						From:       a,
-						To:         b,
-						Confidence: sim,
-						Method:     fmt.Sprintf("term-similarity:%s~%s=%.2f", terms[i], terms[j], sim),
-					})
-				}
-			}
 		}
 	}
 	return out

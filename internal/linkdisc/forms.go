@@ -18,10 +18,14 @@ import (
 //   - Dropped when the relations are replaced (Source.Drop: DML).
 //   - Replaced by a re-analysis candidate's (Source.Adopt).
 //
-// Only the ownership table is persisted — as the batch sizes a
-// checkpoint records — so recovery and replicas rebuild the rest lazily.
+// The ownership table is the exception: a registered source always
+// holds it. Browse reads it under the read lock, where nothing may be
+// built, so Drop rebuilds it at once. It is also the only form
+// persisted — as the batch sizes a checkpoint records — so recovery and
+// replicas rebuild the rest lazily.
 type forms struct {
-	// owners is the §4.3 ownership table.
+	// owners is the §4.3 ownership table and its inverse, which browse
+	// reads.
 	owners *discovery.Owners
 	// text is the prepared form text links read.
 	text *TextForm
@@ -49,7 +53,9 @@ func NewSource(db *rel.Database, st *discovery.Structure, profs map[string]*prof
 }
 
 // Owners returns the source's ownership table, built from the whole
-// source, as one batch, if it has none.
+// source, as one batch, if it has none. A registered source has one
+// (AddSource, Drop and Adopt see to it), so reading a registered
+// source's table builds nothing.
 func (s *Source) Owners() *discovery.Owners {
 	if s.forms.owners == nil {
 		s.forms.owners = discovery.OwnersOf(s.DB, s.Structure)
@@ -65,7 +71,7 @@ func (s *Source) Owners() *discovery.Owners {
 // writes).
 func (s *Source) Grow(b *Source) {
 	f, bf := &s.forms, &b.forms
-	f.owners = f.owners.Append(b.Owners())
+	f.owners.Append(b.Owners())
 	f.text = f.text.Append(bf.text)
 	if pr := s.primary(); pr != nil {
 		f.entity = f.entity.grow(bf.entity, s, pr, rowsBefore(pr, b.DB))

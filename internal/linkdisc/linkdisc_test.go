@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/discovery"
 	"repro/internal/metadata"
-	"repro/internal/ontology"
 	"repro/internal/profile"
 	"repro/internal/rel"
 )
@@ -465,50 +464,5 @@ func TestOwnersMissingRelation(t *testing.T) {
 	}
 	if got := owners.Of("protein", 10); got != nil {
 		t.Errorf("owners past the last tuple = %v", got)
-	}
-}
-
-// TestHierarchicalOntologyLinks links objects whose terms differ but are
-// close in the is_a hierarchy.
-func TestHierarchicalOntologyLinks(t *testing.T) {
-	h := ontology.New()
-	h.AddIsA("GO:CHILD1", "GO:PARENT")
-	h.AddIsA("GO:CHILD2", "GO:PARENT")
-	h.AddIsA("GO:PARENT", "GO:ROOT")
-	h.AddIsA("GO:FAR", "GO:ROOT")
-
-	mkRef := func(src, acc string) metadata.ObjectRef {
-		return metadata.ObjectRef{Source: src, Relation: "m", Accession: acc}
-	}
-	links := []metadata.Link{
-		{Type: metadata.LinkXRef, From: mkRef("s1", "A1"), To: mkRef("go", "GO:CHILD1")},
-		{Type: metadata.LinkXRef, From: mkRef("s2", "B1"), To: mkRef("go", "GO:CHILD2")},
-		{Type: metadata.LinkXRef, From: mkRef("s2", "B2"), To: mkRef("go", "GO:FAR")},
-	}
-	e := New(Options{})
-	derived := e.DeriveOntologyLinksHierarchical(links, "go", h, 0.5)
-	// CHILD1~CHILD2 similarity: lca PARENT depth 1, depths 2+2 -> 0.5 >= 0.5.
-	found := false
-	for _, l := range derived {
-		if l.Type != metadata.LinkOntology {
-			t.Errorf("type = %v", l.Type)
-		}
-		pair := l.From.Accession + "~" + l.To.Accession
-		if pair == "A1~B1" || pair == "B1~A1" {
-			found = true
-			if l.Confidence != 0.5 {
-				t.Errorf("confidence = %v", l.Confidence)
-			}
-		}
-		if strings.Contains(pair, "B2") {
-			t.Errorf("far term should not link: %v", l)
-		}
-	}
-	if !found {
-		t.Errorf("sibling-term link missing: %v", derived)
-	}
-	// Without the hierarchy, no links (no exact shared terms).
-	if plain := e.DeriveOntologyLinks(links, "go"); len(plain) != 0 {
-		t.Errorf("plain derivation should find nothing: %v", plain)
 	}
 }

@@ -15,6 +15,7 @@ package objectweb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,7 +51,7 @@ type ObjectView struct {
 type sourceData struct {
 	db        *rel.Database
 	structure *discovery.Structure
-	// accIdx/accOrder support same-relation navigation.
+	// accOrder/accPos support same-relation navigation.
 	accOrder []string
 	accPos   map[string]int
 }
@@ -58,13 +59,17 @@ type sourceData struct {
 // Web is the object-web browse engine over the warehouse and the metadata
 // repository.
 type Web struct {
-	repo    *metadata.Repo
+	repo *metadata.Repo
+	// owners returns a registered source's §4.3 ownership table, whose
+	// inverse lists the dependent rows of every object.
+	owners  func(source string) *discovery.Owners
 	sources map[string]*sourceData
 }
 
-// New creates a Web over a metadata repository.
-func New(repo *metadata.Repo) *Web {
-	return &Web{repo: repo, sources: make(map[string]*sourceData)}
+// New creates a Web over a metadata repository and the ownership tables
+// owners returns.
+func New(repo *metadata.Repo, owners func(source string) *discovery.Owners) *Web {
+	return &Web{repo: repo, owners: owners, sources: make(map[string]*sourceData)}
 }
 
 // Prepared is browse data for one source, built by Prepare and not yet
@@ -82,59 +87,51 @@ func (w *Web) Prepare(db *rel.Database, s *discovery.Structure) (*Prepared, erro
 	if s == nil || s.Primary == "" {
 		return nil, fmt.Errorf("objectweb: source %q has no primary relation", db.Name)
 	}
-	sd := &sourceData{db: db, structure: s, accPos: make(map[string]int)}
 	pr := db.Relation(s.Primary)
 	if pr == nil {
 		return nil, fmt.Errorf("objectweb: source %q: missing primary relation %q", db.Name, s.Primary)
 	}
-	ai := pr.Schema.Index(s.PrimaryAccession)
-	if ai < 0 {
+	if pr.Schema.Index(s.PrimaryAccession) < 0 {
 		return nil, fmt.Errorf("objectweb: source %q: missing accession column %q", db.Name, s.PrimaryAccession)
 	}
-	for _, t := range pr.Tuples {
-		if t[ai].IsNull() {
-			continue
-		}
-		sd.accOrder = append(sd.accOrder, t[ai].AsString())
-	}
-	sort.Strings(sd.accOrder)
-	for i, a := range sd.accOrder {
-		sd.accPos[a] = i
-	}
-	return &Prepared{key: strings.ToLower(db.Name), sd: sd}, nil
+	return prepared(db, s, nil, db), nil
 }
 
-// PrepareAppend builds the browse data for a registered source grown by a
-// batch of appended primary objects: the added accessions are merged into
-// a fresh sorted order while the database and structure pointers are
-// shared with the installed sourceData — appended relations become
-// visible through the shared database when the caller publishes its
-// append branches. Like Prepare this only reads w (callers serialize
-// integrations, so the read of w.sources races with nothing); Install
-// publishes the result under the caller's write lock.
-func (w *Web) PrepareAppend(source string, added []string) (*Prepared, error) {
-	key := strings.ToLower(source)
-	old := w.sources[key]
+// PrepareAppend builds the browse data for a registered source grown by
+// batch: the batch's accessions are merged into a fresh sorted order
+// while the database and structure pointers are shared with the
+// installed sourceData — appended relations become visible through the
+// shared database when the caller publishes its append branches. Like
+// Prepare this only reads w (callers serialize integrations, so the read
+// of w.sources races with nothing); Install publishes the result under
+// the caller's write lock.
+func (w *Web) PrepareAppend(batch *rel.Database) (*Prepared, error) {
+	old := w.sources[strings.ToLower(batch.Name)]
 	if old == nil {
-		return nil, fmt.Errorf("objectweb: append to unknown source %q", source)
+		return nil, fmt.Errorf("objectweb: append to unknown source %q", batch.Name)
 	}
-	sd := &sourceData{
-		db:        old.db,
-		structure: old.structure,
-		accOrder:  make([]string, 0, len(old.accOrder)+len(added)),
-		accPos:    make(map[string]int, len(old.accOrder)+len(added)),
-	}
-	sd.accOrder = append(sd.accOrder, old.accOrder...)
-	for _, a := range added {
-		if a != "" {
-			sd.accOrder = append(sd.accOrder, a)
+	return prepared(old.db, old.structure, old.accOrder, batch), nil
+}
+
+// prepared is the browse data of db under s, whose accession order is
+// order grown by the non-null primary accessions of batch.
+func prepared(db *rel.Database, s *discovery.Structure, order []string, batch *rel.Database) *Prepared {
+	sd := &sourceData{db: db, structure: s, accOrder: slices.Clone(order)}
+	if pr := batch.Relation(s.Primary); pr != nil {
+		if ai := pr.Schema.Index(s.PrimaryAccession); ai >= 0 {
+			for _, t := range pr.Tuples {
+				if !t[ai].IsNull() {
+					sd.accOrder = append(sd.accOrder, t[ai].AsString())
+				}
+			}
 		}
 	}
 	sort.Strings(sd.accOrder)
+	sd.accPos = make(map[string]int, len(sd.accOrder))
 	for i, a := range sd.accOrder {
 		sd.accPos[a] = i
 	}
-	return &Prepared{key: key, sd: sd}, nil
+	return &Prepared{key: strings.ToLower(db.Name), sd: sd}
 }
 
 // Install publishes a prepared source to the browse web.
@@ -163,21 +160,15 @@ func (w *Web) Object(ref metadata.ObjectRef) (*ObjectView, error) {
 	if sd == nil {
 		return nil, fmt.Errorf("objectweb: unknown source %q", ref.Source)
 	}
+	owners := w.owners(sd.db.Name)
 	pr := sd.db.Relation(sd.structure.Primary)
-	ai := pr.Schema.Index(sd.structure.PrimaryAccession)
-	tIdx := lookupAccession(pr, ai, sd.structure.PrimaryAccession, ref.Accession)
-	if tIdx < 0 {
+	own := owners.Owned(pr.Name, ref.Accession)
+	if len(own) == 0 {
 		return nil, fmt.Errorf("objectweb: no object %q in %s", ref.Accession, ref.Source)
 	}
 	view := &ObjectView{
 		Ref:    metadata.ObjectRef{Source: sd.db.Name, Relation: pr.Name, Accession: ref.Accession},
-		Fields: make(map[string]string),
-	}
-	for i, c := range pr.Schema.Columns {
-		if pr.Tuples[tIdx][i].IsNull() {
-			continue
-		}
-		view.Fields[strings.ToLower(c.Name)] = pr.Tuples[tIdx][i].AsString()
+		Fields: fields(pr, own[0]),
 	}
 	// Relationship 1: same-relation neighbors.
 	if pos, ok := sd.accPos[ref.Accession]; ok {
@@ -188,8 +179,9 @@ func (w *Web) Object(ref metadata.ObjectRef) (*ObjectView, error) {
 			view.NextAccession = sd.accOrder[pos+1]
 		}
 	}
-	// Relationship 2: dependent secondary objects via the §4.3 paths.
-	view.Annotations = w.annotations(sd, tIdx)
+	// Relationship 2: dependent secondary objects, the §4.3 ownership
+	// inverted.
+	view.Annotations = annotations(sd, owners, ref.Accession)
 	// Relationships 3 and 4: repository links.
 	for _, l := range w.repo.LinksOf(view.Ref) {
 		if l.Type == metadata.LinkDuplicate {
@@ -203,143 +195,45 @@ func (w *Web) Object(ref metadata.ObjectRef) (*ObjectView, error) {
 	return view, nil
 }
 
-// lookupAccession finds the position of the primary tuple whose
-// accession column renders as acc: an O(1) probe of the column's hash
-// index when the integration pipeline built one, a scan otherwise. The
-// stored value may be typed (numeric accessions parse as integers), so
-// the probe tries the parsed value and falls back to the raw string.
-func lookupAccession(pr *rel.Relation, ai int, column, acc string) int {
-	candidates := []rel.Value{rel.Parse(acc)}
-	if s := rel.Str(acc); s.Key() != candidates[0].Key() {
-		candidates = append(candidates, s)
-	}
-	if ix := pr.HashIndex(column); ix != nil {
-		for _, v := range candidates {
-			if positions := ix.Lookup(v); len(positions) > 0 {
-				return positions[0]
-			}
-		}
-		return -1
-	}
-	for i, t := range pr.Tuples {
-		if !t[ai].IsNull() && t[ai].AsString() == acc {
-			return i
-		}
-	}
-	return -1
-}
-
 // maxAnnotationRows caps dependent rows per relation in a view.
 const maxAnnotationRows = 32
 
-// annotations walks each stored path forward from the primary tuple and
-// collects the joined dependent rows.
-func (w *Web) annotations(sd *sourceData, primaryTupleIdx int) []Annotation {
-	var out []Annotation
+// annotations lists the rows owner owns in every relation with a §4.3
+// path, in relation name order: the first maxAnnotationRows of each, in
+// tuple order. A row keeps at most 16 owners (discovery.OwnersOf), so a
+// row owned by more objects shows on its first 16 owners' views only.
+func annotations(sd *sourceData, owners *discovery.Owners, owner string) []Annotation {
 	targets := make([]string, 0, len(sd.structure.Paths))
-	for relName := range sd.structure.Paths {
-		targets = append(targets, relName)
+	for relName, paths := range sd.structure.Paths {
+		if len(paths) > 0 {
+			targets = append(targets, relName)
+		}
 	}
 	sort.Strings(targets)
+	var out []Annotation
 	for _, relName := range targets {
-		paths := sd.structure.Paths[relName]
-		if len(paths) == 0 {
+		r := sd.db.Relation(relName)
+		if r == nil {
 			continue
 		}
-		rows := w.walkForward(sd, paths[0], primaryTupleIdx)
-		target := sd.db.Relation(relName)
-		if target == nil {
-			continue
-		}
-		for _, ti := range rows {
-			a := Annotation{Relation: target.Name, Fields: make(map[string]string)}
-			for i, c := range target.Schema.Columns {
-				v := target.Tuples[ti][i]
-				if v.IsNull() {
-					continue
-				}
-				a.Fields[strings.ToLower(c.Name)] = v.AsString()
-			}
-			out = append(out, a)
+		own := owners.Owned(relName, owner)
+		for _, t := range own[:min(len(own), maxAnnotationRows)] {
+			out = append(out, Annotation{Relation: r.Name, Fields: fields(r, t)})
 		}
 	}
 	return out
 }
 
-// walkForward follows one §4.3 path from a primary tuple to the target
-// relation, returning matching tuple positions there.
-func (w *Web) walkForward(sd *sourceData, path discovery.Path, primaryTupleIdx int) []int {
-	curRel := sd.db.Relation(sd.structure.Primary)
-	frontier := []int{primaryTupleIdx}
-	for _, step := range path.Steps {
-		var nextRelName, curCol, nextCol string
-		if step.Forward {
-			// The path moved referencing -> referenced; walking from the
-			// primary side we are at the referencing relation... no: the
-			// path starts AT the primary. A Forward step means the edge
-			// points from the relation closer to the primary to the next
-			// one (closer relation holds the FK).
-			curCol = step.Edge.From.FromColumn
-			nextRelName = step.Edge.From.ToRelation
-			nextCol = step.Edge.From.ToColumn
-		} else {
-			curCol = step.Edge.From.ToColumn
-			nextRelName = step.Edge.From.FromRelation
-			nextCol = step.Edge.From.FromColumn
+// fields maps the column names of r, lower-cased, to the non-null values
+// of tuple t.
+func fields(r *rel.Relation, t int32) map[string]string {
+	out := make(map[string]string)
+	for i, c := range r.Schema.Columns {
+		if v := r.Tuples[t][i]; !v.IsNull() {
+			out[strings.ToLower(c.Name)] = v.AsString()
 		}
-		ci := curRel.Schema.Index(curCol)
-		nextRel := sd.db.Relation(nextRelName)
-		if ci < 0 || nextRel == nil {
-			return nil
-		}
-		ni := nextRel.Schema.Index(nextCol)
-		if ni < 0 {
-			return nil
-		}
-		// Join frontier tuples to the next relation, probing its hash
-		// index when the pipeline built one (the FK endpoints of every
-		// discovered path are indexed during PrepareAdd) instead of
-		// scanning every tuple.
-		want := make(map[string]bool)
-		var probes []rel.Value
-		for _, ti := range frontier {
-			v := curRel.Tuples[ti][ci]
-			if !v.IsNull() && !want[v.Key()] {
-				want[v.Key()] = true
-				probes = append(probes, v)
-			}
-		}
-		var next []int
-		if idx := nextRel.HashIndex(nextCol); idx != nil {
-			for _, v := range probes {
-				next = append(next, idx.Lookup(v)...)
-			}
-			// Restore tuple order (map iteration is unordered) so views
-			// match the scan path, then apply the same cap.
-			sort.Ints(next)
-			if len(next) > maxAnnotationRows {
-				next = next[:maxAnnotationRows]
-			}
-		} else {
-			for ti, t := range nextRel.Tuples {
-				if t[ni].IsNull() {
-					continue
-				}
-				if want[t[ni].Key()] {
-					next = append(next, ti)
-					if len(next) >= maxAnnotationRows {
-						break
-					}
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
-		curRel = nextRel
 	}
-	return frontier
+	return out
 }
 
 // Crawl walks the link graph breadth-first from start, following all link

@@ -44,7 +44,8 @@ func ref(src, acc string) metadata.ObjectRef {
 func setup(t *testing.T) (*Web, *metadata.Repo) {
 	t.Helper()
 	repo := metadata.NewRepo()
-	w := New(repo)
+	owners := make(map[string]*discovery.Owners)
+	w := New(repo, func(source string) *discovery.Owners { return owners[source] })
 	dbA, stA := buildSource(t, "srca", "AA", 5)
 	dbB, stB := buildSource(t, "srcb", "BB", 5)
 	for _, src := range []struct {
@@ -56,6 +57,7 @@ func setup(t *testing.T) (*Web, *metadata.Repo) {
 			t.Fatal(err)
 		}
 		w.Install(p)
+		owners[src.db.Name] = discovery.OwnersOf(src.db, src.st)
 	}
 	// Cross links: AA000i <-> BB000i, plus one duplicate.
 	for i := 0; i < 5; i++ {
@@ -168,7 +170,7 @@ func TestCrawl(t *testing.T) {
 
 func TestCrawlChain(t *testing.T) {
 	repo := metadata.NewRepo()
-	w := New(repo)
+	w := New(repo, nil)
 	// Chain a-b-c-d; crawl depth 2 from a reaches a,b,c but not d.
 	mk := func(a, b string) metadata.Link {
 		return metadata.Link{Type: metadata.LinkXRef,
@@ -209,7 +211,7 @@ func TestPathRankUnconnected(t *testing.T) {
 
 func TestPathRankLongerPathsScoreLess(t *testing.T) {
 	repo := metadata.NewRepo()
-	w := New(repo)
+	w := New(repo, nil)
 	mk := func(a, b string) metadata.Link {
 		return metadata.Link{Type: metadata.LinkXRef, From: ref("s", a), To: ref("s", b), Confidence: 1}
 	}
@@ -248,7 +250,7 @@ func TestRankRelated(t *testing.T) {
 
 func TestRankRelatedOrdersByConnectionStrength(t *testing.T) {
 	repo := metadata.NewRepo()
-	w := New(repo)
+	w := New(repo, nil)
 	mk := func(a, b string, conf float64) metadata.Link {
 		return metadata.Link{Type: metadata.LinkXRef, From: ref("s", a), To: ref("s", b), Confidence: conf}
 	}
@@ -264,7 +266,7 @@ func TestRankRelatedOrdersByConnectionStrength(t *testing.T) {
 }
 
 func TestPrepareValidation(t *testing.T) {
-	w := New(metadata.NewRepo())
+	w := New(metadata.NewRepo(), nil)
 	db := rel.NewDatabase("x")
 	if _, err := w.Prepare(db, nil); err == nil {
 		t.Error("nil structure should be rejected")
@@ -318,7 +320,7 @@ func TestWebStats(t *testing.T) {
 }
 
 func TestWebStatsEmpty(t *testing.T) {
-	w := New(metadata.NewRepo())
+	w := New(metadata.NewRepo(), nil)
 	st := w.Stats()
 	if st.Objects != 0 || st.Links != 0 || st.Components != 0 {
 		t.Errorf("empty stats = %+v", st)

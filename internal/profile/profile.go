@@ -256,19 +256,6 @@ func ProfileColumn(r *rel.Relation, column string, opts Options) (*ColumnProfile
 	return p, nil
 }
 
-// ProfileRelation profiles every column of a relation.
-func ProfileRelation(r *rel.Relation, opts Options) ([]*ColumnProfile, error) {
-	out := make([]*ColumnProfile, 0, r.Schema.Len())
-	for _, c := range r.Schema.Columns {
-		p, err := ProfileColumn(r, c.Name, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // ProfileDatabase profiles every column of every relation in db, returned
 // as a map keyed "relation.column" (lower-cased). Columns are profiled
 // concurrently when Options.Workers allows; each column is an independent
