@@ -189,23 +189,18 @@ type System struct {
 // New creates an empty system.
 func New(opts Options) *System {
 	opts.fill()
-	s := &System{
+	repo := metadata.NewRepo()
+	return &System{
 		opts:      opts,
-		Repo:      metadata.NewRepo(),
+		Repo:      repo,
 		engine:    linkdisc.New(opts.Links),
+		web:       objectweb.New(repo),
 		index:     search.NewIndex(),
 		warehouse: rel.NewDatabase("warehouse"),
 		sources:   make(map[string]*rel.Database),
 		records:   make(map[string][]dup.Record),
 		dupIndex:  dup.NewIndex(),
 	}
-	// Browse reads the ownership table the engine holds for the source,
-	// which publish, DML and Reanalyze keep current under the write lock.
-	// A registered source always holds one, so Owners builds nothing here.
-	s.web = objectweb.New(s.Repo, func(source string) *discovery.Owners {
-		return s.engine.Source(source).Owners()
-	})
-	return s
 }
 
 // AddSource runs the five-step pipeline for one imported source.
@@ -408,7 +403,7 @@ func (s *System) stage(p *Pending) (err error) {
 		// Only integrations mutate the browse web (serialized by the
 		// caller), so merging the installed accession order off-lock is
 		// safe.
-		p.web, err = s.web.PrepareAppend(p.batch)
+		p.web, err = s.web.PrepareAppend(p.name, objectweb.Accessions(p.batch, p.structure))
 	}
 	if err != nil {
 		return err
@@ -731,9 +726,16 @@ func (s *System) Search(query string, f search.Filter, limit int) []search.Resul
 	return grouped
 }
 
-// Browse returns the object view for one object.
+// Browse returns the object view for one object, read from the
+// ownership table the engine holds for its source, which publish, DML
+// and Reanalyze keep current under the write lock. A registered source
+// always holds one, so reading it builds nothing.
 func (s *System) Browse(ref metadata.ObjectRef) (*objectweb.ObjectView, error) {
-	return s.web.Object(ref)
+	var owners *discovery.Owners
+	if src := s.engine.Source(ref.Source); src != nil {
+		owners = src.Owners()
+	}
+	return s.web.Object(ref, owners)
 }
 
 // Objects lists a source's primary objects.

@@ -59,17 +59,13 @@ type sourceData struct {
 // Web is the object-web browse engine over the warehouse and the metadata
 // repository.
 type Web struct {
-	repo *metadata.Repo
-	// owners returns a registered source's §4.3 ownership table, whose
-	// inverse lists the dependent rows of every object.
-	owners  func(source string) *discovery.Owners
+	repo    *metadata.Repo
 	sources map[string]*sourceData
 }
 
-// New creates a Web over a metadata repository and the ownership tables
-// owners returns.
-func New(repo *metadata.Repo, owners func(source string) *discovery.Owners) *Web {
-	return &Web{repo: repo, owners: owners, sources: make(map[string]*sourceData)}
+// New creates a Web over a metadata repository.
+func New(repo *metadata.Repo) *Web {
+	return &Web{repo: repo, sources: make(map[string]*sourceData)}
 }
 
 // Prepared is browse data for one source, built by Prepare and not yet
@@ -94,38 +90,51 @@ func (w *Web) Prepare(db *rel.Database, s *discovery.Structure) (*Prepared, erro
 	if pr.Schema.Index(s.PrimaryAccession) < 0 {
 		return nil, fmt.Errorf("objectweb: source %q: missing accession column %q", db.Name, s.PrimaryAccession)
 	}
-	return prepared(db, s, nil, db), nil
+	return prepared(db, s, nil, Accessions(db, s)), nil
 }
 
 // PrepareAppend builds the browse data for a registered source grown by
-// batch: the batch's accessions are merged into a fresh sorted order
-// while the database and structure pointers are shared with the
-// installed sourceData — appended relations become visible through the
-// shared database when the caller publishes its append branches. Like
-// Prepare this only reads w (callers serialize integrations, so the read
-// of w.sources races with nothing); Install publishes the result under
-// the caller's write lock.
-func (w *Web) PrepareAppend(batch *rel.Database) (*Prepared, error) {
-	old := w.sources[strings.ToLower(batch.Name)]
+// a batch of appended primary objects, whose accessions (Accessions of
+// the batch) are added: they are merged into a fresh sorted order while
+// the database and structure pointers are shared with the installed
+// sourceData — appended relations become visible through the shared
+// database when the caller publishes its append branches. Like Prepare
+// this only reads w (callers serialize integrations, so the read of
+// w.sources races with nothing); Install publishes the result under the
+// caller's write lock.
+func (w *Web) PrepareAppend(source string, added []string) (*Prepared, error) {
+	old := w.sources[strings.ToLower(source)]
 	if old == nil {
-		return nil, fmt.Errorf("objectweb: append to unknown source %q", batch.Name)
+		return nil, fmt.Errorf("objectweb: append to unknown source %q", source)
 	}
-	return prepared(old.db, old.structure, old.accOrder, batch), nil
+	return prepared(old.db, old.structure, old.accOrder, added), nil
+}
+
+// Accessions lists the non-null primary accessions of db under s, in
+// tuple order: none if db lacks the primary relation or its accession
+// column.
+func Accessions(db *rel.Database, s *discovery.Structure) []string {
+	pr := db.Relation(s.Primary)
+	if pr == nil {
+		return nil
+	}
+	ai := pr.Schema.Index(s.PrimaryAccession)
+	if ai < 0 {
+		return nil
+	}
+	out := make([]string, 0, len(pr.Tuples))
+	for _, t := range pr.Tuples {
+		if !t[ai].IsNull() {
+			out = append(out, t[ai].AsString())
+		}
+	}
+	return out
 }
 
 // prepared is the browse data of db under s, whose accession order is
-// order grown by the non-null primary accessions of batch.
-func prepared(db *rel.Database, s *discovery.Structure, order []string, batch *rel.Database) *Prepared {
-	sd := &sourceData{db: db, structure: s, accOrder: slices.Clone(order)}
-	if pr := batch.Relation(s.Primary); pr != nil {
-		if ai := pr.Schema.Index(s.PrimaryAccession); ai >= 0 {
-			for _, t := range pr.Tuples {
-				if !t[ai].IsNull() {
-					sd.accOrder = append(sd.accOrder, t[ai].AsString())
-				}
-			}
-		}
-	}
+// order and added, sorted.
+func prepared(db *rel.Database, s *discovery.Structure, order, added []string) *Prepared {
+	sd := &sourceData{db: db, structure: s, accOrder: slices.Concat(order, added)}
 	sort.Strings(sd.accOrder)
 	sd.accPos = make(map[string]int, len(sd.accOrder))
 	for i, a := range sd.accOrder {
@@ -154,13 +163,14 @@ func (w *Web) Objects(source string) []metadata.ObjectRef {
 	return out
 }
 
-// Object assembles the browse view of one object.
-func (w *Web) Object(ref metadata.ObjectRef) (*ObjectView, error) {
+// Object assembles the browse view of one object from owners, the §4.3
+// ownership table registered for its source: the primary tuple and the
+// dependent rows are those the table's inverse gives the accession.
+func (w *Web) Object(ref metadata.ObjectRef, owners *discovery.Owners) (*ObjectView, error) {
 	sd := w.sources[strings.ToLower(ref.Source)]
-	if sd == nil {
+	if sd == nil || owners == nil {
 		return nil, fmt.Errorf("objectweb: unknown source %q", ref.Source)
 	}
-	owners := w.owners(sd.db.Name)
 	pr := sd.db.Relation(sd.structure.Primary)
 	own := owners.Owned(pr.Name, ref.Accession)
 	if len(own) == 0 {

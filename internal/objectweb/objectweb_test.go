@@ -41,11 +41,13 @@ func ref(src, acc string) metadata.ObjectRef {
 	return metadata.ObjectRef{Source: src, Relation: "entry", Accession: acc}
 }
 
+// owners holds the ownership tables of the sources setup installs.
+var owners = map[string]*discovery.Owners{}
+
 func setup(t *testing.T) (*Web, *metadata.Repo) {
 	t.Helper()
 	repo := metadata.NewRepo()
-	owners := make(map[string]*discovery.Owners)
-	w := New(repo, func(source string) *discovery.Owners { return owners[source] })
+	w := New(repo)
 	dbA, stA := buildSource(t, "srca", "AA", 5)
 	dbB, stB := buildSource(t, "srcb", "BB", 5)
 	for _, src := range []struct {
@@ -79,7 +81,7 @@ func setup(t *testing.T) (*Web, *metadata.Repo) {
 
 func TestObjectViewFields(t *testing.T) {
 	w, _ := setup(t)
-	v, err := w.Object(ref("srca", "AA0002"))
+	v, err := w.Object(ref("srca", "AA0002"), owners["srca"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestObjectViewFields(t *testing.T) {
 
 func TestObjectViewAnnotationsDependency(t *testing.T) {
 	w, _ := setup(t)
-	v, err := w.Object(ref("srca", "AA0002"))
+	v, err := w.Object(ref("srca", "AA0002"), owners["srca"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +111,15 @@ func TestObjectViewAnnotationsDependency(t *testing.T) {
 
 func TestObjectViewSameRelationNeighbors(t *testing.T) {
 	w, _ := setup(t)
-	v, _ := w.Object(ref("srca", "AA0002"))
+	v, _ := w.Object(ref("srca", "AA0002"), owners["srca"])
 	if v.PrevAccession != "AA0001" || v.NextAccession != "AA0003" {
 		t.Errorf("neighbors = %q / %q", v.PrevAccession, v.NextAccession)
 	}
-	first, _ := w.Object(ref("srca", "AA0000"))
+	first, _ := w.Object(ref("srca", "AA0000"), owners["srca"])
 	if first.PrevAccession != "" {
 		t.Errorf("first object prev = %q", first.PrevAccession)
 	}
-	last, _ := w.Object(ref("srca", "AA0004"))
+	last, _ := w.Object(ref("srca", "AA0004"), owners["srca"])
 	if last.NextAccession != "" {
 		t.Errorf("last object next = %q", last.NextAccession)
 	}
@@ -125,7 +127,7 @@ func TestObjectViewSameRelationNeighbors(t *testing.T) {
 
 func TestObjectViewLinksAndDuplicates(t *testing.T) {
 	w, _ := setup(t)
-	v, _ := w.Object(ref("srca", "AA0000"))
+	v, _ := w.Object(ref("srca", "AA0000"), owners["srca"])
 	if len(v.Linked) != 1 || v.Linked[0].Type != metadata.LinkXRef {
 		t.Errorf("linked = %+v", v.Linked)
 	}
@@ -136,10 +138,10 @@ func TestObjectViewLinksAndDuplicates(t *testing.T) {
 
 func TestObjectErrors(t *testing.T) {
 	w, _ := setup(t)
-	if _, err := w.Object(ref("nosrc", "X")); err == nil {
+	if _, err := w.Object(ref("nosrc", "X"), owners["nosrc"]); err == nil {
 		t.Error("unknown source should error")
 	}
-	if _, err := w.Object(ref("srca", "NOPE")); err == nil {
+	if _, err := w.Object(ref("srca", "NOPE"), owners["srca"]); err == nil {
 		t.Error("unknown accession should error")
 	}
 }
@@ -170,7 +172,7 @@ func TestCrawl(t *testing.T) {
 
 func TestCrawlChain(t *testing.T) {
 	repo := metadata.NewRepo()
-	w := New(repo, nil)
+	w := New(repo)
 	// Chain a-b-c-d; crawl depth 2 from a reaches a,b,c but not d.
 	mk := func(a, b string) metadata.Link {
 		return metadata.Link{Type: metadata.LinkXRef,
@@ -211,7 +213,7 @@ func TestPathRankUnconnected(t *testing.T) {
 
 func TestPathRankLongerPathsScoreLess(t *testing.T) {
 	repo := metadata.NewRepo()
-	w := New(repo, nil)
+	w := New(repo)
 	mk := func(a, b string) metadata.Link {
 		return metadata.Link{Type: metadata.LinkXRef, From: ref("s", a), To: ref("s", b), Confidence: 1}
 	}
@@ -250,7 +252,7 @@ func TestRankRelated(t *testing.T) {
 
 func TestRankRelatedOrdersByConnectionStrength(t *testing.T) {
 	repo := metadata.NewRepo()
-	w := New(repo, nil)
+	w := New(repo)
 	mk := func(a, b string, conf float64) metadata.Link {
 		return metadata.Link{Type: metadata.LinkXRef, From: ref("s", a), To: ref("s", b), Confidence: conf}
 	}
@@ -266,7 +268,7 @@ func TestRankRelatedOrdersByConnectionStrength(t *testing.T) {
 }
 
 func TestPrepareValidation(t *testing.T) {
-	w := New(metadata.NewRepo(), nil)
+	w := New(metadata.NewRepo())
 	db := rel.NewDatabase("x")
 	if _, err := w.Prepare(db, nil); err == nil {
 		t.Error("nil structure should be rejected")
@@ -285,7 +287,7 @@ func TestRemovedLinkInvisibleInBrowse(t *testing.T) {
 		Confidence: 1.0, Method: "test",
 	}
 	repo.RemoveLink(l)
-	v, _ := w.Object(ref("srca", "AA0000"))
+	v, _ := w.Object(ref("srca", "AA0000"), owners["srca"])
 	if len(v.Linked) != 0 {
 		t.Errorf("removed link still browsable: %+v", v.Linked)
 	}
@@ -320,7 +322,7 @@ func TestWebStats(t *testing.T) {
 }
 
 func TestWebStatsEmpty(t *testing.T) {
-	w := New(metadata.NewRepo(), nil)
+	w := New(metadata.NewRepo())
 	st := w.Stats()
 	if st.Objects != 0 || st.Links != 0 || st.Components != 0 {
 		t.Errorf("empty stats = %+v", st)
