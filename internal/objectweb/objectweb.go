@@ -93,15 +93,14 @@ func (w *Web) Prepare(db *rel.Database, s *discovery.Structure) (*Prepared, erro
 	return prepared(db, s, nil, Accessions(db, s)), nil
 }
 
-// PrepareAppend builds the browse data for a registered source grown by
-// a batch of appended primary objects, whose accessions (Accessions of
-// the batch) are added: they are merged into a fresh sorted order while
-// the database and structure pointers are shared with the installed
-// sourceData — appended relations become visible through the shared
-// database when the caller publishes its append branches. Like Prepare
-// this only reads w (callers serialize integrations, so the read of
-// w.sources races with nothing); Install publishes the result under the
-// caller's write lock.
+// PrepareAppend builds the browse data for a registered source grown by a
+// batch of appended primary objects: the added accessions (Accessions of
+// the batch) are merged into a fresh sorted order while the database and
+// structure pointers are shared with the installed sourceData — appended
+// relations become visible through the shared database when the caller
+// publishes its append branches. Like Prepare this only reads w (callers
+// serialize integrations, so the read of w.sources races with nothing);
+// Install publishes the result under the caller's write lock.
 func (w *Web) PrepareAppend(source string, added []string) (*Prepared, error) {
 	old := w.sources[strings.ToLower(source)]
 	if old == nil {
