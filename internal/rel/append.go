@@ -13,9 +13,9 @@ package rel
 // the two never race even when an append lands in r's spare capacity.
 //
 // Hash indexes get the same treatment one level down: the branch owns
-// fresh slot and entry arrays (appends may add new keys or grow the
-// table) but shares the position slices, whose appends are again
-// invisible below the old length.
+// a clone of the probe array and a copy of the entry list (appends may
+// add new keys or grow the table) but shares the position slices, whose
+// appends are again invisible below the old length.
 // Stats are cloned (cheap — histograms stay shared) and maintained
 // incrementally by Append.
 //
@@ -36,9 +36,7 @@ func (r *Relation) AppendBranch() *Relation {
 	if len(r.indexes) > 0 {
 		b.indexes = make(map[string]*Index, len(r.indexes))
 		for key, ix := range r.indexes {
-			b.indexes[key] = &Index{Column: ix.Column, col: ix.col,
-				slots:   append([]int32(nil), ix.slots...),
-				entries: append([]indexEntry(nil), ix.entries...)}
+			b.indexes[key] = ix.branch()
 		}
 	}
 	return b

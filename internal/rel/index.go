@@ -2,17 +2,16 @@ package rel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Index is a persistent hash index over one column of a relation: an
-// open-addressing table from the column's values to the positions of
-// the tuples holding that value. Keys are 64-bit hashes computed
-// directly from the value's kind and payload (Value.Hash64) with a
-// KeyEqual check on collision, so probes build no intermediate key
-// string and allocate nothing. NULLs are never indexed — they compare
-// equal to nothing, so no equality probe can return them.
+// Index is a persistent hash index over one column of a relation: the
+// positions of the tuples holding each distinct value, found through a
+// Slots probe array (which sets the probing and growth) over the
+// values' 64-bit hashes (Value.Hash64) with a KeyEqual check, so probes
+// build no intermediate key string and allocate nothing. NULLs are
+// never indexed — they compare equal to nothing, so no equality probe
+// can return them.
 //
 // Indexes are built explicitly (EnsureIndex / EnsureIndexes) and
 // maintained incrementally by the Append family. Building is NOT safe
@@ -25,40 +24,28 @@ type Index struct {
 	// Column is the indexed column's display name.
 	Column string
 	col    int
-	// slots is the open-addressing probe array: entry index + 1, or 0
-	// for an empty slot. len(slots) is always a power of two.
-	slots []int32
+	slots  Slots
 	// entries holds one bucket per distinct key, in first-seen order.
 	entries []indexEntry
 }
 
 type indexEntry struct {
-	hash      uint64
 	val       Value
 	positions []int
 }
-
-const indexMaxLoadNum, indexMaxLoadDen = 3, 4 // grow beyond 75% load
 
 // Len returns the number of distinct indexed keys.
 func (ix *Index) Len() int { return len(ix.entries) }
 
 // findEntry returns the entry index for v, or -1. Zero allocations.
 func (ix *Index) findEntry(h uint64, v Value) int {
-	if len(ix.slots) == 0 {
-		return -1
-	}
-	mask := uint64(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := ix.slots[i]
-		if e == 0 {
-			return -1
-		}
-		ent := &ix.entries[e-1]
-		if ent.hash == h && ent.val.KeyEqual(v) {
-			return int(e - 1)
+	p := ix.slots.Probe(h)
+	for e := p.Next(); e >= 0; e = p.Next() {
+		if ix.entries[e].val.KeyEqual(v) {
+			return int(e)
 		}
 	}
+	return -1
 }
 
 // Lookup returns the tuple positions whose indexed column equals v
@@ -86,35 +73,15 @@ func (ix *Index) add(t Tuple, pos int) {
 		ix.entries[e].positions = append(ix.entries[e].positions, pos)
 		return
 	}
-	ix.entries = append(ix.entries, indexEntry{hash: h, val: v, positions: []int{pos}})
-	if len(ix.entries)*indexMaxLoadDen > len(ix.slots)*indexMaxLoadNum {
-		ix.grow()
-	} else {
-		ix.place(h, int32(len(ix.entries)))
-	}
+	ix.slots.Add(h)
+	ix.entries = append(ix.entries, indexEntry{val: v, positions: []int{pos}})
 }
 
-// place writes entry e (1-based) into the first free slot of h's run.
-func (ix *Index) place(h uint64, e int32) {
-	mask := uint64(len(ix.slots) - 1)
-	i := h & mask
-	for ix.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	ix.slots[i] = e
-}
-
-// grow doubles the slot array and re-places every entry from its stored
-// hash — no value is re-hashed.
-func (ix *Index) grow() {
-	n := len(ix.slots) * 2
-	if n < 16 {
-		n = 16
-	}
-	ix.slots = make([]int32, n)
-	for e := range ix.entries {
-		ix.place(ix.entries[e].hash, int32(e+1))
-	}
+// branch returns a copy of ix whose probe array and entry list grow
+// independently of ix's; the position slices are shared.
+func (ix *Index) branch() *Index {
+	return &Index{Column: ix.Column, col: ix.col, slots: ix.slots.Clone(),
+		entries: append([]indexEntry(nil), ix.entries...)}
 }
 
 // buildIndex scans the relation once and buckets every tuple position.
@@ -186,17 +153,6 @@ func (r *Relation) RebuildIndexes() {
 	}
 }
 
-// IndexedColumns returns the display names of the indexed columns,
-// sorted alphabetically.
-func (r *Relation) IndexedColumns() []string {
-	out := make([]string, 0, len(r.indexes))
-	for _, ix := range r.indexes {
-		out = append(out, ix.Column)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CopyIndexesFrom copies src's hash indexes onto r, which must hold the
 // same tuples in the same order (e.g. a fresh Clone of src): bucket
 // positions are identical, so copying skips the re-scan and re-hashing
@@ -214,12 +170,9 @@ func (r *Relation) CopyIndexesFrom(src *Relation) {
 		if _, exists := r.indexes[key]; exists {
 			continue
 		}
-		c := &Index{Column: ix.Column, col: ix.col,
-			slots:   append([]int32(nil), ix.slots...),
-			entries: make([]indexEntry, len(ix.entries))}
-		for e, ent := range ix.entries {
-			c.entries[e] = indexEntry{hash: ent.hash, val: ent.val,
-				positions: append([]int(nil), ent.positions...)}
+		c := ix.branch()
+		for e := range c.entries {
+			c.entries[e].positions = append([]int(nil), c.entries[e].positions...)
 		}
 		r.indexes[key] = c
 	}

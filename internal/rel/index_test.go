@@ -2,8 +2,20 @@ package rel
 
 import (
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 )
+
+// indexedColumns returns the display names of r's indexed columns, sorted.
+func indexedColumns(r *Relation) []string {
+	out := make([]string, 0, len(r.indexes))
+	for _, ix := range r.indexes {
+		out = append(out, ix.Column)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func indexedRelation() *Relation {
 	r := NewRelation("protein", NewSchema(
@@ -27,7 +39,7 @@ func TestEnsureIndexes(t *testing.T) {
 	r := indexedRelation()
 	r.EnsureIndexes()
 	want := []string{"acc", "id", "org_id"}
-	if got := r.IndexedColumns(); !reflect.DeepEqual(got, want) {
+	if got := indexedColumns(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("IndexedColumns = %v, want %v", got, want)
 	}
 	if ix := r.HashIndex("ID"); ix == nil || ix.Len() != 3 {
@@ -107,7 +119,7 @@ func TestCloneDropsSharedNothing(t *testing.T) {
 	r := indexedRelation()
 	r.EnsureIndexes()
 	c := r.Clone()
-	if cols := c.IndexedColumns(); len(cols) != 0 {
+	if cols := indexedColumns(c); len(cols) != 0 {
 		t.Fatalf("Clone carried indexes %v; they must be rebuilt explicitly", cols)
 	}
 	c.EnsureIndexes()
@@ -122,8 +134,8 @@ func TestCopyIndexesFrom(t *testing.T) {
 	r.EnsureIndexes()
 	c := r.Clone()
 	c.CopyIndexesFrom(r)
-	if got := c.IndexedColumns(); !reflect.DeepEqual(got, r.IndexedColumns()) {
-		t.Fatalf("copied columns = %v, want %v", got, r.IndexedColumns())
+	if got := indexedColumns(c); !reflect.DeepEqual(got, indexedColumns(r)) {
+		t.Fatalf("copied columns = %v, want %v", got, indexedColumns(r))
 	}
 	if ps := c.HashIndex("org_id").Lookup(Int(10)); !reflect.DeepEqual(ps, []int{0, 1}) {
 		t.Fatalf("copied Lookup(org_id=10) = %v", ps)
@@ -136,8 +148,63 @@ func TestCopyIndexesFrom(t *testing.T) {
 	// Cardinality mismatch copies nothing.
 	short := NewRelation(r.Name, r.Schema.Clone())
 	short.CopyIndexesFrom(r)
-	if cols := short.IndexedColumns(); len(cols) != 0 {
+	if cols := indexedColumns(short); len(cols) != 0 {
 		t.Errorf("mismatched-cardinality copy built %v", cols)
+	}
+}
+
+func TestAppendBranchIndexesIndependent(t *testing.T) {
+	r := indexedRelation()
+	r.EnsureIndexes()
+	parentSlots := len(r.HashIndex("id").slots.slots)
+	want := map[int64][]int{1: {0}, 2: {1}, 3: {2}}
+	b := r.AppendBranch()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // a reader of the published parent while the branch appends
+		defer wg.Done()
+		for round := 0; round < 200; round++ {
+			for id, ps := range want {
+				if got := r.HashIndex("id").Lookup(Int(id)); !reflect.DeepEqual(got, ps) {
+					t.Errorf("parent Lookup(id=%d) = %v during branch appends, want %v", id, got, ps)
+					return
+				}
+			}
+			if got := r.HashIndex("id").Lookup(Int(100)); got != nil {
+				t.Errorf("parent sees the branch's key 100 at %v", got)
+				return
+			}
+		}
+	}()
+	const added = 500
+	for i := 0; i < added; i++ {
+		b.Append(Tuple{Int(int64(100 + i)), Str("B"), Int(10)})
+	}
+	wg.Wait()
+	if got := len(b.HashIndex("id").slots.slots); got <= parentSlots {
+		t.Fatalf("branch index has %d slots, parent %d: the branch never grew", got, parentSlots)
+	}
+	for id, ps := range want {
+		if got := r.HashIndex("id").Lookup(Int(id)); !reflect.DeepEqual(got, ps) {
+			t.Errorf("parent Lookup(id=%d) = %v after branch appends, want %v", id, got, ps)
+		}
+		if got := b.HashIndex("id").Lookup(Int(id)); !reflect.DeepEqual(got, ps) {
+			t.Errorf("branch Lookup(id=%d) = %v, want %v", id, got, ps)
+		}
+	}
+	for i := 0; i < added; i++ {
+		if got := b.HashIndex("id").Lookup(Int(int64(100 + i))); !reflect.DeepEqual(got, []int{3 + i}) {
+			t.Fatalf("branch Lookup(id=%d) = %v, want [%d]", 100+i, got, 3+i)
+		}
+	}
+	if got := r.HashIndex("org_id").Lookup(Int(10)); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Errorf("parent Lookup(org_id=10) = %v, want [0 1]", got)
+	}
+	if got := b.HashIndex("org_id").Lookup(Int(10)); len(got) != 2+added {
+		t.Errorf("branch Lookup(org_id=10) has %d positions, want %d", len(got), 2+added)
+	}
+	if r.HashIndex("id").Len() != 3 || b.HashIndex("id").Len() != 3+added {
+		t.Errorf("Len: parent %d, branch %d", r.HashIndex("id").Len(), b.HashIndex("id").Len())
 	}
 }
 
