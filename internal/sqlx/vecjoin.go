@@ -277,10 +277,10 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				if len(out) == want {
 					return out, nil
 				}
-				r := j.table.rows[j.chain]
-				j.chain = r.next
+				t := j.table.rows[j.chain]
+				j.chain = j.table.next[j.chain]
 				j.matched = true
-				cand := arena.emit(j.rt, j.cur, j.ja.binding, right.Schema, r.t)
+				cand := arena.emit(j.rt, j.cur, j.ja.binding, right.Schema, t)
 				arena.commit()
 				out = append(out, cand)
 			}
@@ -379,9 +379,9 @@ func (j *vecHashLeftJoin) next(ctx context.Context, want int) ([]item, error) {
 	arena := newEmitArena(want, j.stride)
 	for {
 		for j.chain >= 0 && len(out) < want {
-			r := j.table.rows[j.chain]
-			j.chain = r.next
-			cand := arena.emit(j.rt, r.e, j.ja.binding, right.Schema, j.curTuple)
+			e := j.table.rows[j.chain]
+			j.chain = j.table.next[j.chain]
+			cand := arena.emit(j.rt, e, j.ja.binding, right.Schema, j.curTuple)
 			arena.commit()
 			out = append(out, cand)
 		}
