@@ -15,7 +15,7 @@
 // Everything scores prepared records (prepared, below), through one
 // scorer: an Index prepares each record once when it enters — fields in
 // name order, one lower-cased copy and one tokenisation per value — and
-// every entry point (RecordSimilarity, Matcher.Similarity, FindDuplicates,
+// every entry point (Matcher.Similarity, FindDuplicates,
 // Index.FindNew, Conflicts) reaches score and fieldSim over that form.
 // Candidate generation and the resolution of frequency weights are
 // serial; only the scoring of resolved, read-only records fans out over
@@ -279,15 +279,6 @@ func weightedJaccard(a, b *field) float64 {
 		return 0
 	}
 	return inter / union
-}
-
-// RecordSimilarity aggregates the best field pairing per field with
-// uniform weights: for each field of the smaller record, the best
-// similarity against any field of the other record, averaged. It returns
-// the score and a short evidence string naming the strongest field pair.
-// FindDuplicates uses the frequency-weighted Matcher variant instead.
-func RecordSimilarity(a, b Record) (float64, string) {
-	return (*Matcher)(nil).Similarity(a, b)
 }
 
 // Matcher computes record similarity with value-distinctiveness weights:

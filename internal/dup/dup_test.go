@@ -52,7 +52,7 @@ func swissprotPIR() []Record {
 func TestRecordSimilarityIdenticalFields(t *testing.T) {
 	a := rec("a", "1", map[string]string{"name": "hemoglobin", "org": "human"})
 	b := rec("b", "2", map[string]string{"title": "hemoglobin", "species": "human"})
-	sim, ev := RecordSimilarity(a, b)
+	sim, ev := (*Matcher)(nil).Similarity(a, b)
 	if sim != 1.0 {
 		t.Errorf("sim = %v", sim)
 	}
@@ -64,7 +64,7 @@ func TestRecordSimilarityIdenticalFields(t *testing.T) {
 func TestRecordSimilarityDisjoint(t *testing.T) {
 	a := rec("a", "1", map[string]string{"name": "hemoglobin alpha subunit"})
 	b := rec("b", "2", map[string]string{"name": "ribosomal machinery component"})
-	sim, _ := RecordSimilarity(a, b)
+	sim, _ := (*Matcher)(nil).Similarity(a, b)
 	if sim > 0.3 {
 		t.Errorf("sim = %v for unrelated records", sim)
 	}
@@ -73,7 +73,7 @@ func TestRecordSimilarityDisjoint(t *testing.T) {
 func TestRecordSimilarityEmptyFields(t *testing.T) {
 	a := rec("a", "1", nil)
 	b := rec("b", "2", map[string]string{"x": "y"})
-	if sim, _ := RecordSimilarity(a, b); sim != 0 {
+	if sim, _ := (*Matcher)(nil).Similarity(a, b); sim != 0 {
 		t.Errorf("empty record sim = %v", sim)
 	}
 }

@@ -88,16 +88,11 @@ type Stats struct {
 	PairsChecked    int // exact set-containment checks executed
 }
 
-// Discover finds inclusion dependencies between attributes of the
+// DiscoverContext finds inclusion dependencies between attributes of the
 // relations in db, using precomputed profiles (keyed by profile.Key).
 // Declared foreign keys from relation metadata are included first and
-// never duplicated by data analysis.
-func Discover(db *rel.Database, profs map[string]*profile.ColumnProfile, opts Options) ([]IND, Stats, error) {
-	return DiscoverContext(context.Background(), db, profs, opts)
-}
-
-// DiscoverContext is Discover with cancellation: when ctx is canceled the
-// partial result is discarded and ctx.Err() is returned.
+// never duplicated by data analysis. When ctx is canceled the partial
+// result is discarded and ctx.Err() is returned.
 func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*profile.ColumnProfile, opts Options) ([]IND, Stats, error) {
 	minCont := opts.MinContainment
 	if minCont <= 0 {
@@ -277,24 +272,4 @@ func containment(srcRel *rel.Relation, srcCol string, srcProf *profile.ColumnPro
 func indKey(fk rel.ForeignKey) string {
 	return strings.ToLower(fk.FromRelation) + "." + strings.ToLower(fk.FromColumn) +
 		">" + strings.ToLower(fk.ToRelation) + "." + strings.ToLower(fk.ToColumn)
-}
-
-// AmbiguousTargets groups discovered INDs by source attribute and returns
-// those sources contained in more than one target — the §4.2 "dictionary
-// table confusion" case ("confusion about which is the primary key ...
-// happens only if the number of values in two dictionary tables are
-// identical").
-func AmbiguousTargets(inds []IND) map[string][]IND {
-	bySource := make(map[string][]IND)
-	for _, d := range inds {
-		k := strings.ToLower(d.From.FromRelation) + "." + strings.ToLower(d.From.FromColumn)
-		bySource[k] = append(bySource[k], d)
-	}
-	out := make(map[string][]IND)
-	for k, ds := range bySource {
-		if len(ds) > 1 {
-			out[k] = ds
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func discover(t *testing.T, db *rel.Database, opts Options) ([]IND, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inds, stats, err := Discover(db, profs, opts)
+	inds, stats, err := DiscoverContext(context.Background(), db, profs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestDiscoverNumericSourceExclusion(t *testing.T) {
 func TestDictionaryConfusion(t *testing.T) {
 	// Two dictionary tables with IDENTICAL value sets 1..5: the paper's
 	// §4.2 confusion case. The source attribute must be reported as
-	// contained in both, and AmbiguousTargets must flag it.
+	// contained in both.
 	db := rel.NewDatabase("d")
 	d1 := db.Create("dict1", rel.TextSchema("id", "label"))
 	d2 := db.Create("dict2", rel.TextSchema("id", "label"))
@@ -206,17 +207,14 @@ func TestDictionaryConfusion(t *testing.T) {
 		f.AppendRaw(fmt.Sprintf("%d", i), fmt.Sprintf("%d", (i%5)+1))
 	}
 	inds, _ := discover(t, db, Options{})
-	amb := AmbiguousTargets(inds)
-	ds, ok := amb["fact.dict_ref"]
-	if !ok {
-		t.Fatalf("fact.dict_ref should be ambiguous; inds=%v", inds)
-	}
 	targets := map[string]bool{}
-	for _, d := range ds {
-		targets[d.From.ToRelation] = true
+	for _, d := range inds {
+		if d.From.FromRelation == "fact" && d.From.FromColumn == "dict_ref" {
+			targets[d.From.ToRelation] = true
+		}
 	}
 	if !targets["dict1"] || !targets["dict2"] {
-		t.Errorf("ambiguity should span both dictionaries: %v", ds)
+		t.Errorf("fact.dict_ref should be contained in both dictionaries; inds=%v", inds)
 	}
 }
 

@@ -155,27 +155,6 @@ func (h *Hierarchy) Ancestors(acc string) []string {
 	return out
 }
 
-// Descendants returns the transitive children closure, sorted.
-func (h *Hierarchy) Descendants(acc string) []string {
-	seen := make(map[string]bool)
-	var walk func(string)
-	walk = func(a string) {
-		for _, c := range h.children[a] {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(acc)
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Roots returns the terms without parents, sorted.
 func (h *Hierarchy) Roots() []string {
 	var out []string
@@ -186,16 +165,6 @@ func (h *Hierarchy) Roots() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Depth returns the minimal root distance of a term (0 for roots, -1 for
-// unknown terms).
-func (h *Hierarchy) Depth(acc string) int {
-	if !h.Has(acc) {
-		return -1
-	}
-	h.computeDepths()
-	return h.depth[acc]
 }
 
 func (h *Hierarchy) computeDepths() {

@@ -46,7 +46,15 @@ func TestAncestorsDescendants(t *testing.T) {
 			t.Errorf("ancestors = %v want %v", anc, want)
 		}
 	}
-	desc := h.Descendants("GO:2")
+	// GO:2's descendants are the terms with GO:2 among their ancestors.
+	var desc []string
+	for _, acc := range []string{"GO:1", "GO:2", "GO:3", "GO:4", "GO:5", "GO:6", "GO:7"} {
+		for _, a := range h.Ancestors(acc) {
+			if a == "GO:2" {
+				desc = append(desc, acc)
+			}
+		}
+	}
 	if len(desc) != 3 {
 		t.Errorf("descendants = %v", desc)
 	}
@@ -61,14 +69,13 @@ func TestRootsAndDepth(t *testing.T) {
 	if len(roots) != 1 || roots[0] != "GO:1" {
 		t.Fatalf("roots = %v", roots)
 	}
+	// The root distances LCA and Similarity rank by.
+	h.computeDepths()
 	cases := map[string]int{"GO:1": 0, "GO:2": 1, "GO:4": 2, "GO:7": 3}
 	for acc, want := range cases {
-		if got := h.Depth(acc); got != want {
-			t.Errorf("Depth(%s) = %d want %d", acc, got, want)
+		if got := h.depth[acc]; got != want {
+			t.Errorf("depth(%s) = %d want %d", acc, got, want)
 		}
-	}
-	if h.Depth("GO:999") != -1 {
-		t.Error("unknown term depth should be -1")
 	}
 }
 
@@ -157,8 +164,9 @@ func TestCycleTermination(t *testing.T) {
 	h.AddIsA("A1", "B1")
 	h.AddIsA("B1", "A1") // malformed cycle
 	// Must terminate and assign depths.
-	if d := h.Depth("A1"); d < 0 {
-		t.Errorf("depth = %d", d)
+	h.computeDepths()
+	if d, ok := h.depth["A1"]; !ok || d < 0 {
+		t.Errorf("depth = %d, %v", d, ok)
 	}
 	_ = h.Ancestors("A1")
 	_ = h.LCA("A1", "B1")

@@ -162,19 +162,6 @@ func (r *Relation) AppendRaw(fields ...string) {
 // Cardinality returns the number of tuples.
 func (r *Relation) Cardinality() int { return len(r.Tuples) }
 
-// ColumnValues returns all values of the named column in tuple order.
-func (r *Relation) ColumnValues(name string) ([]Value, error) {
-	i := r.Schema.Index(name)
-	if i < 0 {
-		return nil, fmt.Errorf("rel: relation %q has no column %q", r.Name, name)
-	}
-	vals := make([]Value, len(r.Tuples))
-	for j, t := range r.Tuples {
-		vals[j] = t[i]
-	}
-	return vals, nil
-}
-
 // DistinctValues returns the set of distinct non-null values of a column,
 // as canonical keys mapping to one representative value.
 func (r *Relation) DistinctValues(name string) (map[string]Value, error) {
@@ -194,29 +181,6 @@ func (r *Relation) DistinctValues(name string) (map[string]Value, error) {
 		}
 	}
 	return set, nil
-}
-
-// IsUnique reports whether the named column contains no duplicate non-null
-// value and no NULLs; this is the SQL UNIQUE-with-NOT-NULL check that the
-// primary-relation discovery step issues for every attribute (§4.2).
-func (r *Relation) IsUnique(name string) (bool, error) {
-	i := r.Schema.Index(name)
-	if i < 0 {
-		return false, fmt.Errorf("rel: relation %q has no column %q", r.Name, name)
-	}
-	seen := make(map[string]struct{}, len(r.Tuples))
-	for _, t := range r.Tuples {
-		v := t[i]
-		if v.IsNull() {
-			return false, nil
-		}
-		k := v.Key()
-		if _, dup := seen[k]; dup {
-			return false, nil
-		}
-		seen[k] = struct{}{}
-	}
-	return true, nil
 }
 
 // LookupPositions returns the positions of the tuples whose named column

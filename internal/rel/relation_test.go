@@ -47,40 +47,6 @@ func TestRelationAppendPadsAndTruncates(t *testing.T) {
 	}
 }
 
-func TestRelationColumnValues(t *testing.T) {
-	r := sampleRelation()
-	vals, err := r.ColumnValues("accession")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || vals[0].AsString() != "P12345" {
-		t.Errorf("ColumnValues = %v", vals)
-	}
-	if _, err := r.ColumnValues("nope"); err == nil {
-		t.Error("expected error for missing column")
-	}
-}
-
-func TestRelationIsUnique(t *testing.T) {
-	r := sampleRelation()
-	if u, _ := r.IsUnique("accession"); !u {
-		t.Error("accession should be unique")
-	}
-	r.AppendRaw("4", "P12345", "dup")
-	if u, _ := r.IsUnique("accession"); u {
-		t.Error("accession should no longer be unique")
-	}
-}
-
-func TestRelationIsUniqueRejectsNulls(t *testing.T) {
-	r := NewRelation("t", TextSchema("a"))
-	r.Append(Tuple{Str("x")})
-	r.Append(Tuple{Null()})
-	if u, _ := r.IsUnique("a"); u {
-		t.Error("column with NULL must not count as unique key candidate")
-	}
-}
-
 func TestRelationDistinctValues(t *testing.T) {
 	r := NewRelation("t", TextSchema("a"))
 	r.AppendRaw("x")

@@ -68,29 +68,6 @@ func TermFreq(tokens []string) map[string]int {
 	return tf
 }
 
-// Jaccard computes token-set Jaccard similarity of two strings.
-func Jaccard(a, b string) float64 {
-	sa := make(map[string]bool)
-	for _, t := range Tokenize(a) {
-		sa[t] = true
-	}
-	sb := make(map[string]bool)
-	for _, t := range Tokenize(b) {
-		sb[t] = true
-	}
-	if len(sa) == 0 && len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	return float64(inter) / float64(union)
-}
-
 // EditDistance computes the Levenshtein distance between a and b.
 func EditDistance(a, b string) int {
 	if a == b {
@@ -130,18 +107,6 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// EditSimilarity normalizes edit distance into [0,1]: 1 - d/max(len).
-func EditSimilarity(a, b string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	maxLen := len(a)
-	if len(b) > maxLen {
-		maxLen = len(b)
-	}
-	return 1 - float64(EditDistance(a, b))/float64(maxLen)
 }
 
 // Jaro computes the Jaro similarity of two strings. Strings of up to 64

@@ -27,18 +27,6 @@ func TestTokenizeDropsStopwordsAndSingles(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if j := Jaccard("protein kinase domain", "kinase domain structure"); j <= 0.3 || j >= 1 {
-		t.Errorf("jaccard = %v", j)
-	}
-	if j := Jaccard("alpha beta", "alpha beta"); j != 1 {
-		t.Errorf("identical jaccard = %v", j)
-	}
-	if j := Jaccard("", ""); j != 0 {
-		t.Errorf("empty jaccard = %v", j)
-	}
-}
-
 func TestEditDistance(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -55,18 +43,6 @@ func TestEditDistance(t *testing.T) {
 		if got := EditDistance(c.a, c.b); got != c.want {
 			t.Errorf("EditDistance(%q,%q) = %d want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestEditSimilarity(t *testing.T) {
-	if s := EditSimilarity("", ""); s != 1 {
-		t.Errorf("empty = %v", s)
-	}
-	if s := EditSimilarity("abcd", "abcd"); s != 1 {
-		t.Errorf("identical = %v", s)
-	}
-	if s := EditSimilarity("abcd", "wxyz"); s != 0 {
-		t.Errorf("disjoint = %v", s)
 	}
 }
 
