@@ -49,6 +49,7 @@ func swissprotPIR() []Record {
 	return out
 }
 
+// The TestRecordSimilarity tests score with uniform weights: a nil Matcher.
 func TestRecordSimilarityIdenticalFields(t *testing.T) {
 	a := rec("a", "1", map[string]string{"name": "hemoglobin", "org": "human"})
 	b := rec("b", "2", map[string]string{"title": "hemoglobin", "species": "human"})

@@ -40,7 +40,7 @@ func TestEnsureIndexes(t *testing.T) {
 	r.EnsureIndexes()
 	want := []string{"acc", "id", "org_id"}
 	if got := indexedColumns(r); !reflect.DeepEqual(got, want) {
-		t.Fatalf("IndexedColumns = %v, want %v", got, want)
+		t.Fatalf("indexed columns = %v, want %v", got, want)
 	}
 	if ix := r.HashIndex("ID"); ix == nil || ix.Len() != 3 {
 		t.Fatalf("case-insensitive HashIndex(ID) = %v", ix)

@@ -115,8 +115,6 @@ type valueSet struct {
 	vals  []rel.Value
 }
 
-func (vs *valueSet) len() int { return len(vs.vals) }
-
 func (vs *valueSet) find(h uint64, v rel.Value) bool {
 	p := vs.slots.Probe(h)
 	for e := p.Next(); e >= 0; e = p.Next() {
