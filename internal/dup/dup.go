@@ -15,8 +15,8 @@
 // Everything scores prepared records (prepared, below), through one
 // scorer: an Index prepares each record once when it enters — fields in
 // name order, one lower-cased copy and one tokenisation per value — and
-// every entry point (Matcher.Similarity, FindDuplicates,
-// Index.FindNew, Conflicts) reaches score and fieldSim over that form.
+// every entry point (Matcher.Similarity, FindDuplicates, Index.FindNew,
+// Conflicts) reaches score and fieldSim over that form.
 // Candidate generation and the resolution of frequency weights are
 // serial; only the scoring of resolved, read-only records fans out over
 // workers. Per candidate pair each field-by-field similarity is computed
