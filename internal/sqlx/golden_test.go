@@ -32,7 +32,8 @@ import (
 // query the same way (see TestExplainAnalyzeGolden).
 
 // goldenDB is parallelDB plus idim, a copy of dim with a primary-key
-// hash index, so index scans and index-probe joins are covered too.
+// hash index, so index scans and index-probe joins are covered too, and
+// motif, a small string relation for LIKE.
 func goldenDB(t testing.TB) *rel.Database {
 	db := parallelDB(t)
 	idim := db.Create("idim", rel.NewSchema(intCol("id"),
@@ -42,7 +43,44 @@ func goldenDB(t testing.TB) *rel.Database {
 	for _, tup := range db.Relation("dim").Tuples {
 		idim.Append(tup)
 	}
+	addMotifRelation(db)
 	return db
+}
+
+// addMotifRelation adds motif(id, seq, pat): 32 pseudo-random DNA
+// sequences, every third one in mixed case, then a NULL sequence and
+// four non-ASCII rows (the Kelvin sign, which lowers to ASCII k; İ,
+// which lowers to three bytes; É; é). pat cycles through six patterns
+// and NULL, for LIKE with a column on its right.
+func addMotifRelation(db *rel.Database) {
+	motif := db.Create("motif", rel.NewSchema(intCol("id"),
+		rel.Column{Name: "seq", Kind: rel.KindString},
+		rel.Column{Name: "pat", Kind: rel.KindString}))
+	pats := []string{"%acgt%", "A_G%", "", "%T", "_C%A", "%g_a%", "%%a%%"}
+	seqs := make([]string, 0, 37)
+	x := uint32(7)
+	for i := 0; i < 32; i++ {
+		b := make([]byte, 12+i%16)
+		for j := range b {
+			x = x*1664525 + 1013904223
+			b[j] = "ACGT"[x>>30]
+			if i%3 == 1 && j%2 == 1 {
+				b[j] += 'a' - 'A'
+			}
+		}
+		seqs = append(seqs, string(b))
+	}
+	seqs = append(seqs, "", "Kelvin \u212a acgta", "İstanbul", "ÉCOLE acGTa", "café ACGTA")
+	for i, s := range seqs {
+		seq, pat := rel.Str(s), rel.Str(pats[i%len(pats)])
+		if s == "" {
+			seq = rel.Null()
+		}
+		if pats[i%len(pats)] == "" {
+			pat = rel.Null()
+		}
+		motif.Append(rel.Tuple{rel.Int(int64(i)), seq, pat})
+	}
 }
 
 // goldenCase is one parsed golden file.
