@@ -1,6 +1,6 @@
 // Allocation-budget regression gates for the vectorized executor's
-// zero-allocation hash paths, for duplicate detection and for sequence
-// and text link discovery. The batch
+// zero-allocation hash paths and LIKE scan, for duplicate detection and
+// for sequence and text link discovery. The batch
 // engine cut hash-join, DISTINCT, and GROUP BY from tens of thousands of
 // allocs/op (string keys + map[string][]Tuple) to roughly a hundred;
 // ALLOC_budget.json pins ceilings with headroom so a regression back
@@ -24,6 +24,7 @@ type allocBudget struct {
 	DupScorePair   float64 `json:"dup_score_pair"`
 	SeqScorePair   float64 `json:"seq_score_pair"`
 	TextComparison float64 `json:"text_links_comparison"`
+	LikeScan       int64   `json:"like_scan"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -102,8 +103,9 @@ func TestTextAllocBudget(t *testing.T) {
 }
 
 // TestQueryAllocBudget measures allocs/op for the hash-join, DISTINCT,
-// and GROUP BY benchmarks (workers=1, so the numbers are deterministic
-// modulo GC noise) and fails if any exceeds its checked-in budget.
+// GROUP BY and LIKE-scan benchmarks (workers=1, so the numbers are
+// deterministic modulo GC noise) and fails if any exceeds its checked-in
+// budget.
 func TestQueryAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 
@@ -111,7 +113,7 @@ func TestQueryAllocBudget(t *testing.T) {
 	testing.Benchmark(func(b *testing.B) { db = bigQueryDB(b) })
 	joinWant := countFact(func(i int) bool { return i%64 < 32 })
 
-	check := func(name, q string, wantRows int, max int64) {
+	check := func(name string, db *rel.Database, q string, wantRows int, max int64) {
 		if max <= 0 {
 			t.Fatalf("%s: missing budget in ALLOC_budget.json", name)
 		}
@@ -122,7 +124,8 @@ func TestQueryAllocBudget(t *testing.T) {
 				name, r.AllocsPerOp(), max)
 		}
 	}
-	check("hash-join", parallelJoinQuery, joinWant, budget.HashJoin)
-	check("distinct", distinctQuery, 7*64, budget.Distinct)
-	check("group-by", groupByQuery, 7, budget.GroupBy)
+	check("hash-join", db, parallelJoinQuery, joinWant, budget.HashJoin)
+	check("distinct", db, distinctQuery, 7*64, budget.Distinct)
+	check("group-by", db, groupByQuery, 7, budget.GroupBy)
+	check("like-scan", likeDB(), likeScanQuery, 1, budget.LikeScan)
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -817,6 +818,38 @@ func BenchmarkSQLJoin(b *testing.B) {
 			b.Fatal("empty join")
 		}
 	}
+}
+
+// likeBenchDB caches 1,200 random DNA sequences of 150-249 bases, the
+// shape of the sequences the benchmark's scan mix searches for motifs.
+var likeBenchDB *rel.Database
+
+const likeScanQuery = `SELECT COUNT(*) FROM sequence WHERE seq LIKE '%ACGTA%'`
+
+func likeDB() *rel.Database {
+	if likeBenchDB == nil {
+		db := rel.NewDatabase("bench")
+		r := db.Create("sequence", rel.NewSchema(rel.Column{Name: "seq", Kind: rel.KindString}))
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 1200; i++ {
+			b := make([]byte, 150+rng.Intn(100))
+			for j := range b {
+				b[j] = "ACGT"[rng.Intn(4)]
+			}
+			r.Append(rel.Tuple{rel.Str(string(b))})
+		}
+		likeBenchDB = db
+	}
+	return likeBenchDB
+}
+
+// BenchmarkSQLLike: the scan mix's motif search, COUNT(*) of a
+// '%ACGTA%' LIKE over 1,200 sequences through Prepare and OpenParallel at
+// workers=1. The pattern is compiled once per plan, and matching a row
+// allocates nothing, so allocs/op is per-query set-up
+// (TestQueryAllocBudget holds it to like_scan).
+func BenchmarkSQLLike(b *testing.B) {
+	benchParallelQuery(b, likeDB(), likeScanQuery, 1, 1)
 }
 
 // queryBenchDB caches one public-API database over the 200-protein

@@ -151,34 +151,6 @@ func (v Value) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// appendKeyPartValue appends one length-prefixed key part (the TupleKey
-// wire format) for v without any intermediate allocation: string parts
-// know their length up front, and numeric/bool/null parts fit a small
-// stack buffer.
-func appendKeyPartValue(dst []byte, v Value) []byte {
-	if v.K == KindString {
-		dst = strconv.AppendInt(dst, int64(len(v.S)+1), 10)
-		dst = append(dst, ':', 's')
-		return append(dst, v.S...)
-	}
-	var tmp [40]byte
-	part := v.AppendKey(tmp[:0])
-	dst = strconv.AppendInt(dst, int64(len(part)), 10)
-	dst = append(dst, ':')
-	return append(dst, part...)
-}
-
-// AppendTupleKey appends the tuple's canonical row-identity key —
-// byte-for-byte TupleKey(t) — to dst and returns the extended slice.
-// Combined with Go's map[string(x)] lookup optimization this makes
-// "have we seen this row" checks allocation-free on the hit path.
-func AppendTupleKey(dst []byte, t Tuple) []byte {
-	for _, v := range t {
-		dst = appendKeyPartValue(dst, v)
-	}
-	return dst
-}
-
 // TupleHash64 hashes a whole tuple consistently with TupleKeyEqual.
 func TupleHash64(t Tuple) uint64 {
 	h := fnvOffset64

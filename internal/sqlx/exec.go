@@ -301,7 +301,11 @@ func evalBinary(x *BinaryExpr, env *env) (rel.Value, error) {
 		if l.IsNull() || r.IsNull() {
 			return rel.Null(), nil
 		}
-		return rel.Bool(likeMatch(l.AsString(), r.AsString())), nil
+		m := x.like
+		if m == nil {
+			m = compileLike(r.AsString())
+		}
+		return rel.Bool(m.match(l.AsString())), nil
 	case "||":
 		if l.IsNull() || r.IsNull() {
 			return rel.Null(), nil
@@ -363,46 +367,6 @@ func evalArith(op string, l, r rel.Value) (rel.Value, error) {
 		return rel.Float(math.Mod(a, b)), nil
 	}
 	return rel.Null(), fmt.Errorf("sqlx: unknown arithmetic op %q", op)
-}
-
-// likeMatch implements SQL LIKE with % and _ wildcards (case-insensitive,
-// matching common life-science database practice).
-func likeMatch(s, pattern string) bool {
-	s = strings.ToLower(s)
-	pattern = strings.ToLower(pattern)
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return len(s) == 0
 }
 
 func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
@@ -720,7 +684,7 @@ func evalGrouped(e Expr, g *group) (rel.Value, error) {
 	}
 	switch x := e.(type) {
 	case *BinaryExpr:
-		return evalBinary(&BinaryExpr{Op: x.Op, Left: groupedProxy{x.Left, g}, Right: groupedProxy{x.Right, g}}, g.repr)
+		return evalBinary(&BinaryExpr{Op: x.Op, Left: groupedProxy{x.Left, g}, Right: groupedProxy{x.Right, g}, like: x.like}, g.repr)
 	case *UnaryExpr:
 		return eval(&UnaryExpr{Op: x.Op, Expr: groupedProxy{x.Expr, g}}, g.repr)
 	case *FuncExpr:

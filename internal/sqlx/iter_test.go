@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,9 +44,15 @@ func drain(t *testing.T, c *Cursor) []rel.Tuple {
 	}
 }
 
-// rowKey renders a row canonically for comparison.
+// rowKey renders a row canonically for comparison: each value's Key,
+// length-prefixed.
 func rowKey(row rel.Tuple) string {
-	return rel.TupleKey(row)
+	var b strings.Builder
+	for _, v := range row {
+		k := v.Key()
+		b.WriteString(strconv.Itoa(len(k)) + ":" + k)
+	}
+	return b.String()
 }
 
 func mustOpen(t *testing.T, db *rel.Database, sql string) *Cursor {

@@ -140,7 +140,7 @@ func foldExpr(e Expr) Expr {
 		l, r := foldExpr(x.Left), foldExpr(x.Right)
 		n := x
 		if l != x.Left || r != x.Right {
-			n = &BinaryExpr{Op: x.Op, Left: l, Right: r}
+			n = (&BinaryExpr{Op: x.Op, Left: l, Right: r}).withLike()
 		}
 		return tryFold(n, isLiteral(l) && isLiteral(r))
 	case *UnaryExpr:

@@ -720,7 +720,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := Expr(&BinaryExpr{Op: "LIKE", Left: left, Right: right})
+		e := Expr((&BinaryExpr{Op: "LIKE", Left: left, Right: right}).withLike())
 		if negate {
 			e = &UnaryExpr{Op: "NOT", Expr: e}
 		}

@@ -466,10 +466,10 @@ func TestEscapedQuoteInString(t *testing.T) {
 // wildcards matches only itself (case-insensitively).
 func TestLikeProperties(t *testing.T) {
 	f := func(s string) bool {
-		if !likeMatch(s, "%") {
+		if !compileLike("%").match(s) {
 			return false
 		}
-		return likeMatch(s, s)
+		return compileLike(s).match(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

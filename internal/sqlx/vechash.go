@@ -87,8 +87,8 @@ func (et *envTable) insert(v rel.Value, e *env) {
 	et.add(v)
 }
 
-// tupleSet deduplicates whole rows (DISTINCT, UNION) under TupleKey
-// identity without building key strings.
+// tupleSet deduplicates whole rows (DISTINCT, UNION) under
+// rel.TupleKeyEqual identity without building key strings.
 type tupleSet struct {
 	slots rel.Slots
 	rows  []rel.Tuple
