@@ -66,9 +66,11 @@ func WithoutSearchIndex() Option {
 
 // WithPlanCache keeps the n most recently used prepared query plans,
 // keyed by SQL text, so repeated Query/QueryRows calls skip parsing and
-// validation. Plans bind to warehouse data only when opened, so a cached
-// plan stays correct across later AddSource commits. n must be positive;
-// without this option no plans are cached.
+// name resolution. A plan's names resolve when it is prepared; its
+// access paths bind to warehouse data only when opened. So a cached plan
+// stays correct across later AddSource commits, which add relations and
+// rows but never change an existing relation's columns. n must be
+// positive; without this option no plans are cached.
 func WithPlanCache(n int) Option {
 	return func(c *config) {
 		if n < 1 {

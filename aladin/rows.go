@@ -178,7 +178,9 @@ func (r *Rows) Scanned() int64 { return r.cur.Scanned() }
 // Rows). Only SELECT statements are accepted — the query access mode is
 // read-only; everything else returns ErrBadQuery.
 //
-// With WithPlanCache, prepared plans are reused across calls by SQL text.
+// Every name resolves before the cursor is returned: an unknown or
+// ambiguous one is ErrBadQuery here, whatever the data. With
+// WithPlanCache, prepared plans are reused across calls by SQL text.
 // Errors: ErrBadQuery, ErrCanceled, ErrClosed.
 func (d *DB) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	rows, _, err := d.queryRows(ctx, sql, false)
@@ -282,8 +284,9 @@ func (d *DB) ExplainAnalyze(ctx context.Context, sql string) (string, error) {
 }
 
 // plan resolves sql to a Plan, via the LRU cache when configured. Plans
-// are immutable and bind to data only at open time, so one cached plan
-// serves successive warehouse snapshots.
+// are immutable, resolve names against the snapshot's schemas and bind
+// to data only at open time, so one cached plan serves successive
+// warehouse snapshots.
 func (d *DB) plan(snap *rel.Database, sql string) (*sqlx.Plan, error) {
 	if d.plans == nil {
 		return sqlx.Prepare(snap, sql)

@@ -25,6 +25,7 @@ type allocBudget struct {
 	SeqScorePair   float64 `json:"seq_score_pair"`
 	TextComparison float64 `json:"text_links_comparison"`
 	LikeScan       int64   `json:"like_scan"`
+	FilterScan     int64   `json:"filter_scan"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -103,7 +104,7 @@ func TestTextAllocBudget(t *testing.T) {
 }
 
 // TestQueryAllocBudget measures allocs/op for the hash-join, DISTINCT,
-// GROUP BY and LIKE-scan benchmarks (workers=1, so the numbers are
+// GROUP BY, LIKE-scan and filtered-scan benchmarks (workers=1, so the numbers are
 // deterministic modulo GC noise) and fails if any exceeds its checked-in
 // budget.
 func TestQueryAllocBudget(t *testing.T) {
@@ -128,4 +129,5 @@ func TestQueryAllocBudget(t *testing.T) {
 	check("distinct", db, distinctQuery, 7*64, budget.Distinct)
 	check("group-by", db, groupByQuery, 7, budget.GroupBy)
 	check("like-scan", likeDB(), likeScanQuery, 1, budget.LikeScan)
+	check("filter-scan", filterDB(), filterScanQuery, 1, budget.FilterScan)
 }

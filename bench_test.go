@@ -852,6 +852,33 @@ func BenchmarkSQLLike(b *testing.B) {
 	benchParallelQuery(b, likeDB(), likeScanQuery, 1, 1)
 }
 
+// filterBenchDB caches t(a, b): 100,000 rows of two INT columns.
+var filterBenchDB *rel.Database
+
+const filterScanQuery = `SELECT COUNT(*) FROM t WHERE A + B > 100 OR t.b = 2`
+
+func filterDB() *rel.Database {
+	if filterBenchDB == nil {
+		db := rel.NewDatabase("bench")
+		r := db.Create("t", rel.NewSchema(rel.Column{Name: "a", Kind: rel.KindInt}, rel.Column{Name: "b", Kind: rel.KindInt}))
+		for i := 0; i < 100_000; i++ {
+			r.Append(rel.Tuple{rel.Int(int64(i % 97)), rel.Int(int64(i % 11))})
+		}
+		filterBenchDB = db
+	}
+	return filterBenchDB
+}
+
+// BenchmarkSQLFilter: a two-predicate filtered scan, COUNT(*) over
+// 100,000 rows through Prepare and OpenParallel at workers=1, with
+// upper-case and qualified column names. Names resolve at Prepare, so a
+// row's predicate reads its columns by index and allocates nothing;
+// allocs/op is the scan's per-batch arenas (TestQueryAllocBudget holds it
+// to filter_scan).
+func BenchmarkSQLFilter(b *testing.B) {
+	benchParallelQuery(b, filterDB(), filterScanQuery, 1, 1)
+}
+
 // queryBenchDB caches one public-API database over the 200-protein
 // corpus for the streaming-vs-materializing query benchmarks.
 var queryBenchDB *aladin.DB

@@ -124,6 +124,10 @@ func TestHTTPErrors(t *testing.T) {
 	}{
 		{"/v1/query", 400, "missing_parameter"},
 		{"/v1/query?q=" + escape("SELEKT nope"), 400, "bad_query"},
+		// Names resolve at Prepare, so a bad one is a 400 before the
+		// status line, also where no row would ever evaluate it.
+		{"/v1/query?q=" + escape("SELECT nosuch FROM swissprot_protein"), 400, "bad_query"},
+		{"/v1/query?q=" + escape("SELECT accession FROM swissprot_protein WHERE accession = 'NOPE' AND nosuch = 1"), 400, "bad_query"},
 		{"/v1/search", 400, "missing_parameter"},
 		{"/v1/objects/nope", 404, "unknown_source"},
 		{"/v1/objects/swissprot/NOPE999", 404, "unknown_object"},
@@ -331,7 +335,7 @@ func TestHTTPQueryBadCursor(t *testing.T) {
 	if !ok {
 		t.Fatal("no next_cursor on first page")
 	}
-	other := escape("SELECT accession FROM pdb_structure")
+	other := escape("SELECT pdb_code FROM pdb_structure")
 	body = getJSON(t, ts.URL+"/v1/query?q="+other+"&cursor="+cursor, 400)
 	if code := body["error"].(map[string]any)["code"]; code != "bad_cursor" {
 		t.Errorf("replayed cursor code = %v, want bad_cursor", code)

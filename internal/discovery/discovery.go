@@ -37,7 +37,6 @@ package discovery
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -548,41 +547,6 @@ func (s *Structure) computePaths(db *rel.Database, opts Options) {
 			return len(s.Paths[k][i].Steps) < len(s.Paths[k][j].Steps)
 		})
 	}
-}
-
-// PrimaryRelations returns all relations whose primary score exceeds the
-// mean score by stddevs standard deviations — the multi-primary variant
-// sketched in §4.2 for sources like EnsEmbl with two primary relations.
-func (s *Structure) PrimaryRelations(stddevs float64) []string {
-	if len(s.PrimaryScores) == 0 {
-		return nil
-	}
-	var mean, m2 float64
-	n := 0.0
-	for _, v := range s.PrimaryScores {
-		n++
-		delta := v - mean
-		mean += delta / n
-		m2 += delta * (v - mean)
-	}
-	sd := 0.0
-	if n > 1 {
-		sd = m2 / (n - 1)
-	}
-	if sd > 0 {
-		sd = math.Sqrt(sd)
-	}
-	var out []string
-	for k, v := range s.PrimaryScores {
-		if v >= mean+stddevs*sd {
-			out = append(out, k)
-		}
-	}
-	if len(out) == 0 && s.Primary != "" {
-		out = append(out, lower(s.Primary))
-	}
-	sort.Strings(out)
-	return out
 }
 
 func lower(s string) string { return strings.ToLower(s) }

@@ -262,38 +262,6 @@ func TestMetricNameHint(t *testing.T) {
 	}
 }
 
-func TestPrimaryRelationsMultiPrimary(t *testing.T) {
-	// Build an EnsEmbl-like source with two hub tables (clone and gene).
-	db := rel.NewDatabase("ensembl")
-	clone := db.Create("clone", rel.TextSchema("clone_id", "clone_acc"))
-	gene := db.Create("gene", rel.TextSchema("gene_id", "gene_acc"))
-	for i := 0; i < 10; i++ {
-		clone.AppendRaw(fmt.Sprintf("%d", i+1), fmt.Sprintf("AC%06d", i))
-		gene.AppendRaw(fmt.Sprintf("%d", i+1), fmt.Sprintf("ENSG%08d", i))
-	}
-	for n := 0; n < 3; n++ {
-		rc := db.Create(fmt.Sprintf("clone_dep%d", n), rel.TextSchema("id", "clone_id", "x"))
-		rg := db.Create(fmt.Sprintf("gene_dep%d", n), rel.TextSchema("id", "gene_id", "y"))
-		for i := 0; i < 20; i++ {
-			rc.AppendRaw(fmt.Sprintf("%d", i+1+n*100), fmt.Sprintf("%d", (i%10)+1), fmt.Sprintf("cx%d", i))
-			rg.AppendRaw(fmt.Sprintf("%d", i+1+n*100), fmt.Sprintf("%d", (i%10)+1), fmt.Sprintf("gy%d", i))
-		}
-	}
-	s := analyze(t, db, DefaultOptions())
-	multi := s.PrimaryRelations(0.5)
-	has := func(name string) bool {
-		for _, m := range multi {
-			if m == name {
-				return true
-			}
-		}
-		return false
-	}
-	if !has("clone") || !has("gene") {
-		t.Errorf("multi-primary should include both hubs: %v (scores %v)", multi, s.PrimaryScores)
-	}
-}
-
 func TestMaxPathsCap(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxPathsPerRelation = 1

@@ -359,11 +359,6 @@ func (p *ColumnProfile) IsSequenceField() bool {
 	return p.DNAAlphabetFrac > 0.98 || p.ProteinAlphabetFrac > 0.98
 }
 
-// IsDNAField reports a sequence field over the nucleotide alphabet.
-func (p *ColumnProfile) IsDNAField() bool {
-	return p.IsSequenceField() && p.DNAAlphabetFrac > 0.98
-}
-
 // IsTextField applies a simple rule for free-text annotation fields:
 // multi-token values of nontrivial mean length that are not sequences.
 func (p *ColumnProfile) IsTextField() bool {

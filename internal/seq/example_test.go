@@ -29,16 +29,6 @@ func ExampleSmithWaterman() {
 	// score=14 identity=1.00 span=[3,10)
 }
 
-func ExampleDetectAlphabet() {
-	fmt.Println(seq.DetectAlphabet("ACGTACGTACGTACGTACGTACGT"))
-	fmt.Println(seq.DetectAlphabet("MKWVTFISLLFLFSSAYSRGVFRR"))
-	fmt.Println(seq.DetectAlphabet("the quick brown fox etc."))
-	// Output:
-	// DNA
-	// protein
-	// unknown
-}
-
 func ExampleReverseComplement() {
 	fmt.Println(seq.ReverseComplement("AATGCC"))
 	// Output:

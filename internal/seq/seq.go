@@ -24,61 +24,6 @@ import (
 	"unicode/utf8"
 )
 
-// Alphabet classifies a sequence string.
-type Alphabet int
-
-const (
-	// AlphabetUnknown is anything that is not a recognizable sequence.
-	AlphabetUnknown Alphabet = iota
-	// AlphabetDNA covers A/C/G/T plus N and U.
-	AlphabetDNA
-	// AlphabetProtein covers the 20 amino acids plus ambiguity codes.
-	AlphabetProtein
-)
-
-// String names the alphabet.
-func (a Alphabet) String() string {
-	switch a {
-	case AlphabetDNA:
-		return "DNA"
-	case AlphabetProtein:
-		return "protein"
-	}
-	return "unknown"
-}
-
-const dnaChars = "ACGTNU"
-const proteinChars = "ACDEFGHIKLMNPQRSTVWYBZX"
-
-// DetectAlphabet classifies s by character content: ≥98% of non-space
-// characters from the respective alphabet, minimum length 20.
-func DetectAlphabet(s string) Alphabet {
-	up := strings.ToUpper(s)
-	var dna, prot, total int
-	for _, r := range up {
-		if r == ' ' || r == '\n' || r == '\t' || r == '\r' {
-			continue
-		}
-		total++
-		if strings.ContainsRune(dnaChars, r) {
-			dna++
-		}
-		if strings.ContainsRune(proteinChars, r) {
-			prot++
-		}
-	}
-	if total < 20 {
-		return AlphabetUnknown
-	}
-	switch {
-	case float64(dna)/float64(total) >= 0.98:
-		return AlphabetDNA
-	case float64(prot)/float64(total) >= 0.98:
-		return AlphabetProtein
-	}
-	return AlphabetUnknown
-}
-
 // Scoring holds alignment parameters. Gap is a linear gap penalty
 // (negative).
 type Scoring struct {

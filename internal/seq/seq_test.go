@@ -9,32 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestDetectAlphabet(t *testing.T) {
-	cases := []struct {
-		s    string
-		want Alphabet
-	}{
-		{strings.Repeat("ACGT", 10), AlphabetDNA},
-		{strings.Repeat("acgt", 10), AlphabetDNA},
-		{"MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFKALVLIA", AlphabetProtein},
-		{"the quick brown fox jumps over the lazy dog", AlphabetUnknown},
-		{"ACGT", AlphabetUnknown}, // too short
-		{"", AlphabetUnknown},
-	}
-	for _, c := range cases {
-		if got := DetectAlphabet(c.s); got != c.want {
-			t.Errorf("DetectAlphabet(%.20q) = %v want %v", c.s, got, c.want)
-		}
-	}
-}
-
-func TestDNAPreferredOverProteinForACGT(t *testing.T) {
-	// Pure ACGT qualifies for both alphabets; DNA must win.
-	if got := DetectAlphabet(strings.Repeat("ACGT", 20)); got != AlphabetDNA {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestSmithWatermanIdentical(t *testing.T) {
 	s := "ACGTACGTACGT"
 	al := SmithWaterman(s, s, DefaultScoring())

@@ -1,19 +1,18 @@
 package sqlx
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/rel"
 )
 
 // This file is the bind half of the optimizer: Open (and Explain) take
-// the logical plan from logical.go and a concrete database snapshot and
-// choose the physical access path of every scan and join node. Binding
-// happens per Open, never at Prepare, so a cached Plan stays valid
-// across warehouse commits — each Open sees the snapshot's relations,
-// their persistent hash indexes and their statistics blocks as they are
-// now.
+// the logical plan from logical.go, its names already resolved, and a
+// concrete database snapshot, and choose the physical access path of
+// every scan and join node. Binding happens per Open, never at Prepare,
+// so a cached Plan stays valid across warehouse commits — each Open sees
+// the snapshot's relations, their persistent hash indexes and their
+// statistics blocks as they are now.
 //
 // Estimation is cost-based where statistics exist: selection
 // selectivities come from per-column distinct counts, null counts and
@@ -37,45 +36,23 @@ var ReorderJoins = true
 
 // binder accumulates the relations bound so far during one bindSelect,
 // so later join steps can estimate distinct counts of columns on any
-// earlier binding.
+// earlier table.
 type binder struct {
 	db   *rel.Database
-	rels map[string]*rel.Relation // lower-cased binding name -> relation
+	rels []*rel.Relation // by FROM position; nil until bound
 }
 
-func newBinder(db *rel.Database) *binder {
-	return &binder{db: db, rels: make(map[string]*rel.Relation)}
-}
-
-func (bd *binder) add(binding string, r *rel.Relation) {
-	bd.rels[strings.ToLower(binding)] = r
+func newBinder(db *rel.Database, lg *logicalSelect) *binder {
+	return &binder{db: db, rels: make([]*rel.Relation, len(lg.tables))}
 }
 
 // ndv estimates the distinct count of the referenced column in its base
-// relation; 0 when the binding or its statistics are unknown.
-func (bd *binder) ndv(cr *ColumnRef) float64 {
-	if cr == nil {
+// relation; 0 when its table is not bound yet or has no statistics.
+func (bd *binder) ndv(c *colRef) float64 {
+	if c == nil || bd.rels[c.tab] == nil {
 		return 0
 	}
-	if cr.Table != "" {
-		if r := bd.rels[strings.ToLower(cr.Table)]; r != nil {
-			return r.Stats.DistinctEst(cr.Column)
-		}
-		return 0
-	}
-	var found *rel.Relation
-	for _, r := range bd.rels {
-		if r.Schema.Index(cr.Column) >= 0 {
-			if found != nil {
-				return 0 // ambiguous
-			}
-			found = r
-		}
-	}
-	if found == nil {
-		return 0
-	}
-	return found.Stats.DistinctEst(cr.Column)
+	return bd.rels[c.tab].Stats.DistinctEst(c.Column)
 }
 
 // selectAccess is the bound physical plan of one SELECT (without its
@@ -97,10 +74,10 @@ func bindSelect(db *rel.Database, lg *logicalSelect) (*selectAccess, error) {
 	if len(lg.tables) == 0 {
 		return sel, nil
 	}
-	if info, ok := reorderPrefix(db, lg); ok {
+	if info, ok := reorderPrefix(lg); ok {
 		return bindReordered(db, lg, info)
 	}
-	bd := newBinder(db)
+	bd := newBinder(db, lg)
 	sa, err := bindScan(bd, lg.tables[0], nil)
 	if err != nil {
 		return nil, err
@@ -120,9 +97,8 @@ func bindSelect(db *rel.Database, lg *logicalSelect) (*selectAccess, error) {
 
 // scanAccess is the bound access path of one table scan.
 type scanAccess struct {
-	tl      *tableLogical
-	r       *rel.Relation
-	binding string
+	tl *tableLogical
+	r  *rel.Relation
 	// idx/eq are set for an index access path: the scan probes idx with
 	// eq.val instead of reading every tuple.
 	idx *rel.Index
@@ -142,12 +118,12 @@ type scanAccess struct {
 // join reordering; they filter (and shrink the estimate) like pushed
 // WHERE conjuncts but never probe an index.
 func bindScan(bd *binder, tl *tableLogical, extra []Expr) (*scanAccess, error) {
-	r := bd.db.Relation(tl.ref.Name)
-	if r == nil {
-		return nil, fmt.Errorf("sqlx: no such table %q", tl.ref.Name)
+	r, err := tl.relation(bd.db)
+	if err != nil {
+		return nil, err
 	}
-	sa := &scanAccess{tl: tl, r: r, binding: tl.ref.Binding()}
-	defer bd.add(sa.binding, r)
+	sa := &scanAccess{tl: tl, r: r}
+	defer func() { bd.rels[tl.pos] = r }()
 	best := -1
 	bestCount := 0
 	for i := range tl.eq {
@@ -230,7 +206,7 @@ func predSelectivity(r *rel.Relation, e Expr) float64 {
 			}
 		}
 	case *IsNullExpr:
-		if cr, ok := x.Expr.(*ColumnRef); ok && st.Col(cr.Column) != nil {
+		if cr, ok := x.Expr.(*colRef); ok && st.Col(cr.Column) != nil {
 			nf := st.NullFraction(cr.Column)
 			if x.Negate {
 				return clampSel(1 - nf)
@@ -238,7 +214,7 @@ func predSelectivity(r *rel.Relation, e Expr) float64 {
 			return clampSel(nf)
 		}
 	case *BetweenExpr:
-		cr, okc := x.Expr.(*ColumnRef)
+		cr, okc := x.Expr.(*colRef)
 		lo, okl := litVal(x.Lo)
 		hi, okh := litVal(x.Hi)
 		if okc && okl && okh {
@@ -253,7 +229,7 @@ func predSelectivity(r *rel.Relation, e Expr) float64 {
 			}
 		}
 	case *InExpr:
-		if cr, ok := x.Expr.(*ColumnRef); ok && x.Sub == nil && len(x.List) > 0 {
+		if cr, ok := x.Expr.(*colRef); ok && x.Sub == nil && len(x.List) > 0 {
 			if sel, ok := st.EqSelectivity(cr.Column); ok {
 				s := sel * float64(len(x.List))
 				if x.Negate {
@@ -281,12 +257,12 @@ func clampSel(s float64) float64 {
 // colConst recognizes "column OP constant" (either order; comparison
 // operators are mirrored when the constant is on the left).
 func colConst(be *BinaryExpr) (col string, v rel.Value, op string, ok bool) {
-	if cr, k := be.Left.(*ColumnRef); k {
+	if cr, k := be.Left.(*colRef); k {
 		if lit, k2 := be.Right.(*Literal); k2 {
 			return cr.Column, lit.Value, be.Op, true
 		}
 	}
-	if cr, k := be.Right.(*ColumnRef); k {
+	if cr, k := be.Right.(*colRef); k {
 		if lit, k2 := be.Left.(*Literal); k2 {
 			return cr.Column, lit.Value, mirrorOp(be.Op), true
 		}
@@ -379,7 +355,6 @@ func (k joinStrategy) String() string {
 type joinAccess struct {
 	tl       *tableLogical
 	right    *rel.Relation
-	binding  string
 	strategy joinStrategy
 	// kind/on are the effective join kind and predicate of this step.
 	// After reordering they may differ from the parsed clause: ON
@@ -388,7 +363,7 @@ type joinAccess struct {
 	kind JoinKind
 	on   Expr
 	// leftCol/rightIdx describe the equi-join columns (probe modes).
-	leftCol  *ColumnRef
+	leftCol  *colRef
 	rightCol string
 	rightIdx int
 	// idx is the right relation's persistent index (joinIndexProbe).
@@ -412,16 +387,13 @@ type joinAccess struct {
 // bindJoin chooses the join strategy for one parse-order JOIN step given
 // the estimated cardinality of the left input.
 func bindJoin(bd *binder, tl *tableLogical, leftEst float64) (*joinAccess, error) {
-	right := bd.db.Relation(tl.ref.Name)
-	if right == nil {
-		return nil, fmt.Errorf("sqlx: no such table %q", tl.ref.Name)
+	right, err := tl.relation(bd.db)
+	if err != nil {
+		return nil, err
 	}
-	ja := &joinAccess{
-		tl: tl, right: right, binding: tl.ref.Binding(),
-		kind: tl.join.Kind, on: tl.join.On, filters: tl.filters,
-	}
+	ja := &joinAccess{tl: tl, right: right, kind: tl.join.Kind, on: tl.on, filters: tl.filters}
 	bindJoinStrategy(bd, ja, leftEst)
-	bd.add(ja.binding, right)
+	bd.rels[tl.pos] = right
 	return ja, nil
 }
 
@@ -439,23 +411,20 @@ func bindJoinStrategy(bd *binder, ja *joinAccess, leftEst float64) {
 		ja.est = leftEst * rightEst
 		return
 	}
-	leftCol, rightCol, hashable := equiJoinCols(ja.on, ja.binding)
-	if hashable {
-		if ri := right.Schema.Index(rightCol.Column); ri >= 0 {
-			ja.leftCol, ja.rightIdx = leftCol, ri
-			ja.rightCol = right.Schema.Columns[ri].Name
-			switch {
-			case right.HashIndex(ja.rightCol) != nil:
-				ja.strategy = joinIndexProbe
-				ja.idx = right.HashIndex(ja.rightCol)
-			case ja.kind == JoinInner && leftEst < float64(right.Cardinality()):
-				ja.strategy = joinHashBuildLeft
-			default:
-				ja.strategy = joinHashBuildRight
-			}
-			ja.est = equiJoinEst(bd, ja, leftEst, rightEst)
-			return
+	if leftCol, rightCol, ok := equiJoinCols(ja.on, ja.tl.pos); ok {
+		ja.leftCol, ja.rightIdx = leftCol, rightCol.col
+		ja.rightCol = right.Schema.Columns[rightCol.col].Name
+		switch {
+		case right.HashIndex(ja.rightCol) != nil:
+			ja.strategy = joinIndexProbe
+			ja.idx = right.HashIndex(ja.rightCol)
+		case ja.kind == JoinInner && leftEst < float64(right.Cardinality()):
+			ja.strategy = joinHashBuildLeft
+		default:
+			ja.strategy = joinHashBuildRight
 		}
+		ja.est = equiJoinEst(bd, ja, leftEst, rightEst)
+		return
 	}
 	ja.strategy = joinNestedLoop
 	ja.est = leftEst * rightEst / filterSelectivityDiv

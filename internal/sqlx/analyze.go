@@ -72,7 +72,7 @@ func (p *Plan) ExplainAnalyze(ctx context.Context, db *rel.Database, workers int
 		return "", err
 	}
 	rt.explain, rt.analyze = true, true
-	_, it, root, err := buildSelect(ctx, db, p.stmt, p.lg, rt)
+	_, it, root, err := buildSelect(ctx, db, p.lg, rt)
 	if err != nil {
 		return "", err
 	}

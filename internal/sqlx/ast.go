@@ -177,13 +177,13 @@ type IsNullExpr struct {
 func (*IsNullExpr) expr() {}
 
 // InExpr is "expr [NOT] IN (v1, v2, ...)" or "expr [NOT] IN (SELECT ...)".
-// Subqueries are materialized into List before evaluation (uncorrelated
-// subqueries only).
+// Subqueries are uncorrelated: each run materializes them first.
 type InExpr struct {
 	Expr   Expr
 	List   []Expr
 	Sub    *SelectStmt
 	Negate bool
+	lg     *logicalSelect // Sub's plan, prepared when the expression is bound
 }
 
 func (*InExpr) expr() {}
@@ -210,37 +210,4 @@ func (*FuncExpr) expr() {}
 // aggregateFuncs are the functions computed per group.
 var aggregateFuncs = map[string]bool{
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// isAggregate reports whether e contains an aggregate call.
-func isAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if isAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return isAggregate(x.Left) || isAggregate(x.Right)
-	case *UnaryExpr:
-		return isAggregate(x.Expr)
-	case *IsNullExpr:
-		return isAggregate(x.Expr)
-	case *BetweenExpr:
-		return isAggregate(x.Expr) || isAggregate(x.Lo) || isAggregate(x.Hi)
-	case *InExpr:
-		if isAggregate(x.Expr) {
-			return true
-		}
-		for _, a := range x.List {
-			if isAggregate(a) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -19,9 +19,11 @@ type Result struct {
 }
 
 // Exec parses and executes one SQL statement against db, materializing
-// the full result. SELECT statements run through the streaming operator
-// pipeline (see plan.go/vec.go) and are collected here; callers that
-// want pull semantics use Prepare and Plan.Open instead.
+// the full result. A SELECT resolves its names as Prepare does, then runs
+// through the streaming operator pipeline (see plan.go/vec.go) and is
+// collected here; callers that want pull semantics use Prepare and
+// Plan.Open instead. UPDATE, DELETE and INSERT resolve theirs before
+// touching a row.
 func Exec(db *rel.Database, sql string) (*Result, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -57,7 +59,11 @@ func execStmt(ctx context.Context, db *rel.Database, stmt Statement) (*Result, e
 // the collect-all wrapper pinning Exec's historical semantics on top of
 // the streaming executor.
 func collectSelect(ctx context.Context, db *rel.Database, s *SelectStmt) (*Result, error) {
-	cols, it, err := openSelect(ctx, db, s, buildLogical(db, s), newRun())
+	lg, err := buildLogical(db, s)
+	if err != nil {
+		return nil, err
+	}
+	cols, it, err := openSelect(ctx, db, lg, newRun())
 	if err != nil {
 		return nil, err
 	}
@@ -77,59 +83,44 @@ func collectSelect(ctx context.Context, db *rel.Database, s *SelectStmt) (*Resul
 	return res, nil
 }
 
-// binding associates a table binding name with a schema and current tuple.
-type binding struct {
-	name   string
-	schema *rel.Schema
-	tuple  rel.Tuple
-}
-
+// env is one joined row before projection: the current tuple of every
+// FROM table by FROM position, so a resolved column reads
+// tuples[tab][col] whatever order the joins ran in.
 type env struct {
-	bindings []binding
+	tuples []rel.Tuple
+	// aggs are a group's aggregate results, where grouped items and
+	// HAVING evaluate.
+	aggs []rel.Value
 	// rt is the per-execution run state (subquery results, scan probe);
 	// nil only in contexts that cannot contain IN subqueries.
 	rt *run
 }
 
-func (e *env) lookup(table, column string) (rel.Value, error) {
-	if table != "" {
-		for _, b := range e.bindings {
-			if strings.EqualFold(b.name, table) {
-				i := b.schema.Index(column)
-				if i < 0 {
-					return rel.Null(), fmt.Errorf("sqlx: no column %q in %q", column, table)
-				}
-				return b.tuple[i], nil
-			}
-		}
-		return rel.Null(), fmt.Errorf("sqlx: unknown table binding %q", table)
+func (e *env) get(c *colRef) rel.Value { return e.tuples[c.tab][c.col] }
+
+// holds reports whether pred is TRUE in e (NULL and FALSE do not hold);
+// a nil predicate always holds.
+func holds(pred Expr, e *env) (bool, error) {
+	if pred == nil {
+		return true, nil
 	}
-	found := false
-	var v rel.Value
-	for _, b := range e.bindings {
-		if i := b.schema.Index(column); i >= 0 {
-			if found {
-				return rel.Null(), fmt.Errorf("sqlx: ambiguous column %q", column)
-			}
-			v = b.tuple[i]
-			found = true
-		}
+	v, err := eval(pred, e)
+	if err != nil {
+		return false, err
 	}
-	if !found {
-		return rel.Null(), fmt.Errorf("sqlx: unknown column %q", column)
-	}
-	return v, nil
+	b, ok := v.AsBool()
+	return ok && b, nil
 }
 
-// eval evaluates a non-aggregate expression in an environment.
+// eval evaluates a bound expression (see resolve.go) in an environment.
 func eval(e Expr, env *env) (rel.Value, error) {
 	switch x := e.(type) {
-	case groupedProxy:
-		return evalGrouped(x.inner, x.g)
 	case *Literal:
 		return x.Value, nil
-	case *ColumnRef:
-		return env.lookup(x.Table, x.Column)
+	case *colRef:
+		return env.get(x), nil
+	case *aggRef:
+		return env.aggs[x.i], nil
 	case *UnaryExpr:
 		v, err := eval(x.Expr, env)
 		if err != nil {
@@ -215,9 +206,6 @@ func eval(e Expr, env *env) (rel.Value, error) {
 		in := v.Compare(lo) >= 0 && v.Compare(hi) <= 0
 		return rel.Bool(in != x.Negate), nil
 	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return rel.Null(), fmt.Errorf("sqlx: aggregate %s not allowed here", x.Name)
-		}
 		return evalScalarFunc(x, env)
 	}
 	return rel.Null(), fmt.Errorf("sqlx: cannot evaluate %T", e)
@@ -369,6 +357,14 @@ func evalArith(op string, l, r rel.Value) (rel.Value, error) {
 	return rel.Null(), fmt.Errorf("sqlx: unknown arithmetic op %q", op)
 }
 
+// scalarArity names the scalar functions, with each one's least and most
+// argument counts (-1: no most): the parser knows a call by it, and the
+// resolver checks the call's arguments against it.
+var scalarArity = map[string][2]int{
+	"LENGTH": {1, 1}, "LOWER": {1, 1}, "UPPER": {1, 1}, "TRIM": {1, 1}, "ABS": {1, 1},
+	"ROUND": {1, 2}, "SUBSTR": {2, 3}, "COALESCE": {0, -1},
+}
+
 func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
 	args := make([]rel.Value, len(x.Args))
 	for i, a := range x.Args {
@@ -380,41 +376,26 @@ func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
 	}
 	switch x.Name {
 	case "LENGTH":
-		if len(args) != 1 {
-			return rel.Null(), fmt.Errorf("sqlx: LENGTH takes 1 argument")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
 		return rel.Int(int64(len(args[0].AsString()))), nil
 	case "LOWER":
-		if len(args) != 1 {
-			return rel.Null(), fmt.Errorf("sqlx: LOWER takes 1 argument")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
 		return rel.Str(strings.ToLower(args[0].AsString())), nil
 	case "UPPER":
-		if len(args) != 1 {
-			return rel.Null(), fmt.Errorf("sqlx: UPPER takes 1 argument")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
 		return rel.Str(strings.ToUpper(args[0].AsString())), nil
 	case "TRIM":
-		if len(args) != 1 {
-			return rel.Null(), fmt.Errorf("sqlx: TRIM takes 1 argument")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
 		return rel.Str(strings.TrimSpace(args[0].AsString())), nil
 	case "ABS":
-		if len(args) != 1 {
-			return rel.Null(), fmt.Errorf("sqlx: ABS takes 1 argument")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
@@ -431,9 +412,6 @@ func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
 		}
 		return rel.Float(math.Abs(f)), nil
 	case "ROUND":
-		if len(args) < 1 || len(args) > 2 {
-			return rel.Null(), fmt.Errorf("sqlx: ROUND takes 1 or 2 arguments")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
@@ -448,9 +426,6 @@ func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
 		scale := math.Pow(10, float64(digits))
 		return rel.Float(math.Round(f*scale) / scale), nil
 	case "SUBSTR":
-		if len(args) < 2 || len(args) > 3 {
-			return rel.Null(), fmt.Errorf("sqlx: SUBSTR takes 2 or 3 arguments")
-		}
 		if args[0].IsNull() {
 			return rel.Null(), nil
 		}
@@ -484,70 +459,25 @@ func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
 	return rel.Null(), fmt.Errorf("sqlx: unknown function %s", x.Name)
 }
 
-// equiJoinCols recognizes "a.x = b.y" ON clauses and returns the column
-// ref belonging to the left side and the one on the newly joined binding.
-func equiJoinCols(on Expr, rightBinding string) (left *ColumnRef, right *ColumnRef, ok bool) {
+// equiJoinCols recognizes "a.x = b.y" ON clauses between the table at
+// FROM position right, named qualified, and another, and returns the
+// column ref on the other table and the one on right.
+func equiJoinCols(on Expr, right int) (left *colRef, r *colRef, ok bool) {
 	be, isBin := on.(*BinaryExpr)
 	if !isBin || be.Op != "=" {
 		return nil, nil, false
 	}
-	l, lok := be.Left.(*ColumnRef)
-	r, rok := be.Right.(*ColumnRef)
-	if !lok || !rok {
+	a, aok := be.Left.(*colRef)
+	b, bok := be.Right.(*colRef)
+	switch {
+	case !aok || !bok || a.tab == b.tab:
 		return nil, nil, false
-	}
-	if strings.EqualFold(r.Table, rightBinding) {
-		return l, r, true
-	}
-	if strings.EqualFold(l.Table, rightBinding) {
-		return r, l, true
+	case b.tab == right && b.Table != "":
+		return a, b, true
+	case a.tab == right && a.Table != "":
+		return b, a, true
 	}
 	return nil, nil, false
-}
-
-// expandItems resolves stars into column references and computes output
-// column names.
-func expandItems(db *rel.Database, s *SelectStmt) ([]SelectItem, []string, error) {
-	var items []SelectItem
-	var names []string
-	// Determine bindings from the FROM clause (schema info only; no data
-	// is read, so expansion also serves plan-time validation).
-	type bind struct {
-		name   string
-		schema *rel.Schema
-	}
-	var binds []bind
-	if s.From != nil {
-		baseRel := db.Relation(s.From.Name)
-		if baseRel == nil {
-			return nil, nil, fmt.Errorf("sqlx: no such table %q", s.From.Name)
-		}
-		binds = append(binds, bind{s.From.Binding(), baseRel.Schema})
-		for _, j := range s.Joins {
-			r := db.Relation(j.Table.Name)
-			if r == nil {
-				return nil, nil, fmt.Errorf("sqlx: no such table %q", j.Table.Name)
-			}
-			binds = append(binds, bind{j.Table.Binding(), r.Schema})
-		}
-	}
-	for _, it := range s.Items {
-		if !it.Star {
-			items = append(items, it)
-			names = append(names, itemName(it))
-			continue
-		}
-		for _, b := range binds {
-			if it.StarTable != "" && !strings.EqualFold(it.StarTable, b.name) {
-				continue
-			}
-			for _, c := range b.schema.Columns {
-				items = append(items, SelectItem{Expr: &ColumnRef{Table: b.name, Column: c.Name}})
-				names = append(names, c.Name)
-			}
-		}
-	}
-	return items, names, nil
 }
 
 func itemName(it SelectItem) string {
@@ -563,17 +493,16 @@ func itemName(it SelectItem) string {
 	return "expr"
 }
 
-// aggState accumulates one aggregate within one group.
+// aggState accumulates one aggregate within one group; the zero value
+// is an empty one.
 type aggState struct {
 	count    int
 	sum      float64
 	sumInt   int64
-	intOnly  bool
+	nonInt   bool
 	min, max rel.Value
 	distinct valueSet
 }
-
-func newAggState() *aggState { return &aggState{intOnly: true} }
 
 func (a *aggState) add(v rel.Value, distinct bool) {
 	if v.IsNull() {
@@ -594,7 +523,7 @@ func (a *aggState) add(v rel.Value, distinct bool) {
 		i, _ := v.AsInt()
 		a.sumInt += i
 	} else {
-		a.intOnly = false
+		a.nonInt = true
 	}
 	if a.min.IsNull() || v.Compare(a.min) < 0 {
 		a.min = v
@@ -612,7 +541,7 @@ func (a *aggState) result(fn string) rel.Value {
 		if a.count == 0 {
 			return rel.Null()
 		}
-		if a.intOnly {
+		if !a.nonInt {
 			return rel.Int(a.sumInt)
 		}
 		return rel.Float(a.sum)
@@ -629,101 +558,14 @@ func (a *aggState) result(fn string) rel.Value {
 	return rel.Null()
 }
 
-// group carries the representative env and aggregate states of one group.
-type group struct {
-	repr *env
-	aggs map[*FuncExpr]*aggState
-	star int // COUNT(*) count
+// aggRef is an aggregate call resolved to its slot among its select's
+// aggregates (logicalSelect.aggs): env.aggs[i] of a group's env.
+type aggRef struct {
+	*FuncExpr
+	i int
 }
 
-// collectAggs gathers aggregate FuncExpr nodes from an expression.
-func collectAggs(e Expr, out *[]*FuncExpr) {
-	switch x := e.(type) {
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			*out = append(*out, x)
-			return
-		}
-		for _, a := range x.Args {
-			collectAggs(a, out)
-		}
-	case *BinaryExpr:
-		collectAggs(x.Left, out)
-		collectAggs(x.Right, out)
-	case *UnaryExpr:
-		collectAggs(x.Expr, out)
-	case *IsNullExpr:
-		collectAggs(x.Expr, out)
-	case *BetweenExpr:
-		collectAggs(x.Expr, out)
-		collectAggs(x.Lo, out)
-		collectAggs(x.Hi, out)
-	case *InExpr:
-		collectAggs(x.Expr, out)
-		for _, a := range x.List {
-			collectAggs(a, out)
-		}
-	}
-}
-
-// evalGrouped evaluates an expression replacing aggregate nodes with their
-// accumulated results; bare columns evaluate against the representative.
-func evalGrouped(e Expr, g *group) (rel.Value, error) {
-	if f, ok := e.(*FuncExpr); ok && aggregateFuncs[f.Name] {
-		st, present := g.aggs[f]
-		if !present {
-			return rel.Null(), fmt.Errorf("sqlx: internal: missing aggregate state for %s", f.Name)
-		}
-		if f.Star {
-			if f.Name != "COUNT" {
-				return rel.Null(), fmt.Errorf("sqlx: %s(*) not supported", f.Name)
-			}
-			return rel.Int(int64(g.star)), nil
-		}
-		return st.result(f.Name), nil
-	}
-	switch x := e.(type) {
-	case *BinaryExpr:
-		return evalBinary(&BinaryExpr{Op: x.Op, Left: groupedProxy{x.Left, g}, Right: groupedProxy{x.Right, g}, like: x.like}, g.repr)
-	case *UnaryExpr:
-		return eval(&UnaryExpr{Op: x.Op, Expr: groupedProxy{x.Expr, g}}, g.repr)
-	case *FuncExpr:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = groupedProxy{a, g}
-		}
-		return evalScalarFunc(&FuncExpr{Name: x.Name, Args: args}, g.repr)
-	}
-	return eval(e, g.repr)
-}
-
-// groupedProxy lets evalBinary recurse through grouped evaluation: it is an
-// Expr whose evaluation routes back to evalGrouped.
-type groupedProxy struct {
-	inner Expr
-	g     *group
-}
-
-func (groupedProxy) expr() {}
-
-// evalOrderKey evaluates an ORDER BY key: aliases and ordinal positions
-// refer to output columns, everything else evaluates in the row env.
-func evalOrderKey(e Expr, items []SelectItem, row rel.Tuple, en *env) (rel.Value, error) {
-	if lit, ok := e.(*Literal); ok && lit.Value.Kind() == rel.KindInt {
-		pos, _ := lit.Value.AsInt()
-		if pos >= 1 && int(pos) <= len(row) {
-			return row[pos-1], nil
-		}
-	}
-	if cr, ok := e.(*ColumnRef); ok && cr.Table == "" {
-		for i, it := range items {
-			if strings.EqualFold(it.Alias, cr.Column) {
-				return row[i], nil
-			}
-		}
-	}
-	return eval(e, en)
-}
+func (*aggRef) expr() {}
 
 // exprString renders an expression canonically for structural comparison.
 func exprString(e Expr) string {
@@ -734,6 +576,10 @@ func exprString(e Expr) string {
 		return x.Value.String()
 	case *ColumnRef:
 		return strings.ToLower(x.Table) + "." + strings.ToLower(x.Column)
+	case *colRef:
+		return exprString(x.ColumnRef)
+	case *aggRef:
+		return exprString(x.FuncExpr)
 	case *BinaryExpr:
 		return "(" + exprString(x.Left) + x.Op + exprString(x.Right) + ")"
 	case *UnaryExpr:
@@ -782,15 +628,20 @@ func execInsert(db *rel.Database, s *InsertStmt) (*Result, error) {
 		}
 		idx[i] = j
 	}
-	empty := &env{}
-	for _, row := range s.Rows {
+	// VALUES may name no column; every row binds before any is added.
+	rows := make([][]Expr, len(s.Rows))
+	for i, row := range s.Rows {
 		if len(row) != len(cols) {
 			return nil, fmt.Errorf("sqlx: INSERT arity mismatch: %d values for %d columns", len(row), len(cols))
 		}
-		t := make(rel.Tuple, r.Schema.Len())
-		for i := range t {
-			t[i] = rel.Null()
+		var err error
+		if rows[i], err = (&resolver{db: db}).exprs(row, false); err != nil {
+			return nil, err
 		}
+	}
+	empty := &env{}
+	for _, row := range rows {
+		t := make(rel.Tuple, r.Schema.Len())
 		for i, e := range row {
 			v, err := eval(e, empty)
 			if err != nil {
@@ -843,13 +694,33 @@ func execDropTable(db *rel.Database, s *DropTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, error) {
-	r := db.Relation(s.Table)
+// bindDML resolves a DML statement's table and binds exprs against it
+// (nil ones stay nil), then materializes their IN subqueries. The env it
+// returns holds the table's current tuple at position 0.
+func bindDML(ctx context.Context, db *rel.Database, table string, exprs ...Expr) (*rel.Relation, []Expr, *env, error) {
+	r := db.Relation(table)
 	if r == nil {
-		return nil, fmt.Errorf("sqlx: no such table %q", s.Table)
+		return nil, nil, nil, fmt.Errorf("sqlx: no such table %q", table)
+	}
+	rs := &resolver{db: db, scope: []*tableLogical{{ref: &TableRef{Name: table}, schema: r.Schema}}}
+	bound, err := rs.exprs(exprs, false)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	rt := newRun()
-	if err := rt.materializeSubqueries(ctx, db, s.Where); err != nil {
+	if err := rt.materialize(ctx, db, rs.subs); err != nil {
+		return nil, nil, nil, err
+	}
+	return r, bound, &env{rt: rt, tuples: make([]rel.Tuple, 1)}, nil
+}
+
+func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, error) {
+	exprs := []Expr{s.Where}
+	for _, a := range s.Set {
+		exprs = append(exprs, a.Value)
+	}
+	r, bound, e, err := bindDML(ctx, db, s.Table, exprs...)
+	if err != nil {
 		return nil, err
 	}
 	idx := make([]int, len(s.Set))
@@ -862,18 +733,16 @@ func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, 
 	}
 	n := 0
 	for ti, t := range r.Tuples {
-		e := &env{rt: rt, bindings: []binding{{name: s.Table, schema: r.Schema, tuple: t}}}
-		if s.Where != nil {
-			v, err := eval(s.Where, e)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.AsBool(); !ok || !b {
-				continue
-			}
+		e.tuples[0] = t
+		ok, err := holds(bound[0], e)
+		if err != nil {
+			return nil, err
 		}
-		for i, a := range s.Set {
-			v, err := eval(a.Value, e)
+		if !ok {
+			continue
+		}
+		for i, value := range bound[1:] {
+			v, err := eval(value, e)
 			if err != nil {
 				return nil, err
 			}
@@ -888,27 +757,17 @@ func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, 
 }
 
 func execDelete(ctx context.Context, db *rel.Database, s *DeleteStmt) (*Result, error) {
-	r := db.Relation(s.Table)
-	if r == nil {
-		return nil, fmt.Errorf("sqlx: no such table %q", s.Table)
-	}
-	rt := newRun()
-	if err := rt.materializeSubqueries(ctx, db, s.Where); err != nil {
+	r, where, e, err := bindDML(ctx, db, s.Table, s.Where)
+	if err != nil {
 		return nil, err
 	}
 	var kept []rel.Tuple
 	n := 0
 	for _, t := range r.Tuples {
-		e := &env{rt: rt, bindings: []binding{{name: s.Table, schema: r.Schema, tuple: t}}}
-		del := s.Where == nil
-		if s.Where != nil {
-			v, err := eval(s.Where, e)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.AsBool(); ok && b {
-				del = true
-			}
+		e.tuples[0] = t
+		del, err := holds(where[0], e)
+		if err != nil {
+			return nil, err
 		}
 		if del {
 			n++

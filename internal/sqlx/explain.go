@@ -26,7 +26,7 @@ import (
 func (p *Plan) Explain(db *rel.Database) (string, error) {
 	rt := newRun()
 	rt.explain = true
-	_, _, root, err := buildSelect(context.Background(), db, p.stmt, p.lg, rt)
+	_, _, root, err := buildSelect(context.Background(), db, p.lg, rt)
 	if err != nil {
 		return "", err
 	}
@@ -104,23 +104,21 @@ func limitEst(in float64, s *SelectStmt) float64 {
 // groupEst estimates group count as the product of the grouping
 // columns' distinct counts (fallback guess per non-column key), capped
 // by the input cardinality.
-func groupEst(db *rel.Database, sel *selectAccess, groupBy []Expr, in float64) float64 {
-	if len(groupBy) == 0 {
+func groupEst(db *rel.Database, sel *selectAccess, lg *logicalSelect, in float64) float64 {
+	if len(lg.groupBy) == 0 {
 		return 1
 	}
-	bd := newBinder(db)
-	if sel != nil {
-		if sel.scan != nil {
-			bd.add(sel.scan.binding, sel.scan.r)
-		}
-		for _, ja := range sel.joins {
-			bd.add(ja.binding, ja.right)
-		}
+	bd := newBinder(db, lg)
+	if sel.scan != nil {
+		bd.rels[sel.scan.tl.pos] = sel.scan.r
+	}
+	for _, ja := range sel.joins {
+		bd.rels[ja.tl.pos] = ja.right
 	}
 	est := 1.0
-	for _, e := range groupBy {
+	for _, e := range lg.groupBy {
 		d := 0.0
-		if cr, ok := e.(*ColumnRef); ok {
+		if cr, ok := e.(*colRef); ok {
 			d = bd.ndv(cr)
 		}
 		if d <= 0 {

@@ -1,8 +1,14 @@
 package sqlx
 
 import (
+	"context"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/rel"
 )
 
 // fuzzSeeds covers every statement kind and the grammar corners that
@@ -50,9 +56,48 @@ func roundTrip(t *testing.T, sql string) {
 	if r1 != r2 {
 		t.Fatalf("render is not a fixpoint\ninput:  %q\nfirst:  %q\nsecond: %q", sql, r1, r2)
 	}
-	if _, ok := stmt2.(*SelectStmt); ok {
-		if _, err := Prepare(nil, r1); err != nil {
-			t.Fatalf("rendered SELECT does not prepare\ninput:    %q\nrendered: %q\nerror:    %v", sql, r1, err)
+}
+
+// resolveError matches the errors the resolver reports: names, functions,
+// arities and aggregate placement.
+var resolveError = regexp.MustCompile(`unknown column|ambiguous column|no column|unknown table binding|unknown function|takes \d|not allowed here|must appear in grouped`)
+
+// emptied copies db's relations without their tuples.
+func emptied(db *rel.Database) *rel.Database {
+	out := rel.NewDatabase("empty")
+	for _, r := range db.Relations() {
+		out.Create(r.Name, r.Schema)
+	}
+	return out
+}
+
+// sameVerdict asserts that a query's validity does not depend on the
+// data: Prepare gives the same verdict over full and over its emptied
+// copy, and once it accepts, no execution over either reports an error
+// the resolver should have. Executions are cut short (a few batches, a
+// short deadline), as arbitrary cross joins may be large.
+func sameVerdict(t *testing.T, full, empty *rel.Database, sql string) {
+	t.Helper()
+	pf, errFull := Prepare(full, sql)
+	pe, errEmpty := Prepare(empty, sql)
+	if fmt.Sprint(errFull) != fmt.Sprint(errEmpty) {
+		t.Fatalf("Prepare(%q) depends on the data:\nfull:  %v\nempty: %v", sql, errFull, errEmpty)
+	}
+	if errFull != nil {
+		return
+	}
+	for _, run := range []struct {
+		p  *Plan
+		db *rel.Database
+	}{{pf, full}, {pe, empty}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		cur, err := run.p.Open(ctx, run.db)
+		for i := 0; err == nil && i < 3*vecBatch; i++ {
+			_, err = cur.Next(ctx)
+		}
+		cancel()
+		if err != nil && resolveError.MatchString(err.Error()) {
+			t.Fatalf("%q prepared, then failed as only Prepare should: %v", sql, err)
 		}
 	}
 }
@@ -86,8 +131,10 @@ func TestRenderCanonical(t *testing.T) {
 	}
 }
 
-// FuzzPrepare throws arbitrary bytes at the parser: it must never
-// panic, and anything it accepts must survive the render round trip.
+// FuzzPrepare throws arbitrary bytes at the parser and the resolver: they
+// must never panic, anything the parser accepts must survive the render
+// round trip, and whether a query prepares must not depend on the data
+// (sameVerdict).
 func FuzzPrepare(f *testing.F) {
 	for _, sql := range fuzzSeeds {
 		f.Add(sql)
@@ -98,7 +145,27 @@ func FuzzPrepare(f *testing.F) {
 	f.Add(`SELECT 'unterminated`)
 	f.Add(`SELECT 1 FROM`)
 	f.Add(strings.Repeat(`(`, 100))
+	// Queries over goldenDB, valid and not, for the data-independence
+	// property.
+	for _, sql := range []string{
+		`SELECT f.id, d.name FROM fact f JOIN dim d ON f.dim_id = d.id WHERE d.id < 10 ORDER BY 2 DESC`,
+		`SELECT grp, COUNT(*) FROM fact GROUP BY grp HAVING COUNT(*) > 440 ORDER BY grp`,
+		`SELECT a.id FROM dim a JOIN idim b ON a.id = b.id JOIN dim c ON b.id = c.id WHERE c.name <> 'x'`,
+		`SELECT id, seq FROM motif WHERE seq LIKE '%ACGTA%' AND id IN (SELECT id FROM idim) ORDER BY seq`,
+		`SELECT nosuch FROM fact`,
+		`SELECT id FROM fact f JOIN dim d ON f.dim_id = d.id`,
+		`SELECT id FROM fact WHERE grp = 9 AND NOSUCH = 1`,
+		`SELECT f.id FROM fact f LEFT JOIN dim d ON f.dim_id = d.nosuch`,
+		`SELECT note FROM fact GROUP BY x.note ORDER BY note`,
+		`SELECT name FROM idim WHERE id IN (SELECT nosuch FROM motif)`,
+		`SELECT grp, SUM(id) FROM fact GROUP BY grp ORDER BY id`,
+	} {
+		f.Add(sql)
+	}
+	full := goldenDB(f)
+	empty := emptied(full)
 	f.Fuzz(func(t *testing.T, sql string) {
 		roundTrip(t, sql)
+		sameVerdict(t, full, empty, sql)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/rel"
@@ -67,71 +66,36 @@ func (rt *run) close() {
 	}
 }
 
-// item is one element flowing between operators: an environment of table
-// bindings before projection, a projected output row after. The order
-// operator keeps both so ORDER BY can reference non-projected columns.
+// item is one element flowing between operators: an environment (a
+// tuple per FROM table) before projection, a projected output row after.
+// The order operator keeps both so ORDER BY can reference non-projected
+// columns.
 type item struct {
 	env *env
 	row rel.Tuple
 }
 
 // materializeAll runs the uncorrelated IN (SELECT ...) subqueries of a
-// SELECT and its UNION chain into the run, before the build. The logical
-// plan partitions the WHERE conjuncts, so every pushed filter and
-// residual conjunct is walked (IN nodes keep their identity through the
-// rewrite, which keys the materialized results), and HAVING.
+// SELECT and its UNION chain into the run, before the build.
 func (rt *run) materializeAll(ctx context.Context, db *rel.Database, lg *logicalSelect) error {
 	for ; lg != nil; lg = lg.union {
-		for _, tl := range lg.tables {
-			for _, f := range tl.filters {
-				if err := rt.materializeSubqueries(ctx, db, f); err != nil {
-					return err
-				}
-			}
-		}
-		for _, c := range lg.residual {
-			if err := rt.materializeSubqueries(ctx, db, c); err != nil {
-				return err
-			}
-		}
-		if err := rt.materializeSubqueries(ctx, db, lg.s.Having); err != nil {
+		if err := rt.materialize(ctx, db, lg.subs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// materializeSubqueries executes uncorrelated IN (SELECT ...) subqueries
-// in an expression tree and stores their value lists in the run, keyed by
-// node. Correlated subqueries (referencing outer bindings) are not
-// supported and surface as unknown-column errors from the inner select.
-func (rt *run) materializeSubqueries(ctx context.Context, db *rel.Database, e Expr) error {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *InExpr:
-		if err := rt.materializeSubqueries(ctx, db, x.Expr); err != nil {
-			return err
-		}
-		for _, le := range x.List {
-			if err := rt.materializeSubqueries(ctx, db, le); err != nil {
-				return err
-			}
-		}
-		if x.Sub == nil {
-			return nil
-		}
-		if _, done := rt.subs[x]; done {
-			return nil
-		}
-		cols, it, err := openSelect(ctx, db, x.Sub, buildLogical(db, x.Sub), rt)
+// materialize executes bound IN (SELECT ...) subqueries and stores their
+// value sets in the run, keyed by node: a cached plan's nodes are shared,
+// and never written.
+func (rt *run) materialize(ctx context.Context, db *rel.Database, subs []*InExpr) error {
+	for _, x := range subs {
+		_, it, err := openSelect(ctx, db, x.lg, rt)
 		if err != nil {
 			return fmt.Errorf("sqlx: IN subquery: %w", err)
 		}
-		if len(cols) != 1 {
-			return fmt.Errorf("sqlx: IN subquery must return one column, got %d", len(cols))
-		}
-		vals := make([]rel.Value, 0)
+		var vals []rel.Value
 		for {
 			items, err := it.next(ctx, vecBatch)
 			if err == io.EOF {
@@ -145,73 +109,23 @@ func (rt *run) materializeSubqueries(ctx context.Context, db *rel.Database, e Ex
 			}
 		}
 		rt.subs[x] = newInSet(vals)
-		return nil
-	case *BinaryExpr:
-		if err := rt.materializeSubqueries(ctx, db, x.Left); err != nil {
-			return err
-		}
-		return rt.materializeSubqueries(ctx, db, x.Right)
-	case *UnaryExpr:
-		return rt.materializeSubqueries(ctx, db, x.Expr)
-	case *IsNullExpr:
-		return rt.materializeSubqueries(ctx, db, x.Expr)
-	case *BetweenExpr:
-		if err := rt.materializeSubqueries(ctx, db, x.Expr); err != nil {
-			return err
-		}
-		if err := rt.materializeSubqueries(ctx, db, x.Lo); err != nil {
-			return err
-		}
-		return rt.materializeSubqueries(ctx, db, x.Hi)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			if err := rt.materializeSubqueries(ctx, db, a); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
 
-// rightFilterOK evaluates the pushed-down filters against one right
-// tuple in isolation.
-func rightFilterOK(filters []Expr, bname string, schema *rel.Schema, t rel.Tuple, rt *run) (bool, error) {
-	if len(filters) == 0 {
-		return true, nil
-	}
-	e := &env{rt: rt, bindings: []binding{{name: bname, schema: schema, tuple: t}}}
-	for _, f := range filters {
-		v, err := eval(f, e)
-		if err != nil {
+// rightOK evaluates ja's pushed-down filters against one right tuple in
+// isolation. The filters reference ja's table alone, so scratch (from
+// newScratch) holds nothing else.
+func (ja *joinAccess) rightOK(scratch *env, t rel.Tuple) (bool, error) {
+	scratch.tuples[ja.tl.pos] = t
+	for _, f := range ja.filters {
+		if ok, err := holds(f, scratch); !ok || err != nil {
 			return false, err
-		}
-		if b, ok := v.AsBool(); !ok || !b {
-			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// rowOrderKey resolves an ORDER BY key against output rows.
-func rowOrderKey(e Expr, items []SelectItem, columns []string, row rel.Tuple) (rel.Value, error) {
-	if lit, ok := e.(*Literal); ok && lit.Value.Kind() == rel.KindInt {
-		pos, _ := lit.Value.AsInt()
-		if pos >= 1 && int(pos) <= len(row) {
-			return row[pos-1], nil
-		}
-	}
-	if cr, ok := e.(*ColumnRef); ok && cr.Table == "" {
-		for i := range columns {
-			if strings.EqualFold(columns[i], cr.Column) {
-				return row[i], nil
-			}
-		}
-	}
-	// Match structurally equal expressions against projection items.
-	for i, it := range items {
-		if exprString(it.Expr) == exprString(e) {
-			return row[i], nil
-		}
-	}
-	return rel.Null(), fmt.Errorf("sqlx: ORDER BY expression must appear in grouped SELECT list")
+func (ja *joinAccess) newScratch(rt *run) *env {
+	return &env{rt: rt, tuples: make([]rel.Tuple, ja.tl.pos+1)}
 }

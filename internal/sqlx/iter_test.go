@@ -237,36 +237,58 @@ func TestPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := drain(t, c); len(rows) != 2 {
+	rows := drain(t, c)
+	if len(rows) != 2 {
 		t.Fatalf("after insert: %d rows, want 2 (subquery must re-run)", len(rows))
 	}
 
+	// Concurrent runs share the plans: this one, and a join with
+	// grouping, HAVING and ORDER BY, whose resolved columns, aggregate
+	// slots and sort keys every run reads.
+	q, err := Prepare(db, `SELECT a.id % 7 AS k, COUNT(*) AS n, MAX(b.tag) FROM a JOIN b ON a.id = b.id
+		WHERE b.id IN (SELECT id FROM b WHERE id < 80) GROUP BY a.id % 7 HAVING COUNT(*) > 10 ORDER BY n DESC, k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err = q.Open(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ := drain(t, c)
+	if len(wantQ) != 7 {
+		t.Fatalf("grouped join: %d rows, want 7", len(wantQ))
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := p.Open(context.Background(), db)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			var n int
-			for {
-				_, err := c.Next(context.Background())
-				if err == io.EOF {
-					break
-				}
+		for _, run := range []struct {
+			p    *Plan
+			want []rel.Tuple
+		}{{p, rows}, {q, wantQ}} {
+			wg.Add(1)
+			go func(p *Plan, want string) {
+				defer wg.Done()
+				c, err := p.Open(context.Background(), db)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				n++
-			}
-			if n != 2 {
-				t.Errorf("concurrent run: %d rows, want 2", n)
-			}
-		}()
+				var got []rel.Tuple
+				for {
+					row, err := c.Next(context.Background())
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got = append(got, row)
+				}
+				if fmt.Sprint(got) != want {
+					t.Errorf("concurrent run of %q: %v, want %s", p.SQL(), got, want)
+				}
+			}(run.p, fmt.Sprint(run.want))
+		}
 	}
 	wg.Wait()
 }

@@ -1,13 +1,15 @@
 package sqlx
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/rel"
 )
 
 // This file is the rewrite half of the rule-based optimizer. Prepare
-// lowers a parsed SelectStmt into a logical plan by applying, in order:
+// resolves a parsed SelectStmt's names (resolve.go) and lowers it into a
+// logical plan by applying, in order:
 //
 //  1. constant folding over the WHERE tree,
 //  2. conjunct normalization (the AND tree is split into a flat list),
@@ -23,8 +25,8 @@ import (
 // database snapshot — choosing index scans, join strategies and build
 // sides — happens at Open time in access.go.
 
-// logicalSelect is the rewritten form of one SELECT; union mirrors the
-// statement's UNION chain.
+// logicalSelect is the resolved and rewritten form of one SELECT; union
+// mirrors the statement's UNION chain.
 type logicalSelect struct {
 	s      *SelectStmt
 	tables []*tableLogical
@@ -33,6 +35,22 @@ type logicalSelect struct {
 	// and predicates on the nullable side of a LEFT JOIN.
 	residual []Expr
 	union    *logicalSelect
+	// items are the bound select items, stars expanded, and cols their
+	// output names.
+	items   []Expr
+	cols    []string
+	groupBy []Expr
+	having  Expr
+	// grouped selects aggregate aggs, the aggregate calls of their items
+	// and HAVING, per group.
+	grouped bool
+	aggs    []*FuncExpr
+	// order applies to this SELECT's rows, or, at a UNION head, to the
+	// combined rows.
+	order []orderKey
+	// subs are this SELECT's IN subqueries (not its UNION branches'),
+	// materialized before every run.
+	subs []*InExpr
 }
 
 // tableLogical is one FROM or JOIN table together with the predicates
@@ -40,6 +58,11 @@ type logicalSelect struct {
 type tableLogical struct {
 	ref  *TableRef
 	join *Join // nil for the FROM table
+	// pos is the table's FROM position, and schema the one its names
+	// resolved against.
+	pos    int
+	schema *rel.Schema
+	on     Expr // the bound ON predicate
 	// filters are the pushed-down conjuncts, evaluated on this table's
 	// rows below the join.
 	filters []Expr
@@ -56,27 +79,77 @@ type eqPred struct {
 	expr Expr // the original conjunct, for filter bookkeeping and display
 }
 
-// buildLogical lowers a SELECT (and its UNION chain) into its logical
-// plan. db supplies schema information for resolving unqualified column
-// references; it may be nil, in which case pushdown is limited to
-// explicitly qualified predicates and single-table selects.
-func buildLogical(db *rel.Database, s *SelectStmt) *logicalSelect {
+// buildLogical resolves a SELECT (and its UNION chain) against db's
+// schemas and lowers it into its logical plan.
+func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 	lg := &logicalSelect{s: s}
-	if s.From != nil {
-		lg.tables = append(lg.tables, &tableLogical{ref: s.From})
-		for i := range s.Joins {
-			j := &s.Joins[i]
-			lg.tables = append(lg.tables, &tableLogical{ref: j.Table, join: j})
+	r := &resolver{db: db}
+	for i := -1; s.From != nil && i < len(s.Joins); i++ {
+		tl := &tableLogical{ref: s.From, pos: i + 1}
+		if i >= 0 {
+			tl.join = &s.Joins[i]
+			tl.ref = tl.join.Table
+		}
+		rl := db.Relation(tl.ref.Name)
+		if rl == nil {
+			return nil, fmt.Errorf("sqlx: no such table %q", tl.ref.Name)
+		}
+		tl.schema = rl.Schema
+		lg.tables = append(lg.tables, tl)
+		if tl.join != nil && tl.join.On != nil {
+			// ON sees the tables joined so far and its own.
+			r.scope = lg.tables
+			var err error
+			if tl.on, err = r.expr(tl.join.On, false); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, c := range splitConjuncts(foldExpr(s.Where)) {
+	r.scope = lg.tables
+	// Select items, stars expanded; items keeps them as written for
+	// ORDER BY.
+	var items []SelectItem
+	for _, it := range s.Items {
+		if !it.Star {
+			e, err := r.expr(it.Expr, true)
+			if err != nil {
+				return nil, err
+			}
+			items = append(items, it)
+			lg.items = append(lg.items, e)
+			lg.cols = append(lg.cols, itemName(it))
+			continue
+		}
+		n := len(items)
+		for _, tl := range lg.tables {
+			b := tl.ref.Binding()
+			if it.StarTable != "" && !strings.EqualFold(it.StarTable, b) {
+				continue
+			}
+			for c, col := range tl.schema.Columns {
+				cr := &ColumnRef{Table: b, Column: col.Name}
+				items = append(items, SelectItem{Expr: cr})
+				lg.items = append(lg.items, &colRef{cr, tl.pos, c})
+				lg.cols = append(lg.cols, col.Name)
+			}
+		}
+		if it.StarTable != "" && len(items) == n {
+			return nil, fmt.Errorf("sqlx: unknown table binding %q", it.StarTable)
+		}
+	}
+	lg.grouped = len(r.aggs) > 0 || len(s.GroupBy) > 0
+	where, err := r.expr(s.Where, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range splitConjuncts(foldExpr(where)) {
 		// Rule: drop conjuncts folded to constant TRUE.
 		if lit, ok := c.(*Literal); ok {
 			if b, ok := lit.Value.AsBool(); ok && b {
 				continue
 			}
 		}
-		ti := soleBinding(db, lg, c)
+		ti := soleBinding(c)
 		if ti >= 0 && pushable(lg.tables[ti]) {
 			tl := lg.tables[ti]
 			tl.filters = append(tl.filters, c)
@@ -87,10 +160,50 @@ func buildLogical(db *rel.Database, s *SelectStmt) *logicalSelect {
 			lg.residual = append(lg.residual, c)
 		}
 	}
-	if s.Union != nil {
-		lg.union = buildLogical(db, s.Union)
+	if lg.groupBy, err = r.exprs(s.GroupBy, false); err != nil {
+		return nil, err
 	}
-	return lg
+	if lg.having, err = r.expr(s.Having, true); err != nil {
+		return nil, err
+	}
+	rows := lg.grouped
+	if s.Union != nil {
+		if lg.union, err = buildLogical(db, s.Union); err != nil {
+			return nil, err
+		}
+		for u := lg.union; u != nil; u = u.union {
+			if len(u.cols) != len(lg.cols) {
+				return nil, fmt.Errorf("sqlx: UNION arity mismatch: %d vs %d columns", len(lg.cols), len(u.cols))
+			}
+		}
+		items, rows = nil, true
+	}
+	if lg.order, err = r.orderKeys(s.OrderBy, items, lg.cols, rows); err != nil {
+		return nil, err
+	}
+	lg.subs, lg.aggs = r.subs, r.aggs
+	return lg, nil
+}
+
+// relation returns tl's relation in db. The plan reads columns at the
+// indexes Prepare resolved, so the relation must still have the columns
+// it had then: DDL may run between Prepare and Open.
+func (tl *tableLogical) relation(db *rel.Database) (*rel.Relation, error) {
+	r := db.Relation(tl.ref.Name)
+	if r == nil {
+		return nil, fmt.Errorf("sqlx: no such table %q", tl.ref.Name)
+	}
+	if r.Schema != tl.schema {
+		now, then := r.Schema.Columns, tl.schema.Columns
+		same := len(now) == len(then)
+		for i := 0; same && i < len(now); i++ {
+			same = strings.EqualFold(now[i].Name, then[i].Name)
+		}
+		if !same {
+			return nil, fmt.Errorf("sqlx: table %q changed since the statement was prepared", tl.ref.Name)
+		}
+	}
+	return r, nil
 }
 
 // pushable reports whether predicates may move below tl's join: always
@@ -134,7 +247,7 @@ func foldExpr(e Expr) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
-	case *Literal, *ColumnRef, *InExpr:
+	case *Literal, *colRef, *InExpr:
 		return e
 	case *BinaryExpr:
 		l, r := foldExpr(x.Left), foldExpr(x.Right)
@@ -165,9 +278,6 @@ func foldExpr(e Expr) Expr {
 		}
 		return tryFold(n, isLiteral(v) && isLiteral(lo) && isLiteral(hi))
 	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return e
-		}
 		args := make([]Expr, len(x.Args))
 		changed := false
 		allLit := !x.Star
@@ -203,72 +313,28 @@ func tryFold(e Expr, allLiteral bool) Expr {
 	return &Literal{Value: v}
 }
 
-// soleBinding resolves every column reference in e (excluding subquery
-// scopes) and returns the index of the single table binding they all
-// belong to, or -1 when the conjunct spans bindings, references nothing,
-// or cannot be resolved.
-func soleBinding(db *rel.Database, lg *logicalSelect, e Expr) int {
-	var refs []*ColumnRef
+// soleBinding returns the FROM position of the single table every
+// column reference in e (excluding subquery scopes) belongs to, or -1
+// when the conjunct spans tables or references none.
+func soleBinding(e Expr) int {
+	var refs []*colRef
 	collectColumnRefs(e, &refs)
-	if len(refs) == 0 {
-		return -1
-	}
 	target := -1
-	for _, cr := range refs {
-		ti := resolveBinding(db, lg, cr)
-		if ti < 0 {
+	for i, c := range refs {
+		if i > 0 && c.tab != target {
 			return -1
 		}
-		if target == -1 {
-			target = ti
-		} else if target != ti {
-			return -1
-		}
+		target = c.tab
 	}
 	return target
-}
-
-// resolveBinding maps one column reference to a table index: by binding
-// name when qualified, by schema membership otherwise (requires db;
-// ambiguous columns resolve to no binding and the conjunct stays
-// residual, where evaluation reports the ambiguity).
-func resolveBinding(db *rel.Database, lg *logicalSelect, cr *ColumnRef) int {
-	if cr.Table != "" {
-		for i, tl := range lg.tables {
-			if strings.EqualFold(tl.ref.Binding(), cr.Table) {
-				return i
-			}
-		}
-		return -1
-	}
-	if len(lg.tables) == 1 {
-		return 0
-	}
-	if db == nil {
-		return -1
-	}
-	found := -1
-	for i, tl := range lg.tables {
-		r := db.Relation(tl.ref.Name)
-		if r == nil {
-			return -1
-		}
-		if r.Schema.Index(cr.Column) >= 0 {
-			if found >= 0 {
-				return -1
-			}
-			found = i
-		}
-	}
-	return found
 }
 
 // collectColumnRefs gathers the column references of the current scope;
 // it does not descend into IN subqueries, whose references resolve
 // against their own FROM clause.
-func collectColumnRefs(e Expr, out *[]*ColumnRef) {
+func collectColumnRefs(e Expr, out *[]*colRef) {
 	switch x := e.(type) {
-	case *ColumnRef:
+	case *colRef:
 		*out = append(*out, x)
 	case *BinaryExpr:
 		collectColumnRefs(x.Left, out)
@@ -299,12 +365,12 @@ func eqConst(e Expr) (string, rel.Value, bool) {
 	if !ok || be.Op != "=" {
 		return "", rel.Value{}, false
 	}
-	if cr, ok := be.Left.(*ColumnRef); ok {
+	if cr, ok := be.Left.(*colRef); ok {
 		if lit, ok := be.Right.(*Literal); ok {
 			return cr.Column, lit.Value, true
 		}
 	}
-	if cr, ok := be.Right.(*ColumnRef); ok {
+	if cr, ok := be.Right.(*colRef); ok {
 		if lit, ok := be.Left.(*Literal); ok {
 			return cr.Column, lit.Value, true
 		}

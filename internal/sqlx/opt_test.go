@@ -168,9 +168,12 @@ func TestPushdownPreservesLeftJoin(t *testing.T) {
 // under a LIMIT the right scan stops early.
 func TestSmallerSideHashBuild(t *testing.T) {
 	_, stripped := optDB(t)
-	lg := buildLogical(stripped, mustParseSelect(t,
+	lg, err := buildLogical(stripped, mustParseSelect(t,
 		`SELECT p.name, o.species FROM organism o JOIN protein p ON p.organism_id = o.id WHERE o.id = 3`))
-	ja, err := bindJoin(newBinder(stripped), lg.tables[1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ja, err := bindJoin(newBinder(stripped, lg), lg.tables[1], 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -793,11 +793,6 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-var scalarFuncs = map[string]bool{
-	"LENGTH": true, "LOWER": true, "UPPER": true, "SUBSTR": true,
-	"ABS": true, "TRIM": true, "COALESCE": true, "ROUND": true,
-}
-
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
@@ -835,7 +830,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return nil, fmt.Errorf("sqlx: unexpected keyword %q in expression at offset %d", t.text, t.pos)
 	case tokIdent:
 		// function call?
-		if scalarFuncs[strings.ToUpper(t.text)] && p.i+1 < len(p.toks) &&
+		if _, ok := scalarArity[strings.ToUpper(t.text)]; ok && p.i+1 < len(p.toks) &&
 			p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
 			return p.parseFuncCall()
 		}

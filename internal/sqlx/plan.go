@@ -9,25 +9,28 @@ import (
 	"repro/internal/rel"
 )
 
-// Plan is a prepared SELECT statement: the parse tree validated against a
-// database, ready to be opened as a streaming cursor any number of times.
-// A Plan is immutable after Prepare — concurrent Open calls (each with
-// its own database snapshot) are safe, which is what makes plans
-// cacheable by SQL text.
+// Plan is a prepared SELECT statement: the parse tree with every name
+// resolved against a database's schemas, ready to be opened as a
+// streaming cursor any number of times. A Plan is immutable after
+// Prepare — concurrent Open calls (each with its own database snapshot)
+// are safe, which is what makes plans cacheable by SQL text.
 type Plan struct {
-	sql  string
-	stmt *SelectStmt
-	// lg is the rewritten logical plan (conjuncts normalized, constants
+	sql string
+	// lg is the resolved, rewritten logical plan (names bound, constants
 	// folded, predicates pushed below joins, equality conjuncts
 	// extracted); physical access paths bind per Open. See logical.go.
 	lg *logicalSelect
 }
 
-// Prepare parses sql into an executable plan. Only SELECT statements can
-// be planned — DML and DDL have no streaming shape and go through Exec.
-// When db is non-nil, table references and star expansions are validated
-// against it so errors surface at prepare time; binding to actual data
-// happens at Open, so one plan can serve successive database snapshots.
+// Prepare parses sql into an executable plan against db, which must not
+// be nil. Only SELECT statements can be planned — DML and DDL have no
+// streaming shape and go through Exec. Every table and column name
+// resolves here, whatever the data: an unknown or ambiguous name, a
+// function given the wrong number of arguments, a misplaced aggregate or
+// an ORDER BY key a grouped select does not output fails Prepare, on an
+// empty relation as on a full one. Access
+// paths bind at Open, so one plan serves successive database snapshots
+// whose relations keep the columns it resolved.
 func Prepare(db *rel.Database, sql string) (*Plan, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -37,25 +40,22 @@ func Prepare(db *rel.Database, sql string) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqlx: cannot prepare %T: only SELECT statements have a streaming plan", stmt)
 	}
-	p := &Plan{sql: sql, stmt: sel}
-	if db != nil {
-		for cur := sel; cur != nil; cur = cur.Union {
-			if _, _, err := expandItems(db, cur); err != nil {
-				return nil, err
-			}
-		}
+	lg, err := buildLogical(db, sel)
+	if err != nil {
+		return nil, err
 	}
-	p.lg = buildLogical(db, sel)
-	return p, nil
+	return &Plan{sql: sql, lg: lg}, nil
 }
 
 // SQL returns the statement text the plan was prepared from.
 func (p *Plan) SQL() string { return p.sql }
 
-// Open starts one pull-based execution of the plan against db. The
-// returned cursor owns no locks and holds no reference to the plan's
-// caller; it stays valid as long as db's relations are not mutated (an
-// immutable snapshot makes that unconditional).
+// Open starts one pull-based execution of the plan against db, choosing
+// its access paths there. It fails if a relation the plan reads is gone
+// or no longer has the columns Prepare resolved. The returned cursor owns
+// no locks and holds no reference to the plan's caller; it stays valid
+// as long as db's relations are not mutated (an immutable snapshot makes
+// that unconditional).
 func (p *Plan) Open(ctx context.Context, db *rel.Database) (*Cursor, error) {
 	return p.OpenParallel(ctx, db, 1)
 }
@@ -72,7 +72,7 @@ func (p *Plan) OpenParallel(ctx context.Context, db *rel.Database, workers int) 
 	if workers > 1 {
 		rt.workers = workers
 	}
-	cols, it, err := openSelect(ctx, db, p.stmt, p.lg, rt)
+	cols, it, err := openSelect(ctx, db, p.lg, rt)
 	if err != nil {
 		rt.close()
 		return nil, err
@@ -84,8 +84,10 @@ func (p *Plan) OpenParallel(ctx context.Context, db *rel.Database, workers int) 
 // demand: a cursor abandoned after k rows has evaluated only the input
 // needed for those k rows (modulo pipeline breakers like ORDER BY and
 // aggregation, which drain their input on the first pull, and parallel
-// morsels already in flight). A Cursor is not safe for concurrent use;
-// open one per goroutine.
+// morsels already in flight). Names were resolved at Prepare, so a
+// cursor's errors come from values (division by zero, a non-numeric
+// operand) and cancellation, never from a name. A Cursor is not safe for
+// concurrent use; open one per goroutine.
 type Cursor struct {
 	cols []string
 	// it is the operator tree; buf holds its last batch, refilled one

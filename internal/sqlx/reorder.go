@@ -1,10 +1,6 @@
 package sqlx
 
-import (
-	"fmt"
-
-	"repro/internal/rel"
-)
+import "repro/internal/rel"
 
 // Greedy join reordering: a maximal prefix of inner (or cross) joins is
 // commutative, so its tables can be joined in any order as long as every
@@ -20,10 +16,9 @@ import (
 type onConj struct {
 	expr     Expr
 	bindings map[int]bool // prefix table indices referenced
-	// eqL/eqR (with table indices bL/bR) are set when expr is a
-	// "colA = colB" equality across two distinct bindings — a join edge.
-	eqL, eqR *ColumnRef
-	bL, bR   int
+	// bL/bR are the tables of a "colA = colB" equality across two
+	// distinct tables — a join edge; -1 for any other conjunct.
+	bL, bR int
 }
 
 // reorderInfo describes the maximal reorderable prefix.
@@ -34,11 +29,11 @@ type reorderInfo struct {
 
 // reorderPrefix analyzes lg for a reorderable prefix of at least three
 // tables. Reordering is conservative: every ON conjunct of the prefix
-// must consist of explicitly qualified column references resolving into
-// the prefix, so moving a conjunct can never change how its columns
-// resolve. Anything else keeps parse order.
-func reorderPrefix(db *rel.Database, lg *logicalSelect) (*reorderInfo, bool) {
-	if !ReorderJoins || db == nil {
+// must consist of explicitly qualified column references. (They resolve
+// into the prefix: an ON sees only the tables joined before it.)
+// Anything else keeps parse order.
+func reorderPrefix(lg *logicalSelect) (*reorderInfo, bool) {
+	if !ReorderJoins {
 		return nil, false
 	}
 	n := 1
@@ -54,9 +49,9 @@ func reorderPrefix(db *rel.Database, lg *logicalSelect) (*reorderInfo, bool) {
 	}
 	info := &reorderInfo{n: n}
 	for i := 1; i < n; i++ {
-		for _, c := range splitConjuncts(lg.tables[i].join.On) {
+		for _, c := range splitConjuncts(lg.tables[i].on) {
 			oc := onConj{expr: c, bindings: make(map[int]bool), bL: -1, bR: -1}
-			var refs []*ColumnRef
+			var refs []*colRef
 			collectColumnRefs(c, &refs)
 			if len(refs) == 0 {
 				return nil, false
@@ -65,21 +60,13 @@ func reorderPrefix(db *rel.Database, lg *logicalSelect) (*reorderInfo, bool) {
 				if cr.Table == "" {
 					return nil, false
 				}
-				ti := resolveBinding(db, lg, cr)
-				if ti < 0 || ti >= n {
-					return nil, false
-				}
-				oc.bindings[ti] = true
+				oc.bindings[cr.tab] = true
 			}
 			if be, ok := c.(*BinaryExpr); ok && be.Op == "=" {
-				l, lok := be.Left.(*ColumnRef)
-				r, rok := be.Right.(*ColumnRef)
-				if lok && rok {
-					li := resolveBinding(db, lg, l)
-					ri := resolveBinding(db, lg, r)
-					if li != ri {
-						oc.eqL, oc.eqR, oc.bL, oc.bR = l, r, li, ri
-					}
+				l, lok := be.Left.(*colRef)
+				r, rok := be.Right.(*colRef)
+				if lok && rok && l.tab != r.tab {
+					oc.bL, oc.bR = l.tab, r.tab
 				}
 			}
 			info.pool = append(info.pool, oc)
@@ -102,7 +89,7 @@ func (oc *onConj) covered(joined []bool, t int) bool {
 // edgeWith reports whether oc is an equality edge connecting t to the
 // joined set.
 func (oc *onConj) edgeWith(joined []bool, t int) bool {
-	if oc.eqL == nil {
+	if oc.bL < 0 {
 		return false
 	}
 	return (oc.bL == t && joined[oc.bR]) || (oc.bR == t && joined[oc.bL])
@@ -111,14 +98,14 @@ func (oc *onConj) edgeWith(joined []bool, t int) bool {
 // bindReordered binds the prefix greedily, then the suffix in parse
 // order.
 func bindReordered(db *rel.Database, lg *logicalSelect, info *reorderInfo) (*selectAccess, error) {
-	bd := newBinder(db)
+	bd := newBinder(db, lg)
 	n := info.n
 	rels := make([]*rel.Relation, n)
 	base := make([]float64, n)
 	for i := 0; i < n; i++ {
-		r := db.Relation(lg.tables[i].ref.Name)
-		if r == nil {
-			return nil, fmt.Errorf("sqlx: no such table %q", lg.tables[i].ref.Name)
+		r, err := lg.tables[i].relation(db)
+		if err != nil {
+			return nil, err
 		}
 		rels[i] = r
 		base[i] = estimateFiltered(r, lg.tables[i].filters)
@@ -168,7 +155,7 @@ func bindReordered(db *rel.Database, lg *logicalSelect, info *reorderInfo) (*sel
 		for _, ci := range bestUsed {
 			used[ci] = true
 		}
-		bd.add(bestJa.binding, bestJa.right)
+		bd.rels[bestT] = bestJa.right
 		sel.joins = append(sel.joins, bestJa)
 		cur = bestJa.est
 	}
@@ -189,10 +176,7 @@ func bindReordered(db *rel.Database, lg *logicalSelect, info *reorderInfo) (*sel
 // key, and the rest apply as post-join filters. Returns the consumed
 // conjunct indices (committed by the caller only if the step wins).
 func planStep(bd *binder, tl *tableLogical, right *rel.Relation, info *reorderInfo, used, joined []bool, t int, leftEst float64) (*joinAccess, []int) {
-	ja := &joinAccess{
-		tl: tl, right: right, binding: tl.ref.Binding(),
-		kind: JoinCross, filters: append([]Expr{}, tl.filters...),
-	}
+	ja := &joinAccess{tl: tl, right: right, kind: JoinCross, filters: append([]Expr{}, tl.filters...)}
 	var consumed []int
 	for ci := range info.pool {
 		if used[ci] {

@@ -1,7 +1,9 @@
 package sqlx
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -418,18 +420,134 @@ func TestExecErrors(t *testing.T) {
 		`SELECT id FROM protein JOIN nonexistent n ON n.x = protein.id`,
 		`INSERT INTO protein (nocolumn) VALUES (1)`,
 		`INSERT INTO protein VALUES (1)`,
+		// Unknown names fail at Prepare wherever they appear, whatever
+		// the data (failsAlike).
+		`SELECT NOCOLUMN FROM protein`,
+		`SELECT P.NOCOLUMN FROM protein p`,
+		`SELECT q.name FROM protein p`,
+		`SELECT q.* FROM protein p`,
+		`SELECT name FROM protein WHERE id = 9 AND nocolumn = 1`,
+		`SELECT name FROM protein WHERE nocolumn = 1 AND id = 9`,
+		`SELECT name FROM protein WHERE id = 9 OR NoColumn = 1`,
+		`SELECT name FROM protein WHERE 1 = 0 AND p.id = 1`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = o.nocolumn`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = x.id`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = o.id AND o.id = q.id`,
+		// An ON sees only the tables joined before it and its own.
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = x.id JOIN organism x ON x.id = o.id`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = x.id LEFT JOIN organism x ON x.id = o.id`,
+		`SELECT organism_id, COUNT(*) FROM protein GROUP BY nocolumn`,
+		`SELECT organism_id, COUNT(*) FROM protein GROUP BY organism_id HAVING nocolumn > 1`,
+		`SELECT organism_id, COUNT(*) FROM protein GROUP BY organism_id HAVING COUNT(NOCOLUMN) > 1`,
+		`SELECT name FROM protein ORDER BY nocolumn`,
+		`SELECT name FROM protein ORDER BY p.name`,
+		`SELECT organism_id, COUNT(*) FROM protein GROUP BY organism_id ORDER BY name`,
+		`SELECT name FROM protein WHERE organism_id IN (SELECT nocolumn FROM organism)`,
+		`SELECT name FROM protein WHERE organism_id IN (SELECT id FROM organism WHERE species = name)`,
+		`SELECT name FROM protein UNION SELECT nocolumn FROM organism`,
+		`SELECT name FROM protein WHERE COUNT(*) > 1`,
+		`SELECT organism_id, SUM(COUNT(*)) FROM protein GROUP BY organism_id`,
+		`SELECT ROUND(mass, 1, 2) FROM protein`,
+		`SELECT name FROM protein WHERE id = 9 AND LENGTH(name, 2) > 1`,
+		`SELECT SUBSTR(name) FROM protein ORDER BY 1`,
 	}
 	for _, sql := range bad {
 		if _, err := Exec(db, sql); err == nil {
 			t.Errorf("Exec(%q) should fail", sql)
+		}
+		if strings.HasPrefix(sql, "SELECT") {
+			failsAlike(t, sql)
+		}
+	}
+}
+
+// failsAlike asserts that sql fails, and with one message, in Prepare and
+// in Exec, over the testDB schema empty and with one row per relation.
+func failsAlike(t *testing.T, sql string) {
+	t.Helper()
+	var msgs []string
+	for _, rows := range []bool{false, true} {
+		db := rel.NewDatabase("test")
+		mustExec(t, db, `CREATE TABLE protein (id INTEGER PRIMARY KEY, accession TEXT UNIQUE, name TEXT, organism_id INTEGER, mass REAL)`)
+		mustExec(t, db, `CREATE TABLE organism (id INTEGER PRIMARY KEY, species TEXT)`)
+		if rows {
+			mustExec(t, db, `INSERT INTO organism VALUES (1, 'Homo sapiens')`)
+			mustExec(t, db, `INSERT INTO protein VALUES (1, 'P12345', 'hemoglobin alpha', 1, 15258.0)`)
+		}
+		_, perr := Prepare(db, sql)
+		_, eerr := Exec(db, sql)
+		msgs = append(msgs, fmt.Sprint(perr), fmt.Sprint(eerr))
+	}
+	for _, m := range msgs {
+		if m == "<nil>" || m != msgs[0] {
+			t.Errorf("%q: Prepare and Exec, empty and one-row: %q; want one error from all four", sql, msgs)
+			return
 		}
 	}
 }
 
 func TestAmbiguousColumn(t *testing.T) {
 	db := testDB(t)
-	if _, err := Exec(db, `SELECT id FROM protein p JOIN organism o ON p.organism_id = o.id`); err == nil {
-		t.Error("ambiguous unqualified column should fail")
+	for _, sql := range []string{
+		`SELECT id FROM protein p JOIN organism o ON p.organism_id = o.id`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = o.id WHERE ID = 1`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = o.id WHERE p.id = 1 OR id = 2`,
+		`SELECT p.name FROM protein p JOIN organism o ON organism_id = id`,
+		`SELECT COUNT(*) FROM protein p JOIN organism o ON p.organism_id = o.id GROUP BY id`,
+		`SELECT o.id, COUNT(*) FROM protein p JOIN organism o ON p.organism_id = o.id GROUP BY o.id HAVING MAX(id) > 1`,
+		`SELECT p.name FROM protein p JOIN organism o ON p.organism_id = o.id ORDER BY id`,
+		`SELECT name FROM protein WHERE id IN (SELECT id FROM protein p JOIN organism o ON p.organism_id = o.id)`,
+	} {
+		if _, err := Exec(db, sql); err == nil || !strings.Contains(err.Error(), "ambiguous column") {
+			t.Errorf("Exec(%q) = %v, want an ambiguous-column error", sql, err)
+		}
+		failsAlike(t, sql)
+	}
+}
+
+// TestOpenAfterSchemaChange: a plan reads columns at the indexes Prepare
+// resolved, so Open fails, and does not panic, when DDL has since
+// dropped its table or re-created it with other columns; re-created with
+// the same columns, the plan runs.
+func TestOpenAfterSchemaChange(t *testing.T) {
+	db := testDB(t)
+	p, err := Prepare(db, `SELECT name, mass FROM protein WHERE id = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mustExec(t, db, `DROP TABLE protein`)
+	if _, err := p.Open(ctx, db); err == nil || !strings.Contains(err.Error(), "no such table") {
+		t.Errorf("Open after DROP = %v, want no such table", err)
+	}
+	mustExec(t, db, `CREATE TABLE protein (id INTEGER, name TEXT)`)
+	mustExec(t, db, `INSERT INTO protein VALUES (2, 'myoglobin')`)
+	if _, err := p.Open(ctx, db); err == nil || !strings.Contains(err.Error(), "changed since the statement was prepared") {
+		t.Errorf("Open after re-CREATE = %v, want a changed-table error", err)
+	}
+	if _, err := p.Explain(db); err == nil {
+		t.Error("Explain after re-CREATE should fail")
+	}
+	mustExec(t, db, `DROP TABLE protein`)
+	mustExec(t, db, `CREATE TABLE protein (ID INTEGER, Accession TEXT, Name TEXT, organism_id INTEGER, mass REAL)`)
+	mustExec(t, db, `INSERT INTO protein VALUES (2, 'P67890', 'myoglobin', 1, 17184.0)`)
+	cur, err := p.Open(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := cur.Next(ctx)
+	if err != nil || row[0].AsString() != "myoglobin" {
+		t.Errorf("row = %v, %v", row, err)
+	}
+}
+
+// TestBareColumnOverEmptyAggregate: aggregates over empty input with no
+// GROUP BY give one row, and a bare column beside them reads NULL.
+func TestBareColumnOverEmptyAggregate(t *testing.T) {
+	db := testDB(t)
+	res := mustExec(t, db, `SELECT name, COUNT(*), p.mass FROM protein p WHERE 1 = 0`)
+	if len(res.Rows) != 1 || !res.Rows[0][0].IsNull() || res.Rows[0][1].String() != "0" || !res.Rows[0][2].IsNull() {
+		t.Errorf("rows = %v, want [NULL 0 NULL]", res.Rows)
 	}
 }
 

@@ -2,7 +2,6 @@ package sqlx
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -66,11 +65,11 @@ func (rt *run) tickN(ctx context.Context, n int) error {
 
 // openSelect materializes a SELECT's IN subqueries into rt, then builds
 // its operator tree: how every execution but EXPLAIN ANALYZE starts.
-func openSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
+func openSelect(ctx context.Context, db *rel.Database, lg *logicalSelect, rt *run) ([]string, vecIter, error) {
 	if err := rt.materializeAll(ctx, db, lg); err != nil {
 		return nil, nil, err
 	}
-	cols, it, _, err := buildSelect(ctx, db, s, lg, rt)
+	cols, it, _, err := buildSelect(ctx, db, lg, rt)
 	return cols, it, err
 }
 
@@ -80,30 +79,24 @@ func openSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logica
 // to the combined stream. On a traced run (rt.explain) it also returns
 // the root of the plan nodes it built beside the operators. IN subqueries
 // must already be materialized into rt (see materializeAll).
-func buildSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, *explainNode, error) {
+func buildSelect(ctx context.Context, db *rel.Database, lg *logicalSelect, rt *run) ([]string, vecIter, *explainNode, error) {
+	s := lg.s
 	if s.Union == nil {
-		return buildSelectOne(ctx, db, s, lg, rt)
+		return buildSelectOne(ctx, db, lg, rt)
 	}
-	var cols []string
 	var iters []vecIter
 	var branches []*explainNode // traced runs only
 	allMode := true
-	for cur, curLg := s, lg; cur != nil; cur, curLg = cur.Union, curLg.union {
-		bcols, it, node, err := buildSelectOne(ctx, db, cur, curLg, rt)
+	for cur := lg; cur != nil; cur = cur.union {
+		_, it, node, err := buildSelectOne(ctx, db, cur, rt)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if cur == s {
-			cols = bcols
-		} else if len(bcols) != len(cols) {
-			return nil, nil, nil, fmt.Errorf("sqlx: UNION arity mismatch: %d vs %d columns",
-				len(cols), len(bcols))
 		}
 		iters = append(iters, it)
 		if rt.explain {
 			branches = append(branches, node)
 		}
-		if cur.Union != nil && !cur.UnionAll {
+		if cur.s.Union != nil && !cur.s.UnionAll {
 			allMode = false
 		}
 	}
@@ -123,22 +116,23 @@ func buildSelect(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logic
 	if !allMode {
 		it, node = rt.trace(&vecDistinct{child: it}, node, func(in float64) (string, float64) { return "Distinct", in })
 	}
-	if len(s.OrderBy) > 0 {
-		it, node = rt.trace(&vecOrder{child: it, order: s.OrderBy, columns: cols, rowMode: true}, node,
+	if len(lg.order) > 0 {
+		it, node = rt.trace(&vecOrder{child: it, keys: lg.order}, node,
 			func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
 	}
 	if s.Limit >= 0 || s.Offset > 0 {
 		it, node = rt.trace(&vecLimit{child: it, limit: s.Limit, offset: s.Offset}, node,
 			func(in float64) (string, float64) { return limitLabel(s), limitEst(in, s) })
 	}
-	return cols, it, node, nil
+	return lg.cols, it, node, nil
 }
 
 // buildSelectOne builds the operator tree for one SELECT without its
 // UNION chain, binding the logical plan's access paths against db. When
 // the select heads a union, ORDER/LIMIT/OFFSET are applied by
 // buildSelect to the combined stream instead.
-func buildSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *logicalSelect, rt *run) ([]string, vecIter, *explainNode, error) {
+func buildSelectOne(ctx context.Context, db *rel.Database, lg *logicalSelect, rt *run) ([]string, vecIter, *explainNode, error) {
+	s := lg.s
 	headOfUnion := s.Union != nil
 	// 1. The joined row stream as environments, on the access paths
 	// chosen by bindSelect (see access.go), executed on this goroutine or
@@ -153,36 +147,19 @@ func buildSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *lo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// 2. Expand stars into concrete items.
-	items, cols, err := expandItems(db, s)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	grouped := len(s.GroupBy) > 0
-	if !grouped {
-		for _, si := range items {
-			if si.Expr != nil && isAggregate(si.Expr) {
-				grouped = true
-				break
-			}
-		}
-	}
-	// 3. Group/aggregate (a pipeline breaker) or streaming projection,
+	// 2. Group/aggregate (a pipeline breaker) or streaming projection,
 	// then ORDER BY (a breaker), DISTINCT, LIMIT/OFFSET. Grouped rows sort
 	// by their output columns; projected ones may sort by any column.
-	if grouped {
-		it, node = rt.trace(&vecGroup{child: it, s: s, items: items, rt: rt}, node,
-			func(in float64) (string, float64) { return groupLabel(s, cols), groupEst(db, sel, s.GroupBy, in) })
+	if lg.grouped {
+		it, node = rt.trace(&vecGroup{child: it, lg: lg, rt: rt}, node,
+			func(in float64) (string, float64) { return groupLabel(s, lg.cols), groupEst(db, sel, lg, in) })
 	} else {
-		it, node = rt.trace(&vecProject{child: it, items: items}, node,
-			func(in float64) (string, float64) { return "Project(" + strings.Join(cols, ", ") + ")", in })
+		it, node = rt.trace(&vecProject{child: it, items: lg.items}, node,
+			func(in float64) (string, float64) { return "Project(" + strings.Join(lg.cols, ", ") + ")", in })
 	}
-	if !headOfUnion && len(s.OrderBy) > 0 {
-		order := &vecOrder{child: it, order: s.OrderBy, items: items}
-		if grouped {
-			order.columns, order.rowMode = cols, true
-		}
-		it, node = rt.trace(order, node, func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
+	if !headOfUnion && len(lg.order) > 0 {
+		it, node = rt.trace(&vecOrder{child: it, keys: lg.order}, node,
+			func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
 	}
 	if s.Distinct {
 		it, node = rt.trace(&vecDistinct{child: it}, node, func(in float64) (string, float64) { return "Distinct", in })
@@ -191,7 +168,7 @@ func buildSelectOne(ctx context.Context, db *rel.Database, s *SelectStmt, lg *lo
 		it, node = rt.trace(&vecLimit{child: it, limit: s.Limit, offset: s.Offset}, node,
 			func(in float64) (string, float64) { return limitLabel(s), limitEst(in, s) })
 	}
-	return cols, it, node, nil
+	return lg.cols, it, node, nil
 }
 
 // chainNodes returns the plan nodes of the chain vecOpenChain builds, one
@@ -232,16 +209,15 @@ func chainNodes(sel *selectAccess, lg *logicalSelect, rt *run) []*explainNode {
 // the same nodes, so counters aggregate across morsels.
 func vecOpenChain(sel *selectAccess, lg *logicalSelect, rt *run, nodes []*explainNode, lo, hi int) vecIter {
 	var it vecIter
+	width := len(lg.tables)
 	if sel.scan == nil {
 		it = &vecSingleton{rt: rt}
 	} else {
-		it = vecOpenScan(sel.scan, rt, lo, hi)
+		it = vecOpenScan(sel.scan, rt, lo, hi, width)
 	}
 	it = meterAt(nodes, 0, it)
-	stride := 1
 	for i, ja := range sel.joins {
-		stride++
-		it = vecOpenJoin(it, ja, rt, stride)
+		it = vecOpenJoin(it, ja, rt, width)
 		if pred := andJoin(ja.post); pred != nil {
 			it = &vecFilter{child: it, pred: pred}
 		}
@@ -278,17 +254,21 @@ func (s *vecSingleton) next(ctx context.Context, want int) ([]item, error) {
 	return s.out[:1], nil
 }
 
-// vecScan yields batches of environments over the base relation's
-// [pos, end) range — a full scan, or one morsel under parallel
-// execution. Environments and bindings come from fresh per-batch
-// arenas: two allocations per batch instead of two per row.
+// vecScan yields batches of environments over the base relation: its
+// tuples [pos, end) — a full scan, or one morsel under parallel
+// execution — or, for the index access path, those at positions[pos:end],
+// so stored-tuple reads (and thus Scanned) are proportional to the
+// result size. Environments and their tuple slots come from fresh
+// per-batch arenas: two allocations per batch instead of two per row.
 type vecScan struct {
-	rel     *rel.Relation
-	binding string
-	rt      *run
-	pos     int
-	end     int
-	out     []item
+	rel       *rel.Relation
+	tab       int // the relation's FROM position
+	width     int // FROM tables per environment
+	positions []int
+	rt        *run
+	pos       int
+	end       int
+	out       []item
 }
 
 func (s *vecScan) next(ctx context.Context, want int) ([]item, error) {
@@ -303,54 +283,19 @@ func (s *vecScan) next(ctx context.Context, want int) ([]item, error) {
 		return nil, err
 	}
 	envs := make([]env, n)
-	binds := make([]binding, n)
+	slots := make([]rel.Tuple, n*s.width)
 	if cap(s.out) < n {
 		s.out = make([]item, vecBatch)
 	}
 	out := s.out[:n]
-	schema := s.rel.Schema
 	for i := 0; i < n; i++ {
-		binds[i] = binding{name: s.binding, schema: schema, tuple: s.rel.Tuples[s.pos+i]}
-		envs[i] = env{rt: s.rt, bindings: binds[i : i+1 : i+1]}
-		out[i] = item{env: &envs[i]}
-	}
-	s.pos += n
-	return out, nil
-}
-
-// vecIndexScan yields batches over an index probe's position list —
-// the index access path: stored-tuple reads (and thus Scanned) are
-// proportional to the result size, not the relation size.
-type vecIndexScan struct {
-	rel       *rel.Relation
-	binding   string
-	rt        *run
-	positions []int
-	pos       int
-	out       []item
-}
-
-func (s *vecIndexScan) next(ctx context.Context, want int) ([]item, error) {
-	n := len(s.positions) - s.pos
-	if n <= 0 {
-		return nil, io.EOF
-	}
-	if n > want {
-		n = want
-	}
-	if err := s.rt.tickN(ctx, n); err != nil {
-		return nil, err
-	}
-	envs := make([]env, n)
-	binds := make([]binding, n)
-	if cap(s.out) < n {
-		s.out = make([]item, vecBatch)
-	}
-	out := s.out[:n]
-	schema := s.rel.Schema
-	for i := 0; i < n; i++ {
-		binds[i] = binding{name: s.binding, schema: schema, tuple: s.rel.Tuples[s.positions[s.pos+i]]}
-		envs[i] = env{rt: s.rt, bindings: binds[i : i+1 : i+1]}
+		p := s.pos + i
+		if s.positions != nil {
+			p = s.positions[p]
+		}
+		tuples := slots[i*s.width : (i+1)*s.width : (i+1)*s.width]
+		tuples[s.tab] = s.rel.Tuples[p]
+		envs[i] = env{rt: s.rt, tuples: tuples}
 		out[i] = item{env: &envs[i]}
 	}
 	s.pos += n
@@ -361,17 +306,16 @@ func (s *vecIndexScan) next(ctx context.Context, want int) ([]item, error) {
 // index probe or a sequential scan over [lo, hi), with the remaining
 // pushed-down filters applied above it. Index probes ignore the range
 // (they never run partitioned).
-func vecOpenScan(sa *scanAccess, rt *run, lo, hi int) vecIter {
-	var it vecIter
+func vecOpenScan(sa *scanAccess, rt *run, lo, hi, width int) vecIter {
+	s := &vecScan{rel: sa.r, tab: sa.tl.pos, width: width, rt: rt, pos: lo, end: hi}
 	if sa.idx != nil {
-		it = &vecIndexScan{rel: sa.r, binding: sa.binding, rt: rt, positions: sa.idx.Lookup(sa.eq.val)}
-	} else {
-		it = &vecScan{rel: sa.r, binding: sa.binding, rt: rt, pos: lo, end: hi}
+		s.positions = sa.idx.Lookup(sa.eq.val)
+		s.pos, s.end = 0, len(s.positions)
 	}
 	if pred := andJoin(sa.filters); pred != nil {
-		it = &vecFilter{child: it, pred: pred}
+		return &vecFilter{child: s, pred: pred}
 	}
-	return it
+	return s
 }
 
 // vecFilter keeps items whose predicate evaluates to true, compacting
@@ -396,11 +340,11 @@ func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
 		}
 		k := 0
 		for i := range items {
-			v, err := eval(f.pred, items[i].env)
+			ok, err := holds(f.pred, items[i].env)
 			if err != nil {
 				return nil, err
 			}
-			if b, ok := v.AsBool(); ok && b {
+			if ok {
 				items[k] = items[i]
 				k++
 			}
@@ -415,7 +359,7 @@ func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
 // from one per-batch value slab.
 type vecProject struct {
 	child vecIter
-	items []SelectItem
+	items []Expr
 }
 
 func (p *vecProject) next(ctx context.Context, want int) ([]item, error) {
@@ -427,8 +371,8 @@ func (p *vecProject) next(ctx context.Context, want int) ([]item, error) {
 	slab := make([]rel.Value, len(items)*w)
 	for i := range items {
 		row := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, si := range p.items {
-			v, err := eval(si.Expr, items[i].env)
+		for j, e := range p.items {
+			v, err := eval(e, items[i].env)
 			if err != nil {
 				return nil, err
 			}
@@ -536,19 +480,15 @@ func (c *vecConcat) next(ctx context.Context, want int) ([]item, error) {
 	return nil, io.EOF
 }
 
-// vecOrder is the ORDER BY pipeline breaker for both key modes:
-// environment-based keys (non-grouped selects; evalOrderKey) and
-// output-row keys (grouped selects and union heads; rowOrderKey), so
-// non-grouped selects can order by columns they do not project. Sort
-// keys are evaluated once per row up front instead of per comparison —
-// except for single-row inputs, which need no comparison and so surface
-// no key-evaluation error.
+// vecOrder is the ORDER BY pipeline breaker. A key resolved to an output
+// column reads the row; any other (non-grouped selects only) evaluates
+// over the joined row, so they can order by columns they do not
+// project. Sort keys are evaluated once per row up front instead of per
+// comparison — except for single-row inputs, which need no comparison and
+// so surface no key-evaluation error.
 type vecOrder struct {
-	child   vecIter
-	order   []OrderItem
-	items   []SelectItem
-	columns []string
-	rowMode bool // resolve keys against output rows only
+	child vecIter
+	keys  []orderKey
 
 	buf    []sortedItem
 	pos    int
@@ -559,13 +499,6 @@ type vecOrder struct {
 type sortedItem struct {
 	it  item
 	key []rel.Value
-}
-
-func (o *vecOrder) key(e Expr, it item) (rel.Value, error) {
-	if o.rowMode {
-		return rowOrderKey(e, o.items, o.columns, it.row)
-	}
-	return evalOrderKey(e, o.items, it.row, it.env)
 }
 
 func (o *vecOrder) fill(ctx context.Context) error {
@@ -584,12 +517,16 @@ func (o *vecOrder) fill(ctx context.Context) error {
 	if len(o.buf) < 2 {
 		return nil // zero comparisons: keys are never evaluated
 	}
-	w := len(o.order)
+	w := len(o.keys)
 	slab := make([]rel.Value, len(o.buf)*w)
 	for i := range o.buf {
 		key := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, oi := range o.order {
-			v, err := o.key(oi.Expr, o.buf[i].it)
+		for j, k := range o.keys {
+			if k.pos >= 0 {
+				key[j] = o.buf[i].it.row[k.pos]
+				continue
+			}
+			v, err := eval(k.expr, o.buf[i].it.env)
 			if err != nil {
 				return err
 			}
@@ -599,9 +536,9 @@ func (o *vecOrder) fill(ctx context.Context) error {
 	}
 	sort.SliceStable(o.buf, func(a, b int) bool {
 		ka, kb := o.buf[a].key, o.buf[b].key
-		for j, oi := range o.order {
+		for j, k := range o.keys {
 			if c := ka[j].Compare(kb[j]); c != 0 {
-				if oi.Desc {
+				if k.desc {
 					return c > 0
 				}
 				return c < 0

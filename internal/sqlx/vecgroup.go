@@ -2,7 +2,6 @@ package sqlx
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/rel"
@@ -14,13 +13,14 @@ import (
 // order. Groups live in the open-addressing groupTable: keys are
 // evaluated into a reused scratch slice and only copied into the table's
 // flat arena when a new group appears, so steady-state accumulation of
-// an existing group allocates nothing. Bare columns evaluate against a
-// group's first row; aggregates over empty input with no GROUP BY yield
-// one row.
+// an existing group allocates nothing. Each group keeps one state per
+// aggregate slot the resolver numbered; HAVING and the items then
+// evaluate once per group, their aggregates reading the group's results
+// and their bare columns its first row. Aggregates over empty input with
+// no GROUP BY yield one row, whose bare columns are NULL.
 type vecGroup struct {
 	child vecIter
-	s     *SelectStmt
-	items []SelectItem
+	lg    *logicalSelect
 	rt    *run
 
 	filled bool
@@ -29,17 +29,17 @@ type vecGroup struct {
 	out    []item
 }
 
+// group is one group's representative row and aggregate states.
+type group struct {
+	repr *env
+	aggs []aggState
+}
+
 func (g *vecGroup) fill(ctx context.Context) error {
-	var aggs []*FuncExpr
-	for _, it := range g.items {
-		collectAggs(it.Expr, &aggs)
-	}
-	if g.s.Having != nil {
-		collectAggs(g.s.Having, &aggs)
-	}
+	lg := g.lg
 	var gt groupTable
-	var groups []*group
-	keyScratch := make([]rel.Value, len(g.s.GroupBy))
+	var groups []group
+	keyScratch := make([]rel.Value, len(lg.groupBy))
 	for {
 		items, err := g.child.next(ctx, vecBatch)
 		if err == io.EOF {
@@ -49,7 +49,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 			return err
 		}
 		for _, it := range items {
-			for ki, ge := range g.s.GroupBy {
+			for ki, ge := range lg.groupBy {
 				v, err := eval(ge, it.env)
 				if err != nil {
 					return err
@@ -58,50 +58,46 @@ func (g *vecGroup) fill(ctx context.Context) error {
 			}
 			idx, added := gt.findOrAdd(keyScratch)
 			if added {
-				ng := &group{repr: it.env, aggs: make(map[*FuncExpr]*aggState)}
-				for _, a := range aggs {
-					ng.aggs[a] = newAggState()
-				}
-				groups = append(groups, ng)
+				groups = append(groups, group{repr: it.env, aggs: make([]aggState, len(lg.aggs))})
 			}
-			grp := groups[idx]
-			grp.star++
-			for _, a := range aggs {
+			states := groups[idx].aggs
+			for i, a := range lg.aggs {
 				if a.Star {
+					states[i].count++ // COUNT(*)
 					continue
-				}
-				if len(a.Args) != 1 {
-					return fmt.Errorf("sqlx: aggregate %s takes 1 argument", a.Name)
 				}
 				v, err := eval(a.Args[0], it.env)
 				if err != nil {
 					return err
 				}
-				grp.aggs[a].add(v, a.Distinct)
+				states[i].add(v, a.Distinct)
 			}
 		}
 	}
 	// Aggregates over empty input with no GROUP BY produce one row.
-	if len(groups) == 0 && len(g.s.GroupBy) == 0 {
-		ng := &group{repr: &env{rt: g.rt}, aggs: make(map[*FuncExpr]*aggState)}
-		for _, a := range aggs {
-			ng.aggs[a] = newAggState()
+	if len(groups) == 0 && len(lg.groupBy) == 0 {
+		repr := &env{rt: g.rt, tuples: make([]rel.Tuple, len(lg.tables))}
+		for i, tl := range lg.tables {
+			repr.tuples[i] = make(rel.Tuple, tl.schema.Len())
 		}
-		groups = append(groups, ng)
+		groups = append(groups, group{repr: repr, aggs: make([]aggState, len(lg.aggs))})
 	}
 	for _, grp := range groups {
-		if g.s.Having != nil {
-			v, err := evalGrouped(g.s.Having, grp)
-			if err != nil {
-				return err
-			}
-			if b, ok := v.AsBool(); !ok || !b {
-				continue
-			}
+		e := *grp.repr
+		e.aggs = make([]rel.Value, len(lg.aggs))
+		for i, a := range lg.aggs {
+			e.aggs[i] = grp.aggs[i].result(a.Name)
 		}
-		row := make(rel.Tuple, len(g.items))
-		for i, it := range g.items {
-			v, err := evalGrouped(it.Expr, grp)
+		ok, err := holds(lg.having, &e)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		row := make(rel.Tuple, len(lg.items))
+		for i, x := range lg.items {
+			v, err := eval(x, &e)
 			if err != nil {
 				return err
 			}

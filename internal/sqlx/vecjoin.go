@@ -8,23 +8,22 @@ import (
 )
 
 // Batch joins. Output environments are carved from fresh per-call
-// arenas: one env array and one flat binding slab sized want×stride
-// (stride = bindings per output env, fixed per chain position), so a
-// full 1024-row batch of join output costs three allocations instead of
-// two per row. Under a constrained pull (want < vecBatch, i.e. a LIMIT
-// upstream) the join pulls left rows one at a time and buffers pending
-// match state across calls, so it reads no left row the LIMIT does not
-// need.
+// arenas: one env array and one flat tuple-slot slab sized want×width
+// (width = the SELECT's FROM tables), so a full 1024-row batch of join
+// output costs three allocations instead of two per row. Under a
+// constrained pull (want < vecBatch, i.e. a LIMIT upstream) the join
+// pulls left rows one at a time and buffers pending match state across
+// calls, so it reads no left row the LIMIT does not need.
 
 // vecOpenJoin builds the operator for a bound join access path.
-func vecOpenJoin(child vecIter, ja *joinAccess, rt *run, stride int) vecIter {
+func vecOpenJoin(child vecIter, ja *joinAccess, rt *run, width int) vecIter {
 	if ja.strategy == joinHashBuildLeft {
-		return &vecHashLeftJoin{child: child, ja: ja, rt: rt, stride: stride, chain: -1}
+		return &vecHashLeftJoin{child: child, ja: ja, rt: rt, width: width, chain: -1, scratch: ja.newScratch(rt)}
 	}
 	j := &vecJoin{
-		child: child, ja: ja, rt: rt, stride: stride,
+		child: child, ja: ja, rt: rt, width: width,
 		nullTuple: make(rel.Tuple, ja.right.Schema.Len()),
-		chain:     -1,
+		chain:     -1, scratch: ja.newScratch(rt),
 	}
 	if ja.strategy == joinNestedLoop {
 		j.pred = andJoin(append(append([]Expr{}, ja.filters...), ja.on))
@@ -35,29 +34,29 @@ func vecOpenJoin(child vecIter, ja *joinAccess, rt *run, stride int) vecIter {
 // emitArena carves join output environments out of per-call slabs.
 type emitArena struct {
 	envs  []env
-	binds []binding
-	bpos  int
+	slots []rel.Tuple
 	n     int
 }
 
-func newEmitArena(want, stride int) emitArena {
-	return emitArena{envs: make([]env, want), binds: make([]binding, want*stride)}
+func newEmitArena(want, width int) emitArena {
+	return emitArena{envs: make([]env, want), slots: make([]rel.Tuple, want*width)}
 }
 
-// emit builds the output environment extending left with one right
-// tuple. The result is not yet committed: commit keeps it, reject
-// releases the slab space for the next candidate (nested-loop misses).
-func (a *emitArena) emit(rt *run, left *env, bname string, schema *rel.Schema, t rel.Tuple) item {
-	nb := len(left.bindings) + 1
-	b := a.binds[a.bpos : a.bpos : a.bpos+nb]
-	b = append(b, left.bindings...)
-	b = append(b, binding{name: bname, schema: schema, tuple: t})
+// emit builds the output environment extending left with tuple t at
+// FROM position pos. The result is not yet committed: commit keeps it,
+// reject releases the slab space for the next candidate (nested-loop
+// misses).
+func (a *emitArena) emit(rt *run, left *env, pos int, t rel.Tuple) item {
+	w := len(left.tuples)
+	tuples := a.slots[a.n*w : (a.n+1)*w : (a.n+1)*w]
+	copy(tuples, left.tuples)
+	tuples[pos] = t
 	e := &a.envs[a.n]
-	*e = env{rt: rt, bindings: b}
+	*e = env{rt: rt, tuples: tuples}
 	return item{env: e}
 }
 
-func (a *emitArena) commit() { a.bpos += len(a.envs[a.n].bindings); a.n++ }
+func (a *emitArena) commit() { a.n++ }
 
 // vecJoin extends each child environment with matching tuples of the
 // right relation, on the access path chosen at bind time: a probe of the
@@ -66,10 +65,11 @@ func (a *emitArena) commit() { a.bpos += len(a.envs[a.n].bindings); a.n++ }
 // LEFT JOIN null extension. The build-left hash strategy lives in
 // vecHashLeftJoin.
 type vecJoin struct {
-	child  vecIter
-	ja     *joinAccess
-	rt     *run
-	stride int
+	child   vecIter
+	ja      *joinAccess
+	rt      *run
+	width   int
+	scratch *env // for the right-side filters
 
 	pred Expr // nested-loop predicate (filters folded into ON)
 
@@ -100,11 +100,12 @@ type vecJoin struct {
 // joinHashBuildRight step, reading every right tuple once.
 func buildJoinTable(ctx context.Context, ja *joinAccess, rt *run) (*joinTable, error) {
 	tbl := &joinTable{}
+	scratch := ja.newScratch(rt)
 	for _, t := range ja.right.Tuples {
 		if err := rt.tick(ctx); err != nil {
 			return nil, err
 		}
-		ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
+		ok, err := ja.rightOK(scratch, t)
 		if err != nil {
 			return nil, err
 		}
@@ -128,11 +129,12 @@ func buildCrossSide(ctx context.Context, ja *joinAccess, rt *run) ([]rel.Tuple, 
 		return ja.right.Tuples, nil
 	}
 	var out []rel.Tuple
+	scratch := ja.newScratch(rt)
 	for _, t := range ja.right.Tuples {
 		if err := rt.tick(ctx); err != nil {
 			return nil, err
 		}
-		ok, err := rightFilterOK(ja.filters, ja.binding, ja.right.Schema, t, rt)
+		ok, err := ja.rightOK(scratch, t)
 		if err != nil {
 			return nil, err
 		}
@@ -145,17 +147,16 @@ func buildCrossSide(ctx context.Context, ja *joinAccess, rt *run) ([]rel.Tuple, 
 
 func (j *vecJoin) probeIndex(ctx context.Context) error {
 	j.matches = j.matches[:0]
-	lv, err := eval(j.ja.leftCol, j.cur)
-	if err != nil || lv.IsNull() {
-		// Eval error or NULL key means no match, as on the hash path.
-		return nil
+	lv := j.cur.get(j.ja.leftCol)
+	if lv.IsNull() {
+		return nil // a NULL key matches nothing, as on the hash path
 	}
 	for _, pos := range j.ja.idx.Lookup(lv) {
 		if err := j.rt.tick(ctx); err != nil {
 			return err
 		}
 		t := j.ja.right.Tuples[pos]
-		ok, err := rightFilterOK(j.ja.filters, j.ja.binding, j.ja.right.Schema, t, j.rt)
+		ok, err := j.ja.rightOK(j.scratch, t)
 		if err != nil {
 			return err
 		}
@@ -182,7 +183,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 		j.out = make([]item, vecBatch)
 	}
 	out := j.out[:0]
-	arena := newEmitArena(want, j.stride)
+	arena := newEmitArena(want, j.width)
 	leftWant := vecBatch
 	if want < vecBatch {
 		// A constrained pull: read left rows one at a time so the scan
@@ -245,7 +246,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 						return j.fail(out, err)
 					}
 				}
-				if lv, err := eval(j.ja.leftCol, j.cur); err == nil && !lv.IsNull() {
+				if lv := j.cur.get(j.ja.leftCol); !lv.IsNull() {
 					j.chain = j.table.probe(lv)
 				}
 			}
@@ -261,12 +262,12 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				}
 				t := right.Tuples[j.rpos]
 				j.rpos++
-				cand := arena.emit(j.rt, j.cur, j.ja.binding, right.Schema, t)
-				v, err := eval(j.pred, cand.env)
+				cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, t)
+				ok, err := holds(j.pred, cand.env)
 				if err != nil {
 					return j.fail(out, err)
 				}
-				if b, ok := v.AsBool(); ok && b {
+				if ok {
 					j.matched = true
 					arena.commit()
 					out = append(out, cand)
@@ -280,7 +281,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				t := j.table.rows[j.chain]
 				j.chain = j.table.next[j.chain]
 				j.matched = true
-				cand := arena.emit(j.rt, j.cur, j.ja.binding, right.Schema, t)
+				cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, t)
 				arena.commit()
 				out = append(out, cand)
 			}
@@ -292,7 +293,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				t := j.matches[j.mi]
 				j.mi++
 				j.matched = true
-				cand := arena.emit(j.rt, j.cur, j.ja.binding, right.Schema, t)
+				cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, t)
 				arena.commit()
 				out = append(out, cand)
 			}
@@ -303,7 +304,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				// emits the null-extended row.
 				return out, nil
 			}
-			cand := arena.emit(j.rt, j.cur, j.ja.binding, right.Schema, j.nullTuple)
+			cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, j.nullTuple)
 			arena.commit()
 			out = append(out, cand)
 		}
@@ -324,10 +325,11 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 // soon as its batch is full, so under LIMIT it reads no right tuple past
 // the one that produced the last row emitted.
 type vecHashLeftJoin struct {
-	child  vecIter
-	ja     *joinAccess
-	rt     *run
-	stride int
+	child   vecIter
+	ja      *joinAccess
+	rt      *run
+	width   int
+	scratch *env // for the right-side filters
 
 	built bool
 	table envTable
@@ -350,9 +352,9 @@ func (j *vecHashLeftJoin) build(ctx context.Context) error {
 			return err
 		}
 		for _, it := range items {
-			// Eval errors and NULL keys mean no match, as in probe mode.
-			lv, err := eval(j.ja.leftCol, it.env)
-			if err != nil || lv.IsNull() {
+			// NULL keys match nothing, as in probe mode.
+			lv := it.env.get(j.ja.leftCol)
+			if lv.IsNull() {
 				continue
 			}
 			j.table.insert(lv, it.env)
@@ -376,12 +378,12 @@ func (j *vecHashLeftJoin) next(ctx context.Context, want int) ([]item, error) {
 		j.out = make([]item, vecBatch)
 	}
 	out := j.out[:0]
-	arena := newEmitArena(want, j.stride)
+	arena := newEmitArena(want, j.width)
 	for {
 		for j.chain >= 0 && len(out) < want {
 			e := j.table.rows[j.chain]
 			j.chain = j.table.next[j.chain]
-			cand := arena.emit(j.rt, e, j.ja.binding, right.Schema, j.curTuple)
+			cand := arena.emit(j.rt, e, j.ja.tl.pos, j.curTuple)
 			arena.commit()
 			out = append(out, cand)
 		}
@@ -403,7 +405,7 @@ func (j *vecHashLeftJoin) next(ctx context.Context, want int) ([]item, error) {
 		}
 		t := right.Tuples[j.rpos]
 		j.rpos++
-		ok, err := rightFilterOK(j.ja.filters, j.ja.binding, right.Schema, t, j.rt)
+		ok, err := j.ja.rightOK(j.scratch, t)
 		if err != nil {
 			j.err = err
 			if len(out) > 0 {

@@ -11,9 +11,3 @@ func ExampleJaroWinkler() {
 	// Output:
 	// 0.961
 }
-
-func ExampleEditDistance() {
-	fmt.Println(textmine.EditDistance("kitten", "sitting"))
-	// Output:
-	// 3
-}

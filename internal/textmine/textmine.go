@@ -68,47 +68,6 @@ func TermFreq(tokens []string) map[string]int {
 	return tf
 }
 
-// EditDistance computes the Levenshtein distance between a and b.
-func EditDistance(a, b string) int {
-	if a == b {
-		return 0
-	}
-	n, m := len(a), len(b)
-	if n == 0 {
-		return m
-	}
-	if m == 0 {
-		return n
-	}
-	prev := make([]int, m+1)
-	curr := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= n; i++ {
-		curr[0] = i
-		for j := 1; j <= m; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			curr[j] = min3(prev[j]+1, curr[j-1]+1, prev[j-1]+cost)
-		}
-		prev, curr = curr, prev
-	}
-	return prev[m]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
 // Jaro computes the Jaro similarity of two strings. Strings of up to 64
 // bytes are matched bit-parallel (jaroBits); longer ones by a byte loop
 // over each match window.

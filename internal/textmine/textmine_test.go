@@ -27,25 +27,6 @@ func TestTokenizeDropsStopwordsAndSingles(t *testing.T) {
 	}
 }
 
-func TestEditDistance(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"P12345", "P12345", 0},
-		{"P12345", "P12346", 1},
-	}
-	for _, c := range cases {
-		if got := EditDistance(c.a, c.b); got != c.want {
-			t.Errorf("EditDistance(%q,%q) = %d want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestJaroWinkler(t *testing.T) {
 	if jw := JaroWinkler("MARTHA", "MARHTA"); jw < 0.95 {
 		t.Errorf("MARTHA/MARHTA = %v; classic value ~0.961", jw)
@@ -103,30 +84,6 @@ func TestLooksLikeAccession(t *testing.T) {
 
 // Property: edit distance is a metric — symmetric, zero iff equal, and
 // obeys the triangle inequality on small random strings.
-func TestEditDistanceMetricProperties(t *testing.T) {
-	clamp := func(s string) string {
-		if len(s) > 12 {
-			return s[:12]
-		}
-		return s
-	}
-	f := func(a, b, c string) bool {
-		a, b, c = clamp(a), clamp(b), clamp(c)
-		dab := EditDistance(a, b)
-		dba := EditDistance(b, a)
-		if dab != dba {
-			return false
-		}
-		if (dab == 0) != (a == b) {
-			return false
-		}
-		return EditDistance(a, c) <= dab+EditDistance(b, c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: JaroWinkler stays in [0,1] and equals 1 for identical strings.
 func TestJaroWinklerRange(t *testing.T) {
 	f := func(a, b string) bool {
