@@ -263,10 +263,11 @@ func BenchmarkSeededVsFullAlignment(b *testing.B) {
 // integrate-linked workload's sequences: 24 GenBank loci, half of them
 // 3%-substituted copies, linked against 1,200 EMBL entries through
 // DiscoverAgainst, workers=1, text and entity channels off (xref
-// discovery still runs). pairs/op counts the candidate pairs sharing
-// two 8-mers, each scored once for both directions; us/pair and
-// allocs/pair spread the whole call over them — TestSeqAllocBudget holds
-// the latter to ALLOC_budget.json.
+// discovery still runs). pairs/op counts the seeded pairs, those sharing
+// two 8-mers, and aligned/op those of them Smith-Waterman scored, once
+// for both directions; us/pair and allocs/pair spread the whole call over
+// the seeded pairs — TestSeqAllocBudget holds the latter to
+// ALLOC_budget.json.
 func BenchmarkSeqLinks(b *testing.B) {
 	embl, genbank := datagen.LinkedSequences(7)
 	targets, queries := linkSource(b, embl), linkSource(b, genbank)
@@ -274,20 +275,13 @@ func BenchmarkSeqLinks(b *testing.B) {
 	if err := eng.AddSource(targets); err != nil {
 		b.Fatal(err)
 	}
-	ix := seq.NewIndex(8)
-	for _, t := range embl.Relation("entry").Tuples {
-		ix.Add("", t[2].AsString())
-	}
-	pairs := 0
-	for _, t := range genbank.Relation("locus").Tuples {
-		pairs += ix.CandidateCount(t[2].AsString(), 2)
-	}
+	var st linkdisc.Stats
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, st, err := eng.DiscoverAgainst(context.Background(), queries)
-		if err != nil {
+		var err error
+		if _, _, st, err = eng.DiscoverAgainst(context.Background(), queries); err != nil {
 			b.Fatal(err)
 		}
 		if st.SequenceComparisons != 24 {
@@ -296,7 +290,9 @@ func BenchmarkSeqLinks(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
+	pairs := st.SequenceSeeded
 	b.ReportMetric(float64(pairs), "pairs/op")
+	b.ReportMetric(float64(st.SequenceAligned), "aligned/op")
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*pairs), "us/pair")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*pairs), "allocs/pair")
 }

@@ -402,12 +402,14 @@ func E6XRefPR(proteins int) (Table, error) {
 }
 
 // E7SequencePR sweeps sequence mutation rates and reports homology-link
-// P/R plus the seeding-vs-full-alignment cost comparison.
+// P/R plus the seeding-vs-full-alignment cost comparison: the pdb ×
+// swissprot pairs sharing two k-mers, those of them a search aligns, and
+// all pairs.
 func E7SequencePR(proteins int) (Table, error) {
 	t := Table{
 		ID:     "E7",
 		Title:  "§4.4 — implicit sequence links: P/R vs mutation rate, and k-mer seeding cost",
-		Header: []string{"mutation", "P", "R", "F1", "seeded-candidates", "all-pairs"},
+		Header: []string{"mutation", "P", "R", "F1", "seeded-candidates", "aligned", "all-pairs"},
 	}
 	for _, mut := range []float64{0.01, 0.05, 0.10, 0.20, 0.40} {
 		corpus := datagen.Generate(datagen.Config{
@@ -433,13 +435,14 @@ func E7SequencePR(proteins int) (Table, error) {
 		}
 		pdb := corpus.Source("pdb").Relation("chain")
 		ci := pdb.Schema.Index("chain_seq")
-		candidates := 0
+		seeded, aligned := 0, 0
 		for _, tu := range pdb.Tuples {
-			candidates += ix.CandidateCount(tu[ci].AsString(), 2)
+			s, a := ix.CandidateCount(tu[ci].AsString(), 2)
+			seeded, aligned = seeded+s, aligned+a
 		}
 		t.Rows = append(t.Rows, []string{
 			f2(mut), f3(pr.Precision()), f3(pr.Recall()), f3(pr.F1()),
-			itos(candidates), itos(len(pdb.Tuples) * len(sp.Tuples)),
+			itos(seeded), itos(aligned), itos(len(pdb.Tuples) * len(sp.Tuples)),
 		})
 	}
 	return t, nil
@@ -553,51 +556,71 @@ func E9DuplicatePR(proteins int) (Table, error) {
 	return t, nil
 }
 
-// E10Scaling measures the cost of adding a source at increasing sizes and
-// the effect of the pruning strategies and sampling.
-func E10Scaling() (Table, error) {
+// E10Sizes are the protein counts E10 runs at by default. Adding a
+// source costs seconds at 800 proteins, so tests run smaller sizes.
+var E10Sizes = []int{50, 100, 200, 400, 800}
+
+// E10Scaling measures the cost of adding a source at each size and the
+// effect of the pruning strategies and sampling: swissprot is added
+// beside pdb, and the row counts the IND and xref attribute pairs checked
+// and the sequence pairs seeded, aligned and linked.
+func E10Scaling(sizes ...int) (Table, error) {
 	t := Table{
-		ID:     "E10",
-		Title:  "§6.2 — cost of adding a source: size scaling, pruning and sampling ablations",
-		Header: []string{"proteins", "variant", "add-time", "ind-pairs-checked", "xref-pairs-checked"},
+		ID:    "E10",
+		Title: "§6.2 — cost of adding a source: size scaling, pruning and sampling ablations",
+		Header: []string{"proteins", "variant", "add-time", "ind-pairs-checked", "xref-pairs-checked",
+			"seq-seeded", "seq-aligned", "seq-hits"},
 	}
-	for _, n := range []int{50, 100, 200} {
-		for _, variant := range []struct {
-			name     string
-			discOpts discovery.Options
-			linkOpts linkdisc.Options
-			profOpts profile.Options
-		}{
-			{"full", discovery.DefaultOptions(), linkdisc.Options{}, profile.Options{}},
-			{"no-pruning", noPruneDiscovery(), linkdisc.Options{DisablePruning: true}, profile.Options{}},
-			{"sampled-10%", discovery.DefaultOptions(), linkdisc.Options{}, profile.Options{SampleEvery: 10}},
-		} {
-			corpus := datagen.Generate(datagen.Config{Seed: 8, Proteins: n})
-			sys := core.New(core.Options{
-				Discovery: variant.discOpts, Links: variant.linkOpts,
-				Profile: variant.profOpts, DisableSearchIndex: true,
-				Workers: Workers,
-			})
-			if _, err := sys.AddSource(corpus.Source("pdb")); err != nil {
-				return t, err
-			}
-			start := time.Now()
-			rep, err := sys.AddSource(corpus.Source("swissprot"))
+	for _, n := range sizes {
+		for _, v := range e10Variants {
+			rep, elapsed, err := e10Add(n, v)
 			if err != nil {
 				return t, err
 			}
-			elapsed := time.Since(start)
+			ls := rep.LinkStats
 			t.Rows = append(t.Rows, []string{
-				itos(n), variant.name, dur(elapsed),
-				itos(rep.Structure.INDStats.PairsChecked),
-				itos(rep.LinkStats.AttributePairsChecked),
+				itos(n), v.name, dur(elapsed),
+				itos(rep.Structure.INDStats.PairsChecked), itos(ls.AttributePairsChecked),
+				itos(ls.SequenceSeeded), itos(ls.SequenceAligned), itos(ls.SequenceComparisons),
 			})
 		}
 	}
 	t.Notes = append(t.Notes,
 		"no-pruning disables the min-hash IND pre-filter and the §4.4 attribute exclusions;",
-		"sampling profiles every 10th tuple (§6.2 'sampling can be used')")
+		"sampling profiles every 10th tuple (§6.2 'sampling can be used');",
+		"seq-hits counts sequence hits above MinSeqIdentity, in both directions")
 	return t, nil
+}
+
+// e10Variant is one of E10's ablations.
+type e10Variant struct {
+	name     string
+	discOpts discovery.Options
+	linkOpts linkdisc.Options
+	profOpts profile.Options
+}
+
+var e10Variants = []e10Variant{
+	{"full", discovery.DefaultOptions(), linkdisc.Options{}, profile.Options{}},
+	{"no-pruning", noPruneDiscovery(), linkdisc.Options{DisablePruning: true}, profile.Options{}},
+	{"sampled-10%", discovery.DefaultOptions(), linkdisc.Options{}, profile.Options{SampleEvery: 10}},
+}
+
+// e10Add integrates pdb, then times adding swissprot beside it, at
+// datagen seed 8 and the given size, under one of E10's variants.
+func e10Add(proteins int, v e10Variant) (*core.AddReport, time.Duration, error) {
+	corpus := datagen.Generate(datagen.Config{Seed: 8, Proteins: proteins})
+	sys := core.New(core.Options{
+		Discovery: v.discOpts, Links: v.linkOpts,
+		Profile: v.profOpts, DisableSearchIndex: true,
+		Workers: Workers,
+	})
+	if _, err := sys.AddSource(corpus.Source("pdb")); err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	rep, err := sys.AddSource(corpus.Source("swissprot"))
+	return rep, time.Since(start), err
 }
 
 func noPruneDiscovery() discovery.Options {
@@ -707,7 +730,7 @@ func All() ([]Table, error) {
 		func() (Table, error) { return E7SequencePR(30) },
 		func() (Table, error) { return E8TextPR(40) },
 		func() (Table, error) { return E9DuplicatePR(40) },
-		E10Scaling,
+		func() (Table, error) { return E10Scaling(E10Sizes...) },
 		func() (Table, error) { return E11ChangeThreshold(40) },
 		func() (Table, error) { return E12SearchBrowse(40) },
 	}

@@ -2,9 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/discovery"
+	"repro/internal/linkdisc"
+	"repro/internal/profile"
+	"repro/internal/rel"
 )
 
 func TestE1Table1Shape(t *testing.T) {
@@ -86,7 +95,7 @@ func TestE9ThresholdShape(t *testing.T) {
 
 // TestE7SequenceRows pins the paper-fidelity numbers of §4.4's sequence
 // links at 30 proteins: precision, recall and F1 of homology links per
-// mutation rate, and the seeded-candidate and all-pairs counts, as
+// mutation rate, and the seeded-candidate, aligned and all-pairs counts, as
 // measured at commit 82b2e5e — before each candidate pair was scored
 // once for both directions — so a rewrite of the aligner cannot drift
 // them silently.
@@ -96,14 +105,14 @@ func TestE7SequenceRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][]string{
-		{"0.01", "1.000", "1.000", "1.000", "149", "900"},
-		{"0.05", "1.000", "1.000", "1.000", "151", "900"},
-		{"0.10", "1.000", "1.000", "1.000", "168", "900"},
-		{"0.20", "1.000", "0.956", "0.977", "149", "900"},
-		{"0.40", "1.000", "0.500", "0.667", "146", "900"},
+		{"0.01", "1.000", "1.000", "1.000", "149", "149", "900"},
+		{"0.05", "1.000", "1.000", "1.000", "151", "151", "900"},
+		{"0.10", "1.000", "1.000", "1.000", "168", "168", "900"},
+		{"0.20", "1.000", "0.956", "0.977", "149", "149", "900"},
+		{"0.40", "1.000", "0.500", "0.667", "146", "146", "900"},
 	}
 	if !reflect.DeepEqual(tbl.Rows, want) {
-		t.Errorf("E7 rows (mutation, P, R, F1, seeded-candidates, all-pairs):\n got  %v\n want %v", tbl.Rows, want)
+		t.Errorf("E7 rows (mutation, P, R, F1, seeded-candidates, aligned, all-pairs):\n got  %v\n want %v", tbl.Rows, want)
 	}
 }
 
@@ -205,4 +214,82 @@ func TestE12Probes(t *testing.T) {
 	if len(tbl.Rows) != 2 {
 		t.Errorf("rows = %+v", tbl.Rows)
 	}
+}
+
+// TestSeqWorkCounts pins the work of sequence-link discovery: the pairs
+// seeded (sharing two 8-mers), aligned (scored by Smith-Waterman), the
+// cells scoring filled and the hits above MinSeqIdentity, at tolerance 0 — on the integrate-linked
+// corpus (24 GenBank loci beside 1,200 EMBL entries, as BenchmarkSeqLinks
+// runs it), E7's three sequence sources at every mutation rate, and
+// E10's full variant at up to 200 proteins.
+func TestSeqWorkCounts(t *testing.T) {
+	var got []string
+	record := func(name string, st linkdisc.Stats) {
+		got = append(got, fmt.Sprintf("%s %d %d %d %d", name, st.SequenceSeeded, st.SequenceAligned, st.SequenceCells, st.SequenceComparisons))
+	}
+
+	embl, genbank := datagen.LinkedSequences(7)
+	eng := linkdisc.New(linkdisc.Options{Workers: 1, DisableTextLinks: true, DisableEntityLinks: true})
+	if err := eng.AddSource(linkSource(t, embl)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, st, err := eng.DiscoverAgainst(context.Background(), linkSource(t, genbank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record("genbank24-embl1200", st)
+
+	for _, mut := range []float64{0.01, 0.05, 0.10, 0.20, 0.40} {
+		corpus := datagen.Generate(datagen.Config{Seed: 5, Proteins: 30, Noise: datagen.Noise{SeqMutation: mut}})
+		sys := core.New(core.Options{DisableSearchIndex: true})
+		var sum linkdisc.Stats
+		for _, name := range []string{"swissprot", "pdb", "genbank"} {
+			rep, err := sys.AddSource(corpus.Source(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.SequenceSeeded += rep.LinkStats.SequenceSeeded
+			sum.SequenceAligned += rep.LinkStats.SequenceAligned
+			sum.SequenceCells += rep.LinkStats.SequenceCells
+			sum.SequenceComparisons += rep.LinkStats.SequenceComparisons
+		}
+		record(fmt.Sprintf("e7-mut%.2f", mut), sum)
+	}
+
+	for _, n := range []int{50, 100, 200} {
+		rep, _, err := e10Add(n, e10Variants[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(fmt.Sprintf("e10-p%d", n), rep.LinkStats)
+	}
+
+	want := []string{
+		"genbank24-embl1200 3745 3745 147444144 24",
+		"e7-mut0.01 444 444 17760000 180",
+		"e7-mut0.05 458 458 18320000 180",
+		"e7-mut0.10 481 481 19240000 180",
+		"e7-mut0.20 437 437 17480000 172",
+		"e7-mut0.40 428 428 17120000 90",
+		"e10-p50 402 402 16080000 100",
+		"e10-p100 1478 1478 59120000 200",
+		"e10-p200 5534 5534 221360000 400",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sequence work (corpus, seeded, aligned, cells, hits):\n got  %q\n want %q", got, want)
+	}
+}
+
+// linkSource profiles db and discovers its structure: a source as link
+// discovery takes it.
+func linkSource(t *testing.T, db *rel.Database) *linkdisc.Source {
+	profs, err := profile.ProfileDatabase(db, profile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := discovery.Analyze(db, profs, discovery.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &linkdisc.Source{DB: db, Structure: st, Profiles: profs}
 }

@@ -120,9 +120,18 @@ type Stats struct {
 	AttributePairsPruned     int
 	AttributePairsChecked    int
 	XRefAttributePairs       int
-	SequenceComparisons      int
-	TextComparisons          int
-	Links                    int
+	// SequenceSeeded counts the sequence pairs sharing MinSeeds k-mers,
+	// SequenceAligned those of them Smith-Waterman scored, and
+	// SequenceCells the dynamic-programming cells that scoring filled.
+	SequenceSeeded  int
+	SequenceAligned int
+	SequenceCells   int64
+	// SequenceComparisons counts the sequence hits above MinSeqIdentity,
+	// one per query tuple and target owner in each direction: not the
+	// pairs compared, which SequenceSeeded and SequenceAligned count.
+	SequenceComparisons int
+	TextComparisons     int
+	Links               int
 }
 
 // XRefAttribute records one discovered cross-reference attribute pair:
@@ -189,9 +198,9 @@ func (e *Engine) DiscoverAll() ([]metadata.Link, []XRefAttribute, Stats) {
 	seqLinks := make(map[[2]*Source][]metadata.Link)
 	for i, a := range e.sources {
 		for _, b := range e.sources[i+1:] {
-			fwd, rev, n, _ := e.discoverSequenceLinks(ctx, a, b)
+			fwd, rev, st, _ := e.discoverSequenceLinks(ctx, a, b)
 			seqLinks[[2]*Source{a, b}], seqLinks[[2]*Source{b, a}] = fwd, rev
-			stats.SequenceComparisons += n
+			addStats(&stats, st)
 		}
 	}
 	for _, from := range e.sources {
@@ -284,11 +293,11 @@ func (e *Engine) discoverBothWays(ctx context.Context, nu *Source) ([]metadata.L
 	var xattrs []XRefAttribute
 	var stats Stats
 	for _, other := range others {
-		fwd, rev, n, err := e.discoverSequenceLinks(ctx, nu, other)
+		fwd, rev, st, err := e.discoverSequenceLinks(ctx, nu, other)
 		if err != nil {
 			return nil, nil, Stats{}, err
 		}
-		stats.SequenceComparisons += n
+		addStats(&stats, st)
 		for _, d := range [2]struct {
 			from, to *Source
 			seq      []metadata.Link
@@ -311,6 +320,9 @@ func addStats(dst *Stats, s Stats) {
 	dst.AttributePairsPruned += s.AttributePairsPruned
 	dst.AttributePairsChecked += s.AttributePairsChecked
 	dst.XRefAttributePairs += s.XRefAttributePairs
+	dst.SequenceSeeded += s.SequenceSeeded
+	dst.SequenceAligned += s.SequenceAligned
+	dst.SequenceCells += s.SequenceCells
 	dst.SequenceComparisons += s.SequenceComparisons
 	dst.TextComparisons += s.TextComparisons
 }
@@ -495,47 +507,54 @@ func seqTuples(s *Source) []seqTuple {
 
 // discoverSequenceLinks finds the sequence links of one source pair in
 // both directions — a's objects to b's (fwd), b's to a's (rev) — and the
-// hits behind them. It indexes b's sequences and probes the index with
-// a's, so each candidate pair is seeded and scored once (seq.CrossSearch)
-// and only hits are traced back, once per direction.
-func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, rev []metadata.Link, hits int, err error) {
+// work and hits behind them. It indexes b's sequences and probes the
+// index with a's, so each candidate pair is seeded and scored once
+// (seq.CrossSearch) and only hits are traced back, once per direction.
+func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, rev []metadata.Link, st Stats, err error) {
 	if e.opts.DisableSequenceLinks {
-		return nil, nil, 0, nil
+		return nil, nil, Stats{}, nil
 	}
 	as, bs := seqTuples(a), seqTuples(b)
 	if len(as) == 0 || len(bs) == 0 {
-		return nil, nil, 0, nil
+		return nil, nil, Stats{}, nil
 	}
-	toB, toA, err := e.crossHits(ctx, as, bs)
+	toB, toA, w, err := e.crossHits(ctx, as, bs)
 	asym := func(t seqTuple) bool { return !seq.MinusSymmetric(t.seq) }
 	if err == nil && e.opts.SeqBothStrands && (slices.ContainsFunc(as, asym) || slices.ContainsFunc(bs, asym)) {
 		// Reverse complementing is no involution on U or non-ASCII bytes:
 		// with them, b's direction is seeded from b's end.
-		toA, _, err = e.crossHits(ctx, bs, as)
+		var wa seq.Work
+		toA, _, wa, err = e.crossHits(ctx, bs, as)
+		w.Add(wa)
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, Stats{}, err
 	}
 	fwd, n := e.seqLinks(a, b, as, toB)
 	rev, m := e.seqLinks(b, a, bs, toA)
-	return fwd, rev, n + m, nil
+	return fwd, rev, Stats{SequenceSeeded: w.Seeded, SequenceAligned: w.Aligned, SequenceCells: w.Cells, SequenceComparisons: n + m}, nil
 }
 
 // crossHits indexes ts and probes it with every query of qs on the worker
 // pool. It returns each query's hits on the owners of ts, and each
 // target's hits on the owners of qs — what indexing qs and probing with
-// ts would find — both above MinSeqIdentity, not yet ranked.
-func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][]seq.Hit, err error) {
+// ts would find — both above MinSeqIdentity, not yet ranked, and the
+// work of every query's search.
+func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][]seq.Hit, w seq.Work, err error) {
 	ix := seq.NewIndex(e.opts.SeqKmer)
 	for _, t := range ts {
 		ix.Add("", t.seq)
 	}
 	opts := seq.SearchOptions{MinScore: e.opts.SeqMinScore, BothStrands: e.opts.SeqBothStrands}
 	pairs := make([][]seq.Pair, len(qs))
+	works := make([]seq.Work, len(qs))
 	if err := parallel.For(ctx, e.opts.Workers, len(qs), func(i int) {
-		pairs[i] = ix.CrossSearch(qs[i].seq, opts)
+		pairs[i] = ix.CrossSearchWork(qs[i].seq, opts, &works[i])
 	}); err != nil {
-		return nil, nil, err
+		return nil, nil, w, err
+	}
+	for _, qw := range works {
+		w.Add(qw)
 	}
 	add := func(hits []seq.Hit, owners []string, al seq.Alignment, minus bool) []seq.Hit {
 		if al.Identity < e.opts.MinSeqIdentity {
@@ -553,7 +572,7 @@ func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][
 			rev[p.Target] = add(rev[p.Target], qs[i].owners, p.Rev, p.MinusStrand)
 		}
 	}
-	return fwd, rev, nil
+	return fwd, rev, w, nil
 }
 
 // seqLinks ranks each query's hits as seq.Search does, links every owner

@@ -312,6 +312,19 @@ type Pair struct {
 	MinusStrand bool
 }
 
+// Work counts what a search did: Seeded targets shared MinSeeds distinct
+// k-mers with the query, Aligned of them were scored by swScore, and
+// Cells counts the dynamic-programming cells that scoring filled.
+type Work struct {
+	Seeded, Aligned int
+	Cells           int64
+}
+
+// Add adds o's counts to w's.
+func (w *Work) Add(o Work) {
+	w.Seeded, w.Aligned, w.Cells = w.Seeded+o.Seeded, w.Aligned+o.Aligned, w.Cells+o.Cells
+}
+
 // CrossSearch is Search from both ends at once: its pairs are those
 // Search of the query reaches (Fwd) and those Search of each target over
 // an index of the queries would reach (Rev). Seeds and score do not
@@ -321,13 +334,24 @@ type Pair struct {
 // only when every query and target is MinusSymmetric. Pairs come plus
 // strand first, each strand in index order.
 func (ix *Index) CrossSearch(query string, opts SearchOptions) []Pair {
+	var w Work
+	return ix.CrossSearchWork(query, opts, &w)
+}
+
+// CrossSearchWork is CrossSearch that adds what it did, on both strands,
+// to *w.
+func (ix *Index) CrossSearchWork(query string, opts SearchOptions, w *Work) []Pair {
 	opts.fill()
 	var row []int32
 	var pairs []Pair
 	query = strings.ToUpper(query)
 	strand := func(q string, minus bool) {
-		for _, rid := range ix.candidates(q, opts.MinSeeds) {
+		aligned := ix.candidates(q, opts.MinSeeds)
+		w.Seeded += len(aligned)
+		w.Aligned += len(aligned)
+		for _, rid := range aligned {
 			t := ix.records[rid].Seq
+			w.Cells += int64(len(q)) * int64(len(t))
 			score, endI, endJ := swScore(q, t, opts.Scoring, &row)
 			if score < opts.MinScore {
 				continue
@@ -409,10 +433,12 @@ func (ix *Index) candidates(query string, minSeeds int) []int32 {
 }
 
 // CandidateCount returns how many targets share >= minSeeds k-mers with
-// the query — the seeding selectivity, measured by the pruning
-// experiments without paying for alignment.
-func (ix *Index) CandidateCount(query string, minSeeds int) int {
-	return len(ix.candidates(strings.ToUpper(query), max(minSeeds, 1)))
+// the query (seeded) and how many of those a search would align — the
+// seeding selectivity, measured by the pruning experiments without
+// paying for alignment. The plus strand only.
+func (ix *Index) CandidateCount(query string, minSeeds int) (seeded, aligned int) {
+	n := len(ix.candidates(strings.ToUpper(query), max(minSeeds, 1)))
+	return n, n
 }
 
 // AllPairs aligns every query against every target with no seeding — the

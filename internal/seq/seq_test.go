@@ -134,7 +134,7 @@ func TestIndexSeedingPrunes(t *testing.T) {
 		ix.Add("decoy", randomDNA(rng, 200))
 	}
 	query := mutate(rng, orig, 0.03)
-	candidates := ix.CandidateCount(query, 2)
+	candidates, _ := ix.CandidateCount(query, 2)
 	if candidates >= 25 {
 		t.Errorf("seeding should prune most of 51 targets; candidates = %d", candidates)
 	}
