@@ -95,21 +95,24 @@ func TestE9ThresholdShape(t *testing.T) {
 
 // TestE7SequenceRows pins the paper-fidelity numbers of §4.4's sequence
 // links at 30 proteins: precision, recall and F1 of homology links per
-// mutation rate, and the seeded-candidate, aligned and all-pairs counts, as
-// measured at commit 82b2e5e — before each candidate pair was scored
-// once for both directions — so a rewrite of the aligner cannot drift
-// them silently.
+// mutation rate, and the seeded-candidate, aligned and all-pairs counts,
+// so a rewrite of the aligner cannot drift them silently. They are as
+// measured at commit 82b2e5e — before each candidate pair was scored once
+// for both directions — except for the aligned column and the cell at
+// mutation 0.20 that the two-hit filter moved: one gold pdb~genbank pair
+// shares two 8-mers, 84 diagonals apart, and is no longer aligned (R
+// 0.956 -> 0.944, F1 0.977 -> 0.971).
 func TestE7SequenceRows(t *testing.T) {
 	tbl, err := E7SequencePR(30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]string{
-		{"0.01", "1.000", "1.000", "1.000", "149", "149", "900"},
-		{"0.05", "1.000", "1.000", "1.000", "151", "151", "900"},
-		{"0.10", "1.000", "1.000", "1.000", "168", "168", "900"},
-		{"0.20", "1.000", "0.956", "0.977", "149", "149", "900"},
-		{"0.40", "1.000", "0.500", "0.667", "146", "146", "900"},
+		{"0.01", "1.000", "1.000", "1.000", "149", "32", "900"},
+		{"0.05", "1.000", "1.000", "1.000", "151", "32", "900"},
+		{"0.10", "1.000", "1.000", "1.000", "168", "35", "900"},
+		{"0.20", "1.000", "0.944", "0.971", "149", "32", "900"},
+		{"0.40", "1.000", "0.500", "0.667", "146", "30", "900"},
 	}
 	if !reflect.DeepEqual(tbl.Rows, want) {
 		t.Errorf("E7 rows (mutation, P, R, F1, seeded-candidates, aligned, all-pairs):\n got  %v\n want %v", tbl.Rows, want)
@@ -265,15 +268,15 @@ func TestSeqWorkCounts(t *testing.T) {
 	}
 
 	want := []string{
-		"genbank24-embl1200 3745 3745 147444144 24",
-		"e7-mut0.01 444 444 17760000 180",
-		"e7-mut0.05 458 458 18320000 180",
-		"e7-mut0.10 481 481 19240000 180",
-		"e7-mut0.20 437 437 17480000 172",
-		"e7-mut0.40 428 428 17120000 90",
-		"e10-p50 402 402 16080000 100",
-		"e10-p100 1478 1478 59120000 200",
-		"e10-p200 5534 5534 221360000 400",
+		"genbank24-embl1200 3745 82 3151373 24",
+		"e7-mut0.01 444 94 3760000 180",
+		"e7-mut0.05 458 92 3680000 180",
+		"e7-mut0.10 481 101 4040000 180",
+		"e7-mut0.20 437 89 3560000 170",
+		"e7-mut0.40 428 60 2400000 90",
+		"e10-p50 402 60 2400000 100",
+		"e10-p100 1478 128 5120000 200",
+		"e10-p200 5534 284 11360000 400",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("sequence work (corpus, seeded, aligned, cells, hits):\n got  %q\n want %q", got, want)

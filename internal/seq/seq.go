@@ -5,22 +5,28 @@
 // followed by local alignment — implemented here from scratch as
 // Smith-Waterman with a k-mer prefilter.
 //
-// What is computed when: seeding counts the distinct k-mers each indexed
-// sequence shares with a query; only candidates sharing MinSeeds are
-// aligned. swScore runs the recurrence on one reusable row for the best
-// score and its end cell; only a pair reaching MinScore is re-run with a
-// direction matrix over the prefixes ending at that cell and traced back
-// for identity and region. CrossSearch scores a pair once for both
-// orientations, as seeds and score are symmetric, but traces a hit back
-// in each: the traceback prefers diagonal, then up, then left, and
-// transposing a pair swaps up and left, so equal-score alignments can
-// differ in identity.
+// What is computed when: the index posts every k-mer occurrence with its
+// offset. Seeding counts the distinct k-mers each indexed sequence shares
+// with a query; a candidate sharing MinSeeds is seeded, and aligned only
+// if two of its k-mer hits lie on one diagonal without overlapping (the
+// two-hit rule of Gapped BLAST [AMS+97]) or its shared k-mers are more
+// than random strands of those lengths share but with probability 1e-4.
+// swScore runs the recurrence on one reusable row for the best score and
+// its end cell; only a pair reaching MinScore is re-run with a direction
+// matrix over the prefixes ending at that cell and traced back for
+// identity and region. CrossSearch scores a pair once for both
+// orientations, as seeding, under both rules, and score are symmetric,
+// but traces a hit back in each: the traceback prefers diagonal, then
+// up, then left, and transposing a pair swaps up and left, so
+// equal-score alignments can differ in identity.
 package seq
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -202,12 +208,13 @@ type Record struct {
 type Index struct {
 	K       int
 	records []Record
-	// kmers numbers the distinct k-mers. Their posting lists are chained
-	// through flat arrays, newest first: last[k] is k-mer k's newest
-	// posting, rec[p] the record of posting p and prev[p] the k-mer's
-	// next older posting (-1 ends the list).
-	kmers           map[string]int32
-	last, rec, prev []int32
+	// kmers numbers the distinct k-mers. Their posting lists, one posting
+	// per occurrence, are chained through flat arrays, newest first:
+	// last[k] is k-mer k's newest posting, rec[p] and pos[p] the record
+	// and offset of posting p, and prev[p] the k-mer's next older posting
+	// (-1 ends the list). A record's postings of one k-mer are adjacent.
+	kmers                map[string]int32
+	last, rec, pos, prev []int32
 }
 
 // NewIndex builds an index with k-mer length k (k >= 4 recommended for
@@ -230,10 +237,9 @@ func (ix *Index) Add(id, sequence string) {
 			k = int32(len(ix.last))
 			ix.kmers[sequence[i:i+ix.K]] = k
 			ix.last = append(ix.last, -1)
-		} else if ix.rec[ix.last[k]] == r {
-			continue // posted already for this record
 		}
 		ix.rec = append(ix.rec, r)
+		ix.pos = append(ix.pos, int32(i))
 		ix.prev = append(ix.prev, ix.last[k])
 		ix.last[k] = int32(len(ix.rec) - 1)
 	}
@@ -244,8 +250,11 @@ func (ix *Index) Len() int { return len(ix.records) }
 
 // SearchOptions tunes Search.
 type SearchOptions struct {
-	// MinSeeds is the number of distinct shared k-mers required before a
-	// candidate pair is aligned (default 2).
+	// MinSeeds is the number of distinct shared k-mers that seeds a
+	// candidate pair (default 2). A seeded pair is aligned only if it has
+	// two non-overlapping k-mer hits on one diagonal, or shares more
+	// k-mers than random strands of its lengths do but with probability
+	// 1e-4 — at least MinSeeds, and two for short pairs.
 	MinSeeds int
 	// MinScore drops alignments below this score (default 20).
 	MinScore int
@@ -282,7 +291,8 @@ type Hit struct {
 }
 
 // Search finds targets sharing at least MinSeeds k-mers with the query,
-// aligns each candidate with Smith-Waterman, and returns hits ranked by
+// aligns each candidate that passes the two-hit or chance rule (see
+// MinSeeds) with Smith-Waterman, and returns hits ranked by
 // Rank. With BothStrands set, the reverse complement is also searched
 // and the best strand per target kept.
 func (ix *Index) Search(query string, opts SearchOptions) []Hit {
@@ -327,7 +337,7 @@ func (w *Work) Add(o Work) {
 
 // CrossSearch is Search from both ends at once: its pairs are those
 // Search of the query reaches (Fwd) and those Search of each target over
-// an index of the queries would reach (Rev). Seeds and score do not
+// an index of the queries would reach (Rev). Seeding and score do not
 // depend on the orientation, so swScore scores each candidate once; a
 // pair reaching MinScore is traced back once per orientation. MinIdentity
 // and MaxHits are left to the caller. Rev is exact on the minus strand
@@ -346,8 +356,8 @@ func (ix *Index) CrossSearchWork(query string, opts SearchOptions, w *Work) []Pa
 	var pairs []Pair
 	query = strings.ToUpper(query)
 	strand := func(q string, minus bool) {
-		aligned := ix.candidates(q, opts.MinSeeds)
-		w.Seeded += len(aligned)
+		aligned, seeded := ix.candidates(q, opts.MinSeeds)
+		w.Seeded += seeded
 		w.Aligned += len(aligned)
 		for _, rid := range aligned {
 			t := ix.records[rid].Seq
@@ -406,39 +416,171 @@ func Rank(hits []Hit, bothStrands bool) []Hit {
 	return hits
 }
 
-// candidates is the seeding every search shares: the records sharing at
-// least minSeeds distinct k-mers with the upper-cased query, in index
-// order.
-func (ix *Index) candidates(query string, minSeeds int) []int32 {
-	kmers := make([]int32, 0, len(query))
-	for i := 0; i+ix.K <= len(query); i++ {
+// seedChance is the chance at or below which a count of shared k-mers
+// beats chance: random strands share that many with at most this
+// probability.
+const seedChance = 1e-4
+
+// diagCells bounds the diagonal tables one pass of candidates fills (a
+// variable so that tests can force one pass per record).
+var diagCells = 1 << 20
+
+// seedScratch is the working memory of candidates, reused across calls:
+// the query's k-mer occurrences, a state per record, the records that
+// must show two hits and their diagonal tables.
+type seedScratch struct {
+	occ           []uint64
+	state, twoHit []int32
+	diag          []int32
+}
+
+var seedScratchPool = sync.Pool{New: func() any { return new(seedScratch) }}
+
+// candidates is the seeding every search shares. A record is seeded if it
+// shares at least minSeeds distinct k-mers with the upper-cased query,
+// and aligned only if, besides, one of two rules holds — both symmetric
+// in query and record:
+//   - two hits: two non-overlapping k-mer hits lie on one diagonal, query
+//     offsets i1 + k <= i2 and record offsets j1 - i1 = j2 - i2 (the
+//     two-hit rule of Gapped BLAST);
+//   - beats chance: the shared k-mers are more than random strands of
+//     those lengths share but with probability seedChance (beatsChance).
+//
+// It returns the aligned records in index order and the seeded count.
+// The postings are walked once to count each record's shared k-mers, then
+// again to find two hits for the seeded records that do not beat chance,
+// on one diagonal table per such record — in more than one pass if their
+// tables outgrow diagCells.
+func (ix *Index) candidates(query string, minSeeds int) (aligned []int32, seeded int) {
+	sc := seedScratchPool.Get().(*seedScratch)
+	n := len(query)
+	// occ holds the query's indexed k-mers as id<<32 | offset, so sorting
+	// groups each k-mer's occurrences.
+	occ := sc.occ[:0]
+	for i := 0; i+ix.K <= n; i++ {
 		if k, ok := ix.kmers[query[i:i+ix.K]]; ok {
-			kmers = append(kmers, k)
+			occ = append(occ, uint64(k)<<32|uint64(i))
 		}
 	}
-	slices.Sort(kmers)
-	counts := make([]int32, len(ix.records))
-	for _, k := range slices.Compact(kmers) {
+	sc.occ = occ
+	slices.Sort(occ)
+	// groups calls visit with each distinct k-mer and its query offsets.
+	groups := func(visit func(k int32, occ []uint64)) {
+		for g := 0; g < len(occ); {
+			e := g + 1
+			for e < len(occ) && occ[e]>>32 == occ[g]>>32 {
+				e++
+			}
+			visit(int32(occ[g]>>32), occ[g:e])
+			g = e
+		}
+	}
+	counts := slices.Grow(sc.state[:0], len(ix.records))[:len(ix.records)]
+	sc.state = counts
+	clear(counts)
+	groups(func(k int32, _ []uint64) {
+		prev := int32(-1)
 		for p := ix.last[k]; p >= 0; p = ix.prev[p] {
-			counts[ix.rec[p]]++
+			if r := ix.rec[p]; r != prev {
+				counts[r]++
+				prev = r
+			}
+		}
+	})
+	// state[r] is -1 for a record aligned, 0 for one left out or waiting
+	// for its pass, and for one whose two hits a pass looks for 1 + the
+	// offset of its diagonal table in diag: the least and the greatest
+	// query offset of a hit on each of its n + m - 1 diagonals.
+	state, twoHit := counts, sc.twoHit[:0]
+	for r, c := range counts {
+		state[r] = 0
+		if int(c) < minSeeds {
+			continue
+		}
+		seeded++
+		if beatsChance(int(c), n, len(ix.records[r].Seq), ix.K) {
+			state[r] = -1
+		} else {
+			twoHit = append(twoHit, int32(r))
 		}
 	}
-	var out []int32
-	for rid, n := range counts {
-		if int(n) >= minSeeds {
-			out = append(out, int32(rid))
+	sc.twoHit = twoHit
+	// Each pass walks the postings once for as many tables as fit in
+	// diagCells, so a long query against many records stays bounded.
+	for len(twoHit) > 0 {
+		size, next := 0, 0
+		for ; next < len(twoHit); next++ {
+			need := 2 * (n + len(ix.records[twoHit[next]].Seq) - 1)
+			if next > 0 && size+need > diagCells {
+				break
+			}
+			state[twoHit[next]] = int32(size + 1)
+			size += need
+		}
+		diag := slices.Grow(sc.diag[:0], size)[:size]
+		sc.diag = diag
+		for i := 0; i < size; i += 2 {
+			diag[i], diag[i+1] = math.MaxInt32, -1
+		}
+		groups(func(k int32, occ []uint64) {
+		postings:
+			for p := ix.last[k]; p >= 0; p = ix.prev[p] {
+				r := ix.rec[p]
+				if state[r] <= 0 {
+					continue
+				}
+				// Hit (i, j) lies on diagonal j - i + n - 1 of r's table.
+				base := int(state[r]-1) + 2*(int(ix.pos[p])+n-1)
+				for _, o := range occ {
+					i := int32(uint32(o))
+					d := diag[base-2*int(i):]
+					d[0], d[1] = min(d[0], i), max(d[1], i)
+					if int(d[1]-d[0]) >= ix.K {
+						state[r] = -1
+						continue postings
+					}
+				}
+			}
+		})
+		for _, r := range twoHit[:next] {
+			state[r] = min(state[r], 0)
+		}
+		twoHit = twoHit[next:]
+	}
+	for r, st := range state {
+		if st < 0 {
+			aligned = append(aligned, int32(r))
 		}
 	}
-	return out
+	seedScratchPool.Put(sc)
+	return aligned, seeded
+}
+
+// beatsChance reports whether two strands of lengths n and m sharing
+// shared distinct k-mers beat chance: P[Poisson(λ) >= shared] <=
+// seedChance, where λ = (n-k+1)(m-k+1)/4^k is the number of k-mer matches
+// two random DNA strands of those lengths have by chance. The terms are
+// summed in logs, so a long pair's e^-λ does not underflow.
+func beatsChance(shared, n, m, k int) bool {
+	lambda := float64(n-k+1) * float64(m-k+1) / math.Pow(4, float64(k))
+	if lambda <= 0 {
+		return true
+	}
+	lp, below := -lambda, 0.0 // log P[X = x], P[X < x]
+	for x := 0; x < shared; x++ {
+		below += math.Exp(lp)
+		lp += math.Log(lambda / float64(x+1))
+	}
+	return 1-below <= seedChance
 }
 
 // CandidateCount returns how many targets share >= minSeeds k-mers with
-// the query (seeded) and how many of those a search would align — the
-// seeding selectivity, measured by the pruning experiments without
-// paying for alignment. The plus strand only.
+// the query (seeded) and how many of those a search aligns — the seeding
+// selectivity, measured by the pruning experiments without paying for
+// alignment. The plus strand only.
 func (ix *Index) CandidateCount(query string, minSeeds int) (seeded, aligned int) {
-	n := len(ix.candidates(strings.ToUpper(query), max(minSeeds, 1)))
-	return n, n
+	al, seeded := ix.candidates(strings.ToUpper(query), max(minSeeds, 1))
+	return seeded, len(al)
 }
 
 // AllPairs aligns every query against every target with no seeding — the
