@@ -247,8 +247,9 @@ func BenchmarkSeededVsFullAlignment(b *testing.B) {
 			for _, t := range targets {
 				ix.Add(t.ID, t.Seq)
 			}
+			var w seq.Work
 			for _, q := range queries {
-				ix.CrossSearch(q.Seq, seq.SearchOptions{MinScore: 40})
+				ix.CrossSearch(q.Seq, seq.SearchOptions{MinScore: 40}, &w)
 			}
 		}
 	})

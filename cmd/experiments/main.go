@@ -59,7 +59,7 @@ func run(id string) (experiments.Table, error) {
 	case "e9":
 		return experiments.E9DuplicatePR(40)
 	case "e10":
-		return experiments.E10Scaling(experiments.E10Sizes...)
+		return experiments.E10Scaling()
 	case "e11":
 		return experiments.E11ChangeThreshold(40)
 	case "e12":

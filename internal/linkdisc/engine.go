@@ -549,7 +549,7 @@ func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][
 	pairs := make([][]seq.Pair, len(qs))
 	works := make([]seq.Work, len(qs))
 	if err := parallel.For(ctx, e.opts.Workers, len(qs), func(i int) {
-		pairs[i] = ix.CrossSearchWork(qs[i].seq, opts, &works[i])
+		pairs[i] = ix.CrossSearch(qs[i].seq, opts, &works[i])
 	}); err != nil {
 		return nil, nil, w, err
 	}

@@ -3,6 +3,8 @@ package linkdisc
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -235,6 +237,58 @@ func TestSequenceLinkDiscovery(t *testing.T) {
 	// structure 1XY0.
 	if got := seqLinks["P10000"]; got != "1XY0" {
 		t.Errorf("P10000 homolog = %q want 1XY0", got)
+	}
+}
+
+// TestProteinSequenceLinks: protein homologs whose shared 8-mers lie only
+// on diagonals an insertion apart are linked, as they are by MinSeeds
+// alone: over 20 letters two shared 8-mers of strands this long beat
+// chance.
+func TestProteinSequenceLinks(t *testing.T) {
+	const aminoAcids = "ACDEFGHIKLMNPQRSTVWY"
+	rng := rand.New(rand.NewSource(3))
+	residues := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = aminoAcids[rng.Intn(len(aminoAcids))]
+		}
+		return b
+	}
+	up := rel.NewDatabase("uniprot")
+	proteins := up.Create("protein", rel.TextSchema("protein_id", "accession", "seq"))
+	pdb := rel.NewDatabase("pdb")
+	chains := pdb.Create("chain", rel.TextSchema("chain_id", "pdb_code", "chain_seq"))
+	want := map[string]string{}
+	for i := 0; i < 10; i++ {
+		acc, code := fmt.Sprintf("P%05d", 20000+i), fmt.Sprintf("%dPR%d", i+1, i)
+		s := residues(300)
+		proteins.AppendRaw(fmt.Sprint(i+1), acc, string(s))
+		// Every seventh residue changed, and the residues either side of
+		// [40, 48) and [218, 226), but those kept: the homolog shares the
+		// 8-mers at 40 and 218 and no other. Then 5 residues inserted at
+		// 150 set the two on diagonals 5 apart.
+		h := slices.Clone(s)
+		for j := range h {
+			if (j%7 == 3 || j == 39 || j == 48 || j == 217 || j == 226) && !(40 <= j && j < 48 || 218 <= j && j < 226) {
+				h[j] = aminoAcids[(strings.IndexByte(aminoAcids, h[j])+1+rng.Intn(len(aminoAcids)-1))%len(aminoAcids)]
+			}
+		}
+		chains.AppendRaw(fmt.Sprint(i+1), code, string(slices.Concat(h[:150], residues(5), h[150:])))
+		want[acc] = code
+	}
+	e := newEngine(t, Options{DisableTextLinks: true, DisableEntityLinks: true}, makeSource(t, up), makeSource(t, pdb))
+	links, _, stats := e.DiscoverAll()
+	got := map[string]string{}
+	for _, l := range links {
+		if l.Type == metadata.LinkSequence && l.From.Source == "uniprot" {
+			got[l.From.Accession] = l.To.Accession
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("sequence links %v, want %v", got, want)
+	}
+	if stats.SequenceAligned != stats.SequenceSeeded {
+		t.Errorf("aligned %d of %d seeded pairs; want all", stats.SequenceAligned, stats.SequenceSeeded)
 	}
 }
 

@@ -10,7 +10,8 @@
 // with a query; a candidate sharing MinSeeds is seeded, and aligned only
 // if two of its k-mer hits lie on one diagonal without overlapping (the
 // two-hit rule of Gapped BLAST [AMS+97]) or its shared k-mers are more
-// than random strands of those lengths share but with probability 1e-4.
+// than random strands of those lengths and alphabet (4 nucleotides or 20
+// amino acids) share but with probability 1e-4.
 // swScore runs the recurrence on one reusable row for the best score and
 // its end cell; only a pair reaching MinScore is re-run with a direction
 // matrix over the prefixes ending at that cell and traced back for
@@ -215,6 +216,8 @@ type Index struct {
 	// (-1 ends the list). A record's postings of one k-mer are adjacent.
 	kmers                map[string]int32
 	last, rec, pos, prev []int32
+	// alpha[r] is the size of record r's alphabet (see alphabet).
+	alpha []uint8
 }
 
 // NewIndex builds an index with k-mer length k (k >= 4 recommended for
@@ -231,6 +234,7 @@ func (ix *Index) Add(id, sequence string) {
 	sequence = strings.ToUpper(sequence)
 	r := int32(len(ix.records))
 	ix.records = append(ix.records, Record{ID: id, Seq: sequence})
+	ix.alpha = append(ix.alpha, uint8(alphabet(sequence)))
 	for i := 0; i+ix.K <= len(sequence); i++ {
 		k, ok := ix.kmers[sequence[i:i+ix.K]]
 		if !ok {
@@ -253,8 +257,9 @@ type SearchOptions struct {
 	// MinSeeds is the number of distinct shared k-mers that seeds a
 	// candidate pair (default 2). A seeded pair is aligned only if it has
 	// two non-overlapping k-mer hits on one diagonal, or shares more
-	// k-mers than random strands of its lengths do but with probability
-	// 1e-4 — at least MinSeeds, and two for short pairs.
+	// k-mers than random strands of its lengths and alphabet do but with
+	// probability 1e-4 — at least MinSeeds, and two for short pairs
+	// and for protein pairs of any usual length.
 	MinSeeds int
 	// MinScore drops alignments below this score (default 20).
 	MinScore int
@@ -298,7 +303,8 @@ type Hit struct {
 func (ix *Index) Search(query string, opts SearchOptions) []Hit {
 	opts.fill()
 	var hits []Hit
-	for _, p := range ix.CrossSearch(query, opts) {
+	var w Work
+	for _, p := range ix.CrossSearch(query, opts, &w) {
 		if p.Fwd.Identity >= opts.MinIdentity {
 			hits = append(hits, Hit{TargetID: ix.records[p.Target].ID, Alignment: p.Fwd, MinusStrand: p.MinusStrand})
 		}
@@ -342,15 +348,9 @@ func (w *Work) Add(o Work) {
 // pair reaching MinScore is traced back once per orientation. MinIdentity
 // and MaxHits are left to the caller. Rev is exact on the minus strand
 // only when every query and target is MinusSymmetric. Pairs come plus
-// strand first, each strand in index order.
-func (ix *Index) CrossSearch(query string, opts SearchOptions) []Pair {
-	var w Work
-	return ix.CrossSearchWork(query, opts, &w)
-}
-
-// CrossSearchWork is CrossSearch that adds what it did, on both strands,
-// to *w.
-func (ix *Index) CrossSearchWork(query string, opts SearchOptions, w *Work) []Pair {
+// strand first, each strand in index order. What the search did, on both
+// strands, is added to *w.
+func (ix *Index) CrossSearch(query string, opts SearchOptions, w *Work) []Pair {
 	opts.fill()
 	var row []int32
 	var pairs []Pair
@@ -444,7 +444,8 @@ var seedScratchPool = sync.Pool{New: func() any { return new(seedScratch) }}
 //     offsets i1 + k <= i2 and record offsets j1 - i1 = j2 - i2 (the
 //     two-hit rule of Gapped BLAST);
 //   - beats chance: the shared k-mers are more than random strands of
-//     those lengths share but with probability seedChance (beatsChance).
+//     those lengths and alphabet share but with probability seedChance
+//     (beatsChance).
 //
 // It returns the aligned records in index order and the seeded count.
 // The postings are walked once to count each record's shared k-mers, then
@@ -453,7 +454,7 @@ var seedScratchPool = sync.Pool{New: func() any { return new(seedScratch) }}
 // tables outgrow diagCells.
 func (ix *Index) candidates(query string, minSeeds int) (aligned []int32, seeded int) {
 	sc := seedScratchPool.Get().(*seedScratch)
-	n := len(query)
+	n, qAlpha := len(query), alphabet(query)
 	// occ holds the query's indexed k-mers as id<<32 | offset, so sorting
 	// groups each k-mer's occurrences.
 	occ := sc.occ[:0]
@@ -498,7 +499,7 @@ func (ix *Index) candidates(query string, minSeeds int) (aligned []int32, seeded
 			continue
 		}
 		seeded++
-		if beatsChance(int(c), n, len(ix.records[r].Seq), ix.K) {
+		if beatsChance(int(c), n, len(ix.records[r].Seq), ix.K, max(qAlpha, int(ix.alpha[r]))) {
 			state[r] = -1
 		} else {
 			twoHit = append(twoHit, int32(r))
@@ -556,13 +557,30 @@ func (ix *Index) candidates(query string, minSeeds int) (aligned []int32, seeded
 	return aligned, seeded
 }
 
-// beatsChance reports whether two strands of lengths n and m sharing
-// shared distinct k-mers beat chance: P[Poisson(λ) >= shared] <=
-// seedChance, where λ = (n-k+1)(m-k+1)/4^k is the number of k-mer matches
-// two random DNA strands of those lengths have by chance. The terms are
-// summed in logs, so a long pair's e^-λ does not underflow.
-func beatsChance(shared, n, m, k int) bool {
-	lambda := float64(n-k+1) * float64(m-k+1) / math.Pow(4, float64(k))
+// alphabet is the size of the alphabet an upper-cased strand is taken to
+// be drawn from: 4 for a nucleotide strand, over A, C, G, T, U and N (the
+// letters profile counts as DNA), and 20 for any other, a protein.
+func alphabet(s string) int {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case 'A', 'C', 'G', 'T', 'U', 'N':
+		default:
+			return 20
+		}
+	}
+	return 4
+}
+
+// beatsChance reports whether two strands of lengths n and m over an
+// alphabet of size alpha sharing shared distinct k-mers beat chance:
+// P[Poisson(λ) >= shared] <= seedChance, where λ =
+// (n-k+1)(m-k+1)/alpha^k is the number of k-mer matches two random
+// strands of those lengths have by chance. A pair is over the larger of
+// its strands' alphabets, so a protein pair's λ is (20/4)^k times a
+// nucleotide pair's. The terms are summed in logs, so a long pair's e^-λ
+// does not underflow.
+func beatsChance(shared, n, m, k, alpha int) bool {
+	lambda := float64(n-k+1) * float64(m-k+1) / math.Pow(float64(alpha), float64(k))
 	if lambda <= 0 {
 		return true
 	}

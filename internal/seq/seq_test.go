@@ -479,8 +479,9 @@ func TestCrossSearchIsSearchFromEachEnd(t *testing.T) {
 		fwd := make([][]Hit, len(queries))
 		rev := make([][]Hit, len(targets))
 		orientDiffers := false
+		var w Work
 		for qi, q := range queries {
-			for _, p := range tix.CrossSearch(q, opts) {
+			for _, p := range tix.CrossSearch(q, opts, &w) {
 				fwd[qi] = append(fwd[qi], Hit{TargetID: fmt.Sprint(p.Target), Alignment: p.Fwd, MinusStrand: p.MinusStrand})
 				rev[p.Target] = append(rev[p.Target], Hit{TargetID: fmt.Sprint(qi), Alignment: p.Rev, MinusStrand: p.MinusStrand})
 				orientDiffers = orientDiffers || p.Fwd.Identity != p.Rev.Identity
