@@ -321,12 +321,14 @@ func TestBeatsChanceThreshold(t *testing.T) {
 }
 
 // FuzzSeeding compares candidates with the oracle, from both ends, on one
-// pair of strands among a planted copy and a decoy.
+// pair of strands among a planted copy and a decoy, nucleotide or
+// protein.
 func FuzzSeeding(f *testing.F) {
 	f.Add("ACGTACGTACGTTTGACCA", "ACGTACGTACGTTTGACCA", uint8(4), uint8(2))
 	f.Add("ACGTTGCAAGGCTTAACCGGTAAC", "GGCTTAACCGGTAACACGTTGCAA", uint8(6), uint8(2))
 	f.Add("AAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAA", uint8(4), uint8(1))
 	f.Add("ACGUNNACGUACGTNNNACGT", "acgunnacguacgtnnnacgt", uint8(3), uint8(3))
+	f.Add("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQ", "MKTAYIAKQRQISFVKSHFSRQWLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQ", uint8(6), uint8(2))
 	f.Fuzz(func(t *testing.T, q, s string, k, minSeeds uint8) {
 		if len(q) > 300 || len(s) > 300 {
 			return
