@@ -164,10 +164,3 @@ func WithLiveSource(name, format, path string) Option {
 		c.live = append(c.live, liveSpec{name: name, format: format, path: path})
 	}
 }
-
-// WithCoreOptions replaces the full pipeline configuration — the escape
-// hatch for tuning thresholds of individual discovery channels. Options
-// set by other With* calls before this one are overwritten.
-func WithCoreOptions(o core.Options) Option {
-	return func(c *config) { c.core = o }
-}

@@ -1,6 +1,6 @@
 // Package repro's root bench suite regenerates every table and figure of
-// the paper's evaluation programme as testing.B benchmarks (DESIGN.md §3
-// maps each bench to its experiment id and paper item). Run with:
+// the paper's evaluation programme as testing.B benchmarks; a bench's
+// comment names the experiment id it measures. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -255,7 +255,7 @@ func BenchmarkSeededVsFullAlignment(b *testing.B) {
 	})
 	b.Run("all-pairs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			seq.AllPairs(queries, targets, seq.SearchOptions{MinScore: 40, MinIdentity: 0.7})
+			seq.AllPairs(queries, targets, seq.SearchOptions{MinScore: 40})
 		}
 	})
 }
@@ -692,60 +692,6 @@ func BenchmarkPruningAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessionRuleAblation (DESIGN.md §4): primary-relation accuracy
-// with individual accession rules disabled.
-func BenchmarkAccessionRuleAblation(b *testing.B) {
-	corpus := benchCorpus(40)
-	variants := []struct {
-		name  string
-		rules discovery.AccessionRules
-	}{
-		{"all-rules", discovery.DefaultAccessionRules()},
-		{"no-nondigit", func() discovery.AccessionRules {
-			r := discovery.DefaultAccessionRules()
-			r.RequireNonDigit = false
-			return r
-		}()},
-		{"no-minlength", func() discovery.AccessionRules {
-			r := discovery.DefaultAccessionRules()
-			r.MinLength = 0
-			return r
-		}()},
-		{"no-spread", func() discovery.AccessionRules {
-			r := discovery.DefaultAccessionRules()
-			r.MaxLenSpread = 0
-			return r
-		}()},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			correct, total := 0, 0
-			for i := 0; i < b.N; i++ {
-				correct, total = 0, 0
-				opts := discovery.DefaultOptions()
-				opts.Accession = v.rules
-				for _, src := range corpus.Sources {
-					profs, err := profile.ProfileDatabase(src, profile.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					st, err := discovery.Analyze(src, profs, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total++
-					name := strings.ToLower(src.Name)
-					if strings.EqualFold(st.Primary, corpus.Gold.Primary[name]) &&
-						strings.EqualFold(st.PrimaryAccession, corpus.Gold.Accession[name]) {
-						correct++
-					}
-				}
-			}
-			b.ReportMetric(float64(correct)/float64(total), "primary+accession-accuracy")
-		})
-	}
-}
-
 // BenchmarkChangeThreshold (E11): re-analysis cost after threshold churn.
 func BenchmarkChangeThreshold(b *testing.B) {
 	corpus := datagen.Generate(datagen.Config{Seed: 99, Proteins: 40})
@@ -1031,19 +977,6 @@ func BenchmarkIndexedJoin(b *testing.B) {
 	      WHERE p.accession = 'P10042'`
 	b.Run("index", func(b *testing.B) { benchCursorQuery(b, indexed, q, 1) })
 	b.Run("scan", func(b *testing.B) { benchCursorQuery(b, scan, q, 1) })
-}
-
-// BenchmarkSmithWaterman: the core alignment kernel.
-func BenchmarkSmithWaterman(b *testing.B) {
-	corpus := benchCorpus(40)
-	sp := corpus.Source("swissprot").Relation("sequence")
-	si := sp.Schema.Index("seq")
-	a := sp.Tuples[0][si].AsString()
-	c := sp.Tuples[1][si].AsString()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seq.SmithWaterman(a, c, seq.DefaultScoring())
-	}
 }
 
 // BenchmarkSQLParse: statement parsing throughput.

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation programme (DESIGN.md §3 maps each experiment id to the paper
-// item it reproduces). Run with no arguments for the full suite, or name
-// experiment ids (e1 ... e12) to run a subset.
+// evaluation programme; each table's title names the paper section it
+// reproduces. Run with no arguments for the full suite, or name
+// experiment ids (e1 ... e12) to run a subset (README, "Run the CLI").
 package main
 
 import (

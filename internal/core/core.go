@@ -82,9 +82,6 @@ func (o *Options) fill() {
 	if o.ChangeThreshold <= 0 {
 		o.ChangeThreshold = 0.1
 	}
-	if o.Discovery.MaxPathLen == 0 {
-		o.Discovery = discovery.DefaultOptions()
-	}
 	o.Workers = parallel.Workers(o.Workers)
 	if o.Profile.Workers == 0 {
 		o.Profile.Workers = o.Workers

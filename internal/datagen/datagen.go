@@ -1,7 +1,7 @@
 // Package datagen generates the synthetic evaluation corpus: a family of
 // life-science-shaped data sources with a known gold standard, standing in
 // for the real Swiss-Prot / PDB / PIR / GO / OMIM instances the paper's §5
-// case study uses (see DESIGN.md, substitutions). The generators
+// case study uses. The generators
 // reproduce the structural properties the ALADIN heuristics rely on —
 // accession formats, one primary relation per source, surrogate-keyed
 // dependent tables, cross-reference fields (plain and composite-encoded),
@@ -49,7 +49,7 @@ type Gold struct {
 	TermXRefs []GoldLink
 }
 
-// Noise parameterizes gold-standard corruption (DESIGN.md §5).
+// Noise parameterizes gold-standard corruption.
 type Noise struct {
 	// XRefCorruption replaces this fraction of cross-reference values
 	// with dangling garbage (false targets).

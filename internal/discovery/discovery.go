@@ -45,71 +45,31 @@ import (
 	"repro/internal/rel"
 )
 
-// AccessionRules parameterizes the §4.2 accession-candidate heuristics.
-// Each rule can be disabled for the ablation study (DESIGN.md §4).
-type AccessionRules struct {
-	RequireUnique   bool
-	RequireNonDigit bool
-	// MinLength is the minimum value length; the paper uses 4 ("the
-	// shortest accession numbers we are aware of, used in the PDB").
-	MinLength int
-	// MaxLenSpread is the maximal allowed (max-min)/max length spread;
-	// the paper allows values "to differ by at most 20 percent in length".
-	MaxLenSpread float64
-}
-
-// DefaultAccessionRules returns the paper's rule set.
-func DefaultAccessionRules() AccessionRules {
-	return AccessionRules{
-		RequireUnique:   true,
-		RequireNonDigit: true,
-		MinLength:       4,
-		MaxLenSpread:    0.20,
-	}
-}
-
-// PrimaryMetric selects how the primary relation is chosen among
-// accession-candidate tables.
-type PrimaryMetric int
-
-const (
-	// MetricInDegree is the paper's default: highest in-degree wins.
-	MetricInDegree PrimaryMetric = iota
-	// MetricInDegreeAboveMean uses in-degree minus the mean in-degree,
-	// the refinement §4.2 suggests for multi-primary sources.
-	MetricInDegreeAboveMean
-	// MetricInDegreeWithNameHint adds a bonus when other relations carry
-	// columns whose names embed the candidate table's name or "ID"
-	// (§4.2: "schema elements containing the substring 'ID' ... could
-	// also help").
-	MetricInDegreeWithNameHint
-)
-
-// Options configures structural analysis.
+// Options configures structural analysis: only IND discovery's switches.
+// The §4.2 and §4.3 rules are the paper's, fixed below.
 type Options struct {
-	Accession AccessionRules
-	Metric    PrimaryMetric
-	IND       ind.Options
-	// MaxPathLen caps the length of secondary-object paths (edges).
-	MaxPathLen int
-	// MaxPathsPerRelation caps how many alternative paths are stored.
-	MaxPathsPerRelation int
-	// RawINDGraph skips the FK-selection refinements and uses the raw
-	// inclusion dependencies as the FK graph — the paper's literal §4.2
-	// rule, kept as an ablation (DESIGN.md §4: surrogate-range nesting
-	// over-connects the graph without the refinements).
-	RawINDGraph bool
+	IND ind.Options
 }
 
 // DefaultOptions returns the paper-faithful configuration.
-func DefaultOptions() Options {
-	return Options{
-		Accession:           DefaultAccessionRules(),
-		Metric:              MetricInDegree,
-		MaxPathLen:          4,
-		MaxPathsPerRelation: 8,
-	}
-}
+func DefaultOptions() Options { return Options{} }
+
+// The §4.2 accession-candidate rules: a candidate is unique, every value
+// has a non-digit, no value is shorter than accMinLength ("the shortest
+// accession numbers we are aware of, used in the PDB"), and the lengths
+// differ by at most accMaxLenSpread of the longest (values may "differ by
+// at most 20 percent in length").
+const (
+	accMinLength    = 4
+	accMaxLenSpread = 0.20
+)
+
+// The §4.3 paths: at most maxPathsPerRelation alternative paths of at
+// most maxPathLen edges are stored per relation.
+const (
+	maxPathLen          = 4
+	maxPathsPerRelation = 8
+)
 
 // Candidate is an accession-number candidate attribute.
 type Candidate struct {
@@ -171,7 +131,7 @@ type Structure struct {
 	// integer ranges nest (1..n ⊆ 1..m); an FK attribute references
 	// exactly one table, so each source attribute votes once. This is the
 	// disambiguation the paper alludes to in §4.2's dictionary-table
-	// discussion (see DESIGN.md).
+	// discussion (chooseForeignKeys).
 	ForeignKeys []ind.IND
 	// INDStats reports discovery work for performance experiments.
 	INDStats ind.Stats
@@ -181,7 +141,7 @@ type Structure struct {
 	Primary string
 	// PrimaryAccession is the accession column of the primary relation.
 	PrimaryAccession string
-	// PrimaryScores records the metric value for each candidate table.
+	// PrimaryScores records the in-degree of each candidate table.
 	PrimaryScores map[string]float64
 	// Paths maps each non-primary relation to the stored join paths from
 	// the primary relation (§4.3).
@@ -201,12 +161,6 @@ func Analyze(db *rel.Database, profs map[string]*profile.ColumnProfile, opts Opt
 // during IND discovery the partial result is discarded and ctx.Err() is
 // returned.
 func AnalyzeContext(ctx context.Context, db *rel.Database, profs map[string]*profile.ColumnProfile, opts Options) (*Structure, error) {
-	if opts.MaxPathLen == 0 {
-		opts.MaxPathLen = 4
-	}
-	if opts.MaxPathsPerRelation == 0 {
-		opts.MaxPathsPerRelation = 8
-	}
 	s := &Structure{
 		Source:        db.Name,
 		UniqueColumns: make(map[string][]string),
@@ -229,7 +183,7 @@ func AnalyzeContext(ctx context.Context, db *rel.Database, profs map[string]*pro
 	}
 	// Step 2b: accession-number candidates.
 	for _, r := range db.Relations() {
-		best, ok := accessionCandidate(r, profs, opts.Accession)
+		best, ok := accessionCandidate(r, profs)
 		if ok {
 			s.Candidates[lower(r.Name)] = best
 		}
@@ -241,30 +195,26 @@ func AnalyzeContext(ctx context.Context, db *rel.Database, profs map[string]*pro
 	}
 	s.INDs = inds
 	s.INDStats = stats
-	if opts.RawINDGraph {
-		s.ForeignKeys = inds
-	} else {
-		s.ForeignKeys = chooseForeignKeys(inds, profs)
-	}
+	s.ForeignKeys = chooseForeignKeys(inds, profs)
 	for _, d := range s.ForeignKeys {
 		s.InDegree[lower(d.From.ToRelation)]++
 	}
 	// Step 2d: primary relation selection.
-	s.Primary, s.PrimaryScores = choosePrimary(db, s, opts.Metric)
+	s.Primary, s.PrimaryScores = choosePrimary(db, s)
 	if s.Primary != "" {
 		s.PrimaryAccession = s.Candidates[lower(s.Primary)].Column
 	}
 	// Step 3: secondary-object paths.
 	if s.Primary != "" {
-		s.computePaths(db, opts)
+		s.computePaths(db)
 	}
 	return s, nil
 }
 
-// accessionCandidate applies the rule set to every column of r and picks
-// at most one candidate ("only the one with the longer average field
-// length is considered").
-func accessionCandidate(r *rel.Relation, profs map[string]*profile.ColumnProfile, rules AccessionRules) (Candidate, bool) {
+// accessionCandidate applies the rules to every column of r and picks at
+// most one candidate ("only the one with the longer average field length
+// is considered").
+func accessionCandidate(r *rel.Relation, profs map[string]*profile.ColumnProfile) (Candidate, bool) {
 	var best Candidate
 	found := false
 	for _, c := range r.Schema.Columns {
@@ -272,16 +222,7 @@ func accessionCandidate(r *rel.Relation, profs map[string]*profile.ColumnProfile
 		if p == nil || p.Distinct == 0 {
 			continue
 		}
-		if rules.RequireUnique && !p.Unique {
-			continue
-		}
-		if rules.RequireNonDigit && !p.AllValuesHaveNonDigit {
-			continue
-		}
-		if rules.MinLength > 0 && p.MinLen < rules.MinLength {
-			continue
-		}
-		if rules.MaxLenSpread > 0 && p.LenSpreadRatio > rules.MaxLenSpread {
+		if !p.Unique || !p.AllValuesHaveNonDigit || p.MinLen < accMinLength || p.LenSpreadRatio > accMaxLenSpread {
 			continue
 		}
 		// Exclude obvious free-text fields (an accession is a single
@@ -301,9 +242,9 @@ func accessionCandidate(r *rel.Relation, profs map[string]*profile.ColumnProfile
 // chooseForeignKeys reduces the raw IND set to a guessed FK graph. Raw
 // inclusion dependencies over-connect life-science schemas because
 // parser-generated surrogate-key ranges nest (1..n ⊆ 1..m) — the very
-// confusion §4.2 discusses for dictionary tables. Two refinements, both
-// standard in the FK-discovery literature that followed this paper
-// (see DESIGN.md §4):
+// confusion §4.2 discusses for dictionary tables: without refinement the
+// primary relation can be misidentified. Two refinements, both standard
+// in the FK-discovery literature that followed this paper:
 //
 //  1. Evidence filter: a candidate edge survives only with name evidence
 //     (source column named like the target column or target relation) or
@@ -416,31 +357,16 @@ func nameEvidence(fk rel.ForeignKey) bool {
 	return strings.Contains(src, lower(fk.ToRelation))
 }
 
-// choosePrimary scores every accession-candidate table and returns the
-// winner. Ties break toward higher cardinality, then lexicographic name,
-// for determinism.
-func choosePrimary(db *rel.Database, s *Structure, metric PrimaryMetric) (string, map[string]float64) {
+// choosePrimary scores every accession-candidate table by its in-degree
+// and returns the winner. Ties break toward higher cardinality, then
+// lexicographic name, for determinism.
+func choosePrimary(db *rel.Database, s *Structure) (string, map[string]float64) {
 	scores := make(map[string]float64)
 	if len(s.Candidates) == 0 {
 		return "", scores
 	}
-	// Mean in-degree over all relations (for the above-mean metric).
-	var totalIn float64
-	for _, r := range db.Relations() {
-		totalIn += float64(s.InDegree[lower(r.Name)])
-	}
-	meanIn := totalIn / float64(db.Len())
-
 	for key := range s.Candidates {
-		in := float64(s.InDegree[key])
-		switch metric {
-		case MetricInDegree:
-			scores[key] = in
-		case MetricInDegreeAboveMean:
-			scores[key] = in - meanIn
-		case MetricInDegreeWithNameHint:
-			scores[key] = in + nameHintBonus(db, key)
-		}
+		scores[key] = float64(s.InDegree[key])
 	}
 	type scored struct {
 		name  string
@@ -471,29 +397,10 @@ func choosePrimary(db *rel.Database, s *Structure, metric PrimaryMetric) (string
 	return winner, scores
 }
 
-// nameHintBonus grants +0.5 for every column elsewhere whose name embeds
-// this relation's name plus "id" (e.g. "bioentry_id" hints at bioentry).
-func nameHintBonus(db *rel.Database, relName string) float64 {
-	bonus := 0.0
-	needle := lower(relName)
-	for _, r := range db.Relations() {
-		if lower(r.Name) == needle {
-			continue
-		}
-		for _, c := range r.Schema.Columns {
-			cn := lower(c.Name)
-			if strings.Contains(cn, needle) && strings.Contains(cn, "id") {
-				bonus += 0.5
-			}
-		}
-	}
-	return bonus
-}
-
-// computePaths runs a bounded BFS/DFS over the undirected IND graph from
-// the primary relation, collecting up to MaxPathsPerRelation simple paths
-// of length <= MaxPathLen per relation (§4.3).
-func (s *Structure) computePaths(db *rel.Database, opts Options) {
+// computePaths runs a bounded DFS over the undirected FK graph from the
+// primary relation, collecting up to maxPathsPerRelation simple paths of
+// length <= maxPathLen per relation (§4.3).
+func (s *Structure) computePaths(db *rel.Database) {
 	type edge struct {
 		d       ind.IND
 		forward bool // traversal direction: forward = from source side to target side
@@ -512,14 +419,14 @@ func (s *Structure) computePaths(db *rel.Database, opts Options) {
 	var dfs func(node string, steps []PathStep, visited map[string]bool)
 	dfs = func(node string, steps []PathStep, visited map[string]bool) {
 		if len(steps) > 0 {
-			if len(s.Paths[node]) < opts.MaxPathsPerRelation {
+			if len(s.Paths[node]) < maxPathsPerRelation {
 				cp := make([]PathStep, len(steps))
 				copy(cp, steps)
 				s.Paths[node] = append(s.Paths[node], Path{Target: node, Steps: cp})
 				reached[node] = true
 			}
 		}
-		if len(steps) >= opts.MaxPathLen {
+		if len(steps) >= maxPathLen {
 			return
 		}
 		for _, e := range adj[node] {

@@ -104,7 +104,7 @@ func TestBioSQLCandidateRejections(t *testing.T) {
 	db := biosqlDB()
 	profs, _ := profile.ProfileDatabase(db, profile.Options{})
 	r := db.Relation("bioentry")
-	cand, ok := accessionCandidate(r, profs, DefaultAccessionRules())
+	cand, ok := accessionCandidate(r, profs)
 	if !ok {
 		t.Fatal("no candidate found in bioentry")
 	}
@@ -198,77 +198,39 @@ func TestNoPrimaryWhenNoCandidates(t *testing.T) {
 	}
 }
 
+// TestAccessionRuleAblation: the length rules are what reject
+// bioentry.name (the spread, the paper's stated reason, and the minimum
+// length): name passes every other rule and is longer on average than
+// accession, so without them it would win.
 func TestAccessionRuleAblation(t *testing.T) {
 	db := biosqlDB()
 	profs, _ := profile.ProfileDatabase(db, profile.Options{})
-	r := db.Relation("bioentry")
-
-	// Without the non-digit rule, bioentry_id (unique, fixed length at
-	// one digit... actually variable 1-2 digits) could compete; with
-	// MinLength=4 disabled and non-digit disabled, more candidates appear.
-	rules := DefaultAccessionRules()
-	rules.RequireNonDigit = false
-	rules.MinLength = 0
-	rules.MaxLenSpread = 0 // disable spread check (0 disables)
-	cand, ok := accessionCandidate(r, profs, rules)
-	if !ok {
-		t.Fatal("no candidate with relaxed rules")
+	name, acc := profs[profile.Key("bioentry", "name")], profs[profile.Key("bioentry", "accession")]
+	if !name.Unique || !name.AllValuesHaveNonDigit || name.MeanTokens > 1 || name.IsSequenceField() {
+		t.Fatalf("name must pass every rule but the length rules: %+v", name)
 	}
-	// Without the length-spread rule, the variable-length `name` column
-	// wins on mean length — demonstrating that the 20% spread rule is the
-	// one that rejects it (the paper's stated reason).
-	if cand.Column != "name" {
-		t.Errorf("relaxed rules candidate = %q; want name", cand.Column)
+	if name.MeanLen <= acc.MeanLen {
+		t.Errorf("name mean length %.2f, accession %.2f: name must be the longer", name.MeanLen, acc.MeanLen)
 	}
-	// Re-enabling the spread rule restores the correct choice.
-	rules.MaxLenSpread = 0.20
-	cand, ok = accessionCandidate(r, profs, rules)
-	if !ok || cand.Column != "accession" {
-		t.Errorf("spread rule should restore accession; got %v %v", cand, ok)
+	if name.LenSpreadRatio <= accMaxLenSpread || name.MinLen >= accMinLength {
+		t.Errorf("name length spread %.2f must exceed %.2f, its shortest value %d be under %d",
+			name.LenSpreadRatio, accMaxLenSpread, name.MinLen, accMinLength)
 	}
-
-	// With uniqueness not required, name could qualify if spread allowed.
-	rules = AccessionRules{RequireUnique: false, RequireNonDigit: true, MinLength: 3, MaxLenSpread: 0}
-	cand, ok = accessionCandidate(r, profs, rules)
-	if !ok {
-		t.Fatal("no candidate")
-	}
-	if cand.Column == "bioentry_id" {
-		t.Error("digits-only column must never qualify while RequireNonDigit")
-	}
-}
-
-func TestMetricAboveMean(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Metric = MetricInDegreeAboveMean
-	s := analyze(t, biosqlDB(), opts)
-	if s.Primary != "bioentry" {
-		t.Errorf("above-mean metric primary = %q", s.Primary)
-	}
-}
-
-func TestMetricNameHint(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Metric = MetricInDegreeWithNameHint
-	s := analyze(t, biosqlDB(), opts)
-	if s.Primary != "bioentry" {
-		t.Errorf("name-hint metric primary = %q", s.Primary)
-	}
-	// The hint bonus must be reflected in the score: bioentry_id columns
-	// appear in 4 other tables.
-	if s.PrimaryScores["bioentry"] <= float64(s.InDegree["bioentry"]) {
-		t.Errorf("name hint should add bonus: score=%v indeg=%d",
-			s.PrimaryScores["bioentry"], s.InDegree["bioentry"])
+	if cand, ok := accessionCandidate(db.Relation("bioentry"), profs); !ok || cand.Column != "accession" {
+		t.Errorf("candidate = %v %v; want accession", cand, ok)
 	}
 }
 
 func TestMaxPathsCap(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxPathsPerRelation = 1
-	s := analyze(t, biosqlDB(), opts)
+	s := analyze(t, biosqlDB(), DefaultOptions())
 	for relName, ps := range s.Paths {
-		if len(ps) > 1 {
-			t.Errorf("relation %s has %d paths, cap was 1", relName, len(ps))
+		if len(ps) > maxPathsPerRelation {
+			t.Errorf("relation %s has %d paths, cap is %d", relName, len(ps), maxPathsPerRelation)
+		}
+		for _, p := range ps {
+			if len(p.Steps) > maxPathLen {
+				t.Errorf("relation %s path %v has %d steps, cap is %d", relName, p, len(p.Steps), maxPathLen)
+			}
 		}
 	}
 }
@@ -309,21 +271,17 @@ func TestReportNoPrimary(t *testing.T) {
 }
 
 // TestRawINDGraphAblation demonstrates why the FK-selection refinements
-// exist: with the raw §4.2 inclusion dependencies as the FK graph,
-// surrogate-key range nesting inflates in-degrees and the primary
-// relation can be misidentified (DESIGN.md §4).
+// exist: the raw §4.2 inclusion dependencies over-connect the graph, as
+// surrogate-key ranges nest, which would inflate in-degrees.
 func TestRawINDGraphAblation(t *testing.T) {
-	opts := DefaultOptions()
-	opts.RawINDGraph = true
-	s := analyze(t, biosqlDB(), opts)
-	refined := analyze(t, biosqlDB(), DefaultOptions())
+	s := analyze(t, biosqlDB(), DefaultOptions())
 	// The raw graph must be strictly larger (over-connected).
-	if len(s.ForeignKeys) <= len(refined.ForeignKeys) {
-		t.Errorf("raw FK graph (%d) should exceed refined (%d)",
-			len(s.ForeignKeys), len(refined.ForeignKeys))
+	if len(s.INDs) <= len(s.ForeignKeys) {
+		t.Errorf("raw IND graph (%d) should exceed the refined FK graph (%d)",
+			len(s.INDs), len(s.ForeignKeys))
 	}
 	// And the refined graph yields the correct primary.
-	if refined.Primary != "bioentry" {
-		t.Errorf("refined primary = %q", refined.Primary)
+	if s.Primary != "bioentry" {
+		t.Errorf("refined primary = %q", s.Primary)
 	}
 }

@@ -494,12 +494,6 @@ type Options struct {
 	Threshold float64
 	// Blocking selects the candidate generation mode.
 	Blocking BlockingMode
-	// Window is the sorted-neighbourhood window size (default 20).
-	Window int
-	// SecondPass adds a second sorted-neighbourhood pass with a reversed
-	// key, catching pairs whose primary keys diverge (default true when
-	// using SortedNeighborhood).
-	DisableSecondPass bool
 	// Workers bounds the worker pool scoring candidate pairs concurrently.
 	// Values <= 1 score serially. Results are identical either way:
 	// candidate generation stays serial and scores land in indexed slots.
@@ -510,10 +504,11 @@ func (o *Options) fill() {
 	if o.Threshold <= 0 {
 		o.Threshold = 0.6
 	}
-	if o.Window <= 0 {
-		o.Window = 20
-	}
 }
+
+// window is the sorted-neighbourhood window: each record is compared with
+// the window records either side of it in each pass's sorted order.
+const window = 20
 
 // Match is one flagged duplicate pair.
 type Match struct {

@@ -106,9 +106,11 @@ func TestFindDuplicatesFullPairwise(t *testing.T) {
 }
 
 func TestFindDuplicatesSortedNeighborhood(t *testing.T) {
-	records := swissprotPIR()
+	// Unrelated records beside the pairs make the set wider than two
+	// windows, so that blocking has pairs to skip.
+	records := append(swissprotPIR(), synthRecords("filler", 60)...)
 	full, _ := FindDuplicates(records, Options{Blocking: FullPairwise, Threshold: 0.7})
-	sn, snStats := FindDuplicates(records, Options{Blocking: SortedNeighborhood, Threshold: 0.7, Window: 5})
+	sn, snStats := FindDuplicates(records, Options{Blocking: SortedNeighborhood, Threshold: 0.7})
 	if snStats.Comparisons >= len(records)*(len(records)-1)/2 {
 		t.Errorf("blocking did not reduce comparisons: %d", snStats.Comparisons)
 	}

@@ -17,7 +17,7 @@
 //     record the pass compares — the matcher is frozen between insert and
 //     the end of the pass, so no logarithm is taken per pair.
 //
-// Remove and RemoveSource drop the records and every form with them.
+// Remove drops the records and every form with them.
 //
 // Deliberate tradeoff vs the full re-run: previously compared pairs are
 // NOT rescored under the frequency weights of later batches. A pair just
@@ -112,19 +112,15 @@ func mergeKeyed(existing, added []*prepared, pass int) ([]*prepared, []int) {
 	return merged, pos
 }
 
-// RemoveSource drops every record of one source from the index — the
-// unwind path when a source addition fails after duplicate detection ran.
-func (ix *Index) RemoveSource(source string) {
-	ix.remove(func(p *prepared) bool { return strings.EqualFold(p.rec.Source, source) })
-}
-
 // Remove drops the given records from the index by identity
-// (Source+Accession) — the unwind path when a batch append fails after
-// duplicate detection ran. Unlike RemoveSource it leaves the source's
-// other records indexed. At most one indexed record is dropped per
-// given record; ix.all is scanned from the end, so a just-inserted
-// batch (always the tail) is removed exactly, even when an appended
-// accession collides with an older record of the same source.
+// (Source+Accession) — the unwind path when a source addition or a batch
+// append fails after duplicate detection ran. At most one indexed record
+// is dropped per given record; ix.all is scanned from the end, so a
+// just-inserted batch (always the tail) is removed exactly, even when an
+// appended accession collides with an older record of the same source.
+// The matcher's counts of each dropped record are unwound, and
+// slices.DeleteFunc zeroes the vacated tails of all three lists, so
+// nothing keeps a removed record or its derived forms alive.
 func (ix *Index) Remove(records []Record) {
 	want := make(map[[2]string]int, len(records))
 	for _, r := range records {
@@ -138,39 +134,25 @@ func (ix *Index) Remove(records []Record) {
 			gone[p] = true
 		}
 	}
-	ix.remove(func(p *prepared) bool { return gone[p] })
-}
-
-// remove unwinds the matcher's counts of every record gone reports and
-// deletes it from all three lists. slices.DeleteFunc zeroes the vacated
-// tails, so nothing keeps a removed record or its derived forms alive.
-func (ix *Index) remove(gone func(*prepared) bool) {
-	for _, p := range ix.all {
-		if gone(p) {
-			ix.matcher.remove(p)
-		}
+	for p := range gone {
+		ix.matcher.remove(p)
 	}
-	ix.all = slices.DeleteFunc(ix.all, gone)
+	drop := func(p *prepared) bool { return gone[p] }
+	ix.all = slices.DeleteFunc(ix.all, drop)
 	for pass := range ix.passes {
-		ix.passes[pass] = slices.DeleteFunc(ix.passes[pass], gone)
+		ix.passes[pass] = slices.DeleteFunc(ix.passes[pass], drop)
 	}
 }
 
-// FindNew inserts the added records and flags duplicate pairs involving
-// at least one of them: new×existing and new×new pairs whose positions in
-// the merged sorted-neighbourhood order fall within Options.Window (or
-// all such pairs under FullPairwise blocking). Similarity uses frequency
-// weights over the whole indexed record set, so scores match what a full
-// FindDuplicates over the union would compute for the same pairs.
-func (ix *Index) FindNew(added []Record, opts Options) ([]Match, Stats) {
-	matches, stats, _ := ix.FindNewContext(context.Background(), added, opts)
-	return matches, stats
-}
-
-// FindNewContext is FindNew with cancellation. The added records are
-// bucketed into the index before scoring, so when ctx is canceled
-// mid-scoring the caller must unwind with RemoveSource — exactly as on
-// any other mid-pipeline failure.
+// FindNewContext inserts the added records and flags duplicate pairs
+// involving at least one of them: new×existing and new×new pairs whose
+// positions in the merged sorted-neighbourhood order fall within the
+// window (or all such pairs under FullPairwise blocking). Similarity uses
+// frequency weights over the whole indexed record set, so scores match
+// what a full FindDuplicates over the union would compute for the same
+// pairs. The added records are bucketed into the index before scoring,
+// so when ctx is canceled mid-scoring the caller must unwind with Remove
+// — exactly as on any other mid-pipeline failure.
 func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Options) ([]Match, Stats, error) {
 	opts.fill()
 	n := len(ix.all)
@@ -213,15 +195,12 @@ func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Option
 			}
 		}
 	case SortedNeighborhood:
-		passes := 1
-		if !opts.DisableSecondPass {
-			passes = 2
-		}
-		for pass := 0; pass < passes; pass++ {
-			ks := ix.passes[pass]
+		// The second pass sorts by a reversed key, catching pairs whose
+		// primary keys diverge.
+		for pass, ks := range ix.passes {
 			for _, i := range positions[pass] {
-				lo := max(i-opts.Window, 0)
-				hi := min(i+opts.Window, len(ks)-1)
+				lo := max(i-window, 0)
+				hi := min(i+window, len(ks)-1)
 				for j := lo; j <= hi; j++ {
 					// A new×new pair within the window is produced from
 					// both endpoints' positions; keep the i<j orientation
@@ -243,15 +222,4 @@ func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Option
 	stats.Flagged = len(matches)
 	sortMatches(matches)
 	return matches, stats, nil
-}
-
-// FindDuplicatesIncremental compares only new×existing + new×new pairs
-// within blocking buckets — the incremental replacement for running
-// FindDuplicates over the union. The stateless form builds a fresh index
-// from the existing records; callers integrating many sources should keep
-// one Index and call FindNew so records are bucketed once.
-func FindDuplicatesIncremental(existing, added []Record, opts Options) ([]Match, Stats) {
-	ix := NewIndex()
-	ix.Add(existing)
-	return ix.FindNew(added, opts)
 }

@@ -1,6 +1,7 @@
 package dup
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -34,13 +35,27 @@ func matchKeys(ms []Match) []string {
 	return out
 }
 
+// FindNew is FindNewContext without cancellation.
+func (ix *Index) FindNew(added []Record, opts Options) ([]Match, Stats) {
+	matches, stats, _ := ix.FindNewContext(context.Background(), added, opts)
+	return matches, stats
+}
+
+// incremental indexes existing, then flags the duplicate pairs involving
+// added.
+func incremental(existing, added []Record) ([]Match, Stats) {
+	ix := NewIndex()
+	ix.Add(existing)
+	return ix.FindNew(added, Options{})
+}
+
 func TestIncrementalAllNewMatchesFull(t *testing.T) {
 	a := synthRecords("alpha", 40)
 	b := synthRecords("beta", 40)
 	all := append(append([]Record{}, a...), b...)
 
 	full, fullStats := FindDuplicates(all, Options{})
-	inc, incStats := FindDuplicatesIncremental(nil, all, Options{})
+	inc, incStats := incremental(nil, all)
 	if len(full) == 0 {
 		t.Fatal("no duplicates found at all")
 	}
@@ -58,7 +73,7 @@ func TestIncrementalSkipsExistingPairs(t *testing.T) {
 	union := append(append([]Record{}, a...), b...)
 
 	full, fullStats := FindDuplicates(union, Options{})
-	inc, incStats := FindDuplicatesIncremental(a, b, Options{})
+	inc, incStats := incremental(a, b)
 
 	// The incremental pass performs strictly fewer comparisons (it skips
 	// existing×existing) yet must flag every cross-source pair the full
@@ -110,6 +125,8 @@ func TestIndexBatchOrderInvariance(t *testing.T) {
 	}
 }
 
+// TestIndexRemoveSourceRestoresState: removing a whole source's records
+// restores the index and its matcher exactly.
 func TestIndexRemoveSourceRestoresState(t *testing.T) {
 	a := synthRecords("alpha", 30)
 	b := synthRecords("beta", 30)
@@ -117,21 +134,21 @@ func TestIndexRemoveSourceRestoresState(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(a)
 	first, _ := ix.FindNew(b, Options{})
-	ix.RemoveSource("beta")
+	ix.Remove(b)
 	if ix.Len() != len(a) {
 		t.Fatalf("Len after remove = %d, want %d", ix.Len(), len(a))
 	}
 	second, _ := ix.FindNew(b, Options{})
 	if !reflect.DeepEqual(matchKeys(first), matchKeys(second)) {
-		t.Errorf("re-adding after RemoveSource changed matches: %d vs %d", len(first), len(second))
+		t.Errorf("re-adding after Remove changed matches: %d vs %d", len(first), len(second))
 	}
 
 	// The matcher's frequency tables must be exactly unwound too.
 	clean := NewIndex()
 	clean.Add(a)
-	ix.RemoveSource("beta")
+	ix.Remove(b)
 	if !reflect.DeepEqual(ix.matcher, clean.matcher) {
-		t.Error("matcher state not restored by RemoveSource")
+		t.Error("matcher state not restored by Remove")
 	}
 }
 

@@ -166,11 +166,7 @@ func TestIndexRemoveFreesPrepared(t *testing.T) {
 		if ms, _ := ix.FindNew(batch, Options{}); len(ms) == 0 {
 			t.Fatal("batch found no duplicates of the base records")
 		}
-		if round%2 == 0 {
-			ix.Remove(batch)
-		} else {
-			ix.RemoveSource(batch[0].Source)
-		}
+		ix.Remove(batch)
 		check(round)
 	}
 }

@@ -221,10 +221,11 @@ func TestE12Probes(t *testing.T) {
 
 // TestSeqWorkCounts pins the work of sequence-link discovery: the pairs
 // seeded (sharing two 8-mers), aligned (scored by Smith-Waterman), the
-// cells scoring filled and the hits above MinSeqIdentity, at tolerance 0 — on the integrate-linked
-// corpus (24 GenBank loci beside 1,200 EMBL entries, as BenchmarkSeqLinks
-// runs it), E7's three sequence sources at every mutation rate, and
-// E10's full variant at up to 200 proteins.
+// cells scoring filled and the hits above the identity threshold, at
+// tolerance 0 — on the integrate-linked corpus (24 GenBank loci beside
+// 1,200 EMBL entries, as BenchmarkSeqLinks runs it), E7's three sequence
+// sources at every mutation rate, and E10's full variant at up to 200
+// proteins.
 func TestSeqWorkCounts(t *testing.T) {
 	var got []string
 	record := func(name string, st linkdisc.Stats) {

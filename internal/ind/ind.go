@@ -61,25 +61,20 @@ func (d IND) String() string {
 
 // Options configures discovery.
 type Options struct {
-	// MinContainment accepts approximate inclusions whose containment is
-	// at least this value; 0 defaults to 1.0 (exact inclusion only).
-	MinContainment float64
-	// MinSourceDistinct skips source attributes with fewer distinct
-	// values (§4.4: "attributes with few distinct values should be
-	// excluded"). 0 defaults to 2.
-	MinSourceDistinct int
 	// DisableSignaturePruning turns off the min-hash pre-filter (for the
 	// pruning ablation of experiment E10).
 	DisableSignaturePruning bool
-	// AllowNumericSources permits purely numeric attributes as sources.
-	// Surrogate-key FK discovery inside one source needs this on (the
-	// default); cross-source link discovery turns it off to "avoid
-	// misinterpretation of surrogate keys" (§4.4).
-	AllowNumericSourcesOff bool
 	// Workers bounds the worker pool checking candidate attribute pairs
 	// concurrently. Values <= 1 check serially.
 	Workers int
 }
+
+// minSourceDistinct skips source attributes with fewer distinct values
+// (§4.4: "attributes with few distinct values should be excluded").
+// Purely numeric attributes stay sources: surrogate-key FK discovery
+// inside one source needs them, and link discovery's own pruning keeps
+// them out across sources (§4.4).
+const minSourceDistinct = 2
 
 // Stats reports the work performed, for the pruning experiments.
 type Stats struct {
@@ -88,20 +83,13 @@ type Stats struct {
 	PairsChecked    int // exact set-containment checks executed
 }
 
-// DiscoverContext finds inclusion dependencies between attributes of the
-// relations in db, using precomputed profiles (keyed by profile.Key).
+// DiscoverContext finds the exact inclusion dependencies between
+// attributes of the relations in db, using precomputed profiles (keyed by
+// profile.Key).
 // Declared foreign keys from relation metadata are included first and
 // never duplicated by data analysis. When ctx is canceled the partial
 // result is discarded and ctx.Err() is returned.
 func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*profile.ColumnProfile, opts Options) ([]IND, Stats, error) {
-	minCont := opts.MinContainment
-	if minCont <= 0 {
-		minCont = 1.0
-	}
-	minSrcDistinct := opts.MinSourceDistinct
-	if minSrcDistinct <= 0 {
-		minSrcDistinct = 2
-	}
 	var out []IND
 	var stats Stats
 	declared := make(map[string]bool)
@@ -148,10 +136,7 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 			if p.Unique {
 				targets = append(targets, ref)
 			}
-			if p.Distinct >= minSrcDistinct {
-				if opts.AllowNumericSourcesOff && p.PurelyNumeric {
-					continue
-				}
+			if p.Distinct >= minSourceDistinct {
 				sources = append(sources, ref)
 			}
 		}
@@ -182,14 +167,14 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 			// Cheap pre-filters: a source with more distinct values than
 			// the target can never be contained; the signature containment
 			// estimate rejects clearly disjoint pairs.
-			if float64(src.prof.Distinct)*minCont > float64(tgt.prof.Distinct) {
+			if src.prof.Distinct > tgt.prof.Distinct {
 				stats.PairsPruned++
 				continue
 			}
 			if !opts.DisableSignaturePruning {
 				est := profile.EstimateContainment(src.prof, tgt.prof)
 				// The estimator is noisy; only prune clear rejections.
-				if est < minCont*0.4 {
+				if est < 0.4 {
 					stats.PairsPruned++
 					continue
 				}
@@ -207,15 +192,15 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 	results := make([]checkResult, len(pairs))
 	if err := parallel.For(ctx, opts.Workers, len(pairs), func(i int) {
 		p := pairs[i]
-		cont, equal, err := containment(p.src.relation, p.src.column, p.src.prof, p.tgt.relation, p.tgt.column, p.tgt.prof)
+		contained, equal, err := containment(p.src.relation, p.src.column, p.src.prof, p.tgt.relation, p.tgt.column, p.tgt.prof)
 		if err != nil {
 			results[i].err = err
 			return
 		}
-		if cont < minCont {
+		if !contained {
 			return
 		}
-		d := IND{From: p.fk, Containment: cont, Cardinality: OneToN}
+		d := IND{From: p.fk, Containment: 1.0, Cardinality: OneToN}
 		if equal {
 			d.Cardinality = OneToOne
 		}
@@ -234,39 +219,33 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 	return out, stats, nil
 }
 
-// containment computes |src ∩ tgt| / |src distinct| exactly, preferring
-// the profiles' cached distinct sets and falling back to a scan.
+// containment reports whether src's distinct values are a non-empty
+// subset of tgt's, and whether the two sets are equal, preferring the
+// profiles' cached distinct sets and falling back to a scan.
 func containment(srcRel *rel.Relation, srcCol string, srcProf *profile.ColumnProfile,
-	tgtRel *rel.Relation, tgtCol string, tgtProf *profile.ColumnProfile) (float64, bool, error) {
+	tgtRel *rel.Relation, tgtCol string, tgtProf *profile.ColumnProfile) (contained, equal bool, err error) {
 
 	srcSet := srcProf.DistinctValues
 	if srcSet == nil {
-		var err error
-		srcSet, err = srcRel.DistinctValues(srcCol)
-		if err != nil {
-			return 0, false, err
+		if srcSet, err = srcRel.DistinctValues(srcCol); err != nil {
+			return false, false, err
 		}
 	}
 	tgtSet := tgtProf.DistinctValues
 	if tgtSet == nil {
-		var err error
-		tgtSet, err = tgtRel.DistinctValues(tgtCol)
-		if err != nil {
-			return 0, false, err
+		if tgtSet, err = tgtRel.DistinctValues(tgtCol); err != nil {
+			return false, false, err
 		}
 	}
 	if len(srcSet) == 0 {
-		return 0, false, nil
+		return false, false, nil
 	}
-	inter := 0
 	for k := range srcSet {
-		if _, ok := tgtSet[k]; ok {
-			inter++
+		if _, ok := tgtSet[k]; !ok {
+			return false, false, nil
 		}
 	}
-	cont := float64(inter) / float64(len(srcSet))
-	equal := inter == len(srcSet) && len(srcSet) == len(tgtSet)
-	return cont, equal, nil
+	return true, len(srcSet) == len(tgtSet), nil
 }
 
 func indKey(fk rel.ForeignKey) string {

@@ -150,11 +150,7 @@ func TestDiscoverMinContainment(t *testing.T) {
 	a.AppendRaw("dangling2")
 	inds, _ := discover(t, db, Options{})
 	if hasIND(inds, "a", "ref", "b", "key") {
-		t.Error("exact mode should reject 80% containment")
-	}
-	inds, _ = discover(t, db, Options{MinContainment: 0.7})
-	if !hasIND(inds, "a", "ref", "b", "key") {
-		t.Error("approximate mode should accept 80% containment")
+		t.Error("inclusion is exact: 80% containment must be rejected")
 	}
 }
 
@@ -173,6 +169,9 @@ func TestDiscoverSkipsLowDistinctSources(t *testing.T) {
 	}
 }
 
+// TestDiscoverNumericSourceExclusion: ind excludes no purely numeric
+// source, as surrogate-key FK discovery inside one source needs them; the
+// §4.4 exclusion across sources is link discovery's pruning.
 func TestDiscoverNumericSourceExclusion(t *testing.T) {
 	db := rel.NewDatabase("d")
 	a := db.Create("a", rel.TextSchema("num"))
@@ -183,11 +182,7 @@ func TestDiscoverNumericSourceExclusion(t *testing.T) {
 	}
 	inds, _ := discover(t, db, Options{})
 	if !hasIND(inds, "a", "num", "b", "key") {
-		t.Error("numeric sources allowed by default (intra-source FK discovery)")
-	}
-	inds, _ = discover(t, db, Options{AllowNumericSourcesOff: true})
-	if hasIND(inds, "a", "num", "b", "key") {
-		t.Error("AllowNumericSourcesOff should exclude purely numeric sources")
+		t.Error("numeric sources must stay sources (intra-source FK discovery)")
 	}
 }
 

@@ -20,7 +20,6 @@ package linkdisc
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -45,74 +44,49 @@ type Source struct {
 // Name returns the source name.
 func (s *Source) Name() string { return s.DB.Name }
 
-// Options tunes link discovery.
+// Options switches link discovery's channels and pruning. Everything
+// else is the fixed policy below: no source is tuned by hand.
 type Options struct {
-	// MinXRefMatchFrac is the fraction of a candidate attribute's distinct
-	// values that must resolve to accessions of a target source before the
-	// attribute pair is declared a cross-reference (default 0.05: xref
-	// columns routinely mix targets of many databases, as Swiss-Prot's DR
-	// lines do, so per-target fractions are small; §5 matches values, not
-	// whole attributes).
-	MinXRefMatchFrac float64
-	// MinXRefMatchCount additionally requires this many distinct values to
-	// resolve, suppressing coincidental single-value collisions
-	// (default 3).
-	MinXRefMatchCount int
-	// MinSeqIdentity is the identity threshold for sequence links
-	// (default 0.7).
-	MinSeqIdentity float64
-	// SeqMinScore is the minimal alignment score (default 40).
-	SeqMinScore int
-	// SeqKmer is the seeding k-mer length (default 8).
-	SeqKmer int
-	// SeqBothStrands searches the reverse complement too, linking
-	// sequences stored on opposite DNA strands.
-	SeqBothStrands bool
-	// MinTextCosine is the TF-IDF cosine threshold for text links
-	// (default 0.55).
-	MinTextCosine float64
-	// MaxSharedTermFanout skips ontology terms referenced by more than
-	// this many objects when deriving term-sharing links (default 25).
-	MaxSharedTermFanout int
 	// DisablePruning turns off the §4.4 attribute pruning rules (numeric
 	// exclusion, low-distinct exclusion, key-target-only) for the E10
 	// ablation.
 	DisablePruning bool
-	// DisableSequenceLinks, DisableTextLinks, DisableEntityLinks,
-	// DisableOntologyLinks switch off individual implicit-link channels.
+	// DisableSequenceLinks, DisableTextLinks and DisableEntityLinks switch
+	// off individual implicit-link channels.
 	DisableSequenceLinks bool
 	DisableTextLinks     bool
 	DisableEntityLinks   bool
-	DisableOntologyLinks bool
 	// Workers bounds the worker pool parallelizing the per-attribute and
 	// per-tuple inner loops of each discovery channel. Values <= 1 run
 	// serially; results are identical for any worker count.
 	Workers int
 }
 
-func (o *Options) fill() {
-	if o.MinXRefMatchFrac <= 0 {
-		o.MinXRefMatchFrac = 0.05
-	}
-	if o.MinXRefMatchCount <= 0 {
-		o.MinXRefMatchCount = 3
-	}
-	if o.MinSeqIdentity <= 0 {
-		o.MinSeqIdentity = 0.7
-	}
-	if o.SeqMinScore <= 0 {
-		o.SeqMinScore = 40
-	}
-	if o.SeqKmer <= 0 {
-		o.SeqKmer = 8
-	}
-	if o.MinTextCosine <= 0 {
-		o.MinTextCosine = 0.55
-	}
-	if o.MaxSharedTermFanout <= 0 {
-		o.MaxSharedTermFanout = 25
-	}
-}
+// The link policy.
+const (
+	// minXRefMatchFrac is the fraction of a candidate attribute's distinct
+	// values that must resolve to accessions of a target source before the
+	// attribute pair is declared a cross-reference: xref columns routinely
+	// mix targets of many databases, as Swiss-Prot's DR lines do, so
+	// per-target fractions are small; §5 matches values, not whole
+	// attributes.
+	minXRefMatchFrac = 0.05
+	// minXRefMatchCount additionally requires this many distinct values to
+	// resolve, suppressing coincidental single-value collisions.
+	minXRefMatchCount = 3
+	// minSeqIdentity is the identity a sequence alignment needs to link.
+	minSeqIdentity = 0.7
+	// seqMinScore is the least alignment score of a sequence link, that of
+	// 20 matched bases.
+	seqMinScore = 40
+	// seqKmer is the seeding k-mer length.
+	seqKmer = 8
+	// minTextCosine is the TF-IDF cosine threshold for text links.
+	minTextCosine = 0.55
+	// maxSharedTermFanout skips ontology terms referenced by more than this
+	// many objects when deriving term-sharing links, against hub blowup.
+	maxSharedTermFanout = 25
+)
 
 // Stats reports the work link discovery performed.
 type Stats struct {
@@ -120,13 +94,13 @@ type Stats struct {
 	AttributePairsPruned     int
 	AttributePairsChecked    int
 	XRefAttributePairs       int
-	// SequenceSeeded counts the sequence pairs sharing MinSeeds k-mers,
+	// SequenceSeeded counts the sequence pairs sharing two k-mers,
 	// SequenceAligned those of them Smith-Waterman scored, and
 	// SequenceCells the dynamic-programming cells that scoring filled.
 	SequenceSeeded  int
 	SequenceAligned int
 	SequenceCells   int64
-	// SequenceComparisons counts the sequence hits above MinSeqIdentity,
+	// SequenceComparisons counts the sequence hits above minSeqIdentity,
 	// one per query tuple and target owner in each direction: not the
 	// pairs compared, which SequenceSeeded and SequenceAligned count.
 	SequenceComparisons int
@@ -161,7 +135,6 @@ type Engine struct {
 
 // New creates an engine.
 func New(opts Options) *Engine {
-	opts.fill()
 	return &Engine{opts: opts, byName: make(map[string]*Source), terms: newTermDict()}
 }
 
@@ -413,7 +386,7 @@ func (e *Engine) discoverXRefs(ctx context.Context, from, to *Source) ([]metadat
 	if err := parallel.For(ctx, e.opts.Workers, len(tasks), func(i int) {
 		t := tasks[i]
 		matchFrac, matched, composite := from.forms.values[t.key].matchFraction(t.r, targetAcc)
-		if matchFrac < e.opts.MinXRefMatchFrac || matched < e.opts.MinXRefMatchCount {
+		if matchFrac < minXRefMatchFrac || matched < minXRefMatchCount {
 			return
 		}
 		col := t.r.Schema.Columns[t.col].Name
@@ -519,14 +492,6 @@ func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, 
 		return nil, nil, Stats{}, nil
 	}
 	toB, toA, w, err := e.crossHits(ctx, as, bs)
-	asym := func(t seqTuple) bool { return !seq.MinusSymmetric(t.seq) }
-	if err == nil && e.opts.SeqBothStrands && (slices.ContainsFunc(as, asym) || slices.ContainsFunc(bs, asym)) {
-		// Reverse complementing is no involution on U or non-ASCII bytes:
-		// with them, b's direction is seeded from b's end.
-		var wa seq.Work
-		toA, _, wa, err = e.crossHits(ctx, bs, as)
-		w.Add(wa)
-	}
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
@@ -538,14 +503,14 @@ func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, 
 // crossHits indexes ts and probes it with every query of qs on the worker
 // pool. It returns each query's hits on the owners of ts, and each
 // target's hits on the owners of qs — what indexing qs and probing with
-// ts would find — both above MinSeqIdentity, not yet ranked, and the
+// ts would find — both above minSeqIdentity, not yet ranked, and the
 // work of every query's search.
 func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][]seq.Hit, w seq.Work, err error) {
-	ix := seq.NewIndex(e.opts.SeqKmer)
+	ix := seq.NewIndex(seqKmer)
 	for _, t := range ts {
 		ix.Add("", t.seq)
 	}
-	opts := seq.SearchOptions{MinScore: e.opts.SeqMinScore, BothStrands: e.opts.SeqBothStrands}
+	opts := seq.SearchOptions{MinScore: seqMinScore}
 	pairs := make([][]seq.Pair, len(qs))
 	works := make([]seq.Work, len(qs))
 	if err := parallel.For(ctx, e.opts.Workers, len(qs), func(i int) {
@@ -556,20 +521,20 @@ func (e *Engine) crossHits(ctx context.Context, qs, ts []seqTuple) (fwd, rev [][
 	for _, qw := range works {
 		w.Add(qw)
 	}
-	add := func(hits []seq.Hit, owners []string, al seq.Alignment, minus bool) []seq.Hit {
-		if al.Identity < e.opts.MinSeqIdentity {
+	add := func(hits []seq.Hit, owners []string, al seq.Alignment) []seq.Hit {
+		if al.Identity < minSeqIdentity {
 			return hits
 		}
 		for _, o := range owners {
-			hits = append(hits, seq.Hit{TargetID: o, Alignment: al, MinusStrand: minus})
+			hits = append(hits, seq.Hit{TargetID: o, Alignment: al})
 		}
 		return hits
 	}
 	fwd, rev = make([][]seq.Hit, len(qs)), make([][]seq.Hit, len(ts))
 	for i, ps := range pairs {
 		for _, p := range ps {
-			fwd[i] = add(fwd[i], ts[p.Target].owners, p.Fwd, p.MinusStrand)
-			rev[p.Target] = add(rev[p.Target], qs[i].owners, p.Rev, p.MinusStrand)
+			fwd[i] = add(fwd[i], ts[p.Target].owners, p.Fwd)
+			rev[p.Target] = add(rev[p.Target], qs[i].owners, p.Rev)
 		}
 	}
 	return fwd, rev, w, nil
@@ -582,7 +547,7 @@ func (e *Engine) seqLinks(from, to *Source, qs []seqTuple, hits [][]seq.Hit) ([]
 	var out []metadata.Link
 	seen := make(map[string]bool)
 	for i, hs := range hits {
-		hs = seq.Rank(hs, e.opts.SeqBothStrands)
+		hs = seq.Rank(hs)
 		n += len(hs)
 		for _, h := range hs {
 			for _, owner := range qs[i].owners {
@@ -670,11 +635,8 @@ func textDocs(s *Source) []textDoc {
 // different sources referencing the same term of an ontology source are
 // linked directly ("the resulting values make excellent links, connecting
 // proteins with similar function", §4.4). Terms referenced by more than
-// MaxSharedTermFanout objects are skipped to avoid hub blowup.
+// maxSharedTermFanout objects are skipped to avoid hub blowup.
 func (e *Engine) DeriveOntologyLinks(links []metadata.Link, ontologySource string) []metadata.Link {
-	if e.opts.DisableOntologyLinks {
-		return nil
-	}
 	key := strings.ToLower(ontologySource)
 	byTerm := make(map[string][]metadata.ObjectRef)
 	for _, l := range links {
@@ -694,7 +656,7 @@ func (e *Engine) DeriveOntologyLinks(links []metadata.Link, ontologySource strin
 	sort.Strings(terms)
 	for _, term := range terms {
 		refs := byTerm[term]
-		if len(refs) < 2 || len(refs) > e.opts.MaxSharedTermFanout {
+		if len(refs) < 2 || len(refs) > maxSharedTermFanout {
 			continue
 		}
 		for i := 0; i < len(refs); i++ {

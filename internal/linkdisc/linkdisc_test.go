@@ -221,7 +221,7 @@ func TestXRefOwnersResolvedThroughPath(t *testing.T) {
 }
 
 func TestSequenceLinkDiscovery(t *testing.T) {
-	e := newEngine(t, Options{DisableTextLinks: true, DisableEntityLinks: true, MinSeqIdentity: 0.75},
+	e := newEngine(t, Options{DisableTextLinks: true, DisableEntityLinks: true},
 		uniprotLike(t), pdbLike(t))
 	links, _, _ := e.DiscoverAll()
 	seqLinks := map[string]string{}
@@ -241,7 +241,7 @@ func TestSequenceLinkDiscovery(t *testing.T) {
 }
 
 // TestProteinSequenceLinks: protein homologs whose shared 8-mers lie only
-// on diagonals an insertion apart are linked, as they are by MinSeeds
+// on diagonals an insertion apart are linked, as they are by seeding
 // alone: over 20 letters two shared 8-mers of strands this long beat
 // chance.
 func TestProteinSequenceLinks(t *testing.T) {
@@ -293,7 +293,7 @@ func TestProteinSequenceLinks(t *testing.T) {
 }
 
 func TestTextLinkDiscovery(t *testing.T) {
-	e := newEngine(t, Options{DisableSequenceLinks: true, DisableEntityLinks: true, MinTextCosine: 0.3},
+	e := newEngine(t, Options{DisableSequenceLinks: true, DisableEntityLinks: true},
 		uniprotLike(t), pdbLike(t))
 	links, _, stats := e.DiscoverAll()
 	textLinks := 0
@@ -406,7 +406,7 @@ func TestOntologyFanoutCap(t *testing.T) {
 			To:   metadata.ObjectRef{Source: "go", Relation: "term", Accession: "GO:HUB"},
 		})
 	}
-	e := New(Options{MaxSharedTermFanout: 25})
+	e := New(Options{})
 	derived := e.DeriveOntologyLinks(links, "go")
 	if len(derived) != 0 {
 		t.Errorf("hub term should be skipped, got %d links", len(derived))

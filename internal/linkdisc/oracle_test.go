@@ -247,7 +247,7 @@ func oracleXRefs(opts Options, from, to *Source) ([]metadata.Link, []XRefAttribu
 				continue
 			}
 			frac, matched, composite := oracleMatchFraction(r, c.Name, targetAcc)
-			if frac < opts.MinXRefMatchFrac || matched < opts.MinXRefMatchCount {
+			if frac < minXRefMatchFrac || matched < minXRefMatchCount {
 				continue
 			}
 			xattrs = append(xattrs, XRefAttribute{

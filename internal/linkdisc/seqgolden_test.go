@@ -13,7 +13,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/metadata"
 	"repro/internal/rel"
-	"repro/internal/seq"
 )
 
 // The sequence-link goldens were written by the aligner that aligned
@@ -85,11 +84,9 @@ func indelLike() (left, right *rel.Database) {
 }
 
 // rnaLike pairs 40 T-rich random DNA sequences with mutated reverse
-// complements in which half or all of the Ts are written as U. Reverse
-// complementing maps U to A, whose complement is T, so the minus strand
-// aligns differently from each end — often above MinScore from one end
-// only: with both strands searched, this corpus takes the per-direction
-// seeding path.
+// complements in which half or all of the Ts are written as U. Sequences
+// are compared on the plus strand, as stored, so none of these pairs may
+// link.
 func rnaLike() (dna, rna *rel.Database) {
 	const bases = "ACGTTT"
 	rng := rand.New(rand.NewSource(2))
@@ -101,7 +98,7 @@ func rnaLike() (dna, rna *rel.Database) {
 		for j := range a {
 			a[j] = bases[rng.Intn(4)]
 		}
-		b := []byte(seq.ReverseComplement(string(a)))
+		b := reverseComplement(a)
 		for j := range b {
 			switch x := rng.Float64(); {
 			case x < 0.04:
@@ -198,20 +195,19 @@ func streamGolden(t *testing.T, e *Engine, target *Source, n int,
 	return out
 }
 
-// strandSections runs fn with SeqBothStrands off and on, in sections.
-func strandSections(workers int, fn func(Options) []string) []string {
-	var out []string
-	for _, both := range []bool{false, true} {
-		out = append(out, fmt.Sprintf("# SeqBothStrands=%v", both))
-		out = append(out, fn(Options{SeqBothStrands: both, Workers: workers})...)
+// reverseComplement reverses a DNA strand and complements its bases.
+func reverseComplement(s []byte) []byte {
+	out := make([]byte, len(s))
+	for i, c := range s {
+		out[len(s)-1-i] = map[byte]byte{'A': 'T', 'C': 'G', 'G': 'C', 'T': 'A'}[c]
 	}
 	return out
 }
 
-// TestSeqLinkGolden replays every golden at workers 1, 2 and 4, with
-// SeqBothStrands off and on: E7's corpora at the five mutation rates,
-// the gapped pairs whose traceback depends on orientation, the RNA pairs
-// whose minus strand is seeded per direction, and the integrate-linked
+// TestSeqLinkGolden replays every golden at workers 1, 2 and 4: E7's
+// corpora at the five mutation rates, the gapped pairs whose traceback
+// depends on orientation, the RNA pairs that must not link, and the
+// integrate-linked
 // corpus whole and with the target streamed in three batches. Each
 // golden holds every sequence link in emitted order and each call's
 // SequenceComparisons.
@@ -226,24 +222,23 @@ func TestSeqLinkGolden(t *testing.T) {
 	for _, mut := range e7Mutations {
 		srcs := e7Sources(t, mut)
 		goldens = append(goldens, golden{fmt.Sprintf("seqlinks_e7_mut%.2f.txt", mut), func(w int) []string {
-			return strandSections(w, func(o Options) []string { return seqGoldenAgainst(t, o, srcs) })
+			return seqGoldenAgainst(t, Options{Workers: w}, srcs)
 		}})
 	}
 	left, right := indelLike()
 	indels := []*Source{makeSource(t, left), makeSource(t, right)}
 	goldens = append(goldens, golden{"seqlinks_indels.txt", func(w int) []string {
-		return strandSections(w, func(o Options) []string { return seqGoldenAgainst(t, o, indels) })
+		return seqGoldenAgainst(t, Options{Workers: w}, indels)
 	}})
 	dna, rna := rnaLike()
 	rnas := []*Source{makeSource(t, dna), makeSource(t, rna)}
 	goldens = append(goldens, golden{"seqlinks_rna.txt", func(w int) []string {
-		return strandSections(w, func(o Options) []string { return seqGoldenAgainst(t, o, rnas) })
+		return seqGoldenAgainst(t, Options{Workers: w}, rnas)
 	}})
 	goldens = append(goldens, golden{"seqlinks_genbank1200.txt", func(w int) []string {
-		return strandSections(w, func(o Options) []string {
-			out := seqGoldenAgainst(t, o, []*Source{emblSrc, gbSrc})
-			return append(out, seqGoldenAppended(t, o, gbSrc, emblSrc)...)
-		})
+		o := Options{Workers: w}
+		out := seqGoldenAgainst(t, o, []*Source{emblSrc, gbSrc})
+		return append(out, seqGoldenAppended(t, o, gbSrc, emblSrc)...)
 	}})
 	for _, g := range goldens {
 		path := filepath.Join("testdata", g.file)

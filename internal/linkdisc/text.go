@@ -277,7 +277,7 @@ func (e *Engine) discoverTextLinks(ctx context.Context, from, to *Source) ([]met
 			s.load(fw, d)
 			for _, i := range cands {
 				sim := s.dot(tw, int(i))
-				if sim < e.opts.MinTextCosine {
+				if sim < minTextCosine {
 					continue
 				}
 				res.links = append(res.links, metadata.Link{

@@ -170,7 +170,7 @@ func TestTextLinkGolden(t *testing.T) {
 // fresh engine: every text link must come out with one bit pattern.
 // Summing a vector's norm or a dot product in map order gave a link's
 // confidence different last bits from run to run, and a link on
-// MinTextCosine could flip.
+// minTextCosine could flip.
 func TestTextLinksDeterministic(t *testing.T) {
 	corpus := datagen.Generate(datagen.Config{Seed: 6, Proteins: 40})
 	bits := make(map[string]uint64)

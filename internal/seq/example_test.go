@@ -23,14 +23,8 @@ func Example() {
 }
 
 func ExampleSmithWaterman() {
-	al := seq.SmithWaterman("TTTACGTACGTTT", "ACGTACG", seq.DefaultScoring())
+	al := seq.SmithWaterman("TTTACGTACGTTT", "ACGTACG")
 	fmt.Printf("score=%d identity=%.2f span=[%d,%d)\n", al.Score, al.Identity, al.AStart, al.AEnd)
 	// Output:
 	// score=14 identity=1.00 span=[3,10)
-}
-
-func ExampleReverseComplement() {
-	fmt.Println(seq.ReverseComplement("AATGCC"))
-	// Output:
-	// GGCATT
 }

@@ -202,7 +202,7 @@ func proteinCorpus(rng *rand.Rand, count int) (queries, targets []string) {
 // against an index of targets, and from the other end: each pair is
 // aligned from both ends alike, and aligned pairs are seeded. It returns
 // how many pairs were aligned by each rule alone and seeded but dropped.
-func checkSeeding(t *testing.T, queries, targets []string, k, minSeeds int) (twoHit, chance, dropped int) {
+func checkSeeding(t *testing.T, queries, targets []string, k int) (twoHit, chance, dropped int) {
 	t.Helper()
 	index := func(seqs []string) *Index {
 		ix := NewIndex(k)
@@ -214,11 +214,11 @@ func checkSeeding(t *testing.T, queries, targets []string, k, minSeeds int) (two
 	tix, qix := index(targets), index(queries)
 	fromTargets := make([][]int32, len(targets))
 	for ti, s := range targets {
-		fromTargets[ti], _ = qix.candidates(strings.ToUpper(s), minSeeds)
+		fromTargets[ti], _ = qix.candidates(strings.ToUpper(s))
 	}
 	for qi, s := range queries {
 		q := strings.ToUpper(s)
-		aligned, seeded := tix.candidates(q, minSeeds)
+		aligned, seeded := tix.candidates(q)
 		wantSeeded := 0
 		for ti, ts := range targets {
 			ts = strings.ToUpper(ts)
@@ -228,10 +228,10 @@ func checkSeeding(t *testing.T, queries, targets []string, k, minSeeds int) (two
 				wantSeeded++
 			}
 			if got := slices.Contains(aligned, int32(ti)); got != al {
-				t.Fatalf("k=%d minSeeds=%d: query %q target %q aligned=%v, oracle %v", k, minSeeds, q, ts, got, al)
+				t.Fatalf("k=%d: query %q target %q aligned=%v, oracle %v", k, q, ts, got, al)
 			}
 			if got := slices.Contains(fromTargets[ti], int32(qi)); got != al {
-				t.Fatalf("k=%d minSeeds=%d: target %q query %q aligned=%v from the target's end, oracle %v", k, minSeeds, ts, q, got, al)
+				t.Fatalf("k=%d: target %q query %q aligned=%v from the target's end, oracle %v", k, ts, q, got, al)
 			}
 			switch {
 			case sd && !al:
@@ -243,7 +243,7 @@ func checkSeeding(t *testing.T, queries, targets []string, k, minSeeds int) (two
 			}
 		}
 		if seeded != wantSeeded || len(aligned) > seeded {
-			t.Fatalf("k=%d minSeeds=%d: query %q seeded %d (oracle %d), aligned %d", k, minSeeds, q, seeded, wantSeeded, len(aligned))
+			t.Fatalf("k=%d: query %q seeded %d (oracle %d), aligned %d", k, q, seeded, wantSeeded, len(aligned))
 		}
 	}
 	return twoHit, chance, dropped
@@ -259,9 +259,9 @@ func TestSeedingMatchesOracle(t *testing.T) {
 	var twoHit, chance, dropped int
 	for _, corpus := range []func(*rand.Rand, int) ([]string, []string){seedingCorpus, proteinCorpus} {
 		for _, k := range []int{4, 6, 8} {
-			for _, minSeeds := range []int{1, 2, 3} {
+			for round := 0; round < 3; round++ {
 				queries, targets := corpus(rng, 40)
-				a, b, c := checkSeeding(t, queries, targets, k, minSeeds)
+				a, b, c := checkSeeding(t, queries, targets, k)
 				twoHit, chance, dropped = twoHit+a, chance+b, dropped+c
 			}
 		}
@@ -271,7 +271,7 @@ func TestSeedingMatchesOracle(t *testing.T) {
 	defer func(cells int) { diagCells = cells }(diagCells)
 	diagCells = 1
 	queries, targets := seedingCorpus(rng, 40)
-	checkSeeding(t, queries, targets, 6, 2)
+	checkSeeding(t, queries, targets, 6)
 	if twoHit == 0 || chance == 0 || dropped == 0 {
 		t.Errorf("the corpus does not exercise the filter: %d pairs aligned by two hits alone, %d by beating chance alone, %d seeded and dropped",
 			twoHit, chance, dropped)
@@ -280,7 +280,7 @@ func TestSeedingMatchesOracle(t *testing.T) {
 
 // TestSeedingKeepsIndelSplitProtein: a protein homolog whose only two
 // shared 8-mers lie on diagonals an insertion apart is aligned and found,
-// as by MinSeeds alone: over 20 letters two shared 8-mers of strands this
+// as by minSeeds alone: over 20 letters two shared 8-mers of strands this
 // long beat chance, though over 4 they would not.
 func TestSeedingKeepsIndelSplitProtein(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -297,10 +297,10 @@ func TestSeedingKeepsIndelSplitProtein(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ix.Add("decoy", randomOver(rng, aminoAcids, 300))
 	}
-	if aligned, seeded := ix.candidates(q, 2); seeded != 1 || !slices.Equal(aligned, []int32{0}) {
+	if aligned, seeded := ix.candidates(q); seeded != 1 || !slices.Equal(aligned, []int32{0}) {
 		t.Fatalf("seeded %d, aligned %v; want the homolog alone", seeded, aligned)
 	}
-	hits := ix.Search(q, SearchOptions{MinScore: 40, MinIdentity: 0.7})
+	hits := ix.Search(q, SearchOptions{MinScore: 40})
 	if len(hits) != 1 || hits[0].TargetID != "homolog" {
 		t.Fatalf("hits %+v; want the homolog", hits)
 	}
@@ -324,16 +324,16 @@ func TestBeatsChanceThreshold(t *testing.T) {
 // pair of strands among a planted copy and a decoy, nucleotide or
 // protein.
 func FuzzSeeding(f *testing.F) {
-	f.Add("ACGTACGTACGTTTGACCA", "ACGTACGTACGTTTGACCA", uint8(4), uint8(2))
-	f.Add("ACGTTGCAAGGCTTAACCGGTAAC", "GGCTTAACCGGTAACACGTTGCAA", uint8(6), uint8(2))
-	f.Add("AAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAA", uint8(4), uint8(1))
-	f.Add("ACGUNNACGUACGTNNNACGT", "acgunnacguacgtnnnacgt", uint8(3), uint8(3))
-	f.Add("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQ", "MKTAYIAKQRQISFVKSHFSRQWLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQ", uint8(6), uint8(2))
-	f.Fuzz(func(t *testing.T, q, s string, k, minSeeds uint8) {
+	f.Add("ACGTACGTACGTTTGACCA", "ACGTACGTACGTTTGACCA", uint8(4))
+	f.Add("ACGTTGCAAGGCTTAACCGGTAAC", "GGCTTAACCGGTAACACGTTGCAA", uint8(6))
+	f.Add("AAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAA", uint8(4))
+	f.Add("ACGUNNACGUACGTNNNACGT", "acgunnacguacgtnnnacgt", uint8(3))
+	f.Add("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQ", "MKTAYIAKQRQISFVKSHFSRQWLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQ", uint8(6))
+	f.Fuzz(func(t *testing.T, q, s string, k uint8) {
 		if len(q) > 300 || len(s) > 300 {
 			return
 		}
 		decoy := "TTGACCATGCAAGTCGATCGGATCCAAGCTTGCA"
-		checkSeeding(t, []string{q, decoy}, []string{s, q, decoy}, 2+int(k%7), 1+int(minSeeds%4))
+		checkSeeding(t, []string{q, decoy}, []string{s, q, decoy}, 2+int(k%7))
 	})
 }

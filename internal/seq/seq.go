@@ -3,23 +3,24 @@
 // DNA, RNA, or protein sequences are compared to each other", with
 // similarity computed in the style of BLAST [AMS+97] — k-mer seeding
 // followed by local alignment — implemented here from scratch as
-// Smith-Waterman with a k-mer prefilter.
+// Smith-Waterman with a k-mer prefilter. Sequences are compared as
+// stored, on the plus strand.
 //
 // What is computed when: the index posts every k-mer occurrence with its
 // offset. Seeding counts the distinct k-mers each indexed sequence shares
-// with a query; a candidate sharing MinSeeds is seeded, and aligned only
+// with a query; a candidate sharing minSeeds is seeded, and aligned only
 // if two of its k-mer hits lie on one diagonal without overlapping (the
 // two-hit rule of Gapped BLAST [AMS+97]) or its shared k-mers are more
 // than random strands of those lengths and alphabet (4 nucleotides or 20
 // amino acids) share but with probability 1e-4.
 // swScore runs the recurrence on one reusable row for the best score and
-// its end cell; only a pair reaching MinScore is re-run with a direction
-// matrix over the prefixes ending at that cell and traced back for
-// identity and region. CrossSearch scores a pair once for both
-// orientations, as seeding, under both rules, and score are symmetric,
-// but traces a hit back in each: the traceback prefers diagonal, then
-// up, then left, and transposing a pair swaps up and left, so
-// equal-score alignments can differ in identity.
+// its end cell in each orientation; only a pair reaching MinScore is
+// re-run with a direction matrix over the prefixes ending at that cell
+// and traced back for identity and region. CrossSearch scores a pair in
+// one pass for both orientations, as seeding, under both rules, and
+// score are symmetric, but traces a hit back in each: the traceback
+// prefers diagonal, then up, then left, and transposing a pair swaps up
+// and left, so equal-score alignments can differ in identity.
 package seq
 
 import (
@@ -28,19 +29,15 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unicode/utf8"
 )
 
-// Scoring holds alignment parameters. Gap is a linear gap penalty
-// (negative).
-type Scoring struct {
-	Match    int
-	Mismatch int
-	Gap      int
-}
-
-// DefaultScoring matches BLASTN-style defaults: +2/-3 with gap -5.
-func DefaultScoring() Scoring { return Scoring{Match: 2, Mismatch: -3, Gap: -5} }
+// The alignment scoring, BLASTN-style: +2 per match, -3 per mismatch and
+// a linear -5 per gap column.
+const (
+	match    = 2
+	mismatch = -3
+	gap      = -5
+)
 
 // Alignment is the result of a local alignment.
 type Alignment struct {
@@ -56,31 +53,20 @@ type Alignment struct {
 	Matches, Columns int
 }
 
-// SmithWaterman computes the optimal local alignment of a and b under sc:
-// swScore finds the score and the end cell of the first best cell in
-// row-major order, then traceback re-runs the recurrence over the prefixes
-// a[:endI] × b[:endJ] — whose cells depend only on those prefixes, so
-// they equal the full matrix's — and walks back from that cell.
-// O(len(a)*len(b)) time; the direction matrix covers only the prefixes.
-// Swapping a and b keeps the score, not always the identity.
-func SmithWaterman(a, b string, sc Scoring) Alignment {
-	var row []int32
-	score, endI, endJ := swScore(a, b, sc, &row)
-	return traceback(a[:endI], b[:endJ], sc, score, &row)
-}
-
 // swScore runs the Smith-Waterman recurrence of a against b on one row of
 // scores, reused from *row (grown when too short), with the diagonal and
-// left neighbours in registers. It returns the best score and the end
-// cell (i, j) of the first cell in row-major order attaining it — zeros
-// when no cell scores above zero. It allocates nothing once *row fits b.
-func swScore(a, b string, sc Scoring, row *[]int32) (score, endI, endJ int) {
+// left neighbours in registers. It returns the best score and two cells
+// attaining it: (endI, endJ), the first in row-major order, where the
+// alignment of a against b ends, and (revI, revJ), the first in
+// column-major order, where that of b against a ends — the matrix of b
+// against a is this one transposed. All are zero when no cell scores
+// above zero. It allocates nothing once *row fits b.
+func swScore(a, b string, row *[]int32) (score, endI, endJ, revI, revJ int) {
 	if cap(*row) < len(b) {
 		*row = make([]int32, len(b))
 	}
 	h := (*row)[:len(b)]
 	clear(h)
-	match, mismatch, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	var best int32
 	for i := 0; i < len(a); i++ {
 		ai := a[i]
@@ -92,23 +78,31 @@ func swScore(a, b string, sc Scoring, row *[]int32) (score, endI, endJ int) {
 			}
 			v = max(v, up+gap, left+gap, 0)
 			h[j], diag, left = v, up, v
-			if v > best {
-				best, endI, endJ = v, i+1, j+1
+			if v >= best {
+				if v > best {
+					best, endI, endJ, revI, revJ = v, i+1, j+1, i+1, j+1
+				} else if j+1 < revJ {
+					revI, revJ = i+1, j+1
+				}
 			}
 		}
 	}
-	return int(best), endI, endJ
+	return int(best), endI, endJ, revI, revJ
 }
 
 // traceback aligns a against b ending at their last cells, which swScore
 // reported as the best cell with the given score: the recurrence again,
 // recording in a direction matrix which neighbour each cell came from,
-// then the walk back. Allocated per call, it is paid only for hits.
-func traceback(a, b string, sc Scoring, score int, row *[]int32) Alignment {
+// then the walk back. Its cells depend only on the prefixes, so they equal
+// the full matrix's. Allocated per call, it is paid only for hits.
+func traceback(a, b string, score int, row *[]int32) Alignment {
 	if score == 0 {
 		return Alignment{}
 	}
 	n, m := len(a), len(b)
+	if cap(*row) < m {
+		*row = make([]int32, m)
+	}
 	h := (*row)[:m]
 	clear(h)
 	// Direction codes: 0 stop, 1 diagonal, 2 up (gap in b), 3 left (gap in
@@ -118,19 +112,19 @@ func traceback(a, b string, sc Scoring, score int, row *[]int32) Alignment {
 		var diag, left int
 		for j := 0; j < m; j++ {
 			up := int(h[j])
-			sub := sc.Mismatch
+			sub := mismatch
 			if a[i] == b[j] {
-				sub = sc.Match
+				sub = match
 			}
 			v, d := 0, uint8(0)
 			if diag+sub > v {
 				v, d = diag+sub, 1
 			}
-			if up+sc.Gap > v {
-				v, d = up+sc.Gap, 2
+			if up+gap > v {
+				v, d = up+gap, 2
 			}
-			if left+sc.Gap > v {
-				v, d = left+sc.Gap, 3
+			if left+gap > v {
+				v, d = left+gap, 3
 			}
 			h[j], diag, left = int32(v), up, v
 			dir[i*m+j] = d
@@ -162,40 +156,6 @@ func traceback(a, b string, sc Scoring, score int, row *[]int32) Alignment {
 		al.Identity = float64(matches) / float64(cols)
 	}
 	return al
-}
-
-// ReverseComplement returns the reverse complement of a DNA sequence.
-// IUPAC ambiguity codes map to their complements; non-nucleotide
-// characters pass through unchanged.
-func ReverseComplement(s string) string {
-	b := []byte(strings.ToUpper(s))
-	out := make([]byte, len(b))
-	for i, c := range b {
-		out[len(b)-1-i] = complementBase(c)
-	}
-	return string(out)
-}
-
-func complementBase(c byte) byte {
-	switch c {
-	case 'A':
-		return 'T'
-	case 'T', 'U':
-		return 'A'
-	case 'C':
-		return 'G'
-	case 'G':
-		return 'C'
-	case 'R':
-		return 'Y'
-	case 'Y':
-		return 'R'
-	case 'K':
-		return 'M'
-	case 'M':
-		return 'K'
-	}
-	return c
 }
 
 // Record is one named sequence.
@@ -254,66 +214,28 @@ func (ix *Index) Len() int { return len(ix.records) }
 
 // SearchOptions tunes Search.
 type SearchOptions struct {
-	// MinSeeds is the number of distinct shared k-mers that seeds a
-	// candidate pair (default 2). A seeded pair is aligned only if it has
-	// two non-overlapping k-mer hits on one diagonal, or shares more
-	// k-mers than random strands of its lengths and alphabet do but with
-	// probability 1e-4 — at least MinSeeds, and two for short pairs
-	// and for protein pairs of any usual length.
-	MinSeeds int
-	// MinScore drops alignments below this score (default 20).
+	// MinScore drops alignments below this score: the caller's policy,
+	// which link discovery sets to 40.
 	MinScore int
-	// MinIdentity drops alignments below this identity (default 0).
-	MinIdentity float64
-	// MaxHits caps returned hits (0 = unlimited).
-	MaxHits int
-	// Scoring is the alignment scoring (zero value = DefaultScoring).
-	Scoring Scoring
-	// BothStrands additionally searches the query's reverse complement
-	// (DNA only); hits found on the minus strand are marked.
-	BothStrands bool
-}
-
-func (o *SearchOptions) fill() {
-	if o.MinSeeds <= 0 {
-		o.MinSeeds = 2
-	}
-	if o.MinScore <= 0 {
-		o.MinScore = 20
-	}
-	if o.Scoring == (Scoring{}) {
-		o.Scoring = DefaultScoring()
-	}
 }
 
 // Hit is one query-target match.
 type Hit struct {
 	TargetID  string
 	Alignment Alignment
-	// MinusStrand marks hits found against the query's reverse
-	// complement.
-	MinusStrand bool
 }
 
-// Search finds targets sharing at least MinSeeds k-mers with the query,
+// Search finds targets sharing at least minSeeds k-mers with the query,
 // aligns each candidate that passes the two-hit or chance rule (see
-// MinSeeds) with Smith-Waterman, and returns hits ranked by
-// Rank. With BothStrands set, the reverse complement is also searched
-// and the best strand per target kept.
+// candidates) with Smith-Waterman, and returns the hits reaching MinScore
+// ranked by Rank.
 func (ix *Index) Search(query string, opts SearchOptions) []Hit {
-	opts.fill()
 	var hits []Hit
 	var w Work
 	for _, p := range ix.CrossSearch(query, opts, &w) {
-		if p.Fwd.Identity >= opts.MinIdentity {
-			hits = append(hits, Hit{TargetID: ix.records[p.Target].ID, Alignment: p.Fwd, MinusStrand: p.MinusStrand})
-		}
+		hits = append(hits, Hit{TargetID: ix.records[p.Target].ID, Alignment: p.Fwd})
 	}
-	hits = Rank(hits, opts.BothStrands)
-	if opts.MaxHits > 0 && len(hits) > opts.MaxHits {
-		hits = hits[:opts.MaxHits]
-	}
-	return hits
+	return Rank(hits)
 }
 
 // Pair is one seeded (query, target) pair of CrossSearch that reached
@@ -322,13 +244,11 @@ type Pair struct {
 	// Target is the target's position in the index, in Add order.
 	Target int
 	// Fwd aligns the query against the target, Rev the target against the
-	// query; on the minus strand each aligns the reverse complement of its
-	// first sequence, as Search of that sequence would.
-	Fwd, Rev    Alignment
-	MinusStrand bool
+	// query.
+	Fwd, Rev Alignment
 }
 
-// Work counts what a search did: Seeded targets shared MinSeeds distinct
+// Work counts what a search did: Seeded targets shared minSeeds distinct
 // k-mers with the query, Aligned of them were scored by swScore, and
 // Cells counts the dynamic-programming cells that scoring filled.
 type Work struct {
@@ -344,69 +264,36 @@ func (w *Work) Add(o Work) {
 // CrossSearch is Search from both ends at once: its pairs are those
 // Search of the query reaches (Fwd) and those Search of each target over
 // an index of the queries would reach (Rev). Seeding and score do not
-// depend on the orientation, so swScore scores each candidate once; a
-// pair reaching MinScore is traced back once per orientation. MinIdentity
-// and MaxHits are left to the caller. Rev is exact on the minus strand
-// only when every query and target is MinusSymmetric. Pairs come plus
-// strand first, each strand in index order. What the search did, on both
-// strands, is added to *w.
+// depend on the orientation, so one swScore pass scores each candidate
+// and finds where its alignment ends in either orientation; a pair
+// reaching MinScore is traced back once per orientation. Pairs come in
+// index order. What the search did is added to *w.
 func (ix *Index) CrossSearch(query string, opts SearchOptions, w *Work) []Pair {
-	opts.fill()
 	var row []int32
 	var pairs []Pair
 	query = strings.ToUpper(query)
-	strand := func(q string, minus bool) {
-		aligned, seeded := ix.candidates(q, opts.MinSeeds)
-		w.Seeded += seeded
-		w.Aligned += len(aligned)
-		for _, rid := range aligned {
-			t := ix.records[rid].Seq
-			w.Cells += int64(len(q)) * int64(len(t))
-			score, endI, endJ := swScore(q, t, opts.Scoring, &row)
-			if score < opts.MinScore {
-				continue
-			}
-			p := Pair{Target: int(rid), MinusStrand: minus, Fwd: traceback(q[:endI], t[:endJ], opts.Scoring, score, &row)}
-			if minus {
-				t = strings.ToUpper(ReverseComplement(t))
-			}
-			p.Rev = SmithWaterman(t, query, opts.Scoring)
-			pairs = append(pairs, p)
+	aligned, seeded := ix.candidates(query)
+	w.Seeded += seeded
+	w.Aligned += len(aligned)
+	for _, rid := range aligned {
+		t := ix.records[rid].Seq
+		w.Cells += int64(len(query)) * int64(len(t))
+		score, endI, endJ, revI, revJ := swScore(query, t, &row)
+		if score < opts.MinScore {
+			continue
 		}
-	}
-	strand(query, false)
-	if opts.BothStrands {
-		strand(strings.ToUpper(ReverseComplement(query)), true)
+		pairs = append(pairs, Pair{
+			Target: int(rid),
+			Fwd:    traceback(query[:endI], t[:endJ], score, &row),
+			Rev:    traceback(t[:revJ], query[:revI], score, &row),
+		})
 	}
 	return pairs
 }
 
-// MinusSymmetric reports whether reverse complementing is an involution
-// on s — it is not for U (complemented to A, whose complement is T) or
-// non-ASCII bytes — which is what makes a pair's minus-strand seeds and
-// score equal from either end.
-func MinusSymmetric(s string) bool {
-	return !strings.ContainsFunc(s, func(r rune) bool { return r == 'U' || r == 'u' || r >= utf8.RuneSelf })
-}
-
-// Rank orders one query's hits as Search returns them: with bothStrands
-// only the best hit per target ID is kept (the higher score, the plus
-// strand on a tie, else the first), then hits sort by score descending
-// and target ID.
-func Rank(hits []Hit, bothStrands bool) []Hit {
-	if bothStrands {
-		best := make(map[string]int, len(hits))
-		kept := hits[:0]
-		for _, h := range hits {
-			if k, ok := best[h.TargetID]; !ok {
-				best[h.TargetID] = len(kept)
-				kept = append(kept, h)
-			} else if c := kept[k].Alignment.Score; h.Alignment.Score > c || h.Alignment.Score == c && kept[k].MinusStrand && !h.MinusStrand {
-				kept[k] = h
-			}
-		}
-		hits = kept
-	}
+// Rank orders one query's hits as Search returns them: by score
+// descending, then target ID.
+func Rank(hits []Hit) []Hit {
 	sort.SliceStable(hits, func(i, j int) bool {
 		if hits[i].Alignment.Score != hits[j].Alignment.Score {
 			return hits[i].Alignment.Score > hits[j].Alignment.Score
@@ -415,6 +302,12 @@ func Rank(hits []Hit, bothStrands bool) []Hit {
 	})
 	return hits
 }
+
+// minSeeds is the number of distinct shared k-mers that seeds a candidate
+// pair. Two random 200-base DNA strands share two 8-mers about one time in
+// eight, so seeding alone filters little: a seeded pair is aligned only
+// under the two-hit or chance rule (candidates).
+const minSeeds = 2
 
 // seedChance is the chance at or below which a count of shared k-mers
 // beats chance: random strands share that many with at most this
@@ -452,7 +345,7 @@ var seedScratchPool = sync.Pool{New: func() any { return new(seedScratch) }}
 // again to find two hits for the seeded records that do not beat chance,
 // on one diagonal table per such record — in more than one pass if their
 // tables outgrow diagCells.
-func (ix *Index) candidates(query string, minSeeds int) (aligned []int32, seeded int) {
+func (ix *Index) candidates(query string) (aligned []int32, seeded int) {
 	sc := seedScratchPool.Get().(*seedScratch)
 	n, qAlpha := len(query), alphabet(query)
 	// occ holds the query's indexed k-mers as id<<32 | offset, so sorting
@@ -595,16 +488,15 @@ func beatsChance(shared, n, m, k, alpha int) bool {
 // CandidateCount returns how many targets share >= minSeeds k-mers with
 // the query (seeded) and how many of those a search aligns — the seeding
 // selectivity, measured by the pruning experiments without paying for
-// alignment. The plus strand only.
-func (ix *Index) CandidateCount(query string, minSeeds int) (seeded, aligned int) {
-	al, seeded := ix.candidates(strings.ToUpper(query), max(minSeeds, 1))
+// alignment.
+func (ix *Index) CandidateCount(query string) (seeded, aligned int) {
+	al, seeded := ix.candidates(strings.ToUpper(query))
 	return seeded, len(al)
 }
 
 // AllPairs aligns every query against every target with no seeding — the
 // quadratic baseline for the E7 pruning comparison.
 func AllPairs(queries, targets []Record, opts SearchOptions) map[string][]Hit {
-	opts.fill()
 	var row []int32
 	out := make(map[string][]Hit, len(queries))
 	for _, q := range queries {
@@ -612,15 +504,13 @@ func AllPairs(queries, targets []Record, opts SearchOptions) map[string][]Hit {
 		var hits []Hit
 		for _, t := range targets {
 			ts := strings.ToUpper(t.Seq)
-			score, endI, endJ := swScore(qs, ts, opts.Scoring, &row)
+			score, endI, endJ, _, _ := swScore(qs, ts, &row)
 			if score < opts.MinScore {
 				continue
 			}
-			if al := traceback(qs[:endI], ts[:endJ], opts.Scoring, score, &row); al.Identity >= opts.MinIdentity {
-				hits = append(hits, Hit{TargetID: t.ID, Alignment: al})
-			}
+			hits = append(hits, Hit{TargetID: t.ID, Alignment: traceback(qs[:endI], ts[:endJ], score, &row)})
 		}
-		out[q.ID] = Rank(hits, false)
+		out[q.ID] = Rank(hits)
 	}
 	return out
 }

@@ -9,9 +9,38 @@ import (
 	"testing/quick"
 )
 
+// SmithWaterman is the optimal local alignment of a against b: swScore's
+// first best cell in row-major order, traced back over the prefixes
+// ending there.
+func SmithWaterman(a, b string) Alignment {
+	var row []int32
+	score, endI, endJ, _, _ := swScore(a, b, &row)
+	return traceback(a[:endI], b[:endJ], score, &row)
+}
+
+// reverseComplement reverses a DNA strand and complements its bases.
+func reverseComplement(s string) string {
+	out := make([]byte, len(s))
+	for i := range s {
+		c := s[len(s)-1-i]
+		switch c {
+		case 'A':
+			c = 'T'
+		case 'T':
+			c = 'A'
+		case 'C':
+			c = 'G'
+		case 'G':
+			c = 'C'
+		}
+		out[i] = c
+	}
+	return string(out)
+}
+
 func TestSmithWatermanIdentical(t *testing.T) {
 	s := "ACGTACGTACGT"
-	al := SmithWaterman(s, s, DefaultScoring())
+	al := SmithWaterman(s, s)
 	if al.Identity != 1.0 {
 		t.Errorf("identity = %v", al.Identity)
 	}
@@ -26,7 +55,7 @@ func TestSmithWatermanIdentical(t *testing.T) {
 func TestSmithWatermanSubstring(t *testing.T) {
 	a := "TTTTTACGTACGTTTTT"
 	b := "ACGTACG"
-	al := SmithWaterman(a, b, DefaultScoring())
+	al := SmithWaterman(a, b)
 	if al.Identity != 1.0 {
 		t.Errorf("identity = %v", al.Identity)
 	}
@@ -41,7 +70,7 @@ func TestSmithWatermanSubstring(t *testing.T) {
 func TestSmithWatermanMismatchTolerance(t *testing.T) {
 	a := "ACGTACGTACGTACGTACGT"
 	b := "ACGTACGTTCGTACGTACGT" // one substitution
-	al := SmithWaterman(a, b, DefaultScoring())
+	al := SmithWaterman(a, b)
 	if al.Identity <= 0.9 || al.Identity >= 1.0 {
 		t.Errorf("identity = %v; want (0.9, 1.0)", al.Identity)
 	}
@@ -50,7 +79,7 @@ func TestSmithWatermanMismatchTolerance(t *testing.T) {
 func TestSmithWatermanGap(t *testing.T) {
 	a := "ACGTACGTAACGTACGT"
 	b := "ACGTACGTACGTACGT" // one deletion relative to a
-	al := SmithWaterman(a, b, DefaultScoring())
+	al := SmithWaterman(a, b)
 	// Must bridge the gap rather than stopping at 8 columns.
 	if al.Columns < 16 {
 		t.Errorf("alignment columns = %d; want gapped alignment >= 16", al.Columns)
@@ -58,14 +87,14 @@ func TestSmithWatermanGap(t *testing.T) {
 }
 
 func TestSmithWatermanNoSimilarity(t *testing.T) {
-	al := SmithWaterman("AAAA", "TTTT", DefaultScoring())
+	al := SmithWaterman("AAAA", "TTTT")
 	if al.Score != 0 || al.Identity != 0 {
 		t.Errorf("disjoint alignment = %+v", al)
 	}
 }
 
 func TestSmithWatermanEmpty(t *testing.T) {
-	if al := SmithWaterman("", "ACGT", DefaultScoring()); al.Score != 0 {
+	if al := SmithWaterman("", "ACGT"); al.Score != 0 {
 		t.Errorf("empty input score = %d", al.Score)
 	}
 }
@@ -119,7 +148,7 @@ func TestIndexSearchRejectsUnrelated(t *testing.T) {
 		ix.Add("decoy", randomDNA(rng, 200))
 	}
 	query := randomDNA(rng, 200)
-	hits := ix.Search(query, SearchOptions{MinScore: 60, MinSeeds: 2})
+	hits := ix.Search(query, SearchOptions{MinScore: 60})
 	if len(hits) != 0 {
 		t.Errorf("unrelated query got %d hits", len(hits))
 	}
@@ -134,28 +163,12 @@ func TestIndexSeedingPrunes(t *testing.T) {
 		ix.Add("decoy", randomDNA(rng, 200))
 	}
 	query := mutate(rng, orig, 0.03)
-	candidates, _ := ix.CandidateCount(query, 2)
+	candidates, _ := ix.CandidateCount(query)
 	if candidates >= 25 {
 		t.Errorf("seeding should prune most of 51 targets; candidates = %d", candidates)
 	}
 	if candidates < 1 {
 		t.Error("seeding pruned the true homolog")
-	}
-}
-
-func TestSearchMinIdentityFilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ix := NewIndex(6)
-	orig := randomDNA(rng, 200)
-	ix.Add("t", orig)
-	query := mutate(rng, orig, 0.25)
-	loose := ix.Search(query, SearchOptions{MinScore: 10, MinSeeds: 1})
-	strict := ix.Search(query, SearchOptions{MinScore: 10, MinSeeds: 1, MinIdentity: 0.99})
-	if len(loose) == 0 {
-		t.Fatal("expected a loose hit")
-	}
-	if len(strict) != 0 {
-		t.Errorf("25%%-mutated sequence passed 99%% identity filter: %+v", strict)
 	}
 }
 
@@ -182,16 +195,13 @@ func TestAllPairsMatchesSeededOnStrongHomologs(t *testing.T) {
 	}
 }
 
-func TestSearchMaxHits(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	ix := NewIndex(6)
-	orig := randomDNA(rng, 100)
-	for i := 0; i < 10; i++ {
-		ix.Add("t", mutate(rng, orig, 0.01))
-	}
-	hits := ix.Search(orig, SearchOptions{MinScore: 20, MaxHits: 3})
-	if len(hits) != 3 {
-		t.Errorf("MaxHits: got %d", len(hits))
+// BenchmarkSmithWaterman: the alignment kernel and its traceback on two
+// unrelated 240-base strands.
+func BenchmarkSmithWaterman(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	x, y := randomDNA(rng, 240), randomDNA(rng, 240)
+	for i := 0; i < b.N; i++ {
+		SmithWaterman(x, y)
 	}
 }
 
@@ -202,8 +212,8 @@ func TestSmithWatermanProperties(t *testing.T) {
 	f := func(seedA, seedB uint8, lenA, lenB uint8) bool {
 		a := randomDNA(rng, int(lenA%60)+1)
 		b := randomDNA(rng, int(lenB%60)+1)
-		x := SmithWaterman(a, b, DefaultScoring())
-		y := SmithWaterman(b, a, DefaultScoring())
+		x := SmithWaterman(a, b)
+		y := SmithWaterman(b, a)
 		if x.Score != y.Score {
 			return false
 		}
@@ -220,7 +230,7 @@ func TestSelfAlignmentProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func(n uint8) bool {
 		s := randomDNA(rng, int(n%100)+1)
-		al := SmithWaterman(s, s, DefaultScoring())
+		al := SmithWaterman(s, s)
 		return al.Identity == 1.0 && al.Score == 2*len(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -228,75 +238,10 @@ func TestSelfAlignmentProperty(t *testing.T) {
 	}
 }
 
-func TestReverseComplement(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"ACGT", "ACGT"}, // palindrome
-		{"AAAA", "TTTT"},
-		{"ATGC", "GCAT"},
-		{"acgt", "ACGT"},
-		{"ACGU", "ACGT"}, // RNA U complements to A
-	}
-	for _, c := range cases {
-		if got := ReverseComplement(c.in); got != c.want {
-			t.Errorf("ReverseComplement(%q) = %q want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestReverseComplementInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 20; i++ {
-		s := randomDNA(rng, 50+i)
-		if got := ReverseComplement(ReverseComplement(s)); got != s {
-			t.Fatalf("double complement != identity for %q", s)
-		}
-	}
-}
-
-func TestSearchBothStrands(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	target := randomDNA(rng, 200)
-	ix := NewIndex(8)
-	ix.Add("t", target)
-	// A query equal to the reverse complement of the target: invisible on
-	// the plus strand, found on the minus strand.
-	query := ReverseComplement(target)
-	plusOnly := ix.Search(query, SearchOptions{MinScore: 100})
-	if len(plusOnly) != 0 {
-		t.Fatalf("plus-strand search should miss: %v", plusOnly)
-	}
-	both := ix.Search(query, SearchOptions{MinScore: 100, BothStrands: true})
-	if len(both) != 1 {
-		t.Fatalf("both-strand search hits = %d", len(both))
-	}
-	if !both[0].MinusStrand {
-		t.Error("hit should be marked minus-strand")
-	}
-	if both[0].Alignment.Identity != 1.0 {
-		t.Errorf("identity = %v", both[0].Alignment.Identity)
-	}
-}
-
-func TestSearchBothStrandsKeepsBest(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	target := randomDNA(rng, 150)
-	ix := NewIndex(8)
-	ix.Add("t", target)
-	// Query equal to the target: the plus-strand hit must win.
-	both := ix.Search(target, SearchOptions{MinScore: 50, BothStrands: true})
-	if len(both) != 1 {
-		t.Fatalf("hits = %d", len(both))
-	}
-	if both[0].MinusStrand {
-		t.Error("plus-strand hit should win")
-	}
-	_ = rng
-}
-
 // parentSmithWaterman is the aligner before the score-only kernel, kept
 // as the oracle: the recurrence over the full (n+1)(m+1) direction
 // matrix, traced back from the first best cell in row-major order.
-func parentSmithWaterman(a, b string, sc Scoring) Alignment {
+func parentSmithWaterman(a, b string) Alignment {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return Alignment{}
@@ -308,13 +253,13 @@ func parentSmithWaterman(a, b string, sc Scoring) Alignment {
 	for i := 1; i <= n; i++ {
 		curr[0] = 0
 		for j := 1; j <= m; j++ {
-			sub := sc.Mismatch
+			sub := mismatch
 			if a[i-1] == b[j-1] {
-				sub = sc.Match
+				sub = match
 			}
 			diag := prev[j-1] + sub
-			up := prev[j] + sc.Gap
-			left := curr[j-1] + sc.Gap
+			up := prev[j] + gap
+			left := curr[j-1] + gap
 			v, d := 0, uint8(0)
 			if diag > v {
 				v, d = diag, 1
@@ -402,20 +347,29 @@ func indels(rng *rand.Rand, s string) string {
 // pairs, gapped copies, ties and empty inputs, in both orientations, the
 // kernel's (score, endI, endJ) is the parent's (Score, AEnd, BEnd) — the
 // first best cell in row-major order — and the prefix traceback is the
-// parent's full-matrix alignment.
+// parent's full-matrix alignment; its (revI, revJ) is the parent's end
+// cell of the transposed pair, whose alignment the prefix traceback of
+// the swapped prefixes is.
 func TestKernelMatchesParentAligner(t *testing.T) {
-	sc := DefaultScoring()
 	var row []int32
 	check := func(a, b string) {
 		t.Helper()
 		for _, p := range [][2]string{{a, b}, {b, a}} {
-			want := parentSmithWaterman(p[0], p[1], sc)
-			if score, endI, endJ := swScore(p[0], p[1], sc, &row); score != want.Score || endI != want.AEnd || endJ != want.BEnd {
+			want, rev := parentSmithWaterman(p[0], p[1]), parentSmithWaterman(p[1], p[0])
+			score, endI, endJ, revI, revJ := swScore(p[0], p[1], &row)
+			if score != want.Score || endI != want.AEnd || endJ != want.BEnd {
 				t.Fatalf("swScore(%q, %q) = (%d, %d, %d), parent (%d, %d, %d)",
 					p[0], p[1], score, endI, endJ, want.Score, want.AEnd, want.BEnd)
 			}
-			if got := SmithWaterman(p[0], p[1], sc); got != want {
+			if revI != rev.BEnd || revJ != rev.AEnd {
+				t.Fatalf("swScore(%q, %q) reverse end (%d, %d), parent of the swapped pair ends at (%d, %d)",
+					p[0], p[1], revI, revJ, rev.BEnd, rev.AEnd)
+			}
+			if got := SmithWaterman(p[0], p[1]); got != want {
 				t.Fatalf("SmithWaterman(%q, %q) = %+v, parent %+v", p[0], p[1], got, want)
+			}
+			if got := traceback(p[1][:revJ], p[0][:revI], score, &row); got != rev {
+				t.Fatalf("reverse traceback of (%q, %q) = %+v, parent %+v", p[0], p[1], got, rev)
 			}
 		}
 	}
@@ -443,7 +397,7 @@ func TestScoreKernelAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a, b := randomDNA(rng, 200), randomDNA(rng, 240)
 	row := make([]int32, len(b))
-	if n := testing.AllocsPerRun(20, func() { swScore(a, b, DefaultScoring(), &row) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { swScore(a, b, &row) }); n != 0 {
 		t.Errorf("swScore allocated %.1f times per pair", n)
 	}
 }
@@ -459,7 +413,7 @@ func TestCrossSearchIsSearchFromEachEnd(t *testing.T) {
 		s := randomDNA(rng, 40+rng.Intn(60))
 		c := indels(rng, s)
 		if i%3 == 0 {
-			c = strings.ToLower(ReverseComplement(c))
+			c = strings.ToLower(reverseComplement(c))
 		}
 		queries, targets = append(queries, s), append(targets, c)
 	}
@@ -474,34 +428,32 @@ func TestCrossSearchIsSearchFromEachEnd(t *testing.T) {
 		return ix
 	}
 	qix, tix := index(queries), index(targets)
-	for _, both := range []bool{false, true} {
-		opts := SearchOptions{MinScore: 30, BothStrands: both}
-		fwd := make([][]Hit, len(queries))
-		rev := make([][]Hit, len(targets))
-		orientDiffers := false
-		var w Work
-		for qi, q := range queries {
-			for _, p := range tix.CrossSearch(q, opts, &w) {
-				fwd[qi] = append(fwd[qi], Hit{TargetID: fmt.Sprint(p.Target), Alignment: p.Fwd, MinusStrand: p.MinusStrand})
-				rev[p.Target] = append(rev[p.Target], Hit{TargetID: fmt.Sprint(qi), Alignment: p.Rev, MinusStrand: p.MinusStrand})
-				orientDiffers = orientDiffers || p.Fwd.Identity != p.Rev.Identity
-			}
+	opts := SearchOptions{MinScore: 30}
+	fwd := make([][]Hit, len(queries))
+	rev := make([][]Hit, len(targets))
+	orientDiffers := false
+	var w Work
+	for qi, q := range queries {
+		for _, p := range tix.CrossSearch(q, opts, &w) {
+			fwd[qi] = append(fwd[qi], Hit{TargetID: fmt.Sprint(p.Target), Alignment: p.Fwd})
+			rev[p.Target] = append(rev[p.Target], Hit{TargetID: fmt.Sprint(qi), Alignment: p.Rev})
+			orientDiffers = orientDiffers || p.Fwd.Identity != p.Rev.Identity
 		}
-		compare := func(dir string, i int, got []Hit, want []Hit) {
-			t.Helper()
-			got = Rank(got, both)
-			if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-				t.Errorf("both=%v %s %d:\n got  %+v\n want %+v", both, dir, i, got, want)
-			}
+	}
+	compare := func(dir string, i int, got []Hit, want []Hit) {
+		t.Helper()
+		got = Rank(got)
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Errorf("%s %d:\n got  %+v\n want %+v", dir, i, got, want)
 		}
-		for qi, q := range queries {
-			compare("query", qi, fwd[qi], tix.Search(q, opts))
-		}
-		for ti, s := range targets {
-			compare("target", ti, rev[ti], qix.Search(s, opts))
-		}
-		if !orientDiffers {
-			t.Errorf("both=%v: no pair whose identity depends on orientation", both)
-		}
+	}
+	for qi, q := range queries {
+		compare("query", qi, fwd[qi], tix.Search(q, opts))
+	}
+	for ti, s := range targets {
+		compare("target", ti, rev[ti], qix.Search(s, opts))
+	}
+	if !orientDiffers {
+		t.Error("no pair whose identity depends on orientation")
 	}
 }

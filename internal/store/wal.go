@@ -315,15 +315,6 @@ func (w *WAL) Append(frame []byte, seq uint64) error {
 	return nil
 }
 
-// AppendRecord encodes and durably appends one record with its Seq.
-func (w *WAL) AppendRecord(rec *WALRecord) error {
-	frame, err := EncodeRecord(rec)
-	if err != nil {
-		return err
-	}
-	return w.Append(frame, rec.Seq)
-}
-
 // Records returns the number of records in the log (replayed + appended).
 func (w *WAL) Records() int { return w.records }
 

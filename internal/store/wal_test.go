@@ -11,6 +11,15 @@ import (
 	"repro/internal/metadata"
 )
 
+// walAppend encodes rec and durably appends it with its Seq.
+func walAppend(w *WAL, rec *WALRecord) error {
+	frame, err := EncodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	return w.Append(frame, rec.Seq)
+}
+
 func sampleRecords() []*WALRecord {
 	return []*WALRecord{
 		{
@@ -44,7 +53,7 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 	}
 	want := sampleRecords()
 	for _, rec := range want {
-		if err := w.AppendRecord(rec); err != nil {
+		if err := walAppend(w, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +94,7 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 	if len(replayed) != len(want) {
 		t.Fatalf("reopen replayed %d records, want %d", len(replayed), len(want))
 	}
-	if err := w2.AppendRecord(&WALRecord{Seq: 4, Type: RecDML, SQL: "x"}); err != nil {
+	if err := walAppend(w2, &WALRecord{Seq: 4, Type: RecDML, SQL: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -108,7 +117,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range sampleRecords() {
-		if err := w.AppendRecord(rec); err != nil {
+		if err := walAppend(w, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +145,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.AppendRecord(&WALRecord{Seq: 3, Type: RecDML, SQL: "after tear"}); err != nil {
+	if err := walAppend(w2, &WALRecord{Seq: 3, Type: RecDML, SQL: "after tear"}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -158,7 +167,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range sampleRecords() {
-		if err := w.AppendRecord(rec); err != nil {
+		if err := walAppend(w, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
