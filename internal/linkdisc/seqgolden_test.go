@@ -195,11 +195,11 @@ func streamGolden(t *testing.T, e *Engine, target *Source, n int,
 	return out
 }
 
-// reverseComplement reverses a DNA strand and complements its bases.
+// reverseComplement reverses an ACGT strand and complements its bases.
 func reverseComplement(s []byte) []byte {
 	out := make([]byte, len(s))
 	for i, c := range s {
-		out[len(s)-1-i] = map[byte]byte{'A': 'T', 'C': 'G', 'G': 'C', 'T': 'A'}[c]
+		out[len(s)-1-i] = "TGCA"[strings.IndexByte("ACGT", c)]
 	}
 	return out
 }

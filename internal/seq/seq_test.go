@@ -18,22 +18,11 @@ func SmithWaterman(a, b string) Alignment {
 	return traceback(a[:endI], b[:endJ], score, &row)
 }
 
-// reverseComplement reverses a DNA strand and complements its bases.
+// reverseComplement reverses an ACGT strand and complements its bases.
 func reverseComplement(s string) string {
 	out := make([]byte, len(s))
 	for i := range s {
-		c := s[len(s)-1-i]
-		switch c {
-		case 'A':
-			c = 'T'
-		case 'T':
-			c = 'A'
-		case 'C':
-			c = 'G'
-		case 'G':
-			c = 'C'
-		}
-		out[i] = c
+		out[len(s)-1-i] = "TGCA"[strings.IndexByte("ACGT", s[i])]
 	}
 	return string(out)
 }
