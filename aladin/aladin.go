@@ -373,7 +373,7 @@ func (d *DB) Query(ctx context.Context, sql string) (*QueryResult, error) {
 	defer rows.Close()
 	res := &QueryResult{Columns: rows.Columns()}
 	for rows.Next() {
-		res.Rows = append(res.Rows, rows.row)
+		res.Rows = append(res.Rows, rows.row.Clone())
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err

@@ -62,6 +62,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	row, err := r.cur.Next(r.ctx)
+	r.row = nil // the cursor's previous row is recycled
 	if err == io.EOF {
 		r.closed = true
 		return false
@@ -162,7 +163,7 @@ func (r *Rows) Err() error { return r.err }
 // Close releases the cursor; subsequent Next calls report false. Close is
 // idempotent and safe to defer alongside explicit draining.
 func (r *Rows) Close() error {
-	r.closed = true
+	r.closed, r.row = true, nil
 	return r.cur.Close()
 }
 

@@ -26,6 +26,12 @@ type allocBudget struct {
 	TextComparison float64 `json:"text_links_comparison"`
 	LikeScan       int64   `json:"like_scan"`
 	FilterScan     int64   `json:"filter_scan"`
+
+	HashJoinBytes   int64 `json:"hash_join_bytes"`
+	DistinctBytes   int64 `json:"distinct_bytes"`
+	GroupByBytes    int64 `json:"group_by_bytes"`
+	LikeScanBytes   int64 `json:"like_scan_bytes"`
+	FilterScanBytes int64 `json:"filter_scan_bytes"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -72,7 +78,10 @@ func TestDupAllocBudget(t *testing.T) {
 // per seeded pair (BenchmarkSeqLinks' allocs/pair, workers=1): the
 // figure is per-tuple and per-query set-up, and seeding that allocates
 // per seeded pair adds at least one. Only 82 of the 3,745 seeded pairs
-// are aligned, so an aligner allocating per pair would add little here;
+// are aligned, so an aligner allocating per aligned pair would add only
+// 0.02 and pass here: internal/seq's
+// TestCrossSearchAllocsDoNotGrowWithAlignedPairs holds CrossSearch to a
+// handful of allocations from 10 to 100 aligned pairs, and
 // TestScoreKernelAllocatesNothing holds the kernel to none.
 func TestSeqAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
@@ -104,10 +113,14 @@ func TestTextAllocBudget(t *testing.T) {
 	}
 }
 
-// TestQueryAllocBudget measures allocs/op for the hash-join, DISTINCT,
-// GROUP BY, LIKE-scan and filtered-scan benchmarks (workers=1, so the numbers are
-// deterministic modulo GC noise) and fails if any exceeds its checked-in
-// budget.
+// TestQueryAllocBudget measures allocs/op and bytes/op for the
+// hash-join, DISTINCT, GROUP BY, LIKE-scan and filtered-scan benchmarks
+// and fails if either exceeds its checked-in budget. Each shape runs at
+// workers 1 and 2: at 2 every one of them scans more than one morsel, so
+// the exchange runs. The allocs/op ceilings hold at workers 1, where the
+// count is deterministic modulo GC noise; the bytes/op ceilings hold at
+// both, so a scan, join or projection that stops recycling its batch
+// memory — serially or behind the exchange — fails.
 func TestQueryAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 
@@ -115,20 +128,27 @@ func TestQueryAllocBudget(t *testing.T) {
 	testing.Benchmark(func(b *testing.B) { db = bigQueryDB(b) })
 	joinWant := countFact(func(i int) bool { return i%64 < 32 })
 
-	check := func(name string, db *rel.Database, q string, wantRows int, max int64) {
-		if max <= 0 {
+	check := func(name string, db *rel.Database, q string, wantRows int, maxAllocs, maxBytes int64) {
+		if maxAllocs <= 0 || maxBytes <= 0 {
 			t.Fatalf("%s: missing budget in ALLOC_budget.json", name)
 		}
-		r := testing.Benchmark(func(b *testing.B) { benchParallelQuery(b, db, q, 1, wantRows) })
-		t.Logf("%s: %d allocs/op (budget %d)", name, r.AllocsPerOp(), max)
-		if r.AllocsPerOp() > max {
-			t.Errorf("%s: %d allocs/op exceeds budget %d — the zero-allocation hash path regressed",
-				name, r.AllocsPerOp(), max)
+		for _, workers := range []int{1, 2} {
+			r := testing.Benchmark(func(b *testing.B) { benchParallelQuery(b, db, q, workers, wantRows) })
+			t.Logf("%s workers=%d: %d allocs/op (budget %d at workers=1), %d B/op (budget %d)",
+				name, workers, r.AllocsPerOp(), maxAllocs, r.AllocedBytesPerOp(), maxBytes)
+			if workers == 1 && r.AllocsPerOp() > maxAllocs {
+				t.Errorf("%s: %d allocs/op exceeds budget %d — the zero-allocation hash path regressed",
+					name, r.AllocsPerOp(), maxAllocs)
+			}
+			if r.AllocedBytesPerOp() > maxBytes {
+				t.Errorf("%s workers=%d: %d B/op exceeds budget %d — batch memory is no longer recycled",
+					name, workers, r.AllocedBytesPerOp(), maxBytes)
+			}
 		}
 	}
-	check("hash-join", db, parallelJoinQuery, joinWant, budget.HashJoin)
-	check("distinct", db, distinctQuery, 7*64, budget.Distinct)
-	check("group-by", db, groupByQuery, 7, budget.GroupBy)
-	check("like-scan", likeDB(), likeScanQuery, 1, budget.LikeScan)
-	check("filter-scan", filterDB(), filterScanQuery, 1, budget.FilterScan)
+	check("hash-join", db, parallelJoinQuery, joinWant, budget.HashJoin, budget.HashJoinBytes)
+	check("distinct", db, distinctQuery, 7*64, budget.Distinct, budget.DistinctBytes)
+	check("group-by", db, groupByQuery, 7, budget.GroupBy, budget.GroupByBytes)
+	check("like-scan", likeDB(), likeScanQuery, 1, budget.LikeScan, budget.LikeScanBytes)
+	check("filter-scan", filterDB(), filterScanQuery, 1, budget.FilterScan, budget.FilterScanBytes)
 }

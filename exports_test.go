@@ -110,7 +110,11 @@ func checkList(t *testing.T, path string, found []string, msgNew, msgGone string
 // so does a listed name that is now called or gone: the list only
 // shrinks. The scan is syntactic: a function counts as called when its
 // package-qualified name (or, inside its package, its bare name)
-// appears; a method when any selector names it.
+// appears; a method when any selector names it. That is the check's
+// blind spot: a method counts as called whenever any selector has its
+// name, whatever the receiver, so seq.Index.Search passed while only
+// seq's tests called it, because search.Index.Search and DB.Search have
+// callers.
 func TestExportsHaveCallers(t *testing.T) {
 	files := parseTree(t)
 	declared := map[string]bool{}    // "dir.Func" or "dir.Type.Method"

@@ -212,7 +212,7 @@ func (ix *Index) Add(id, sequence string) {
 // Len returns the number of indexed sequences.
 func (ix *Index) Len() int { return len(ix.records) }
 
-// SearchOptions tunes Search.
+// SearchOptions tunes CrossSearch.
 type SearchOptions struct {
 	// MinScore drops alignments below this score: the caller's policy,
 	// which link discovery sets to 40.
@@ -223,19 +223,6 @@ type SearchOptions struct {
 type Hit struct {
 	TargetID  string
 	Alignment Alignment
-}
-
-// Search finds targets sharing at least minSeeds k-mers with the query,
-// aligns each candidate that passes the two-hit or chance rule (see
-// candidates) with Smith-Waterman, and returns the hits reaching MinScore
-// ranked by Rank.
-func (ix *Index) Search(query string, opts SearchOptions) []Hit {
-	var hits []Hit
-	var w Work
-	for _, p := range ix.CrossSearch(query, opts, &w) {
-		hits = append(hits, Hit{TargetID: ix.records[p.Target].ID, Alignment: p.Fwd})
-	}
-	return Rank(hits)
 }
 
 // Pair is one seeded (query, target) pair of CrossSearch that reached
@@ -261,9 +248,12 @@ func (w *Work) Add(o Work) {
 	w.Seeded, w.Aligned, w.Cells = w.Seeded+o.Seeded, w.Aligned+o.Aligned, w.Cells+o.Cells
 }
 
-// CrossSearch is Search from both ends at once: its pairs are those
-// Search of the query reaches (Fwd) and those Search of each target over
-// an index of the queries would reach (Rev). Seeding and score do not
+// CrossSearch finds targets sharing at least minSeeds k-mers with the
+// query, aligns each candidate that passes the two-hit or chance rule
+// (see candidates) with Smith-Waterman, and returns the pairs reaching
+// MinScore from both ends at once: the query against the target (Fwd)
+// and the target against the query (Rev), as a search of each target
+// over an index of the queries would find it. Seeding and score do not
 // depend on the orientation, so one swScore pass scores each candidate
 // and finds where its alignment ends in either orientation; a pair
 // reaching MinScore is traced back once per orientation. Pairs come in
@@ -291,8 +281,7 @@ func (ix *Index) CrossSearch(query string, opts SearchOptions, w *Work) []Pair {
 	return pairs
 }
 
-// Rank orders one query's hits as Search returns them: by score
-// descending, then target ID.
+// Rank orders one query's hits: by score descending, then target ID.
 func Rank(hits []Hit) []Hit {
 	sort.SliceStable(hits, func(i, j int) bool {
 		if hits[i].Alignment.Score != hits[j].Alignment.Score {

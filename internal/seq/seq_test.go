@@ -391,6 +391,34 @@ func TestScoreKernelAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCrossSearchAllocsDoNotGrowWithAlignedPairs: one query against two
+// indexes, one where 10 records are aligned and one where 100 are, all
+// scoring below MinScore. The second search may allocate a handful more
+// for slice doubling, but not one more per added pair — a check the
+// seq_score_pair budget cannot make, since only 82 of its 3,745 seeded
+// pairs are aligned.
+func TestCrossSearchAllocsDoNotGrowWithAlignedPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	query := randomDNA(rng, 200)
+	opts := SearchOptions{MinScore: 1 << 30}
+	allocs := func(n int) float64 {
+		ix := NewIndex(8)
+		for i := 0; i < n; i++ {
+			ix.Add(fmt.Sprintf("t%d", i), mutate(rng, query, 0.05))
+		}
+		var w Work
+		if pairs := ix.CrossSearch(query, opts, &w); w.Aligned != n || len(pairs) != 0 {
+			t.Fatalf("%d records: %d aligned, %d pairs; want %d aligned, none reaching MinScore", n, w.Aligned, len(pairs), n)
+		}
+		return testing.AllocsPerRun(20, func() { ix.CrossSearch(query, opts, &w) })
+	}
+	few, many := allocs(10), allocs(100)
+	t.Logf("allocs per search: %.1f with 10 aligned pairs, %.1f with 100", few, many)
+	if many-few > 10 {
+		t.Errorf("90 more aligned pairs cost %.1f more allocations per search; want at most a handful", many-few)
+	}
+}
+
 // TestCrossSearchIsSearchFromEachEnd: CrossSearch's Fwd alignments are
 // what Search of the query finds, its Rev alignments what Search of each
 // target over an index of the queries finds — on gapped copies, reverse

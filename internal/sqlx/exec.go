@@ -63,11 +63,14 @@ func collectSelect(ctx context.Context, db *rel.Database, s *SelectStmt) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	cols, it, err := openSelect(ctx, db, lg, newRun())
+	rt := newRun()
+	defer rt.close()
+	cols, it, err := openSelect(ctx, db, lg, rt)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: cols}
+	var vals kept[rel.Value]
 	for {
 		items, err := it.next(ctx, vecBatch)
 		if err == io.EOF {
@@ -77,7 +80,7 @@ func collectSelect(ctx context.Context, db *rel.Database, s *SelectStmt) (*Resul
 			return nil, err
 		}
 		for _, i := range items {
-			res.Rows = append(res.Rows, i.row)
+			res.Rows = append(res.Rows, vals.copy(i.row))
 		}
 	}
 	return res, nil

@@ -3,6 +3,7 @@ package sqlx
 import (
 	"context"
 	"fmt"
+	"io"
 	"regexp"
 	"strings"
 	"testing"
@@ -131,10 +132,50 @@ func TestRenderCanonical(t *testing.T) {
 	}
 }
 
+// sameAtEveryWorkerCount executes a query that prepared against db at
+// workers 1, 2 and 4 and requires the same rows in the same order at
+// each: the exchange keeps morsel order, and fact has more than one
+// morsel, so it runs. Each execution is cut short as in sameVerdict. A
+// run that fails is not compared: under LIMIT a morsel may evaluate rows
+// past the last one returned, so an error there is not an error serially.
+func sameAtEveryWorkerCount(t *testing.T, db *rel.Database, sql string) {
+	t.Helper()
+	p, err := Prepare(db, sql)
+	if err != nil {
+		return
+	}
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		var b strings.Builder
+		cur, err := p.OpenParallel(ctx, db, workers)
+		for i := 0; err == nil && i < 3*vecBatch; i++ {
+			var row rel.Tuple
+			if row, err = cur.Next(ctx); err == nil {
+				b.WriteString(goldenRow(row) + "\n")
+			}
+		}
+		if cur != nil {
+			cur.Close()
+		}
+		cancel()
+		if err != nil && err != io.EOF {
+			return
+		}
+		if workers == 1 {
+			want = b.String()
+		} else if got := b.String(); got != want {
+			t.Fatalf("%q at workers=%d differs from workers=1:\n%s\nwant:\n%s", sql, workers, got, want)
+		}
+	}
+}
+
 // FuzzPrepare throws arbitrary bytes at the parser and the resolver: they
 // must never panic, anything the parser accepts must survive the render
-// round trip, and whether a query prepares must not depend on the data
-// (sameVerdict).
+// round trip, whether a query prepares must not depend on the data
+// (sameVerdict), and a query that prepares against goldenDB gives the
+// same rows in the same order at every worker count
+// (sameAtEveryWorkerCount).
 func FuzzPrepare(f *testing.F) {
 	for _, sql := range fuzzSeeds {
 		f.Add(sql)
@@ -167,5 +208,6 @@ func FuzzPrepare(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		roundTrip(t, sql)
 		sameVerdict(t, full, empty, sql)
+		sameAtEveryWorkerCount(t, full, sql)
 	})
 }

@@ -39,8 +39,14 @@ type run struct {
 	// they run untraced.
 	explain, analyze bool
 	// closers run when the cursor is closed or exhausted — cancel
-	// functions that stop parallel producers.
+	// functions that stop parallel producers and hand their buffered
+	// arenas back.
 	closers []func()
+	// arenas are the operators' batch arenas, pooled again at close.
+	// morsel marks a morsel chain's run, whose arenas are never reset
+	// but handed to its exchange slot (see arena.go).
+	arenas []*arena
+	morsel bool
 }
 
 func newRun() *run {
@@ -58,12 +64,15 @@ func (rt *run) tick(ctx context.Context) error {
 	return nil
 }
 
-// close runs the registered closers (idempotent: they are context
-// cancel functions).
+// close runs the registered closers and returns the run's arenas to
+// the pool; what the cursor's batches carried is invalid after it.
+// Idempotent.
 func (rt *run) close() {
 	for _, f := range rt.closers {
 		f()
 	}
+	rt.closers = nil
+	rt.releaseArenas()
 }
 
 // item is one element flowing between operators: an environment (a
@@ -108,6 +117,9 @@ func (rt *run) materialize(ctx context.Context, db *rel.Database, subs []*InExpr
 				vals = append(vals, i.row[0])
 			}
 		}
+		// The set holds copies of the values; the subquery's batches are
+		// done with.
+		rt.releaseArenas()
 		rt.subs[x] = newInSet(vals)
 	}
 	return nil

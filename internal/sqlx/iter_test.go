@@ -28,7 +28,8 @@ func iterDB(t *testing.T) *rel.Database {
 	return db
 }
 
-// drain pulls every row from a cursor.
+// drain pulls every row from a cursor, copying each: a row is valid only
+// until the next Next.
 func drain(t *testing.T, c *Cursor) []rel.Tuple {
 	t.Helper()
 	var rows []rel.Tuple
@@ -40,7 +41,7 @@ func drain(t *testing.T, c *Cursor) []rel.Tuple {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		rows = append(rows, row)
+		rows = append(rows, row.Clone())
 	}
 }
 
@@ -282,7 +283,7 @@ func TestPlanReuse(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					got = append(got, row)
+					got = append(got, row.Clone())
 				}
 				if fmt.Sprint(got) != want {
 					t.Errorf("concurrent run of %q: %v, want %s", p.SQL(), got, want)

@@ -80,11 +80,23 @@ func (g *gate) advance() {
 	g.mu.Unlock()
 }
 
-// morselSlot buffers one morsel's chain output.
+// morselSlot buffers one morsel's chain output: the batches it emitted
+// and the arenas they were carved from, which the slot owns until the
+// consumer moves past it.
 type morselSlot struct {
-	items []item
-	err   error
-	ready chan struct{}
+	batches [][]item
+	arenas  []*arena
+	err     error
+	ready   chan struct{}
+}
+
+// release returns the slot's arenas to the pool; its batches are
+// invalid after it.
+func (s *morselSlot) release() {
+	for _, a := range s.arenas {
+		a.release()
+	}
+	s.batches, s.arenas = nil, nil
 }
 
 // buildChain builds the scan→joins→residual chain of one SELECT and its
@@ -144,22 +156,25 @@ func vecPrebuildJoinSides(ctx context.Context, sel *selectAccess, rt *run) error
 
 // vecExchangeIter is the parallel→single-threaded exchange: workers fill
 // slots out of order, the consumer drains them strictly in morsel order,
-// handing out slices of the current slot's buffered items, up to want
-// per call. A morsel error is surfaced after the rows that precede it.
+// handing out slices of the current slot's buffered batches, up to want
+// per call. Moving past a slot releases its arenas: the items handed out
+// from it are valid until that next pull, as any batch is. A morsel
+// error is surfaced after the rows that precede it.
 type vecExchangeIter struct {
 	slots []*morselSlot
 	g     *gate
-	cur   int
-	pos   int
+	cur   int // slot
+	batch int // batch in the current slot
+	pos   int // item in the current batch
 }
 
 func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, rt *run, nodes []*explainNode, workers, n, morsels int) vecIter {
 	cctx, cancel := context.WithCancel(ctx)
-	rt.closers = append(rt.closers, cancel)
 	ex := &vecExchangeIter{g: newGate(workers * lookaheadPerWorker)}
 	for i := 0; i < morsels; i++ {
 		ex.slots = append(ex.slots, &morselSlot{ready: make(chan struct{})})
 	}
+	rt.closers = append(rt.closers, cancel, ex.close)
 	// Wake gate waiters when the cursor is closed or canceled. The
 	// mutex is taken so the broadcast cannot slip between a waiter's
 	// ctx check and its Wait (lost wakeup).
@@ -203,7 +218,7 @@ func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, 
 			if hi > n {
 				hi = n
 			}
-			mrt := &run{subs: rt.subs}
+			mrt := &run{subs: rt.subs, morsel: true}
 			it := vecOpenChain(sel, lg, mrt, nodes, lo, hi)
 			for {
 				items, err := it.next(cctx, vecBatch)
@@ -214,10 +229,11 @@ func vecOpenExchange(ctx context.Context, sel *selectAccess, lg *logicalSelect, 
 					slot.err = err
 					break
 				}
-				// Batch arenas are never reused, so buffering the item
-				// structs (env pointers) is safe.
-				slot.items = append(slot.items, items...)
+				// A morsel chain never resets an arena, so every batch
+				// stays valid until the slot releases the arenas.
+				slot.batches = append(slot.batches, items)
 			}
+			slot.arenas = mrt.arenas
 			atomic.AddInt64(&rt.scanned, atomic.LoadInt64(&mrt.scanned))
 		})
 	}()
@@ -235,21 +251,36 @@ func (ex *vecExchangeIter) next(ctx context.Context, want int) ([]item, error) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if ex.pos < len(slot.items) {
-			n := len(slot.items) - ex.pos
-			if n > want {
-				n = want
+		for ex.batch < len(slot.batches) {
+			b := slot.batches[ex.batch]
+			if ex.pos < len(b) {
+				n := min(len(b)-ex.pos, want)
+				out := b[ex.pos : ex.pos+n]
+				ex.pos += n
+				return out, nil
 			}
-			out := slot.items[ex.pos : ex.pos+n]
-			ex.pos += n
-			return out, nil
+			ex.batch++
+			ex.pos = 0
 		}
 		if slot.err != nil {
 			return nil, slot.err
 		}
-		slot.items = nil // release morsel memory as it is consumed
+		slot.release()
 		ex.cur++
-		ex.pos = 0
+		ex.batch = 0
 		ex.g.advance()
+	}
+}
+
+// close releases the arenas of every slot a finished morsel filled,
+// consumed or not; a morsel still running when the cursor closes leaves
+// its arenas to the collector.
+func (ex *vecExchangeIter) close() {
+	for _, slot := range ex.slots[min(ex.cur, len(ex.slots)):] {
+		select {
+		case <-slot.ready:
+			slot.release()
+		default:
+		}
 	}
 }

@@ -104,7 +104,9 @@ type Cursor struct {
 // Columns returns the output column names.
 func (c *Cursor) Columns() []string { return c.cols }
 
-// Next returns the next row, or io.EOF after the last one. Cancellation
+// Next returns the next row, or io.EOF after the last one. The row is
+// valid until the next call to Next or Close: its memory is recycled for
+// later rows, so a caller that keeps a row copies it. Cancellation
 // of ctx is checked about every 64 stored-tuple reads (so a canceled
 // query aborts even mid-scan) and every 64 emitted rows (so it also
 // aborts while draining buffered operators like ORDER BY). After any
@@ -145,9 +147,9 @@ func (c *Cursor) Next(ctx context.Context) (rel.Tuple, error) {
 // the cutoff are counted.
 func (c *Cursor) Scanned() int64 { return atomic.LoadInt64(&c.rt.scanned) }
 
-// Close releases the cursor; subsequent Next calls return io.EOF. Close
-// is idempotent and always returns nil (it exists so callers can follow
-// the usual rows-must-be-closed discipline).
+// Close releases the cursor and the memory its rows were carved from;
+// subsequent Next calls return io.EOF. Close is idempotent and always
+// returns nil.
 func (c *Cursor) Close() error {
 	c.done = true
 	c.rt.close()

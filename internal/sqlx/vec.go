@@ -34,19 +34,21 @@ import (
 // ANALYZE each operator is metered by its node, so the plan shown is the
 // tree that ran. An untraced open builds no nodes.
 //
-// Batch memory: every operator that creates environments or rows
-// allocates fresh arenas per batch (a handful of allocations per 1024
-// rows) and never reuses them — buffered consumers (exchange slots,
-// ORDER BY, build-left tables, group representatives, caller-retained
-// rows) may hold references indefinitely. Only the []item slice headers
-// are reused; their contents are copied by any operator that buffers.
+// Batch memory: everything a batch carries is valid until the next pull
+// on the same iterator. Producers carve their batches from recycled
+// arenas, and operators that keep data past a pull — ORDER BY's buffer,
+// group representatives, new DISTINCT rows, a build-left hash side, IN
+// subquery sets — copy exactly what they keep (see arena.go), so a query
+// allocates for the rows it keeps, not the rows it scans.
 
 // vecBatch is the batch size — one scan morsel produces one batch.
 const vecBatch = morselSize
 
 // vecIter is the pull interface every operator implements. next returns
-// 1..want items or io.EOF; the returned slice is valid only until the
-// next call on the same iterator. Iterators are single-goroutine.
+// 1..want items or io.EOF. The items, and everything they point to —
+// environments, tuple slots, projected rows — are valid only until the
+// next call on the same iterator; a consumer that keeps any of it copies
+// it. Iterators are single-goroutine.
 type vecIter interface {
 	next(ctx context.Context, want int) ([]item, error)
 }
@@ -117,7 +119,7 @@ func buildSelect(ctx context.Context, db *rel.Database, lg *logicalSelect, rt *r
 		it, node = rt.trace(&vecDistinct{child: it}, node, func(in float64) (string, float64) { return "Distinct", in })
 	}
 	if len(lg.order) > 0 {
-		it, node = rt.trace(&vecOrder{child: it, keys: lg.order}, node,
+		it, node = rt.trace(&vecOrder{child: it, keys: lg.order, rt: rt}, node,
 			func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
 	}
 	if s.Limit >= 0 || s.Offset > 0 {
@@ -154,11 +156,11 @@ func buildSelectOne(ctx context.Context, db *rel.Database, lg *logicalSelect, rt
 		it, node = rt.trace(&vecGroup{child: it, lg: lg, rt: rt}, node,
 			func(in float64) (string, float64) { return groupLabel(s, lg.cols), groupEst(db, sel, lg, in) })
 	} else {
-		it, node = rt.trace(&vecProject{child: it, items: lg.items}, node,
+		it, node = rt.trace(&vecProject{child: it, items: lg.items, rt: rt}, node,
 			func(in float64) (string, float64) { return "Project(" + strings.Join(lg.cols, ", ") + ")", in })
 	}
 	if !headOfUnion && len(lg.order) > 0 {
-		it, node = rt.trace(&vecOrder{child: it, keys: lg.order}, node,
+		it, node = rt.trace(&vecOrder{child: it, keys: lg.order, rt: rt}, node,
 			func(in float64) (string, float64) { return sortLabel(s.OrderBy), in })
 	}
 	if s.Distinct {
@@ -258,8 +260,7 @@ func (s *vecSingleton) next(ctx context.Context, want int) ([]item, error) {
 // tuples [pos, end) — a full scan, or one morsel under parallel
 // execution — or, for the index access path, those at positions[pos:end],
 // so stored-tuple reads (and thus Scanned) are proportional to the
-// result size. Environments and their tuple slots come from fresh
-// per-batch arenas: two allocations per batch instead of two per row.
+// result size. Every batch is carved from the scan's arena.
 type vecScan struct {
 	rel       *rel.Relation
 	tab       int // the relation's FROM position
@@ -268,10 +269,11 @@ type vecScan struct {
 	rt        *run
 	pos       int
 	end       int
-	out       []item
+	a         *arena
 }
 
 func (s *vecScan) next(ctx context.Context, want int) ([]item, error) {
+	s.a = s.rt.batch(s.a)
 	n := s.end - s.pos
 	if n <= 0 {
 		return nil, io.EOF
@@ -282,21 +284,13 @@ func (s *vecScan) next(ctx context.Context, want int) ([]item, error) {
 	if err := s.rt.tickN(ctx, n); err != nil {
 		return nil, err
 	}
-	envs := make([]env, n)
-	slots := make([]rel.Tuple, n*s.width)
-	if cap(s.out) < n {
-		s.out = make([]item, vecBatch)
-	}
-	out := s.out[:n]
-	for i := 0; i < n; i++ {
+	out := s.a.envItems(s.rt, n, s.width)
+	for i := range out {
 		p := s.pos + i
 		if s.positions != nil {
 			p = s.positions[p]
 		}
-		tuples := slots[i*s.width : (i+1)*s.width : (i+1)*s.width]
-		tuples[s.tab] = s.rel.Tuples[p]
-		envs[i] = env{rt: s.rt, tuples: tuples}
-		out[i] = item{env: &envs[i]}
+		out[i].env.tuples[s.tab] = s.rel.Tuples[p]
 	}
 	s.pos += n
 	return out, nil
@@ -356,19 +350,23 @@ func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
 }
 
 // vecProject evaluates the select items per batch, carving output rows
-// from one per-batch value slab.
+// from its arena.
 type vecProject struct {
 	child vecIter
 	items []Expr
+	rt    *run
+	a     *arena
 }
 
 func (p *vecProject) next(ctx context.Context, want int) ([]item, error) {
+	p.a = p.rt.batch(p.a)
 	items, err := p.child.next(ctx, want)
 	if err != nil {
 		return nil, err
 	}
 	w := len(p.items)
-	slab := make([]rel.Value, len(items)*w)
+	var slab []rel.Value
+	p.a.vals, slab = carve(p.a.vals, len(items)*w)
 	for i := range items {
 		row := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, e := range p.items {
@@ -384,8 +382,7 @@ func (p *vecProject) next(ctx context.Context, want int) ([]item, error) {
 }
 
 // vecDistinct drops rows already seen, compacting in place like
-// vecFilter. Rows are retained by the tuple set; upstream operators
-// never reuse row storage, so retention is safe.
+// vecFilter. The tuple set keeps a copy of each new row.
 type vecDistinct struct {
 	child vecIter
 	seen  tupleSet
@@ -483,25 +480,29 @@ func (c *vecConcat) next(ctx context.Context, want int) ([]item, error) {
 // vecOrder is the ORDER BY pipeline breaker. A key resolved to an output
 // column reads the row; any other (non-grouped selects only) evaluates
 // over the joined row, so they can order by columns they do not
-// project. Sort keys are evaluated once per row up front instead of per
-// comparison — except for single-row inputs, which need no comparison and
-// so surface no key-evaluation error.
+// project. Keys are evaluated once per row as its batch arrives, and the
+// buffer keeps a copy of each row and its keys. A key-evaluation error
+// surfaces once the input is drained, and only for two or more rows:
+// single-row inputs need no comparison.
 type vecOrder struct {
 	child vecIter
 	keys  []orderKey
+	rt    *run
 
 	buf    []sortedItem
+	vals   kept[rel.Value] // the buffered rows and keys
 	pos    int
 	filled bool
-	out    []item
+	a      *arena
 }
 
 type sortedItem struct {
-	it  item
+	row rel.Tuple
 	key []rel.Value
 }
 
 func (o *vecOrder) fill(ctx context.Context) error {
+	var keyErr error
 	for {
 		items, err := o.child.next(ctx, vecBatch)
 		if err == io.EOF {
@@ -511,28 +512,28 @@ func (o *vecOrder) fill(ctx context.Context) error {
 			return err
 		}
 		for _, it := range items {
-			o.buf = append(o.buf, sortedItem{it: it})
+			if keyErr != nil {
+				o.buf = append(o.buf, sortedItem{})
+				continue
+			}
+			key := o.vals.alloc(len(o.keys))
+			for j, k := range o.keys {
+				if k.pos >= 0 {
+					key[j] = it.row[k.pos]
+					continue
+				}
+				if key[j], keyErr = eval(k.expr, it.env); keyErr != nil {
+					break
+				}
+			}
+			o.buf = append(o.buf, sortedItem{row: o.vals.copy(it.row), key: key})
 		}
 	}
 	if len(o.buf) < 2 {
-		return nil // zero comparisons: keys are never evaluated
+		return nil // zero comparisons: a key error does not surface
 	}
-	w := len(o.keys)
-	slab := make([]rel.Value, len(o.buf)*w)
-	for i := range o.buf {
-		key := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, k := range o.keys {
-			if k.pos >= 0 {
-				key[j] = o.buf[i].it.row[k.pos]
-				continue
-			}
-			v, err := eval(k.expr, o.buf[i].it.env)
-			if err != nil {
-				return err
-			}
-			key[j] = v
-		}
-		o.buf[i].key = key
+	if keyErr != nil {
+		return keyErr
 	}
 	sort.SliceStable(o.buf, func(a, b int) bool {
 		ka, kb := o.buf[a].key, o.buf[b].key
@@ -550,6 +551,7 @@ func (o *vecOrder) fill(ctx context.Context) error {
 }
 
 func (o *vecOrder) next(ctx context.Context, want int) ([]item, error) {
+	o.a = o.rt.batch(o.a)
 	if !o.filled {
 		if err := o.fill(ctx); err != nil {
 			return nil, err
@@ -563,12 +565,10 @@ func (o *vecOrder) next(ctx context.Context, want int) ([]item, error) {
 	if n > want {
 		n = want
 	}
-	if cap(o.out) < n {
-		o.out = make([]item, vecBatch)
-	}
-	out := o.out[:n]
-	for i := 0; i < n; i++ {
-		out[i] = o.buf[o.pos+i].it
+	var out []item
+	o.a.items, out = carve(o.a.items, n)
+	for i := range out {
+		out[i].row = o.buf[o.pos+i].row
 	}
 	o.pos += n
 	return out, nil

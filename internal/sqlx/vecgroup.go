@@ -16,8 +16,9 @@ import (
 // an existing group allocates nothing. Each group keeps one state per
 // aggregate slot the resolver numbered; HAVING and the items then
 // evaluate once per group, their aggregates reading the group's results
-// and their bare columns its first row. Aggregates over empty input with
-// no GROUP BY yield one row, whose bare columns are NULL.
+// and their bare columns its first row, whose tuple slots the group
+// keeps a copy of. Aggregates over empty input with no GROUP BY yield one
+// row, whose bare columns are NULL.
 type vecGroup struct {
 	child vecIter
 	lg    *logicalSelect
@@ -26,12 +27,12 @@ type vecGroup struct {
 	filled bool
 	rows   []rel.Tuple
 	pos    int
-	out    []item
+	a      *arena
 }
 
 // group is one group's representative row and aggregate states.
 type group struct {
-	repr *env
+	repr []rel.Tuple
 	aggs []aggState
 }
 
@@ -39,6 +40,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 	lg := g.lg
 	var gt groupTable
 	var groups []group
+	var reprs kept[rel.Tuple]
 	keyScratch := make([]rel.Value, len(lg.groupBy))
 	for {
 		items, err := g.child.next(ctx, vecBatch)
@@ -58,7 +60,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 			}
 			idx, added := gt.findOrAdd(keyScratch)
 			if added {
-				groups = append(groups, group{repr: it.env, aggs: make([]aggState, len(lg.aggs))})
+				groups = append(groups, group{repr: reprs.copy(it.env.tuples), aggs: make([]aggState, len(lg.aggs))})
 			}
 			states := groups[idx].aggs
 			for i, a := range lg.aggs {
@@ -76,15 +78,16 @@ func (g *vecGroup) fill(ctx context.Context) error {
 	}
 	// Aggregates over empty input with no GROUP BY produce one row.
 	if len(groups) == 0 && len(lg.groupBy) == 0 {
-		repr := &env{rt: g.rt, tuples: make([]rel.Tuple, len(lg.tables))}
+		repr := make([]rel.Tuple, len(lg.tables))
 		for i, tl := range lg.tables {
-			repr.tuples[i] = make(rel.Tuple, tl.schema.Len())
+			repr[i] = make(rel.Tuple, tl.schema.Len())
 		}
 		groups = append(groups, group{repr: repr, aggs: make([]aggState, len(lg.aggs))})
 	}
+	var rows kept[rel.Value]
+	e := env{rt: g.rt, aggs: make([]rel.Value, len(lg.aggs))}
 	for _, grp := range groups {
-		e := *grp.repr
-		e.aggs = make([]rel.Value, len(lg.aggs))
+		e.tuples = grp.repr
 		for i, a := range lg.aggs {
 			e.aggs[i] = grp.aggs[i].result(a.Name)
 		}
@@ -95,7 +98,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 		if !ok {
 			continue
 		}
-		row := make(rel.Tuple, len(lg.items))
+		row := rows.alloc(len(lg.items))
 		for i, x := range lg.items {
 			v, err := eval(x, &e)
 			if err != nil {
@@ -109,6 +112,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 }
 
 func (g *vecGroup) next(ctx context.Context, want int) ([]item, error) {
+	g.a = g.rt.batch(g.a)
 	if !g.filled {
 		if err := g.fill(ctx); err != nil {
 			return nil, err
@@ -122,12 +126,10 @@ func (g *vecGroup) next(ctx context.Context, want int) ([]item, error) {
 	if n > want {
 		n = want
 	}
-	if cap(g.out) < n {
-		g.out = make([]item, vecBatch)
-	}
-	out := g.out[:n]
-	for i := 0; i < n; i++ {
-		out[i] = item{row: g.rows[g.pos+i]}
+	var out []item
+	g.a.items, out = carve(g.a.items, n)
+	for i := range out {
+		out[i].row = g.rows[g.pos+i]
 	}
 	g.pos += n
 	return out, nil

@@ -76,14 +76,16 @@ func (jt *joinTable) insert(v rel.Value, t rel.Tuple) {
 }
 
 // envTable is the joinHashBuildLeft build side: value key → chain of
-// buffered left environments in insertion order.
+// buffered left environments in insertion order, each kept as a copy of
+// its tuple slots.
 type envTable struct {
 	keyChains
-	rows []*env
+	rows   [][]rel.Tuple
+	tuples kept[rel.Tuple]
 }
 
 func (et *envTable) insert(v rel.Value, e *env) {
-	et.rows = append(et.rows, e)
+	et.rows = append(et.rows, et.tuples.copy(e.tuples))
 	et.add(v)
 }
 
@@ -92,10 +94,10 @@ func (et *envTable) insert(v rel.Value, e *env) {
 type tupleSet struct {
 	slots rel.Slots
 	rows  []rel.Tuple
+	vals  kept[rel.Value]
 }
 
-// insert reports whether row was new. The row is retained; callers pass
-// rows whose backing storage is stable for the life of the set.
+// insert reports whether row was new, keeping a copy of it if so.
 func (ts *tupleSet) insert(row rel.Tuple) bool {
 	h := rel.TupleHash64(row)
 	p := ts.slots.Probe(h)
@@ -105,7 +107,7 @@ func (ts *tupleSet) insert(row rel.Tuple) bool {
 		}
 	}
 	ts.slots.Add(h)
-	ts.rows = append(ts.rows, row)
+	ts.rows = append(ts.rows, ts.vals.copy(row))
 	return true
 }
 

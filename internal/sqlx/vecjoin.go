@@ -7,56 +7,29 @@ import (
 	"repro/internal/rel"
 )
 
-// Batch joins. Output environments are carved from fresh per-call
-// arenas: one env array and one flat tuple-slot slab sized want×width
-// (width = the SELECT's FROM tables), so a full 1024-row batch of join
-// output costs three allocations instead of two per row. Under a
-// constrained pull (want < vecBatch, i.e. a LIMIT upstream) the join
-// pulls left rows one at a time and buffers pending match state across
-// calls, so it reads no left row the LIMIT does not need.
+// Batch joins. Output environments are carved from the join's arena
+// (see arena.go), which grows with what a call emits and is reused by
+// the next. Under a constrained pull (want < vecBatch, i.e. a LIMIT
+// upstream) the join pulls left rows one at a time and buffers pending
+// match state across calls, so it reads no left row the LIMIT does not
+// need.
 
 // vecOpenJoin builds the operator for a bound join access path.
 func vecOpenJoin(child vecIter, ja *joinAccess, rt *run, width int) vecIter {
 	if ja.strategy == joinHashBuildLeft {
-		return &vecHashLeftJoin{child: child, ja: ja, rt: rt, width: width, chain: -1, scratch: ja.newScratch(rt)}
+		return &vecHashLeftJoin{child: child, ja: ja, rt: rt, chain: -1, scratch: ja.newScratch(rt)}
 	}
 	j := &vecJoin{
-		child: child, ja: ja, rt: rt, width: width,
+		child: child, ja: ja, rt: rt,
 		nullTuple: make(rel.Tuple, ja.right.Schema.Len()),
 		chain:     -1, scratch: ja.newScratch(rt),
 	}
 	if ja.strategy == joinNestedLoop {
 		j.pred = andJoin(append(append([]Expr{}, ja.filters...), ja.on))
+		j.cand = env{rt: rt, tuples: make([]rel.Tuple, width)}
 	}
 	return j
 }
-
-// emitArena carves join output environments out of per-call slabs.
-type emitArena struct {
-	envs  []env
-	slots []rel.Tuple
-	n     int
-}
-
-func newEmitArena(want, width int) emitArena {
-	return emitArena{envs: make([]env, want), slots: make([]rel.Tuple, want*width)}
-}
-
-// emit builds the output environment extending left with tuple t at
-// FROM position pos. The result is not yet committed: commit keeps it,
-// reject releases the slab space for the next candidate (nested-loop
-// misses).
-func (a *emitArena) emit(rt *run, left *env, pos int, t rel.Tuple) item {
-	w := len(left.tuples)
-	tuples := a.slots[a.n*w : (a.n+1)*w : (a.n+1)*w]
-	copy(tuples, left.tuples)
-	tuples[pos] = t
-	e := &a.envs[a.n]
-	*e = env{rt: rt, tuples: tuples}
-	return item{env: e}
-}
-
-func (a *emitArena) commit() { a.n++ }
 
 // vecJoin extends each child environment with matching tuples of the
 // right relation, on the access path chosen at bind time: a probe of the
@@ -68,10 +41,10 @@ type vecJoin struct {
 	child   vecIter
 	ja      *joinAccess
 	rt      *run
-	width   int
 	scratch *env // for the right-side filters
 
 	pred Expr // nested-loop predicate (filters folded into ON)
+	cand env  // nested-loop candidate, emitted if pred holds
 
 	table   *joinTable  // build-right hash table, nil until first use
 	cross   []rel.Tuple // cross-join right side, valid once crossed
@@ -93,7 +66,7 @@ type vecJoin struct {
 	rpos    int   // nested-loop right scan position
 	matched bool
 
-	out []item
+	a *arena
 }
 
 // buildJoinTable hashes the (pre-filtered) right relation of a
@@ -169,21 +142,18 @@ func (j *vecJoin) probeIndex(ctx context.Context) error {
 
 // fail records a terminal error; buffered output is flushed first and
 // the error surfaces on the following call.
-func (j *vecJoin) fail(out []item, err error) ([]item, error) {
+func (j *vecJoin) fail(err error) ([]item, error) {
 	j.cur, j.done, j.err = nil, true, err
-	if len(out) > 0 {
-		return out, nil
+	if len(j.a.items) > 0 {
+		return j.a.items, nil
 	}
 	return nil, err
 }
 
 func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 	right := j.ja.right
-	if cap(j.out) < want {
-		j.out = make([]item, vecBatch)
-	}
-	out := j.out[:0]
-	arena := newEmitArena(want, j.width)
+	j.a = j.rt.batch(j.a)
+	a := j.a
 	leftWant := vecBatch
 	if want < vecBatch {
 		// A constrained pull: read left rows one at a time so the scan
@@ -194,8 +164,8 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 		if j.cur == nil {
 			if j.li >= len(j.leftBuf) {
 				if j.done {
-					if len(out) > 0 {
-						return out, nil
+					if len(a.items) > 0 {
+						return a.items, nil
 					}
 					if j.err != nil {
 						return nil, j.err
@@ -224,7 +194,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 					if j.cross == nil {
 						var err error
 						if j.cross, err = buildCrossSide(ctx, j.ja, j.rt); err != nil {
-							return j.fail(out, err)
+							return j.fail(err)
 						}
 					}
 					j.crossed = true
@@ -232,7 +202,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				j.matches, j.mi = j.cross, 0
 			case joinIndexProbe:
 				if err := j.probeIndex(ctx); err != nil {
-					return j.fail(out, err)
+					return j.fail(err)
 				}
 			case joinHashBuildRight:
 				if j.table == nil {
@@ -243,7 +213,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				if j.table == nil {
 					var err error
 					if j.table, err = buildJoinTable(ctx, j.ja, j.rt); err != nil {
-						return j.fail(out, err)
+						return j.fail(err)
 					}
 				}
 				if lv := j.cur.get(j.ja.leftCol); !lv.IsNull() {
@@ -254,63 +224,57 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 		switch {
 		case j.ja.strategy == joinNestedLoop:
 			for j.rpos < len(right.Tuples) {
-				if len(out) == want {
-					return out, nil
+				if len(a.items) == want {
+					return a.items, nil
 				}
 				if err := j.rt.tick(ctx); err != nil {
-					return j.fail(out, err)
+					return j.fail(err)
 				}
 				t := right.Tuples[j.rpos]
 				j.rpos++
-				cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, t)
-				ok, err := holds(j.pred, cand.env)
+				copy(j.cand.tuples, j.cur.tuples)
+				j.cand.tuples[j.ja.tl.pos] = t
+				ok, err := holds(j.pred, &j.cand)
 				if err != nil {
-					return j.fail(out, err)
+					return j.fail(err)
 				}
 				if ok {
 					j.matched = true
-					arena.commit()
-					out = append(out, cand)
+					a.emit(j.rt, j.cur.tuples, j.ja.tl.pos, t)
 				}
 			}
 		case j.ja.strategy == joinHashBuildRight:
 			for j.chain >= 0 {
-				if len(out) == want {
-					return out, nil
+				if len(a.items) == want {
+					return a.items, nil
 				}
 				t := j.table.rows[j.chain]
 				j.chain = j.table.next[j.chain]
 				j.matched = true
-				cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, t)
-				arena.commit()
-				out = append(out, cand)
+				a.emit(j.rt, j.cur.tuples, j.ja.tl.pos, t)
 			}
 		default:
 			for j.mi < len(j.matches) {
-				if len(out) == want {
-					return out, nil
+				if len(a.items) == want {
+					return a.items, nil
 				}
 				t := j.matches[j.mi]
 				j.mi++
 				j.matched = true
-				cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, t)
-				arena.commit()
-				out = append(out, cand)
+				a.emit(j.rt, j.cur.tuples, j.ja.tl.pos, t)
 			}
 		}
 		if !j.matched && j.ja.kind == JoinLeft {
-			if len(out) == want {
+			if len(a.items) == want {
 				// No room: keep cur so the next call re-enters here and
 				// emits the null-extended row.
-				return out, nil
+				return a.items, nil
 			}
-			cand := arena.emit(j.rt, j.cur, j.ja.tl.pos, j.nullTuple)
-			arena.commit()
-			out = append(out, cand)
+			a.emit(j.rt, j.cur.tuples, j.ja.tl.pos, j.nullTuple)
 		}
 		j.cur = nil
-		if len(out) == want {
-			return out, nil
+		if len(a.items) == want {
+			return a.items, nil
 		}
 	}
 }
@@ -328,7 +292,6 @@ type vecHashLeftJoin struct {
 	child   vecIter
 	ja      *joinAccess
 	rt      *run
-	width   int
 	scratch *env // for the right-side filters
 
 	built bool
@@ -339,7 +302,7 @@ type vecHashLeftJoin struct {
 	chain    int32
 	err      error
 
-	out []item
+	a *arena
 }
 
 func (j *vecHashLeftJoin) build(ctx context.Context) error {
@@ -374,32 +337,27 @@ func (j *vecHashLeftJoin) next(ctx context.Context, want int) ([]item, error) {
 		}
 	}
 	right := j.ja.right
-	if cap(j.out) < want {
-		j.out = make([]item, vecBatch)
-	}
-	out := j.out[:0]
-	arena := newEmitArena(want, j.width)
+	j.a = j.rt.batch(j.a)
+	a := j.a
 	for {
-		for j.chain >= 0 && len(out) < want {
-			e := j.table.rows[j.chain]
+		for j.chain >= 0 && len(a.items) < want {
+			left := j.table.rows[j.chain]
 			j.chain = j.table.next[j.chain]
-			cand := arena.emit(j.rt, e, j.ja.tl.pos, j.curTuple)
-			arena.commit()
-			out = append(out, cand)
+			a.emit(j.rt, left, j.ja.tl.pos, j.curTuple)
 		}
-		if len(out) == want {
-			return out, nil
+		if len(a.items) == want {
+			return a.items, nil
 		}
 		if j.rpos >= len(right.Tuples) {
-			if len(out) > 0 {
-				return out, nil
+			if len(a.items) > 0 {
+				return a.items, nil
 			}
 			return nil, io.EOF
 		}
 		if err := j.rt.tick(ctx); err != nil {
 			j.err = err
-			if len(out) > 0 {
-				return out, nil
+			if len(a.items) > 0 {
+				return a.items, nil
 			}
 			return nil, err
 		}
@@ -408,8 +366,8 @@ func (j *vecHashLeftJoin) next(ctx context.Context, want int) ([]item, error) {
 		ok, err := j.ja.rightOK(j.scratch, t)
 		if err != nil {
 			j.err = err
-			if len(out) > 0 {
-				return out, nil
+			if len(a.items) > 0 {
+				return a.items, nil
 			}
 			return nil, err
 		}
