@@ -291,8 +291,7 @@ func chooseForeignKeys(inds []ind.IND, profs map[string]*profile.ColumnProfile) 
 		cov := 0.0
 		tgtSize := 0
 		if srcProf != nil && tgtProf != nil && tgtProf.Distinct > 0 {
-			inter := d.Containment * float64(srcProf.Distinct)
-			cov = inter / float64(tgtProf.Distinct)
+			cov = float64(srcProf.Distinct) / float64(tgtProf.Distinct)
 			tgtSize = tgtProf.Distinct
 		}
 		hasName := nameEvidence(d.From)

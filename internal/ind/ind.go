@@ -39,31 +39,26 @@ func (c Cardinality) String() string {
 }
 
 // IND is one discovered inclusion dependency: FromRelation.FromColumn's
-// values are contained in ToRelation.ToColumn's values.
+// values are all contained in ToRelation.ToColumn's values.
 type IND struct {
 	From        rel.ForeignKey
 	Cardinality Cardinality
-	// Containment is |src ∩ tgt| / |src| (1.0 for exact dependencies).
-	Containment float64
 	// Declared is true when the dependency came from the data dictionary
 	// (a declared FOREIGN KEY) rather than from data analysis.
 	Declared bool
 }
 
-// String renders "a.x -> b.y [1:N, cont=1.00]".
+// String renders "a.x -> b.y [1:N, data]".
 func (d IND) String() string {
 	src := "data"
 	if d.Declared {
 		src = "declared"
 	}
-	return fmt.Sprintf("%s [%s, cont=%.2f, %s]", d.From.String(), d.Cardinality, d.Containment, src)
+	return fmt.Sprintf("%s [%s, %s]", d.From.String(), d.Cardinality, src)
 }
 
 // Options configures discovery.
 type Options struct {
-	// DisableSignaturePruning turns off the min-hash pre-filter (for the
-	// pruning ablation of experiment E10).
-	DisableSignaturePruning bool
 	// Workers bounds the worker pool checking candidate attribute pairs
 	// concurrently. Values <= 1 check serially.
 	Workers int
@@ -79,7 +74,7 @@ const minSourceDistinct = 2
 // Stats reports the work performed, for the pruning experiments.
 type Stats struct {
 	PairsConsidered int // candidate (source, target) attribute pairs
-	PairsPruned     int // rejected by the signature pre-filter
+	PairsPruned     int // rejected because the source has more distinct values than the target
 	PairsChecked    int // exact set-containment checks executed
 }
 
@@ -111,7 +106,6 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 					ToRelation: fk.ToRelation, ToColumn: toCol,
 				},
 				Cardinality: OneToN,
-				Containment: 1.0,
 				Declared:    true,
 			}
 			out = append(out, d)
@@ -164,20 +158,11 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 			if declared[indKey(fk)] {
 				continue
 			}
-			// Cheap pre-filters: a source with more distinct values than
-			// the target can never be contained; the signature containment
-			// estimate rejects clearly disjoint pairs.
+			// An exact pre-filter: a source with more distinct values
+			// than the target can never be contained.
 			if src.prof.Distinct > tgt.prof.Distinct {
 				stats.PairsPruned++
 				continue
-			}
-			if !opts.DisableSignaturePruning {
-				est := profile.EstimateContainment(src.prof, tgt.prof)
-				// The estimator is noisy; only prune clear rejections.
-				if est < 0.4 {
-					stats.PairsPruned++
-					continue
-				}
 			}
 			pairs = append(pairs, pair{src: src, tgt: tgt, fk: fk})
 		}
@@ -200,7 +185,7 @@ func DiscoverContext(ctx context.Context, db *rel.Database, profs map[string]*pr
 		if !contained {
 			return
 		}
-		d := IND{From: p.fk, Containment: 1.0, Cardinality: OneToN}
+		d := IND{From: p.fk, Cardinality: OneToN}
 		if equal {
 			d.Cardinality = OneToOne
 		}

@@ -3,6 +3,7 @@ package ind
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/profile"
@@ -238,42 +239,133 @@ func TestNoConfusionWithDifferentSizes(t *testing.T) {
 	}
 }
 
-func TestPruningReducesChecks(t *testing.T) {
-	db := rel.NewDatabase("d")
-	// Many disjoint columns: pruning should skip most exact checks.
-	for r := 0; r < 6; r++ {
-		rr := db.Create(fmt.Sprintf("r%d", r), rel.TextSchema("a", "b"))
-		for i := 0; i < 50; i++ {
-			rr.AppendRaw(fmt.Sprintf("r%d-a%d", r, i), fmt.Sprintf("r%d-b%d", r, i))
+// TestDiscoverMatchesOracle: over random small databases (string,
+// integer and float values, NULLs, repeats, value sets that nest,
+// overlap or coincide), DiscoverContext at workers 1 and 4 returns
+// exactly what a brute-force check of every attribute pair returns, in
+// the same order: a dependency for every unique target and every source
+// with at least minSourceDistinct distinct values whose value set is a
+// subset of the target's, 1:1 when the two sets are equal. Odd rounds cap
+// the profiles' distinct sets, so checks also scan the relations. The
+// distinct-count pre-filter is exact, so no pruning may change the answer.
+func TestDiscoverMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for round := 0; round < 300; round++ {
+		db := randomDatabase(rng)
+		profs, err := profile.ProfileDatabase(db, profile.Options{MaxTrackedDistinct: 3 * (round % 2)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	_, with := discover(t, db, Options{})
-	_, without := discover(t, db, Options{DisableSignaturePruning: true})
-	if with.PairsChecked >= without.PairsChecked {
-		t.Errorf("pruning should reduce exact checks: with=%d without=%d",
-			with.PairsChecked, without.PairsChecked)
-	}
-	if with.PairsConsidered != without.PairsConsidered {
-		t.Errorf("considered pairs should match: %d vs %d", with.PairsConsidered, without.PairsConsidered)
+		want := oracleINDs(db)
+		for _, workers := range []int{1, 4} {
+			got, st, err := DiscoverContext(context.Background(), db, profs, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round %d, workers %d:\n got %v\nwant %v", round, workers, got, want)
+			}
+			if st.PairsChecked+st.PairsPruned != st.PairsConsidered {
+				t.Fatalf("round %d, workers %d: %d checked + %d pruned != %d considered",
+					round, workers, st.PairsChecked, st.PairsPruned, st.PairsConsidered)
+			}
+		}
 	}
 }
 
-func TestPruningPreservesResults(t *testing.T) {
-	db := biosqlFragment()
-	with, _ := discover(t, db, Options{})
-	without, _ := discover(t, db, Options{DisableSignaturePruning: true})
-	if len(with) != len(without) {
-		t.Errorf("pruning changed result count: %d vs %d", len(with), len(without))
+// randomDatabase builds two to four relations of up to eight rows, each
+// column drawn from one small universe ("1" and "1.0" are equal values):
+// a run of consecutive values (unique, and nested or equal across
+// columns), or repeated picks from a prefix, sometimes with NULLs.
+func randomDatabase(rng *rand.Rand) *rel.Database {
+	universe := []string{"1", "2", "3", "4", "1.0", "2.5", "x", "y", "z", "w"}
+	db := rel.NewDatabase("random")
+	for r, nr := 0, 2+rng.Intn(3); r < nr; r++ {
+		names := []string{"c0", "c1", "c2"}[:1+rng.Intn(3)]
+		rows := rng.Intn(9)
+		cols := make([][]string, len(names))
+		for c := range cols {
+			cols[c] = make([]string, rows)
+			offset, prefix := rng.Intn(len(universe)-rows+1), 1+rng.Intn(6)
+			kind := rng.Intn(3)
+			for i := range cols[c] {
+				switch {
+				case kind == 0:
+					cols[c][i] = universe[offset+i]
+				case kind == 2 && rng.Intn(5) == 0:
+					cols[c][i] = "" // NULL
+				default:
+					cols[c][i] = universe[rng.Intn(prefix)]
+				}
+			}
+		}
+		rr := db.Create(fmt.Sprintf("r%d", r), rel.TextSchema(names...))
+		for i := 0; i < rows; i++ {
+			fields := make([]string, len(names))
+			for c := range names {
+				fields[c] = cols[c][i]
+			}
+			rr.AppendStrings(fields...)
+		}
 	}
+	return db
+}
+
+// oracleINDs checks every (source, target) attribute pair of db against
+// the paper's rule directly on the tuples.
+func oracleINDs(db *rel.Database) []IND {
+	type column struct {
+		relation, name string
+		values         map[string]bool
+		unique         bool
+	}
+	var cols []column
+	for _, r := range db.Relations() {
+		for i, c := range r.Schema.Columns {
+			values, nonNull, nulls := map[string]bool{}, 0, 0
+			for _, tup := range r.Tuples {
+				if tup[i].IsNull() {
+					nulls++
+					continue
+				}
+				nonNull++
+				values[tup[i].Key()] = true
+			}
+			cols = append(cols, column{r.Name, c.Name, values, nulls == 0 && nonNull > 0 && len(values) == nonNull})
+		}
+	}
+	var out []IND
+	for s, src := range cols {
+		if len(src.values) < minSourceDistinct {
+			continue
+		}
+	targets:
+		for g, tgt := range cols {
+			if g == s || !tgt.unique {
+				continue
+			}
+			for v := range src.values {
+				if !tgt.values[v] {
+					continue targets
+				}
+			}
+			d := IND{From: rel.ForeignKey{FromRelation: src.relation, FromColumn: src.name,
+				ToRelation: tgt.relation, ToColumn: tgt.name}, Cardinality: OneToN}
+			if len(src.values) == len(tgt.values) {
+				d.Cardinality = OneToOne
+			}
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 func TestINDString(t *testing.T) {
 	d := IND{
 		From:        rel.ForeignKey{FromRelation: "a", FromColumn: "x", ToRelation: "b", ToColumn: "y"},
 		Cardinality: OneToN,
-		Containment: 1.0,
 	}
-	want := "a.x -> b.y [1:N, cont=1.00, data]"
+	want := "a.x -> b.y [1:N, data]"
 	if d.String() != want {
 		t.Errorf("String = %q want %q", d.String(), want)
 	}

@@ -2,8 +2,8 @@
 // statistics are the raw material of ALADIN's discovery steps: uniqueness
 // checks drive accession-candidate detection (§4.2), value-length and
 // character-class statistics implement the accession heuristics, alphabet
-// analysis finds sequence fields (§4.4), and distinct-value signatures
-// support the pruning strategies of §4.4/§6.2. Statistics are computed
+// analysis finds sequence fields (§4.4), and the exact distinct-value
+// sets decide inclusion dependencies (§4.2). Statistics are computed
 // once per source and stored in the metadata repository for reuse when
 // later sources are added (§3, "These statistics need to be computed only
 // once for each data source").
@@ -11,7 +11,6 @@ package profile
 
 import (
 	"context"
-	"hash/fnv"
 	"math"
 	"strings"
 	"unicode"
@@ -20,18 +19,14 @@ import (
 	"repro/internal/rel"
 )
 
-// SignatureSize is the number of min-hash slots kept per column for
-// cheap Jaccard-overlap estimation between attribute value sets.
-const SignatureSize = 64
-
 // Options configures profiling.
 type Options struct {
 	// SampleEvery profiles only every n-th tuple when > 1 (§6.2
 	// "sampling can be used"). 0 or 1 profiles all tuples.
 	SampleEvery int
 	// MaxTrackedDistinct caps the exact distinct-value set kept per
-	// column; above the cap only the approximate signature remains.
-	// 0 means unlimited.
+	// column; above the cap DistinctValues is nil and IND checks scan the
+	// relation instead. 0 means unlimited.
 	MaxTrackedDistinct int
 	// Workers bounds the worker pool profiling columns concurrently.
 	// Values <= 1 profile serially.
@@ -45,7 +40,7 @@ type ColumnProfile struct {
 
 	Rows     int // tuples seen (after sampling)
 	Nulls    int
-	Distinct int // exact when DistinctValues != nil, else estimate
+	Distinct int // exact: the number of distinct non-null values seen
 
 	// Unique is true when every non-null value occurred once and there
 	// were no NULLs — the SQL UNIQUE test of §4.2.
@@ -83,10 +78,6 @@ type ColumnProfile struct {
 	// DistinctValues is the exact distinct non-null value set, keyed by
 	// rel.Value.Key(), if it fit under MaxTrackedDistinct.
 	DistinctValues map[string]rel.Value
-
-	// Signature is a min-hash signature of the distinct value set for
-	// estimating overlap without comparing full sets.
-	Signature [SignatureSize]uint64
 
 	// Samples holds up to 10 example non-null values.
 	Samples []string
@@ -143,9 +134,6 @@ func ProfileColumn(r *rel.Relation, column string, opts Options) (*ColumnProfile
 	// Deterministic LCG state for the histogram reservoir: same input,
 	// same sample — profiling results stay reproducible.
 	var rng uint64 = 0x243f6a8885a308d3
-	for i := range p.Signature {
-		p.Signature[i] = math.MaxUint64
-	}
 	step := opts.SampleEvery
 	if step < 1 {
 		step = 1
@@ -166,15 +154,11 @@ func ProfileColumn(r *rel.Relation, column string, opts Options) (*ColumnProfile
 		s := v.AsString()
 		key := v.Key()
 		seen[key]++
-		if seen[key] == 1 {
-			// Update min-hash signature on first sight of the value.
-			updateSignature(&p.Signature, key)
-			if opts.MaxTrackedDistinct == 0 || len(seen) <= opts.MaxTrackedDistinct {
-				if p.DistinctValues == nil {
-					p.DistinctValues = make(map[string]rel.Value)
-				}
-				p.DistinctValues[key] = v
+		if seen[key] == 1 && (opts.MaxTrackedDistinct == 0 || len(seen) <= opts.MaxTrackedDistinct) {
+			if p.DistinctValues == nil {
+				p.DistinctValues = make(map[string]rel.Value)
 			}
+			p.DistinctValues[key] = v
 		}
 		n := len(s)
 		totalLen += n
@@ -232,7 +216,7 @@ func ProfileColumn(r *rel.Relation, column string, opts Options) (*ColumnProfile
 	}
 	p.Distinct = len(seen)
 	if opts.MaxTrackedDistinct > 0 && len(seen) > opts.MaxTrackedDistinct {
-		p.DistinctValues = nil // over cap: keep only the signature
+		p.DistinctValues = nil // over cap: IND checks scan the relation
 	}
 	p.Unique = p.Nulls == 0 && nonNull > 0 && p.Distinct == nonNull
 	if nonNull > 0 {
@@ -298,56 +282,6 @@ func ProfileDatabaseContext(ctx context.Context, db *rel.Database, opts Options)
 // Key builds the canonical "relation.column" profile-map key.
 func Key(relation, column string) string {
 	return strings.ToLower(relation) + "." + strings.ToLower(column)
-}
-
-// updateSignature folds a value key into a min-hash signature using
-// per-slot salted FNV hashing.
-func updateSignature(sig *[SignatureSize]uint64, key string) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	base := h.Sum64()
-	for i := 0; i < SignatureSize; i++ {
-		// Mix the base hash with a slot-dependent multiplier; this is the
-		// standard cheap simulation of k independent hash functions.
-		x := base*(2*uint64(i)+1) + uint64(i)*0x9e3779b97f4a7c15
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		if x < sig[i] {
-			sig[i] = x
-		}
-	}
-}
-
-// EstimateJaccard estimates the Jaccard similarity of two columns' value
-// sets from their min-hash signatures.
-func EstimateJaccard(a, b *ColumnProfile) float64 {
-	if a.Distinct == 0 || b.Distinct == 0 {
-		return 0
-	}
-	match := 0
-	for i := 0; i < SignatureSize; i++ {
-		if a.Signature[i] == b.Signature[i] && a.Signature[i] != math.MaxUint64 {
-			match++
-		}
-	}
-	return float64(match) / float64(SignatureSize)
-}
-
-// EstimateContainment estimates |A ∩ B| / |A| from signatures and distinct
-// counts, the quantity inclusion-dependency pruning needs.
-func EstimateContainment(a, b *ColumnProfile) float64 {
-	j := EstimateJaccard(a, b)
-	if j == 0 {
-		return 0
-	}
-	// |A∩B| = J * |A∪B| ≈ J * (|A|+|B|) / (1+J)
-	inter := j * float64(a.Distinct+b.Distinct) / (1 + j)
-	c := inter / float64(a.Distinct)
-	if c > 1 {
-		c = 1
-	}
-	return c
 }
 
 // IsSequenceField applies the §4.4 rule for finding DNA/protein sequence

@@ -178,56 +178,6 @@ func TestProfileRelationAndDatabase(t *testing.T) {
 	}
 }
 
-func TestEstimateJaccardIdenticalSets(t *testing.T) {
-	a := rel.NewRelation("a", rel.TextSchema("x"))
-	b := rel.NewRelation("b", rel.TextSchema("y"))
-	for i := 0; i < 200; i++ {
-		v := fmt.Sprintf("val%d", i)
-		a.AppendRaw(v)
-		b.AppendRaw(v)
-	}
-	pa, _ := ProfileColumn(a, "x", Options{})
-	pb, _ := ProfileColumn(b, "y", Options{})
-	if j := EstimateJaccard(pa, pb); j < 0.99 {
-		t.Errorf("identical sets Jaccard estimate = %v", j)
-	}
-}
-
-func TestEstimateJaccardDisjointSets(t *testing.T) {
-	a := rel.NewRelation("a", rel.TextSchema("x"))
-	b := rel.NewRelation("b", rel.TextSchema("y"))
-	for i := 0; i < 200; i++ {
-		a.AppendRaw(fmt.Sprintf("left%d", i))
-		b.AppendRaw(fmt.Sprintf("right%d", i))
-	}
-	pa, _ := ProfileColumn(a, "x", Options{})
-	pb, _ := ProfileColumn(b, "y", Options{})
-	if j := EstimateJaccard(pa, pb); j > 0.15 {
-		t.Errorf("disjoint sets Jaccard estimate = %v", j)
-	}
-}
-
-func TestEstimateContainmentSubset(t *testing.T) {
-	a := rel.NewRelation("a", rel.TextSchema("x")) // subset
-	b := rel.NewRelation("b", rel.TextSchema("y")) // superset
-	for i := 0; i < 100; i++ {
-		a.AppendRaw(fmt.Sprintf("v%d", i))
-	}
-	for i := 0; i < 200; i++ {
-		b.AppendRaw(fmt.Sprintf("v%d", i))
-	}
-	pa, _ := ProfileColumn(a, "x", Options{})
-	pb, _ := ProfileColumn(b, "y", Options{})
-	c := EstimateContainment(pa, pb)
-	if c < 0.6 {
-		t.Errorf("containment of true subset estimated %v; want high", c)
-	}
-	rev := EstimateContainment(pb, pa)
-	if rev > c {
-		t.Errorf("containment asymmetry violated: fwd=%v rev=%v", c, rev)
-	}
-}
-
 // Property: Unique implies Distinct == Rows - Nulls and Nulls == 0.
 func TestUniqueInvariant(t *testing.T) {
 	f := func(vals []uint16) bool {
@@ -245,27 +195,6 @@ func TestUniqueInvariant(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: signature-based Jaccard of a set with itself is 1.
-func TestSignatureSelfSimilarity(t *testing.T) {
-	f := func(n uint8) bool {
-		if n == 0 {
-			return true
-		}
-		r := rel.NewRelation("t", rel.TextSchema("a"))
-		for i := 0; i < int(n); i++ {
-			r.AppendRaw(fmt.Sprintf("v%d", i))
-		}
-		p, err := ProfileColumn(r, "a", Options{})
-		if err != nil {
-			return false
-		}
-		return EstimateJaccard(p, p) == 1.0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
