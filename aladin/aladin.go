@@ -120,7 +120,7 @@ type Stats struct {
 	// streaming state and lag behind the primary.
 	Replication ReplicationStats
 	// Ingest aggregates streaming-ingestion activity since Open
-	// (IngestSource runs, live tails, per-stage wall times).
+	// (IngestSource runs, per-stage wall times).
 	Ingest IngestStats
 }
 
@@ -171,11 +171,9 @@ type DB struct {
 	repl *replicaState
 
 	// ingestMu guards ingestTotals, the lifetime streaming-ingestion
-	// counters reported by Stats().Ingest (ingest.go). live is the
-	// live-tail machinery (nil unless opened WithLiveSource).
+	// counters reported by Stats().Ingest (ingest.go).
 	ingestMu     sync.Mutex
 	ingestTotals IngestStats
-	live         *liveState
 }
 
 // Open creates a database, configured by functional options. With
@@ -193,36 +191,19 @@ func Open(opts ...Option) (*DB, error) {
 	if cfg.planCache > 0 {
 		plans = newPlanCache(cfg.planCache)
 	}
-	if cfg.replicaOf != "" {
-		if len(cfg.live) > 0 {
-			return nil, errors.New("aladin: a replica is read-only; WithLiveSource needs a primary")
-		}
-		return openReplica(&cfg, plans)
-	}
-	var d *DB
 	switch {
+	case cfg.replicaOf != "":
+		return openReplica(&cfg, plans)
 	case cfg.dataDir != "":
-		var err error
-		d, err = openDurable(&cfg, plans)
-		if err != nil {
-			return nil, err
-		}
+		return openDurable(&cfg, plans)
 	case cfg.snapshot != nil:
 		sys, err := core.Load(cfg.core, cfg.snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("aladin: restoring snapshot: %w", err)
 		}
-		d = &DB{sys: sys, plans: plans, workers: parallel.Workers(cfg.core.Workers)}
-	default:
-		d = &DB{sys: core.New(cfg.core), plans: plans, workers: parallel.Workers(cfg.core.Workers)}
+		return &DB{sys: sys, plans: plans, workers: parallel.Workers(cfg.core.Workers)}, nil
 	}
-	if len(cfg.live) > 0 {
-		if err := d.startLive(cfg.live); err != nil {
-			d.Close()
-			return nil, err
-		}
-	}
-	return d, nil
+	return &DB{sys: core.New(cfg.core), plans: plans, workers: parallel.Workers(cfg.core.Workers)}, nil
 }
 
 // Close marks the database closed and, on a durable database, flushes
@@ -233,11 +214,6 @@ func (d *DB) Close() error {
 	// lock; stop and drain it before taking that lock ourselves.
 	if d.repl != nil {
 		d.repl.stop()
-	}
-	// Likewise the live-tail goroutines: their final batches commit
-	// under the write lock, so drain them before we hold it.
-	if d.live != nil {
-		d.live.stop()
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

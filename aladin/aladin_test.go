@@ -349,9 +349,6 @@ func TestOpenOptionValidation(t *testing.T) {
 	if _, err := Open(WithWorkers(-1)); err == nil {
 		t.Error("negative workers accepted")
 	}
-	if _, err := Open(WithChangeThreshold(2)); err == nil {
-		t.Error("threshold > 1 accepted")
-	}
 }
 
 // Compile-time interface sanity: the re-exported types are the internal

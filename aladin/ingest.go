@@ -8,18 +8,16 @@ package aladin
 // every batch after that reuses the structure. Readers observe only
 // batch-boundary snapshots: each batch commits atomically under the
 // write lock, and memory stays bounded by the batch size regardless of
-// input length. Live mode (WithLiveSource) runs the same machinery over
-// a tail-following reader until Close.
+// input length. Over a NewTailReader the same machinery follows a file
+// that is still being written, committing a partial batch once the input
+// has been idle for tailStall.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flatfile"
@@ -57,17 +55,20 @@ type IngestStats struct {
 	Dup    time.Duration
 	Index  time.Duration
 	Commit time.Duration
-	// LiveSources is the number of live tails currently running;
-	// LastError is the most recent live-ingest failure ("" while healthy).
-	LiveSources int
-	LastError   string
 }
+
+// tailStall is how long IngestSource waits on an idle tail reader before
+// committing a partial batch.
+const tailStall = 500 * time.Millisecond
 
 // NewTailReader wraps a growing file (or any reader) with tail-follow
 // semantics for live ingestion: at end of data it polls until more bytes
 // arrive, and reports EOF only once ctx is canceled. poll <= 0 uses the
 // default (200ms). Feed it to IngestSource to tail a file that is still
-// being written.
+// being written: over a tail reader IngestSource also commits a partial
+// batch once no record has arrived for 500ms, so a record becomes
+// queryable shortly after it is written. Cancel ctx to end the tail; the
+// final partial batch commits before IngestSource returns.
 func NewTailReader(ctx context.Context, r io.Reader, poll time.Duration) io.Reader {
 	return ingest.NewTailReader(ctx, r, poll)
 }
@@ -82,7 +83,6 @@ type IngestOption func(*ingestConfig)
 type ingestConfig struct {
 	batchRecords int
 	progress     func(IngestProgress)
-	stall        time.Duration
 }
 
 // WithBatchRecords sets the number of logical records per committed
@@ -98,14 +98,6 @@ func WithIngestProgress(fn func(IngestProgress)) IngestOption {
 	return func(c *ingestConfig) { c.progress = fn }
 }
 
-// WithFlushStall commits a partial batch once the input has been idle
-// for d — tail-follow mode, where a record should become queryable
-// shortly after it is written instead of waiting for a full batch.
-// Zero (the default) flushes only on full batches and at end of input.
-func WithFlushStall(d time.Duration) IngestOption {
-	return func(c *ingestConfig) { c.stall = d }
-}
-
 // IngestSource streams records of the given format from r into the named
 // source, creating it if it does not exist. Every batch is linked and
 // checked for duplicates against everything integrated so far, extends
@@ -114,7 +106,8 @@ func WithFlushStall(d time.Duration) IngestOption {
 // see each batch atomically at its commit; a failure or cancellation
 // leaves every previously committed batch in place (the warehouse is
 // always at a batch boundary). The returned report describes the
-// committed prefix even on error.
+// committed prefix even on error. When r is a NewTailReader, a partial
+// batch also commits once the input has been idle for 500ms.
 //
 // Errors: ErrBadFormat, ErrNoPrimary (first batch), ErrCanceled,
 // ErrReadOnlyReplica, ErrClosed, and parse errors from the scanner.
@@ -161,8 +154,10 @@ func (d *DB) IngestSource(ctx context.Context, name, format string, r io.Reader,
 		BatchRecords: cfg.batchRecords,
 		Progress:     cfg.progress,
 		Counter:      cr,
-		FlushStall:   cfg.stall,
 	}}
+	if _, ok := r.(*ingest.TailReader); ok {
+		runner.Opts.FlushStall = tailStall
+	}
 	sum, runErr := runner.Run(ctx)
 	d.recordIngest(sum)
 	rep := &IngestReport{Source: name, IngestSummary: *sum}
@@ -218,87 +213,9 @@ func (d *DB) recordIngest(sum *ingest.Summary) {
 	d.ingestTotals.Commit += sum.Commit
 }
 
-// ingestStats snapshots the lifetime totals plus live-tail state.
+// ingestStats snapshots the lifetime totals.
 func (d *DB) ingestStats() IngestStats {
 	d.ingestMu.Lock()
-	out := d.ingestTotals
-	d.ingestMu.Unlock()
-	if d.live != nil {
-		out.LiveSources = int(atomic.LoadInt32(&d.live.active))
-		if err := d.live.lastError(); err != nil {
-			out.LastError = err.Error()
-		}
-	}
-	return out
-}
-
-// liveSpec is one WithLiveSource registration.
-type liveSpec struct {
-	name, format, path string
-}
-
-// liveState tracks the live-tail goroutines started at Open.
-type liveState struct {
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
-	active   int32
-	stopOnce sync.Once
-
-	mu      sync.Mutex
-	lastErr error
-}
-
-// stop cancels the tails and waits for their final batches to commit.
-// Called by Close BEFORE taking the write lock, so the final commits can
-// still acquire it.
-func (ls *liveState) stop() {
-	ls.stopOnce.Do(func() {
-		ls.cancel()
-		ls.wg.Wait()
-	})
-}
-
-func (ls *liveState) fail(err error) {
-	ls.mu.Lock()
-	ls.lastErr = err
-	ls.mu.Unlock()
-}
-
-func (ls *liveState) lastError() error {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.lastErr
-}
-
-// startLive opens each live source's file and starts its tail-ingest
-// goroutine. Cancellation (Close) stops the tail at the next poll; the
-// run itself uses a background context so the final partial batch still
-// commits before Close proceeds.
-func (d *DB) startLive(specs []liveSpec) error {
-	ctx, cancel := context.WithCancel(context.Background())
-	ls := &liveState{cancel: cancel}
-	d.live = ls
-	for _, sp := range specs {
-		f, err := os.Open(sp.path)
-		if err != nil {
-			cancel()
-			return fmt.Errorf("aladin: live source %q: %w", sp.name, err)
-		}
-		ls.wg.Add(1)
-		atomic.AddInt32(&ls.active, 1)
-		go func(sp liveSpec, f *os.File) {
-			defer ls.wg.Done()
-			defer atomic.AddInt32(&ls.active, -1)
-			defer f.Close()
-			tr := ingest.NewTailReader(ctx, f, 0)
-			// A modest stall flush keeps the tail live: records written to
-			// the file surface within ~2 polls even when the batch is far
-			// from full.
-			if _, err := d.IngestSource(context.Background(), sp.name, sp.format, tr,
-				WithFlushStall(300*time.Millisecond)); err != nil {
-				ls.fail(fmt.Errorf("live source %q: %w", sp.name, err))
-			}
-		}(sp, f)
-	}
-	return nil
+	defer d.ingestMu.Unlock()
+	return d.ingestTotals
 }

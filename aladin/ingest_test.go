@@ -227,45 +227,54 @@ func TestIngestDurableRecovery(t *testing.T) {
 	}
 }
 
-// TestLiveSource tails a file that grows while the database is open:
-// existing records surface shortly after Open, appended records surface
-// without any explicit call, and Close commits the final held record
+// TestTailIngest tails a file that grows while IngestSource runs over a
+// NewTailReader: existing records surface without a full batch (the
+// tail reader's stall flush), appended records surface without any
+// explicit call, and canceling the tail commits the final held record
 // (durable, so the total is visible on reopen).
-func TestLiveSource(t *testing.T) {
+func TestTailIngest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(t.TempDir(), "live.fasta")
 	if err := os.WriteFile(path, []byte(fastaText(t, 0, 30)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	db, err := Open(WithDataDir(dir), WithLiveSource("live", "fasta", path))
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+
+	db, err := Open(WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.IngestSource(context.Background(), "live", "fasta", NewTailReader(ctx, f, 0))
+		done <- err
+	}()
 	// The FASTA scanner holds the final record open until end of stream,
 	// so the tail surfaces 29 of the 30 on-disk records.
 	waitCount(t, db, "live_fasta", 29)
 
-	st, err := db.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.LiveSources != 1 || st.Ingest.LastError != "" {
-		t.Fatalf("live stats = %+v", st.Ingest)
-	}
-
 	// The file grows; the tail picks the continuation up by itself.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	w, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(fastaText(t, 30, 30)); err != nil {
+	if _, err := w.WriteString(fastaText(t, 30, 30)); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	w.Close()
 	waitCount(t, db, "live_fasta", 59)
 
-	// Close stops the tail; the held final record commits on the way out.
+	// Canceling ends the tail; the held final record commits on the way out.
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("IngestSource over a canceled tail = %v, want nil", err)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,23 +285,6 @@ func TestLiveSource(t *testing.T) {
 	defer re.Close()
 	if n, err := tableCount(re, "live_fasta"); err != nil || n != 60 {
 		t.Fatalf("count after close = %d (%v), want 60", n, err)
-	}
-}
-
-func TestLiveSourceValidation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.fasta")
-	os.WriteFile(path, nil, 0o644)
-	if _, err := Open(WithLiveSource("s", "obo", path)); err == nil {
-		t.Error("live source with non-streamable format accepted")
-	}
-	if _, err := Open(WithLiveSource("s", "fasta", filepath.Join(t.TempDir(), "missing"))); err == nil {
-		t.Error("live source with missing file accepted")
-	}
-	srv := httptest.NewServer(nil)
-	defer srv.Close()
-	if _, err := Open(WithDataDir(t.TempDir()), WithReplicaOf(srv.URL),
-		WithLiveSource("s", "fasta", path)); err == nil {
-		t.Error("live source on a replica accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/flatfile"
 	"repro/internal/store"
 )
 
@@ -16,7 +15,6 @@ type config struct {
 	dataDir         string
 	checkpointEvery int
 	replicaOf       string
-	live            []liveSpec
 	err             error
 }
 
@@ -44,24 +42,6 @@ func WithOntologySources(names ...string) Option {
 	return func(c *config) {
 		c.core.OntologySources = append(c.core.OntologySources, names...)
 	}
-}
-
-// WithChangeThreshold sets the §6.2 re-analysis threshold as a fraction
-// of changed tuples (default 0.1).
-func WithChangeThreshold(frac float64) Option {
-	return func(c *config) {
-		if frac <= 0 || frac > 1 {
-			c.err = fmt.Errorf("aladin: change threshold %v outside (0, 1]", frac)
-			return
-		}
-		c.core.ChangeThreshold = frac
-	}
-}
-
-// WithoutSearchIndex skips search indexing; Search returns nothing.
-// Useful for pipeline benchmarks and pure-SQL workloads.
-func WithoutSearchIndex() Option {
-	return func(c *config) { c.core.DisableSearchIndex = true }
 }
 
 // WithPlanCache keeps the n most recently used prepared query plans,
@@ -141,26 +121,5 @@ func WithReplicaOf(primaryURL string) Option {
 			return
 		}
 		c.replicaOf = primaryURL
-	}
-}
-
-// WithLiveSource tails the flatfile at path into the named source for
-// the lifetime of the DB: existing content streams in immediately, and
-// records appended to the file afterwards are ingested as they arrive
-// (batched per WithBatchRecords default). The tail stops at Close, which
-// waits for the final partial batch to commit. The format must be
-// streamable (flatfile.Streamable); incompatible with WithReplicaOf.
-// Tail state is reported by Stats().Ingest (LiveSources, LastError).
-func WithLiveSource(name, format, path string) Option {
-	return func(c *config) {
-		if name == "" || path == "" {
-			c.err = fmt.Errorf("aladin: live source needs a name and a path")
-			return
-		}
-		if !flatfile.Streamable(format) {
-			c.err = fmt.Errorf("aladin: live source %q: format %q not streamable", name, format)
-			return
-		}
-		c.live = append(c.live, liveSpec{name: name, format: format, path: path})
 	}
 }

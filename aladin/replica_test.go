@@ -121,6 +121,9 @@ func TestReplicaConvergence(t *testing.T) {
 	if _, err := replica.Reanalyze(ctx, "swissprot"); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Fatalf("Reanalyze on replica = %v, want ErrReadOnlyReplica", err)
 	}
+	if _, err := replica.IngestSource(ctx, "seqs", "fasta", strings.NewReader(fastaText(t, 0, 3))); !errors.Is(err, ErrReadOnlyReplica) {
+		t.Fatalf("IngestSource on replica = %v, want ErrReadOnlyReplica", err)
+	}
 	if countProteins(t, replica) != countProteins(t, primary) {
 		t.Fatal("rejected writes must not touch the replica's state")
 	}

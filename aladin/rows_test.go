@@ -69,7 +69,7 @@ func TestQueryRowsBasic(t *testing.T) {
 // over the 200-protein corpus evaluates only the rows needed.
 func TestQueryRowsEarlyStop(t *testing.T) {
 	corpus := datagen.Generate(datagen.Config{Seed: 7, Proteins: 200})
-	db, err := Open(WithoutSearchIndex())
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}

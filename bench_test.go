@@ -830,7 +830,7 @@ func queryDB(b *testing.B) *aladin.DB {
 	b.Helper()
 	if queryBenchDB == nil {
 		corpus := datagen.Generate(datagen.Config{Seed: 99, Proteins: 200})
-		db, err := aladin.Open(aladin.WithoutSearchIndex(), aladin.WithPlanCache(16))
+		db, err := aladin.Open(aladin.WithPlanCache(16))
 		if err != nil {
 			b.Fatal(err)
 		}

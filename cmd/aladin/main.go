@@ -36,7 +36,6 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/aladin"
 	"repro/internal/datagen"
@@ -487,11 +486,11 @@ func cmdLive(args []string) error {
 	fmt.Printf("tailing %s into source %q (%s); Ctrl-C to stop\n", path, name, formatFlag)
 	// The tail reader blocks at end-of-file until more data arrives and
 	// reports EOF when the signal context fires; the ingest run itself is
-	// not canceled, so the final partial batch still commits.
+	// not canceled, so the final partial batch still commits. Over a tail
+	// reader IngestSource commits a partial batch after 500ms idle.
 	tail := aladin.NewTailReader(ctx, f, 0)
 	rep, err := db.IngestSource(context.Background(), name, formatFlag, tail,
 		aladin.WithBatchRecords(batchFlag),
-		aladin.WithFlushStall(500*time.Millisecond),
 		aladin.WithIngestProgress(func(p aladin.IngestProgress) {
 			fmt.Printf("  batch %d: %d records, %d tuples, %d bytes, seq %d\n",
 				p.Batch, p.Records, p.Tuples, p.Bytes, p.Seq)

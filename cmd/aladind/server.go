@@ -530,7 +530,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out["replication"] = rep
-	ing := map[string]any{
+	out["ingest"] = map[string]any{
 		"runs":    st.Ingest.Runs,
 		"batches": st.Ingest.Batches,
 		"records": st.Ingest.Records,
@@ -545,12 +545,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"index":  st.Ingest.Index.String(),
 			"commit": st.Ingest.Commit.String(),
 		},
-		"live_sources": st.Ingest.LiveSources,
 	}
-	if st.Ingest.LastError != "" {
-		ing["last_error"] = st.Ingest.LastError
-	}
-	out["ingest"] = ing
 	writeJSON(w, out)
 }
 

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	corpus := datagen.Generate(datagen.Config{Seed: 33, Proteins: 20})
-	sys := core.New(core.Options{OntologySources: []string{"go"}, ChangeThreshold: 0.1})
+	sys := core.New(core.Options{OntologySources: []string{"go"}})
 	var sources []*rel.Database
 	for _, src := range corpus.Sources {
 		if _, err := sys.AddSource(src); err != nil {

@@ -291,3 +291,52 @@ func TestOptionsHaveSetters(t *testing.T) {
 		"is set by no non-test file outside its package: make it a constant at the value in use",
 		"is set now, or gone: remove it from %s")
 }
+
+// TestPublicOptionsHaveCallers keeps the public aladin package to one way
+// of doing each job: every exported function returning an Option or an
+// IngestOption must be called by a non-test file under cmd/, examples/ or
+// bench/. An option only aladin's own tests set is a constant at the value
+// in use. There is no allowance list.
+func TestPublicOptionsHaveCallers(t *testing.T) {
+	files := parseTree(t)
+	var declared []string
+	for _, fl := range files {
+		if fl.dir != "aladin" {
+			continue
+		}
+		for _, d := range fl.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+				continue
+			}
+			if id, ok := fd.Type.Results.List[0].Type.(*ast.Ident); ok && (id.Name == "Option" || id.Name == "IngestOption") {
+				declared = append(declared, fd.Name.Name)
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no aladin option constructors found")
+	}
+
+	called := map[string]bool{}
+	for _, fl := range files {
+		if !strings.HasPrefix(fl.dir, "cmd/") && !strings.HasPrefix(fl.dir, "examples/") &&
+			fl.dir != "bench" && !strings.HasPrefix(fl.dir, "bench/") {
+			continue
+		}
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && fl.imports[id.Name] == "aladin" {
+					called[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	sort.Strings(declared)
+	for _, name := range declared {
+		if !called[name] {
+			t.Errorf("aladin.%s has no caller in cmd/, examples/ or bench/: delete it and make its setting a constant", name)
+		}
+	}
+}

@@ -65,9 +65,6 @@ type Options struct {
 	// OntologySources names sources whose shared terms should yield
 	// derived ontology links (§4.4), e.g. "go".
 	OntologySources []string
-	// ChangeThreshold is the §6.2 re-analysis threshold as a fraction of
-	// changed tuples (default 0.1).
-	ChangeThreshold float64
 	// DisableSearchIndex skips search indexing (for benchmarks isolating
 	// pipeline cost).
 	DisableSearchIndex bool
@@ -78,10 +75,11 @@ type Options struct {
 	Workers int
 }
 
+// changeThreshold is the §6.2 re-analysis threshold: a source is due for
+// re-analysis once this fraction of its tuples has changed.
+const changeThreshold = 0.1
+
 func (o *Options) fill() {
-	if o.ChangeThreshold <= 0 {
-		o.ChangeThreshold = 0.1
-	}
 	o.Workers = parallel.Workers(o.Workers)
 	if o.Profile.Workers == 0 {
 		o.Profile.Workers = o.Workers
@@ -800,7 +798,7 @@ func (s *System) RemoveLinkFeedback(l metadata.Link) (bool, error) {
 // the §6.2 threshold policy now calls for re-analysis.
 func (s *System) RecordChanges(source string, n int) bool {
 	s.Repo.RecordChanges(source, n)
-	return s.Repo.NeedsReanalysis(source, s.opts.ChangeThreshold)
+	return s.Repo.NeedsReanalysis(source, changeThreshold)
 }
 
 // Reanalyze re-runs structural discovery and link discovery for one

@@ -98,7 +98,7 @@ func (s *System) Exec(sql string) (*sqlx.Result, error) {
 // NeedsReanalysis reports whether accumulated DML changes on source have
 // crossed the §6.2 re-analysis threshold.
 func (s *System) NeedsReanalysis(source string) bool {
-	return s.Repo.NeedsReanalysis(source, s.opts.ChangeThreshold)
+	return s.Repo.NeedsReanalysis(source, changeThreshold)
 }
 
 // resolveWarehouseTable splits a "<source>_<relation>" warehouse name

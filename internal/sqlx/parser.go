@@ -36,8 +36,6 @@ type parser struct {
 
 func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) backup()     { p.i-- }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 // acceptKeyword consumes the keyword if present.
 func (p *parser) acceptKeyword(kw string) bool {
