@@ -26,12 +26,14 @@ type allocBudget struct {
 	TextComparison float64 `json:"text_links_comparison"`
 	LikeScan       int64   `json:"like_scan"`
 	FilterScan     int64   `json:"filter_scan"`
+	IndexJoin      int64   `json:"index_join"`
 
 	HashJoinBytes   int64 `json:"hash_join_bytes"`
 	DistinctBytes   int64 `json:"distinct_bytes"`
 	GroupByBytes    int64 `json:"group_by_bytes"`
 	LikeScanBytes   int64 `json:"like_scan_bytes"`
 	FilterScanBytes int64 `json:"filter_scan_bytes"`
+	IndexJoinBytes  int64 `json:"index_join_bytes"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -114,7 +116,8 @@ func TestTextAllocBudget(t *testing.T) {
 }
 
 // TestQueryAllocBudget measures allocs/op and bytes/op for the
-// hash-join, DISTINCT, GROUP BY, LIKE-scan and filtered-scan benchmarks
+// hash-join, DISTINCT, GROUP BY, LIKE-scan, filtered-scan and index-join
+// benchmarks
 // and fails if either exceeds its checked-in budget. Each shape runs at
 // workers 1 and 2: at 2 every one of them scans more than one morsel, so
 // the exchange runs. The allocs/op ceilings hold at workers 1, where the
@@ -151,4 +154,5 @@ func TestQueryAllocBudget(t *testing.T) {
 	check("group-by", db, groupByQuery, 7, budget.GroupBy, budget.GroupByBytes)
 	check("like-scan", likeDB(), likeScanQuery, 1, budget.LikeScan, budget.LikeScanBytes)
 	check("filter-scan", filterDB(), filterScanQuery, 1, budget.FilterScan, budget.FilterScanBytes)
+	check("index-join", indexJoinDB(), indexJoinQuery, 1, budget.IndexJoin, budget.IndexJoinBytes)
 }

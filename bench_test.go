@@ -822,6 +822,43 @@ func BenchmarkSQLFilter(b *testing.B) {
 	benchParallelQuery(b, filterDB(), filterScanQuery, 1, 1)
 }
 
+// indexJoinBenchDB caches entry(entry_id) and keyword(entry_id,
+// keyword), the shape of the scan mix's keyword join: 1,200 entries,
+// five keywords each from a vocabulary of 35, keyword.entry_id indexed.
+var indexJoinBenchDB *rel.Database
+
+const indexJoinQuery = `SELECT COUNT(*) FROM entry e JOIN keyword k ON k.entry_id = e.entry_id WHERE k.keyword = 'kw07'`
+
+func indexJoinDB() *rel.Database {
+	if indexJoinBenchDB == nil {
+		db := rel.NewDatabase("bench")
+		entry := db.Create("entry", rel.NewSchema(rel.Column{Name: "entry_id", Kind: rel.KindInt}))
+		keyword := db.Create("keyword", rel.NewSchema(rel.Column{Name: "entry_id", Kind: rel.KindInt},
+			rel.Column{Name: "keyword", Kind: rel.KindString}))
+		for i := 0; i < 1200; i++ {
+			entry.Append(rel.Tuple{rel.Int(int64(i))})
+			for j := 0; j < 5; j++ {
+				keyword.Append(rel.Tuple{rel.Int(int64(i)), rel.Str(fmt.Sprintf("kw%02d", (i*5+j)%35))})
+			}
+		}
+		if _, err := keyword.EnsureIndex("entry_id"); err != nil {
+			panic(err)
+		}
+		indexJoinBenchDB = db
+	}
+	return indexJoinBenchDB
+}
+
+// BenchmarkSQLIndexJoin: the scan mix's keyword join, an IndexJoin that
+// probes keyword's entry_id index once per entry and tests the pushed
+// right-side filter on each of the 6,000 probed tuples, through Prepare
+// and OpenParallel at workers=1. The filter is compiled once per plan and
+// a probed tuple allocates nothing, so allocs/op is per-query set-up
+// (TestQueryAllocBudget holds it to index_join).
+func BenchmarkSQLIndexJoin(b *testing.B) {
+	benchParallelQuery(b, indexJoinDB(), indexJoinQuery, 1, 1)
+}
+
 // queryBenchDB caches one public-API database over the 200-protein
 // corpus for the streaming-vs-materializing query benchmarks.
 var queryBenchDB *aladin.DB

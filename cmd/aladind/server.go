@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/aladin"
 	"repro/internal/flatfile"
@@ -351,15 +352,30 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `,"plan":%s`, plan)
 	}
 	fmt.Fprint(w, `,"rows":[`)
+	// Rows encode into one reused buffer, each cell scanned into a reused
+	// string, flushed every rowFlushBytes.
+	cells := make([]string, len(rows.Columns()))
+	dest := make([]any, len(cells))
+	for i := range cells {
+		dest[i] = &cells[i]
+	}
+	var buf []byte
 	count := 0
 	for count < limit && rows.Next() {
-		cells, _ := json.Marshal(rows.RowStrings())
-		if count > 0 {
-			w.Write([]byte(","))
+		if err := rows.Scan(dest...); err != nil {
+			break
 		}
-		w.Write(cells)
+		if count > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONStrings(buf, cells)
+		if len(buf) >= rowFlushBytes {
+			w.Write(buf)
+			buf = buf[:0]
+		}
 		count++
 	}
+	w.Write(buf)
 	// One extra pull decides whether a next page exists.
 	more := count == limit && rows.Next()
 	fmt.Fprintf(w, `],"count":%d`, count)
@@ -380,6 +396,77 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `,"error":%s`, msg)
 	}
 	fmt.Fprint(w, "}\n")
+}
+
+// rowFlushBytes is how much encoded row data handleQuery buffers before
+// writing it out.
+const rowFlushBytes = 32 << 10
+
+// appendJSONStrings appends ss as a JSON array of strings, byte for byte
+// as json.Marshal encodes a []string.
+func appendJSONStrings(dst []byte, ss []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// does: '"' and '\\' escaped, control bytes as \b, \f, \n, \r, \t or
+// \u00XX, '<', '>' and '&' as \u003c, \u003e and \u0026 (HTML-safe),
+// U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8
+// as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // queryCursor is the decoded form of the opaque pagination token: the

@@ -596,3 +596,33 @@ func TestStreamUploadOutlivesRequestTimeout(t *testing.T) {
 		t.Fatalf("whole-file POST under a %v deadline = %d; body: %s", timeout, resp2.StatusCode, body)
 	}
 }
+
+// TestAppendJSONStringsMatchesMarshal: the row encoder writes exactly
+// the bytes json.Marshal writes for a []string, escapes included — '<',
+// '>' and '&', U+2028 and U+2029, every control byte, invalid UTF-8 —
+// over fixed strings and every string of up to two bytes drawn from a
+// set that reaches each rule.
+func TestAppendJSONStringsMatchesMarshal(t *testing.T) {
+	cases := [][]string{
+		{},
+		{""},
+		{"P12345", "hemoglobin alpha"},
+		{`say "hi"`, `back\slash`, "<b>&amp;</b>", "tab\there\nnew\rline\b\f"},
+		{"\x00\x01\x1f\x7f", "line\u2028sep\u2029para", "bad \xff\xfe utf8", "cut \xe2\x82", "ünïcødé ✓ 🧬"},
+	}
+	alphabet := []string{"a", "\"", "\\", "<", ">", "&", "\x00", "\x08", "\x0c", "\n", "\x1f", "\x7f", "\x80", "\xff", "é", "\u2028", "\u2029", "\xe2\x80"}
+	for _, a := range alphabet {
+		for _, b := range alphabet {
+			cases = append(cases, []string{a + b, b})
+		}
+	}
+	for _, c := range cases {
+		want, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONStrings([]byte("x"), c); string(got) != "x"+string(want) {
+			t.Errorf("%q: got %s, json.Marshal %s", c, got[1:], want)
+		}
+	}
+}

@@ -105,7 +105,7 @@ type scanAccess struct {
 	eq  *eqPred
 	// filters are the pushed-down conjuncts still to evaluate per tuple
 	// (the conjunct served by the index probe is excluded).
-	filters []Expr
+	filters []cond
 	// est is the estimated output cardinality. Index probes report the
 	// exact bucket size; everything else applies statistics-based (or
 	// fallback) selectivities.
@@ -117,7 +117,7 @@ type scanAccess struct {
 // sequential scan. extra holds ON conjuncts reassigned to this table by
 // join reordering; they filter (and shrink the estimate) like pushed
 // WHERE conjuncts but never probe an index.
-func bindScan(bd *binder, tl *tableLogical, extra []Expr) (*scanAccess, error) {
+func bindScan(bd *binder, tl *tableLogical, extra []cond) (*scanAccess, error) {
 	r, err := tl.relation(bd.db)
 	if err != nil {
 		return nil, err
@@ -141,15 +141,15 @@ func bindScan(bd *binder, tl *tableLogical, extra []Expr) (*scanAccess, error) {
 		sa.eq = &tl.eq[best]
 		sa.est = float64(bestCount)
 		for _, f := range tl.filters {
-			if f == sa.eq.expr {
+			if f.expr == sa.eq.expr {
 				continue
 			}
 			sa.filters = append(sa.filters, f)
-			sa.est *= predSelectivity(r, f)
+			sa.est *= predSelectivity(r, f.expr)
 		}
 		for _, f := range extra {
 			sa.filters = append(sa.filters, f)
-			sa.est *= predSelectivity(r, f)
+			sa.est *= predSelectivity(r, f.expr)
 		}
 		if sa.est < 1 && bestCount > 0 {
 			sa.est = 1
@@ -158,7 +158,7 @@ func bindScan(bd *binder, tl *tableLogical, extra []Expr) (*scanAccess, error) {
 	}
 	sa.filters = tl.filters
 	if len(extra) > 0 {
-		sa.filters = append(append([]Expr{}, tl.filters...), extra...)
+		sa.filters = append(append([]cond{}, tl.filters...), extra...)
 	}
 	sa.est = estimateFiltered(r, sa.filters)
 	return sa, nil
@@ -166,10 +166,10 @@ func bindScan(bd *binder, tl *tableLogical, extra []Expr) (*scanAccess, error) {
 
 // estimateFiltered estimates the rows of r surviving the given pushed
 // conjuncts, multiplying per-predicate selectivities.
-func estimateFiltered(r *rel.Relation, filters []Expr) float64 {
+func estimateFiltered(r *rel.Relation, filters []cond) float64 {
 	est := float64(r.Cardinality())
 	for _, f := range filters {
-		est *= predSelectivity(r, f)
+		est *= predSelectivity(r, f.expr)
 	}
 	if est < 1 && r.Cardinality() > 0 {
 		est = 1
@@ -356,12 +356,13 @@ type joinAccess struct {
 	tl       *tableLogical
 	right    *rel.Relation
 	strategy joinStrategy
-	// kind/on are the effective join kind and predicate of this step.
-	// After reordering they may differ from the parsed clause: ON
-	// conjuncts are reassigned to the first step where all their
-	// bindings are available.
-	kind JoinKind
-	on   Expr
+	// kind/on are the effective join kind and predicate of this step,
+	// and onConds on's conjuncts. After reordering they may differ from
+	// the parsed clause: ON conjuncts are reassigned to the first step
+	// where all their bindings are available.
+	kind    JoinKind
+	on      Expr
+	onConds []cond
 	// leftCol/rightIdx describe the equi-join columns (probe modes).
 	leftCol  *colRef
 	rightCol string
@@ -370,10 +371,10 @@ type joinAccess struct {
 	idx *rel.Index
 	// filters are pushed-down conjuncts on the joined table, applied to
 	// right tuples before matching.
-	filters []Expr
+	filters []cond
 	// post holds reassigned multi-table conjuncts evaluated on the
 	// joined rows above this step (reordered plans only).
-	post []Expr
+	post []cond
 	// prevec, when set, replaces the lazily built joinHashBuildRight
 	// table: parallel execution shares one build across all morsels.
 	prevec *joinTable
@@ -391,7 +392,7 @@ func bindJoin(bd *binder, tl *tableLogical, leftEst float64) (*joinAccess, error
 	if err != nil {
 		return nil, err
 	}
-	ja := &joinAccess{tl: tl, right: right, kind: tl.join.Kind, on: tl.on, filters: tl.filters}
+	ja := &joinAccess{tl: tl, right: right, kind: tl.join.Kind, on: tl.on, onConds: tl.onConds, filters: tl.filters}
 	bindJoinStrategy(bd, ja, leftEst)
 	bd.rels[tl.pos] = right
 	return ja, nil

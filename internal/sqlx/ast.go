@@ -155,7 +155,6 @@ type BinaryExpr struct {
 	Op    string // "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%", "AND", "OR", "LIKE", "||"
 	Left  Expr
 	Right Expr
-	like  *likeMatcher // a LIKE's constant pattern, compiled once (withLike)
 }
 
 func (*BinaryExpr) expr() {}

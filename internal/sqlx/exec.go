@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"repro/internal/rel"
@@ -100,367 +99,6 @@ type env struct {
 }
 
 func (e *env) get(c *colRef) rel.Value { return e.tuples[c.tab][c.col] }
-
-// holds reports whether pred is TRUE in e (NULL and FALSE do not hold);
-// a nil predicate always holds.
-func holds(pred Expr, e *env) (bool, error) {
-	if pred == nil {
-		return true, nil
-	}
-	v, err := eval(pred, e)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.AsBool()
-	return ok && b, nil
-}
-
-// eval evaluates a bound expression (see resolve.go) in an environment.
-func eval(e Expr, env *env) (rel.Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value, nil
-	case *colRef:
-		return env.get(x), nil
-	case *aggRef:
-		return env.aggs[x.i], nil
-	case *UnaryExpr:
-		v, err := eval(x.Expr, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return rel.Null(), nil
-			}
-			b, _ := v.AsBool()
-			return rel.Bool(!b), nil
-		case "-":
-			if v.IsNull() {
-				return rel.Null(), nil
-			}
-			if v.Kind() == rel.KindInt {
-				i, _ := v.AsInt()
-				return rel.Int(-i), nil
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				return rel.Null(), fmt.Errorf("sqlx: cannot negate %v", v)
-			}
-			return rel.Float(-f), nil
-		}
-	case *BinaryExpr:
-		return evalBinary(x, env)
-	case *IsNullExpr:
-		v, err := eval(x.Expr, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		return rel.Bool(v.IsNull() != x.Negate), nil
-	case *InExpr:
-		v, err := eval(x.Expr, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		if v.IsNull() {
-			return rel.Null(), nil
-		}
-		match := false
-		if x.Sub != nil {
-			// Subquery results are materialized per run (never into the
-			// shared AST, which may belong to a cached plan).
-			if env.rt == nil {
-				return rel.Null(), fmt.Errorf("sqlx: internal: IN subquery not materialized")
-			}
-			set, ok := env.rt.subs[x]
-			if !ok {
-				return rel.Null(), fmt.Errorf("sqlx: internal: IN subquery not materialized")
-			}
-			return rel.Bool(set.contains(v) != x.Negate), nil
-		}
-		for _, le := range x.List {
-			lv, err := eval(le, env)
-			if err != nil {
-				return rel.Null(), err
-			}
-			if v.Equal(lv) {
-				match = true
-				break
-			}
-		}
-		return rel.Bool(match != x.Negate), nil
-	case *BetweenExpr:
-		v, err := eval(x.Expr, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		lo, err := eval(x.Lo, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		hi, err := eval(x.Hi, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return rel.Null(), nil
-		}
-		in := v.Compare(lo) >= 0 && v.Compare(hi) <= 0
-		return rel.Bool(in != x.Negate), nil
-	case *FuncExpr:
-		return evalScalarFunc(x, env)
-	}
-	return rel.Null(), fmt.Errorf("sqlx: cannot evaluate %T", e)
-}
-
-func evalBinary(x *BinaryExpr, env *env) (rel.Value, error) {
-	l, err := eval(x.Left, env)
-	if err != nil {
-		return rel.Null(), err
-	}
-	// Short-circuit AND/OR with three-valued logic.
-	switch x.Op {
-	case "AND":
-		if !l.IsNull() {
-			if b, _ := l.AsBool(); !b {
-				return rel.Bool(false), nil
-			}
-		}
-		r, err := eval(x.Right, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		if l.IsNull() || r.IsNull() {
-			if !r.IsNull() {
-				if b, _ := r.AsBool(); !b {
-					return rel.Bool(false), nil
-				}
-			}
-			return rel.Null(), nil
-		}
-		lb, _ := l.AsBool()
-		rb, _ := r.AsBool()
-		return rel.Bool(lb && rb), nil
-	case "OR":
-		if !l.IsNull() {
-			if b, _ := l.AsBool(); b {
-				return rel.Bool(true), nil
-			}
-		}
-		r, err := eval(x.Right, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		if l.IsNull() || r.IsNull() {
-			if !r.IsNull() {
-				if b, _ := r.AsBool(); b {
-					return rel.Bool(true), nil
-				}
-			}
-			return rel.Null(), nil
-		}
-		lb, _ := l.AsBool()
-		rb, _ := r.AsBool()
-		return rel.Bool(lb || rb), nil
-	}
-	r, err := eval(x.Right, env)
-	if err != nil {
-		return rel.Null(), err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return rel.Null(), nil
-		}
-		c := l.Compare(r)
-		switch x.Op {
-		case "=":
-			return rel.Bool(l.Equal(r)), nil
-		case "<>":
-			return rel.Bool(!l.Equal(r)), nil
-		case "<":
-			return rel.Bool(c < 0), nil
-		case "<=":
-			return rel.Bool(c <= 0), nil
-		case ">":
-			return rel.Bool(c > 0), nil
-		case ">=":
-			return rel.Bool(c >= 0), nil
-		}
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return rel.Null(), nil
-		}
-		m := x.like
-		if m == nil {
-			m = compileLike(r.AsString())
-		}
-		return rel.Bool(m.match(l.AsString())), nil
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return rel.Null(), nil
-		}
-		return rel.Str(l.AsString() + r.AsString()), nil
-	case "+", "-", "*", "/", "%":
-		if l.IsNull() || r.IsNull() {
-			return rel.Null(), nil
-		}
-		return evalArith(x.Op, l, r)
-	}
-	return rel.Null(), fmt.Errorf("sqlx: unknown operator %q", x.Op)
-}
-
-func evalArith(op string, l, r rel.Value) (rel.Value, error) {
-	if l.Kind() == rel.KindInt && r.Kind() == rel.KindInt {
-		a, _ := l.AsInt()
-		b, _ := r.AsInt()
-		switch op {
-		case "+":
-			return rel.Int(a + b), nil
-		case "-":
-			return rel.Int(a - b), nil
-		case "*":
-			return rel.Int(a * b), nil
-		case "/":
-			if b == 0 {
-				return rel.Null(), fmt.Errorf("sqlx: division by zero")
-			}
-			return rel.Int(a / b), nil
-		case "%":
-			if b == 0 {
-				return rel.Null(), fmt.Errorf("sqlx: division by zero")
-			}
-			return rel.Int(a % b), nil
-		}
-	}
-	a, okA := l.AsFloat()
-	b, okB := r.AsFloat()
-	if !okA || !okB {
-		return rel.Null(), fmt.Errorf("sqlx: non-numeric operands for %q", op)
-	}
-	switch op {
-	case "+":
-		return rel.Float(a + b), nil
-	case "-":
-		return rel.Float(a - b), nil
-	case "*":
-		return rel.Float(a * b), nil
-	case "/":
-		if b == 0 {
-			return rel.Null(), fmt.Errorf("sqlx: division by zero")
-		}
-		return rel.Float(a / b), nil
-	case "%":
-		if b == 0 {
-			return rel.Null(), fmt.Errorf("sqlx: division by zero")
-		}
-		return rel.Float(math.Mod(a, b)), nil
-	}
-	return rel.Null(), fmt.Errorf("sqlx: unknown arithmetic op %q", op)
-}
-
-// scalarArity names the scalar functions, with each one's least and most
-// argument counts (-1: no most): the parser knows a call by it, and the
-// resolver checks the call's arguments against it.
-var scalarArity = map[string][2]int{
-	"LENGTH": {1, 1}, "LOWER": {1, 1}, "UPPER": {1, 1}, "TRIM": {1, 1}, "ABS": {1, 1},
-	"ROUND": {1, 2}, "SUBSTR": {2, 3}, "COALESCE": {0, -1},
-}
-
-func evalScalarFunc(x *FuncExpr, env *env) (rel.Value, error) {
-	args := make([]rel.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := eval(a, env)
-		if err != nil {
-			return rel.Null(), err
-		}
-		args[i] = v
-	}
-	switch x.Name {
-	case "LENGTH":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		return rel.Int(int64(len(args[0].AsString()))), nil
-	case "LOWER":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		return rel.Str(strings.ToLower(args[0].AsString())), nil
-	case "UPPER":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		return rel.Str(strings.ToUpper(args[0].AsString())), nil
-	case "TRIM":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		return rel.Str(strings.TrimSpace(args[0].AsString())), nil
-	case "ABS":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		if args[0].Kind() == rel.KindInt {
-			i, _ := args[0].AsInt()
-			if i < 0 {
-				i = -i
-			}
-			return rel.Int(i), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return rel.Null(), fmt.Errorf("sqlx: ABS of non-numeric")
-		}
-		return rel.Float(math.Abs(f)), nil
-	case "ROUND":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return rel.Null(), fmt.Errorf("sqlx: ROUND of non-numeric")
-		}
-		digits := int64(0)
-		if len(args) == 2 {
-			digits, _ = args[1].AsInt()
-		}
-		scale := math.Pow(10, float64(digits))
-		return rel.Float(math.Round(f*scale) / scale), nil
-	case "SUBSTR":
-		if args[0].IsNull() {
-			return rel.Null(), nil
-		}
-		s := args[0].AsString()
-		start, _ := args[1].AsInt()
-		if start < 1 {
-			start = 1
-		}
-		if int(start) > len(s) {
-			return rel.Str(""), nil
-		}
-		rest := s[start-1:]
-		if len(args) == 3 {
-			n, _ := args[2].AsInt()
-			if n < 0 {
-				n = 0
-			}
-			if int(n) < len(rest) {
-				rest = rest[:n]
-			}
-		}
-		return rel.Str(rest), nil
-	case "COALESCE":
-		for _, a := range args {
-			if !a.IsNull() {
-				return a, nil
-			}
-		}
-		return rel.Null(), nil
-	}
-	return rel.Null(), fmt.Errorf("sqlx: unknown function %s", x.Name)
-}
 
 // equiJoinCols recognizes "a.x = b.y" ON clauses between the table at
 // FROM position right, named qualified, and another, and returns the
@@ -646,7 +284,7 @@ func execInsert(db *rel.Database, s *InsertStmt) (*Result, error) {
 	for _, row := range rows {
 		t := make(rel.Tuple, r.Schema.Len())
 		for i, e := range row {
-			v, err := eval(e, empty)
+			v, err := compileScalar(e)(empty)
 			if err != nil {
 				return nil, err
 			}
@@ -734,18 +372,19 @@ func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, 
 		}
 		idx[i] = j
 	}
+	where, values := newConds(bound[0]), compileScalars(bound[1:])
 	n := 0
 	for ti, t := range r.Tuples {
 		e.tuples[0] = t
-		ok, err := holds(bound[0], e)
+		ok, err := allHold(where, e)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			continue
 		}
-		for i, value := range bound[1:] {
-			v, err := eval(value, e)
+		for i, value := range values {
+			v, err := value(e)
 			if err != nil {
 				return nil, err
 			}
@@ -760,15 +399,16 @@ func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, 
 }
 
 func execDelete(ctx context.Context, db *rel.Database, s *DeleteStmt) (*Result, error) {
-	r, where, e, err := bindDML(ctx, db, s.Table, s.Where)
+	r, bound, e, err := bindDML(ctx, db, s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
+	where := newConds(bound[0])
 	var kept []rel.Tuple
 	n := 0
 	for _, t := range r.Tuples {
 		e.tuples[0] = t
-		del, err := holds(where[0], e)
+		del, err := allHold(where, e)
 		if err != nil {
 			return nil, err
 		}

@@ -146,7 +146,7 @@ func scanLabel(sa *scanAccess) string {
 		fmt.Fprintf(&b, "Scan(%s", tableName(sa.tl.ref))
 	}
 	if len(sa.filters) > 0 {
-		fmt.Fprintf(&b, ", filter %s", exprList(sa.filters))
+		fmt.Fprintf(&b, ", filter %s", condList(sa.filters))
 	}
 	b.WriteString(")")
 	return b.String()
@@ -167,10 +167,10 @@ func joinLabel(ja *joinAccess) string {
 		b.WriteString(exprString(ja.on))
 	}
 	if len(ja.filters) > 0 {
-		fmt.Fprintf(&b, ", filter %s", exprList(ja.filters))
+		fmt.Fprintf(&b, ", filter %s", condList(ja.filters))
 	}
 	if len(ja.post) > 0 {
-		fmt.Fprintf(&b, ", post %s", exprList(ja.post))
+		fmt.Fprintf(&b, ", post %s", condList(ja.post))
 	}
 	b.WriteString(")")
 	return b.String()
@@ -218,6 +218,14 @@ func exprList(list []Expr) string {
 		parts[i] = exprString(e)
 	}
 	return strings.Join(parts, " AND ")
+}
+
+func condList(list []cond) string {
+	exprs := make([]Expr, len(list))
+	for i, c := range list {
+		exprs[i] = c.expr
+	}
+	return exprList(exprs)
 }
 
 // renderExplain prints the tree with box-drawing connectors. Every node

@@ -130,8 +130,8 @@ func (rt *run) materialize(ctx context.Context, db *rel.Database, subs []*InExpr
 // newScratch) holds nothing else.
 func (ja *joinAccess) rightOK(scratch *env, t rel.Tuple) (bool, error) {
 	scratch.tuples[ja.tl.pos] = t
-	for _, f := range ja.filters {
-		if ok, err := holds(f, scratch); !ok || err != nil {
+	for i := range ja.filters {
+		if t, err := ja.filters[i].test(scratch); t != triTrue || err != nil {
 			return false, err
 		}
 	}

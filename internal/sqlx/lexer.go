@@ -3,6 +3,11 @@
 // imported" (§4.6). Supported: SELECT [DISTINCT] with expressions and
 // aggregates, multi-way JOIN ... ON, WHERE, GROUP BY, HAVING, ORDER BY,
 // LIMIT/OFFSET, CREATE TABLE, INSERT, UPDATE, DELETE.
+//
+// A statement is parsed, its names resolved (resolve.go) and every
+// expression compiled once into Go closures (compile.go), then run by
+// one batch-at-a-time operator pipeline (vec*.go): no expression tree is
+// walked per row.
 package sqlx
 
 import (

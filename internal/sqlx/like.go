@@ -2,9 +2,9 @@ package sqlx
 
 import "strings"
 
-// likeMatcher is a LIKE pattern compiled once: by the parser when the
-// pattern is a string literal, by foldExpr when it folds to one, and per
-// evaluation otherwise. LIKE is case-insensitive (common life-science
+// likeMatcher is a LIKE pattern compiled once, by the expression
+// compiler, when the pattern is constant (a literal, or folds to one),
+// and per row otherwise. LIKE is case-insensitive (common life-science
 // database practice): a row matches when strings.ToLower of the row
 // matches strings.ToLower of the pattern, where '%' stands for any run of
 // bytes and '_' for exactly one byte.
@@ -18,10 +18,11 @@ import "strings"
 // Approach to Text Searching", CACM 1992). Segments have fixed lengths,
 // so the leftmost occurrence of one leaves the most room for those after
 // it, and each search starts where the last one ended: a match is linear
-// in the row's length. Matching allocates nothing unless the row holds a byte >= 0x80: Unicode
-// lower-casing can change bytes and lengths (the Kelvin sign lowers to
-// ASCII k, İ to three bytes), so such a row is lowered first. A compiled
-// matcher is never written again, so cached plans share it.
+// in the row's length. Matching allocates nothing unless the row holds a
+// byte >= 0x80: Unicode lower-casing can change bytes and lengths (the
+// Kelvin sign lowers to ASCII k, İ to three bytes), so such a row is
+// lowered and matched again. A compiled matcher is never written again,
+// so cached plans share it.
 type likeMatcher struct {
 	head, tail likeSegment   // anchored at the start and at the end
 	mid        []likeSegment // found in order between them
@@ -77,40 +78,52 @@ func compileLike(pattern string) *likeMatcher {
 	return m
 }
 
-// match reports whether s matches the pattern.
+// match reports whether s matches the pattern. The first pass folds
+// ASCII case only, and ORs together every byte of s — those its scan
+// reads, then the ones it skipped — so an ASCII row is read once. A row
+// holding a byte >= 0x80 is lowered and matched again: lowering can
+// change bytes and lengths, so the first verdict on it means nothing
+// (three '_' match the 3-byte Kelvin sign, which lowers to one byte).
 func (m *likeMatcher) match(s string) bool {
-	if !isASCII(s) {
-		s = strings.ToLower(s)
+	ok, high := m.matchFolded(s)
+	if high >= 0x80 {
+		ok, _ = m.matchFolded(strings.ToLower(s))
 	}
-	if len(s) < m.minLen {
-		return false
-	}
-	if m.exact {
-		return len(s) == len(m.head.pat) && m.head.at(s, 0, 0)
+	return ok
+}
+
+// matchFolded matches s folding ASCII case only, and returns the OR of
+// all of s's bytes beside the verdict.
+func (m *likeMatcher) matchFolded(s string) (bool, byte) {
+	if len(s) < m.minLen || m.exact {
+		return m.exact && len(s) == len(m.head.pat) && m.head.at(s, 0, 0), orBytes(s)
 	}
 	end := len(s) - len(m.tail.pat)
 	if !m.head.at(s, 0, 0) || !m.tail.at(s, end, 0) {
-		return false
+		return false, orBytes(s)
 	}
+	high := orBytes(s[:len(m.head.pat)]) | orBytes(s[end:])
 	pos := len(m.head.pat)
 	for i := range m.mid {
-		j := m.mid[i].find(s[pos:end])
+		j, read, h := m.mid[i].find(s[pos:end])
+		high |= h
 		if j < 0 {
-			return false
+			return false, high | orBytes(s[pos+read:end])
 		}
-		pos += j + len(m.mid[i].pat)
+		next := pos + j + len(m.mid[i].pat)
+		high |= orBytes(s[pos+read : next])
+		pos = next
 	}
-	return true
+	return true, high | orBytes(s[pos:end])
 }
 
-// isASCII reports whether s has no byte >= 0x80.
-func isASCII(s string) bool {
+// orBytes returns the OR of s's bytes.
+func orBytes(s string) byte {
+	var b byte
 	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return false
-		}
+		b |= s[i]
 	}
-	return true
+	return b
 }
 
 // at reports whether the segment, from its byte from on, matches s at
@@ -125,35 +138,29 @@ func (g *likeSegment) at(s string, off, from int) bool {
 }
 
 // find returns the offset of the segment's leftmost occurrence in s, or
-// -1. Shift-Or, the complemented Shift-And, tracks every partial match
-// of the first 64 bytes in one word (a clear bit j: pat[:j+1] ends here);
-// a longer segment verifies the rest at each hit.
-func (g *likeSegment) find(s string) int {
+// -1, with how many bytes of s it read and their OR. Shift-Or, the
+// complemented Shift-And, tracks every partial match of the first 64
+// bytes in one word (a clear bit j: pat[:j+1] ends here); a longer
+// segment verifies the rest at each hit.
+func (g *likeSegment) find(s string) (at, read int, high byte) {
 	n := min(len(g.pat), 64)
 	hit := uint64(1) << (n - 1)
 	masks := g.masks
 	d := ^uint64(0)
 	for i := 0; i < len(s); i++ {
-		d = d<<1 | masks[s[i]]
+		c := s[i]
+		high |= c
+		d = d<<1 | masks[c]
 		if d&hit != 0 {
 			continue
 		}
 		start := i - n + 1
 		if start+len(g.pat) > len(s) {
-			return -1
+			return -1, i + 1, high
 		}
 		if g.at(s, start, n) {
-			return start
+			return start, i + 1, high
 		}
 	}
-	return -1
-}
-
-// withLike compiles b's pattern when b is a LIKE whose pattern is a
-// non-NULL literal, and returns b.
-func (b *BinaryExpr) withLike() *BinaryExpr {
-	if lit, ok := b.Right.(*Literal); ok && b.Op == "LIKE" && !lit.Value.IsNull() {
-		b.like = compileLike(lit.Value.AsString())
-	}
-	return b
+	return -1, len(s), high
 }

@@ -33,18 +33,22 @@ type logicalSelect struct {
 	// residual holds the WHERE conjuncts that could not be pushed to a
 	// single table: join predicates, multi-table expressions, constants,
 	// and predicates on the nullable side of a LEFT JOIN.
-	residual []Expr
+	residual []cond
 	union    *logicalSelect
-	// items are the bound select items, stars expanded, and cols their
+	// items are the compiled select items, stars expanded, and cols their
 	// output names.
-	items   []Expr
-	cols    []string
-	groupBy []Expr
-	having  Expr
+	items []scalar
+	cols  []string
+	// groupBy are the bound GROUP BY keys, and groupKeys them compiled.
+	groupBy   []Expr
+	groupKeys []scalar
+	having    []cond
 	// grouped selects aggregate aggs, the aggregate calls of their items
-	// and HAVING, per group.
+	// and HAVING, per group; aggArgs are their compiled arguments (nil
+	// for COUNT(*)).
 	grouped bool
 	aggs    []*FuncExpr
+	aggArgs []scalar
 	// order applies to this SELECT's rows, or, at a UNION head, to the
 	// combined rows.
 	order []orderKey
@@ -62,10 +66,12 @@ type tableLogical struct {
 	// resolved against.
 	pos    int
 	schema *rel.Schema
-	on     Expr // the bound ON predicate
+	// on is the bound ON predicate, and onConds its conjuncts.
+	on      Expr
+	onConds []cond
 	// filters are the pushed-down conjuncts, evaluated on this table's
 	// rows below the join.
-	filters []Expr
+	filters []cond
 	// eq are the "column = constant" conjuncts among filters — the index
 	// access-path candidates harvested by rewrite rule 4.
 	eq []eqPred
@@ -103,6 +109,7 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 			if tl.on, err = r.expr(tl.join.On, false); err != nil {
 				return nil, err
 			}
+			tl.onConds = newConds(tl.on)
 		}
 	}
 	r.scope = lg.tables
@@ -116,7 +123,7 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 				return nil, err
 			}
 			items = append(items, it)
-			lg.items = append(lg.items, e)
+			lg.items = append(lg.items, compileScalar(e))
 			lg.cols = append(lg.cols, itemName(it))
 			continue
 		}
@@ -129,7 +136,7 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 			for c, col := range tl.schema.Columns {
 				cr := &ColumnRef{Table: b, Column: col.Name}
 				items = append(items, SelectItem{Expr: cr})
-				lg.items = append(lg.items, &colRef{cr, tl.pos, c})
+				lg.items = append(lg.items, scalarOf(&colRef{cr, tl.pos, c}))
 				lg.cols = append(lg.cols, col.Name)
 			}
 		}
@@ -152,20 +159,23 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 		ti := soleBinding(c)
 		if ti >= 0 && pushable(lg.tables[ti]) {
 			tl := lg.tables[ti]
-			tl.filters = append(tl.filters, c)
+			tl.filters = append(tl.filters, newCond(c))
 			if col, v, ok := eqConst(c); ok {
 				tl.eq = append(tl.eq, eqPred{col: col, val: v, expr: c})
 			}
 		} else {
-			lg.residual = append(lg.residual, c)
+			lg.residual = append(lg.residual, newCond(c))
 		}
 	}
 	if lg.groupBy, err = r.exprs(s.GroupBy, false); err != nil {
 		return nil, err
 	}
-	if lg.having, err = r.expr(s.Having, true); err != nil {
+	lg.groupKeys = compileScalars(lg.groupBy)
+	having, err := r.expr(s.Having, true)
+	if err != nil {
 		return nil, err
 	}
+	lg.having = newConds(having)
 	rows := lg.grouped
 	if s.Union != nil {
 		if lg.union, err = buildLogical(db, s.Union); err != nil {
@@ -182,6 +192,13 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 		return nil, err
 	}
 	lg.subs, lg.aggs = r.subs, r.aggs
+	for _, a := range lg.aggs {
+		var arg scalar
+		if !a.Star {
+			arg = compileScalar(a.Args[0])
+		}
+		lg.aggArgs = append(lg.aggArgs, arg)
+	}
 	return lg, nil
 }
 
@@ -225,20 +242,9 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// andJoin recombines conjuncts into one predicate (nil when empty).
-func andJoin(list []Expr) Expr {
-	if len(list) == 0 {
-		return nil
-	}
-	e := list[0]
-	for _, c := range list[1:] {
-		e = &BinaryExpr{Op: "AND", Left: e, Right: c}
-	}
-	return e
-}
-
 // foldExpr returns e with constant subexpressions replaced by literal
-// nodes. Folding is conservative: any evaluation error (division by
+// nodes: the WHERE tree before it is split and pushed down, and every
+// expression as it is compiled. Folding is conservative: any evaluation error (division by
 // zero, bad operand kinds) leaves the node unfolded so the error still
 // surfaces at execution time. IN nodes are returned unchanged — the
 // executor keys materialized subquery results by node identity, which a
@@ -253,7 +259,7 @@ func foldExpr(e Expr) Expr {
 		l, r := foldExpr(x.Left), foldExpr(x.Right)
 		n := x
 		if l != x.Left || r != x.Right {
-			n = (&BinaryExpr{Op: x.Op, Left: l, Right: r}).withLike()
+			n = &BinaryExpr{Op: x.Op, Left: l, Right: r}
 		}
 		return tryFold(n, isLiteral(l) && isLiteral(r))
 	case *UnaryExpr:
@@ -306,7 +312,7 @@ func tryFold(e Expr, allLiteral bool) Expr {
 	if !allLiteral {
 		return e
 	}
-	v, err := eval(e, &env{})
+	v, err := scalarOf(e)(&env{})
 	if err != nil {
 		return e
 	}

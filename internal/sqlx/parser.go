@@ -718,7 +718,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := Expr((&BinaryExpr{Op: "LIKE", Left: left, Right: right}).withLike())
+		e := Expr(&BinaryExpr{Op: "LIKE", Left: left, Right: right})
 		if negate {
 			e = &UnaryExpr{Op: "NOT", Expr: e}
 		}

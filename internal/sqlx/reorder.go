@@ -14,7 +14,7 @@ import "repro/internal/rel"
 // onConj is one ON conjunct of the reorderable prefix with its resolved
 // binding set.
 type onConj struct {
-	expr     Expr
+	cond
 	bindings map[int]bool // prefix table indices referenced
 	// bL/bR are the tables of a "colA = colB" equality across two
 	// distinct tables — a join edge; -1 for any other conjunct.
@@ -49,10 +49,10 @@ func reorderPrefix(lg *logicalSelect) (*reorderInfo, bool) {
 	}
 	info := &reorderInfo{n: n}
 	for i := 1; i < n; i++ {
-		for _, c := range splitConjuncts(lg.tables[i].on) {
-			oc := onConj{expr: c, bindings: make(map[int]bool), bL: -1, bR: -1}
+		for _, c := range lg.tables[i].onConds {
+			oc := onConj{cond: c, bindings: make(map[int]bool), bL: -1, bR: -1}
 			var refs []*colRef
-			collectColumnRefs(c, &refs)
+			collectColumnRefs(c.expr, &refs)
 			if len(refs) == 0 {
 				return nil, false
 			}
@@ -62,7 +62,7 @@ func reorderPrefix(lg *logicalSelect) (*reorderInfo, bool) {
 				}
 				oc.bindings[cr.tab] = true
 			}
-			if be, ok := c.(*BinaryExpr); ok && be.Op == "=" {
+			if be, ok := c.expr.(*BinaryExpr); ok && be.Op == "=" {
 				l, lok := be.Left.(*colRef)
 				r, rok := be.Right.(*colRef)
 				if lok && rok && l.tab != r.tab {
@@ -122,12 +122,12 @@ func bindReordered(db *rel.Database, lg *logicalSelect, info *reorderInfo) (*sel
 		}
 	}
 	joined[start] = true
-	var extra []Expr
+	var extra []cond
 	for ci := range info.pool {
 		oc := &info.pool[ci]
 		if len(oc.bindings) == 1 && oc.bindings[start] {
 			used[ci] = true
-			extra = append(extra, oc.expr)
+			extra = append(extra, oc.cond)
 		}
 	}
 	sel := &selectAccess{}
@@ -176,7 +176,7 @@ func bindReordered(db *rel.Database, lg *logicalSelect, info *reorderInfo) (*sel
 // key, and the rest apply as post-join filters. Returns the consumed
 // conjunct indices (committed by the caller only if the step wins).
 func planStep(bd *binder, tl *tableLogical, right *rel.Relation, info *reorderInfo, used, joined []bool, t int, leftEst float64) (*joinAccess, []int) {
-	ja := &joinAccess{tl: tl, right: right, kind: JoinCross, filters: append([]Expr{}, tl.filters...)}
+	ja := &joinAccess{tl: tl, right: right, kind: JoinCross, filters: append([]cond{}, tl.filters...)}
 	var consumed []int
 	for ci := range info.pool {
 		if used[ci] {
@@ -189,11 +189,11 @@ func planStep(bd *binder, tl *tableLogical, right *rel.Relation, info *reorderIn
 		consumed = append(consumed, ci)
 		switch {
 		case len(oc.bindings) == 1 && oc.bindings[t]:
-			ja.filters = append(ja.filters, oc.expr)
+			ja.filters = append(ja.filters, oc.cond)
 		case ja.on == nil && oc.edgeWith(joined, t):
-			ja.kind, ja.on = JoinInner, oc.expr
+			ja.kind, ja.on, ja.onConds = JoinInner, oc.expr, []cond{oc.cond}
 		default:
-			ja.post = append(ja.post, oc.expr)
+			ja.post = append(ja.post, oc.cond)
 		}
 	}
 	bindJoinStrategy(bd, ja, leftEst)

@@ -93,7 +93,7 @@ func (r *resolver) expr(e Expr, aggs bool) (Expr, error) {
 		}
 		return c, nil
 	case *BinaryExpr:
-		e = &BinaryExpr{Op: x.Op, Left: sub(x.Left), Right: sub(x.Right), like: x.like}
+		e = &BinaryExpr{Op: x.Op, Left: sub(x.Left), Right: sub(x.Right)}
 	case *UnaryExpr:
 		e = &UnaryExpr{Op: x.Op, Expr: sub(x.Expr)}
 	case *IsNullExpr:
@@ -155,10 +155,10 @@ func (r *resolver) exprs(list []Expr, aggs bool) ([]Expr, error) {
 }
 
 // orderKey is one resolved ORDER BY key: output column pos, or, when pos
-// is negative, expr evaluated over the joined row.
+// is negative, val evaluated over the joined row.
 type orderKey struct {
 	pos  int
-	expr Expr
+	val  scalar
 	desc bool
 }
 
@@ -174,10 +174,11 @@ func (r *resolver) orderKeys(order []OrderItem, items []SelectItem, cols []strin
 			if rows {
 				return nil, fmt.Errorf("sqlx: ORDER BY expression must appear in grouped SELECT list")
 			}
-			var err error
-			if k.expr, err = r.expr(oi.Expr, false); err != nil {
+			e, err := r.expr(oi.Expr, false)
+			if err != nil {
 				return nil, err
 			}
+			k.val = compileScalar(e)
 		}
 		keys[i] = k
 	}

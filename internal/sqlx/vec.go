@@ -199,7 +199,7 @@ func chainNodes(sel *selectAccess, lg *logicalSelect, rt *run) []*explainNode {
 		}
 	}
 	if len(lg.residual) > 0 {
-		add("Filter("+exprList(lg.residual)+")", filterEst(nodes[len(nodes)-1].est, len(lg.residual)))
+		add("Filter("+condList(lg.residual)+")", filterEst(nodes[len(nodes)-1].est, len(lg.residual)))
 	}
 	return nodes
 }
@@ -220,13 +220,13 @@ func vecOpenChain(sel *selectAccess, lg *logicalSelect, rt *run, nodes []*explai
 	it = meterAt(nodes, 0, it)
 	for i, ja := range sel.joins {
 		it = vecOpenJoin(it, ja, rt, width)
-		if pred := andJoin(ja.post); pred != nil {
-			it = &vecFilter{child: it, pred: pred}
+		if len(ja.post) > 0 {
+			it = &vecFilter{child: it, conds: ja.post}
 		}
 		it = meterAt(nodes, 1+i, it)
 	}
-	if residual := andJoin(lg.residual); residual != nil {
-		it = &vecFilter{child: it, pred: residual}
+	if len(lg.residual) > 0 {
+		it = &vecFilter{child: it, conds: lg.residual}
 		it = meterAt(nodes, 1+len(sel.joins), it)
 	}
 	return it
@@ -306,18 +306,18 @@ func vecOpenScan(sa *scanAccess, rt *run, lo, hi, width int) vecIter {
 		s.positions = sa.idx.Lookup(sa.eq.val)
 		s.pos, s.end = 0, len(s.positions)
 	}
-	if pred := andJoin(sa.filters); pred != nil {
-		return &vecFilter{child: s, pred: pred}
+	if len(sa.filters) > 0 {
+		return &vecFilter{child: s, conds: sa.filters}
 	}
 	return s
 }
 
-// vecFilter keeps items whose predicate evaluates to true, compacting
-// the child's batch in place. It loops over all-rejected chunks so a
-// successful pull always returns at least one item.
+// vecFilter keeps items on which every conjunct holds (allHold),
+// compacting the child's batch in place. It loops over all-rejected
+// chunks so a successful pull always returns at least one item.
 type vecFilter struct {
 	child vecIter
-	pred  Expr
+	conds []cond
 }
 
 func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
@@ -334,7 +334,7 @@ func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
 		}
 		k := 0
 		for i := range items {
-			ok, err := holds(f.pred, items[i].env)
+			ok, err := allHold(f.conds, items[i].env)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +353,7 @@ func (f *vecFilter) next(ctx context.Context, want int) ([]item, error) {
 // from its arena.
 type vecProject struct {
 	child vecIter
-	items []Expr
+	items []scalar
 	rt    *run
 	a     *arena
 }
@@ -369,8 +369,8 @@ func (p *vecProject) next(ctx context.Context, want int) ([]item, error) {
 	p.a.vals, slab = carve(p.a.vals, len(items)*w)
 	for i := range items {
 		row := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, e := range p.items {
-			v, err := eval(e, items[i].env)
+		for j, item := range p.items {
+			v, err := item(items[i].env)
 			if err != nil {
 				return nil, err
 			}
@@ -522,7 +522,7 @@ func (o *vecOrder) fill(ctx context.Context) error {
 					key[j] = it.row[k.pos]
 					continue
 				}
-				if key[j], keyErr = eval(k.expr, it.env); keyErr != nil {
+				if key[j], keyErr = k.val(it.env); keyErr != nil {
 					break
 				}
 			}

@@ -51,8 +51,8 @@ func (g *vecGroup) fill(ctx context.Context) error {
 			return err
 		}
 		for _, it := range items {
-			for ki, ge := range lg.groupBy {
-				v, err := eval(ge, it.env)
+			for ki, key := range lg.groupKeys {
+				v, err := key(it.env)
 				if err != nil {
 					return err
 				}
@@ -68,7 +68,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 					states[i].count++ // COUNT(*)
 					continue
 				}
-				v, err := eval(a.Args[0], it.env)
+				v, err := lg.aggArgs[i](it.env)
 				if err != nil {
 					return err
 				}
@@ -91,7 +91,7 @@ func (g *vecGroup) fill(ctx context.Context) error {
 		for i, a := range lg.aggs {
 			e.aggs[i] = grp.aggs[i].result(a.Name)
 		}
-		ok, err := holds(lg.having, &e)
+		ok, err := allHold(lg.having, &e)
 		if err != nil {
 			return err
 		}
@@ -99,8 +99,8 @@ func (g *vecGroup) fill(ctx context.Context) error {
 			continue
 		}
 		row := rows.alloc(len(lg.items))
-		for i, x := range lg.items {
-			v, err := eval(x, &e)
+		for i, item := range lg.items {
+			v, err := item(&e)
 			if err != nil {
 				return err
 			}

@@ -25,7 +25,7 @@ func vecOpenJoin(child vecIter, ja *joinAccess, rt *run, width int) vecIter {
 		chain:     -1, scratch: ja.newScratch(rt),
 	}
 	if ja.strategy == joinNestedLoop {
-		j.pred = andJoin(append(append([]Expr{}, ja.filters...), ja.on))
+		j.conds = append(append([]cond{}, ja.filters...), ja.onConds...)
 		j.cand = env{rt: rt, tuples: make([]rel.Tuple, width)}
 	}
 	return j
@@ -43,8 +43,8 @@ type vecJoin struct {
 	rt      *run
 	scratch *env // for the right-side filters
 
-	pred Expr // nested-loop predicate (filters folded into ON)
-	cand env  // nested-loop candidate, emitted if pred holds
+	conds []cond // nested-loop predicate: the right-side filters, then ON
+	cand  env    // nested-loop candidate, emitted if conds hold
 
 	table   *joinTable  // build-right hash table, nil until first use
 	cross   []rel.Tuple // cross-join right side, valid once crossed
@@ -234,7 +234,7 @@ func (j *vecJoin) next(ctx context.Context, want int) ([]item, error) {
 				j.rpos++
 				copy(j.cand.tuples, j.cur.tuples)
 				j.cand.tuples[j.ja.tl.pos] = t
-				ok, err := holds(j.pred, &j.cand)
+				ok, err := allHold(j.conds, &j.cand)
 				if err != nil {
 					return j.fail(err)
 				}
