@@ -352,30 +352,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `,"plan":%s`, plan)
 	}
 	fmt.Fprint(w, `,"rows":[`)
-	// Rows encode into one reused buffer, each cell scanned into a reused
-	// string, flushed every rowFlushBytes.
-	cells := make([]string, len(rows.Columns()))
-	dest := make([]any, len(cells))
-	for i := range cells {
-		dest[i] = &cells[i]
-	}
-	var buf []byte
+	var buf []byte // one row's JSON, reused
 	count := 0
 	for count < limit && rows.Next() {
-		if err := rows.Scan(dest...); err != nil {
-			break
-		}
+		buf = buf[:0]
 		if count > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONStrings(buf, cells)
-		if len(buf) >= rowFlushBytes {
-			w.Write(buf)
-			buf = buf[:0]
-		}
+		buf = appendJSONStrings(buf, rows.RowStrings())
+		w.Write(buf)
 		count++
 	}
-	w.Write(buf)
 	// One extra pull decides whether a next page exists.
 	more := count == limit && rows.Next()
 	fmt.Fprintf(w, `],"count":%d`, count)
@@ -398,75 +385,47 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "}\n")
 }
 
-// rowFlushBytes is how much encoded row data handleQuery buffers before
-// writing it out.
-const rowFlushBytes = 32 << 10
-
 // appendJSONStrings appends ss as a JSON array of strings, byte for byte
-// as json.Marshal encodes a []string.
+// as json.Marshal encodes a []string: '"' and '\\' escaped, control
+// bytes as \b, \f, \n, \r, \t or \u00XX, '<', '>' and '&' as \u003c,
+// \u003e and \u0026 (HTML-safe), U+2028 and U+2029 as \u2028 and \u2029,
+// and each byte of invalid UTF-8 as \ufffd.
 func appendJSONStrings(dst []byte, ss []string) []byte {
+	const hex = "0123456789abcdef"
 	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
+	for k, s := range ss {
+		if k > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONString(dst, s)
+		dst = append(dst, '"')
+		start := 0
+		for i := 0; i < len(s); {
+			b, n, esc := s[i], 1, ""
+			switch {
+			case b >= utf8.RuneSelf:
+				var c rune
+				switch c, n = utf8.DecodeRuneInString(s[i:]); {
+				case c == utf8.RuneError && n == 1:
+					esc = `\ufffd`
+				case c == '\u2028' || c == '\u2029':
+					esc = `\u202` + hex[c&0xF:c&0xF+1]
+				}
+			case b < 0x20 || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&':
+				if j := strings.IndexByte("\"\\\b\f\n\r\t", b); j >= 0 {
+					esc = `\` + `"\bfnrt`[j:j+1]
+				} else {
+					esc = `\u00` + hex[b>>4:b>>4+1] + hex[b&0xF:b&0xF+1]
+				}
+			}
+			if esc != "" {
+				dst = append(append(dst, s[start:i]...), esc...)
+				start = i + n
+			}
+			i += n
+		}
+		dst = append(append(dst, s[start:]...), '"')
 	}
 	return append(dst, ']')
-}
-
-// appendJSONString appends s as a JSON string the way encoding/json
-// does: '"' and '\\' escaped, control bytes as \b, \f, \n, \r, \t or
-// \u00XX, '<', '>' and '&' as \u003c, \u003e and \u0026 (HTML-safe),
-// U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8
-// as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(append(dst, s[start:i]...), `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
 
 // queryCursor is the decoded form of the opaque pagination token: the

@@ -186,11 +186,11 @@ func predSelectivity(r *rel.Relation, e Expr) float64 {
 	st := r.Stats
 	switch x := e.(type) {
 	case *BinaryExpr:
-		col, v, op, ok := colConst(x)
+		c, v, op, ok := colConst(x)
 		if !ok {
 			break
 		}
-		switch op {
+		switch col := c.Column; op {
 		case "=":
 			if sel, ok := st.EqSelectivity(col); ok {
 				return clampSel(sel)
@@ -256,18 +256,18 @@ func clampSel(s float64) float64 {
 
 // colConst recognizes "column OP constant" (either order; comparison
 // operators are mirrored when the constant is on the left).
-func colConst(be *BinaryExpr) (col string, v rel.Value, op string, ok bool) {
+func colConst(be *BinaryExpr) (c *colRef, v rel.Value, op string, ok bool) {
 	if cr, k := be.Left.(*colRef); k {
 		if lit, k2 := be.Right.(*Literal); k2 {
-			return cr.Column, lit.Value, be.Op, true
+			return cr, lit.Value, be.Op, true
 		}
 	}
 	if cr, k := be.Right.(*colRef); k {
 		if lit, k2 := be.Left.(*Literal); k2 {
-			return cr.Column, lit.Value, mirrorOp(be.Op), true
+			return cr, lit.Value, mirrorOp(be.Op), true
 		}
 	}
-	return "", rel.Value{}, "", false
+	return nil, rel.Value{}, "", false
 }
 
 func mirrorOp(op string) string {

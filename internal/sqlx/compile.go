@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -8,27 +9,15 @@ import (
 	"repro/internal/rel"
 )
 
-// Expression compilation. Prepare (and Exec) compile every bound
-// expression once into a tree of Go closures over an env: a predicate
-// into a three-valued pred, anything else into a scalar. Constants fold
-// first (foldExpr), a LIKE with a constant pattern captures its compiled
-// matcher, and a comparison of a column with a literal reads the tuple
-// slot and compares typed values when the slot holds the literal's kind.
-// What a closure captures is fixed at compile time — constants, column
-// positions, matchers, IN nodes — and per-run state (IN subquery sets)
-// is read through the env, so a cached plan's closures serve concurrent
-// runs. This is interpretation by closure compilation (Kersten et al.,
-// "Everything You Always Wanted to Know About Compiled and Vectorized
-// Queries But Were Afraid to Ask", VLDB 2018).
+// A compiled expression captures only what is fixed at compile time;
+// per-run state (IN subquery sets) is read through the env, so a cached
+// plan's closures serve concurrent runs.
 
-// tri is a three-valued truth value.
+// tri is a three-valued truth value, NULL greatest, so that of two
+// values neither of which decides an AND or OR, max is its answer.
 type tri uint8
 
-const (
-	triFalse tri = iota
-	triTrue
-	triNull
-)
+const triFalse, triTrue, triNull tri = 0, 1, 2
 
 func triOf(b bool) tri {
 	if b {
@@ -37,31 +26,14 @@ func triOf(b bool) tri {
 	return triFalse
 }
 
-// truth reads a value as a condition: NULL is unknown, and any other
-// value is TRUE exactly when it reads as boolean true (AsBool).
-func truth(v rel.Value) tri {
-	if v.IsNull() {
-		return triNull
-	}
-	b, _ := v.AsBool()
-	return triOf(b)
-}
+type pred func(*env) (tri, error)
+type scalar func(*env) (rel.Value, error)
 
-type (
-	// pred is a compiled predicate.
-	pred func(*env) (tri, error)
-	// scalar is a compiled value expression.
-	scalar func(*env) (rel.Value, error)
-)
-
-// compilePred folds e's constants and compiles it as a predicate.
-func compilePred(e Expr) pred { return predOf(foldExpr(e)) }
-
-// compileScalar folds e's constants and compiles it as a value.
+// compileScalar folds e's constants and compiles it as a value, and
+// compileScalars each expression of list.
 func compileScalar(e Expr) scalar { return scalarOf(foldExpr(e)) }
 
-// compileScalars compiles every expression of list.
-func compileScalars(list []Expr) []scalar {
+func compileScalars(list ...Expr) []scalar {
 	out := make([]scalar, len(list))
 	for i, e := range list {
 		out[i] = compileScalar(e)
@@ -76,7 +48,7 @@ type cond struct {
 	test pred
 }
 
-func newCond(e Expr) cond { return cond{e, compilePred(e)} }
+func newCond(e Expr) cond { return cond{e, predOf(foldExpr(e))} }
 
 // newConds compiles each conjunct of e's AND tree.
 func newConds(e Expr) []cond {
@@ -102,24 +74,21 @@ func allHold(conds []cond, e *env) (bool, error) {
 	return ok, nil
 }
 
-// predOf compiles a folded expression as a predicate: boolean operators
-// natively, any other expression by the truth of its value.
+// predOf compiles a folded expression as a predicate: AND, OR and NOT in
+// three values, a column against a literal in place (slotPred), and
+// anything else by its value: NULL is unknown, any other value TRUE
+// when AsBool reads it as true.
 func predOf(e Expr) pred {
 	switch x := e.(type) {
-	case *Literal:
-		t := truth(x.Value)
-		return func(*env) (tri, error) { return t, nil }
 	case *BinaryExpr:
 		switch x.Op {
 		case "AND":
-			return andOf(predOf(x.Left), predOf(x.Right))
+			return logicOf(predOf(x.Left), predOf(x.Right), triFalse)
 		case "OR":
-			return orOf(predOf(x.Left), predOf(x.Right))
-		case "LIKE":
-			return likeOf(x)
+			return logicOf(predOf(x.Left), predOf(x.Right), triTrue)
 		}
-		if op, ok := cmpOps[x.Op]; ok {
-			return cmpOf(op, x.Left, x.Right)
+		if p := slotPred(x); p != nil {
+			return p
 		}
 	case *UnaryExpr:
 		if x.Op == "NOT" {
@@ -132,28 +101,19 @@ func predOf(e Expr) pred {
 				return triOf(t == triFalse), nil
 			}
 		}
-	case *IsNullExpr:
-		v, negate := scalarOf(x.Expr), x.Negate
-		return func(e *env) (tri, error) {
-			val, err := v(e)
-			return triOf(val.IsNull() != negate), err
-		}
-	case *InExpr:
-		return inOf(x)
-	case *BetweenExpr:
-		return betweenOf(x)
 	}
 	v := scalarOf(e)
 	return func(e *env) (tri, error) {
 		val, err := v(e)
-		if err != nil {
-			return triFalse, err
+		if err != nil || val.IsNull() {
+			return triNull, err
 		}
-		return truth(val), nil
+		b, _ := val.AsBool()
+		return triOf(b), nil
 	}
 }
 
-// scalarOf compiles a folded expression as a value; a predicate's value
+// scalarOf compiles a folded expression as a value; a condition's value
 // is TRUE, FALSE or NULL.
 func scalarOf(e Expr) scalar {
 	switch x := e.(type) {
@@ -167,53 +127,61 @@ func scalarOf(e Expr) scalar {
 		i := x.i
 		return func(e *env) (rel.Value, error) { return e.aggs[i], nil }
 	case *UnaryExpr:
-		switch x.Op {
-		case "-":
-			return negOf(scalarOf(x.Expr))
-		case "NOT":
+		if x.Op == "NOT" {
 			return valueOf(predOf(x))
+		}
+		if v := scalarOf(x.Expr); x.Op == "-" {
+			return func(e *env) (rel.Value, error) {
+				val, err := v(e)
+				if err != nil || val.IsNull() {
+					return rel.Null(), err
+				}
+				if val.K == rel.KindInt {
+					return rel.Int(-val.I), nil
+				}
+				f, ok := val.AsFloat()
+				if !ok {
+					return rel.Null(), fmt.Errorf("sqlx: cannot negate %v", val)
+				}
+				return rel.Float(-f), nil
+			}
 		}
 	case *BinaryExpr:
-		switch x.Op {
-		case "||":
+		if x.Op == "AND" || x.Op == "OR" {
+			return valueOf(predOf(x))
+		}
+		if f := binaryOp(x); f != nil {
 			l, r := scalarOf(x.Left), scalarOf(x.Right)
 			return func(e *env) (rel.Value, error) {
-				lv, rv, err := both(l, r, e)
+				lv, err := l(e)
+				if err != nil {
+					return lv, err
+				}
+				rv, err := r(e)
 				if err != nil || lv.IsNull() || rv.IsNull() {
 					return rel.Null(), err
 				}
-				return rel.Str(lv.AsString() + rv.AsString()), nil
+				return f(lv, rv)
 			}
-		case "+", "-", "*", "/", "%":
-			l, r, op := scalarOf(x.Left), scalarOf(x.Right), x.Op[0]
-			return func(e *env) (rel.Value, error) {
-				lv, rv, err := both(l, r, e)
-				if err != nil || lv.IsNull() || rv.IsNull() {
-					return rel.Null(), err
-				}
-				return arith(op, lv, rv)
-			}
-		case "AND", "OR", "LIKE":
-			return valueOf(predOf(x))
 		}
-		if _, ok := cmpOps[x.Op]; ok {
-			return valueOf(predOf(x))
+	case *IsNullExpr:
+		v, negate := scalarOf(x.Expr), x.Negate
+		return func(e *env) (rel.Value, error) {
+			val, err := v(e)
+			return rel.Bool(val.IsNull() != negate), err
 		}
-		return fails(fmt.Errorf("sqlx: unknown operator %q", x.Op))
-	case *IsNullExpr, *InExpr, *BetweenExpr:
-		return valueOf(predOf(x))
+	case *InExpr:
+		return inOf(x)
+	case *BetweenExpr:
+		return betweenOf(x)
 	case *FuncExpr:
 		return funcOf(x)
 	}
-	return fails(fmt.Errorf("sqlx: cannot evaluate %T", e))
-}
-
-// fails is a scalar that always returns err.
-func fails(err error) scalar {
+	err := fmt.Errorf("sqlx: cannot evaluate %T", e)
 	return func(*env) (rel.Value, error) { return rel.Null(), err }
 }
 
-// valueOf turns a predicate into a value: TRUE, FALSE or NULL.
+// valueOf turns a predicate into a value.
 func valueOf(p pred) scalar {
 	return func(e *env) (rel.Value, error) {
 		t, err := p(e)
@@ -224,375 +192,182 @@ func valueOf(p pred) scalar {
 	}
 }
 
-// both evaluates l, then r.
-func both(l, r scalar, e *env) (rel.Value, rel.Value, error) {
-	lv, err := l(e)
-	if err != nil {
-		return lv, lv, err
-	}
-	rv, err := r(e)
-	return lv, rv, err
-}
-
-// andOf is three-valued AND: r runs unless l is FALSE.
-func andOf(l, r pred) pred {
+// logicOf compiles three-valued AND (stop is FALSE) or OR (stop is
+// TRUE): r runs unless l is stop; either one at stop decides, else a
+// NULL does.
+func logicOf(l, r pred, stop tri) pred {
 	return func(e *env) (tri, error) {
 		lt, err := l(e)
-		if lt == triFalse || err != nil {
+		if lt == stop || err != nil {
 			return lt, err
 		}
 		rt, err := r(e)
-		if rt == triFalse || err != nil {
+		if rt == stop || err != nil {
 			return rt, err
 		}
-		if lt == triNull || rt == triNull {
-			return triNull, nil
-		}
-		return triTrue, nil
+		return max(lt, rt), nil
 	}
 }
 
-// orOf is three-valued OR: r runs unless l is TRUE.
-func orOf(l, r pred) pred {
-	return func(e *env) (tri, error) {
-		lt, err := l(e)
-		if lt == triTrue || err != nil {
-			return lt, err
-		}
-		rt, err := r(e)
-		if rt == triTrue || err != nil {
-			return rt, err
-		}
-		if lt == triNull || rt == triNull {
-			return triNull, nil
-		}
-		return triFalse, nil
+// binaryOp returns what x's operator makes of two non-NULL operands (a
+// NULL one makes NULL), or nil for AND, OR and operators the parser
+// never makes. A LIKE with a
+// constant pattern compiles it here, once; any other, per row.
+func binaryOp(x *BinaryExpr) func(l, r rel.Value) (rel.Value, error) {
+	if op, ok := cmpOps[x.Op]; ok {
+		return func(l, r rel.Value) (rel.Value, error) { return rel.Bool(op.holds(l, r)), nil }
 	}
+	switch op := x.Op; op {
+	case "||":
+		return func(l, r rel.Value) (rel.Value, error) { return rel.Str(l.AsString() + r.AsString()), nil }
+	case "+", "-", "*", "/", "%":
+		return func(l, r rel.Value) (rel.Value, error) { return arith(op[0], l, r) }
+	case "LIKE":
+		if lit, ok := x.Right.(*Literal); ok && !lit.Value.IsNull() {
+			m := compileLike(lit.Value.AsString())
+			return func(l, _ rel.Value) (rel.Value, error) { return rel.Bool(m.match(l.AsString())), nil }
+		}
+		return func(l, r rel.Value) (rel.Value, error) {
+			return rel.Bool(compileLike(r.AsString()).match(l.AsString())), nil
+		}
+	}
+	return nil
 }
 
-// cmpOp is a comparison operator. "=" and "<>" compare with
-// rel.Value.Equal, the orderings with rel.Value.Compare.
-type cmpOp uint8
-
-const (
-	opEq cmpOp = iota
-	opNe
-	opLt
-	opLe
-	opGt
-	opGe
-)
-
-var cmpOps = map[string]cmpOp{"=": opEq, "<>": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe}
-
-// mirror is the operator with its operands swapped.
-func (o cmpOp) mirror() cmpOp {
-	switch o {
-	case opLt:
-		return opGt
-	case opLe:
-		return opGe
-	case opGt:
-		return opLt
-	case opGe:
-		return opLe
-	}
-	return o
+// cmpOp is a comparison operator: the signs of rel.Value.Compare it
+// accepts, by sign+1, or for "=" and "<>" (exact) whether
+// rel.Value.Equal must hold, at signs[1].
+type cmpOp struct {
+	signs [3]bool
+	exact bool
 }
 
-// order reports whether a Compare result c satisfies an ordering.
-func (o cmpOp) order(c int) bool {
-	switch o {
-	case opLt:
-		return c < 0
-	case opLe:
-		return c <= 0
-	case opGt:
-		return c > 0
-	}
-	return c >= 0
+var cmpOps = map[string]cmpOp{
+	"=": {[3]bool{false, true, false}, true}, "<>": {[3]bool{true, false, true}, true},
+	"<": {signs: [3]bool{true, false, false}}, "<=": {signs: [3]bool{true, true, false}},
+	">": {signs: [3]bool{false, false, true}}, ">=": {signs: [3]bool{false, true, true}},
 }
 
 // holds compares two non-NULL values.
 func (o cmpOp) holds(l, r rel.Value) bool {
-	switch o {
-	case opEq:
-		return l.Equal(r)
-	case opNe:
-		return !l.Equal(r)
+	if o.exact {
+		return l.Equal(r) == o.signs[1]
 	}
-	return o.order(l.Compare(r))
+	return o.signs[l.Compare(r)+1]
 }
 
-// cmpOf compiles l op r: NULL when either side is NULL.
-func cmpOf(op cmpOp, l, r Expr) pred {
-	if c, lit, ok := colAndLiteral(l, r); ok {
-		if c != l {
-			op = op.mirror()
-		}
-		return colCmpLit(op, c, lit)
+// slotPred compiles a column compared with a non-NULL literal to read
+// its tuple slot in place (nil for any other expression). A string or
+// integer slot of the literal's kind compares typed, as Equal and
+// Compare do: exactly for "=" and "<>", integers as floats otherwise.
+func slotPred(x *BinaryExpr) pred {
+	c, k, opName, ok := colConst(x)
+	op, isCmp := cmpOps[opName]
+	if !ok || !isCmp || k.IsNull() {
+		return nil
 	}
-	ls, rs := scalarOf(l), scalarOf(r)
-	return func(e *env) (tri, error) {
-		lv, rv, err := both(ls, rs, e)
-		if err != nil || lv.IsNull() || rv.IsNull() {
-			return triNull, err
-		}
-		return triOf(op.holds(lv, rv)), nil
-	}
-}
-
-// colAndLiteral recognizes a column and a non-NULL literal, in either
-// order.
-func colAndLiteral(l, r Expr) (*colRef, rel.Value, bool) {
-	if c, ok := l.(*colRef); ok {
-		if lit, ok := r.(*Literal); ok && !lit.Value.IsNull() {
-			return c, lit.Value, true
-		}
-	}
-	if c, ok := r.(*colRef); ok {
-		if lit, ok := l.(*Literal); ok && !lit.Value.IsNull() {
-			return c, lit.Value, true
-		}
-	}
-	return nil, rel.Value{}, false
-}
-
-// colCmpLit compiles "column op literal". A slot holding the literal's
-// kind compares typed values in place — strings bytewise, integers
-// exactly for "=" and "<>" and as floats for orderings, as Equal and
-// Compare do; a slot of any other kind takes the general rule.
-func colCmpLit(op cmpOp, c *colRef, lit rel.Value) pred {
 	tab, col := c.tab, c.col
-	eq := op == opEq || op == opNe
-	switch lit.K {
-	case rel.KindString:
-		s := lit.S
-		return func(e *env) (tri, error) {
-			v := &e.tuples[tab][col]
-			switch {
-			case v.K != rel.KindString:
-				return op.slot(v, lit), nil
-			case eq:
-				return triOf((v.S == s) == (op == opEq)), nil
-			}
-			return triOf(op.order(strings.Compare(v.S, s))), nil
-		}
-	case rel.KindInt:
-		i := lit.I
-		return func(e *env) (tri, error) {
-			v := &e.tuples[tab][col]
-			switch {
-			case v.K != rel.KindInt:
-				return op.slot(v, lit), nil
-			case eq:
-				return triOf((v.I == i) == (op == opEq)), nil
-			}
-			return triOf(op.order(cmpFloat(float64(v.I), float64(i)))), nil
-		}
-	case rel.KindFloat:
-		f := lit.F
-		return func(e *env) (tri, error) {
-			v := &e.tuples[tab][col]
-			switch {
-			case v.K != rel.KindFloat:
-				return op.slot(v, lit), nil
-			case eq:
-				return triOf((v.F == f) == (op == opEq)), nil
-			}
-			return triOf(op.order(cmpFloat(v.F, f))), nil
-		}
-	}
-	return func(e *env) (tri, error) { return op.slot(&e.tuples[tab][col], lit), nil }
-}
-
-// slot compares a tuple slot with a non-NULL literal by the general rule.
-func (o cmpOp) slot(v *rel.Value, lit rel.Value) tri {
-	if v.IsNull() {
-		return triNull
-	}
-	return triOf(o.holds(*v, lit))
-}
-
-// cmpFloat orders two floats as rel.Value.Compare does: a NaN equals
-// everything.
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// likeOf compiles l LIKE r: NULL when either side is NULL. A constant
-// pattern is compiled here, once; a column's pattern is compiled per row.
-func likeOf(x *BinaryExpr) pred {
-	lit, ok := x.Right.(*Literal)
-	if !ok {
-		l, r := scalarOf(x.Left), scalarOf(x.Right)
-		return func(e *env) (tri, error) {
-			lv, rv, err := both(l, r, e)
-			if err != nil || lv.IsNull() || rv.IsNull() {
-				return triNull, err
-			}
-			return triOf(compileLike(rv.AsString()).match(lv.AsString())), nil
-		}
-	}
-	if lit.Value.IsNull() {
-		l := scalarOf(x.Left)
-		return func(e *env) (tri, error) {
-			_, err := l(e)
-			return triNull, err
-		}
-	}
-	m := compileLike(lit.Value.AsString())
-	match := func(v *rel.Value) tri {
-		switch v.K {
-		case rel.KindNull:
-			return triNull
-		case rel.KindString:
-			return triOf(m.match(v.S))
-		}
-		return triOf(m.match(v.AsString()))
-	}
-	if c, ok := x.Left.(*colRef); ok {
-		tab, col := c.tab, c.col
-		return func(e *env) (tri, error) { return match(&e.tuples[tab][col]), nil }
-	}
-	l := scalarOf(x.Left)
 	return func(e *env) (tri, error) {
-		v, err := l(e)
-		if err != nil {
-			return triNull, err
+		v := &e.tuples[tab][col]
+		switch {
+		case v.K == rel.KindNull:
+			return triNull, nil
+		case v.K != k.K:
+		case v.K == rel.KindString && op.exact:
+			return triOf((v.S == k.S) == op.signs[1]), nil
+		case v.K == rel.KindString:
+			return triOf(op.signs[strings.Compare(v.S, k.S)+1]), nil
+		case v.K == rel.KindInt && op.exact:
+			return triOf((v.I == k.I) == op.signs[1]), nil
+		case v.K == rel.KindInt:
+			return triOf(op.signs[cmp.Compare(float64(v.I), float64(k.I))+1]), nil
 		}
-		return match(&v), nil
+		return triOf(op.holds(*v, k)), nil
 	}
 }
 
 // inOf compiles x [NOT] IN (list) or (subquery): NULL for a NULL probe.
 // A list's items evaluate in order until one Equal-matches; a
-// subquery's set is the run's (materialized before it, never into the
-// shared node).
-func inOf(x *InExpr) pred {
-	v, negate := scalarOf(x.Expr), x.Negate
-	if x.Sub != nil {
-		return func(e *env) (tri, error) {
-			val, err := v(e)
-			if err != nil || val.IsNull() {
-				return triNull, err
-			}
-			var set *inSet
-			if e.rt != nil {
-				set = e.rt.subs[x]
-			}
-			if set == nil {
-				return triNull, fmt.Errorf("sqlx: internal: IN subquery not materialized")
-			}
-			return triOf(set.contains(val) != negate), nil
-		}
-	}
-	items := make([]scalar, len(x.List))
-	for i, it := range x.List {
-		items[i] = scalarOf(it)
-	}
-	return func(e *env) (tri, error) {
-		val, err := v(e)
-		if err != nil || val.IsNull() {
-			return triNull, err
-		}
-		match := false
-		for _, it := range items {
-			iv, err := it(e)
-			if err != nil {
-				return triNull, err
-			}
-			if match = val.Equal(iv); match {
-				break
-			}
-		}
-		return triOf(match != negate), nil
-	}
-}
-
-// betweenOf compiles x [NOT] BETWEEN lo AND hi: NULL when any of the
-// three is NULL.
-func betweenOf(x *BetweenExpr) pred {
-	v, lo, hi, negate := scalarOf(x.Expr), scalarOf(x.Lo), scalarOf(x.Hi), x.Negate
-	return func(e *env) (tri, error) {
-		val, lv, err := both(v, lo, e)
-		if err != nil {
-			return triNull, err
-		}
-		hv, err := hi(e)
-		if err != nil || val.IsNull() || lv.IsNull() || hv.IsNull() {
-			return triNull, err
-		}
-		in := val.Compare(lv) >= 0 && val.Compare(hv) <= 0
-		return triOf(in != negate), nil
-	}
-}
-
-// negOf compiles unary minus: NULL stays NULL, an INT stays INT.
-func negOf(v scalar) scalar {
+// subquery's set is the run's, materialized before it.
+func inOf(x *InExpr) scalar {
+	v, items, negate := scalarOf(x.Expr), compileScalars(x.List...), x.Negate
 	return func(e *env) (rel.Value, error) {
 		val, err := v(e)
 		if err != nil || val.IsNull() {
 			return rel.Null(), err
 		}
-		if val.K == rel.KindInt {
-			return rel.Int(-val.I), nil
+		match := false
+		if x.Sub != nil {
+			var set *inSet
+			if e.rt != nil {
+				set = e.rt.subs[x]
+			}
+			if set == nil {
+				return rel.Null(), fmt.Errorf("sqlx: internal: IN subquery not materialized")
+			}
+			match = set.contains(val)
 		}
-		f, ok := val.AsFloat()
-		if !ok {
-			return rel.Null(), fmt.Errorf("sqlx: cannot negate %v", val)
+		for _, it := range items {
+			iv, err := it(e)
+			if err != nil {
+				return rel.Null(), err
+			}
+			if match = val.Equal(iv); match {
+				break
+			}
 		}
-		return rel.Float(-f), nil
+		return rel.Bool(match != negate), nil
+	}
+}
+
+// betweenOf compiles x [NOT] BETWEEN lo AND hi: NULL when any of the
+// three is NULL.
+func betweenOf(x *BetweenExpr) scalar {
+	args, negate := compileScalars(x.Expr, x.Lo, x.Hi), x.Negate
+	return func(e *env) (rel.Value, error) {
+		var v [3]rel.Value
+		for i, a := range args {
+			var err error
+			if v[i], err = a(e); err != nil {
+				return rel.Null(), err
+			}
+		}
+		if v[0].IsNull() || v[1].IsNull() || v[2].IsNull() {
+			return rel.Null(), nil
+		}
+		return rel.Bool((v[0].Compare(v[1]) >= 0 && v[0].Compare(v[2]) <= 0) != negate), nil
 	}
 }
 
 // arith applies + - * / % to two non-NULL values: INT op INT stays INT,
 // anything else that reads as a number gives FLOAT.
 func arith(op byte, l, r rel.Value) (rel.Value, error) {
-	if l.K == rel.KindInt && r.K == rel.KindInt {
-		a, b := l.I, r.I
-		switch op {
-		case '+':
-			return rel.Int(a + b), nil
-		case '-':
-			return rel.Int(a - b), nil
-		case '*':
-			return rel.Int(a * b), nil
-		}
-		if b == 0 {
-			return rel.Null(), fmt.Errorf("sqlx: division by zero")
-		}
-		if op == '/' {
-			return rel.Int(a / b), nil
-		}
-		return rel.Int(a % b), nil
-	}
 	a, okA := l.AsFloat()
 	b, okB := r.AsFloat()
-	if !okA || !okB {
+	switch ints := l.K == rel.KindInt && r.K == rel.KindInt; {
+	case !ints && (!okA || !okB):
 		return rel.Null(), fmt.Errorf("sqlx: non-numeric operands for %q", string(op))
+	case b == 0 && (op == '/' || op == '%'):
+		return rel.Null(), fmt.Errorf("sqlx: division by zero")
+	case ints:
+		return rel.Int(apply(op, l.I, r.I, func(a, b int64) int64 { return a % b })), nil
 	}
+	return rel.Float(apply(op, a, b, math.Mod)), nil
+}
+
+// apply applies + - * / to a and b, or mod for %.
+func apply[T int64 | float64](op byte, a, b T, mod func(a, b T) T) T {
 	switch op {
 	case '+':
-		return rel.Float(a + b), nil
+		return a + b
 	case '-':
-		return rel.Float(a - b), nil
+		return a - b
 	case '*':
-		return rel.Float(a * b), nil
+		return a * b
+	case '/':
+		return a / b
 	}
-	if b == 0 {
-		return rel.Null(), fmt.Errorf("sqlx: division by zero")
-	}
-	if op == '/' {
-		return rel.Float(a / b), nil
-	}
-	return rel.Float(math.Mod(a, b)), nil
+	return mod(a, b)
 }
 
 // scalarArity names the scalar functions, with each one's least and most
@@ -606,11 +381,7 @@ var scalarArity = map[string][2]int{
 // funcOf compiles a scalar function call: every argument evaluates, in
 // order, before the function applies.
 func funcOf(x *FuncExpr) scalar {
-	args := make([]scalar, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = scalarOf(a)
-	}
-	name := x.Name
+	args, name := compileScalars(x.Args...), x.Name
 	return func(e *env) (rel.Value, error) {
 		var buf [3]rel.Value
 		vals := buf[:0]
@@ -626,7 +397,7 @@ func funcOf(x *FuncExpr) scalar {
 }
 
 // applyScalar applies the scalar function name to its evaluated
-// arguments.
+// arguments: NULL in, NULL out, but for COALESCE.
 func applyScalar(name string, args []rel.Value) (rel.Value, error) {
 	if name == "COALESCE" {
 		for _, a := range args {
@@ -640,6 +411,7 @@ func applyScalar(name string, args []rel.Value) (rel.Value, error) {
 		return rel.Null(), nil
 	}
 	s := args[0]
+	f, numeric := s.AsFloat()
 	switch name {
 	case "LENGTH":
 		return rel.Int(int64(len(s.AsString()))), nil
@@ -649,19 +421,15 @@ func applyScalar(name string, args []rel.Value) (rel.Value, error) {
 		return rel.Str(strings.ToUpper(s.AsString())), nil
 	case "TRIM":
 		return rel.Str(strings.TrimSpace(s.AsString())), nil
-	case "ABS":
-		if s.K == rel.KindInt {
+	case "ABS", "ROUND":
+		switch {
+		case !numeric:
+			return rel.Null(), fmt.Errorf("sqlx: %s of non-numeric", name)
+		case name == "ROUND":
+		case s.K == rel.KindInt:
 			return rel.Int(max(s.I, -s.I)), nil
-		}
-		f, ok := s.AsFloat()
-		if !ok {
-			return rel.Null(), fmt.Errorf("sqlx: ABS of non-numeric")
-		}
-		return rel.Float(math.Abs(f)), nil
-	case "ROUND":
-		f, ok := s.AsFloat()
-		if !ok {
-			return rel.Null(), fmt.Errorf("sqlx: ROUND of non-numeric")
+		default:
+			return rel.Float(math.Abs(f)), nil
 		}
 		digits := int64(0)
 		if len(args) == 2 {
@@ -672,8 +440,7 @@ func applyScalar(name string, args []rel.Value) (rel.Value, error) {
 	case "SUBSTR":
 		str := s.AsString()
 		start, _ := args[1].AsInt()
-		start = max(start, 1)
-		if int(start) > len(str) {
+		if start = max(start, 1); int(start) > len(str) {
 			return rel.Str(""), nil
 		}
 		rest := str[start-1:]

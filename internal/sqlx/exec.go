@@ -372,7 +372,7 @@ func execUpdate(ctx context.Context, db *rel.Database, s *UpdateStmt) (*Result, 
 		}
 		idx[i] = j
 	}
-	where, values := newConds(bound[0]), compileScalars(bound[1:])
+	where, values := newConds(bound[0]), compileScalars(bound[1:]...)
 	n := 0
 	for ti, t := range r.Tuples {
 		e.tuples[0] = t

@@ -4,10 +4,10 @@
 // aggregates, multi-way JOIN ... ON, WHERE, GROUP BY, HAVING, ORDER BY,
 // LIMIT/OFFSET, CREATE TABLE, INSERT, UPDATE, DELETE.
 //
-// A statement is parsed, its names resolved (resolve.go) and every
-// expression compiled once into Go closures (compile.go), then run by
-// one batch-at-a-time operator pipeline (vec*.go): no expression tree is
-// walked per row.
+// A statement is parsed, its names resolved (resolve.go) and each of its
+// expressions compiled once into Go closures over the row (compile.go:
+// interpretation by closure compilation, Kersten et al., VLDB 2018), then
+// run by one batch-at-a-time operator pipeline (vec*.go).
 package sqlx
 
 import (

@@ -79,11 +79,9 @@ func compileLike(pattern string) *likeMatcher {
 }
 
 // match reports whether s matches the pattern. The first pass folds
-// ASCII case only, and ORs together every byte of s — those its scan
-// reads, then the ones it skipped — so an ASCII row is read once. A row
-// holding a byte >= 0x80 is lowered and matched again: lowering can
-// change bytes and lengths, so the first verdict on it means nothing
-// (three '_' match the 3-byte Kelvin sign, which lowers to one byte).
+// ASCII case only and ORs every byte of s, those its scan reads and then
+// the rest, so an ASCII row is read once. Any other row is lowered and
+// matched again (three '_' match the Kelvin sign's 3 bytes, not its 'k').
 func (m *likeMatcher) match(s string) bool {
 	ok, high := m.matchFolded(s)
 	if high >= 0x80 {
@@ -95,12 +93,9 @@ func (m *likeMatcher) match(s string) bool {
 // matchFolded matches s folding ASCII case only, and returns the OR of
 // all of s's bytes beside the verdict.
 func (m *likeMatcher) matchFolded(s string) (bool, byte) {
-	if len(s) < m.minLen || m.exact {
-		return m.exact && len(s) == len(m.head.pat) && m.head.at(s, 0, 0), orBytes(s)
-	}
 	end := len(s) - len(m.tail.pat)
-	if !m.head.at(s, 0, 0) || !m.tail.at(s, end, 0) {
-		return false, orBytes(s)
+	if len(s) < m.minLen || m.exact || !m.head.at(s, 0, 0) || !m.tail.at(s, end, 0) {
+		return m.exact && len(s) == len(m.head.pat) && m.head.at(s, 0, 0), orBytes(s)
 	}
 	high := orBytes(s[:len(m.head.pat)]) | orBytes(s[end:])
 	pos := len(m.head.pat)
@@ -148,9 +143,8 @@ func (g *likeSegment) find(s string) (at, read int, high byte) {
 	masks := g.masks
 	d := ^uint64(0)
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		high |= c
-		d = d<<1 | masks[c]
+		high |= s[i]
+		d = d<<1 | masks[s[i]]
 		if d&hit != 0 {
 			continue
 		}

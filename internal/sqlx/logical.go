@@ -37,15 +37,13 @@ type logicalSelect struct {
 	union    *logicalSelect
 	// items are the compiled select items, stars expanded, and cols their
 	// output names.
-	items []scalar
-	cols  []string
-	// groupBy are the bound GROUP BY keys, and groupKeys them compiled.
-	groupBy   []Expr
-	groupKeys []scalar
+	items     []scalar
+	cols      []string
+	groupBy   []Expr   // as bound, for estimates
+	groupKeys []scalar // groupBy compiled
 	having    []cond
 	// grouped selects aggregate aggs, the aggregate calls of their items
-	// and HAVING, per group; aggArgs are their compiled arguments (nil
-	// for COUNT(*)).
+	// and HAVING, per group, over aggArgs (nil for COUNT(*)).
 	grouped bool
 	aggs    []*FuncExpr
 	aggArgs []scalar
@@ -64,11 +62,10 @@ type tableLogical struct {
 	join *Join // nil for the FROM table
 	// pos is the table's FROM position, and schema the one its names
 	// resolved against.
-	pos    int
-	schema *rel.Schema
-	// on is the bound ON predicate, and onConds its conjuncts.
-	on      Expr
-	onConds []cond
+	pos     int
+	schema  *rel.Schema
+	on      Expr   // the bound ON predicate
+	onConds []cond // on's conjuncts
 	// filters are the pushed-down conjuncts, evaluated on this table's
 	// rows below the join.
 	filters []cond
@@ -170,7 +167,7 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 	if lg.groupBy, err = r.exprs(s.GroupBy, false); err != nil {
 		return nil, err
 	}
-	lg.groupKeys = compileScalars(lg.groupBy)
+	lg.groupKeys = compileScalars(lg.groupBy...)
 	having, err := r.expr(s.Having, true)
 	if err != nil {
 		return nil, err
@@ -191,14 +188,7 @@ func buildLogical(db *rel.Database, s *SelectStmt) (*logicalSelect, error) {
 	if lg.order, err = r.orderKeys(s.OrderBy, items, lg.cols, rows); err != nil {
 		return nil, err
 	}
-	lg.subs, lg.aggs = r.subs, r.aggs
-	for _, a := range lg.aggs {
-		var arg scalar
-		if !a.Star {
-			arg = compileScalar(a.Args[0])
-		}
-		lg.aggArgs = append(lg.aggArgs, arg)
-	}
+	lg.subs, lg.aggs, lg.aggArgs = r.subs, r.aggs, r.args
 	return lg, nil
 }
 
@@ -367,18 +357,9 @@ func collectColumnRefs(e Expr, out *[]*colRef) {
 
 // eqConst recognizes "column = constant" conjuncts in either order.
 func eqConst(e Expr) (string, rel.Value, bool) {
-	be, ok := e.(*BinaryExpr)
-	if !ok || be.Op != "=" {
-		return "", rel.Value{}, false
-	}
-	if cr, ok := be.Left.(*colRef); ok {
-		if lit, ok := be.Right.(*Literal); ok {
-			return cr.Column, lit.Value, true
-		}
-	}
-	if cr, ok := be.Right.(*colRef); ok {
-		if lit, ok := be.Left.(*Literal); ok {
-			return cr.Column, lit.Value, true
+	if be, ok := e.(*BinaryExpr); ok && be.Op == "=" {
+		if c, v, _, ok := colConst(be); ok {
+			return c.Column, v, true
 		}
 	}
 	return "", rel.Value{}, false

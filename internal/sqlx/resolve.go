@@ -34,6 +34,7 @@ type resolver struct {
 	scope []*tableLogical
 	subs  []*InExpr
 	aggs  []*FuncExpr
+	args  []scalar // the aggregates' compiled arguments, nil for COUNT(*)
 }
 
 // column resolves cr: by binding name when qualified (the first such
@@ -136,7 +137,11 @@ func (r *resolver) expr(e Expr, aggs bool) (Expr, error) {
 		}
 		aggs = false
 		f := &FuncExpr{Name: x.Name, Star: x.Star, Distinct: x.Distinct, Args: list(x.Args)}
-		r.aggs = append(r.aggs, f)
+		var arg scalar
+		if err == nil && !x.Star {
+			arg = compileScalar(f.Args[0])
+		}
+		r.aggs, r.args = append(r.aggs, f), append(r.args, arg)
 		e = &aggRef{f, len(r.aggs) - 1}
 	}
 	return e, err
