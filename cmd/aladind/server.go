@@ -385,13 +385,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "}\n")
 }
 
+// jsonSafe marks the bytes json.Marshal copies into a string as they
+// are: printable ASCII but '"', '\\', '<', '>' and '&'.
+var jsonSafe = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, c)
+	}
+	return t
+}()
+
 // appendJSONStrings appends ss as a JSON array of strings, byte for byte
-// as json.Marshal encodes a []string: '"' and '\\' escaped, control
-// bytes as \b, \f, \n, \r, \t or \u00XX, '<', '>' and '&' as \u003c,
-// \u003e and \u0026 (HTML-safe), U+2028 and U+2029 as \u2028 and \u2029,
-// and each byte of invalid UTF-8 as \ufffd.
+// as json.Marshal encodes a []string: '"' and '\\' escaped, \b, \f, \n,
+// \r and \t as such, any other control byte, '<', '>', '&', U+2028 and
+// U+2029 as \uXXXX, and each byte of invalid UTF-8 as \ufffd.
 func appendJSONStrings(dst []byte, ss []string) []byte {
-	const hex = "0123456789abcdef"
 	dst = append(dst, '[')
 	for k, s := range ss {
 		if k > 0 {
@@ -400,28 +407,26 @@ func appendJSONStrings(dst []byte, ss []string) []byte {
 		dst = append(dst, '"')
 		start := 0
 		for i := 0; i < len(s); {
-			b, n, esc := s[i], 1, ""
-			switch {
-			case b >= utf8.RuneSelf:
-				var c rune
-				switch c, n = utf8.DecodeRuneInString(s[i:]); {
-				case c == utf8.RuneError && n == 1:
-					esc = `\ufffd`
-				case c == '\u2028' || c == '\u2029':
-					esc = `\u202` + hex[c&0xF:c&0xF+1]
-				}
-			case b < 0x20 || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&':
-				if j := strings.IndexByte("\"\\\b\f\n\r\t", b); j >= 0 {
-					esc = `\` + `"\bfnrt`[j:j+1]
-				} else {
-					esc = `\u00` + hex[b>>4:b>>4+1] + hex[b&0xF:b&0xF+1]
-				}
+			if jsonSafe[s[i]] {
+				i++
+				continue
 			}
-			if esc != "" {
-				dst = append(append(dst, s[start:i]...), esc...)
-				start = i + n
+			c, n := utf8.DecodeRuneInString(s[i:])
+			if n > 1 && c != '\u2028' && c != '\u2029' {
+				i += n
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch j := strings.IndexByte("\"\\\b\f\n\r\t", s[i]); {
+			case c == utf8.RuneError:
+				dst = append(dst, `\ufffd`...)
+			case j >= 0:
+				dst = append(dst, '\\', `"\bfnrt`[j])
+			default:
+				dst = fmt.Appendf(dst, `\u%04x`, c)
 			}
 			i += n
+			start = i
 		}
 		dst = append(append(dst, s[start:]...), '"')
 	}

@@ -9,10 +9,6 @@ import (
 	"repro/internal/rel"
 )
 
-// A compiled expression captures only what is fixed at compile time;
-// per-run state (IN subquery sets) is read through the env, so a cached
-// plan's closures serve concurrent runs.
-
 // tri is a three-valued truth value, NULL greatest, so that of two
 // values neither of which decides an AND or OR, max is its answer.
 type tri uint8
@@ -95,10 +91,7 @@ func predOf(e Expr) pred {
 			p := predOf(x.Expr)
 			return func(e *env) (tri, error) {
 				t, err := p(e)
-				if t == triNull || err != nil {
-					return t, err
-				}
-				return triOf(t == triFalse), nil
+				return [...]tri{triTrue, triFalse, triNull}[t], err
 			}
 		}
 	}

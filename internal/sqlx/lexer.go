@@ -7,7 +7,9 @@
 // A statement is parsed, its names resolved (resolve.go) and each of its
 // expressions compiled once into Go closures over the row (compile.go:
 // interpretation by closure compilation, Kersten et al., VLDB 2018), then
-// run by one batch-at-a-time operator pipeline (vec*.go).
+// run by one batch-at-a-time operator pipeline (vec*.go). A closure
+// captures only what is fixed at compile time and reads per-run state
+// (IN subquery sets) through the row, so cached plans share it.
 package sqlx
 
 import (
