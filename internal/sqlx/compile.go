@@ -123,7 +123,8 @@ func scalarOf(e Expr) scalar {
 		if x.Op == "NOT" {
 			return valueOf(predOf(x))
 		}
-		if v := scalarOf(x.Expr); x.Op == "-" {
+		if x.Op == "-" {
+			v := scalarOf(x.Expr)
 			return func(e *env) (rel.Value, error) {
 				val, err := v(e)
 				if err != nil || val.IsNull() {
@@ -204,8 +205,7 @@ func logicOf(l, r pred, stop tri) pred {
 
 // binaryOp returns what x's operator makes of two non-NULL operands (a
 // NULL one makes NULL), or nil for AND, OR and operators the parser
-// never makes. A LIKE with a
-// constant pattern compiles it here, once; any other, per row.
+// never makes. A constant LIKE pattern compiles here, once.
 func binaryOp(x *BinaryExpr) func(l, r rel.Value) (rel.Value, error) {
 	if op, ok := cmpOps[x.Op]; ok {
 		return func(l, r rel.Value) (rel.Value, error) { return rel.Bool(op.holds(l, r)), nil }
