@@ -208,7 +208,7 @@ func logicOf(l, r pred, stop tri) pred {
 // never makes. A constant LIKE pattern compiles here, once.
 func binaryOp(x *BinaryExpr) func(l, r rel.Value) (rel.Value, error) {
 	if op, ok := cmpOps[x.Op]; ok {
-		return func(l, r rel.Value) (rel.Value, error) { return rel.Bool(op.holds(l, r)), nil }
+		return func(l, r rel.Value) (rel.Value, error) { return rel.Bool(op.accepts(l, r)), nil }
 	}
 	switch op := x.Op; op {
 	case "||":
@@ -241,8 +241,8 @@ var cmpOps = map[string]cmpOp{
 	">": {signs: [3]bool{false, false, true}}, ">=": {signs: [3]bool{false, true, true}},
 }
 
-// holds compares two non-NULL values.
-func (o cmpOp) holds(l, r rel.Value) bool {
+// accepts compares two non-NULL values.
+func (o cmpOp) accepts(l, r rel.Value) bool {
 	if o.exact {
 		return l.Equal(r) == o.signs[1]
 	}
@@ -275,7 +275,7 @@ func slotPred(x *BinaryExpr) pred {
 		case v.K == rel.KindInt:
 			return triOf(op.signs[cmp.Compare(float64(v.I), float64(k.I))+1]), nil
 		}
-		return triOf(op.holds(*v, k)), nil
+		return triOf(op.accepts(*v, k)), nil
 	}
 }
 
