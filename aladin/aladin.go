@@ -26,16 +26,31 @@
 //
 // # Concurrency
 //
-// A DB is safe for arbitrary concurrent use. Reads (Query, QueryRows,
-// Search, Browse, Objects, Related, Crawl, Stats, Sources, Conflicts,
-// Snapshot) run concurrently with each other and — by design — with the
-// expensive compute of an in-flight AddSource: the pipeline's steps 2–5
-// run against a snapshot of the current state, and only the final
-// commit, a cheap splice of precomputed artifacts, takes the write lock.
-// Integrations themselves are serialized. A QueryRows cursor goes one
-// step further: it iterates an immutable warehouse snapshot without any
-// lock, so even a commit landing mid-iteration never blocks on — or is
-// blocked by — an open cursor; the cursor keeps seeing the pre-add state.
+// A DB is safe for arbitrary concurrent use. Every method reaches the
+// warehouse through one of two doors. The read door checks the context
+// (ErrCanceled), takes the read lock, checks the database is open
+// (ErrClosed) and runs the read: Query, QueryRows and the other SQL
+// calls only to pin a warehouse snapshot, Search, Browse, Objects,
+// Related, Crawl, Conflicts, Stats, SnapshotID, Sources and Source for
+// their whole run. Reads run concurrently with each other and — by
+// design — with the expensive compute of an in-flight AddSource or
+// IngestSource batch: the pipeline's steps 2–5 run outside both doors,
+// and only the final commit, a cheap splice of precomputed artifacts,
+// passes the write door. The write door takes the write lock and checks
+// the database is open; every commit, Exec, Reanalyze (for its whole
+// run), RemoveLinkFeedback and replicated frame passes it. AddSource,
+// IngestSource, Exec and Reanalyze also hold an integration lock, so
+// they run one at a time.
+//
+// A panic behind the write door may leave reader-visible state half
+// written with no way to unwind it, so the database fails stop: it is
+// marked closed, the call returns ErrInternal, and every later call
+// returns ErrClosed instead of serving inconsistent data.
+//
+// A QueryRows cursor iterates an immutable warehouse snapshot without
+// any lock, so even a commit landing mid-iteration never blocks on — or
+// is blocked by — an open cursor; the cursor keeps seeing the pre-add
+// state.
 package aladin
 
 import (
@@ -140,8 +155,8 @@ type SourceInfo struct {
 // of readers run concurrently, and an in-flight AddSource blocks them
 // only during its short commit window.
 type DB struct {
-	// mu guards the reader-visible state of sys: readers hold RLock,
-	// AddSource's commit and the other mutating calls hold Lock.
+	// mu guards the reader-visible state of sys. Only the read door
+	// (RLock), the write door (Lock) and Close take it.
 	mu sync.RWMutex
 	// addMu serializes integrations; the pipeline's compute phase runs
 	// under it WITHOUT holding mu, concurrently with readers.
@@ -227,10 +242,45 @@ func (d *DB) Close() error {
 	return nil
 }
 
-// checkOpenRLocked reports ErrClosed; callers hold at least RLock.
-func (d *DB) checkOpenRLocked() error {
+// read is the door of every read: it checks ctx, then runs fn against
+// the system under the read lock unless the database is closed. fn runs
+// concurrently with other reads and must not mutate.
+func (d *DB) read(ctx context.Context, fn func(*core.System) error) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
+	}
+	return fn(d.sys)
+}
+
+// write is the door of every change to reader-visible state: fn runs
+// under the write lock unless the database is closed. A panic in fn
+// would leave that state half written with no way to unwind it, so the
+// database fails stop: it is marked closed and the panic surfaces as
+// ErrInternal instead of serving inconsistent data.
+func (d *DB) write(fn func(*core.System) error) (err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			d.closed = true
+			err = fmt.Errorf("%w: write panicked, database closed: %v", ErrInternal, r)
+		}
+	}()
+	return fn(d.sys)
+}
+
+// knownSource reports ErrUnknownSource unless sys holds the named source.
+func knownSource(sys *core.System, name string) error {
+	if sys.Repo.Source(name) == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownSource, name)
 	}
 	return nil
 }
@@ -254,16 +304,13 @@ func (d *DB) AddSource(ctx context.Context, src *Source) (*Report, error) {
 	}
 	d.addMu.Lock()
 	defer d.addMu.Unlock()
-
-	d.mu.RLock()
-	err := d.checkOpenRLocked()
-	exists := err == nil && d.sys.Repo.Source(src.Name) != nil
-	d.mu.RUnlock()
-	if err != nil {
+	if err := d.read(ctx, func(sys *core.System) error {
+		if sys.Repo.Source(src.Name) != nil {
+			return fmt.Errorf("%w: %s", ErrSourceExists, src.Name)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	if exists {
-		return nil, fmt.Errorf("%w: %s", ErrSourceExists, src.Name)
 	}
 	return d.integrate(ctx, src)
 }
@@ -271,22 +318,24 @@ func (d *DB) AddSource(ctx context.Context, src *Source) (*Report, error) {
 // integrate takes one batch of source data — a whole new source, or the
 // next batch of one being streamed in — through prepare, commit and the
 // checkpoint trigger. The caller holds addMu, which serializes
-// integrations; mu is taken only for the commit, so readers keep running
-// through the compute phase.
+// integrations; only the commit passes the write door, so readers keep
+// running through the compute phase.
 func (d *DB) integrate(ctx context.Context, batch *Source) (*Report, error) {
 	p, err := d.prepare(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	if d.closed {
+	var rep *Report
+	if err := d.write(func(sys *core.System) (err error) {
+		if rep, err = sys.Commit(p); err != nil {
+			return fmt.Errorf("aladin: commit: %w", err)
+		}
+		return nil
+	}); err != nil {
+		// A closed database never ran the commit. Abort releases the
+		// duplicate-index entries prepare made, which only integrations
+		// touch, under addMu; after a commit it is a no-op.
 		d.sys.Abort(p)
-		d.mu.Unlock()
-		return nil, ErrClosed
-	}
-	rep, err := d.commit(p)
-	d.mu.Unlock()
-	if err != nil {
 		return nil, err
 	}
 	d.maybeCheckpoint()
@@ -317,24 +366,6 @@ func (d *DB) prepare(ctx context.Context, batch *Source) (p *core.Pending, err e
 	return p, nil
 }
 
-// commit publishes a prepared integration under the held write lock. A
-// panic here would leave reader-visible state half-published with no way
-// to unwind it, so the database fails stop: it is marked closed and the
-// panic surfaces as ErrInternal instead of serving inconsistent data.
-func (d *DB) commit(p *core.Pending) (rep *Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d.closed = true
-			rep, err = nil, fmt.Errorf("%w: commit of %s panicked, database closed: %v", ErrInternal, p.Source(), r)
-		}
-	}()
-	rep, err = d.sys.Commit(p)
-	if err != nil {
-		return nil, fmt.Errorf("aladin: commit: %w", err)
-	}
-	return rep, nil
-}
-
 // Query runs a SQL SELECT over the integrated warehouse and returns the
 // fully materialized result — a convenience wrapper collecting QueryRows;
 // prefer QueryRows for large or paginated results. Relations are
@@ -360,182 +391,143 @@ func (d *DB) Query(ctx context.Context, sql string) (*QueryResult, error) {
 // Search runs ranked full-text search (§4.6), grouped per object. The
 // filter restricts to vertical (columns) and horizontal (sources,
 // primary-only) partitions; limit <= 0 returns everything.
-func (d *DB) Search(ctx context.Context, query string, f SearchFilter, limit int) ([]SearchResult, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	return d.sys.Search(query, f, limit), nil
+func (d *DB) Search(ctx context.Context, query string, f SearchFilter, limit int) (hits []SearchResult, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		hits = sys.Search(query, f, limit)
+		return nil
+	})
+	return hits, err
 }
 
 // Browse returns the object-web view of one object: its fields,
 // dependent annotations, same-relation neighbors, and links (§4.6).
 // Errors: ErrUnknownSource, ErrUnknownObject, ErrCanceled, ErrClosed.
-func (d *DB) Browse(ctx context.Context, ref ObjectRef) (*ObjectView, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	if d.sys.Repo.Source(ref.Source) == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSource, ref.Source)
-	}
-	v, err := d.sys.Browse(ref)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrUnknownObject, err)
-	}
-	return v, nil
+func (d *DB) Browse(ctx context.Context, ref ObjectRef) (view *ObjectView, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		if err := knownSource(sys, ref.Source); err != nil {
+			return err
+		}
+		v, err := sys.Browse(ref)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrUnknownObject, err)
+		}
+		view = v
+		return nil
+	})
+	return view, err
 }
 
 // Objects lists a source's primary objects in accession order.
 // Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
-func (d *DB) Objects(ctx context.Context, source string) ([]ObjectRef, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	if d.sys.Repo.Source(source) == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSource, source)
-	}
-	return d.sys.Objects(source), nil
+func (d *DB) Objects(ctx context.Context, source string) (refs []ObjectRef, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		if err := knownSource(sys, source); err != nil {
+			return err
+		}
+		refs = sys.Objects(source)
+		return nil
+	})
+	return refs, err
 }
 
 // Related ranks objects connected to ref by the [BLM+04] path criterion,
 // exploring paths up to maxLen edges (default 3 when <= 0).
 // Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
-func (d *DB) Related(ctx context.Context, ref ObjectRef, maxLen, limit int) ([]ScoredRef, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	if d.sys.Repo.Source(ref.Source) == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSource, ref.Source)
-	}
-	return d.sys.Related(ref, maxLen, limit), nil
+func (d *DB) Related(ctx context.Context, ref ObjectRef, maxLen, limit int) (ranked []ScoredRef, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		if err := knownSource(sys, ref.Source); err != nil {
+			return err
+		}
+		ranked = sys.Related(ref, maxLen, limit)
+		return nil
+	})
+	return ranked, err
 }
 
 // Crawl walks the object web breadth-first from ref up to depth hops —
 // the §1 "search engine can crawl the links" behaviour.
 // Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
-func (d *DB) Crawl(ctx context.Context, ref ObjectRef, depth int) ([]ObjectRef, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	if d.sys.Repo.Source(ref.Source) == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSource, ref.Source)
-	}
-	return d.sys.Crawl(ref, depth), nil
+func (d *DB) Crawl(ctx context.Context, ref ObjectRef, depth int) (refs []ObjectRef, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		if err := knownSource(sys, ref.Source); err != nil {
+			return err
+		}
+		refs = sys.Crawl(ref, depth)
+		return nil
+	})
+	return refs, err
 }
 
 // Conflicts reports field-level disagreements between two objects
 // flagged as duplicates — "Conflicts are highlighted, and data lineage
 // is shown" (§4.6). Errors: ErrUnknownObject, ErrCanceled, ErrClosed.
-func (d *DB) Conflicts(ctx context.Context, a, b ObjectRef) ([]Conflict, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	cs, err := d.sys.Conflicts(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrUnknownObject, err)
-	}
-	return cs, nil
+func (d *DB) Conflicts(ctx context.Context, a, b ObjectRef) (cs []Conflict, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		c, err := sys.Conflicts(a, b)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrUnknownObject, err)
+		}
+		cs = c
+		return nil
+	})
+	return cs, err
 }
 
 // Stats reports repository, object-web and search-index statistics.
-func (d *DB) Stats(ctx context.Context) (Stats, error) {
-	if err := ctxErr(ctx); err != nil {
-		return Stats{}, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return Stats{}, err
-	}
-	gen, seq := d.sys.SnapshotID()
-	return Stats{
-		Repo:             d.sys.Repo.Stats(),
-		Web:              d.sys.WebStats(),
-		IndexedDocuments: d.sys.IndexedDocuments(),
-		Snapshot:         SnapshotID{Gen: gen, Seq: seq},
-		Durability:       d.durabilityStats(),
-		Replication:      d.replicationStats(),
-		Ingest:           d.ingestStats(),
-	}, nil
+func (d *DB) Stats(ctx context.Context) (st Stats, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		st = Stats{
+			Repo:             sys.Repo.Stats(),
+			Web:              sys.WebStats(),
+			IndexedDocuments: sys.IndexedDocuments(),
+			Snapshot:         snapshotID(sys),
+			Durability:       d.durabilityStats(),
+			Replication:      d.replicationStats(),
+			Ingest:           d.ingestStats(),
+		}
+		return nil
+	})
+	return st, err
 }
 
 // SnapshotID returns the identifier of the warehouse state a read
 // issued right now would observe (see the SnapshotID type).
-func (d *DB) SnapshotID(ctx context.Context) (SnapshotID, error) {
-	if err := ctxErr(ctx); err != nil {
-		return SnapshotID{}, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return SnapshotID{}, err
-	}
-	gen, seq := d.sys.SnapshotID()
-	return SnapshotID{Gen: gen, Seq: seq}, nil
+func (d *DB) SnapshotID(ctx context.Context) (sid SnapshotID, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		sid = snapshotID(sys)
+		return nil
+	})
+	return sid, err
+}
+
+// snapshotID reads the system's snapshot ID; callers are behind a door.
+func snapshotID(sys *core.System) SnapshotID {
+	gen, seq := sys.SnapshotID()
+	return SnapshotID{Gen: gen, Seq: seq}
 }
 
 // Sources lists the integrated sources in integration order.
-func (d *DB) Sources(ctx context.Context) ([]SourceInfo, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	var out []SourceInfo
-	for _, m := range d.sys.Repo.Sources() {
-		out = append(out, sourceInfo(m))
-	}
-	return out, nil
+func (d *DB) Sources(ctx context.Context) (out []SourceInfo, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		for _, m := range sys.Repo.Sources() {
+			out = append(out, sourceInfo(m))
+		}
+		return nil
+	})
+	return out, err
 }
 
 // Source describes one integrated source.
 // Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
-func (d *DB) Source(ctx context.Context, name string) (SourceInfo, error) {
-	if err := ctxErr(ctx); err != nil {
-		return SourceInfo{}, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return SourceInfo{}, err
-	}
-	m := d.sys.Repo.Source(name)
-	if m == nil {
-		return SourceInfo{}, fmt.Errorf("%w: %s", ErrUnknownSource, name)
-	}
-	return sourceInfo(m), nil
+func (d *DB) Source(ctx context.Context, name string) (info SourceInfo, err error) {
+	err = d.read(ctx, func(sys *core.System) error {
+		if err := knownSource(sys, name); err != nil {
+			return err
+		}
+		info = sourceInfo(sys.Repo.Source(name))
+		return nil
+	})
+	return info, err
 }
 
 func sourceInfo(m *metadata.SourceMeta) SourceInfo {
@@ -549,10 +541,13 @@ func sourceInfo(m *metadata.SourceMeta) SourceInfo {
 
 // Reanalyze re-runs structural and link discovery for one source after
 // data changes, resetting its §6.2 change counter. Unlike AddSource,
-// re-analysis holds the write lock for the whole run (it rewrites the
-// source's discovered structure in place); it is expected to be rare.
-// On a durable database the re-analysis is journaled before it is
-// published, like DML. Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
+// re-analysis runs entirely behind the write door (it rewrites the
+// source's discovered structure in place), so readers wait for it; it
+// is expected to be rare. A panic mid-run would leave the source half
+// rewritten, so it closes the database and returns ErrInternal. On a
+// durable database the re-analysis is journaled before it is published,
+// like DML. Errors: ErrUnknownSource, ErrCanceled, ErrClosed,
+// ErrInternal.
 func (d *DB) Reanalyze(ctx context.Context, source string) (*Report, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -562,29 +557,17 @@ func (d *DB) Reanalyze(ctx context.Context, source string) (*Report, error) {
 	}
 	d.addMu.Lock()
 	defer d.addMu.Unlock()
-	rep, err := d.reanalyzeLocked(ctx, source)
-	if err != nil {
+	var rep *Report
+	if err := d.write(func(sys *core.System) (err error) {
+		if err := knownSource(sys, source); err != nil {
+			return err
+		}
+		rep, err = sys.ReanalyzeContext(ctx, source)
+		return mapPipelineErr(err)
+	}); err != nil {
 		return nil, err
 	}
 	d.maybeCheckpoint()
-	return rep, nil
-}
-
-// reanalyzeLocked is Reanalyze's write-locked section; the checkpoint
-// its journal record may trigger runs after the lock is released.
-func (d *DB) reanalyzeLocked(ctx context.Context, source string) (*Report, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	if d.sys.Repo.Source(source) == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSource, source)
-	}
-	rep, err := d.sys.ReanalyzeContext(ctx, source)
-	if err != nil {
-		return nil, mapPipelineErr(err)
-	}
 	return rep, nil
 }
 
@@ -599,54 +582,15 @@ func (d *DB) RemoveLinkFeedback(ctx context.Context, l Link) (bool, error) {
 	if err := d.replicaGuard(); err != nil {
 		return false, err
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return false, ErrClosed
-	}
-	ok, err := d.sys.RemoveLinkFeedback(l)
-	d.mu.Unlock()
-	if err != nil {
+	var existed bool
+	if err := d.write(func(sys *core.System) (err error) {
+		existed, err = sys.RemoveLinkFeedback(l)
+		return err
+	}); err != nil {
 		return false, err
 	}
 	d.maybeCheckpoint()
-	return ok, nil
-}
-
-// RecordChanges notes n changed tuples in a source and reports whether
-// the §6.2 threshold policy now calls for re-analysis.
-// Errors: ErrUnknownSource, ErrCanceled, ErrClosed.
-func (d *DB) RecordChanges(ctx context.Context, source string, n int) (bool, error) {
-	if err := ctxErr(ctx); err != nil {
-		return false, err
-	}
-	if err := d.replicaGuard(); err != nil {
-		return false, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false, ErrClosed
-	}
-	if d.sys.Repo.Source(source) == nil {
-		return false, fmt.Errorf("%w: %s", ErrUnknownSource, source)
-	}
-	return d.sys.RecordChanges(source, n), nil
-}
-
-// Snapshot captures the integrated warehouse — source data, links, and
-// user feedback — as an in-memory image; WithSnapshot opens a database
-// from it. To save a warehouse across restarts, use WithDataDir.
-func (d *DB) Snapshot(ctx context.Context) (*Snapshot, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkOpenRLocked(); err != nil {
-		return nil, err
-	}
-	return d.sys.Snapshot(), nil
+	return existed, nil
 }
 
 // Snippet extracts a short context window around the first query-term

@@ -267,11 +267,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	links, _ := db.Stats(ctx)
-	snap, err := db.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Open(WithOntologySources("go"), WithSnapshot(snap))
+	restored, err := Open(WithOntologySources("go"), WithSnapshot(db.sys.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +326,15 @@ func TestReanalyzeAndFeedbackThroughFacade(t *testing.T) {
 		}
 	}
 
-	trigger, err := db.RecordChanges(ctx, "swissprot", 1000000)
-	if err != nil || !trigger {
-		t.Errorf("RecordChanges: trigger=%v err=%v", trigger, err)
+	// DML feeds the §6.2 change counter that re-analysis reset.
+	if db.sys.NeedsReanalysis("swissprot") {
+		t.Error("re-analysis left the change counter above the threshold")
+	}
+	if _, err := db.Exec(ctx, "DELETE FROM swissprot_protein"); err != nil {
+		t.Fatal(err)
+	}
+	if !db.sys.NeedsReanalysis("swissprot") {
+		t.Error("deleting every protein does not call for re-analysis")
 	}
 }
 

@@ -64,8 +64,8 @@ func openDurable(cfg *config, plans *planCache) (*DB, error) {
 // warehouse relation (addressable as "<source>_<relation>", like Query).
 // On a durable database the statement is journaled before it is
 // acknowledged. Changed-tuple counts feed the §6.2 threshold policy (see
-// RecordChanges/Reanalyze); derived artifacts — links, search index,
-// duplicate flags — intentionally go stale until Reanalyze.
+// Reanalyze); derived artifacts — links, search index, duplicate flags —
+// intentionally go stale until Reanalyze.
 //
 // Like Reanalyze, a statement waits for an in-flight AddSource or
 // IngestSource (it takes addMu): their off-lock link discovery reads the
@@ -80,18 +80,14 @@ func (d *DB) Exec(ctx context.Context, sql string) (*QueryResult, error) {
 	}
 	d.addMu.Lock()
 	defer d.addMu.Unlock()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, ErrClosed
-	}
-	res, err := d.sys.Exec(sql)
-	d.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, core.ErrDurability) {
-			return nil, err
+	var res *QueryResult
+	if err := d.write(func(sys *core.System) (err error) {
+		if res, err = sys.Exec(sql); err != nil && !errors.Is(err, core.ErrDurability) {
+			err = fmt.Errorf("%w: %w", ErrBadQuery, err)
 		}
-		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	d.maybeCheckpoint()
 	return res, nil
@@ -103,21 +99,19 @@ func (d *DB) Exec(ctx context.Context, sql string) (*QueryResult, error) {
 // and the capture phase overlap; only concurrent checkpoints serialize.
 // Errors: ErrClosed, ErrCanceled, or the checkpoint IO error.
 func (d *DB) Checkpoint(ctx context.Context) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
 	if d.dir == nil {
 		return errors.New("aladin: no data directory (open with WithDataDir)")
 	}
 	d.chkMu.Lock()
 	defer d.chkMu.Unlock()
-	d.mu.RLock()
-	err := d.checkOpenRLocked()
 	var cp *core.PendingCheckpoint
-	if err == nil {
-		cp, err = d.sys.BeginCheckpoint()
+	err := d.read(ctx, func(sys *core.System) (err error) {
+		cp, err = sys.BeginCheckpoint()
+		return err
+	})
+	if errors.Is(err, ErrCanceled) {
+		return err // the caller gave up; no checkpoint failed
 	}
-	d.mu.RUnlock()
 	if err == nil {
 		err = d.sys.WriteCheckpoint(cp)
 	}

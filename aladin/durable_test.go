@@ -192,10 +192,7 @@ func TestDurableExplicitCheckpoint(t *testing.T) {
 func TestDurableSnapshotImport(t *testing.T) {
 	ctx := context.Background()
 	src := openWith(t, testCorpus(), "swissprot", "pdb")
-	snap, err := src.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := src.sys.Snapshot()
 	want, _ := src.Stats(ctx)
 	src.Close()
 

@@ -8,6 +8,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // guardCase calls one public DB method with ctx; mutator marks the
@@ -81,10 +84,6 @@ func guardCases() []guardCase {
 			_, err := db.Reanalyze(ctx, "swissprot")
 			return err
 		}},
-		{"RecordChanges", true, func(ctx context.Context, db *DB) error {
-			_, err := db.RecordChanges(ctx, "swissprot", 1)
-			return err
-		}},
 		{"Related", false, func(ctx context.Context, db *DB) error {
 			_, err := db.Related(ctx, ref, 2, 5)
 			return err
@@ -95,10 +94,6 @@ func guardCases() []guardCase {
 		}},
 		{"Search", false, func(ctx context.Context, db *DB) error {
 			_, err := db.Search(ctx, "protein", SearchFilter{}, 5)
-			return err
-		}},
-		{"Snapshot", false, func(ctx context.Context, db *DB) error {
-			_, err := db.Snapshot(ctx)
 			return err
 		}},
 		{"SnapshotID", false, func(ctx context.Context, db *DB) error {
@@ -169,5 +164,33 @@ func TestEveryMethodGuards(t *testing.T) {
 		if err := c.call(ctx, db); !errors.Is(err, ErrClosed) {
 			t.Errorf("%s on a closed database: %v, want ErrClosed", c.method, err)
 		}
+	}
+}
+
+// TestWritePanicFailsStop: a panic behind the write door closes the
+// database instead of leaving it write-locked or half written. The
+// panicking call returns ErrInternal, later reads return ErrClosed, and
+// Close still gets the lock.
+func TestWritePanicFailsStop(t *testing.T) {
+	db := openWith(t, testCorpus(), "swissprot")
+	ref := ObjectRef{Source: "swissprot", Relation: "protein", Accession: "P10000"}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err := db.write(func(*core.System) error { panic("injected write panic") })
+		if !errors.Is(err, ErrInternal) {
+			t.Errorf("panicking write: %v, want ErrInternal", err)
+		}
+		if _, err := db.Browse(context.Background(), ref); !errors.Is(err, ErrClosed) {
+			t.Errorf("browse after the panic: %v, want ErrClosed", err)
+		}
+		if err := db.Close(); err != nil {
+			t.Errorf("close after the panic: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a call after the panicking write hangs")
 	}
 }

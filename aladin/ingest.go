@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flatfile"
 	"repro/internal/ingest"
 	"repro/internal/rel"
@@ -134,10 +135,7 @@ func (d *DB) IngestSource(ctx context.Context, name, format string, r io.Reader,
 	d.addMu.Lock()
 	defer d.addMu.Unlock()
 
-	d.mu.RLock()
-	err = d.checkOpenRLocked()
-	d.mu.RUnlock()
-	if err != nil {
+	if err := d.read(ctx, func(*core.System) error { return nil }); err != nil {
 		return nil, err
 	}
 

@@ -417,11 +417,7 @@ func TestTwoUploadsSurviveRestart(t *testing.T) {
 	if got := twoUploadsState(t, replica); got != twoUploadsWant {
 		t.Errorf("replica:\n%s--- want\n%s", got, twoUploadsWant)
 	}
-	snap, err := db.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Open(WithSnapshot(snap))
+	loaded, err := Open(WithSnapshot(db.sys.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}

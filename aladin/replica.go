@@ -139,7 +139,7 @@ func openReplica(cfg *config, plans *planCache) (*DB, error) {
 	sys.DisableJournal()
 
 	db := &DB{
-		sys: sys, plans: plans, dir: sysDir(sys), checkpointEvery: cfg.checkpointEvery,
+		sys: sys, plans: plans, dir: sys.DurableDir(), checkpointEvery: cfg.checkpointEvery,
 		workers: parallel.Workers(cfg.core.Workers), repl: rs,
 	}
 
@@ -179,10 +179,6 @@ func openReplica(cfg *config, plans *planCache) (*DB, error) {
 	return db, nil
 }
 
-// sysDir digs the store.Dir back out of a recovered system (Recover
-// attached it); kept as a helper so openReplica reads linearly.
-func sysDir(sys *core.System) *store.Dir { return sys.DurableDir() }
-
 // openReplicaDir produces a recovered system for the replica: resuming
 // from the local directory when its state is usable, otherwise wiping
 // (marker-guarded) and bootstrapping the primary's segments.
@@ -206,7 +202,7 @@ func openReplicaDir(ctx context.Context, cfg *config, client *repl.Client) (*cor
 			}
 			// Fell behind the primary's checkpoint; the WAL delta is
 			// trimmed. Fall through to a fresh bootstrap.
-			sysDir(sys).Close()
+			sys.DurableDir().Close()
 		}
 		if err := wipeDir(path); err != nil {
 			return nil, "", fmt.Errorf("aladin: clearing stale replica directory: %w", err)
@@ -286,14 +282,7 @@ func (d *DB) applyBatch(batch *repl.WALBatch) error {
 		if f.Rec.Seq != applied+1 {
 			return fmt.Errorf("aladin: replication stream gap: applied %d, next frame is %d", applied, f.Rec.Seq)
 		}
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
-			return ErrClosed
-		}
-		err := d.sys.ApplyReplicated(f.Raw, f.Rec)
-		d.mu.Unlock()
-		if err != nil {
+		if err := d.write(func(sys *core.System) error { return sys.ApplyReplicated(f.Raw, f.Rec) }); err != nil {
 			return err
 		}
 	}

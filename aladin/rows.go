@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/rel"
 	"repro/internal/sqlx"
 )
@@ -68,12 +69,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			r.err = fmt.Errorf("%w: %w", ErrCanceled, err)
-		} else {
-			r.err = fmt.Errorf("%w: %w", ErrBadQuery, err)
-		}
-		r.closed = true
+		r.err, r.closed = execErr(err), true
 		return false
 	}
 	r.row = row
@@ -197,28 +193,30 @@ func (d *DB) QueryRowsExplain(ctx context.Context, sql string) (*Rows, string, e
 	return d.queryRows(ctx, sql, true)
 }
 
-// snapshotPlan is the shared read prologue: take a warehouse snapshot
-// under a brief RLock — capturing the snapshot ID under the same lock,
-// so the ID names exactly that snapshot — and resolve sql to a plan
-// (via the cache when configured).
-func (d *DB) snapshotPlan(ctx context.Context, sql string) (*rel.Database, *sqlx.Plan, SnapshotID, error) {
-	if err := ctxErr(ctx); err != nil {
+// snapshotPlan pins a warehouse snapshot through the read door —
+// capturing the snapshot ID in the same pass, so the ID names exactly
+// that snapshot — and resolves sql to a plan (via the cache when
+// configured) after the lock is released.
+func (d *DB) snapshotPlan(ctx context.Context, sql string) (snap *rel.Database, plan *sqlx.Plan, sid SnapshotID, err error) {
+	if err = d.read(ctx, func(sys *core.System) error {
+		snap, sid = sys.WarehouseSnapshot(), snapshotID(sys)
+		return nil
+	}); err != nil {
 		return nil, nil, SnapshotID{}, err
 	}
-	d.mu.RLock()
-	if err := d.checkOpenRLocked(); err != nil {
-		d.mu.RUnlock()
-		return nil, nil, SnapshotID{}, err
-	}
-	snap := d.sys.WarehouseSnapshot()
-	gen, seq := d.sys.SnapshotID()
-	d.mu.RUnlock()
-
-	plan, err := d.plan(snap, sql)
-	if err != nil {
+	if plan, err = d.plan(snap, sql); err != nil {
 		return nil, nil, SnapshotID{}, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
-	return snap, plan, SnapshotID{Gen: gen, Seq: seq}, nil
+	return snap, plan, sid, nil
+}
+
+// execErr maps an error from running a plan: a context error becomes
+// ErrCanceled, any other ErrBadQuery.
+func execErr(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return fmt.Errorf("%w: %w", ErrBadQuery, err)
 }
 
 func (d *DB) queryRows(ctx context.Context, sql string, explain bool) (*Rows, string, error) {
@@ -234,10 +232,7 @@ func (d *DB) queryRows(ctx context.Context, sql string, explain bool) (*Rows, st
 	}
 	cur, err := plan.OpenParallel(ctx, snap, d.workers)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, "", fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return nil, "", fmt.Errorf("%w: %w", ErrBadQuery, err)
+		return nil, "", execErr(err)
 	}
 	return &Rows{ctx: ctx, cur: cur, sid: sid}, planText, nil
 }
@@ -276,10 +271,7 @@ func (d *DB) ExplainAnalyze(ctx context.Context, sql string) (string, error) {
 	}
 	text, err := plan.ExplainAnalyze(ctx, snap, d.workers)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return "", fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return "", fmt.Errorf("%w: %w", ErrBadQuery, err)
+		return "", execErr(err)
 	}
 	return text, nil
 }

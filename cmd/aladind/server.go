@@ -150,21 +150,23 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// errorBody is the structured error payload of every non-2xx response.
-type errorBody struct {
-	Error struct {
-		Status  int    `json:"status"`
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+// errorObject is the structured error of every non-2xx response, under
+// the body's "error" key. A query page or streamed upload that fails
+// after its 200 status line went out carries the same object last.
+type errorObject struct {
+	Status  int    `json:"status"`
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// errorOf builds the error object for err from its typed sentinel.
+func errorOf(err error) errorObject {
+	status, code := errorStatusCode(err)
+	return errorObject{Status: status, Code: code, Message: err.Error()}
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	var body errorBody
-	body.Error.Status = status
-	body.Error.Code = code
-	body.Error.Message = msg
-	writeJSONStatus(w, status, body)
+	writeJSONStatus(w, status, map[string]errorObject{"error": {Status: status, Code: code, Message: msg}})
 }
 
 func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
@@ -212,8 +214,8 @@ func errorStatusCode(err error) (int, string) {
 
 // fail writes the structured error response for err.
 func (s *server) fail(w http.ResponseWriter, err error) {
-	status, code := errorStatusCode(err)
-	writeError(w, status, code, err.Error())
+	e := errorOf(err)
+	writeError(w, e.Status, e.Code, e.Message)
 }
 
 // --- wire DTOs -------------------------------------------------------
@@ -371,15 +373,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := rows.Err(); err != nil {
 		// The status line is long gone; surface a mid-stream execution
-		// error in the envelope instead of silently truncating, using the
-		// same {"status","code","message"} object shape as writeError.
+		// error in the envelope instead of silently truncating.
 		s.logf("aladind: query %q failed mid-stream: %v", q, err)
-		status, code := errorStatusCode(err)
-		var body errorBody
-		body.Error.Status = status
-		body.Error.Code = code
-		body.Error.Message = err.Error()
-		msg, _ := json.Marshal(body.Error)
+		msg, _ := json.Marshal(errorOf(err))
 		fmt.Fprintf(w, `,"error":%s`, msg)
 	}
 	fmt.Fprint(w, "}\n")
@@ -728,15 +724,10 @@ func (s *server) streamAddSource(w http.ResponseWriter, r *http.Request, name, f
 	rep, err := s.db.IngestSource(r.Context(), name, format, r.Body, opts...)
 	if err != nil {
 		// The 200 status line is long gone; surface the failure as a
-		// final NDJSON line using the writeError object shape. Committed
-		// batches stay committed — the line carries how far we got.
+		// final NDJSON line carrying the error object. Committed batches
+		// stay committed — the line carries how far we got.
 		s.logf("aladind: streaming ingest of %s failed: %v", name, err)
-		status, code := errorStatusCode(err)
-		var body errorBody
-		body.Error.Status = status
-		body.Error.Code = code
-		body.Error.Message = err.Error()
-		out := map[string]any{"error": body.Error}
+		out := map[string]any{"error": errorOf(err)}
 		if rep != nil {
 			out["records"], out["batches"] = rep.Records, rep.Batches
 		}
