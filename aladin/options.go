@@ -61,8 +61,8 @@ func WithPlanCache(n int) Option {
 	}
 }
 
-// WithSnapshot restores an in-memory image taken by DB.Snapshot during
-// Open; the restored database is in-memory too. It cannot be combined
+// WithSnapshot restores an in-memory warehouse image during Open; the
+// restored database is in-memory too. It cannot be combined
 // with WithDataDir or WithReplicaOf: a warehouse is saved as a data
 // directory, and WithDataDir alone reopens one.
 func WithSnapshot(snap *Snapshot) Option {
