@@ -582,6 +582,7 @@ var dupFindNewCases = []struct {
 // FASTA records, every 50th a planted duplicate, streamed into one
 // dup.Index in 8 batches, once per dupFindNewCases shape. ns/pair is the
 // whole pass (prepare, candidates, scoring) per compared pair;
+// scored/pair is the share of pairs scored in full, past the gate;
 // allocs/pair is what TestDupAllocBudget holds to ALLOC_budget.json —
 // scoring a prepared pair allocates nothing, so it measures the
 // per-batch set-up spread over the batch's pairs.
@@ -610,7 +611,7 @@ func benchDupFindNew(b *testing.B, minLen int) {
 	}
 	records := dup.RecordsFromSource(db, st)
 	const batches = 8
-	pairs, flagged := 0, 0
+	pairs, scored, flagged := 0, 0, 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -623,6 +624,7 @@ func benchDupFindNew(b *testing.B, minLen int) {
 				b.Fatal(err)
 			}
 			pairs += stats.Comparisons
+			scored += stats.Scored
 			flagged += stats.Flagged
 		}
 	}
@@ -632,6 +634,7 @@ func benchDupFindNew(b *testing.B, minLen int) {
 		b.Fatal("no planted duplicate flagged")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	b.ReportMetric(float64(scored)/float64(pairs), "scored/pair")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(pairs), "allocs/pair")
 }
 

@@ -20,19 +20,30 @@
 // Candidate generation and the resolution of frequency weights are
 // serial; only the scoring of resolved, read-only records fans out over
 // workers. Per candidate pair each field-by-field similarity is computed
-// once and read by both directions of the aggregate; field order, not map
-// order, fixes every sum and tie-break, so a pair's similarity and
+// at most once and read by both directions of the aggregate; field order,
+// not map order, fixes every sum and tie-break, so a pair's similarity and
 // evidence are the same on every run. incremental.go says what is built
 // at insert, at the first comparison and per pass.
+//
+// The gate, above a threshold of 0.5: score fills the cheap cells first
+// (equal values, accession against accession, cross-shape zeros,
+// Jaccard) and takes every q-gram Dice and Jaro-Winkler cell as 1. Each
+// input of directed's corroboration rule (row best, the 0.2 cut, the
+// accession doubling, anchor, support) only grows with the cells, and an
+// uncorroborated direction scores at most 0.5: if neither is then
+// corroborated, the pair cannot be flagged and those cells are never
+// computed. Otherwise they are filled into the same matrix.
 package dup
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/discovery"
 	"repro/internal/metadata"
@@ -128,8 +139,8 @@ type field struct {
 	accession bool // textmine.LooksLikeAccession(value)
 	prose     bool // three or more words: compared by weighted token overlap
 
-	// Built the first time the record is compared (resolve): the trigram
-	// profile of a value that is not prose, and room for the weights.
+	// The trigram profile of a value that is not prose, built at the
+	// record's first q-gram Dice cell (prepared.grams).
 	grams []textmine.GramRun
 	// Resolved against the frozen matcher once per pass (resolve): the IDF
 	// of every entry of toks and the value's distinctiveness weight.
@@ -150,6 +161,10 @@ type prepared struct {
 	// between sources.
 	keys [2]string
 	pass uint32 // the Index pass that last resolved the record; 0 = never compared
+	// gramsOnce builds the fields' trigram profiles when a worker first
+	// needs one; prepared is only ever used by pointer, so it is never
+	// copied.
+	gramsOnce sync.Once
 }
 
 // prepare tokenises and lower-cases every value of r exactly once.
@@ -196,18 +211,15 @@ func lessReversed(a, b string) bool {
 	return len(a) < len(b)
 }
 
-// resolve makes the record ready to be scored under m as it stands:
-// scoring-only forms are built on the first call, token IDF and value
-// weight on every call. It runs in the serial part of a pass; the worker
-// pool then reads the record only.
+// resolve makes the record ready to be scored under m as it stands: room
+// for the weights on the first call, token IDF and value weight on every
+// call. It runs in the serial part of a pass; the worker pool then reads
+// the record only, but for the trigram profiles (grams).
 func (p *prepared) resolve(m *Matcher) {
 	for i := range p.fields {
 		f := &p.fields[i]
 		if f.idf == nil {
 			f.idf = make([]float64, len(f.toks))
-			if !f.prose {
-				f.grams = textmine.QGramProfile(f.lower, 3)
-			}
 		}
 		for k, tok := range f.toks {
 			f.idf[k] = m.tokenIDF(tok)
@@ -216,37 +228,67 @@ func (p *prepared) resolve(m *Matcher) {
 	}
 }
 
-// fieldSim is the one place two field values are compared. The measure
-// goes by shape: IDF-weighted token Jaccard for long multi-token text,
-// q-gram Dice for long unbroken values, Jaro-Winkler for short strings,
-// with exact match short-circuiting to 1. Every branch is symmetric in
-// its arguments (textmine.TestJaroWinklerSymmetric covers the one that
-// is not so by construction), so a pair of records needs each cell of its
+// grams returns the trigram profile of field i, building those of every
+// field that is not prose on the first call. Workers scoring different
+// pairs of one record may call it at once.
+func (p *prepared) grams(i int) []textmine.GramRun {
+	p.gramsOnce.Do(func() {
+		for k := range p.fields {
+			if f := &p.fields[k]; !f.prose {
+				f.grams = textmine.QGramProfile(f.lower, 3)
+			}
+		}
+	})
+	return p.fields[i].grams
+}
+
+// fieldSim is the one place two field values, field i of a and field j
+// of b, are compared. The measure goes by shape: IDF-weighted token
+// Jaccard for long multi-token text, q-gram Dice for long unbroken
+// values, Jaro-Winkler for short strings, with exact match
+// short-circuiting to 1. Every branch is symmetric in its arguments
+// (textmine.TestJaroWinklerSymmetric covers the one that is not so by
+// construction), so a pair of records needs each cell of its
 // field-by-field matrix once, whichever direction reads it.
-func fieldSim(a, b *field) float64 {
+func fieldSim(a, b *prepared, i, j int) float64 {
+	if s, ok := cheapSim(&a.fields[i], &b.fields[j]); ok {
+		return s
+	}
+	return costlySim(a, b, i, j)
+}
+
+// cheapSim is fieldSim's value for every shape but the two costly ones;
+// ok is false when the cell needs q-gram Dice or Jaro-Winkler.
+func cheapSim(a, b *field) (sim float64, ok bool) {
 	if a.lower == b.lower {
-		return 1
+		return 1, true
 	}
 	// Identifier-shaped values either match or they don't: approximate
 	// similarity between two different accession codes is noise, not
 	// evidence.
 	if a.accession && b.accession {
-		return 0
+		return 0, true
 	}
 	if a.prose || b.prose {
 		// Cross-shape comparisons (a code against prose) carry no signal.
 		if a.prose != b.prose && (a.accession || b.accession) {
-			return 0
+			return 0, true
 		}
-		return weightedJaccard(a, b)
+		return weightedJaccard(a, b), true
 	}
+	return 0, false
+}
+
+// costlySim is fieldSim for a cell cheapSim leaves open.
+func costlySim(a, b *prepared, i, j int) float64 {
+	fa, fb := &a.fields[i], &b.fields[j]
 	// Long unbroken values — sequences, digests — are outside
 	// Jaro-Winkler's design range (short names) and quadratic to compare;
 	// q-gram overlap captures their similarity at linear cost.
-	if len(a.lower) >= longValueLen || len(b.lower) >= longValueLen {
-		return textmine.DiceProfiles(a.grams, b.grams)
+	if len(fa.lower) >= longValueLen || len(fb.lower) >= longValueLen {
+		return textmine.DiceProfiles(a.grams(i), b.grams(j))
 	}
-	return textmine.JaroWinkler(a.lower, b.lower)
+	return textmine.JaroWinkler(fa.lower, fb.lower)
 }
 
 // weightedJaccard is token Jaccard under the resolved IDF weights, by one
@@ -364,7 +406,7 @@ func (m *Matcher) Similarity(a, b Record) (float64, string) {
 	pa, pb := prepare(a, 0), prepare(b, 0)
 	pa.resolve(m)
 	pb.resolve(m)
-	sim, best := score(pa, pb)
+	sim, best := score(pa, pb, false)
 	return sim, best.evidence()
 }
 
@@ -387,20 +429,45 @@ func (p bestFields) evidence() string {
 // symmetric: the field-by-field similarity matrix is filled once, both
 // directions are aggregated from it (the second reads the transpose) and
 // the stronger one is kept, so results do not depend on comparison order.
-func score(a, b *prepared) (float64, bestFields) {
+// With gate set, a pair whose cheap cells prove it scores at most 0.5 is
+// rejected and reads -1 (the gate, in the package comment).
+func score(a, b *prepared, gate bool) (float64, bestFields) {
 	na, nb := len(a.fields), len(b.fields)
 	var buf [64]float64 // an 8x8 comparison stays on the stack
-	sim := buf[:]
+	var openBuf [1]uint64
+	sim, open := buf[:], openBuf[:] // open marks the cells cheapSim left
 	if na*nb > len(sim) {
-		sim = make([]float64, na*nb)
+		sim, open = make([]float64, na*nb), make([]uint64, (na*nb+63)/64)
 	}
+	anyOpen := false
 	for i := range a.fields {
 		for j := range b.fields {
-			sim[i*nb+j] = fieldSim(&a.fields[i], &b.fields[j])
+			k := i*nb + j
+			s, ok := cheapSim(&a.fields[i], &b.fields[j])
+			if !ok {
+				s, anyOpen = 1, true // the cell's bound until it is computed
+				open[k/64] |= 1 << (k % 64)
+			}
+			sim[k] = s
 		}
 	}
-	s1, i1, j1 := directed(a.fields, nb, sim, nb, 1)
-	s2, j2, i2 := directed(b.fields, na, sim, 1, nb)
+	if anyOpen {
+		if gate {
+			_, _, _, c1 := directed(a.fields, nb, sim, nb, 1)
+			_, _, _, c2 := directed(b.fields, na, sim, 1, nb)
+			if !c1 && !c2 {
+				return -1, bestFields{}
+			}
+		}
+		for w, set := range open {
+			for ; set != 0; set &= set - 1 {
+				k := w*64 + bits.TrailingZeros64(set)
+				sim[k] = costlySim(a, b, k/nb, k%nb)
+			}
+		}
+	}
+	s1, i1, j1, _ := directed(a.fields, nb, sim, nb, 1)
+	s2, j2, i2, _ := directed(b.fields, na, sim, 1, nb)
 	switch {
 	case s2 > s1:
 		return s2, bestFields{b.fields[j2].name, a.fields[i2].name, true}
@@ -412,9 +479,11 @@ func score(a, b *prepared) (float64, bestFields) {
 
 // directed aggregates one direction: for every field of fa its best
 // counterpart among the other record's n fields, read from the similarity
-// matrix at sim[i*rowStride+j*colStride]. It returns the score and the
-// indexes of the strongest correspondence (-1 when there is none).
-func directed(fa []field, n int, sim []float64, rowStride, colStride int) (score float64, bestI, bestJ int) {
+// matrix at sim[i*rowStride+j*colStride]. It returns the score, the
+// indexes of the strongest correspondence (-1 when there is none) and
+// whether the direction is corroborated; an uncorroborated score is
+// halved, so it is at most 0.5.
+func directed(fa []field, n int, sim []float64, rowStride, colStride int) (score float64, bestI, bestJ int, corroborated bool) {
 	// minCorrespondence separates "this field has a counterpart in the
 	// other record" from "the other source simply does not model this
 	// property". Sources overlap only partly in their models (§4.5), so
@@ -461,17 +530,18 @@ func directed(fa []field, n int, sim []float64, rowStride, colStride int) (score
 		}
 	}
 	if wsum == 0 {
-		return 0, -1, -1
+		return 0, -1, -1, false
 	}
 	score = sum / wsum
 	// Corroboration: one coincidentally shared value — however rare —
 	// is not a duplicate verdict. Demand an anchor plus a second
 	// supporting correspondence. Exempt: single-field records, and exact
 	// accession matches, which are decisive on their own (§5).
-	if !accessionAnchor && (!hasAnchor || (support < 2 && len(fa) >= 2)) {
+	corroborated = accessionAnchor || (hasAnchor && (support >= 2 || len(fa) < 2))
+	if !corroborated {
 		score *= 0.5
 	}
-	return score, bestI, bestJ
+	return score, bestI, bestJ, corroborated
 }
 
 // BlockingMode selects the candidate-generation strategy.
@@ -521,7 +591,10 @@ type Match struct {
 type Stats struct {
 	Records     int
 	Comparisons int
-	Flagged     int
+	// Scored counts the comparisons scored in full, Dice and Jaro-Winkler
+	// cells included: those the gate let through, all at a threshold <= 0.5.
+	Scored  int
+	Flagged int
 }
 
 // FindDuplicates flags duplicate pairs between records of different
@@ -544,25 +617,32 @@ func FindDuplicatesContext(ctx context.Context, records []Record, opts Options) 
 
 // scorePairs computes record similarity for every candidate pair on the
 // worker pool (indexed slots keep the output order deterministic) and
-// returns the pairs at or above the threshold. Every record in pairs must
-// have been resolved; the workers only read them.
-func scorePairs(ctx context.Context, pairs [][2]*prepared, opts Options) ([]Match, error) {
+// returns the pairs at or above the threshold and the number scored in
+// full. Above a threshold of 0.5 the gate rejects the pairs that cannot
+// reach it. Every record in pairs must have been resolved; the workers
+// only read them, and build trigram profiles.
+func scorePairs(ctx context.Context, pairs [][2]*prepared, opts Options) ([]Match, int, error) {
+	gate := opts.Threshold > 0.5
 	sims := make([]float64, len(pairs))
 	if err := parallel.ForChunked(ctx, opts.Workers, len(pairs), 32, func(i int) {
-		sims[i], _ = score(pairs[i][0], pairs[i][1])
+		sims[i], _ = score(pairs[i][0], pairs[i][1], gate)
 	}); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	scored := 0
 	var matches []Match
 	for i, sim := range sims {
+		if sim >= 0 {
+			scored++
+		}
 		if sim >= opts.Threshold {
 			// Few pairs are flagged: naming their evidence by a second
 			// score is cheaper than keeping it for every pair.
-			_, best := score(pairs[i][0], pairs[i][1])
+			_, best := score(pairs[i][0], pairs[i][1], false)
 			matches = append(matches, Match{A: pairs[i][0].rec, B: pairs[i][1].rec, Similarity: sim, Evidence: best.evidence()})
 		}
 	}
-	return matches, nil
+	return matches, scored, nil
 }
 
 // sortMatches orders matches by similarity descending, then pair key.
@@ -662,7 +742,7 @@ func Conflicts(m Match) []Conflict {
 		fa := &a.fields[i]
 		best, bestSim := -1, -1.0
 		for j := range b.fields {
-			if s := fieldSim(fa, &b.fields[j]); s > bestSim {
+			if s := fieldSim(a, b, i, j); s > bestSim {
 				best, bestSim = j, s
 			}
 		}

@@ -11,11 +11,13 @@
 //     copy and one tokenisation per value, the matcher's counts, both
 //     blocking keys. Replay through Add — recovery, replica apply,
 //     checkpoint load — does nothing else;
-//   - at the first comparison: the forms only scoring reads (trigram
-//     profiles, room for the weights);
+//   - at the first comparison: room for the weights;
 //   - per FindNew pass: token IDF and value weight, once per distinct
 //     record the pass compares — the matcher is frozen between insert and
-//     the end of the pass, so no logarithm is taken per pair.
+//     the end of the pass, so no logarithm is taken per pair;
+//   - at its first q-gram Dice cell, by the worker computing it: trigram
+//     profiles, which a record whose every pair the gate (dup.go) rejects
+//     never builds.
 //
 // Remove drops the records and every form with them.
 //
@@ -215,10 +217,11 @@ func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Option
 		}
 	}
 	stats.Comparisons = len(pairs)
-	matches, err := scorePairs(ctx, pairs, opts)
+	matches, scored, err := scorePairs(ctx, pairs, opts)
 	if err != nil {
 		return nil, stats, err
 	}
+	stats.Scored = scored
 	stats.Flagged = len(matches)
 	sortMatches(matches)
 	return matches, stats, nil

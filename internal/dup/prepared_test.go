@@ -184,7 +184,9 @@ func TestScoreAllocatesNothing(t *testing.T) {
 	pa, pb := prepare(a, 1), prepare(b, 2)
 	pa.resolve(m)
 	pb.resolve(m)
-	if n := testing.AllocsPerRun(100, func() { score(pa, pb) }); n != 0 {
-		t.Errorf("score allocates %v times per pair", n)
+	for _, gate := range []bool{false, true} {
+		if n := testing.AllocsPerRun(100, func() { score(pa, pb, gate) }); n != 0 {
+			t.Errorf("gate=%v: score allocates %v times per pair", gate, n)
+		}
 	}
 }

@@ -480,9 +480,11 @@ func seqTuples(s *Source) []seqTuple {
 
 // discoverSequenceLinks finds the sequence links of one source pair in
 // both directions — a's objects to b's (fwd), b's to a's (rev) — and the
-// work and hits behind them. It indexes b's sequences and probes the
-// index with a's, so each candidate pair is seeded and scored once
-// (seq.CrossSearch) and only hits are traced back, once per direction.
+// work and hits behind them. It indexes the smaller side and probes the
+// index with the other (seeding and scoring are symmetric: the pairs,
+// work and links are the same), so each candidate pair is seeded and
+// scored once (seq.CrossSearch) and only hits are traced back, once per
+// direction.
 func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, rev []metadata.Link, st Stats, err error) {
 	if e.opts.DisableSequenceLinks {
 		return nil, nil, Stats{}, nil
@@ -491,7 +493,13 @@ func (e *Engine) discoverSequenceLinks(ctx context.Context, a, b *Source) (fwd, 
 	if len(as) == 0 || len(bs) == 0 {
 		return nil, nil, Stats{}, nil
 	}
-	toB, toA, w, err := e.crossHits(ctx, as, bs)
+	var toB, toA [][]seq.Hit
+	var w seq.Work
+	if len(bs) > len(as) {
+		toA, toB, w, err = e.crossHits(ctx, bs, as)
+	} else {
+		toB, toA, w, err = e.crossHits(ctx, as, bs)
+	}
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
