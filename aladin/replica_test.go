@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,9 @@ func warehouseFingerprint(t *testing.T, db *DB) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sources=%d links=%d removed=%d\n", st.Repo.Sources, st.Repo.Links, st.Repo.RemovedLinks)
 	wh := db.sys.WarehouseSnapshot()
-	for _, n := range wh.SortedNames() {
+	rels := wh.Names()
+	slices.Sort(rels)
+	for _, n := range rels {
 		fmt.Fprintf(&b, "rel %s: %d\n", n, len(wh.Relation(n).Tuples))
 	}
 	res, err := db.Query(ctx, "SELECT accession FROM swissprot_protein ORDER BY accession")

@@ -480,7 +480,10 @@ func benchAppendBeside(b *testing.B, path string, warm int) {
 			if k == 0 {
 				_, err = sys.AddSource(batch(0))
 			} else {
-				_, err = sys.AppendToSource(context.Background(), "tail", batch(k))
+				var p *core.Pending
+				if p, err = sys.PrepareAppend(context.Background(), "tail", batch(k)); err == nil {
+					_, err = sys.Commit(p)
+				}
 			}
 			if timing {
 				timed += time.Since(t0)

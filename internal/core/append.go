@@ -54,16 +54,6 @@ func (s *System) PrepareAppend(ctx context.Context, source string, batch *rel.Da
 	return s.prepare(ctx, p, s.engine.DiscoverAppended)
 }
 
-// AppendToSource prepares and commits one batch append — the
-// single-caller convenience form (tests, non-concurrent embedders).
-func (s *System) AppendToSource(ctx context.Context, source string, batch *rel.Database) (*AddReport, error) {
-	p, err := s.PrepareAppend(ctx, source, batch)
-	if err != nil {
-		return nil, err
-	}
-	return s.Commit(p)
-}
-
 // equalFoldSlices reports case-insensitive element-wise equality.
 func equalFoldSlices(a, b []string) bool {
 	if len(a) != len(b) {

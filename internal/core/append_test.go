@@ -29,12 +29,21 @@ func fastaBatch(t *testing.T, name string, start, n int) *rel.Database {
 	return db
 }
 
+// appendToSource prepares and commits one batch append.
+func appendToSource(ctx context.Context, sys *System, source string, batch *rel.Database) (*AddReport, error) {
+	p, err := sys.PrepareAppend(ctx, source, batch)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Commit(p)
+}
+
 func TestAppendToSource(t *testing.T) {
 	sys := New(defaultOpts())
 	if _, err := sys.AddSource(fastaBatch(t, "seqs", 0, 40)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.AppendToSource(context.Background(), "seqs", fastaBatch(t, "seqs", 40, 25))
+	rep, err := appendToSource(context.Background(), sys, "seqs", fastaBatch(t, "seqs", 40, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,21 +85,21 @@ func TestAppendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := sys.AppendToSource(ctx, "nosuch", fastaBatch(t, "nosuch", 0, 5)); err == nil {
+	if _, err := appendToSource(ctx, sys, "nosuch", fastaBatch(t, "nosuch", 0, 5)); err == nil {
 		t.Error("append to unknown source succeeded")
 	}
 	// A batch relation the source does not have is rejected.
 	alien := rel.NewDatabase("seqs")
 	alien.Create("extra", rel.TextSchema("a", "b"))
 	alien.Relation("extra").AppendRaw("1", "2")
-	if _, err := sys.AppendToSource(ctx, "seqs", alien); err == nil {
+	if _, err := appendToSource(ctx, sys, "seqs", alien); err == nil {
 		t.Error("append adding a new relation succeeded")
 	}
 	// Mismatched columns are rejected.
 	skewed := rel.NewDatabase("seqs")
 	skewed.Create("fasta", rel.TextSchema("fasta_id", "accession"))
 	skewed.Relation("fasta").AppendRaw("1", "X1")
-	if _, err := sys.AppendToSource(ctx, "seqs", skewed); err == nil {
+	if _, err := appendToSource(ctx, sys, "seqs", skewed); err == nil {
 		t.Error("append with mismatched schema succeeded")
 	}
 }
@@ -118,7 +127,7 @@ func TestAppendCrossSourceLinks(t *testing.T) {
 	if _, err := sys.AddSource(half[0]); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.AppendToSource(context.Background(), "spcopy", half[1])
+	rep, err := appendToSource(context.Background(), sys, "spcopy", half[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +176,7 @@ func TestAppendDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := sys.AppendToSource(context.Background(), "seqs", fastaBatch(t, "seqs", 30+10*i, 10)); err != nil {
+		if _, err := appendToSource(context.Background(), sys, "seqs", fastaBatch(t, "seqs", 30+10*i, 10)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -217,7 +226,7 @@ func TestCrashBetweenAppendBatches(t *testing.T) {
 	if _, err := sys.AddSource(fastaBatch(t, "seqs", 0, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.AppendToSource(context.Background(), "seqs", fastaBatch(t, "seqs", 20, 10)); err != nil {
+	if _, err := appendToSource(context.Background(), sys, "seqs", fastaBatch(t, "seqs", 20, 10)); err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(sys)
@@ -229,7 +238,7 @@ func TestCrashBetweenAppendBatches(t *testing.T) {
 		}
 		return nil
 	}
-	_, err = sys.AppendToSource(context.Background(), "seqs", fastaBatch(t, "seqs", 30, 10))
+	_, err = appendToSource(context.Background(), sys, "seqs", fastaBatch(t, "seqs", 30, 10))
 	if !errors.Is(err, ErrDurability) {
 		t.Fatalf("append under failpoint = %v, want ErrDurability", err)
 	}

@@ -106,7 +106,7 @@ func twoUploadSystem(t *testing.T) *System {
 	if _, err := sys.AddSource(parseFlat(t, "embl", text[:cut], "swissprot")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.AppendToSource(context.Background(), "swissprot", parseFlat(t, "embl", text[cut:], "swissprot")); err != nil {
+	if _, err := appendToSource(context.Background(), sys, "swissprot", parseFlat(t, "embl", text[cut:], "swissprot")); err != nil {
 		t.Fatal(err)
 	}
 	return sys

@@ -94,7 +94,9 @@ func fingerprint(s *System) string {
 	sort.Strings(names)
 	fmt.Fprintf(&b, "sources: %v\n", names)
 	wh := s.WarehouseSnapshot()
-	for _, n := range wh.SortedNames() {
+	rels := wh.Names()
+	sort.Strings(rels)
+	for _, n := range rels {
 		fmt.Fprintf(&b, "rel %s: %d tuples\n", n, len(wh.Relation(n).Tuples))
 	}
 	fmt.Fprintf(&b, "links:\n%s\n", linkLines(s.Repo.AllLinks()))

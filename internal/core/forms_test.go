@@ -86,7 +86,7 @@ func (c formsCorpus) streamed(t *testing.T, sys *System) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sys.AppendToSource(context.Background(), "spcopy", half[1]); err != nil {
+	if _, err := appendToSource(context.Background(), sys, "spcopy", half[1]); err != nil {
 		t.Fatal(err)
 	}
 }

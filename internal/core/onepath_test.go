@@ -341,7 +341,7 @@ func streamLinked(t *testing.T, sys *System, afterBatch func(source string, batc
 			if b == 0 {
 				_, err = sys.AddSourceContext(ctx, batch)
 			} else {
-				_, err = sys.AppendToSource(ctx, src.name, batch)
+				_, err = appendToSource(ctx, sys, src.name, batch)
 			}
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", src.name, b, err)
@@ -609,7 +609,7 @@ func TestBatchJournalsOnlyItsOntologyLinks(t *testing.T) {
 	if _, err := sys.AddSource(fastaBatch(t, "seqs", 0, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.AppendToSource(context.Background(), "seqs", fastaBatch(t, "seqs", 20, 20)); err != nil {
+	if _, err := appendToSource(context.Background(), sys, "seqs", fastaBatch(t, "seqs", 20, 20)); err != nil {
 		t.Fatal(err)
 	}
 	frames, _, err := dir.FramesSince(corpusSeq, 0)
@@ -719,7 +719,7 @@ func TestRecoversParentDataDirectory(t *testing.T) {
 		}
 	}
 	for _, start := range []int{10, 15, 20} {
-		if _, err := sys.AppendToSource(ctx, "seqs", fastaBatch(t, "seqs", start, 5)); err != nil {
+		if _, err := appendToSource(ctx, sys, "seqs", fastaBatch(t, "seqs", start, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}

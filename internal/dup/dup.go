@@ -15,8 +15,8 @@
 // Everything scores prepared records (prepared, below), through one
 // scorer: an Index prepares each record once when it enters — fields in
 // name order, one lower-cased copy and one tokenisation per value — and
-// every entry point (Matcher.Similarity, FindDuplicates, Index.FindNew,
-// Conflicts) reaches score and fieldSim over that form.
+// every entry point (FindDuplicates, Index.FindNewContext, Conflicts)
+// reaches score and fieldSim over that form.
 // Candidate generation and the resolution of frequency weights are
 // serial; only the scoring of resolved, read-only records fans out over
 // workers. Per candidate pair each field-by-field similarity is computed
@@ -36,7 +36,9 @@
 package dup
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -142,10 +144,17 @@ type field struct {
 	// The trigram profile of a value that is not prose, built at the
 	// record's first q-gram Dice cell (prepared.grams).
 	grams []textmine.GramRun
-	// Resolved against the frozen matcher once per pass (resolve): the IDF
-	// of every entry of toks and the value's distinctiveness weight.
-	idf    []float64
+	// Resolved against the frozen matcher once per pass (resolve): the
+	// order key and IDF of every entry of toks, and the value's
+	// distinctiveness weight.
+	tw     []tokenWeight
 	weight float64
+}
+
+// tokenWeight is what the Jaccard merge reads of one token.
+type tokenWeight struct {
+	ord uint64 // orderKey
+	idf float64
 }
 
 // prepared is a record with every form derived from it, built once when
@@ -161,6 +170,7 @@ type prepared struct {
 	// between sources.
 	keys [2]string
 	pass uint32 // the Index pass that last resolved the record; 0 = never compared
+	pos0 int32  // position in the owning Index's pass-0 list, renumbered at every insert
 	// gramsOnce builds the fields' trigram profiles when a worker first
 	// needs one; prepared is only ever used by pointer, so it is never
 	// copied.
@@ -201,6 +211,15 @@ func prepare(r Record, id uint32) *prepared {
 	return p
 }
 
+// orderKey is a token's first 8 bytes, big-endian and zero-padded. Keys
+// order as their tokens do bytewise, so two tokens with different keys
+// compare as their keys; only equal keys need the strings.
+func orderKey(tok string) uint64 {
+	var b [8]byte
+	copy(b[:], tok)
+	return binary.BigEndian.Uint64(b[:])
+}
+
 // lessReversed compares two strings as if both were reversed bytewise.
 func lessReversed(a, b string) bool {
 	for i, j := len(a)-1, len(b)-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
@@ -212,17 +231,17 @@ func lessReversed(a, b string) bool {
 }
 
 // resolve makes the record ready to be scored under m as it stands: room
-// for the weights on the first call, token IDF and value weight on every
-// call. It runs in the serial part of a pass; the worker pool then reads
+// for the weights on the first call, token order keys and IDF and value
+// weight on every call. It runs in the serial part of a pass; the worker pool then reads
 // the record only, but for the trigram profiles (grams).
 func (p *prepared) resolve(m *Matcher) {
 	for i := range p.fields {
 		f := &p.fields[i]
-		if f.idf == nil {
-			f.idf = make([]float64, len(f.toks))
+		if f.tw == nil {
+			f.tw = make([]tokenWeight, len(f.toks))
 		}
 		for k, tok := range f.toks {
-			f.idf[k] = m.tokenIDF(tok)
+			f.tw[k] = tokenWeight{orderKey(tok), m.tokenIDF(tok)}
 		}
 		f.weight = m.weightLower(f.lower)
 	}
@@ -292,30 +311,34 @@ func costlySim(a, b *prepared, i, j int) float64 {
 }
 
 // weightedJaccard is token Jaccard under the resolved IDF weights, by one
-// merge of the two sorted token sets.
+// merge of the two sorted token sets on their order keys.
 func weightedJaccard(a, b *field) float64 {
 	var inter, union float64
 	i, j := 0, 0
-	for i < len(a.toks) && j < len(b.toks) {
-		switch c := strings.Compare(a.toks[i], b.toks[j]); {
+	for i < len(a.tw) && j < len(b.tw) {
+		c := cmp.Compare(a.tw[i].ord, b.tw[j].ord)
+		if c == 0 {
+			c = strings.Compare(a.toks[i], b.toks[j])
+		}
+		switch {
 		case c < 0:
-			union += a.idf[i]
+			union += a.tw[i].idf
 			i++
 		case c > 0:
-			union += b.idf[j]
+			union += b.tw[j].idf
 			j++
 		default:
-			union += a.idf[i]
-			inter += a.idf[i]
+			union += a.tw[i].idf
+			inter += a.tw[i].idf
 			i++
 			j++
 		}
 	}
-	for ; i < len(a.toks); i++ {
-		union += a.idf[i]
+	for ; i < len(a.tw); i++ {
+		union += a.tw[i].idf
 	}
-	for ; j < len(b.toks); j++ {
-		union += b.idf[j]
+	for ; j < len(b.tw); j++ {
+		union += b.tw[j].idf
 	}
 	if union == 0 {
 		return 0
@@ -399,15 +422,6 @@ func (m *Matcher) weightLower(lv string) float64 {
 		return 1 // a value shared by exactly a duplicate pair is maximal evidence
 	}
 	return 1 / (1 + math.Log(float64(c-1)))
-}
-
-// Similarity computes the weighted record similarity and evidence.
-func (m *Matcher) Similarity(a, b Record) (float64, string) {
-	pa, pb := prepare(a, 0), prepare(b, 0)
-	pa.resolve(m)
-	pb.resolve(m)
-	sim, best := score(pa, pb, false)
-	return sim, best.evidence()
 }
 
 // bestFields names the strongest field correspondence of a comparison.
@@ -620,12 +634,13 @@ func FindDuplicatesContext(ctx context.Context, records []Record, opts Options) 
 // returns the pairs at or above the threshold and the number scored in
 // full. Above a threshold of 0.5 the gate rejects the pairs that cannot
 // reach it. Every record in pairs must have been resolved; the workers
-// only read them, and build trigram profiles.
-func scorePairs(ctx context.Context, pairs [][2]*prepared, opts Options) ([]Match, int, error) {
+// only read them, and build trigram profiles. A pair names its records
+// by their positions in recs.
+func scorePairs(ctx context.Context, recs []*prepared, pairs [][2]int32, opts Options) ([]Match, int, error) {
 	gate := opts.Threshold > 0.5
 	sims := make([]float64, len(pairs))
 	if err := parallel.ForChunked(ctx, opts.Workers, len(pairs), 32, func(i int) {
-		sims[i], _ = score(pairs[i][0], pairs[i][1], gate)
+		sims[i], _ = score(recs[pairs[i][0]], recs[pairs[i][1]], gate)
 	}); err != nil {
 		return nil, 0, err
 	}
@@ -638,8 +653,9 @@ func scorePairs(ctx context.Context, pairs [][2]*prepared, opts Options) ([]Matc
 		if sim >= opts.Threshold {
 			// Few pairs are flagged: naming their evidence by a second
 			// score is cheaper than keeping it for every pair.
-			_, best := score(pairs[i][0], pairs[i][1], false)
-			matches = append(matches, Match{A: pairs[i][0].rec, B: pairs[i][1].rec, Similarity: sim, Evidence: best.evidence()})
+			a, b := recs[pairs[i][0]], recs[pairs[i][1]]
+			_, best := score(a, b, false)
+			matches = append(matches, Match{A: a.rec, B: b.rec, Similarity: sim, Evidence: best.evidence()})
 		}
 	}
 	return matches, scored, nil

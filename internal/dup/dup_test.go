@@ -14,6 +14,16 @@ func rec(src, acc string, fields map[string]string) Record {
 	return Record{Source: src, Relation: "main", Accession: acc, Fields: fields}
 }
 
+// Similarity is one pair's weighted record similarity and evidence under m,
+// scored in full.
+func (m *Matcher) Similarity(a, b Record) (float64, string) {
+	pa, pb := prepare(a, 0), prepare(b, 0)
+	pa.resolve(m)
+	pb.resolve(m)
+	sim, best := score(pa, pb, false)
+	return sim, best.evidence()
+}
+
 // swissprotPIR builds the paper's §2 example: "largely the same proteins
 // used to be stored in Swiss-Prot and PIR" — two sources with different
 // field names and slightly different values.

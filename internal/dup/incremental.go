@@ -11,10 +11,13 @@
 //     copy and one tokenisation per value, the matcher's counts, both
 //     blocking keys. Replay through Add — recovery, replica apply,
 //     checkpoint load — does nothing else;
+//   - at every insert, for every indexed record: its pass-0 position,
+//     by which candidate pairs name it;
 //   - at the first comparison: room for the weights;
-//   - per FindNew pass: token IDF and value weight, once per distinct
-//     record the pass compares — the matcher is frozen between insert and
-//     the end of the pass, so no logarithm is taken per pair;
+//   - per FindNew pass: each token's order key and IDF and the value
+//     weight, once per distinct record the pass compares — the matcher
+//     is frozen between insert and the end of the pass, so no logarithm
+//     is taken per pair;
 //   - at its first q-gram Dice cell, by the worker computing it: trigram
 //     profiles, which a record whose every pair the gate (dup.go) rejects
 //     never builds.
@@ -76,8 +79,8 @@ func (ix *Index) Add(records []Record) {
 }
 
 // insert prepares the records and merges them into both sorted pass
-// lists and the matcher, returning their merged positions per pass.
-func (ix *Index) insert(records []Record) [2][]int {
+// lists and the matcher, and renumbers every record's pass-0 position.
+func (ix *Index) insert(records []Record) {
 	added := make([]*prepared, len(records))
 	for i, r := range records {
 		ix.lastID++
@@ -85,33 +88,26 @@ func (ix *Index) insert(records []Record) [2][]int {
 		ix.matcher.add(added[i])
 	}
 	ix.all = append(ix.all, added...)
-	var positions [2][]int
 	for pass := range ix.passes {
 		slices.SortFunc(added, func(a, b *prepared) int { return keyedCmp(a, b, pass) })
-		ix.passes[pass], positions[pass] = mergeKeyed(ix.passes[pass], added, pass)
+		ix.passes[pass] = mergeKeyed(ix.passes[pass], added, pass)
 	}
-	return positions
+	for i, p := range ix.passes[0] {
+		p.pos0 = int32(i)
+	}
 }
 
-// mergeKeyed merges two lists sorted by the pass's key, returning the
-// merged list and the positions the `added` entries landed on.
-func mergeKeyed(existing, added []*prepared, pass int) ([]*prepared, []int) {
+// mergeKeyed merges two lists sorted by the pass's key.
+func mergeKeyed(existing, added []*prepared, pass int) []*prepared {
 	merged := make([]*prepared, 0, len(existing)+len(added))
-	pos := make([]int, 0, len(added))
-	i, j := 0, 0
-	for i < len(existing) || j < len(added) {
-		takeAdded := i >= len(existing) ||
-			(j < len(added) && keyedCmp(added[j], existing[i], pass) < 0)
-		if takeAdded {
-			pos = append(pos, len(merged))
-			merged = append(merged, added[j])
-			j++
+	for len(existing) > 0 && len(added) > 0 {
+		if keyedCmp(added[0], existing[0], pass) < 0 {
+			merged, added = append(merged, added[0]), added[1:]
 		} else {
-			merged = append(merged, existing[i])
-			i++
+			merged, existing = append(merged, existing[0]), existing[1:]
 		}
 	}
-	return merged, pos
+	return append(append(merged, existing...), added...)
 }
 
 // Remove drops the given records from the index by identity
@@ -158,35 +154,46 @@ func (ix *Index) Remove(records []Record) {
 func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Options) ([]Match, Stats, error) {
 	opts.fill()
 	n := len(ix.all)
-	firstNew := ix.lastID + 1 // every record of this batch has an id from here up
-	positions := ix.insert(added)
-	existing, fresh := ix.all[:n], ix.all[n:]
-	stats := Stats{Records: len(ix.all)}
-	ix.pass++
+	ix.insert(added)
+	pairs := ix.candidates(n, opts.Blocking)
+	stats := Stats{Records: len(ix.all), Comparisons: len(pairs)}
 
 	// The matcher is frozen from here to the end of the pass: each record
-	// is resolved against it when its first candidate pair is admitted.
-	seen := make(map[uint64]bool)
-	var pairs [][2]*prepared
-	add := func(a, b *prepared) {
-		if a.rec.Source == b.rec.Source && a.rec.Accession == b.rec.Accession {
-			return
-		}
-		k := uint64(min(a.id, b.id))<<32 | uint64(max(a.id, b.id))
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		for _, p := range [2]*prepared{a, b} {
-			if p.pass != ix.pass {
+	// a candidate pair names is resolved against it once.
+	ix.pass++
+	recs := ix.passes[0]
+	for _, pair := range pairs {
+		for _, k := range pair {
+			if p := recs[k]; p.pass != ix.pass {
 				p.pass = ix.pass
 				p.resolve(ix.matcher)
 			}
 		}
-		pairs = append(pairs, [2]*prepared{a, b})
 	}
+	matches, scored, err := scorePairs(ctx, recs, pairs, opts)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.Scored = scored
+	stats.Flagged = len(matches)
+	sortMatches(matches)
+	return matches, stats, nil
+}
 
-	switch opts.Blocking {
+// candidates returns the candidate pairs of the batch insert just put
+// after the first n records of ix.all, each pair once and oriented as
+// generated (new record first), as positions in the pass-0 list. Two
+// copies of one object (same Source and Accession) are never a pair.
+func (ix *Index) candidates(n int, blocking BlockingMode) [][2]int32 {
+	existing, fresh := ix.all[:n], ix.all[n:]
+	firstNew := ix.lastID + 1 - uint32(len(fresh))    // the batch's ids run from here up
+	pairs := make([][2]int32, 0, 4*window*len(fresh)) // a window's worth either side, per pass
+	add := func(a, b *prepared) {
+		if a.rec.Source != b.rec.Source || a.rec.Accession != b.rec.Accession {
+			pairs = append(pairs, [2]int32{a.pos0, b.pos0})
+		}
+	}
+	switch blocking {
 	case FullPairwise:
 		for ai, a := range fresh {
 			for _, b := range existing {
@@ -200,29 +207,25 @@ func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Option
 		// The second pass sorts by a reversed key, catching pairs whose
 		// primary keys diverge.
 		for pass, ks := range ix.passes {
-			for _, i := range positions[pass] {
-				lo := max(i-window, 0)
-				hi := min(i+window, len(ks)-1)
-				for j := lo; j <= hi; j++ {
+			for i, a := range ks {
+				if a.id < firstNew {
+					continue
+				}
+				for j := max(i-window, 0); j <= min(i+window, len(ks)-1); j++ {
 					// A new×new pair within the window is produced from
 					// both endpoints' positions; keep the i<j orientation
-					// so each pair is generated once (the seen set catches
-					// the cross-pass repeats).
-					if j == i || (j < i && ks[j].id >= firstNew) {
+					// so each pair is generated once. Pass 0 admitted
+					// every pair within the window of its positions, so
+					// pass 1 skips those.
+					b := ks[j]
+					if j == i || (j < i && b.id >= firstNew) ||
+						(pass == 1 && max(a.pos0-b.pos0, b.pos0-a.pos0) <= window) {
 						continue
 					}
-					add(ks[i], ks[j])
+					add(a, b)
 				}
 			}
 		}
 	}
-	stats.Comparisons = len(pairs)
-	matches, scored, err := scorePairs(ctx, pairs, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Scored = scored
-	stats.Flagged = len(matches)
-	sortMatches(matches)
-	return matches, stats, nil
+	return pairs
 }

@@ -2,7 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -330,12 +329,4 @@ func (db *Database) TotalTuples() int {
 		n += len(r.Tuples)
 	}
 	return n
-}
-
-// SortedNames returns relation names sorted alphabetically (for stable
-// reporting).
-func (db *Database) SortedNames() []string {
-	names := db.Names()
-	sort.Strings(names)
-	return names
 }
