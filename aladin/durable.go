@@ -38,6 +38,10 @@ type DurabilityStats struct {
 	// LastCheckpointError reports the most recent (possibly automatic)
 	// checkpoint failure, "" after a success.
 	LastCheckpointError string
+	// RecoverDecode, RecoverRestore and RecoverReplay time the recovery
+	// Open ran: decoding the checkpoint's segments, restoring their
+	// sources (search index included) and replaying the WAL tail.
+	RecoverDecode, RecoverRestore, RecoverReplay time.Duration
 }
 
 // openDurable opens (or recovers) a durable database from cfg.dataDir.
@@ -150,6 +154,9 @@ func (d *DB) durabilityStats() DurabilityStats {
 		DirtySources:   cs.DirtySources,
 		Sources:        cs.Sources,
 		LastCheckpoint: cs.LastCheckpoint,
+		RecoverDecode:  cs.RecoverDecode,
+		RecoverRestore: cs.RecoverRestore,
+		RecoverReplay:  cs.RecoverReplay,
 	}
 	d.chkErrMu.Lock()
 	if d.lastChkErr != nil {

@@ -24,6 +24,7 @@ type allocBudget struct {
 	DupScorePair   float64 `json:"dup_score_pair"`
 	SeqScorePair   float64 `json:"seq_score_pair"`
 	TextComparison float64 `json:"text_links_comparison"`
+	SearchBuildDoc float64 `json:"search_build_doc"`
 	LikeScan       int64   `json:"like_scan"`
 	FilterScan     int64   `json:"filter_scan"`
 	IndexJoin      int64   `json:"index_join"`
@@ -112,6 +113,24 @@ func TestTextAllocBudget(t *testing.T) {
 	t.Logf("text_links_comparison: %.3f allocs/comparison (budget %.3f)", got, budget.TextComparison)
 	if got <= 0 || got > budget.TextComparison {
 		t.Errorf("text_links_comparison: %.3f allocs/comparison outside (0, %.3f]", got, budget.TextComparison)
+	}
+}
+
+// TestSearchAllocBudget holds building a source's search index to its
+// allocations per indexed value (BenchmarkSearchBuild's allocs/doc). A
+// term is copied only when first seen and a value is stored without
+// pointers of its own, so the figure is the growth of the index's
+// slices and maps; an index that allocates per token again multiplies
+// it.
+func TestSearchAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	if budget.SearchBuildDoc <= 0 {
+		t.Fatal("search_build_doc: missing budget in ALLOC_budget.json")
+	}
+	got := testing.Benchmark(BenchmarkSearchBuild).Extra["allocs/doc"]
+	t.Logf("search_build_doc: %.3f allocs/doc (budget %.2f)", got, budget.SearchBuildDoc)
+	if got <= 0 || got > budget.SearchBuildDoc {
+		t.Errorf("search_build_doc: %.3f allocs/doc outside (0, %.2f]", got, budget.SearchBuildDoc)
 	}
 }
 

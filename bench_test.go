@@ -728,6 +728,56 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchBuild builds the search index of a 1,200-entry EMBL
+// source and merges it into an empty index, as restoring the source
+// does: every non-numeric, non-sequence value, owned by the entry its
+// tuple belongs to. docs/op counts the indexed values; allocs/doc spreads
+// the build and the merge over them — TestSearchAllocBudget holds it to
+// ALLOC_budget.json.
+func BenchmarkSearchBuild(b *testing.B) {
+	var text strings.Builder
+	if err := datagen.EMBLText(&text, 1200, 50, 7); err != nil {
+		b.Fatal(err)
+	}
+	db, err := flatfile.Parse("embl", strings.NewReader(text.String()), "swissprot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := linkSource(b, db)
+	st, owners := src.Structure, src.Owners()
+	var docs []search.Document
+	for _, r := range db.Relations() {
+		for ci, c := range r.Schema.Columns {
+			if p := src.Profiles[profile.Key(r.Name, c.Name)]; p == nil || p.PurelyNumeric || p.IsSequenceField() {
+				continue
+			}
+			for ti, t := range r.Tuples {
+				if accs := owners.Of(r.Name, ti); len(accs) > 0 && !t[ci].IsNull() {
+					docs = append(docs, search.Document{
+						Object:   metadata.ObjectRef{Source: db.Name, Relation: st.Primary, Accession: accs[0]},
+						Relation: r.Name, Column: c.Name, Text: t[ci].AsString(),
+						Primary: strings.EqualFold(r.Name, st.Primary),
+					})
+				}
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix := search.NewIndex()
+		for _, d := range docs {
+			ix.Add(d)
+		}
+		search.NewIndex().Merge(ix)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(len(docs)), "docs/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*len(docs)), "allocs/doc")
+}
+
 var benchSys *core.System
 
 func integrateOnce(b *testing.B) *core.System {

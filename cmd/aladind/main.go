@@ -238,7 +238,10 @@ func openDB(workers, proteins int, empty bool, dataDir string, chkEvery int, rep
 			return nil, err
 		}
 		if len(infos) > 0 {
-			log.Printf("aladind: recovered %d sources from %s", len(infos), dataDir)
+			st, _ := db.Stats(ctx)
+			ds := st.Durability
+			log.Printf("aladind: recovered %d sources from %s (segment decode %v, source restore %v, WAL-tail replay %v)", len(infos), dataDir,
+				ds.RecoverDecode.Round(time.Microsecond), ds.RecoverRestore.Round(time.Microsecond), ds.RecoverReplay.Round(time.Microsecond))
 			return db, nil
 		}
 	}

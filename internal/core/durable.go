@@ -32,6 +32,9 @@ type durable struct {
 	// logging is false while recovery replays the WAL through the normal
 	// mutators: the records being re-applied are already on disk.
 	logging bool
+	// recovered times the Recover that opened the system, if one did:
+	// segment decode, source restore and WAL-tail replay.
+	recovered [3]time.Duration
 }
 
 // ErrDurability marks failures of the durability layer itself — WAL
@@ -259,6 +262,11 @@ type DurabilityStats struct {
 	DirtySources   int
 	Sources        int
 	LastCheckpoint time.Time
+	// RecoverDecode, RecoverRestore and RecoverReplay time the Recover
+	// that opened the system: decoding the checkpoint's segments,
+	// restoring their sources (search index included) and replaying the
+	// WAL tail. All are zero for a directory attached empty.
+	RecoverDecode, RecoverRestore, RecoverReplay time.Duration
 }
 
 // DurabilityStats returns the current durability state.
@@ -271,6 +279,7 @@ func (s *System) DurabilityStats() (DurabilityStats, bool) {
 	d.mu.Lock()
 	dirty := len(d.dirty)
 	records := d.records
+	rt := d.recovered
 	d.mu.Unlock()
 	return DurabilityStats{
 		Dir:            ds.Path,
@@ -281,5 +290,8 @@ func (s *System) DurabilityStats() (DurabilityStats, bool) {
 		DirtySources:   dirty,
 		Sources:        ds.Sources,
 		LastCheckpoint: ds.LastCheckpoint,
+		RecoverDecode:  rt[0],
+		RecoverRestore: rt[1],
+		RecoverReplay:  rt[2],
 	}, true
 }

@@ -20,7 +20,7 @@ func TestQualifiedCloneKeepsDeclaredFKIndexes(t *testing.T) {
 		FromRelation: "chain", FromColumn: "structure_id",
 		ToRelation: "structure", ToColumn: "structure_id",
 	})
-	r.AppendStrings("1", "a")
+	r.Append(rel.Tuple{rel.Int(1), rel.Str("a")})
 	q := qualifiedClone(r, "pdb", nil)
 	if q.Name != "pdb_structure" {
 		t.Fatalf("clone name = %q", q.Name)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/dup"
 	"repro/internal/linkdisc"
@@ -173,27 +174,34 @@ func Load(opts Options, snap *store.Snapshot) (*System, error) {
 // sources are marked dirty so the next checkpoint folds them into
 // segments. Returns the number of WAL records replayed.
 func Recover(opts Options, dir *store.Dir) (*System, int, error) {
+	t0 := time.Now()
 	snap, err := dir.Load()
 	if err != nil {
 		return nil, 0, err
 	}
+	var rt [3]time.Duration // decode, restore, replay
+	rt[0] = time.Since(t0)
 	sys := New(opts)
 	sys.durable = &durable{dir: dir, dirty: make(map[string]bool)}
 	// Seed the mutation sequence where the checkpoint left it; replaying
 	// the WAL tail advances it record by record (applyWAL syncs it to
 	// each frame's header sequence).
 	sys.seq.Store(dir.ManifestCopy().RecordSeq)
+	t0 = time.Now()
 	if err := sys.load(snap); err != nil {
 		return nil, 0, err
 	}
+	rt[1], t0 = time.Since(t0), time.Now()
 	n, err := dir.Replay(sys.applyWAL)
 	if err != nil {
 		return nil, n, err
 	}
+	rt[2] = time.Since(t0)
 	d := sys.durable
 	d.mu.Lock()
 	d.records = n
 	d.logging = true
+	d.recovered = rt
 	d.mu.Unlock()
 	return sys, n, nil
 }

@@ -181,13 +181,15 @@ type prepared struct {
 func prepare(r Record, id uint32) *prepared {
 	p := &prepared{rec: r, id: id, fields: make([]field, 0, len(r.Fields))}
 	for name, v := range r.Fields {
+		words := 0
+		textmine.EachField(v, func(string) bool { words++; return words < 3 })
 		lower := strings.ToLower(v)
 		toks := textmine.TokenizeLower(lower)
 		slices.Sort(toks)
 		p.fields = append(p.fields, field{
 			name: name, lower: lower, toks: slices.Compact(toks),
 			accession: textmine.LooksLikeAccession(v),
-			prose:     len(strings.Fields(v)) >= 3,
+			prose:     words >= 3,
 		})
 	}
 	sort.Slice(p.fields, func(i, j int) bool { return p.fields[i].name < p.fields[j].name })

@@ -278,14 +278,15 @@ func TestDiscoverMatchesOracle(t *testing.T) {
 // a run of consecutive values (unique, and nested or equal across
 // columns), or repeated picks from a prefix, sometimes with NULLs.
 func randomDatabase(rng *rand.Rand) *rel.Database {
-	universe := []string{"1", "2", "3", "4", "1.0", "2.5", "x", "y", "z", "w"}
+	universe := []rel.Value{rel.Int(1), rel.Int(2), rel.Int(3), rel.Int(4), rel.Float(1.0), rel.Float(2.5),
+		rel.Str("x"), rel.Str("y"), rel.Str("z"), rel.Str("w")}
 	db := rel.NewDatabase("random")
 	for r, nr := 0, 2+rng.Intn(3); r < nr; r++ {
 		names := []string{"c0", "c1", "c2"}[:1+rng.Intn(3)]
 		rows := rng.Intn(9)
-		cols := make([][]string, len(names))
+		cols := make([][]rel.Value, len(names))
 		for c := range cols {
-			cols[c] = make([]string, rows)
+			cols[c] = make([]rel.Value, rows)
 			offset, prefix := rng.Intn(len(universe)-rows+1), 1+rng.Intn(6)
 			kind := rng.Intn(3)
 			for i := range cols[c] {
@@ -293,7 +294,7 @@ func randomDatabase(rng *rand.Rand) *rel.Database {
 				case kind == 0:
 					cols[c][i] = universe[offset+i]
 				case kind == 2 && rng.Intn(5) == 0:
-					cols[c][i] = "" // NULL
+					cols[c][i] = rel.Null()
 				default:
 					cols[c][i] = universe[rng.Intn(prefix)]
 				}
@@ -301,11 +302,11 @@ func randomDatabase(rng *rand.Rand) *rel.Database {
 		}
 		rr := db.Create(fmt.Sprintf("r%d", r), rel.TextSchema(names...))
 		for i := 0; i < rows; i++ {
-			fields := make([]string, len(names))
+			tup := make(rel.Tuple, len(names))
 			for c := range names {
-				fields[c] = cols[c][i]
+				tup[c] = cols[c][i]
 			}
-			rr.AppendStrings(fields...)
+			rr.Append(tup)
 		}
 	}
 	return db

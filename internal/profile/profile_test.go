@@ -11,15 +11,10 @@ import (
 
 func accessionRelation() *rel.Relation {
 	r := rel.NewRelation("bioentry", rel.TextSchema("bioentry_id", "accession", "name", "taxon_id", "description"))
-	rows := [][]string{
-		{"1", "P12345", "HBA_HUMAN", "9606", "Hemoglobin subunit alpha from human blood"},
-		{"2", "P67890", "MYG_HUMAN", "9606", "Myoglobin oxygen storage protein"},
-		{"3", "Q11111", "INS_MOUSE", "10090", "Insulin regulates glucose"},
-		{"4", "Q22222", "K1C9_MOUSE", "10090", "Keratin type I cytoskeletal"},
-	}
-	for _, row := range rows {
-		r.AppendStrings(row...)
-	}
+	r.Append(rel.Tuple{rel.Int(1), rel.Str("P12345"), rel.Str("HBA_HUMAN"), rel.Int(9606), rel.Str("Hemoglobin subunit alpha from human blood")})
+	r.Append(rel.Tuple{rel.Int(2), rel.Str("P67890"), rel.Str("MYG_HUMAN"), rel.Int(9606), rel.Str("Myoglobin oxygen storage protein")})
+	r.Append(rel.Tuple{rel.Int(3), rel.Str("Q11111"), rel.Str("INS_MOUSE"), rel.Int(10090), rel.Str("Insulin regulates glucose")})
+	r.Append(rel.Tuple{rel.Int(4), rel.Str("Q22222"), rel.Str("K1C9_MOUSE"), rel.Int(10090), rel.Str("Keratin type I cytoskeletal")})
 	return r
 }
 

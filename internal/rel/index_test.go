@@ -54,12 +54,12 @@ func TestIndexMaintainedOnAppend(t *testing.T) {
 	r := indexedRelation()
 	r.EnsureIndexes()
 	r.Append(Tuple{Int(4), Str("P4"), Int(20)})
-	r.AppendStrings("5", "P5", "20")
+	r.Append(Tuple{Parse("5"), Parse("P5"), Parse("20")})
 	if ps := r.HashIndex("org_id").Lookup(Int(20)); !reflect.DeepEqual(ps, []int{2, 3, 4}) {
 		t.Errorf("Lookup(org_id=20) after appends = %v, want [2 3 4]", ps)
 	}
 	if ps := r.HashIndex("id").Lookup(Int(5)); !reflect.DeepEqual(ps, []int{4}) {
-		t.Errorf("Lookup(id=5) = %v (AppendStrings must maintain indexes)", ps)
+		t.Errorf("Lookup(id=5) = %v (Append of parsed values must maintain indexes)", ps)
 	}
 }
 

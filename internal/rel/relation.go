@@ -136,15 +136,6 @@ func (r *Relation) Append(t Tuple) {
 	}
 }
 
-// AppendStrings adds a tuple of parsed text values.
-func (r *Relation) AppendStrings(fields ...string) {
-	t := make(Tuple, len(fields))
-	for i, f := range fields {
-		t[i] = Parse(f)
-	}
-	r.Append(t)
-}
-
 // AppendRaw adds a tuple of uninterpreted text values (no type guessing).
 func (r *Relation) AppendRaw(fields ...string) {
 	t := make(Tuple, len(fields))

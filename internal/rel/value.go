@@ -252,25 +252,3 @@ func (v Value) Key() string {
 }
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
-
-// Parse guesses the most specific kind for a raw text token: integers,
-// floats, booleans, otherwise text. Empty strings become NULL.
-func Parse(raw string) Value {
-	t := strings.TrimSpace(raw)
-	if t == "" {
-		return Null()
-	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
-		return Float(f)
-	}
-	switch strings.ToLower(t) {
-	case "true":
-		return Bool(true)
-	case "false":
-		return Bool(false)
-	}
-	return Str(raw)
-}

@@ -1,6 +1,8 @@
 package rel
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -135,6 +137,29 @@ func TestValueKeyDistinguishes(t *testing.T) {
 	if Str("true").Key() == Bool(true).Key() {
 		t.Error("Key collision between Str(\"true\") and Bool(true)")
 	}
+}
+
+// Parse guesses the most specific kind for a raw text token: integers,
+// floats, booleans, otherwise text. Empty strings become NULL. The tests
+// here type tuples from text with it.
+func Parse(raw string) Value {
+	t := strings.TrimSpace(raw)
+	if t == "" {
+		return Null()
+	}
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+		return Int(i)
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil {
+		return Float(f)
+	}
+	switch strings.ToLower(t) {
+	case "true":
+		return Bool(true)
+	case "false":
+		return Bool(false)
+	}
+	return Str(raw)
 }
 
 func TestParse(t *testing.T) {

@@ -5,12 +5,22 @@
 // algorithms order the search results based on similarity of the result
 // to the query." The paper delegates this to commercial extenders; here
 // it is an inverted index with BM25 ranking built from scratch.
+//
+// The index numbers each distinct term once, at its first occurrence (the
+// only time a term is copied), and keeps one posting list per term id in
+// document order. A value is stored as an entry of its text, its owning
+// accession and a column id into a small table of what the values of one
+// column share (source, relations, column name, primary flag); a
+// Document is rebuilt only for a hit.
 package search
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/metadata"
 	"repro/internal/textmine"
@@ -45,17 +55,14 @@ type Filter struct {
 	PrimaryOnly bool
 }
 
-func (f Filter) match(d Document) bool {
-	if f.PrimaryOnly && !d.Primary {
+func (f Filter) match(c column) bool {
+	if f.PrimaryOnly && !c.primary {
 		return false
 	}
-	if len(f.Sources) > 0 && !containsFold(f.Sources, d.Object.Source) {
+	if len(f.Sources) > 0 && !containsFold(f.Sources, c.source) {
 		return false
 	}
-	if len(f.Columns) > 0 && !containsFold(f.Columns, d.Column) {
-		return false
-	}
-	return true
+	return len(f.Columns) == 0 || containsFold(f.Columns, c.name)
 }
 
 func containsFold(list []string, s string) bool {
@@ -67,68 +74,145 @@ func containsFold(list []string, s string) bool {
 	return false
 }
 
-type posting struct {
-	doc int
-	tf  int
+// column is what the values of one column share; object is the relation
+// of the objects owning them.
+type column struct {
+	source, object, relation, name string
+	primary                        bool
 }
+
+// entry is one indexed value; col indexes Index.cols.
+type entry struct {
+	text, accession string
+	col             int32
+}
+
+// posting is a term's occurrences in one document.
+type posting struct{ doc, tf int32 }
 
 // Index is a BM25-ranked inverted index.
 type Index struct {
-	docs     []Document
-	lens     []int
-	postings map[string][]posting
+	entries  []entry
+	lens     []int32 // terms per entry
 	totalLen int
+	cols     []column
+	colIDs   map[column]int32
+	keys     []string // per column, ObjectRef.Key up to the accession
+	termIDs  map[string]int32
+	postings [][]posting // by term id, each in document order
 }
 
 // NewIndex creates an empty index.
 func NewIndex() *Index {
-	return &Index{postings: make(map[string][]posting)}
+	return &Index{colIDs: make(map[column]int32), termIDs: make(map[string]int32)}
+}
+
+// columnID numbers c in ix's column table.
+func (ix *Index) columnID(c column) int32 {
+	if n := len(ix.cols); n > 0 && ix.cols[n-1] == c {
+		return int32(n - 1)
+	}
+	id, ok := ix.colIDs[c]
+	if !ok {
+		id = int32(len(ix.cols))
+		ix.colIDs[c] = id
+		ix.cols = append(ix.cols, c)
+		ix.keys = append(ix.keys, metadata.ObjectRef{Source: c.source, Relation: c.object}.Key())
+	}
+	return id
+}
+
+// termID returns term's id. A term ix does not hold is numbered, as a
+// copy, when add is set, and is -1 otherwise.
+func (ix *Index) termID(term string, add bool) int32 {
+	if id, ok := ix.termIDs[term]; ok {
+		return id
+	} else if !add {
+		return -1
+	}
+	return ix.number(strings.Clone(term))
+}
+
+// number gives term, a string ix may keep, the next term id.
+func (ix *Index) number(term string) int32 {
+	id := int32(len(ix.postings))
+	ix.termIDs[term] = id
+	ix.postings = append(ix.postings, nil)
+	return id
+}
+
+// eachTerm calls fn with the id of each term of text as the index counts
+// it: its tokens, then each accession-shaped word, trimmed of
+// punctuation and lower-cased. add is termID's. Lower-casing ASCII keeps
+// every byte's class, so an ASCII text's words are cut from its
+// lower-cased copy.
+func (ix *Index) eachTerm(text string, add bool, fn func(id int32)) {
+	lower, words := strings.ToLower(text), text
+	textmine.EachToken(lower, func(tok string) { fn(ix.termID(tok, add)) })
+	if !strings.ContainsFunc(text, func(r rune) bool { return r >= utf8.RuneSelf }) {
+		words = lower
+	}
+	textmine.EachField(words, func(w string) bool {
+		if w = strings.Trim(w, ".,;:()[]{}\"'"); textmine.LooksLikeAccession(w) {
+			fn(ix.termID(strings.ToLower(w), add))
+		}
+		return true
+	})
 }
 
 // Add indexes one document.
 func (ix *Index) Add(d Document) {
-	id := len(ix.docs)
-	ix.docs = append(ix.docs, d)
-	toks := textmine.Tokenize(d.Text)
-	// Accession-shaped raw tokens are additionally indexed verbatim
-	// (lower-cased) so searches for "P12345" hit even though the
-	// tokenizer would split nothing here; composite IDs split on ':' etc.
-	for _, w := range strings.Fields(d.Text) {
-		w = strings.Trim(w, ".,;:()[]{}\"'")
-		if textmine.LooksLikeAccession(w) {
-			toks = append(toks, strings.ToLower(w))
+	doc := int32(len(ix.entries))
+	ix.entries = append(ix.entries, entry{text: d.Text, accession: d.Object.Accession, col: ix.columnID(column{
+		source: d.Object.Source, object: d.Object.Relation, relation: d.Relation, name: d.Column, primary: d.Primary,
+	})})
+	var n int32
+	ix.eachTerm(d.Text, true, func(id int32) {
+		n++
+		if posts := ix.postings[id]; len(posts) > 0 && posts[len(posts)-1].doc == doc {
+			posts[len(posts)-1].tf++
+		} else {
+			ix.postings[id] = append(posts, posting{doc: doc, tf: 1})
 		}
-	}
-	tf := textmine.TermFreq(toks)
-	ix.lens = append(ix.lens, len(toks))
-	ix.totalLen += len(toks)
-	for term, f := range tf {
-		ix.postings[term] = append(ix.postings[term], posting{doc: id, tf: f})
-	}
+	})
+	ix.lens = append(ix.lens, n)
+	ix.totalLen += int(n)
 }
 
 // Len returns the number of indexed documents.
-func (ix *Index) Len() int { return len(ix.docs) }
+func (ix *Index) Len() int { return len(ix.entries) }
 
-// Merge folds another index's documents into ix, remapping document ids.
-// It lets callers tokenize and index a batch off to the side (outside any
-// lock protecting ix) and then splice it in cheaply: the merge is a
-// slice-append per term, with no re-tokenization. Ranking after a merge
-// is identical to having Added the documents directly in order.
+// Merge folds another index's documents into ix, remapping document,
+// column and term ids. It lets callers tokenize and index a batch off to
+// the side (outside any lock protecting ix) and then splice it in
+// cheaply: one lookup per distinct column and term of other, then an
+// append per posting, with no re-tokenization. Ranking after a merge is
+// identical to having Added the documents directly in order.
 func (ix *Index) Merge(other *Index) {
-	if other == nil || len(other.docs) == 0 {
+	if other == nil || len(other.entries) == 0 {
 		return
 	}
-	base := len(ix.docs)
-	ix.docs = append(ix.docs, other.docs...)
+	base := int32(len(ix.entries))
+	cols := make([]int32, len(other.cols))
+	for i, c := range other.cols {
+		cols[i] = ix.columnID(c)
+	}
+	for _, e := range other.entries {
+		e.col = cols[e.col]
+		ix.entries = append(ix.entries, e)
+	}
 	ix.lens = append(ix.lens, other.lens...)
 	ix.totalLen += other.totalLen
-	for term, posts := range other.postings {
-		dst := ix.postings[term]
-		for _, p := range posts {
+	for term, t := range other.termIDs {
+		id, ok := ix.termIDs[term]
+		if !ok { // other's terms are its own copies
+			id = ix.number(term)
+		}
+		dst := slices.Grow(ix.postings[id], len(other.postings[t]))
+		for _, p := range other.postings[t] {
 			dst = append(dst, posting{doc: p.doc + base, tf: p.tf})
 		}
-		ix.postings[term] = dst
+		ix.postings[id] = dst
 	}
 }
 
@@ -139,60 +223,71 @@ const (
 )
 
 // Search returns documents matching the query ranked by BM25, after
-// applying the filter. limit <= 0 returns everything.
+// applying the filter. limit <= 0 returns everything. Equal scores rank
+// by object key, then in indexing order, so equal calls return equal
+// results.
 func (ix *Index) Search(query string, f Filter, limit int) []Result {
-	if len(ix.docs) == 0 {
-		return nil
-	}
-	qTokens := textmine.Tokenize(query)
-	for _, w := range strings.Fields(query) {
-		if textmine.LooksLikeAccession(w) {
-			qTokens = append(qTokens, strings.ToLower(w))
+	var ids []int32 // the query's distinct known terms, in query order
+	ix.eachTerm(query, false, func(id int32) {
+		if id >= 0 && !slices.Contains(ids, id) {
+			ids = append(ids, id)
 		}
-	}
-	if len(qTokens) == 0 {
+	})
+	if len(ids) == 0 {
 		return nil
 	}
-	avgLen := float64(ix.totalLen) / float64(len(ix.docs))
+	colOK := make([]bool, len(ix.cols))
+	for c, col := range ix.cols {
+		colOK[c] = f.match(col)
+	}
+	type hit struct {
+		doc   int32
+		score float64
+	}
+	var hits []hit
+	at := make(map[int32]int) // doc -> its hit
+	n, avgLen := float64(len(ix.entries)), float64(ix.totalLen)/float64(len(ix.entries))
 	if avgLen == 0 {
 		avgLen = 1
 	}
-	scores := make(map[int]float64)
-	n := float64(len(ix.docs))
-	seenTerm := make(map[string]bool)
-	for _, term := range qTokens {
-		if seenTerm[term] {
-			continue
-		}
-		seenTerm[term] = true
-		posts := ix.postings[term]
-		if len(posts) == 0 {
-			continue
-		}
-		df := float64(len(posts))
+	for _, id := range ids {
+		df := float64(len(ix.postings[id]))
 		idf := math.Log((n-df+0.5)/(df+0.5) + 1)
-		for _, p := range posts {
-			dl := float64(ix.lens[p.doc])
-			tf := float64(p.tf)
-			scores[p.doc] += idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
+		for _, p := range ix.postings[id] {
+			if !colOK[ix.entries[p.doc].col] {
+				continue
+			}
+			i, ok := at[p.doc]
+			if !ok {
+				i, at[p.doc] = len(hits), len(hits)
+				hits = append(hits, hit{doc: p.doc})
+			}
+			dl, tf := float64(ix.lens[p.doc]), float64(p.tf)
+			hits[i].score += idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
 		}
 	}
-	results := make([]Result, 0, len(scores))
-	for doc, s := range scores {
-		d := ix.docs[doc]
-		if !f.match(d) {
-			continue
+	slices.SortFunc(hits, func(a, b hit) int {
+		ea, eb := ix.entries[a.doc], ix.entries[b.doc]
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		} else if ka, kb := ix.keys[ea.col], ix.keys[eb.col]; ka != kb {
+			return strings.Compare(ka+ea.accession, kb+eb.accession)
+		} else if c := strings.Compare(ea.accession, eb.accession); c != 0 {
+			return c
 		}
-		results = append(results, Result{Document: d, Score: s})
-	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Document.Object.Key() < results[j].Document.Object.Key()
+		return cmp.Compare(a.doc, b.doc)
 	})
-	if limit > 0 && len(results) > limit {
-		results = results[:limit]
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	results := make([]Result, len(hits))
+	for i, h := range hits {
+		e := ix.entries[h.doc]
+		c := ix.cols[e.col]
+		results[i] = Result{Score: h.score, Document: Document{
+			Object:   metadata.ObjectRef{Source: c.source, Relation: c.object, Accession: e.accession},
+			Relation: c.relation, Column: c.name, Text: e.text, Primary: c.primary,
+		}}
 	}
 	return results
 }
@@ -208,26 +303,19 @@ func Snippet(r Result, query string, width int) string {
 	lower := strings.ToLower(text)
 	pos := -1
 	matchLen := 0
-	for _, term := range textmine.Tokenize(query) {
+	textmine.EachToken(strings.ToLower(query), func(term string) {
 		if i := strings.Index(lower, term); i >= 0 && (pos < 0 || i < pos) {
 			pos = i
 			matchLen = len(term)
 		}
-	}
+	})
 	if pos < 0 {
 		if len(text) <= width {
 			return text
 		}
 		return text[:width] + "…"
 	}
-	start := pos - width/2
-	if start < 0 {
-		start = 0
-	}
-	end := pos + matchLen + width/2
-	if end > len(text) {
-		end = len(text)
-	}
+	start, end := max(pos-width/2, 0), min(pos+matchLen+width/2, len(text))
 	// Align to word boundaries.
 	for start > 0 && text[start] != ' ' {
 		start--

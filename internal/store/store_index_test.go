@@ -21,8 +21,8 @@ func TestRestoreRebuildsRelationIndexes(t *testing.T) {
 		rel.Column{Name: "v", Kind: rel.KindString},
 	))
 	r.PrimaryKey = "id"
-	r.AppendStrings("1", "a")
-	r.AppendStrings("2", "b")
+	r.Append(rel.Tuple{rel.Int(1), rel.Str("a")})
+	r.Append(rel.Tuple{rel.Int(2), rel.Str("b")})
 	r.EnsureIndexes()
 
 	restored := store.RestoreRelation(store.SnapshotRelation(r))

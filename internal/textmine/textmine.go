@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords are high-frequency English words excluded from token vectors.
@@ -22,50 +23,63 @@ var stopwords = map[string]bool{
 	"this": true, "to": true, "was": true, "which": true, "with": true,
 }
 
-// Tokenize lower-cases s and splits it into alphanumeric tokens, dropping
-// stopwords and single characters.
-func Tokenize(s string) []string {
-	toks := TokenizeLower(strings.ToLower(s))
-	for i, t := range toks {
-		toks[i] = strings.Clone(t)
-	}
-	return toks
-}
-
-// TokenizeLower is Tokenize over an already lower-cased string. The
-// tokens are substrings of lower and keep it alive: the form for a caller
-// that holds the lower-cased copy anyway.
+// TokenizeLower splits an already lower-cased string into alphanumeric
+// tokens, dropping stopwords and single characters. The tokens are
+// substrings of lower and keep it alive.
 func TokenizeLower(lower string) []string {
 	var out []string
+	EachToken(lower, func(tok string) { out = append(out, tok) })
+	return out
+}
+
+// EachToken calls fn with each of TokenizeLower's tokens of lower, in
+// order, allocating nothing: a token is a maximal run of letters and
+// digits, kept if it is at least 2 bytes long and not a stopword. ASCII
+// is classified by range; only a rune >= 0x80 asks package unicode (an
+// invalid byte decodes as U+FFFD, a separator).
+func EachToken(lower string, fn func(tok string)) {
 	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			if tok := lower[start:end]; len(tok) >= 2 && !stopwords[tok] {
-				out = append(out, tok)
+	for i, r := range lower {
+		word := 'a' <= r && r <= 'z' || '0' <= r && r <= '9' || 'A' <= r && r <= 'Z' ||
+			r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r))
+		if word && start < 0 {
+			start = i
+		} else if !word && start >= 0 {
+			emitToken(lower[start:i], fn)
+			start = -1
+		}
+	}
+	if start >= 0 {
+		emitToken(lower[start:], fn)
+	}
+}
+
+// emitToken passes tok to fn unless it is a single byte or a stopword
+// (every stopword is at most 5 bytes long).
+func emitToken(tok string, fn func(string)) {
+	if len(tok) >= 2 && (len(tok) > 5 || !stopwords[tok]) {
+		fn(tok)
+	}
+}
+
+// EachField calls fn with each of strings.Fields' fields of s, in order,
+// until fn returns false: the maximal runs of runes that are not
+// unicode.IsSpace (an invalid byte is not a space). It builds no slice.
+func EachField(s string, fn func(field string) bool) {
+	start := -1
+	for i, r := range s {
+		if space := unicode.IsSpace(r); !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			if !fn(s[start:i]) {
+				return
 			}
 			start = -1
 		}
 	}
-	for i, r := range lower {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-		} else {
-			flush(i)
-		}
+	if start >= 0 {
+		fn(s[start:])
 	}
-	flush(len(lower))
-	return out
-}
-
-// TermFreq counts token occurrences.
-func TermFreq(tokens []string) map[string]int {
-	tf := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-	}
-	return tf
 }
 
 // Jaro computes the Jaro similarity of two strings. Strings of up to 64

@@ -2,13 +2,15 @@ package textmine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
-	toks := Tokenize("The Hemoglobin, subunit-alpha (HBA1) binds O2.")
+	toks := TokenizeLower(strings.ToLower("The Hemoglobin, subunit-alpha (HBA1) binds O2."))
 	want := []string{"hemoglobin", "subunit", "alpha", "hba1", "binds", "o2"}
 	if len(toks) != len(want) {
 		t.Fatalf("tokens = %v", toks)
@@ -21,7 +23,7 @@ func TestTokenize(t *testing.T) {
 }
 
 func TestTokenizeDropsStopwordsAndSingles(t *testing.T) {
-	toks := Tokenize("a protein of the cell")
+	toks := TokenizeLower("a protein of the cell")
 	if len(toks) != 2 || toks[0] != "protein" || toks[1] != "cell" {
 		t.Errorf("tokens = %v", toks)
 	}
@@ -104,15 +106,119 @@ func TestJaroWinklerRange(t *testing.T) {
 	}
 }
 
-// Tokens cut from the lower-cased copy are the tokens Tokenize returns,
-// including around multi-byte runes, invalid UTF-8 and stopwords.
-func TestTokenizeLowerMatchesTokenize(t *testing.T) {
-	for _, s := range []string{"", "a", "The Hemoglobin, subunit-alpha (HBA1) binds O2.",
-		"ÄÖÜ straße ǅungla İstanbul", "bad\xffutf8 \xc3 tail", "of the and", "x1 y22  z-333"} {
-		got, want := TokenizeLower(strings.ToLower(s)), Tokenize(s)
-		if strings.Join(got, "|") != strings.Join(want, "|") || (got == nil) != (want == nil) {
-			t.Errorf("%q: TokenizeLower %q, Tokenize %q", s, got, want)
+// tokenizeOracle is TokenizeLower as it was before EachToken: a range
+// loop over the runes, every one classified by unicode.IsLetter and
+// unicode.IsDigit, and a stopword map probe per run.
+func tokenizeOracle(lower string) []string {
+	var out []string
+	start := -1
+	flush := func(end int) {
+		if start >= 0 {
+			if tok := lower[start:end]; len(tok) >= 2 && !stopwords[tok] {
+				out = append(out, tok)
+			}
+			start = -1
 		}
+	}
+	for i, r := range lower {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+		} else {
+			flush(i)
+		}
+	}
+	flush(len(lower))
+	return out
+}
+
+var tokenizeSeeds = []string{"", "a", "The Hemoglobin, subunit-alpha (HBA1) binds O2.",
+	"ÄÖÜ straße ǅungla İstanbul", "bad\xffutf8 \xc3 tail", "of the and which", "x1 y22  z-333",
+	"\u212a\u212aelvin İi GO:0000001 P12345.", "\xef\xbf\xbd\xef\xbf\xbdab q\u0301r 12\u0663"}
+
+// checkEachToken fails if EachToken does not yield the oracle's tokens of
+// s, or TokenizeLower does not return them.
+func checkEachToken(t *testing.T, s string) {
+	t.Helper()
+	want := tokenizeOracle(s)
+	var got []string
+	EachToken(s, func(tok string) { got = append(got, tok) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%q: EachToken %q, oracle %q", s, got, want)
+	}
+	if lower := TokenizeLower(s); !slices.Equal(lower, want) || (lower == nil) != (want == nil) {
+		t.Fatalf("%q: TokenizeLower %q, oracle %q", s, lower, want)
+	}
+}
+
+// EachToken yields the oracle's tokens, including around multi-byte
+// runes, upper case, invalid UTF-8 and stopwords, lower-cased or not.
+func TestEachTokenMatchesOracle(t *testing.T) {
+	for _, s := range tokenizeSeeds {
+		checkEachToken(t, s)
+		checkEachToken(t, strings.ToLower(s))
+	}
+}
+
+// checkEachField fails if EachField does not yield strings.Fields' fields
+// of s, or does not stop where fn returns false.
+func checkEachField(t *testing.T, s string) {
+	t.Helper()
+	want := strings.Fields(s)
+	var got []string
+	EachField(s, func(w string) bool { got = append(got, w); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%q: EachField %q, strings.Fields %q", s, got, want)
+	}
+	for stop := 1; stop <= len(want); stop++ {
+		n := 0
+		EachField(s, func(string) bool { n++; return n < stop })
+		if n != stop {
+			t.Fatalf("%q: EachField called fn %d times after it returned false at %d", s, n, stop)
+		}
+	}
+}
+
+// EachField splits as strings.Fields does, across ASCII and Unicode
+// spaces, invalid UTF-8 and random mixes of them.
+func TestEachFieldMatchesStringsFields(t *testing.T) {
+	seeds := append([]string{" ", "a b", " a  b c ", "a\tb\nc\vd\fe\rf", "a b\u0085c\u00a0d",
+		"a\u3000b\u2003c", "x\xffy z", "\xc2 \xa0 q", "one\u200btwo three"}, tokenizeSeeds...)
+	rng := rand.New(rand.NewSource(5))
+	parts := []string{"a", "bc", " ", "\t", "\u00a0", "\u3000", "\xff", "\xc2", "é", "\u0085"}
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		for k := rng.Intn(8); k > 0; k-- {
+			b.WriteString(parts[rng.Intn(len(parts))])
+		}
+		seeds = append(seeds, b.String())
+	}
+	for _, s := range seeds {
+		checkEachField(t, s)
+	}
+}
+
+// FuzzEachToken checks EachToken against the oracle tokenizer, and
+// EachField against strings.Fields, on arbitrary bytes.
+func FuzzEachToken(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		checkEachToken(t, s)
+		checkEachField(t, s)
+	})
+}
+
+// EachToken over ASCII text allocates nothing.
+func TestEachTokenAllocatesNothing(t *testing.T) {
+	n := 0
+	count := func(string) { n++ }
+	if a := testing.AllocsPerRun(100, func() {
+		EachToken("hemoglobin subunit alpha (hba1) binds o2 in the red cells", count)
+	}); a != 0 {
+		t.Errorf("EachToken: %v allocs per call", a)
 	}
 }
 
