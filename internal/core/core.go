@@ -157,8 +157,9 @@ type System struct {
 	// records caches duplicate-detection records per source.
 	records map[string][]dup.Record
 	// dupIndex is the persistent blocking index: every record is bucketed
-	// once, and each new batch is compared only against the blocking
-	// windows instead of re-running detection over the whole union.
+	// once (a restored one when the next batch is compared), and each new
+	// batch is compared only against the blocking windows instead of
+	// re-running detection over the whole union.
 	dupIndex *dup.Index
 
 	// durable, when non-nil, journals every acknowledged mutation to a

@@ -522,6 +522,117 @@ func TestFiveDoorsOneState(t *testing.T) {
 	}
 }
 
+// plantedBatch is a batch for source aa: n copies of aa's first entries
+// under new accessions, each an exact duplicate of its original, then n
+// entries of their own.
+func plantedBatch(n int) *rel.Database {
+	db := rel.NewDatabase("aa")
+	entry := db.Create("entry", rel.TextSchema("entry_id", "acc", "label", "comment"))
+	note := db.Create("note", rel.TextSchema("note_id", "entry_id", "note_text"))
+	for k := 0; k < 2*n; k++ {
+		name, i := "aa", k
+		if k >= n {
+			name = "planted"
+		}
+		id := 1000 + k
+		entry.AppendRaw(fmt.Sprint(id), fmt.Sprintf("AX%04d", k),
+			alpha(name, i, 0)+" "+alpha(name, i, 3), "notes about entry "+alpha(name, i, 4))
+		note.AppendRaw(fmt.Sprint(2*id), fmt.Sprint(id), alpha(name, i, 1))
+	}
+	return db
+}
+
+// TestRecoveredSystemsFindSameDuplicates: a restart queues the restored
+// records in the duplicate index instead of inserting them, so the first
+// batch compared after it inserts them. That batch must flag the
+// duplicate links, with the same Stats, that it flags on the systems
+// that integrated the corpus themselves — whole-file and batch by batch
+// — and the systems must stay identical after it.
+func TestRecoveredSystemsFindSameDuplicates(t *testing.T) {
+	const planted = 6
+	whole := New(linkedOpts())
+	for _, src := range linkedCorpus {
+		if _, err := whole.AddSource(linkedBatch(src.name, src.prefix, src.refPrefix, 0, linkedRecords)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The second streamed primary checkpoints after bb's second batch.
+	stream := func(path string, checkpoint bool) *System {
+		dir, err := store.OpenDir(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dir.Close() })
+		sys := New(linkedOpts())
+		sys.AttachDurable(dir)
+		streamLinked(t, sys, func(source string, batch int) {
+			if checkpoint && source == "bb" && batch == 1 {
+				checkpointNow(t, sys)
+			}
+		})
+		return sys
+	}
+	streamedPath, checkpointedPath := t.TempDir(), t.TempDir()
+	streamed := stream(streamedPath, false)
+	stream(checkpointedPath, true)
+	recoverCopy := func(path string) *System {
+		dir, err := store.OpenDir(copyDir(t, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dir.Close() })
+		sys, _, err := Recover(linkedOpts(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	var wantLinks, wantState string
+	var wantStats dup.Stats
+	for _, tc := range []struct {
+		door string
+		sys  *System
+	}{
+		{"whole-file", whole},
+		{"first batch + appends", streamed},
+		{"recovered from WAL", recoverCopy(streamedPath)},
+		{"recovered from checkpoint + WAL tail", recoverCopy(checkpointedPath)},
+	} {
+		p, err := tc.sys.PrepareAppend(context.Background(), "aa", plantedBatch(planted))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.door, err)
+		}
+		var dups []metadata.Link
+		for _, l := range p.links {
+			if l.Type == metadata.LinkDuplicate {
+				dups = append(dups, l)
+			}
+		}
+		stats := p.dstats
+		if _, err := tc.sys.Commit(p); err != nil {
+			t.Fatalf("%s: %v", tc.door, err)
+		}
+		links, state := linkLines(dups), fullFingerprint(tc.sys)
+		if wantLinks == "" {
+			if len(dups) < planted || stats.Comparisons == 0 {
+				t.Fatalf("%s: %d duplicate links in %+v, want the %d planted", tc.door, len(dups), stats, planted)
+			}
+			wantLinks, wantStats, wantState = links, stats, state
+			continue
+		}
+		if links != wantLinks {
+			t.Errorf("%s flags other duplicates than whole-file:\n--- whole-file ---\n%s\n--- %s ---\n%s", tc.door, wantLinks, tc.door, links)
+		}
+		if stats != wantStats {
+			t.Errorf("%s: dup stats %+v, whole-file %+v", tc.door, stats, wantStats)
+		}
+		if state != wantState {
+			t.Errorf("%s differs from whole-file after the batch:\n--- whole-file ---\n%s\n--- %s ---\n%s", tc.door, wantState, tc.door, state)
+		}
+	}
+}
+
 // TestReplayRunsNoPipeline: recovering a source from segments or WAL
 // records, or applying it on a replica, must not run link discovery or
 // duplicate comparison — both live in the prepare body, whose stages

@@ -6,11 +6,14 @@ package core
 // the same publish that commits live integrations. restore is the front
 // door: it turns an image into a Pending WITHOUT running the pipeline.
 // Structure and profiles come from the image (or, for an appended batch,
-// from the registry), the duplicate records are bucketed without
-// comparing, and the links come from the record or the links segment —
-// §6.2 stresses how costly re-computation is, so replay performs no
-// sequence, text or duplicate comparison at all. Reanalyze remains the
-// way to force a fresh derivation.
+// from the registry), the duplicate records are queued in the duplicate
+// index without being prepared or compared (the next integration's
+// duplicate pass inserts them; a replica never does), the first source's
+// search postings become the system's index as they are, and the links
+// come from the record or the links segment — §6.2 stresses how costly
+// re-computation is, so replay performs no sequence, text or duplicate
+// comparison at all. Reanalyze remains the way to force a fresh
+// derivation.
 
 import (
 	"errors"
@@ -127,8 +130,8 @@ func (s *System) restore(ss *store.SourceSnapshot, links []metadata.Link) error 
 	if p.src, err = linkdisc.NewSource(p.batch, p.structure, p.profs, ss.Batches()); err != nil {
 		return err
 	}
-	// Bucket the records into the incremental duplicate index without
-	// comparing: later integrations compare against them.
+	// Queue the records in the incremental duplicate index: the next
+	// integration inserts and compares against them.
 	p.records = dup.RecordsFromSource(p.batch, p.structure)
 	s.dupIndex.Add(p.records)
 	// Hash indexes are never part of any on-disk encoding; stage rebuilds

@@ -83,7 +83,11 @@ func RecordsFromSource(db *rel.Database, s *discovery.Structure) []Record {
 	if accIdx < 0 {
 		return nil
 	}
-	var out []Record
+	names := make([]string, len(pr.Schema.Columns))
+	for i, c := range pr.Schema.Columns {
+		names[i] = strings.ToLower(c.Name)
+	}
+	out := make([]Record, 0, len(pr.Tuples))
 	for _, t := range pr.Tuples {
 		acc := t[accIdx]
 		if acc.IsNull() {
@@ -93,9 +97,9 @@ func RecordsFromSource(db *rel.Database, s *discovery.Structure) []Record {
 			Source:    db.Name,
 			Relation:  pr.Name,
 			Accession: acc.AsString(),
-			Fields:    make(map[string]string),
+			Fields:    make(map[string]string, len(names)-1),
 		}
-		for i, c := range pr.Schema.Columns {
+		for i, name := range names {
 			if i == accIdx || t[i].IsNull() {
 				continue
 			}
@@ -104,7 +108,7 @@ func RecordsFromSource(db *rel.Database, s *discovery.Structure) []Record {
 			if isDigitsOnly(v) {
 				continue
 			}
-			rec.Fields[strings.ToLower(c.Name)] = v
+			rec.Fields[name] = v
 		}
 		out = append(out, rec)
 	}

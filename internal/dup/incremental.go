@@ -7,10 +7,16 @@
 // records were already flagged when the later of the two arrived.
 //
 // What is built when, per record (see prepared in dup.go):
-//   - at insert (Add, FindNew): fields in name order, one lower-cased
-//     copy and one tokenisation per value, the matcher's counts, both
-//     blocking keys. Replay through Add — recovery, replica apply,
-//     checkpoint load — does nothing else;
+//   - at Add: nothing. Add only queues the batch; replay through Add —
+//     recovery, replica apply, checkpoint load — builds no prepared form
+//     and touches no matcher count, and a replica, which never compares,
+//     never builds them;
+//   - at insert (a FindNew batch, or a queued batch when the next
+//     FindNew or Remove folds the queue in, one insert per batch in the
+//     order they were added): fields in name order, one lower-cased copy
+//     and one tokenisation per value, the matcher's counts, both
+//     blocking keys. Folding batch by batch makes the calls an eager Add
+//     made, so ids, pass lists and every answer are an eager index's;
 //   - at every insert, for every indexed record: its pass-0 position,
 //     by which candidate pairs name it;
 //   - at the first comparison: room for the weights;
@@ -53,12 +59,13 @@ func keyedCmp(a, b *prepared, pass int) int {
 
 // Index is the persistent blocking index over all integrated records.
 // Records are prepared and bucketed (merged into the sorted pass lists)
-// exactly once, when added.
+// exactly once, when first needed.
 type Index struct {
-	// passes[p] holds every indexed record sorted by the pass-p blocking
+	// passes[p] holds every inserted record sorted by the pass-p blocking
 	// key (p=1 uses the reversed key of the second pass).
 	passes  [2][]*prepared
 	all     []*prepared
+	pending [][]Record // batches Added but not inserted yet, in order
 	matcher *Matcher
 	lastID  uint32 // id of the most recently inserted record
 	pass    uint32 // number of the current FindNew pass
@@ -69,13 +76,29 @@ func NewIndex() *Index {
 	return &Index{matcher: NewMatcher(nil)}
 }
 
-// Len returns the number of indexed records.
-func (ix *Index) Len() int { return len(ix.all) }
+// Len returns the number of indexed records, queued ones included.
+func (ix *Index) Len() int {
+	n := len(ix.all)
+	for _, batch := range ix.pending {
+		n += len(batch)
+	}
+	return n
+}
 
-// Add buckets records into the index without comparing them — used when
-// replaying a snapshot whose duplicate links are already known.
+// Add queues records for the index without preparing or comparing them
+// — used when replaying a snapshot whose duplicate links are already
+// known. The next FindNewContext or Remove inserts them.
 func (ix *Index) Add(records []Record) {
-	ix.insert(records)
+	ix.pending = append(ix.pending, records)
+}
+
+// fold inserts the queued batches, one insert per batch in the order
+// they were added, exactly as an eager Add would have.
+func (ix *Index) fold() {
+	for _, batch := range ix.pending {
+		ix.insert(batch)
+	}
+	ix.pending = nil
 }
 
 // insert prepares the records and merges them into both sorted pass
@@ -112,7 +135,9 @@ func mergeKeyed(existing, added []*prepared, pass int) []*prepared {
 
 // Remove drops the given records from the index by identity
 // (Source+Accession) — the unwind path when a source addition or a batch
-// append fails after duplicate detection ran. At most one indexed record
+// append fails after duplicate detection ran, or a restored one after
+// Add. Queued batches are inserted first, so Remove drops from the index
+// an eager Add would have built. At most one indexed record
 // is dropped per given record; ix.all is scanned from the end, so a
 // just-inserted batch (always the tail) is removed exactly, even when an
 // appended accession collides with an older record of the same source.
@@ -120,6 +145,7 @@ func mergeKeyed(existing, added []*prepared, pass int) []*prepared {
 // slices.DeleteFunc zeroes the vacated tails of all three lists, so
 // nothing keeps a removed record or its derived forms alive.
 func (ix *Index) Remove(records []Record) {
+	ix.fold()
 	want := make(map[[2]string]int, len(records))
 	for _, r := range records {
 		want[[2]string{r.Source, r.Accession}]++
@@ -153,6 +179,7 @@ func (ix *Index) Remove(records []Record) {
 // — exactly as on any other mid-pipeline failure.
 func (ix *Index) FindNewContext(ctx context.Context, added []Record, opts Options) ([]Match, Stats, error) {
 	opts.fill()
+	ix.fold()
 	n := len(ix.all)
 	ix.insert(added)
 	pairs := ix.candidates(n, opts.Blocking)

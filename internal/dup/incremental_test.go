@@ -3,6 +3,9 @@ package dup
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -111,6 +114,8 @@ func TestIndexBatchOrderInvariance(t *testing.T) {
 	for _, batch := range [][]Record{c, a, b} {
 		stepwise.Add(batch)
 	}
+	oneBatch.fold()
+	stepwise.fold()
 	order := func(ps []*prepared, pass int) []string {
 		out := make([]string, len(ps))
 		for i, p := range ps {
@@ -146,6 +151,7 @@ func TestIndexRemoveSourceRestoresState(t *testing.T) {
 	// The matcher's frequency tables must be exactly unwound too.
 	clean := NewIndex()
 	clean.Add(a)
+	clean.fold()
 	ix.Remove(b)
 	if !reflect.DeepEqual(ix.matcher, clean.matcher) {
 		t.Error("matcher state not restored by Remove")
@@ -164,4 +170,94 @@ func TestFindDuplicatesWorkerParity(t *testing.T) {
 	if sStats != pStats {
 		t.Errorf("stats disagree: %+v vs %+v", sStats, pStats)
 	}
+}
+
+// sameMatches fails unless got and want hold the same pairs in the same
+// order and orientation, with bit-identical similarities and the same
+// evidence.
+func sameMatches(t *testing.T, what string, got, want []Match) {
+	t.Helper()
+	for k := range min(len(got), len(want)) {
+		g, w := got[k], want[k]
+		if !reflect.DeepEqual(g.A, w.A) || !reflect.DeepEqual(g.B, w.B) ||
+			math.Float64bits(g.Similarity) != math.Float64bits(w.Similarity) || g.Evidence != w.Evidence {
+			t.Fatalf("%s: match %d is %s~%s %v %q, want %s~%s %v %q", what, k,
+				g.A.Accession, g.B.Accession, g.Similarity, g.Evidence,
+				w.A.Accession, w.B.Accession, w.Similarity, w.Evidence)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", what, len(got), len(want))
+	}
+}
+
+// Queued Adds answer as eager ones. Over random batch splits of
+// mixed-shape records — twins (one Source and Accession, the same
+// blocking keys, different fields) inside a batch and across batches, and
+// batches removed right after Add, as restore's unwind does — FindNew
+// after queued Adds gives the matches, similarity bits, evidence and
+// Stats of an index that inserts at every Add. An index that has only
+// been Added to holds no prepared form and no matcher count.
+func TestDupDeferredAddMatchesEager(t *testing.T) {
+	finds, flagged := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lazy, eager := NewIndex(), NewIndex()
+		queued, onlyAdded := 0, true
+		find := func(step int, batch []Record) {
+			opts := Options{Threshold: []float64{0.4, 0.6, 0.8}[rng.Intn(3)], Blocking: BlockingMode(rng.Intn(2))}
+			got, gotStats := lazy.FindNew(batch, opts)
+			want, wantStats := eager.FindNew(batch, opts)
+			what := fmt.Sprintf("seed %d step %d (%+v)", seed, step, opts)
+			sameMatches(t, what, got, want)
+			if gotStats != wantStats {
+				t.Fatalf("%s: stats %+v, want %+v", what, gotStats, wantStats)
+			}
+			finds, flagged = finds+1, flagged+len(want)
+		}
+		for step := 0; step < 14; step++ {
+			src := fmt.Sprintf("s%d", rng.Intn(3))
+			batch := make([]Record, 1+rng.Intn(40))
+			for i := range batch {
+				batch[i] = randomRecord(rng, src, rng.Intn(60))
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				// A token no smaller than the blocking keys leaves them as
+				// they are, so the twins tie in both pass orders.
+				twin := batch[rng.Intn(len(batch))]
+				twin.Fields = maps.Clone(twin.Fields)
+				twin.Fields["zz"] = "zzzz zzzz"
+				batch = append(batch, twin)
+			}
+			switch rng.Intn(5) {
+			case 0, 1, 2:
+				lazy.Add(batch)
+				eager.Add(batch)
+				eager.fold()
+				queued += len(batch)
+				if rng.Intn(4) == 0 {
+					lazy.Remove(batch)
+					eager.Remove(batch)
+					queued -= len(batch)
+					onlyAdded = false
+				}
+			default:
+				find(step, batch)
+				onlyAdded = false
+			}
+			if onlyAdded && (lazy.livePrepared() != 0 || lazy.Len() != queued ||
+				len(lazy.matcher.valueCount) != 0 || len(lazy.matcher.tokenDF) != 0 || lazy.matcher.records != 0) {
+				t.Fatalf("seed %d step %d: an index only Added to holds %d prepared records, %d values, %d tokens (Len %d, want %d)",
+					seed, step, lazy.livePrepared(), len(lazy.matcher.valueCount), len(lazy.matcher.tokenDF), lazy.Len(), queued)
+			}
+		}
+		find(-1, synthRecords(fmt.Sprintf("s%d", rng.Intn(3)), 20))
+		if !reflect.DeepEqual(lazy.matcher, eager.matcher) || lazy.Len() != eager.Len() {
+			t.Fatalf("seed %d: the lazy index's matcher or Len differs from the eager one's", seed)
+		}
+	}
+	if finds < 100 || flagged < 100 {
+		t.Fatalf("only %d FindNew calls compared, %d matches", finds, flagged)
+	}
+	t.Logf("%d FindNew calls, %d matches", finds, flagged)
 }

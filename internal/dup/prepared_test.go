@@ -150,6 +150,7 @@ func (ix *Index) livePrepared() int {
 func TestIndexRemoveFreesPrepared(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(synthRecords("base", 100))
+	ix.fold() // the baseline holds the base records prepared, as after a FindNew
 	wantLen, wantLive := ix.Len(), ix.livePrepared()
 	wantValues, wantTokens := len(ix.matcher.valueCount), len(ix.matcher.tokenDF)
 	check := func(round int) {

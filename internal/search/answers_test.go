@@ -176,3 +176,57 @@ func TestEqualScoresRankByDocument(t *testing.T) {
 		}
 	}
 }
+
+// Merging into an empty index adopts the batch's tables without copying
+// them, and the adopted index grows by Add and Merge as one built by Add
+// alone does: after each step it answers every query and filter as the
+// map-based oracle does.
+func TestMergeIntoEmptyMatchesOracle(t *testing.T) {
+	hits := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		docs := randomDocs(rng, 30+rng.Intn(90))
+		a := 1 + rng.Intn(len(docs)/3)
+		b := a + rng.Intn(len(docs)/3)
+		first, oracle := NewIndex(), newOracle()
+		for _, d := range docs[:a] {
+			first.Add(d)
+			oracle.Add(d)
+		}
+		entries := &first.entries[0]
+		ix := NewIndex()
+		ix.Merge(first)
+		if &ix.entries[0] != entries {
+			t.Fatalf("seed %d: merging into an empty index copied the batch's entries", seed)
+		}
+		check := func(stage string) {
+			t.Helper()
+			for k := 0; k < 20; k++ {
+				q, f := randomQuery(rng), randomFilter(rng)
+				what := fmt.Sprintf("seed %d, %s: Search(%q, %+v)", seed, stage, q, f)
+				got := ix.Search(q, f, 0)
+				sameResults(t, what, got, oracle.Search(q, f, 0))
+				hits += len(got)
+			}
+		}
+		check("adopted")
+		for _, d := range docs[a:b] {
+			ix.Add(d)
+			oracle.Add(d)
+		}
+		check("added")
+		batch := NewIndex()
+		for _, d := range docs[b:] {
+			batch.Add(d)
+			oracle.Add(d)
+		}
+		ix.Merge(batch)
+		check("merged")
+		if ix.Len() != len(docs) {
+			t.Fatalf("seed %d: Len %d, want %d", seed, ix.Len(), len(docs))
+		}
+	}
+	if hits < 5000 {
+		t.Fatalf("%d hits: the random draw is too thin", hits)
+	}
+}

@@ -186,10 +186,16 @@ func (ix *Index) Len() int { return len(ix.entries) }
 // column and term ids. It lets callers tokenize and index a batch off to
 // the side (outside any lock protecting ix) and then splice it in
 // cheaply: one lookup per distinct column and term of other, then an
-// append per posting, with no re-tokenization. Ranking after a merge is
-// identical to having Added the documents directly in order.
+// append per posting, with no re-tokenization. An empty ix adopts
+// other's tables instead, copying nothing. Ranking after a merge is
+// identical to having Added the documents directly in order. Merge takes
+// ownership of other: the caller must not use it afterwards.
 func (ix *Index) Merge(other *Index) {
 	if other == nil || len(other.entries) == 0 {
+		return
+	}
+	if len(ix.entries) == 0 {
+		*ix = *other
 		return
 	}
 	base := int32(len(ix.entries))
